@@ -1,11 +1,11 @@
 """Logic-driven data augmentation over Abstract Meaning Representation graphs.
 
-The package parses sentences from a controlled grammar into AMR graphs,
-rewrites the graphs under four logical equivalence laws (contraposition,
-implication, commutative, double negation), verifies every rewrite against
-a propositional truth-table oracle, and emits contrastive training pairs,
-augmented multiple-choice prompts, altered deductive rule sets, and
-contrastive-loss evaluations.
+The package parses sentences from a controlled grammar into grammar structs
+(AMR graphs only at the Penman boundary), rewrites them under four logical
+equivalence laws (contraposition, implication, commutative, double
+negation), verifies every rewrite against a propositional truth-table
+oracle, and emits contrastive training pairs, augmented multiple-choice
+prompts, altered deductive rule sets, and contrastive-loss evaluations.
 """
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ from .laws import (
     RewriteOutcome,
     applicable_laws,
     apply_law,
-    make_negatives,
     verify_outcome,
 )
 from .corpus import (
@@ -110,7 +109,7 @@ __all__ = [
     "equivalent", "is_tautology", "to_formula",
     # laws
     "LawError", "LawKind", "OracleViolation", "RewriteOutcome",
-    "applicable_laws", "apply_law", "make_negatives", "verify_outcome",
+    "applicable_laws", "apply_law", "verify_outcome",
     # corpus
     "PatternKind", "SynthSentence", "build_corpus", "corpus_from_jsonl",
     "corpus_to_jsonl", "generate_atomic", "generate_pattern",

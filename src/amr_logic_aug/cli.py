@@ -164,10 +164,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
                 continue
             try:
                 if args.format == "penman":
-                    graph = parse_penman(line)
+                    sentence = parse_penman(line)
                 else:
-                    graph = grammar.parse_sentence(line, lexicon, args.grammar)
-                outcome = laws.apply_law(graph, args.law, lexicon)
+                    sentence = grammar.parse_sentence_struct(line, lexicon, args.grammar)
+                outcome = laws.apply_law(sentence, args.law, lexicon)
             except (ParseError, grammar.GrammarError, laws.LawError, LogicError) as err:
                 skipped += 1
                 logger.warning("skipped %r: %s", line, err)
@@ -176,8 +176,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
                     + "\n"
                 )
                 continue
-            render = serialize if args.format == "penman" else (
-                lambda g: grammar.realize(g, lexicon)
+            render = grammar.realize_struct if args.format == "text" else (
+                lambda sentence: serialize(grammar.build_graph(sentence))
             )
             payload = {
                 "input": line,
@@ -185,7 +185,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
                 "positive": render(outcome.positive),
             }
             if args.negatives:
-                payload["negatives"] = [render(g) for g in outcome.negatives]
+                payload["negatives"] = [render(s) for s in outcome.negatives]
             dst.write(json.dumps(payload, ensure_ascii=False) + "\n")
             processed += 1
     _write_manifest(
@@ -248,7 +248,7 @@ def cmd_prompt_aug(args: argparse.Namespace) -> int:
         {
             "command": "prompt-aug",
             "format": args.format,
-            "laws": [law.value for law in args.laws],
+            "laws": [law.value for law in prompt.LAW_ORDER if law in args.laws],
             "lexicon_checksum": lexicon.checksum,
             **stats,
         },

@@ -80,9 +80,13 @@ AtomSign = tuple[str, str, bool]
 @dataclass(frozen=True)
 class SynthSentence:
     text: str
-    graph: AmrGraph
+    struct: GrammarSentence
     pattern: PatternKind
-    atoms: tuple[AtomSign, ...]
+
+    @property
+    def graph(self) -> AmrGraph:
+        """The canonical graph, built on demand for Penman output."""
+        return build_graph(self.struct)
 
 
 def _clause_atom(clause: Clause, lexicon: Lexicon) -> AtomSign:
@@ -95,13 +99,8 @@ def _clause_atom(clause: Clause, lexicon: Lexicon) -> AtomSign:
     return (literal.subject, literal.attribute, True)
 
 
-def _sentence(struct: GrammarSentence, pattern: PatternKind, lexicon: Lexicon) -> SynthSentence:
-    return SynthSentence(
-        text=realize_struct(struct),
-        graph=build_graph(struct),
-        pattern=pattern,
-        atoms=tuple(_clause_atom(c, lexicon) for c in struct.clauses),
-    )
+def _sentence(struct: GrammarSentence, pattern: PatternKind) -> SynthSentence:
+    return SynthSentence(text=realize_struct(struct), struct=struct, pattern=pattern)
 
 
 def _mapped_attributes(lexicon: Lexicon) -> list[str]:
@@ -118,7 +117,7 @@ def generate_atomic(lexicon: Lexicon) -> list[SynthSentence]:
                 struct = GrammarSentence(
                     Shape.ATOMIC, (Clause(subject, attribute, negated),)
                 )
-                out.append(_sentence(struct, PatternKind.ATOMIC_DN, lexicon))
+                out.append(_sentence(struct, PatternKind.ATOMIC_DN))
     return out
 
 
@@ -242,7 +241,7 @@ def _generate_family(
                 if _degenerate(tuple4, lexicon):
                     continue
                 struct = _PAIR_BUILDERS[pattern](tuple4, len(accepted))
-            sentence = _sentence(struct, pattern, lexicon)
+            sentence = _sentence(struct, pattern)
             key = sentence.text.lower()
             if key in seen_texts:
                 continue
@@ -381,7 +380,7 @@ def corpus_to_jsonl(corpus: Sequence[SynthSentence], path) -> int:
 def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
     """Rebuild sentences from a {text, penman, pattern} JSONL file.
 
-    Graphs and atoms are reconstructed by re-parsing the text, so a file
+    Structs are reconstructed by re-parsing the text, so a file
     whose text drifted from the grammar fails loudly with a line number.
     """
     from pathlib import Path
@@ -394,7 +393,7 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
             try:
                 payload = json.loads(line)
                 struct = parse_sentence_struct(payload["text"], lexicon)
-                sentence = _sentence(struct, PatternKind(payload["pattern"]), lexicon)
+                sentence = _sentence(struct, PatternKind(payload["pattern"]))
             except (json.JSONDecodeError, KeyError, ValueError, GrammarError) as err:
                 raise CorpusError(f"line {lineno}: {err}") from err
             if sentence.text != payload["text"]:

@@ -123,18 +123,14 @@ def _normalize_text(text: str) -> str:
 
 def _match_subject(words: list[str], lexicon) -> Optional[tuple[str, list[str]]]:
     """Longest-first subject match; returns (canonical subject, rest)."""
-    entities = sorted(
-        lexicon.all_entities, key=lambda e: (-len(e.split()), e)
-    )
-    for entity in entities:
-        parts = entity.split()
-        if len(words) > len(parts) and [w.lower() for w in words[: len(parts)]] == [
-            p.lower() for p in parts
-        ]:
+    for entity, parts in lexicon.subject_index.get(words[0].lower(), ()):
+        if len(words) > len(parts) and all(
+            word.lower() == part for word, part in zip(words[1:], parts[1:])
+        ):
             return entity, words[len(parts) :]
-    if words and words[0].lower() == YOU and len(words) > 1:
+    if words[0].lower() == YOU and len(words) > 1:
         return YOU, words[1:]
-    if words and _PROPER_NAME_RE.fullmatch(words[0]) and len(words) > 1:
+    if _PROPER_NAME_RE.fullmatch(words[0]) and len(words) > 1:
         return words[0], words[1:]
     return None
 
@@ -493,7 +489,7 @@ def parse_sentence(text: str, lexicon, grammar: str = CORE) -> AmrGraph:
     return build_graph(parse_sentence_struct(text, lexicon, grammar))
 
 
-def realize(graph: AmrGraph, lexicon=None) -> str:
+def realize(graph: AmrGraph) -> str:
     return realize_struct(read_graph(graph))
 
 

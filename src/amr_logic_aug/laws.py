@@ -1,25 +1,29 @@
-"""The four logical-equivalence graph rewrites and negative-sample builders.
+"""The four logical-equivalence rewrites, on grammar structs.
 
-Every rewrite takes a canonical grammar graph and produces a positive
-(logically equivalent) graph plus one law-specific negative (logically
-nonequivalent).  Conventions, all oracle-checked at construction time via
+Every rewrite takes a :class:`~amr_logic_aug.grammar.GrammarSentence` and
+produces a positive (logically equivalent) struct plus one law-specific
+negative (logically nonequivalent) struct.  :func:`apply_law` and
+:func:`applicable_laws` also accept an :class:`AmrGraph`, which they read
+into its struct once at entry; that is the only place the laws meet a graph.
+A "B unless A" struct rewrites exactly like the trailing conditional
+"B if A.".  Conventions, all oracle-checked at construction time via
 :func:`apply_law`:
 
 contraposition (conditional only)
-    positive: swap antecedent/consequent, toggle polarity on both halves;
+    positive: swap antecedent/consequent, negate both halves;
     realized in the trailing "B if A." form.
-    negative: the positive with its antecedent's polarity toggled back.
+    negative: the positive with its antecedent's negation undone.
 implication (conditional → disjunction)
-    positive: or-root with the antecedent's polarity toggled.
-    negative: the positive with its first operand's polarity toggled back.
+    positive: disjunction with the antecedent negated.
+    negative: the positive with its first operand's negation undone.
 implication (disjunction → conditional)
-    positive: leading "If A, then B." with the first operand's polarity
-    toggled (the toggled operand becomes the antecedent).
-    negative: the positive with its consequent's polarity toggled.
+    positive: leading "If A, then B." with the first operand negated
+    (the negated operand becomes the antecedent).
+    negative: the positive with its consequent negated.
 commutative (conjunction only)
     positive: operands swapped.
-    negative: the swapped graph with polarity toggled on both operands.
-double negation (positive-polarity atomic with a lexicon antonym)
+    negative: the swapped conjunction with both operands negated.
+double negation (un-negated atomic with a lexicon antonym)
     positive: negate and substitute the antonym ("strong" → "not weak"),
     so realized text never stacks two "not" tokens.
     negative: substitute the antonym without negating ("weak").
@@ -30,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Union
 
 from . import logic
 from .grammar import (
@@ -39,15 +43,16 @@ from .grammar import (
     GrammarSentence,
     GrammarStructureError,
     Shape,
-    build_graph,
     read_graph,
-    realize,
+    realize_struct,
 )
 from .lexicon import Lexicon
 
+_CONDITIONALS = (Shape.IF_THEN, Shape.UNLESS)
+
 
 class LawError(ValueError):
-    """A rewrite was applied to a graph outside its precondition."""
+    """A rewrite was applied to a sentence outside its precondition."""
 
 
 class OracleViolation(AssertionError):
@@ -64,24 +69,29 @@ class LawKind(str, Enum):
 @dataclass(frozen=True)
 class RewriteOutcome:
     law: LawKind
-    positive: AmrGraph
-    negatives: tuple[AmrGraph, ...]
+    positive: GrammarSentence
+    negatives: tuple[GrammarSentence, ...]
 
 
-def _struct(graph: AmrGraph) -> GrammarSentence:
+def _read(sentence: Union[GrammarSentence, AmrGraph]) -> GrammarSentence:
+    """The struct of a sentence given as a struct or as a grammar graph."""
+    if not isinstance(sentence, AmrGraph):
+        return sentence
     try:
-        return read_graph(graph)
+        return read_graph(sentence)
     except GrammarStructureError as err:
         raise LawError(f"graph outside grammar: {err}") from err
 
 
-def applicable_laws(graph: AmrGraph, lexicon: Lexicon) -> set[LawKind]:
-    """Laws whose preconditions the graph meets; {} for non-grammar graphs."""
+def applicable_laws(
+    sentence: Union[GrammarSentence, AmrGraph], lexicon: Lexicon
+) -> set[LawKind]:
+    """Laws whose preconditions the sentence meets; {} for non-grammar graphs."""
     try:
-        sentence = read_graph(graph)
-    except GrammarStructureError:
+        sentence = _read(sentence)
+    except LawError:
         return set()
-    if sentence.shape is Shape.IF_THEN:
+    if sentence.shape in _CONDITIONALS:
         return {LawKind.CONTRAPOSITION, LawKind.IMPLICATION}
     if sentence.shape is Shape.OR_PAIR:
         return {LawKind.IMPLICATION}
@@ -93,9 +103,8 @@ def applicable_laws(graph: AmrGraph, lexicon: Lexicon) -> set[LawKind]:
     return set()
 
 
-def apply_contraposition(graph: AmrGraph) -> RewriteOutcome:
-    sentence = _struct(graph)
-    if sentence.shape is not Shape.IF_THEN:
+def apply_contraposition(sentence: GrammarSentence) -> RewriteOutcome:
+    if sentence.shape not in _CONDITIONALS:
         raise LawError("contraposition requires a conditional root")
     ante, cons = sentence.clauses
     positive = GrammarSentence(
@@ -104,14 +113,11 @@ def apply_contraposition(graph: AmrGraph) -> RewriteOutcome:
     negative = GrammarSentence(
         Shape.IF_THEN, (cons, ante.negate()), trailing_condition=True
     )
-    return RewriteOutcome(
-        LawKind.CONTRAPOSITION, build_graph(positive), (build_graph(negative),)
-    )
+    return RewriteOutcome(LawKind.CONTRAPOSITION, positive, (negative,))
 
 
-def apply_implication(graph: AmrGraph) -> RewriteOutcome:
-    sentence = _struct(graph)
-    if sentence.shape is Shape.IF_THEN:
+def apply_implication(sentence: GrammarSentence) -> RewriteOutcome:
+    if sentence.shape in _CONDITIONALS:
         ante, cons = sentence.clauses
         positive = GrammarSentence(Shape.OR_PAIR, (ante.negate(), cons))
         negative = GrammarSentence(Shape.OR_PAIR, (ante, cons))
@@ -121,25 +127,19 @@ def apply_implication(graph: AmrGraph) -> RewriteOutcome:
         negative = GrammarSentence(Shape.IF_THEN, (first.negate(), second.negate()))
     else:
         raise LawError("implication requires a conditional or disjunction root")
-    return RewriteOutcome(
-        LawKind.IMPLICATION, build_graph(positive), (build_graph(negative),)
-    )
+    return RewriteOutcome(LawKind.IMPLICATION, positive, (negative,))
 
 
-def apply_commutative(graph: AmrGraph) -> RewriteOutcome:
-    sentence = _struct(graph)
+def apply_commutative(sentence: GrammarSentence) -> RewriteOutcome:
     if sentence.shape is not Shape.AND_PAIR:
         raise LawError("commutative requires a conjunction root")
     first, second = sentence.clauses
     positive = GrammarSentence(Shape.AND_PAIR, (second, first))
     negative = GrammarSentence(Shape.AND_PAIR, (second.negate(), first.negate()))
-    return RewriteOutcome(
-        LawKind.COMMUTATIVE, build_graph(positive), (build_graph(negative),)
-    )
+    return RewriteOutcome(LawKind.COMMUTATIVE, positive, (negative,))
 
 
-def apply_double_negation(graph: AmrGraph, lexicon: Lexicon) -> RewriteOutcome:
-    sentence = _struct(graph)
+def apply_double_negation(sentence: GrammarSentence, lexicon: Lexicon) -> RewriteOutcome:
     if sentence.shape is not Shape.ATOMIC:
         raise LawError("double negation requires an atomic predicate")
     clause = sentence.clauses[0]
@@ -150,53 +150,53 @@ def apply_double_negation(graph: AmrGraph, lexicon: Lexicon) -> RewriteOutcome:
         raise LawError(f"no antonym for {clause.predicate!r}")
     positive = GrammarSentence(Shape.ATOMIC, (Clause(clause.subject, antonym, True),))
     negative = GrammarSentence(Shape.ATOMIC, (Clause(clause.subject, antonym, False),))
-    return RewriteOutcome(
-        LawKind.DOUBLE_NEGATION, build_graph(positive), (build_graph(negative),)
-    )
+    return RewriteOutcome(LawKind.DOUBLE_NEGATION, positive, (negative,))
 
 
 def apply_law(
-    graph: AmrGraph, law: LawKind, lexicon: Lexicon, verify: bool = True
+    sentence: Union[GrammarSentence, AmrGraph],
+    law: LawKind,
+    lexicon: Lexicon,
+    verify: bool = True,
 ) -> RewriteOutcome:
     """Dispatch a rewrite and gate it through the truth-table oracle."""
+    sentence = _read(sentence)
     if law is LawKind.CONTRAPOSITION:
-        outcome = apply_contraposition(graph)
+        outcome = apply_contraposition(sentence)
     elif law is LawKind.IMPLICATION:
-        outcome = apply_implication(graph)
+        outcome = apply_implication(sentence)
     elif law is LawKind.COMMUTATIVE:
-        outcome = apply_commutative(graph)
+        outcome = apply_commutative(sentence)
     else:
-        outcome = apply_double_negation(graph, lexicon)
+        outcome = apply_double_negation(sentence, lexicon)
     if verify:
-        verify_outcome(graph, outcome, lexicon)
+        verify_outcome(sentence, outcome, lexicon)
     return outcome
 
 
 def verify_outcome(
-    original: AmrGraph, outcome: RewriteOutcome, lexicon: Lexicon
+    original: GrammarSentence, outcome: RewriteOutcome, lexicon: Lexicon
 ) -> None:
     """Raise :class:`OracleViolation` unless labels are semantically right."""
-    source = logic.to_formula(original, lexicon)
-    positive = logic.to_formula(outcome.positive, lexicon)
-    if not logic.equivalent(source, positive):
+    source = logic.formula_of_struct(original, lexicon)
+    if not logic.equivalent(source, logic.formula_of_struct(outcome.positive, lexicon)):
         raise OracleViolation(
             f"{outcome.law.value} positive is not equivalent: "
-            f"{realize(original)!r} vs {realize(outcome.positive)!r}"
+            f"{realize_struct(original)!r} vs {realize_struct(outcome.positive)!r}"
         )
     for negative in outcome.negatives:
-        if logic.equivalent(source, logic.to_formula(negative, lexicon)):
+        if logic.equivalent(source, logic.formula_of_struct(negative, lexicon)):
             raise OracleViolation(
                 f"{outcome.law.value} negative is accidentally equivalent: "
-                f"{realize(original)!r} vs {realize(negative)!r}"
+                f"{realize_struct(original)!r} vs {realize_struct(negative)!r}"
             )
 
 
 def flip_polarity_negative(
-    graph: AmrGraph, lexicon: Lexicon, rng: random.Random
-) -> AmrGraph:
-    """Toggle the polarity of one random clause, oracle-checked."""
-    sentence = _struct(graph)
-    source = logic.to_formula(graph, lexicon)
+    sentence: GrammarSentence, lexicon: Lexicon, rng: random.Random
+) -> GrammarSentence:
+    """Negate one random clause, oracle-checked."""
+    source = logic.formula_of_struct(sentence, lexicon)
     order = list(range(len(sentence.clauses)))
     rng.shuffle(order)
     for index in order:
@@ -205,48 +205,9 @@ def flip_polarity_negative(
         candidate = GrammarSentence(
             sentence.shape, tuple(clauses), sentence.trailing_condition
         )
-        flipped = build_graph(candidate)
-        if not logic.equivalent(source, logic.to_formula(flipped, lexicon)):
-            return flipped
-    raise LawError("no polarity flip yields a nonequivalent sentence")
-
-
-def sample_corpus_negative(
-    graph: AmrGraph,
-    corpus: Sequence[AmrGraph],
-    lexicon: Lexicon,
-    rng: random.Random,
-    attempts: int = 100,
-) -> AmrGraph:
-    """Draw a distinct, oracle-nonequivalent graph from the corpus."""
-    if not corpus:
-        raise LawError("corpus is empty; cannot sample a negative")
-    source = logic.to_formula(graph, lexicon)
-    for _ in range(attempts):
-        candidate = corpus[rng.randrange(len(corpus))]
-        if candidate == graph:
-            continue
-        if not logic.equivalent(source, logic.to_formula(candidate, lexicon)):
+        if not logic.equivalent(source, logic.formula_of_struct(candidate, lexicon)):
             return candidate
-    raise LawError(
-        f"no nonequivalent corpus sample found after {attempts} attempts"
-    )
-
-
-def make_negatives(
-    graph: AmrGraph,
-    corpus: Sequence[AmrGraph],
-    seed: int,
-    lexicon: Optional[Lexicon] = None,
-) -> list[AmrGraph]:
-    """Algorithm-style negatives: one polarity flip, one corpus sample."""
-    from .lexicon import default_lexicon
-
-    lexicon = lexicon or default_lexicon()
-    rng = random.Random(seed)
-    negatives = [flip_polarity_negative(graph, lexicon, rng)]
-    negatives.append(sample_corpus_negative(graph, corpus, lexicon, rng))
-    return negatives
+    raise LawError("no polarity flip yields a nonequivalent sentence")
 
 
 __all__ = [
@@ -262,6 +223,4 @@ __all__ = [
     "apply_law",
     "verify_outcome",
     "flip_polarity_negative",
-    "sample_corpus_negative",
-    "make_negatives",
 ]

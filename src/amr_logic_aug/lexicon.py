@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
@@ -67,6 +68,20 @@ class Lexicon:
 
     def is_entity(self, text: str) -> bool:
         return text in self.entities or text in self.extension_entities
+
+    @cached_property
+    def subject_index(self) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
+        """Entities keyed by their lower-cased first word, built once per lexicon.
+
+        Each entry is ``(entity, lower-cased words)``; within a key entities
+        come longest first, then alphabetically, which is the order in which
+        the sentence parser tries them as a clause's subject.
+        """
+        index: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        for entity in sorted(self.all_entities, key=lambda e: (-len(e.split()), e)):
+            words = tuple(word.lower() for word in entity.split())
+            index.setdefault(words[0], []).append((entity, words))
+        return {first: tuple(entries) for first, entries in index.items()}
 
 
 def antonym_of(lexicon: Lexicon, adjective: str) -> Optional[str]:

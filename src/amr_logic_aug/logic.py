@@ -1,16 +1,23 @@
-"""Propositional semantics for grammar graphs.
+"""Propositional semantics for grammar structs.
 
-Graphs are interpreted as formulas over atoms ``(subject, attribute)``.
-Atom construction normalizes antonyms: when a lexicon pairs two attributes,
-the lexicographically smaller one is the base form and the other side is
-represented as ``Not(Atom(subject, base))``.  That makes e.g. "weak" and
-"not strong" the same literal, which is what lets a truth-table check
-recognise antonym substitutions as equivalences.
+A sentence struct is interpreted as a formula over atoms
+``(subject, attribute)``.  Atom construction normalizes antonyms: when a
+lexicon pairs two attributes, the lexicographically smaller one is the base
+form and the other side is represented as ``Not(Atom(subject, base))``.
+That makes e.g. "weak" and "not strong" the same literal, which is what lets
+a truth-table check recognise antonym substitutions as equivalences.
 
-Equivalence is decided by exhaustive truth-table enumeration, which is exact
-for the small formulas this package produces; a budget of
-:data:`MAX_ORACLE_ATOMS` distinct atoms keeps that enumeration cheap and is
-enforced with an error rather than silently degrading.
+The oracle compiles each formula into its truth table over the union of
+the ``n`` distinct atoms of the formulas it compares: an integer of
+``2**n`` bits whose bit ``row`` is the formula's value under the assignment
+that makes atom ``i`` true exactly when bit ``i`` of ``row`` is set.  Atoms
+are numbered in first-occurrence order, atom ``i`` is a fixed bit mask,
+``~``, ``&`` and ``|`` are bitwise operations, and two formulas are
+equivalent exactly when their tables are equal integers (the canonical-form
+idea of Bryant's BDDs, without the sharing).  This is exact for the small
+formulas this package produces; a budget of :data:`MAX_ORACLE_ATOMS`
+distinct atoms keeps the tables small and is enforced with an error rather
+than silently degrading.
 """
 
 from __future__ import annotations
@@ -18,10 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .grammar import GrammarSentence, GrammarStructureError, Shape, read_graph
 from .graph import AmrGraph
 from .lexicon import Lexicon
 
 MAX_ORACLE_ATOMS = 8
+
+# _ATOM_MASKS[i]: the truth table of atom i over MAX_ORACLE_ATOMS atoms.
+_ATOM_MASKS: tuple[int, ...] = tuple(
+    sum(1 << row for row in range(1 << MAX_ORACLE_ATOMS) if row >> i & 1)
+    for i in range(MAX_ORACLE_ATOMS)
+)
 
 
 class LogicError(ValueError):
@@ -116,46 +130,45 @@ def atoms(formula: Formula) -> tuple[Atom, ...]:
     return tuple(seen)
 
 
-def evaluate(formula: Formula, assignment: dict[Atom, bool]) -> bool:
+def _truth_table(formula: Formula, index: dict[tuple[str, str], int]) -> int:
+    """The formula's table; an atom not yet in ``index`` takes the next number.
+
+    Raises IndexError once more than MAX_ORACLE_ATOMS atoms are numbered.
+    Python's ``~`` is two's complement, so only the low bits are meaningful.
+    """
     if isinstance(formula, Atom):
-        return assignment[formula]
+        return _ATOM_MASKS[index.setdefault((formula.subject, formula.attribute), len(index))]
     if isinstance(formula, Not):
-        return not evaluate(formula.operand, assignment)
+        return ~_truth_table(formula.operand, index)
     if isinstance(formula, And):
-        return evaluate(formula.left, assignment) and evaluate(formula.right, assignment)
+        return _truth_table(formula.left, index) & _truth_table(formula.right, index)
     if isinstance(formula, Or):
-        return evaluate(formula.left, assignment) or evaluate(formula.right, assignment)
-    return (not evaluate(formula.antecedent, assignment)) or evaluate(
-        formula.consequent, assignment
-    )
+        return _truth_table(formula.left, index) | _truth_table(formula.right, index)
+    return ~_truth_table(formula.antecedent, index) | _truth_table(formula.consequent, index)
 
 
-def _assignments(variables: tuple[Atom, ...]):
-    n = len(variables)
-    for mask in range(1 << n):
-        yield {atom: bool(mask >> i & 1) for i, atom in enumerate(variables)}
+def _truth_tables(formulas: tuple[Formula, ...]) -> tuple[list[int], int]:
+    """The formulas' 2**n-bit tables over the union of their n atoms, and
+    the all-true table."""
+    index: dict[tuple[str, str], int] = {}
+    try:
+        tables = [_truth_table(formula, index) for formula in formulas]
+    except IndexError:
+        n = len(dict.fromkeys(atom for formula in formulas for atom in atoms(formula)))
+        raise LogicError(f"atom budget exceeded: {n} atoms > {MAX_ORACLE_ATOMS}") from None
+    full = (1 << (1 << len(index))) - 1
+    return [table & full for table in tables], full
 
 
 def equivalent(first: Formula, second: Formula) -> bool:
     """Truth-table equivalence over the union of both formulas' atoms."""
-    variables = tuple(dict.fromkeys(atoms(first) + atoms(second)))
-    if len(variables) > MAX_ORACLE_ATOMS:
-        raise LogicError(
-            f"atom budget exceeded: {len(variables)} atoms > {MAX_ORACLE_ATOMS}"
-        )
-    return all(
-        evaluate(first, assignment) == evaluate(second, assignment)
-        for assignment in _assignments(variables)
-    )
+    (first_table, second_table), _ = _truth_tables((first, second))
+    return first_table == second_table
 
 
 def is_tautology(formula: Formula) -> bool:
-    variables = atoms(formula)
-    if len(variables) > MAX_ORACLE_ATOMS:
-        raise LogicError(
-            f"atom budget exceeded: {len(variables)} atoms > {MAX_ORACLE_ATOMS}"
-        )
-    return all(evaluate(formula, assignment) for assignment in _assignments(variables))
+    (table,), full = _truth_tables((formula,))
+    return table == full
 
 
 def to_formula(graph: AmrGraph, lexicon: Lexicon) -> Formula:
@@ -165,31 +178,26 @@ def to_formula(graph: AmrGraph, lexicon: Lexicon) -> Formula:
     sentence grammar cannot produce (multi-operand connectives, missing
     subjects, nested compounds).
     """
-    from . import grammar  # local import: grammar depends on graph only
-
     try:
-        sentence = grammar.read_graph(graph)
-    except grammar.GrammarStructureError as err:
+        sentence = read_graph(graph)
+    except GrammarStructureError as err:
         raise LogicError(f"unsupported structure: {err}") from err
     return formula_of_struct(sentence, lexicon)
 
 
-def formula_of_struct(sentence, lexicon: Lexicon) -> Formula:
+def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:
     """Interpret a grammar struct directly (clauses in struct order)."""
-    from . import grammar
-
-    def clause_formula(clause) -> Formula:
-        return make_atom(clause.subject, clause.predicate, clause.negated, lexicon)
-
-    if sentence.shape is grammar.Shape.ATOMIC:
-        return clause_formula(sentence.clauses[0])
-    first = clause_formula(sentence.clauses[0])
-    second = clause_formula(sentence.clauses[1])
-    if sentence.shape is grammar.Shape.AND_PAIR:
-        return And(first, second)
-    if sentence.shape is grammar.Shape.OR_PAIR:
-        return Or(first, second)
-    return Implies(first, second)
+    literals = [
+        make_atom(clause.subject, clause.predicate, clause.negated, lexicon)
+        for clause in sentence.clauses
+    ]
+    if sentence.shape is Shape.ATOMIC:
+        return literals[0]
+    if sentence.shape is Shape.AND_PAIR:
+        return And(*literals)
+    if sentence.shape is Shape.OR_PAIR:
+        return Or(*literals)
+    return Implies(*literals)
 
 
 def graphs_equivalent(first: AmrGraph, second: AmrGraph, lexicon: Lexicon) -> bool:
@@ -208,7 +216,6 @@ __all__ = [
     "negate",
     "make_atom",
     "atoms",
-    "evaluate",
     "equivalent",
     "is_tautology",
     "to_formula",

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import logic
 from .corpus import PATTERN_LAW, SynthSentence
-from .grammar import realize
+from .grammar import GrammarError, parse_sentence_struct, realize_struct
 from .laws import LawError, LawKind, apply_law, flip_polarity_negative
 from .lexicon import Lexicon
 
@@ -92,8 +92,8 @@ def build_pairs(
     records: list[PairRecord] = []
     for sentence in corpus:
         law = PATTERN_LAW[sentence.pattern]
-        outcome = apply_law(sentence.graph, law, lexicon)
-        positive_text = realize(outcome.positive)
+        outcome = apply_law(sentence.struct, law, lexicon)
+        positive_text = realize_struct(outcome.positive)
         records.append(PairRecord(sentence.text, positive_text, 1, law.value))
 
         rng = random.Random(f"{seed}:neg:{sentence.text}")
@@ -107,14 +107,15 @@ def build_pairs(
             negatives.append((text, tag))
             return True
 
-        admit(realize(outcome.negatives[0]), law.value)
-        source_formula = logic.to_formula(sentence.graph, lexicon)
+        admit(realize_struct(outcome.negatives[0]), law.value)
+        source_formula = logic.formula_of_struct(sentence.struct, lexicon)
         for kind in cycle(("flip", "sample")):
             if len(negatives) >= negatives_per:
                 break
             if kind == "flip":
                 try:
-                    admit(realize(flip_polarity_negative(sentence.graph, lexicon, rng)), law.value)
+                    flipped = flip_polarity_negative(sentence.struct, lexicon, rng)
+                    admit(realize_struct(flipped), law.value)
                 except LawError:
                     pass  # no usable flip; the sample arm fills the slot
                 continue
@@ -122,7 +123,9 @@ def build_pairs(
                 candidate = corpus[rng.randrange(len(corpus))]
                 if candidate.text in used:
                     continue
-                if logic.equivalent(source_formula, logic.to_formula(candidate.graph, lexicon)):
+                if logic.equivalent(
+                    source_formula, logic.formula_of_struct(candidate.struct, lexicon)
+                ):
                     continue
                 admit(candidate.text, RANDOM_SAMPLE_LAW)
                 break
@@ -167,7 +170,14 @@ def emit_jsonl(records: Iterable[PairRecord], path: str | Path) -> int:
     count = 0
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(asdict(record), ensure_ascii=False) + "\n")
+            payload = {
+                "sentence1": record.sentence1,
+                "sentence2": record.sentence2,
+                "label": record.label,
+                "law": record.law,
+                "pair_id": record.pair_id,
+            }
+            handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
             count += 1
     return count
 
@@ -211,18 +221,16 @@ def verify_records(
     Returns a list of (record index, problem) tuples; empty means a clean
     bill of health.
     """
-    from .grammar import GrammarError, parse_sentence
-
     problems: list[tuple[int, str]] = []
     for index, record in enumerate(records):
         try:
-            first = logic.to_formula(
-                parse_sentence(record.sentence1, lexicon, grammar_level), lexicon
+            first = logic.formula_of_struct(
+                parse_sentence_struct(record.sentence1, lexicon, grammar_level), lexicon
             )
-            second = logic.to_formula(
-                parse_sentence(record.sentence2, lexicon, grammar_level), lexicon
+            second = logic.formula_of_struct(
+                parse_sentence_struct(record.sentence2, lexicon, grammar_level), lexicon
             )
-        except (GrammarError, logic.LogicError) as err:
+        except GrammarError as err:
             problems.append((index, f"unparseable pair: {err}"))
             continue
         equivalent = logic.equivalent(first, second)

@@ -145,12 +145,12 @@ def rewrite_sentence(
     """All requested applicable rewrites of one sentence, oracle-gated."""
     requested = [law for law in LAW_ORDER if law in set(laws)]
     try:
-        graph = grammar.parse_sentence(text, lexicon, grammar_level)
+        sentence = grammar.parse_sentence_struct(text, lexicon, grammar_level)
     except grammar.GrammarError as err:
         return TraceRow(source="", original=text, skipped_reason=str(err))
-    available = applicable_laws(graph, lexicon)
+    available = applicable_laws(sentence, lexicon)
     rewrites = tuple(
-        Rewrite(law.value, grammar.realize(apply_law(graph, law, lexicon).positive))
+        Rewrite(law.value, grammar.realize_struct(apply_law(sentence, law, lexicon).positive))
         for law in requested
         if law in available
     )

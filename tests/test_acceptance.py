@@ -23,7 +23,7 @@ from test_pararule import DEPTH1_ALTERED, DEPTH1_RULES, DEPTH2_ALTERED_PAIRS
 from test_prompt import KEYBOARD_RECORD
 
 from amr_logic_aug.corpus import DEFAULT_TARGET, PatternKind, generate_pattern
-from amr_logic_aug.grammar import EXTENDED, parse_sentence, realize
+from amr_logic_aug.grammar import EXTENDED, build_graph, parse_sentence, realize
 from amr_logic_aug.graph import ParseError, parse_penman, serialize
 from amr_logic_aug.laws import (
     OracleViolation,
@@ -47,10 +47,12 @@ def test_criterion_1_reference_rewrites(lexicon):
     for law, original, positive_text, negative_text in REFERENCE_ROWS:
         graph = parse_sentence(original, lexicon)
         outcome = apply_law(graph, law, lexicon)  # verify=True oracle gate
-        assert realize(outcome.positive) == positive_text
-        assert realize(outcome.negatives[0]) == negative_text
-        assert graphs_equivalent(graph, outcome.positive, lexicon)
-        for negative in outcome.negatives:
+        positive = build_graph(outcome.positive)
+        negatives = [build_graph(negative) for negative in outcome.negatives]
+        assert realize(positive) == positive_text
+        assert realize(negatives[0]) == negative_text
+        assert graphs_equivalent(graph, positive, lexicon)
+        for negative in negatives:
             assert not graphs_equivalent(graph, negative, lexicon)
     assert time.perf_counter() - start < 1.0
 
@@ -114,12 +116,12 @@ def test_criterion_3_full_corpus_soundness(full_corpus, lexicon):
     violations = 0
     applications = 0
     for record in full_corpus:
-        laws = applicable_laws(record.graph, lexicon)
+        laws = applicable_laws(record.struct, lexicon)
         assert laws, f"no applicable law for {record.text!r}"
         for law in laws:
             applications += 1
             try:
-                apply_law(record.graph, law, lexicon, verify=True)
+                apply_law(record.struct, law, lexicon, verify=True)
             except OracleViolation:
                 violations += 1
     elapsed = time.perf_counter() - start
@@ -132,18 +134,18 @@ def test_criterion_4_involutions(lexicon):
     """Applying a law twice (or there-and-back) recovers the original."""
     conditionals = generate_pattern(lexicon, PatternKind.CONDITIONAL_CONTRA, 1000, seed=404)
     for record in conditionals:
-        twice = apply_contraposition(apply_contraposition(record.graph).positive)
-        assert graphs_equivalent(record.graph, twice.positive, lexicon)
+        twice = apply_contraposition(apply_contraposition(record.struct).positive)
+        assert graphs_equivalent(record.graph, build_graph(twice.positive), lexicon)
 
     conjunctions = generate_pattern(lexicon, PatternKind.COMMUTATIVE_PAIR, 1000, seed=404)
     for record in conjunctions:
-        twice = apply_commutative(apply_commutative(record.graph).positive)
-        assert twice.positive == record.graph  # graph-identical, not just equivalent
+        twice = apply_commutative(apply_commutative(record.struct).positive)
+        assert build_graph(twice.positive) == record.graph  # graph-identical, not just equivalent
 
     mixed = generate_pattern(lexicon, PatternKind.IMPLICATION_PAIR, 1000, seed=404)
     for record in mixed:
-        back = apply_implication(apply_implication(record.graph).positive)
-        assert graphs_equivalent(record.graph, back.positive, lexicon)
+        back = apply_implication(apply_implication(record.struct).positive)
+        assert graphs_equivalent(record.graph, build_graph(back.positive), lexicon)
 
 
 def test_criterion_5_corpus_and_dataset_counts(full_corpus, lexicon):

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import amr_logic_aug
 from amr_logic_aug import __version__
 from amr_logic_aug.cli import main
 from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
@@ -306,6 +311,26 @@ def test_prompt_aug_single_law(tmp_path):
     )
     assert code == 0
     assert manifest_of(out)["laws"] == ["contraposition"]
+
+
+def test_prompt_aug_manifest_does_not_depend_on_the_hash_seed(tmp_path):
+    # The default laws are a frozenset, whose iteration order follows the
+    # string hash seed (seeds 1 and 3 differ on CPython 3.11).
+    src = tmp_path / "val.json"
+    src.write_text(json.dumps(_mcq_payload()), encoding="utf-8")
+    package_root = str(Path(amr_logic_aug.__file__).resolve().parents[1])
+    manifests = set()
+    for hash_seed in ("1", "2", "3"):
+        out = tmp_path / f"aug-{hash_seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": package_root}
+        subprocess.run(
+            [sys.executable, "-m", "amr_logic_aug", "-q", "prompt-aug",
+             "--in", str(src), "--out", str(out)],
+            env=env, check=True, timeout=60,
+        )
+        manifests.add((tmp_path / f"{out.name}.manifest.json").read_bytes())
+    assert len(manifests) == 1
+    assert json.loads(manifests.pop())["laws"] == ["contraposition", "implication"]
 
 
 # ---------------------------------------------------------------------------

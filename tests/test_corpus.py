@@ -12,6 +12,7 @@ from amr_logic_aug.corpus import (
     DEFAULT_TARGET,
     CorpusError,
     PatternKind,
+    _clause_atom,
     build_corpus,
     corpus_from_jsonl,
     corpus_to_jsonl,
@@ -20,6 +21,11 @@ from amr_logic_aug.corpus import (
     generate_pattern,
 )
 from amr_logic_aug.grammar import Shape, parse_sentence, read_graph, realize
+
+
+def atoms_of(record, lexicon):
+    """(subject, base attribute, sign) of each clause of a corpus sentence."""
+    return tuple(_clause_atom(clause, lexicon) for clause in record.struct.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +149,16 @@ def test_records_are_canonical(lexicon, small_corpus):
 
 def test_atoms_use_the_base_attribute_side(lexicon, small_corpus):
     for record in small_corpus:
-        for _, attribute, _ in record.atoms:
+        for _, attribute, _ in atoms_of(record, lexicon):
             antonym = lexicon.antonym_of(attribute)
             assert antonym is None or attribute < antonym
 
 
-def test_pair_records_are_never_degenerate(small_corpus):
+def test_pair_records_are_never_degenerate(lexicon, small_corpus):
     for record in small_corpus:
-        if len(record.atoms) == 2:
-            assert record.atoms[0][:2] != record.atoms[1][:2]
+        atoms = atoms_of(record, lexicon)
+        if len(atoms) == 2:
+            assert atoms[0][:2] != atoms[1][:2]
 
 
 def test_conditional_family_cycles_polarity_scenarios(lexicon):

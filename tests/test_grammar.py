@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from amr_logic_aug import grammar
 from amr_logic_aug.graph import Constant, parse_penman, serialize
 from amr_logic_aug.grammar import (
     CORE,
@@ -21,6 +22,7 @@ from amr_logic_aug.grammar import (
     realize,
     realize_struct,
 )
+from amr_logic_aug.lexicon import with_overrides
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +387,49 @@ def test_subject_match_prefers_longest_entity(lexicon):
     struct = parse_sentence_struct("The bald eagle is kind.", lexicon)
     assert struct.clauses[0].subject == "the bald eagle"
     assert "the bald eagle" in lexicon.all_entities
+
+
+def match_subject_reference(words, lexicon):
+    """The matching rule: longest entity first, then alphabetical, ignoring case."""
+    for entity in sorted(lexicon.all_entities, key=lambda e: (-len(e.split()), e)):
+        parts = entity.split()
+        if len(words) > len(parts) and [w.lower() for w in words[: len(parts)]] == [
+            p.lower() for p in parts
+        ]:
+            return entity, words[len(parts) :]
+    if words[0].lower() == "you" and len(words) > 1:
+        return "you", words[1:]
+    if grammar._PROPER_NAME_RE.fullmatch(words[0]) and len(words) > 1:
+        return words[0], words[1:]
+    return None
+
+
+def subject_probes(lexicon):
+    for entity in lexicon.all_entities + ("you", "Alan", "the bald", "the"):
+        words = entity.split()
+        for variant in (words, [w.upper() for w in words], [words[0].capitalize()] + words[1:]):
+            yield variant
+            yield variant + ["is", "kind"]
+            yield variant + ["eagle", "is", "not", "kind"]
+
+
+@pytest.mark.parametrize("overridden", [False, True])
+def test_indexed_subject_match_agrees_with_the_sorted_rule(lexicon, overridden):
+    if overridden:
+        lexicon = with_overrides(
+            lexicon, entities=["the bald", "the bald eagle", "The Big Dog", "alan", "the"]
+        )
+    for words in subject_probes(lexicon):
+        assert grammar._match_subject(words, lexicon) == match_subject_reference(
+            words, lexicon
+        ), words
+
+
+def test_subject_index_is_per_lexicon(lexicon):
+    overridden = with_overrides(lexicon, entities=["the bald", "the big dog"])
+    words = "the big dog is kind".split()
+    assert grammar._match_subject(words, overridden) == ("the big dog", ["is", "kind"])
+    assert grammar._match_subject(words, lexicon) is None
+    words = "the bald eagle is kind".split()
+    assert grammar._match_subject(words, overridden) == ("the bald", ["eagle", "is", "kind"])
+    assert grammar._match_subject(words, lexicon) == ("the bald eagle", ["is", "kind"])

@@ -8,7 +8,7 @@ import pytest
 
 from amr_logic_aug import logic
 from amr_logic_aug.graph import parse_penman
-from amr_logic_aug.grammar import parse_sentence, realize
+from amr_logic_aug.grammar import parse_sentence, parse_sentence_struct, realize_struct
 from amr_logic_aug.laws import (
     LawError,
     LawKind,
@@ -21,8 +21,6 @@ from amr_logic_aug.laws import (
     apply_implication,
     apply_law,
     flip_polarity_negative,
-    make_negatives,
-    sample_corpus_negative,
     verify_outcome,
 )
 
@@ -60,12 +58,12 @@ def test_reference_rewrites(lexicon, law, original, positive, negative):
     graph = parse_sentence(original, lexicon)
     outcome = apply_law(graph, law, lexicon)
     assert outcome.law is law
-    assert realize(outcome.positive) == positive
-    assert [realize(g) for g in outcome.negatives] == [negative]
+    assert realize_struct(outcome.positive) == positive
+    assert [realize_struct(s) for s in outcome.negatives] == [negative]
     source = logic.to_formula(graph, lexicon)
-    assert logic.equivalent(source, logic.to_formula(outcome.positive, lexicon))
+    assert logic.equivalent(source, logic.formula_of_struct(outcome.positive, lexicon))
     assert not logic.equivalent(
-        source, logic.to_formula(outcome.negatives[0], lexicon)
+        source, logic.formula_of_struct(outcome.negatives[0], lexicon)
     )
 
 
@@ -142,7 +140,7 @@ def test_precondition_errors(lexicon, law, text, reason):
 def test_law_on_non_grammar_graph(lexicon):
     graph = parse_penman("(w / want-01 :ARG0 (b / boy))")
     with pytest.raises(LawError, match="graph outside grammar"):
-        apply_contraposition(graph)
+        apply_law(graph, LawKind.CONTRAPOSITION, lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -151,60 +149,60 @@ def test_law_on_non_grammar_graph(lexicon):
 
 
 def test_contraposition_of_trailing_conditional(lexicon):
-    graph = parse_sentence("Bob is clever if Alan is kind.", lexicon)
-    outcome = apply_contraposition(graph)
-    assert realize(outcome.positive) == "Alan is not kind if Bob is not clever."
+    sentence = parse_sentence_struct("Bob is clever if Alan is kind.", lexicon)
+    outcome = apply_contraposition(sentence)
+    assert realize_struct(outcome.positive) == "Alan is not kind if Bob is not clever."
 
 
 def test_contraposition_toggles_existing_negation(lexicon):
-    graph = parse_sentence(
+    sentence = parse_sentence_struct(
         "If the bald eagle is kind, then Dave is not short.", lexicon
     )
-    outcome = apply_contraposition(graph)
-    assert realize(outcome.positive) == "The bald eagle is not kind if Dave is short."
-    source = logic.to_formula(graph, lexicon)
-    assert logic.equivalent(source, logic.to_formula(outcome.positive, lexicon))
+    outcome = apply_contraposition(sentence)
+    assert realize_struct(outcome.positive) == "The bald eagle is not kind if Dave is short."
+    source = logic.formula_of_struct(sentence, lexicon)
+    assert logic.equivalent(source, logic.formula_of_struct(outcome.positive, lexicon))
 
 
 def test_implication_from_disjunction(lexicon):
-    graph = parse_sentence("The bear is not sleepy or Bob is not cute.", lexicon)
-    outcome = apply_implication(graph)
+    sentence = parse_sentence_struct("The bear is not sleepy or Bob is not cute.", lexicon)
+    outcome = apply_implication(sentence)
     assert (
-        realize(outcome.positive) == "If the bear is sleepy, then Bob is not cute."
+        realize_struct(outcome.positive) == "If the bear is sleepy, then Bob is not cute."
     )
-    source = logic.to_formula(graph, lexicon)
-    assert logic.equivalent(source, logic.to_formula(outcome.positive, lexicon))
+    source = logic.formula_of_struct(sentence, lexicon)
+    assert logic.equivalent(source, logic.formula_of_struct(outcome.positive, lexicon))
 
 
 def test_commutative_is_a_graph_level_involution(lexicon):
-    graph = parse_sentence("Alan is kind and Bob is clever.", lexicon)
-    once = apply_commutative(graph).positive
+    sentence = parse_sentence_struct("Alan is kind and Bob is clever.", lexicon)
+    once = apply_commutative(sentence).positive
     twice = apply_commutative(once).positive
-    assert twice == graph
+    assert twice == sentence
 
 
 def test_contraposition_is_a_formula_level_involution(lexicon):
-    graph = parse_sentence("If Alan is kind, then Bob is not clever.", lexicon)
-    twice = apply_contraposition(apply_contraposition(graph).positive).positive
+    sentence = parse_sentence_struct("If Alan is kind, then Bob is not clever.", lexicon)
+    twice = apply_contraposition(apply_contraposition(sentence).positive).positive
     assert logic.equivalent(
-        logic.to_formula(graph, lexicon), logic.to_formula(twice, lexicon)
+        logic.formula_of_struct(sentence, lexicon), logic.formula_of_struct(twice, lexicon)
     )
 
 
 def test_implication_round_trip(lexicon):
-    graph = parse_sentence("If Alan is kind, then Bob is clever.", lexicon)
-    as_or = apply_implication(graph).positive
+    sentence = parse_sentence_struct("If Alan is kind, then Bob is clever.", lexicon)
+    as_or = apply_implication(sentence).positive
     back = apply_implication(as_or).positive
     assert logic.equivalent(
-        logic.to_formula(graph, lexicon), logic.to_formula(back, lexicon)
+        logic.formula_of_struct(sentence, lexicon), logic.formula_of_struct(back, lexicon)
     )
 
 
 def test_double_negation_never_stacks_negations(lexicon):
     outcome = apply_double_negation(
-        parse_sentence("The bald eagle is beautiful.", lexicon), lexicon
+        parse_sentence_struct("The bald eagle is beautiful.", lexicon), lexicon
     )
-    text = realize(outcome.positive)
+    text = realize_struct(outcome.positive)
     assert text == "The bald eagle is not ugly."
     assert text.count("not") == 1
 
@@ -215,23 +213,23 @@ def test_double_negation_never_stacks_negations(lexicon):
 
 
 def test_verify_outcome_rejects_nonequivalent_positive(lexicon):
-    graph = parse_sentence("If Alan is kind, then Bob is clever.", lexicon)
-    honest = apply_law(graph, LawKind.CONTRAPOSITION, lexicon)
+    sentence = parse_sentence_struct("If Alan is kind, then Bob is clever.", lexicon)
+    honest = apply_law(sentence, LawKind.CONTRAPOSITION, lexicon)
     corrupt = RewriteOutcome(
         honest.law,
-        parse_sentence("Alan is kind.", lexicon),
+        parse_sentence_struct("Alan is kind.", lexicon),
         honest.negatives,
     )
     with pytest.raises(OracleViolation, match="not equivalent"):
-        verify_outcome(graph, corrupt, lexicon)
+        verify_outcome(sentence, corrupt, lexicon)
 
 
 def test_verify_outcome_rejects_equivalent_negative(lexicon):
-    graph = parse_sentence("If Alan is kind, then Bob is clever.", lexicon)
-    honest = apply_law(graph, LawKind.CONTRAPOSITION, lexicon)
-    corrupt = RewriteOutcome(honest.law, honest.positive, (graph,))
+    sentence = parse_sentence_struct("If Alan is kind, then Bob is clever.", lexicon)
+    honest = apply_law(sentence, LawKind.CONTRAPOSITION, lexicon)
+    corrupt = RewriteOutcome(honest.law, honest.positive, (sentence,))
     with pytest.raises(OracleViolation, match="accidentally equivalent"):
-        verify_outcome(graph, corrupt, lexicon)
+        verify_outcome(sentence, corrupt, lexicon)
 
 
 def test_oracle_violation_is_an_assertion_error():
@@ -251,57 +249,14 @@ def test_apply_law_verify_flag(lexicon):
 
 
 def test_flip_polarity_negative_atomic(lexicon):
-    graph = parse_sentence("The bald eagle is strong.", lexicon)
-    flipped = flip_polarity_negative(graph, lexicon, random.Random(0))
-    assert realize(flipped) == "The bald eagle is not strong."
+    sentence = parse_sentence_struct("The bald eagle is strong.", lexicon)
+    flipped = flip_polarity_negative(sentence, lexicon, random.Random(0))
+    assert realize_struct(flipped) == "The bald eagle is not strong."
 
 
 def test_flip_polarity_negative_is_nonequivalent(lexicon):
-    graph = parse_sentence("If Alan is kind, then Bob is clever.", lexicon)
-    flipped = flip_polarity_negative(graph, lexicon, random.Random(7))
+    sentence = parse_sentence_struct("If Alan is kind, then Bob is clever.", lexicon)
+    flipped = flip_polarity_negative(sentence, lexicon, random.Random(7))
     assert not logic.equivalent(
-        logic.to_formula(graph, lexicon), logic.to_formula(flipped, lexicon)
+        logic.formula_of_struct(sentence, lexicon), logic.formula_of_struct(flipped, lexicon)
     )
-
-
-def test_sample_corpus_negative_empty_corpus(lexicon):
-    graph = parse_sentence("Alan is kind.", lexicon)
-    with pytest.raises(LawError, match="corpus is empty"):
-        sample_corpus_negative(graph, [], lexicon, random.Random(0))
-
-
-def test_sample_corpus_negative_exhausts_attempts(lexicon):
-    graph = parse_sentence("Alan is kind.", lexicon)
-    with pytest.raises(LawError, match="after 100 attempts"):
-        sample_corpus_negative(graph, [graph], lexicon, random.Random(0))
-
-
-def test_sample_corpus_negative_skips_equivalents(lexicon):
-    graph = parse_sentence("Alan is kind.", lexicon)
-    equivalent_twin = parse_sentence("Alan is kind.", lexicon)
-    other = parse_sentence("Bob is dull.", lexicon)
-    rng = random.Random(1)
-    chosen = sample_corpus_negative(graph, [equivalent_twin, other], lexicon, rng)
-    assert chosen == other
-
-
-def test_make_negatives_is_deterministic(lexicon, small_corpus):
-    graph = parse_sentence("If Alan is kind, then Bob is clever.", lexicon)
-    pool = [record.graph for record in small_corpus]
-    first = make_negatives(graph, pool, seed=42, lexicon=lexicon)
-    second = make_negatives(graph, pool, seed=42, lexicon=lexicon)
-    assert first == second
-    assert len(first) == 2
-    source = logic.to_formula(graph, lexicon)
-    for negative in first:
-        assert not logic.equivalent(source, logic.to_formula(negative, lexicon))
-
-
-def test_make_negatives_seed_changes_sample(lexicon, small_corpus):
-    graph = parse_sentence("The bald eagle is strong.", lexicon)
-    pool = [record.graph for record in small_corpus]
-    samples = {
-        realize(make_negatives(graph, pool, seed=seed, lexicon=lexicon)[1])
-        for seed in range(8)
-    }
-    assert len(samples) > 1

@@ -174,3 +174,69 @@ def test_atom_order_is_first_occurrence():
     from amr_logic_aug.logic import atoms
 
     assert atoms(formula) == (q, p, r)
+
+
+# --- bitset oracle against the enumeration reference -----------------------
+
+
+def tautology2(formula):
+    names = sorted(atoms2(formula))
+    return all(
+        eval2(formula, dict(zip(names, values)))
+        for values in itertools.product([False, True], repeat=len(names))
+    )
+
+
+def formula_over(rng: random.Random, pool, depth: int = 4):
+    if depth == 0 or rng.random() < 0.25:
+        atom = rng.choice(pool)
+        return Not(atom) if rng.random() < 0.5 else atom
+    kind = rng.choice(["not", "and", "or", "implies"])
+    if kind == "not":
+        return Not(formula_over(rng, pool, depth - 1))
+    left = formula_over(rng, pool, depth - 1)
+    right = formula_over(rng, pool, depth - 1)
+    return {"and": And, "or": Or, "implies": Implies}[kind](left, right)
+
+
+def without_implications(formula):
+    """An equivalent formula with every ``a -> b`` written as ``~a | b``."""
+    if isinstance(formula, Atom):
+        return formula
+    if isinstance(formula, Not):
+        return Not(without_implications(formula.operand))
+    if isinstance(formula, Implies):
+        return Or(
+            Not(without_implications(formula.antecedent)),
+            without_implications(formula.consequent),
+        )
+    return type(formula)(without_implications(formula.left), without_implications(formula.right))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORACLE_ATOMS + 1))
+def test_bitset_oracle_matches_enumeration(n):
+    rng = random.Random(1000 + n)
+    pool = [Atom(f"s{i}", "a") for i in range(n)]
+    verdicts = set()
+    for _ in range(150):
+        f, g = formula_over(rng, pool), formula_over(rng, pool)
+        for first, second in ((f, g), (f, without_implications(f)), (f, And(g, Not(g)))):
+            verdict = equivalent(first, second)
+            assert verdict == equivalent2(first, second)
+            verdicts.add(verdict)
+        for formula in (f, Or(f, Not(f)), Implies(And(f, g), f)):
+            assert is_tautology(formula) == tautology2(formula)
+    assert verdicts == {True, False}
+
+
+def test_bitset_oracle_budget_is_the_union_of_atoms():
+    pool = [Atom(f"s{i}", "a") for i in range(MAX_ORACLE_ATOMS + 1)]
+    left = pool[0]
+    for atom in pool[1:MAX_ORACLE_ATOMS]:
+        left = Or(left, atom)
+    right = Or(pool[0], pool[MAX_ORACLE_ATOMS])
+    assert equivalent(left, left)
+    with pytest.raises(LogicError, match="budget"):
+        equivalent(left, right)
+    with pytest.raises(LogicError, match="budget"):
+        is_tautology(Or(left, right))

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections import Counter
 
 import pytest
 
-from amr_logic_aug import __version__
+from amr_logic_aug import __version__, grammar
+from amr_logic_aug.cli import main
 from amr_logic_aug.corpus import build_corpus
+from amr_logic_aug.prompt import LAW_ORDER, rewrite_sentence
 from amr_logic_aug.pairs import (
     DEFAULT_VAL_FRACTION,
     RANDOM_SAMPLE_LAW,
@@ -296,3 +299,33 @@ def test_manifest_json_round_trip(lexicon, tiny_pairs):
         tiny_pairs, seed=7, ratio="1:1", val_fraction=0.2, lexicon=lexicon
     )
     assert DatasetManifest.from_json(manifest.to_json()) == manifest
+
+
+def test_text_paths_never_build_or_read_graphs(lexicon, tiny_corpus, tmp_path, monkeypatch):
+    graph_functions = {grammar.read_graph, grammar.build_graph}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text path built or read an AMR graph")
+
+    stubbed = set()
+    for name, module in list(sys.modules.items()):
+        if name == "amr_logic_aug" or name.startswith("amr_logic_aug."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in graph_functions:
+                    monkeypatch.setattr(module, attr, refuse)
+                    stubbed.add(f"{name}.{attr}")
+    assert {"amr_logic_aug.grammar.read_graph", "amr_logic_aug.grammar.build_graph"} <= stubbed
+
+    records = build_pairs(tiny_corpus, lexicon, ratio="1:3", seed=7)
+    assert verify_records(records, lexicon) == []
+    for text in (
+        "If Alan is kind, then Bob is clever.",
+        "You are able to vote unless you are young.",
+        "The bald eagle is strong.",
+    ):
+        assert rewrite_sentence(text, lexicon, LAW_ORDER).rewrites
+    src, out = tmp_path / "in.txt", tmp_path / "out.jsonl"
+    src.write_text("If Alan is kind, then Bob is clever.\n", encoding="utf-8")
+    assert main(["-q", "augment", "--law", "contraposition", "--negatives",
+                 "--in", str(src), "--out", str(out)]) == 0
+    assert "skipped" not in out.read_text(encoding="utf-8")

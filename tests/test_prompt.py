@@ -145,6 +145,24 @@ def test_rewrite_sentence_skips_free_text(lexicon):
     assert row.skipped_reason.startswith("outside grammar")
 
 
+def test_rewrite_sentence_keeps_hyphenated_predicates(lexicon):
+    row = rewrite_sentence(
+        "If Alan is well-off, then Bob is kind.", lexicon, {LawKind.CONTRAPOSITION}
+    )
+    assert [r.text for r in row.rewrites] == ["Alan is not well-off if Bob is not kind."]
+
+
+def test_rewrite_sentence_reads_unless_as_a_trailing_conditional(lexicon):
+    # Pins the grammar's current reading of "B unless A" as "if A then B".
+    row = rewrite_sentence(
+        "The bald eagle is big, unless the mouse is small.", lexicon, DEFAULT_PROMPT_LAWS
+    )
+    assert [(r.law, r.text) for r in row.rewrites] == [
+        ("contraposition", "The mouse is not small if the bald eagle is not big."),
+        ("implication", "The mouse is not small or the bald eagle is big."),
+    ]
+
+
 def test_rewrite_sentence_no_applicable_law(lexicon):
     row = rewrite_sentence("Alan is not kind.", lexicon, DEFAULT_PROMPT_LAWS)
     assert row.rewrites == ()
