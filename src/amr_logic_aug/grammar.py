@@ -113,22 +113,32 @@ _CONTRACTION_RE = re.compile(
 )
 _PROPER_NAME_RE = re.compile(r"[A-Z][a-z]+$")
 _COPULAS = {"is": "present", "are": "present", "was": "past", "were": "past"}
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
 
 
 def _normalize_text(text: str) -> str:
-    text = text.replace("’", "'").strip()
-    text = _CONTRACTION_RE.sub(lambda m: _CONTRACTIONS[m.group(1).lower()], text)
-    return re.sub(r"\s+", " ", text)
+    text = text.replace("’", "'")
+    if "'" in text:
+        text = _CONTRACTION_RE.sub(lambda m: _CONTRACTIONS[m.group(1).lower()], text)
+    return " ".join(text.split())
 
 
 def _match_subject(words: list[str], lexicon) -> Optional[tuple[str, list[str]]]:
-    """Longest-first subject match; returns (canonical subject, rest)."""
-    for entity, parts in lexicon.subject_index.get(words[0].lower(), ()):
-        if len(words) > len(parts) and all(
-            word.lower() == part for word, part in zip(words[1:], parts[1:])
-        ):
-            return entity, words[len(parts) :]
-    if words[0].lower() == YOU and len(words) > 1:
+    """Longest-first subject match; returns (canonical subject, rest).
+
+    ``lexicon.subject_table`` maps lower-cased entity word tuples to
+    entities, so the match is one dictionary lookup per distinct entity
+    length, longest first, for lengths shorter than the clause.  Without an
+    entity, "you" and then a capitalized proper name take one word.
+    """
+    entities, lengths = lexicon.subject_table
+    lowered = [word.lower() for word in words[: max(lengths, default=1)]]
+    for length in lengths:
+        if len(words) > length:
+            entity = entities.get(tuple(lowered[:length]))
+            if entity is not None:
+                return entity, words[length:]
+    if lowered[0] == YOU and len(words) > 1:
         return YOU, words[1:]
     if _PROPER_NAME_RE.fullmatch(words[0]) and len(words) > 1:
         return words[0], words[1:]
@@ -205,7 +215,7 @@ def _parse_predicate(rest: list[str], grammar: str) -> tuple[bool, str, str]:
             f"got {' '.join(tokens)!r}"
         )
     for token in tokens:
-        if not re.fullmatch(r"[A-Za-z][A-Za-z-]*", token):
+        if not _TOKEN_RE.fullmatch(token):
             raise GrammarError(f"outside grammar: unexpected token {token!r}")
     return negated, " ".join(tokens), tense
 
@@ -358,8 +368,6 @@ def build_graph(sentence: GrammarSentence) -> AmrGraph:
 
 def _read_clause(graph: AmrGraph, var: str, skip: frozenset[str] = frozenset()) -> Clause:
     concept = graph.concept(var)
-    if concept is None:
-        raise GrammarStructureError(f"operand {var!r} is not a node")
     if concept in ("and", "or"):
         raise GrammarStructureError("nested compound clause")
     negated = False

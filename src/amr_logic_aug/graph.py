@@ -21,7 +21,7 @@ NEGATIVE = "-"
 
 
 class GraphError(ValueError):
-    """Raised for structurally invalid graphs or invalid graph edits."""
+    """Raised for structurally invalid graphs and unknown variables."""
 
 
 class ParseError(GraphError):
@@ -284,60 +284,6 @@ def serialize(graph: AmrGraph) -> str:
             pieces.append(" ")
         pieces.append(token)
     return "".join(pieces)
-
-
-# ---------------------------------------------------------------------------
-# Polarity helpers
-
-
-def find_polarity(graph: AmrGraph, var: str) -> bool:
-    """True if ``var`` carries a ``:polarity -`` attribute edge."""
-    graph.concept(var)
-    return any(
-        source == var and role == POLARITY_ROLE and target == Constant(NEGATIVE)
-        for source, role, target in graph.edges
-    )
-
-
-def add_polarity(graph: AmrGraph, var: str) -> AmrGraph:
-    """Return a copy of ``graph`` with ``:polarity -`` added on ``var``.
-
-    The new edge is inserted before the node's other outgoing edges, which is
-    its canonical position.  Raises :class:`GraphError` if already present.
-    """
-    if find_polarity(graph, var):
-        raise GraphError(f"polarity state conflict: {var!r} already negated")
-    new_edge: Edge = (var, POLARITY_ROLE, Constant(NEGATIVE))
-    edges = list(graph.edges)
-    for i, edge in enumerate(edges):
-        if edge[0] == var:
-            edges.insert(i, new_edge)
-            break
-    else:
-        edges.append(new_edge)
-    return AmrGraph(root=graph.root, nodes=dict(graph.nodes), edges=tuple(edges))
-
-
-def remove_polarity(graph: AmrGraph, var: str) -> AmrGraph:
-    """Return a copy of ``graph`` with the ``:polarity -`` edge of ``var`` removed.
-
-    Raises :class:`GraphError` if the node carries no polarity.
-    """
-    if not find_polarity(graph, var):
-        raise GraphError(f"polarity state conflict: {var!r} is not negated")
-    edges = tuple(
-        e
-        for e in graph.edges
-        if not (e[0] == var and e[1] == POLARITY_ROLE and e[2] == Constant(NEGATIVE))
-    )
-    return AmrGraph(root=graph.root, nodes=dict(graph.nodes), edges=edges)
-
-
-def toggle_polarity(graph: AmrGraph, var: str) -> AmrGraph:
-    """Add the polarity attribute if absent, remove it if present."""
-    if find_polarity(graph, var):
-        return remove_polarity(graph, var)
-    return add_polarity(graph, var)
 
 
 # ---------------------------------------------------------------------------

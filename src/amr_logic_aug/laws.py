@@ -170,15 +170,22 @@ def apply_law(
     else:
         outcome = apply_double_negation(sentence, lexicon)
     if verify:
-        verify_outcome(sentence, outcome, lexicon)
+        verify_outcome(
+            sentence, logic.formula_of_struct(sentence, lexicon), outcome, lexicon
+        )
     return outcome
 
 
 def verify_outcome(
-    original: GrammarSentence, outcome: RewriteOutcome, lexicon: Lexicon
+    original: GrammarSentence,
+    source: logic.Formula,
+    outcome: RewriteOutcome,
+    lexicon: Lexicon,
 ) -> None:
-    """Raise :class:`OracleViolation` unless labels are semantically right."""
-    source = logic.formula_of_struct(original, lexicon)
+    """Raise :class:`OracleViolation` unless labels are semantically right.
+
+    ``source`` is the formula of ``original``.
+    """
     if not logic.equivalent(source, logic.formula_of_struct(outcome.positive, lexicon)):
         raise OracleViolation(
             f"{outcome.law.value} positive is not equivalent: "
@@ -193,10 +200,12 @@ def verify_outcome(
 
 
 def flip_polarity_negative(
-    sentence: GrammarSentence, lexicon: Lexicon, rng: random.Random
+    sentence: GrammarSentence,
+    source: logic.Formula,
+    lexicon: Lexicon,
+    rng: random.Random,
 ) -> GrammarSentence:
-    """Negate one random clause, oracle-checked."""
-    source = logic.formula_of_struct(sentence, lexicon)
+    """Negate one random clause, oracle-checked against ``source``, its formula."""
     order = list(range(len(sentence.clauses)))
     rng.shuffle(order)
     for index in order:

@@ -70,22 +70,21 @@ class Lexicon:
         return text in self.entities or text in self.extension_entities
 
     @cached_property
-    def subject_index(self) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
-        """Entities keyed by their lower-cased first word, built once per lexicon.
+    def subject_table(self) -> tuple[dict[tuple[str, ...], str], tuple[int, ...]]:
+        """Exact-lookup table for the sentence parser's subject match.
 
-        Each entry is ``(entity, lower-cased words)``; within a key entities
-        come longest first, then alphabetically, which is the order in which
-        the sentence parser tries them as a clause's subject.
+        Returns ``(entities, lengths)``: ``entities`` maps each entity's
+        lower-cased word tuple to the entity, and ``lengths`` lists the
+        distinct entity word counts, longest first.  The table is filled
+        longest first, then alphabetically, and keeps the first entity for a
+        key, so entities that differ only in case resolve to the one the
+        sorted rule would try first.  Built once per lexicon.
         """
-        index: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        entities: dict[tuple[str, ...], str] = {}
         for entity in sorted(self.all_entities, key=lambda e: (-len(e.split()), e)):
-            words = tuple(word.lower() for word in entity.split())
-            index.setdefault(words[0], []).append((entity, words))
-        return {first: tuple(entries) for first, entries in index.items()}
-
-
-def antonym_of(lexicon: Lexicon, adjective: str) -> Optional[str]:
-    return lexicon.antonym_of(adjective)
+            entities.setdefault(tuple(word.lower() for word in entity.split()), entity)
+        lengths = tuple(sorted({len(words) for words in entities}, reverse=True))
+        return entities, lengths
 
 
 def _parse_rows(text: str) -> dict[str, list[tuple[int, list[str]]]]:
@@ -277,7 +276,6 @@ __all__ = [
     "ENV_LEXICON_PATH",
     "LexiconError",
     "Lexicon",
-    "antonym_of",
     "parse_lexicon",
     "load_lexicon",
     "default_lexicon",

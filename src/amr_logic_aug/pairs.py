@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from . import logic
 from .corpus import PATTERN_LAW, SynthSentence
 from .grammar import GrammarError, parse_sentence_struct, realize_struct
-from .laws import LawError, LawKind, apply_law, flip_polarity_negative
+from .laws import LawError, LawKind, apply_law, flip_polarity_negative, verify_outcome
 from .lexicon import Lexicon
 
 DEFAULT_SEED = 2021
@@ -92,7 +92,11 @@ def build_pairs(
     records: list[PairRecord] = []
     for sentence in corpus:
         law = PATTERN_LAW[sentence.pattern]
-        outcome = apply_law(sentence.struct, law, lexicon)
+        # The source formula is built once and shared by the oracle gate, the
+        # flip arm and the sample arm.
+        outcome = apply_law(sentence.struct, law, lexicon, verify=False)
+        source_formula = logic.formula_of_struct(sentence.struct, lexicon)
+        verify_outcome(sentence.struct, source_formula, outcome, lexicon)
         positive_text = realize_struct(outcome.positive)
         records.append(PairRecord(sentence.text, positive_text, 1, law.value))
 
@@ -108,13 +112,14 @@ def build_pairs(
             return True
 
         admit(realize_struct(outcome.negatives[0]), law.value)
-        source_formula = logic.formula_of_struct(sentence.struct, lexicon)
         for kind in cycle(("flip", "sample")):
             if len(negatives) >= negatives_per:
                 break
             if kind == "flip":
                 try:
-                    flipped = flip_polarity_negative(sentence.struct, lexicon, rng)
+                    flipped = flip_polarity_negative(
+                        sentence.struct, source_formula, lexicon, rng
+                    )
                     admit(realize_struct(flipped), law.value)
                 except LawError:
                     pass  # no usable flip; the sample arm fills the slot

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import re
+import sys
+
 import pytest
 
 from amr_logic_aug import grammar
@@ -44,6 +48,59 @@ from amr_logic_aug.lexicon import with_overrides
 )
 def test_canonicalize_normalizes_surface(lexicon, text, canonical):
     assert canonicalize(text, lexicon) == canonical
+
+
+def normalize_reference(text):
+    """The normalizer as strip, contraction expansion, then whitespace collapse."""
+    text = text.replace("’", "'").strip()
+    text = grammar._CONTRACTION_RE.sub(
+        lambda m: grammar._CONTRACTIONS[m.group(1).lower()], text
+    )
+    return re.sub(r"\s+", " ", text)
+
+
+_NORMALIZER_PIECES = (
+    "the", "bald", "eagle", "Alan", "is", "not", "kind", ",", ".", "x",
+    "isn't", "ISN'T", "Isn’t", "doesn’t", "Doesn’t", "DOESN'T", "can't",
+    "won’t", "WeReN't", "aren’t", "don't", "wasn't", "'", "’", "isn", "t",
+    " ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\u00a0", "\u2003",
+    "\u001c", "\u001f", "\u0085", "\u2028", "\u3000", "\u200b",
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\tThe bald eagle\tisn't\nkind.\n",
+        "The\u00a0bald eagle\u2003is\u001ckind.",
+        "ISN'T Doesn’t doesn't CAN’T won't",
+        "The cat isn’tkind",
+        "xisn't isn'tx isn''t",
+        "  \u00a0 ",
+        "",
+    ],
+)
+def test_normalize_text_matches_the_reference(text):
+    assert grammar._normalize_text(text) == normalize_reference(text)
+
+
+def test_normalize_text_matches_the_reference_on_seeded_texts():
+    rng = random.Random(0)
+    for _ in range(3000):
+        pieces = rng.choices(_NORMALIZER_PIECES, k=rng.randint(0, 12))
+        text = "".join(
+            piece + rng.choice(("", " ", "", "\t")) for piece in pieces
+        )
+        assert grammar._normalize_text(text) == normalize_reference(text), repr(text)
+
+
+def test_regex_whitespace_is_str_isspace():
+    # The normalizer collapses whitespace with str.split, the reference
+    # with \s; they agree because both classes hold the same code points.
+    every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\s", every_code_point)) == {
+        ch for ch in every_code_point if ch.isspace()
+    }
 
 
 def test_past_tense_recorded_then_normalized(lexicon):
@@ -405,27 +462,40 @@ def match_subject_reference(words, lexicon):
 
 
 def subject_probes(lexicon):
+    lengths = {len(entity.split()) for entity in lexicon.all_entities}
     for entity in lexicon.all_entities + ("you", "Alan", "the bald", "the"):
         words = entity.split()
         for variant in (words, [w.upper() for w in words], [words[0].capitalize()] + words[1:]):
             yield variant
             yield variant + ["is", "kind"]
             yield variant + ["eagle", "is", "not", "kind"]
+            # Clauses exactly as long as an entity: no entity of that length
+            # may match, since a subject needs a verb phrase after it.
+            for length in lengths:
+                yield (variant + ["eagle"] * length)[:length]
+
+
+def probe_lexicon(lexicon, overridden):
+    if not overridden:
+        return lexicon
+    # "The Big Dog", "the Big Dog" and "the big dog" differ only in case.
+    return with_overrides(
+        lexicon,
+        entities=["the bald", "the bald eagle", "The Big Dog", "the big dog",
+                  "the Big Dog", "alan", "the"],
+    )
 
 
 @pytest.mark.parametrize("overridden", [False, True])
 def test_indexed_subject_match_agrees_with_the_sorted_rule(lexicon, overridden):
-    if overridden:
-        lexicon = with_overrides(
-            lexicon, entities=["the bald", "the bald eagle", "The Big Dog", "alan", "the"]
-        )
+    lexicon = probe_lexicon(lexicon, overridden)
     for words in subject_probes(lexicon):
         assert grammar._match_subject(words, lexicon) == match_subject_reference(
             words, lexicon
         ), words
 
 
-def test_subject_index_is_per_lexicon(lexicon):
+def test_subject_table_is_per_lexicon(lexicon):
     overridden = with_overrides(lexicon, entities=["the bald", "the big dog"])
     words = "the big dog is kind".split()
     assert grammar._match_subject(words, overridden) == ("the big dog", ["is", "kind"])

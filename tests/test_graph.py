@@ -1,4 +1,4 @@
-"""Penman parsing, serialization, and polarity edits."""
+"""Penman parsing and serialization."""
 
 from __future__ import annotations
 
@@ -10,18 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amr_logic_aug.graph import (
-    NEGATIVE,
-    POLARITY_ROLE,
     AmrGraph,
     Constant,
     GraphError,
     ParseError,
-    add_polarity,
-    find_polarity,
     parse_penman,
-    remove_polarity,
     serialize,
-    toggle_polarity,
 )
 
 SIMPLE = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
@@ -36,6 +30,9 @@ def test_parse_simple_graph():
         ("w", ":ARG1", "g"),
         ("g", ":ARG0", "b"),
     )
+    assert graph.concept("g") == "go-02"
+    with pytest.raises(GraphError, match="unknown variable"):
+        graph.concept("nope")
 
 
 def test_serialize_is_canonical_and_round_trips():
@@ -107,22 +104,6 @@ def test_deep_nesting_does_not_recurse():
     graph = parse_penman(text)
     assert len(graph.nodes) == depth
     assert parse_penman(serialize(graph)) == graph
-
-
-def test_polarity_helpers():
-    graph = parse_penman("(k / kind :domain (c / cat))")
-    assert not find_polarity(graph, "k")
-    negated = add_polarity(graph, "k")
-    assert find_polarity(negated, "k")
-    assert (("k", POLARITY_ROLE, Constant(NEGATIVE))) in negated.edges
-    assert remove_polarity(negated, "k") == graph
-    assert toggle_polarity(toggle_polarity(graph, "k"), "k") == graph
-    with pytest.raises(GraphError):
-        add_polarity(negated, "k")
-    with pytest.raises(GraphError):
-        remove_polarity(graph, "k")
-    with pytest.raises(GraphError):
-        find_polarity(graph, "nope")
 
 
 def test_serialize_rejects_broken_graphs():

@@ -221,7 +221,7 @@ def test_verify_outcome_rejects_nonequivalent_positive(lexicon):
         honest.negatives,
     )
     with pytest.raises(OracleViolation, match="not equivalent"):
-        verify_outcome(sentence, corrupt, lexicon)
+        verify_outcome(sentence, logic.formula_of_struct(sentence, lexicon), corrupt, lexicon)
 
 
 def test_verify_outcome_rejects_equivalent_negative(lexicon):
@@ -229,7 +229,7 @@ def test_verify_outcome_rejects_equivalent_negative(lexicon):
     honest = apply_law(sentence, LawKind.CONTRAPOSITION, lexicon)
     corrupt = RewriteOutcome(honest.law, honest.positive, (sentence,))
     with pytest.raises(OracleViolation, match="accidentally equivalent"):
-        verify_outcome(sentence, corrupt, lexicon)
+        verify_outcome(sentence, logic.formula_of_struct(sentence, lexicon), corrupt, lexicon)
 
 
 def test_oracle_violation_is_an_assertion_error():
@@ -250,13 +250,13 @@ def test_apply_law_verify_flag(lexicon):
 
 def test_flip_polarity_negative_atomic(lexicon):
     sentence = parse_sentence_struct("The bald eagle is strong.", lexicon)
-    flipped = flip_polarity_negative(sentence, lexicon, random.Random(0))
+    source = logic.formula_of_struct(sentence, lexicon)
+    flipped = flip_polarity_negative(sentence, source, lexicon, random.Random(0))
     assert realize_struct(flipped) == "The bald eagle is not strong."
 
 
 def test_flip_polarity_negative_is_nonequivalent(lexicon):
     sentence = parse_sentence_struct("If Alan is kind, then Bob is clever.", lexicon)
-    flipped = flip_polarity_negative(sentence, lexicon, random.Random(7))
-    assert not logic.equivalent(
-        logic.formula_of_struct(sentence, lexicon), logic.formula_of_struct(flipped, lexicon)
-    )
+    source = logic.formula_of_struct(sentence, lexicon)
+    flipped = flip_polarity_negative(sentence, source, lexicon, random.Random(7))
+    assert not logic.equivalent(source, logic.formula_of_struct(flipped, lexicon))

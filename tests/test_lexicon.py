@@ -8,7 +8,6 @@ from amr_logic_aug.lexicon import (
     ENV_LEXICON_PATH,
     Lexicon,
     LexiconError,
-    antonym_of,
     default_lexicon,
     load_lexicon,
     parse_lexicon,
@@ -63,7 +62,7 @@ def test_default_antonyms_are_symmetric():
     for word, opposite in lexicon.antonyms.items():
         assert lexicon.antonyms[opposite] == word
         assert word != opposite
-    assert antonym_of(lexicon, "beautiful") == "ugly"
+    assert lexicon.antonym_of("beautiful") == "ugly"
 
 
 def test_parse_round_trip():

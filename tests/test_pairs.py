@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from amr_logic_aug import __version__, grammar
+from amr_logic_aug import __version__, grammar, logic, pairs
 from amr_logic_aug.cli import main
 from amr_logic_aug.corpus import build_corpus
 from amr_logic_aug.prompt import LAW_ORDER, rewrite_sentence
@@ -142,6 +142,37 @@ def test_build_pairs_seed_moves_sampled_negatives(lexicon, tiny_corpus):
 
 def test_build_pairs_survives_oracle_replay(lexicon, tiny_pairs):
     assert verify_records(tiny_pairs, lexicon) == []
+
+
+def test_build_pairs_compiles_each_source_struct_once(lexicon, tiny_corpus, monkeypatch):
+    # apply_law runs first for every corpus sentence, so it marks where that
+    # sentence's records start; sampled corpus sentences are other structs.
+    events = []
+    apply_law, formula_of_struct = pairs.apply_law, logic.formula_of_struct
+
+    def marking_apply_law(sentence, *args, **kwargs):
+        events.append(("records of", sentence))
+        return apply_law(sentence, *args, **kwargs)
+
+    def counting_formula_of_struct(sentence, lexicon):
+        events.append(("formula of", sentence))
+        return formula_of_struct(sentence, lexicon)
+
+    monkeypatch.setattr(pairs, "apply_law", marking_apply_law)
+    monkeypatch.setattr(logic, "formula_of_struct", counting_formula_of_struct)
+    build_pairs(tiny_corpus, lexicon, ratio="1:3", seed=7)
+
+    compiled: list[int] = []
+    for kind, struct in events:
+        if kind == "records of":
+            source = struct
+            compiled.append(0)
+        elif struct == source:
+            compiled[-1] += 1
+    assert [struct for kind, struct in events if kind == "records of"] == [
+        sentence.struct for sentence in tiny_corpus
+    ]
+    assert compiled == [1] * len(tiny_corpus)
 
 
 def test_build_pairs_ratio_unreachable(lexicon):
