@@ -168,7 +168,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
                 else:
                     sentence = grammar.parse_sentence_struct(line, lexicon, args.grammar)
                 outcome = laws.apply_law(sentence, args.law, lexicon)
-            except (ParseError, grammar.GrammarError, laws.LawError, LogicError) as err:
+            except (
+                ParseError, grammar.GrammarError, laws.LawError, laws.OracleViolation, LogicError
+            ) as err:
                 skipped += 1
                 logger.warning("skipped %r: %s", line, err)
                 dst.write(

@@ -313,7 +313,11 @@ class _VarNamer:
         self.used: set[str] = set()
 
     def fresh(self, concept: str) -> str:
-        base = next((ch for ch in concept.lower() if ch.isalpha()), "x")
+        for base in concept.lower():
+            if base.isalpha():
+                break
+        else:
+            base = "x"
         var = base
         counter = 2
         while var in self.used:

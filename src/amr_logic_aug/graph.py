@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 POLARITY_ROLE = ":polarity"
 NEGATIVE = "-"
@@ -79,65 +79,40 @@ class AmrGraph:
 # Parsing
 
 
-_ATOM_END = set(" \t\r\n()/")
+# One token per match: optional whitespace, then a delimiter, a string, a
+# role, an atom, a lone '"' (an unterminated string) or the end of input.
+# Some alternative matches wherever a match is tried, so finditer skips no
+# text, every parse ends on one end-of-input match, and trailing whitespace
+# is scanned once instead of once per position.  An atom starts with a
+# non-space; atom and role characters after the first stop only at ASCII
+# whitespace, so "b\u00a0c" is one atom.
+_TOKEN_RE = re.compile(
+    r'\s*(?:([()/])|("(?:\\[\s\S]|[^"\\])*")|(:[^ \t\r\n()/"]*)'
+    r'|([^\s()/"][^ \t\r\n()/"]*)|(")|(\Z))'
+)
+_DELIMITER, _STRING, _ROLE, _ATOM, _QUOTE, _END = range(1, 7)
+# Parser states: what the next token must be.
+_OPEN, _VARIABLE, _SLASH, _CONCEPT, _BODY, _TARGET, _DONE = range(7)
 _NUMBER_RE = re.compile(r"[+-]?\d")
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
-
-
 def _fail(text: str, index: int, reason: str) -> "ParseError":
-    return ParseError(reason, _byte_offset(text, index))
+    return ParseError(reason, len(text[:index].encode("utf-8")))
 
 
-class _Tokenizer:
-    """Single-pass tokenizer that keeps character offsets for error reports."""
+def _unexpected(text: str, match: re.Match, reason: str) -> "ParseError":
+    """The error for a token that does not fit; a malformed token says so first.
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def _skip_space(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n and text[self.pos].isspace():
-            self.pos += 1
-
-    def next(self) -> tuple[str, str, int] | None:
-        """Return (kind, value, char_offset) or None at end of input."""
-        self._skip_space()
-        text, n = self.text, len(self.text)
-        if self.pos >= n:
-            return None
-        start = self.pos
-        ch = text[start]
-        if ch in "()/":
-            self.pos += 1
-            return (ch, ch, start)
-        if ch == '"':
-            i = start + 1
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if text[i] == '"':
-                    self.pos = i + 1
-                    return ("string", text[start : i + 1], start)
-                i += 1
-            raise _fail(text, start, "unterminated string")
-        if ch == ":":
-            i = start + 1
-            while i < n and text[i] not in _ATOM_END and text[i] != '"':
-                i += 1
-            if i == start + 1:
-                raise _fail(text, start, "empty role name")
-            self.pos = i
-            return ("role", text[start:i], start)
-        i = start
-        while i < n and text[i] not in _ATOM_END and text[i] != '"':
-            i += 1
-        self.pos = i
-        return ("atom", text[start:i], start)
+    Input that ends here ends inside an open node.
+    """
+    kind = match.lastindex
+    if kind == _QUOTE:
+        reason = "unterminated string"
+    elif kind == _ROLE and len(match[kind]) == 1:
+        reason = "empty role name"
+    elif kind == _END:
+        reason = "unbalanced parentheses"
+    return _fail(text, match.start(kind), reason)
 
 
 def _is_constant_atom(token: str) -> bool:
@@ -156,76 +131,90 @@ def parse_penman(text: str) -> AmrGraph:
     before they are referenced.  The parser is iterative, so arbitrarily deep
     nesting cannot exhaust the interpreter stack.
     """
-    tok = _Tokenizer(text)
     nodes: dict[str, str] = {}
     edges: list[Edge] = []
-    root: str | None = None
+    root = var = role = ""
     # Each stack entry is the variable of a node whose ')' is still pending.
     stack: list[str] = []
-    pending_role: tuple[str, str, int] | None = None  # (source, role, offset)
-
-    def open_node(offset: int) -> str:
-        t = tok.next()
-        if t is None or t[0] != "atom" or _is_constant_atom(t[1]):
-            raise _fail(text, offset if t is None else t[2], "expected variable name")
-        var, var_offset = t[1], t[2]
-        t = tok.next()
-        if t is None or t[0] != "/":
-            raise _fail(text, var_offset if t is None else t[2], "expected '/'")
-        t = tok.next()
-        if t is None or t[0] not in ("atom", "string"):
-            raise _fail(text, var_offset if t is None else t[2], "expected concept")
-        if var in nodes:
-            raise _fail(text, var_offset, f"duplicate instance declaration for {var!r}")
-        nodes[var] = t[1]
-        return var
-
-    first = tok.next()
-    if first is None:
-        raise ParseError("empty input", 0)
-    if first[0] != "(":
-        raise _fail(text, first[2], "expected '('")
-    root = open_node(first[2])
-    stack.append(root)
-
-    while stack:
-        t = tok.next()
-        if t is None:
-            raise ParseError("unbalanced parentheses", _byte_offset(text, len(text)))
-        kind, value, offset = t
-        if kind == ")":
-            if pending_role is not None:
-                raise _fail(text, offset, "expected edge target")
-            stack.pop()
-            continue
-        if kind == "role":
-            if pending_role is not None:
-                raise _fail(text, offset, "expected edge target")
-            pending_role = (stack[-1], value, offset)
-            continue
-        if pending_role is None:
-            raise _fail(text, offset, f"expected role or ')', got {value!r}")
-        source, role, _ = pending_role
-        pending_role = None
-        if kind == "(":
-            child = open_node(offset)
-            edges.append((source, role, child))
-            stack.append(child)
-        elif kind == "string":
-            edges.append((source, role, Constant(value)))
-        elif kind == "atom":
-            if _is_constant_atom(value):
-                edges.append((source, role, Constant(value)))
-            elif value in nodes:
-                edges.append((source, role, value))
+    state = _OPEN
+    opened = declared = None  # matches of the last '(' and variable, for errors
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastindex
+        value = match[kind]
+        if state == _BODY:
+            if kind == _ROLE and len(value) > 1:
+                role = value
+                state = _TARGET
+            elif value == ")":
+                stack.pop()
+                if not stack:
+                    state = _DONE
             else:
-                raise _fail(text, offset, f"reference to undeclared variable {value!r}")
-        else:  # "/" loose in edge position
-            raise _fail(text, offset, "unexpected '/'")
-
-    trailing = tok.next()
-    if trailing is not None:
-        raise _fail(text, trailing[2], "trailing content after graph")
+                raise _unexpected(text, match, f"expected role or ')', got {value!r}")
+        elif state == _TARGET:
+            if kind == _ATOM:
+                if _is_constant_atom(value):
+                    edges.append((stack[-1], role, Constant(value)))
+                elif value in nodes:
+                    edges.append((stack[-1], role, value))
+                else:
+                    raise _fail(
+                        text, match.start(kind), f"reference to undeclared variable {value!r}"
+                    )
+                state = _BODY
+            elif value == "(":
+                opened = match
+                state = _VARIABLE
+            elif kind == _STRING:
+                edges.append((stack[-1], role, Constant(value)))
+                state = _BODY
+            elif value == "/":
+                raise _fail(text, match.start(kind), "unexpected '/'")
+            else:
+                raise _unexpected(text, match, "expected edge target")
+        elif state == _VARIABLE:
+            if kind == _ATOM and not _is_constant_atom(value):
+                var = value
+                declared = match
+                state = _SLASH
+            elif kind == _END:
+                raise _fail(text, opened.start(_DELIMITER), "expected variable name")
+            else:
+                raise _unexpected(text, match, "expected variable name")
+        elif state == _SLASH:
+            if value == "/":
+                state = _CONCEPT
+            elif kind == _END:
+                raise _fail(text, declared.start(_ATOM), "expected '/'")
+            else:
+                raise _unexpected(text, match, "expected '/'")
+        elif state == _CONCEPT:
+            if kind == _ATOM or kind == _STRING:
+                if var in nodes:
+                    raise _fail(
+                        text, declared.start(_ATOM), f"duplicate instance declaration for {var!r}"
+                    )
+                nodes[var] = value
+                if stack:
+                    edges.append((stack[-1], role, var))
+                else:
+                    root = var
+                stack.append(var)
+                state = _BODY
+            elif kind == _END:
+                raise _fail(text, declared.start(_ATOM), "expected concept")
+            else:
+                raise _unexpected(text, match, "expected concept")
+        elif state == _OPEN:
+            if value == "(":
+                opened = match
+                state = _VARIABLE
+            elif kind == _END:
+                raise ParseError("empty input", 0)
+            else:
+                raise _unexpected(text, match, "expected '('")
+        elif kind != _END:  # _DONE
+            raise _unexpected(text, match, "trailing content after graph")
     return AmrGraph(root=root, nodes=nodes, edges=tuple(edges))
 
 
@@ -240,96 +229,42 @@ def serialize(graph: AmrGraph) -> str:
     tokens; each node is declared at its first occurrence and referenced by
     bare variable afterwards, so ``parse_penman(serialize(g)) == g``.
     """
-    out: dict[str, list[tuple[str, Target]]] = {var: [] for var in graph.nodes}
+    nodes = graph.nodes
+    # Per source, the outgoing edges as (" :role ", target), in stored order.
+    out: dict[str, list[tuple[str, Target]]] = {var: [] for var in nodes}
     for source, role, target in graph.edges:
         if source not in out:
             raise GraphError(f"edge from unknown variable {source!r}")
-        if isinstance(target, str) and target not in graph.nodes:
+        if isinstance(target, str) and target not in nodes:
             raise GraphError(f"edge to unknown variable {target!r}")
-        out[source].append((role, target))
+        out[source].append((f" {role} ", target))
 
-    if graph.root not in graph.nodes:
-        raise GraphError(f"unknown root {graph.root!r}")
+    root = graph.root
+    if root not in nodes:
+        raise GraphError(f"unknown root {root!r}")
 
-    tokens: list[str] = []
-    declared: set[str] = set()
-    # Work stack of either literal tokens or ("node", var) markers.
-    work: list[tuple[str, str]] = [("node", graph.root)]
-    while work:
-        kind, value = work.pop()
-        if kind == "token":
-            tokens.append(value)
-            continue
-        var = value
-        if var in declared:
-            tokens.append(var)
-            continue
-        declared.add(var)
-        tokens.extend((f"({var}", "/", graph.nodes[var]))
-        work.append(("token", ")"))
-        for role, target in reversed(out[var]):
+    pieces = [f"({root} / {nodes[root]}"]
+    declared = {root}
+    # One edge iterator per open node; a new node's iterator goes on top, and
+    # its parent's resumes after the new node's ')'.
+    stack = [iter(out[root])]
+    while stack:
+        for role, target in stack[-1]:
+            pieces.append(role)
             if isinstance(target, Constant):
-                work.append(("token", target.raw))
+                pieces.append(target.raw)
+            elif target in declared:
+                pieces.append(target)
             else:
-                work.append(("node", target))
-            work.append(("token", role))
+                declared.add(target)
+                pieces.append(f"({target} / {nodes[target]}")
+                stack.append(iter(out[target]))
+                break
+        else:
+            pieces.append(")")
+            stack.pop()
 
-    if len(declared) != len(graph.nodes):
-        missing = sorted(set(graph.nodes) - declared)
+    if len(declared) != len(nodes):
+        missing = sorted(set(nodes) - declared)
         raise GraphError(f"unreachable nodes: {', '.join(missing)}")
-
-    pieces: list[str] = []
-    for token in tokens:
-        if pieces and token != ")":
-            pieces.append(" ")
-        pieces.append(token)
     return "".join(pieces)
-
-
-# ---------------------------------------------------------------------------
-# Multi-graph files
-
-
-def bridge_import(path: str) -> tuple[list[tuple[int, AmrGraph]], list[tuple[int, ParseError]]]:
-    """Read a file of blank-line-separated Penman blocks.
-
-    Lines starting with ``#`` are treated as comments.  Returns
-    ``(parsed, failures)`` where each entry is ``(block_index, value)``;
-    a malformed block is reported rather than aborting the file.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        content = handle.read()
-    blocks: list[str] = []
-    current: list[str] = []
-    for line in content.splitlines():
-        if line.strip().startswith("#"):
-            continue
-        if line.strip():
-            current.append(line)
-        elif current:
-            blocks.append("\n".join(current))
-            current = []
-    if current:
-        blocks.append("\n".join(current))
-
-    parsed: list[tuple[int, AmrGraph]] = []
-    failures: list[tuple[int, ParseError]] = []
-    for index, block in enumerate(blocks):
-        try:
-            parsed.append((index, parse_penman(block)))
-        except ParseError as err:
-            failures.append((index, err))
-    return parsed, failures
-
-
-def bridge_export(graphs: Iterable[AmrGraph], path: str) -> int:
-    """Write graphs as blank-line-separated Penman blocks; returns the count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for graph in graphs:
-            if count:
-                handle.write("\n")
-            handle.write(serialize(graph))
-            handle.write("\n")
-            count += 1
-    return count

@@ -62,13 +62,6 @@ class Lexicon:
     def all_entities(self) -> tuple[str, ...]:
         return self.entities + self.extension_entities
 
-    @property
-    def all_attributes(self) -> tuple[str, ...]:
-        return self.attributes + self.extension_attributes
-
-    def is_entity(self, text: str) -> bool:
-        return text in self.entities or text in self.extension_entities
-
     @cached_property
     def subject_table(self) -> tuple[dict[tuple[str, ...], str], tuple[int, ...]]:
         """Exact-lookup table for the sentence parser's subject match.

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import grammar
-from .laws import LawKind, applicable_laws, apply_law
+from .laws import LawKind, OracleViolation, applicable_laws, apply_law
 from .lexicon import Lexicon
 
 RECLOR = "reclor"
@@ -142,18 +142,26 @@ def rewrite_sentence(
     laws: Iterable[LawKind],
     grammar_level: str = grammar.EXTENDED,
 ) -> TraceRow:
-    """All requested applicable rewrites of one sentence, oracle-gated."""
+    """All requested applicable rewrites of one sentence, oracle-gated.
+
+    A sentence that any requested law's gate refuses is skipped whole, with
+    the gate's message as its skip reason.
+    """
     requested = [law for law in LAW_ORDER if law in set(laws)]
     try:
         sentence = grammar.parse_sentence_struct(text, lexicon, grammar_level)
     except grammar.GrammarError as err:
         return TraceRow(source="", original=text, skipped_reason=str(err))
     available = applicable_laws(sentence, lexicon)
-    rewrites = tuple(
-        Rewrite(law.value, grammar.realize_struct(apply_law(sentence, law, lexicon).positive))
-        for law in requested
-        if law in available
-    )
+    try:
+        rewrites = tuple(
+            Rewrite(law.value, grammar.realize_struct(apply_law(sentence, law, lexicon).positive))
+            for law in requested
+            if law in available
+        )
+    except OracleViolation as err:
+        # "A and not A" has no non-equivalent commutative negative.
+        return TraceRow(source="", original=text, skipped_reason=str(err))
     if not rewrites:
         return TraceRow(source="", original=text, skipped_reason="no applicable law")
     return TraceRow(source="", original=text, rewrites=rewrites)

@@ -175,6 +175,34 @@ def test_augment_penman_lines(tmp_path):
     assert row["positive"].startswith("(o / or")
 
 
+CONTRADICTION = "Alan is kind and Alan is not kind."
+
+
+def test_augment_skips_a_self_contradiction(tmp_path):
+    # The swapped-and-negated conjunction of "A and not A" is equivalent to
+    # it, so the commutative negative fails its oracle gate on that line.
+    src = tmp_path / "in.txt"
+    src.write_text(
+        f"Alan is kind and Bob is tall.\n{CONTRADICTION}\nBob is big and Alan is small.\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    code = main(
+        ["-q", "augment", "--law", "commutative", "--negatives",
+         "--in", str(src), "--out", str(out)]
+    )
+    assert code == 0
+    rows = read_jsonl(out)
+    assert [row["positive"] for row in (rows[0], rows[2])] == [
+        "Bob is tall and Alan is kind.",
+        "Alan is small and Bob is big.",
+    ]
+    assert rows[1]["input"] == CONTRADICTION
+    assert "negative is accidentally equivalent" in rows[1]["skipped"]
+    manifest = manifest_of(out)
+    assert (manifest["processed"], manifest["skipped"]) == (2, 1)
+
+
 def test_augment_missing_input_exits_1(tmp_path):
     code = main(
         ["-q", "augment", "--law", "commutative",
@@ -311,6 +339,32 @@ def test_prompt_aug_single_law(tmp_path):
     )
     assert code == 0
     assert manifest_of(out)["laws"] == ["contraposition"]
+
+
+def test_prompt_aug_skips_a_self_contradiction(tmp_path):
+    payload = _mcq_payload()
+    payload[0]["context"] = f"Alan is kind and Bob is tall. {CONTRADICTION}"
+    src = tmp_path / "val.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "val_aug.json"
+    trace = tmp_path / "trace.jsonl"
+    code = main(
+        ["-q", "prompt-aug", "--in", str(src), "--out", str(out),
+         "--trace", str(trace), "--laws", "commutative"]
+    )
+    assert code == 0
+    context_rows = [row for row in read_jsonl(trace) if row["source"] == "context"]
+    assert context_rows[0]["rewrites"] == [
+        {"law": "commutative", "text": "Bob is tall and Alan is kind."}
+    ]
+    assert context_rows[1]["original"] == CONTRADICTION
+    assert context_rows[1]["rewrites"] == []
+    assert "negative is accidentally equivalent" in context_rows[1]["skipped_reason"]
+    answers = json.loads(out.read_text(encoding="utf-8"))[0]["answers"]
+    assert answers[3] == (
+        "Alan is kind and Bob is clever. Bob is clever and Alan is kind. "
+        "Bob is tall and Alan is kind."
+    )
 
 
 def test_prompt_aug_manifest_does_not_depend_on_the_hash_seed(tmp_path):

@@ -69,9 +69,9 @@ def test_parse_round_trip():
     lexicon = parse_lexicon(make_source())
     assert lexicon.entities == ("the cat", "Alan")
     assert lexicon.antonym_of("strong") == "weak"
-    assert lexicon.is_entity("the cat") and lexicon.is_entity("the sheep")
-    assert not lexicon.is_entity("the fox")
-    assert "sleepy" in lexicon.all_attributes
+    assert "the sheep" in lexicon.extension_entities
+    assert "the fox" not in lexicon.entities + lexicon.extension_entities
+    assert "sleepy" in lexicon.extension_attributes
     assert "the sheep" in lexicon.all_entities
 
 
