@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
-from amr_logic_aug import __version__, corpus, pairs
+from amr_logic_aug import corpus, pairs
+from amr_logic_aug.cli import write_manifest
 from amr_logic_aug.lexicon import default_lexicon, load_lexicon
 
 SENTENCE_COUNT = 656
@@ -44,14 +44,14 @@ def main(argv: list[str] | None = None) -> int:
     lexicon = load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
     sentences = corpus.build_corpus(lexicon, SENTENCE_COUNT, seed=args.seed)
     records = pairs.build_pairs(sentences, lexicon, "1:1", args.seed)
-    assert len(records) == RECORD_COUNT, f"expected {RECORD_COUNT}, got {len(records)}"
+    if len(records) != RECORD_COUNT:
+        raise SystemExit(f"expected {RECORD_COUNT} records, got {len(records)}")
 
     pairs.emit_jsonl(records, args.out)
     manifest = pairs.build_manifest(
-        records, args.seed, "1:1", pairs.DEFAULT_VAL_FRACTION, lexicon,
-        corpus_size=len(sentences), version=__version__,
+        records, args.seed, "1:1", pairs.DEFAULT_VAL_FRACTION, lexicon, len(sentences)
     )
-    Path(f"{args.out}.manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    write_manifest(args.out, manifest)
     logger.info("preliminary test set: %d records -> %s", len(records), args.out)
     return 0
 

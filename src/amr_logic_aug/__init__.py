@@ -66,7 +66,6 @@ from .corpus import (
 )
 from .pairs import (
     DatasetError,
-    DatasetManifest,
     PairRecord,
     build_manifest,
     build_pairs,
@@ -114,8 +113,8 @@ __all__ = [
     "PatternKind", "SynthSentence", "build_corpus", "corpus_from_jsonl",
     "corpus_to_jsonl", "generate_atomic", "generate_pattern",
     # pairs
-    "DatasetError", "DatasetManifest", "PairRecord", "build_manifest",
-    "build_pairs", "emit_jsonl", "load_jsonl", "split", "verify_records",
+    "DatasetError", "PairRecord", "build_manifest", "build_pairs",
+    "emit_jsonl", "load_jsonl", "split", "verify_records",
     # prompt
     "AugmentationTrace", "McqRecord", "PromptError", "augment_file",
     "augment_record", "split_sentences",

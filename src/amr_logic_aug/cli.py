@@ -12,8 +12,9 @@ Subcommands:
 
 Every subcommand is deterministic given its flags.  Data goes to files,
 logs go to standard error, and each output file gets a
-``<name>.manifest.json`` sidecar recording the seed, package version, and
-input checksums.  Exit codes: 0 success, 1 validation or oracle failure,
+``<name>.manifest.json`` sidecar (see ``write_manifest``) recording the
+package version, the subcommand, its seed and counts, and the lexicon
+checksum.  Exit codes: 0 success, 1 validation or oracle failure,
 2 usage error.
 """
 
@@ -116,7 +117,8 @@ def _resolve_lexicon(args: argparse.Namespace) -> Lexicon:
     return lexicon
 
 
-def _write_manifest(data_path: str | Path, payload: dict) -> None:
+def write_manifest(data_path: str | Path, payload: dict) -> None:
+    """Write the ``<data_path>.manifest.json`` sidecar: ``version`` plus ``payload``."""
     manifest_path = Path(f"{data_path}.manifest.json")
     manifest_path.write_text(
         json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True) + "\n",
@@ -137,7 +139,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     by_pattern: dict[str, int] = {}
     for sentence in built:
         by_pattern[sentence.pattern.value] = by_pattern.get(sentence.pattern.value, 0) + 1
-    _write_manifest(
+    write_manifest(
         args.out,
         {
             "command": "synth",
@@ -190,7 +192,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
                 payload["negatives"] = [render(s) for s in outcome.negatives]
             dst.write(json.dumps(payload, ensure_ascii=False) + "\n")
             processed += 1
-    _write_manifest(
+    write_manifest(
         args.out,
         {
             "command": "augment",
@@ -216,10 +218,9 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     for path, part in ((args.out_train, train), (args.out_val, validation)):
         pairs.emit_jsonl(part, path)
         manifest = pairs.build_manifest(
-            part, args.seed, args.ratio, args.val_frac, lexicon,
-            corpus_size=len(sentences), version=__version__,
+            part, args.seed, args.ratio, args.val_frac, lexicon, len(sentences)
         )
-        Path(f"{path}.manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+        write_manifest(path, manifest)
     logger.info(
         "pairs: %d train, %d validation records (ratio %s) -> %s, %s",
         len(train), len(validation), args.ratio, args.out_train, args.out_val,
@@ -244,8 +245,7 @@ def cmd_prompt_aug(args: argparse.Namespace) -> int:
     stats = prompt.augment_file(
         args.in_path, args.out, args.format, args.laws, lexicon, args.trace
     )
-    logger.info("prompt-aug: %s", json.dumps(stats, sort_keys=True))
-    _write_manifest(
+    write_manifest(
         args.out,
         {
             "command": "prompt-aug",
@@ -255,12 +255,13 @@ def cmd_prompt_aug(args: argparse.Namespace) -> int:
             **stats,
         },
     )
+    logger.info("prompt-aug: %s -> %s", json.dumps(stats), args.out)
     return 0
 
 
 def cmd_pararule(args: argparse.Namespace) -> int:
     count = pararule.alter_pararule_file(args.in_path, args.out, args.depth)
-    _write_manifest(
+    write_manifest(
         args.out, {"command": "pararule", "depth": args.depth, "records": count}
     )
     logger.info("pararule: %d records altered at depth %d -> %s", count, args.depth, args.out)

@@ -14,6 +14,9 @@ ANTONYM
     itself or to two different words, and the target must be a known
     attribute unless the row carries the ``external`` flag.
 
+Entries of every section but RELATION can become Penman concepts, so
+none may contain ``(``, ``)``, ``/`` or ``"``.
+
 Lines starting with ``#`` and blank lines are ignored.  The declared count
 in each header must match the number of entry rows in that section.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -39,6 +43,7 @@ _SECTIONS = (
     "EXTENSION_ATTRIBUTE",
     "ANTONYM",
 )
+_PENMAN_DELIMITERS = re.compile(r'[()/"]')
 
 
 class LexiconError(ValueError):
@@ -108,6 +113,10 @@ def _parse_rows(text: str) -> dict[str, list[tuple[int, list[str]]]]:
             continue
         if current is None:
             raise LexiconError(f"entry before any section header at line {lineno}")
+        if current != "RELATION" and _PENMAN_DELIMITERS.search(line):
+            raise LexiconError(
+                f"entry {line!r} in section {current} holds one of ()/\" at line {lineno}"
+            )
         sections[current].append((lineno, cells))
 
     for name in ("ENTITY", "RELATION", "ATTRIBUTE", "ANTONYM"):

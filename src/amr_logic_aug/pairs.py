@@ -16,18 +16,17 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from itertools import cycle
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import logic
-from .corpus import PATTERN_LAW, SynthSentence
+from .corpus import DEFAULT_SEED, PATTERN_LAW, SynthSentence
 from .grammar import GrammarError, parse_sentence_struct, realize_struct
 from .laws import LawError, LawKind, apply_law, flip_polarity_negative, verify_outcome
 from .lexicon import Lexicon
 
-DEFAULT_SEED = 2021
 DEFAULT_VAL_FRACTION = 0.2
 RANDOM_SAMPLE_LAW = "random-sample"
 SAMPLE_ATTEMPTS = 100
@@ -250,27 +249,6 @@ def verify_records(
     return problems
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    seed: int
-    ratio: str
-    val_fraction: float
-    lexicon_checksum: str
-    records_total: int
-    positives: int
-    negatives: int
-    by_law: dict[str, int] = field(default_factory=dict)
-    corpus_size: int = 0
-    version: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "DatasetManifest":
-        return DatasetManifest(**json.loads(text))
-
-
 def build_manifest(
     records: Sequence[PairRecord],
     seed: int,
@@ -278,34 +256,30 @@ def build_manifest(
     val_fraction: float,
     lexicon: Lexicon,
     corpus_size: int = 0,
-    version: Optional[str] = None,
-) -> DatasetManifest:
-    from . import __version__
-
+) -> dict:
+    """The ``pairs`` sidecar payload for ``records`` (see ``cli.write_manifest``)."""
     by_law: dict[str, int] = {}
     for record in records:
         by_law[record.law] = by_law.get(record.law, 0) + 1
-    return DatasetManifest(
-        seed=seed,
-        ratio=ratio,
-        val_fraction=val_fraction,
-        lexicon_checksum=lexicon.checksum,
-        records_total=len(records),
-        positives=sum(1 for r in records if r.label == 1),
-        negatives=sum(1 for r in records if r.label == 0),
-        by_law=dict(sorted(by_law.items())),
-        corpus_size=corpus_size,
-        version=version if version is not None else __version__,
-    )
+    return {
+        "command": "pairs",
+        "seed": seed,
+        "ratio": ratio,
+        "val_fraction": val_fraction,
+        "lexicon_checksum": lexicon.checksum,
+        "records_total": len(records),
+        "positives": sum(1 for r in records if r.label == 1),
+        "negatives": sum(1 for r in records if r.label == 0),
+        "by_law": dict(sorted(by_law.items())),
+        "corpus_size": corpus_size,
+    }
 
 
 __all__ = [
-    "DEFAULT_SEED",
     "DEFAULT_VAL_FRACTION",
     "RANDOM_SAMPLE_LAW",
     "DatasetError",
     "PairRecord",
-    "DatasetManifest",
     "make_pair_id",
     "parse_ratio",
     "build_pairs",

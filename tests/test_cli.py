@@ -26,7 +26,12 @@ def read_jsonl(path):
 
 
 def manifest_of(path):
-    return json.loads((path.parent / f"{path.name}.manifest.json").read_text())
+    """The sidecar of ``path``; every sidecar carries ``version`` and ``command``."""
+    manifest = json.loads((path.parent / f"{path.name}.manifest.json").read_text())
+    assert manifest["version"] == __version__
+    assert manifest["command"]
+    assert list(manifest) == sorted(manifest)
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +127,16 @@ def test_synth_lexicon_overrides(tmp_path):
     texts = [row["text"] for row in read_jsonl(out)]
     assert len(texts) == 4
     assert all(text.startswith(("The cat", "The dog")) for text in texts)
+
+
+def test_synth_rejects_an_entity_holding_a_penman_delimiter(tmp_path):
+    out = tmp_path / "corpus.jsonl"
+    code = main(
+        ["-q", "synth", "--count", "4", "--entities", "the (odd) dog,Alan",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +243,11 @@ def test_pairs_and_check_round_trip(tmp_path, capsys):
     assert total == 40 * 3
     assert abs(len(val_rows) - total * 0.2) <= 1
     manifest = manifest_of(train)
+    assert manifest["command"] == "pairs"
     assert manifest["ratio"] == "1:2"
     assert manifest["corpus_size"] == 40
-    assert manifest["version"] == __version__
+    assert manifest["records_total"] == len(train_rows)
+    assert manifest_of(val)["records_total"] == len(val_rows)
 
     assert main(["-q", "check", "--in", str(train)]) == 0
     out = capsys.readouterr().out
@@ -247,6 +264,37 @@ def test_pairs_corpus_input(tmp_path):
     )
     assert code == 0
     assert len(load_jsonl(train)) + len(load_jsonl(val)) == 40
+
+
+def test_synth_then_pairs_matches_pairs_alone(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    assert main(["-q", "synth", "--count", "30", "--seed", "5", "--out", str(corpus_path)]) == 0
+    outputs = {}
+    for name, source in (("chain", ["--corpus", str(corpus_path)]), ("alone", ["--count", "30"])):
+        train, val = tmp_path / f"{name}-train.jsonl", tmp_path / f"{name}-val.jsonl"
+        code = main(
+            ["-q", "pairs", *source, "--seed", "5", "--ratio", "1:2",
+             "--out-train", str(train), "--out-val", str(val)]
+        )
+        assert code == 0
+        assert manifest_of(train)["command"] == "pairs"
+        outputs[name] = (train.read_bytes(), val.read_bytes())
+    assert outputs["chain"] == outputs["alone"]
+
+
+def test_make_preliminary_test_script(tmp_path):
+    out = tmp_path / "preliminary.jsonl"
+    repo = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    subprocess.run(
+        [sys.executable, str(repo / "scripts" / "make_preliminary_test.py"),
+         "-q", "--out", str(out)],
+        env=env, check=True, timeout=120,
+    )
+    assert len(load_jsonl(out)) == 1_312
+    manifest = manifest_of(out)
+    assert manifest["command"] == "pairs"
+    assert manifest["records_total"] == 1_312
 
 
 def test_check_flags_bad_labels(tmp_path, capsys):

@@ -87,6 +87,16 @@ def test_parse_round_trip():
         ),
         (dict(antonyms=(("strong", "missing"), ("missing", "strong"))), "unknown"),
         (dict(ext_attributes=("strong",)), "duplicate"),
+        (dict(entities=("the (odd) dog", "Alan")), "section ENTITY .* line 3"),
+        (dict(entities=("the a/b dog", "Alan")), "section ENTITY .* line 3"),
+        (dict(entities=('the "odd" dog', "Alan")), "section ENTITY .* line 3"),
+        (dict(attributes=("strong", "weak", "round)")), "section ATTRIBUTE .* line 11"),
+        (dict(ext_entities=("the (sheep",)), "section EXTENSION_ENTITY .* line 13"),
+        (dict(ext_attributes=('sle"epy',)), "section EXTENSION_ATTRIBUTE .* line 15"),
+        (
+            dict(antonyms=(("strong", "we(ak\texternal"), ("we(ak", "strong"))),
+            "section ANTONYM .* line 17",
+        ),
     ],
 )
 def test_validation_errors(change, message):
