@@ -48,9 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"expected {RECORD_COUNT} records, got {len(records)}")
 
     pairs.emit_jsonl(records, args.out)
-    manifest = pairs.build_manifest(
-        records, args.seed, "1:1", pairs.DEFAULT_VAL_FRACTION, lexicon, len(sentences)
-    )
+    manifest = pairs.build_manifest(records, args.seed, "1:1", None, lexicon, len(sentences))
     write_manifest(args.out, manifest)
     logger.info("preliminary test set: %d records -> %s", len(records), args.out)
     return 0

@@ -21,6 +21,7 @@ checksum.  Exit codes: 0 success, 1 validation or oracle failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import sys
@@ -209,8 +210,21 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_pairs(args: argparse.Namespace) -> int:
     lexicon = _resolve_lexicon(args)
+    provenance = {}
     if args.corpus:
         sentences = corpus.corpus_from_jsonl(args.corpus, lexicon)
+        sidecar = Path(f"{args.corpus}.manifest.json")
+        seed = None
+        if sidecar.is_file():
+            try:
+                seed = json.loads(sidecar.read_text(encoding="utf-8")).get("seed")
+            except json.JSONDecodeError as err:
+                raise pairs.DatasetError(f"malformed corpus sidecar {sidecar}: {err}") from err
+        provenance = {
+            "corpus_path": args.corpus,
+            "corpus_sha256": hashlib.sha256(Path(args.corpus).read_bytes()).hexdigest(),
+            "corpus_seed": seed,
+        }
     else:
         sentences = corpus.build_corpus(lexicon, args.count, args.mix, args.seed)
     records = pairs.build_pairs(sentences, lexicon, args.ratio, args.seed)
@@ -220,7 +234,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         manifest = pairs.build_manifest(
             part, args.seed, args.ratio, args.val_frac, lexicon, len(sentences)
         )
-        write_manifest(path, manifest)
+        write_manifest(path, {**manifest, **provenance})
     logger.info(
         "pairs: %d train, %d validation records (ratio %s) -> %s, %s",
         len(train), len(validation), args.ratio, args.out_train, args.out_val,

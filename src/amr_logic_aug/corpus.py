@@ -90,13 +90,8 @@ class SynthSentence:
 
 
 def _clause_atom(clause: Clause, lexicon: Lexicon) -> AtomSign:
-    literal = logic.make_atom(clause.subject, clause.predicate, clause.negated, lexicon)
-    if isinstance(literal, logic.Not):
-        inner = literal.operand
-        assert isinstance(inner, logic.Atom)
-        return (inner.subject, inner.attribute, False)
-    assert isinstance(literal, logic.Atom)
-    return (literal.subject, literal.attribute, True)
+    (subject, attribute), negated = logic.clause_literal(clause, lexicon)
+    return (subject, attribute, not negated)
 
 
 def _sentence(struct: GrammarSentence, pattern: PatternKind) -> SynthSentence:

@@ -6,8 +6,9 @@ negative (logically nonequivalent) struct.  :func:`apply_law` and
 :func:`applicable_laws` also accept an :class:`AmrGraph`, which they read
 into its struct once at entry; that is the only place the laws meet a graph.
 A "B unless A" struct rewrites exactly like the trailing conditional
-"B if A.".  Conventions, all oracle-checked at construction time via
-:func:`apply_law`:
+"B if A.".  :func:`verify_outcome` and :func:`flip_polarity_negative` gate
+on the structs themselves through :func:`~amr_logic_aug.logic.structs_equivalent`.
+Conventions, all oracle-checked at construction time via :func:`apply_law`:
 
 contraposition (conditional only)
     positive: swap antecedent/consequent, negate both halves;
@@ -170,29 +171,19 @@ def apply_law(
     else:
         outcome = apply_double_negation(sentence, lexicon)
     if verify:
-        verify_outcome(
-            sentence, logic.formula_of_struct(sentence, lexicon), outcome, lexicon
-        )
+        verify_outcome(sentence, outcome, lexicon)
     return outcome
 
 
-def verify_outcome(
-    original: GrammarSentence,
-    source: logic.Formula,
-    outcome: RewriteOutcome,
-    lexicon: Lexicon,
-) -> None:
-    """Raise :class:`OracleViolation` unless labels are semantically right.
-
-    ``source`` is the formula of ``original``.
-    """
-    if not logic.equivalent(source, logic.formula_of_struct(outcome.positive, lexicon)):
+def verify_outcome(original: GrammarSentence, outcome: RewriteOutcome, lexicon: Lexicon) -> None:
+    """Raise :class:`OracleViolation` unless labels are semantically right."""
+    if not logic.structs_equivalent(original, outcome.positive, lexicon):
         raise OracleViolation(
             f"{outcome.law.value} positive is not equivalent: "
             f"{realize_struct(original)!r} vs {realize_struct(outcome.positive)!r}"
         )
     for negative in outcome.negatives:
-        if logic.equivalent(source, logic.formula_of_struct(negative, lexicon)):
+        if logic.structs_equivalent(original, negative, lexicon):
             raise OracleViolation(
                 f"{outcome.law.value} negative is accidentally equivalent: "
                 f"{realize_struct(original)!r} vs {realize_struct(negative)!r}"
@@ -200,12 +191,9 @@ def verify_outcome(
 
 
 def flip_polarity_negative(
-    sentence: GrammarSentence,
-    source: logic.Formula,
-    lexicon: Lexicon,
-    rng: random.Random,
+    sentence: GrammarSentence, lexicon: Lexicon, rng: random.Random
 ) -> GrammarSentence:
-    """Negate one random clause, oracle-checked against ``source``, its formula."""
+    """Negate one random clause, oracle-checked against ``sentence``."""
     order = list(range(len(sentence.clauses)))
     rng.shuffle(order)
     for index in order:
@@ -214,7 +202,7 @@ def flip_polarity_negative(
         candidate = GrammarSentence(
             sentence.shape, tuple(clauses), sentence.trailing_condition
         )
-        if not logic.equivalent(source, logic.formula_of_struct(candidate, lexicon)):
+        if not logic.structs_equivalent(sentence, candidate, lexicon):
             return candidate
     raise LawError("no polarity flip yields a nonequivalent sentence")
 

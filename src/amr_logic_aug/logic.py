@@ -1,23 +1,24 @@
 """Propositional semantics for grammar structs.
 
-A sentence struct is interpreted as a formula over atoms
-``(subject, attribute)``.  Atom construction normalizes antonyms: when a
-lexicon pairs two attributes, the lexicographically smaller one is the base
-form and the other side is represented as ``Not(Atom(subject, base))``.
-That makes e.g. "weak" and "not strong" the same literal, which is what lets
-a truth-table check recognise antonym substitutions as equivalences.
+A struct means a formula over atoms ``(subject, attribute)``.
+:func:`clause_literal` normalizes antonyms: of a lexicon antonym pair, the
+lexicographically smaller attribute is the base atom and the other is its
+negation, so "weak" and "not strong" are the same literal.
 
-The oracle compiles each formula into its truth table over the union of
-the ``n`` distinct atoms of the formulas it compares: an integer of
-``2**n`` bits whose bit ``row`` is the formula's value under the assignment
-that makes atom ``i`` true exactly when bit ``i`` of ``row`` is set.  Atoms
-are numbered in first-occurrence order, atom ``i`` is a fixed bit mask,
-``~``, ``&`` and ``|`` are bitwise operations, and two formulas are
-equivalent exactly when their tables are equal integers (the canonical-form
-idea of Bryant's BDDs, without the sharing).  This is exact for the small
-formulas this package produces; a budget of :data:`MAX_ORACLE_ATOMS`
-distinct atoms keeps the tables small and is enforced with an error rather
-than silently degrading.
+A truth table over ``n`` atoms is an integer of ``2**n`` bits whose bit
+``row`` is the value when atom ``i`` is true exactly if bit ``i`` of ``row``
+is set.  Atoms are numbered in first-occurrence order, atom ``i`` is a
+fixed bit mask, ``~``, ``&`` and ``|`` are bitwise, and two formulas are
+equivalent exactly when their tables are equal (Bryant's canonical-form
+idea, without the sharing).
+
+:func:`structs_equivalent` is the production oracle: it compiles each struct
+(at most two clauses, one connective) in one pass, a literal mask per clause
+combined by shape.  The :data:`Formula` tree, :func:`formula_of_struct` and
+:func:`equivalent` are the reference surface that defines these semantics;
+the acceptance tests and the compile's differential test are written
+against it.  Its budget of :data:`MAX_ORACLE_ATOMS` atoms is enforced with
+an error rather than silently degrading.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .grammar import GrammarSentence, GrammarStructureError, Shape, read_graph
+from .grammar import Clause, GrammarSentence, GrammarStructureError, Shape, read_graph
 from .graph import AmrGraph
 from .lexicon import Lexicon
 
@@ -36,6 +37,8 @@ _ATOM_MASKS: tuple[int, ...] = tuple(
     sum(1 << row for row in range(1 << MAX_ORACLE_ATOMS) if row >> i & 1)
     for i in range(MAX_ORACLE_ATOMS)
 )
+# Reading an enum member through its class costs more than the bit algebra.
+_AND_PAIR, _OR_PAIR = Shape.AND_PAIR, Shape.OR_PAIR
 
 
 class LogicError(ValueError):
@@ -47,16 +50,10 @@ class Atom:
     subject: str
     attribute: str
 
-    def __str__(self) -> str:
-        return f"{self.subject}:{self.attribute}"
-
 
 @dataclass(frozen=True)
 class Not:
     operand: "Formula"
-
-    def __str__(self) -> str:
-        return f"~{self.operand}"
 
 
 @dataclass(frozen=True)
@@ -64,17 +61,11 @@ class And:
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
-
 
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
-
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
 
 
 @dataclass(frozen=True)
@@ -82,33 +73,23 @@ class Implies:
     antecedent: "Formula"
     consequent: "Formula"
 
-    def __str__(self) -> str:
-        return f"({self.antecedent} -> {self.consequent})"
-
 
 Formula = Union[Atom, Not, And, Or, Implies]
 
 
-def negate(formula: Formula) -> Formula:
-    """Logical negation with double negations collapsed at construction."""
-    if isinstance(formula, Not):
-        return formula.operand
-    return Not(formula)
+def clause_literal(clause: Clause, lexicon: Lexicon) -> tuple[tuple[str, str], bool]:
+    """The clause's atom ``(subject, base attribute)`` and whether the clause
+    negates it, the attribute mapped to the base side of its antonym pair."""
+    partner = lexicon.antonym_of(clause.predicate)
+    if partner is not None and partner < clause.predicate:
+        return (clause.subject, partner), not clause.negated
+    return (clause.subject, clause.predicate), clause.negated
 
 
 def make_atom(subject: str, attribute: str, negated: bool, lexicon: Lexicon) -> Formula:
-    """Build a normalized literal for one clause.
-
-    The attribute is mapped to the base side of its antonym pair (if any)
-    before the clause's own negation is applied.
-    """
-    partner = lexicon.antonym_of(attribute)
-    literal: Formula
-    if partner is not None and partner < attribute:
-        literal = Not(Atom(subject, partner))
-    else:
-        literal = Atom(subject, attribute)
-    return negate(literal) if negated else literal
+    """The normalized literal of one clause (see :func:`clause_literal`)."""
+    (subject, base), negated = clause_literal(Clause(subject, attribute, negated), lexicon)
+    return Not(Atom(subject, base)) if negated else Atom(subject, base)
 
 
 def atoms(formula: Formula) -> tuple[Atom, ...]:
@@ -187,10 +168,7 @@ def to_formula(graph: AmrGraph, lexicon: Lexicon) -> Formula:
 
 def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:
     """Interpret a grammar struct directly (clauses in struct order)."""
-    literals = [
-        make_atom(clause.subject, clause.predicate, clause.negated, lexicon)
-        for clause in sentence.clauses
-    ]
+    literals = [make_atom(c.subject, c.predicate, c.negated, lexicon) for c in sentence.clauses]
     if sentence.shape is Shape.ATOMIC:
         return literals[0]
     if sentence.shape is Shape.AND_PAIR:
@@ -200,8 +178,32 @@ def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:
     return Implies(*literals)
 
 
-def graphs_equivalent(first: AmrGraph, second: AmrGraph, lexicon: Lexicon) -> bool:
-    return equivalent(to_formula(first, lexicon), to_formula(second, lexicon))
+def _struct_table(sentence: GrammarSentence, lexicon: Lexicon, index: dict) -> int:
+    """The struct's table, compiled like ``formula_of_struct`` without the tree;
+    ``index`` numbers the atoms seen so far."""
+    tables = []
+    for clause in sentence.clauses:
+        key, negated = clause_literal(clause, lexicon)
+        mask = _ATOM_MASKS[index.setdefault(key, len(index))]
+        tables.append(~mask if negated else mask)
+    if len(tables) == 1:
+        return tables[0]
+    first, second = tables
+    shape = sentence.shape
+    if shape is _AND_PAIR:
+        return first & second
+    if shape is _OR_PAIR:
+        return first | second
+    return ~first | second
+
+
+def structs_equivalent(first: GrammarSentence, second: GrammarSentence, lexicon: Lexicon) -> bool:
+    """``equivalent(formula_of_struct(first), formula_of_struct(second))``
+    without the trees.  A pair has at most 4 atoms, inside the budget."""
+    index: dict[tuple[str, str], int] = {}
+    table = _struct_table(first, lexicon, index) ^ _struct_table(second, lexicon, index)
+    full = (1 << (1 << len(index))) - 1
+    return table & full == 0
 
 
 __all__ = [
@@ -213,12 +215,12 @@ __all__ = [
     "Or",
     "Implies",
     "Formula",
-    "negate",
+    "clause_literal",
     "make_atom",
     "atoms",
     "equivalent",
     "is_tautology",
     "to_formula",
     "formula_of_struct",
-    "graphs_equivalent",
+    "structs_equivalent",
 ]

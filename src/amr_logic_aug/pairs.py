@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from . import logic
 from .corpus import DEFAULT_SEED, PATTERN_LAW, SynthSentence
 from .grammar import GrammarError, parse_sentence_struct, realize_struct
-from .laws import LawError, LawKind, apply_law, flip_polarity_negative, verify_outcome
+from .laws import LawError, LawKind, apply_law, flip_polarity_negative
 from .lexicon import Lexicon
 
 DEFAULT_VAL_FRACTION = 0.2
@@ -91,11 +91,7 @@ def build_pairs(
     records: list[PairRecord] = []
     for sentence in corpus:
         law = PATTERN_LAW[sentence.pattern]
-        # The source formula is built once and shared by the oracle gate, the
-        # flip arm and the sample arm.
-        outcome = apply_law(sentence.struct, law, lexicon, verify=False)
-        source_formula = logic.formula_of_struct(sentence.struct, lexicon)
-        verify_outcome(sentence.struct, source_formula, outcome, lexicon)
+        outcome = apply_law(sentence.struct, law, lexicon)
         positive_text = realize_struct(outcome.positive)
         records.append(PairRecord(sentence.text, positive_text, 1, law.value))
 
@@ -116,9 +112,7 @@ def build_pairs(
                 break
             if kind == "flip":
                 try:
-                    flipped = flip_polarity_negative(
-                        sentence.struct, source_formula, lexicon, rng
-                    )
+                    flipped = flip_polarity_negative(sentence.struct, lexicon, rng)
                     admit(realize_struct(flipped), law.value)
                 except LawError:
                     pass  # no usable flip; the sample arm fills the slot
@@ -127,9 +121,7 @@ def build_pairs(
                 candidate = corpus[rng.randrange(len(corpus))]
                 if candidate.text in used:
                     continue
-                if logic.equivalent(
-                    source_formula, logic.formula_of_struct(candidate.struct, lexicon)
-                ):
+                if logic.structs_equivalent(sentence.struct, candidate.struct, lexicon):
                     continue
                 admit(candidate.text, RANDOM_SAMPLE_LAW)
                 break
@@ -228,17 +220,12 @@ def verify_records(
     problems: list[tuple[int, str]] = []
     for index, record in enumerate(records):
         try:
-            first = logic.formula_of_struct(
-                parse_sentence_struct(record.sentence1, lexicon, grammar_level), lexicon
-            )
-            second = logic.formula_of_struct(
-                parse_sentence_struct(record.sentence2, lexicon, grammar_level), lexicon
-            )
+            first = parse_sentence_struct(record.sentence1, lexicon, grammar_level)
+            second = parse_sentence_struct(record.sentence2, lexicon, grammar_level)
         except GrammarError as err:
             problems.append((index, f"unparseable pair: {err}"))
             continue
-        equivalent = logic.equivalent(first, second)
-        if equivalent != bool(record.label):
+        if logic.structs_equivalent(first, second, lexicon) != bool(record.label):
             problems.append(
                 (
                     index,
@@ -253,11 +240,12 @@ def build_manifest(
     records: Sequence[PairRecord],
     seed: int,
     ratio: str,
-    val_fraction: float,
+    val_fraction: float | None,
     lexicon: Lexicon,
     corpus_size: int = 0,
 ) -> dict:
-    """The ``pairs`` sidecar payload for ``records`` (see ``cli.write_manifest``)."""
+    """The ``pairs`` sidecar payload for ``records`` (see ``cli.write_manifest``);
+    ``val_fraction`` is ``None`` for a set that was not split."""
     by_law: dict[str, int] = {}
     for record in records:
         by_law[record.law] = by_law.get(record.law, 0) + 1

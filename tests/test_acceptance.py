@@ -33,7 +33,7 @@ from amr_logic_aug.laws import (
     apply_law,
     applicable_laws,
 )
-from amr_logic_aug.logic import Atom, Not, equivalent, graphs_equivalent, to_formula
+from amr_logic_aug.logic import Atom, Not, equivalent, to_formula
 from amr_logic_aug.pairs import build_pairs, split
 from amr_logic_aug.pararule import alter_pararule_rules, alter_rule
 from amr_logic_aug.prompt import augment_file, augment_record, split_sentences
@@ -51,9 +51,10 @@ def test_criterion_1_reference_rewrites(lexicon):
         negatives = [build_graph(negative) for negative in outcome.negatives]
         assert realize(positive) == positive_text
         assert realize(negatives[0]) == negative_text
-        assert graphs_equivalent(graph, positive, lexicon)
+        source = to_formula(graph, lexicon)
+        assert equivalent(source, to_formula(positive, lexicon))
         for negative in negatives:
-            assert not graphs_equivalent(graph, negative, lexicon)
+            assert not equivalent(source, to_formula(negative, lexicon))
     assert time.perf_counter() - start < 1.0
 
 
@@ -135,7 +136,9 @@ def test_criterion_4_involutions(lexicon):
     conditionals = generate_pattern(lexicon, PatternKind.CONDITIONAL_CONTRA, 1000, seed=404)
     for record in conditionals:
         twice = apply_contraposition(apply_contraposition(record.struct).positive)
-        assert graphs_equivalent(record.graph, build_graph(twice.positive), lexicon)
+        assert equivalent(
+            to_formula(record.graph, lexicon), to_formula(build_graph(twice.positive), lexicon)
+        )
 
     conjunctions = generate_pattern(lexicon, PatternKind.COMMUTATIVE_PAIR, 1000, seed=404)
     for record in conjunctions:
@@ -145,7 +148,9 @@ def test_criterion_4_involutions(lexicon):
     mixed = generate_pattern(lexicon, PatternKind.IMPLICATION_PAIR, 1000, seed=404)
     for record in mixed:
         back = apply_implication(apply_implication(record.struct).positive)
-        assert graphs_equivalent(record.graph, build_graph(back.positive), lexicon)
+        assert equivalent(
+            to_formula(record.graph, lexicon), to_formula(build_graph(back.positive), lexicon)
+        )
 
 
 def test_criterion_5_corpus_and_dataset_counts(full_corpus, lexicon):

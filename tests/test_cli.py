@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -282,6 +283,32 @@ def test_synth_then_pairs_matches_pairs_alone(tmp_path):
     assert outputs["chain"] == outputs["alone"]
 
 
+def test_pairs_corpus_sidecar_identifies_its_corpus(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    assert main(["-q", "synth", "--count", "20", "--seed", "5", "--out", str(corpus_path)]) == 0
+    digest = hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+    train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    outputs = ["--out-train", str(train), "--out-val", str(val)]
+    assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 0
+    for path in (train, val):
+        manifest = manifest_of(path)
+        assert manifest["corpus_path"] == str(corpus_path)
+        assert manifest["corpus_sha256"] == digest
+        assert manifest["corpus_seed"] == 5
+
+    sidecar = Path(f"{corpus_path}.manifest.json")
+    sidecar.write_text('{"seed": 5', encoding="utf-8")  # truncated
+    assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 1
+    sidecar.unlink()
+    assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 0
+    assert manifest_of(train)["corpus_seed"] is None
+    assert manifest_of(train)["corpus_sha256"] == digest
+
+    # A regenerated corpus has no file to name: the sidecar keeps its keys.
+    assert main(["-q", "pairs", "--count", "20", *outputs]) == 0
+    assert not {"corpus_path", "corpus_sha256", "corpus_seed"} & set(manifest_of(train))
+
+
 def test_make_preliminary_test_script(tmp_path):
     out = tmp_path / "preliminary.jsonl"
     repo = Path(__file__).resolve().parents[1]
@@ -295,6 +322,7 @@ def test_make_preliminary_test_script(tmp_path):
     manifest = manifest_of(out)
     assert manifest["command"] == "pairs"
     assert manifest["records_total"] == 1_312
+    assert manifest["val_fraction"] is None  # one unsplit file
 
 
 def test_check_flags_bad_labels(tmp_path, capsys):

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from amr_logic_aug.grammar import parse_sentence
+from amr_logic_aug.corpus import PATTERN_LAW
+from amr_logic_aug.grammar import Clause, GrammarSentence, Shape, parse_sentence
+from amr_logic_aug.laws import apply_law
+from amr_logic_aug.lexicon import with_overrides
 from amr_logic_aug.logic import (
     MAX_ORACLE_ATOMS,
     And,
@@ -16,10 +20,12 @@ from amr_logic_aug.logic import (
     LogicError,
     Not,
     Or,
+    clause_literal,
     equivalent,
+    formula_of_struct,
     is_tautology,
     make_atom,
-    negate,
+    structs_equivalent,
     to_formula,
 )
 from amr_logic_aug.graph import parse_penman
@@ -98,19 +104,15 @@ def test_make_atom_normalizes_antonyms(lexicon):
     assert equivalent(make_atom("the cat", "weak", True, lexicon), strong)
     # the base attribute is the lexicographically smaller of the pair
     assert isinstance(strong, Atom) and strong.attribute == "strong"
+    assert clause_literal(Clause("the cat", "weak"), lexicon) == (("the cat", "strong"), True)
+    assert clause_literal(Clause("the cat", "weak", True), lexicon) == (("the cat", "strong"), False)
 
 
 def test_make_atom_without_antonym(lexicon):
     atom = make_atom("the cat", "round", False, lexicon)
     assert atom == Atom("the cat", "round")
     assert make_atom("the cat", "round", True, lexicon) == Not(atom)
-
-
-def test_negate_collapses_double_negation():
-    atom = Atom("p", "a")
-    assert negate(atom) == Not(atom)
-    assert negate(Not(atom)) == atom
-    assert negate(negate(And(atom, atom))) == And(atom, atom)
+    assert clause_literal(Clause("the cat", "round", True), lexicon) == (("the cat", "round"), True)
 
 
 def test_equivalence_basics():
@@ -240,3 +242,62 @@ def test_bitset_oracle_budget_is_the_union_of_atoms():
         equivalent(left, right)
     with pytest.raises(LogicError, match="budget"):
         is_tautology(Or(left, right))
+
+
+# --- the struct compile against the Formula reference -----------------------
+
+
+def reference_equivalent(first, second, lexicon):
+    return equivalent(formula_of_struct(first, lexicon), formula_of_struct(second, lexicon))
+
+
+def one_clause_flips(struct):
+    for index in range(len(struct.clauses)):
+        clauses = list(struct.clauses)
+        clauses[index] = clauses[index].negate()
+        yield GrammarSentence(struct.shape, tuple(clauses), struct.trailing_condition)
+
+
+def test_structs_equivalent_matches_reference_on_corpus_rewrites(lexicon, full_corpus):
+    verdicts = Counter()
+    for sentence in full_corpus:
+        struct = sentence.struct
+        outcome = apply_law(struct, PATTERN_LAW[sentence.pattern], lexicon, verify=False)
+        for other in (outcome.positive, *outcome.negatives, *one_clause_flips(struct)):
+            verdict = structs_equivalent(struct, other, lexicon)
+            assert verdict == reference_equivalent(struct, other, lexicon), (struct, other)
+            verdicts[verdict] += 1
+    assert verdicts[True] == len(full_corpus)
+    assert verdicts[False] > 2 * len(full_corpus)
+
+
+def random_struct(rng, subjects, attributes):
+    shape = rng.choice(list(Shape))
+    count = 1 if shape is Shape.ATOMIC else 2
+    clauses = tuple(
+        Clause(rng.choice(subjects), rng.choice(attributes), rng.random() < 0.5)
+        for _ in range(count)
+    )
+    return GrammarSentence(shape, clauses, rng.random() < 0.5)
+
+
+def test_structs_equivalent_matches_reference_on_random_pairs(lexicon):
+    # Few subjects and attributes make shared atoms common.  One antonym pair
+    # is listed base-first and one base-last, so both sides of the
+    # normalization are exercised.
+    attributes = ("weak", "strong", "old", "young", "round")
+    small = with_overrides(
+        lexicon,
+        attributes=attributes,
+        antonym_pairs=[("weak", "strong"), ("old", "young")],
+    )
+    subjects = lexicon.entities[:2]
+    rng = random.Random(2021)
+    verdicts = Counter()
+    for _ in range(50_000):
+        first = random_struct(rng, subjects, attributes)
+        second = random_struct(rng, subjects, attributes)
+        verdict = structs_equivalent(first, second, small)
+        assert verdict == reference_equivalent(first, second, small), (first, second)
+        verdicts[verdict] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 40_000

@@ -143,35 +143,19 @@ def test_build_pairs_survives_oracle_replay(lexicon, tiny_pairs):
     assert verify_records(tiny_pairs, lexicon) == []
 
 
-def test_build_pairs_compiles_each_source_struct_once(lexicon, tiny_corpus, monkeypatch):
-    # apply_law runs first for every corpus sentence, so it marks where that
-    # sentence's records start; sampled corpus sentences are other structs.
-    events = []
-    apply_law, formula_of_struct = pairs.apply_law, logic.formula_of_struct
+def test_build_pairs_oracle_call_count(lexicon, tiny_corpus, monkeypatch):
+    # Two law gates, one flip check and one sample draw per sentence here;
+    # the Formula-based oracle (logic.equivalent) made the same 240 calls.
+    calls = []
+    structs_equivalent = logic.structs_equivalent
 
-    def marking_apply_law(sentence, *args, **kwargs):
-        events.append(("records of", sentence))
-        return apply_law(sentence, *args, **kwargs)
+    def counting(first, second, lexicon):
+        calls.append((first, second))
+        return structs_equivalent(first, second, lexicon)
 
-    def counting_formula_of_struct(sentence, lexicon):
-        events.append(("formula of", sentence))
-        return formula_of_struct(sentence, lexicon)
-
-    monkeypatch.setattr(pairs, "apply_law", marking_apply_law)
-    monkeypatch.setattr(logic, "formula_of_struct", counting_formula_of_struct)
+    monkeypatch.setattr(logic, "structs_equivalent", counting)
     build_pairs(tiny_corpus, lexicon, ratio="1:3", seed=7)
-
-    compiled: list[int] = []
-    for kind, struct in events:
-        if kind == "records of":
-            source = struct
-            compiled.append(0)
-        elif struct == source:
-            compiled[-1] += 1
-    assert [struct for kind, struct in events if kind == "records of"] == [
-        sentence.struct for sentence in tiny_corpus
-    ]
-    assert compiled == [1] * len(tiny_corpus)
+    assert len(calls) == 240
 
 
 def test_build_pairs_ratio_unreachable(lexicon):
