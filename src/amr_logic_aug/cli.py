@@ -31,14 +31,12 @@ from typing import Optional, Sequence
 from . import __version__, corpus, grammar, laws, pairs, pararule, prompt, scoring
 from .graph import ParseError, parse_penman, serialize
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, with_overrides
-from .logic import LogicError
 
 logger = logging.getLogger("amr_logic_aug")
 
 _DOMAIN_ERRORS = (
     LexiconError,
     ParseError,
-    LogicError,
     grammar.GrammarError,
     laws.LawError,
     laws.OracleViolation,
@@ -172,7 +170,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
                     sentence = grammar.parse_sentence_struct(line, lexicon, args.grammar)
                 outcome = laws.apply_law(sentence, args.law, lexicon)
             except (
-                ParseError, grammar.GrammarError, laws.LawError, laws.OracleViolation, LogicError
+                ParseError, grammar.GrammarError, laws.LawError, laws.OracleViolation
             ) as err:
                 skipped += 1
                 logger.warning("skipped %r: %s", line, err)
@@ -257,7 +255,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_prompt_aug(args: argparse.Namespace) -> int:
     lexicon = _resolve_lexicon(args)
     stats = prompt.augment_file(
-        args.in_path, args.out, args.format, args.laws, lexicon, args.trace
+        args.in_path, args.out, lexicon, args.format, args.laws, args.trace
     )
     write_manifest(
         args.out,

@@ -102,20 +102,6 @@ def _mapped_attributes(lexicon: Lexicon) -> list[str]:
     return [a for a in lexicon.attributes if lexicon.antonym_of(a) is not None]
 
 
-def generate_atomic(lexicon: Lexicon) -> list[SynthSentence]:
-    """Every subject × relation × attribute combination, in lexicon order."""
-    out: list[SynthSentence] = []
-    for subject in lexicon.entities:
-        for relation in lexicon.relations:
-            negated = relation.endswith("not")
-            for attribute in lexicon.attributes:
-                struct = GrammarSentence(
-                    Shape.ATOMIC, (Clause(subject, attribute, negated),)
-                )
-                out.append(_sentence(struct, PatternKind.ATOMIC_DN))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Pattern families
 # ---------------------------------------------------------------------------
@@ -407,7 +393,6 @@ __all__ = [
     "CorpusError",
     "PatternKind",
     "SynthSentence",
-    "generate_atomic",
     "generate_pattern",
     "build_corpus",
     "family_capacity",

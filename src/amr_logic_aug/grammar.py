@@ -492,22 +492,9 @@ def realize_struct(sentence: GrammarSentence) -> str:
     return body[0].upper() + body[1:] + "."
 
 
-# ---------------------------------------------------------------------------
-# Public text↔graph API
-# ---------------------------------------------------------------------------
-
-
-def parse_sentence(text: str, lexicon, grammar: str = CORE) -> AmrGraph:
-    return build_graph(parse_sentence_struct(text, lexicon, grammar))
-
-
 def realize(graph: AmrGraph) -> str:
+    """The sentence of a grammar graph (``realize_struct(read_graph(graph))``)."""
     return realize_struct(read_graph(graph))
-
-
-def canonicalize(text: str, lexicon, grammar: str = CORE) -> str:
-    """The canonical surface form: realize(parse(text))."""
-    return realize_struct(parse_sentence_struct(text, lexicon, grammar))
 
 
 __all__ = [
@@ -522,10 +509,8 @@ __all__ = [
     "Clause",
     "GrammarSentence",
     "parse_sentence_struct",
-    "parse_sentence",
     "build_graph",
     "read_graph",
     "realize_struct",
     "realize",
-    "canonicalize",
 ]

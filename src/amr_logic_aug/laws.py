@@ -6,9 +6,10 @@ negative (logically nonequivalent) struct.  :func:`apply_law` and
 :func:`applicable_laws` also accept an :class:`AmrGraph`, which they read
 into its struct once at entry; that is the only place the laws meet a graph.
 A "B unless A" struct rewrites exactly like the trailing conditional
-"B if A.".  :func:`verify_outcome` and :func:`flip_polarity_negative` gate
-on the structs themselves through :func:`~amr_logic_aug.logic.structs_equivalent`.
-Conventions, all oracle-checked at construction time via :func:`apply_law`:
+"B if A.".  :func:`apply_law` always runs the oracle gate
+(:func:`verify_outcome`); it and :func:`flip_polarity_negative` gate on the
+structs themselves through :func:`~amr_logic_aug.logic.structs_equivalent`.
+Conventions, each checked by that gate on every :func:`apply_law` call:
 
 contraposition (conditional only)
     positive: swap antecedent/consequent, negate both halves;
@@ -155,10 +156,7 @@ def apply_double_negation(sentence: GrammarSentence, lexicon: Lexicon) -> Rewrit
 
 
 def apply_law(
-    sentence: Union[GrammarSentence, AmrGraph],
-    law: LawKind,
-    lexicon: Lexicon,
-    verify: bool = True,
+    sentence: Union[GrammarSentence, AmrGraph], law: LawKind, lexicon: Lexicon
 ) -> RewriteOutcome:
     """Dispatch a rewrite and gate it through the truth-table oracle."""
     sentence = _read(sentence)
@@ -170,8 +168,7 @@ def apply_law(
         outcome = apply_commutative(sentence)
     else:
         outcome = apply_double_negation(sentence, lexicon)
-    if verify:
-        verify_outcome(sentence, outcome, lexicon)
+    verify_outcome(sentence, outcome, lexicon)
     return outcome
 
 

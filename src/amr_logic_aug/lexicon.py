@@ -19,12 +19,14 @@ none may contain ``(``, ``)``, ``/`` or ``"``.
 
 Lines starting with ``#`` and blank lines are ignored.  The declared count
 in each header must match the number of entry rows in that section.
+
+:func:`default_lexicon` always returns the shipped file; another lexicon is
+read with :func:`load_lexicon` (the CLI's ``--lexicon FILE``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,7 +34,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-ENV_LEXICON_PATH = "AMR_LOGIC_AUG_LEXICON"
 DEFAULT_RESOURCE = "lexicon.tsv"
 
 _SECTIONS = (
@@ -228,10 +229,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def default_lexicon() -> Lexicon:
-    """The shipped lexicon, or the file named by $AMR_LOGIC_AUG_LEXICON."""
-    override = os.environ.get(ENV_LEXICON_PATH)
-    if override:
-        return load_lexicon(override)
+    """The shipped ``data/lexicon.tsv``."""
     data = resources.files(__package__).joinpath("data", DEFAULT_RESOURCE).read_bytes()
     checksum = hashlib.sha256(data).hexdigest()
     return parse_lexicon(data.decode("utf-8"), checksum=checksum)
@@ -275,7 +273,6 @@ def with_overrides(
 
 
 __all__ = [
-    "ENV_LEXICON_PATH",
     "LexiconError",
     "Lexicon",
     "parse_lexicon",

@@ -128,28 +128,16 @@ def _truth_table(formula: Formula, index: dict[tuple[str, str], int]) -> int:
     return ~_truth_table(formula.antecedent, index) | _truth_table(formula.consequent, index)
 
 
-def _truth_tables(formulas: tuple[Formula, ...]) -> tuple[list[int], int]:
-    """The formulas' 2**n-bit tables over the union of their n atoms, and
-    the all-true table."""
-    index: dict[tuple[str, str], int] = {}
-    try:
-        tables = [_truth_table(formula, index) for formula in formulas]
-    except IndexError:
-        n = len(dict.fromkeys(atom for formula in formulas for atom in atoms(formula)))
-        raise LogicError(f"atom budget exceeded: {n} atoms > {MAX_ORACLE_ATOMS}") from None
-    full = (1 << (1 << len(index))) - 1
-    return [table & full for table in tables], full
-
-
 def equivalent(first: Formula, second: Formula) -> bool:
     """Truth-table equivalence over the union of both formulas' atoms."""
-    (first_table, second_table), _ = _truth_tables((first, second))
-    return first_table == second_table
-
-
-def is_tautology(formula: Formula) -> bool:
-    (table,), full = _truth_tables((formula,))
-    return table == full
+    index: dict[tuple[str, str], int] = {}
+    try:
+        table = _truth_table(first, index) ^ _truth_table(second, index)
+    except IndexError:
+        n = len(dict.fromkeys(atoms(first) + atoms(second)))
+        raise LogicError(f"atom budget exceeded: {n} atoms > {MAX_ORACLE_ATOMS}") from None
+    full = (1 << (1 << len(index))) - 1
+    return table & full == 0
 
 
 def to_formula(graph: AmrGraph, lexicon: Lexicon) -> Formula:
@@ -219,7 +207,6 @@ __all__ = [
     "make_atom",
     "atoms",
     "equivalent",
-    "is_tautology",
     "to_formula",
     "formula_of_struct",
     "structs_equivalent",

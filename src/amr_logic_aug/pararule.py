@@ -89,10 +89,15 @@ def alter_pararule_rules(rules: Sequence[str], depth: int) -> list[str]:
 
 def alter_record(record: dict, depth: int) -> dict:
     """Alter the ``rules`` list of one {context, rules[], questions[]} record."""
-    if not isinstance(record.get("rules"), list):
+    if not isinstance(record, dict):
+        raise PararuleError(f"record must be a JSON object, got {type(record).__name__}")
+    rules = record.get("rules")
+    if not isinstance(rules, list):
         raise PararuleError("record needs a 'rules' list")
+    if not all(isinstance(rule, str) for rule in rules):
+        raise PararuleError("every rule must be a string")
     result = dict(record)
-    result["rules"] = alter_pararule_rules(record["rules"], depth)
+    result["rules"] = alter_pararule_rules(rules, depth)
     return result
 
 
@@ -109,7 +114,11 @@ def alter_pararule_file(in_path: str | Path, out_path: str | Path, depth: int) -
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise PararuleError(f"malformed JSON on line {lineno}: {err}") from err
-            dst.write(json.dumps(alter_record(record, depth), ensure_ascii=False) + "\n")
+            try:
+                altered = alter_record(record, depth)
+            except PararuleError as err:
+                raise PararuleError(f"{err} on line {lineno}") from err
+            dst.write(json.dumps(altered, ensure_ascii=False) + "\n")
             count += 1
     return count
 

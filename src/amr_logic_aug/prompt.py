@@ -8,11 +8,16 @@ followed by rewrites of every context sentence (law-major: all sentences
 under the first law, then all under the next).  The context field itself,
 the question, the label, and the answer order are never touched.
 
-Sentences are parsed with the extended verb-phrase grammar so real
+Sentences are always parsed with the extended verb-phrase grammar so real
 reading-comprehension phrasings ("you will not be able to use a computer",
 "you have no keyboarding skills at all") normalize onto stable atoms.
 Free text outside even the extended grammar is passed through unchanged
 and recorded in the trace with a skip reason.
+
+:func:`augment_file` takes the lexicon from its caller.  A file that does
+not parse raises :class:`PromptError` naming where; a record that is not an
+object with string ``context``, ``question`` and ``answers`` is written out
+unchanged and counted in ``records_skipped``.
 """
 
 from __future__ import annotations
@@ -61,19 +66,27 @@ class McqRecord:
 
     @staticmethod
     def from_dict(payload: dict) -> "McqRecord":
+        if not isinstance(payload, dict):
+            raise PromptError(f"record must be a JSON object, got {type(payload).__name__}")
         try:
-            answers = payload["answers"]
-            if not isinstance(answers, (list, tuple)):
-                raise PromptError("answers must be a list")
-            return McqRecord(
-                context=payload["context"],
-                question=payload["question"],
-                answers=tuple(answers),
-                label=payload.get("label"),
-                id_string=payload.get("id_string", ""),
+            answers, context, question = (
+                payload["answers"], payload["context"], payload["question"]
             )
         except KeyError as err:
             raise PromptError(f"record missing key {err}") from err
+        if not isinstance(answers, (list, tuple)) or not all(
+            isinstance(answer, str) for answer in answers
+        ):
+            raise PromptError("answers must be a list of strings")
+        if not isinstance(context, str) or not isinstance(question, str):
+            raise PromptError("context and question must be strings")
+        return McqRecord(
+            context=context,
+            question=question,
+            answers=tuple(answers),
+            label=payload.get("label"),
+            id_string=payload.get("id_string", ""),
+        )
 
     def to_dict(self) -> dict:
         payload: dict = {
@@ -136,20 +149,16 @@ def split_sentences(text: str) -> list[str]:
     return pieces
 
 
-def rewrite_sentence(
-    text: str,
-    lexicon: Lexicon,
-    laws: Iterable[LawKind],
-    grammar_level: str = grammar.EXTENDED,
-) -> TraceRow:
-    """All requested applicable rewrites of one sentence, oracle-gated.
+def rewrite_sentence(text: str, lexicon: Lexicon, laws: Iterable[LawKind]) -> TraceRow:
+    """All requested applicable rewrites of one sentence under the extended
+    grammar, oracle-gated.
 
     A sentence that any requested law's gate refuses is skipped whole, with
     the gate's message as its skip reason.
     """
     requested = [law for law in LAW_ORDER if law in set(laws)]
     try:
-        sentence = grammar.parse_sentence_struct(text, lexicon, grammar_level)
+        sentence = grammar.parse_sentence_struct(text, lexicon, grammar.EXTENDED)
     except grammar.GrammarError as err:
         return TraceRow(source="", original=text, skipped_reason=str(err))
     available = applicable_laws(sentence, lexicon)
@@ -222,7 +231,10 @@ def augment_record(
 def _read_records(path: Path, file_format: str) -> list[dict]:
     text = path.read_text(encoding="utf-8")
     if file_format == RECLOR:
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise PromptError(f"malformed JSON in {path}: {err}") from err
         if not isinstance(payload, list):
             raise PromptError("reclor input must be a JSON array of records")
         return payload
@@ -253,15 +265,16 @@ def _write_records(path: Path, payloads: Sequence[dict], file_format: str) -> No
 def augment_file(
     in_path: str | Path,
     out_path: str | Path,
+    lexicon: Lexicon,
     file_format: str = RECLOR,
     laws: Iterable[LawKind] = DEFAULT_PROMPT_LAWS,
-    lexicon: Optional[Lexicon] = None,
     trace_path: Optional[str | Path] = None,
 ) -> dict:
-    """Augment every record in a file; returns summary statistics."""
-    from .lexicon import default_lexicon
+    """Augment every record in a file; returns summary statistics.
 
-    lexicon = lexicon or default_lexicon()
+    A record that :meth:`McqRecord.from_dict` rejects is counted in
+    ``records_skipped`` and written out unchanged.
+    """
     laws = frozenset(laws)
     payloads = _read_records(Path(in_path), file_format)
 

@@ -23,7 +23,7 @@ from test_pararule import DEPTH1_ALTERED, DEPTH1_RULES, DEPTH2_ALTERED_PAIRS
 from test_prompt import KEYBOARD_RECORD
 
 from amr_logic_aug.corpus import DEFAULT_TARGET, PatternKind, generate_pattern
-from amr_logic_aug.grammar import EXTENDED, build_graph, parse_sentence, realize
+from amr_logic_aug.grammar import EXTENDED, build_graph, parse_sentence_struct, realize
 from amr_logic_aug.graph import ParseError, parse_penman, serialize
 from amr_logic_aug.laws import (
     OracleViolation,
@@ -45,8 +45,8 @@ def test_criterion_1_reference_rewrites(lexicon):
     nonequivalent negative, in under a second."""
     start = time.perf_counter()
     for law, original, positive_text, negative_text in REFERENCE_ROWS:
-        graph = parse_sentence(original, lexicon)
-        outcome = apply_law(graph, law, lexicon)  # verify=True oracle gate
+        graph = build_graph(parse_sentence_struct(original, lexicon))
+        outcome = apply_law(graph, law, lexicon)  # runs the oracle gate
         positive = build_graph(outcome.positive)
         negatives = [build_graph(negative) for negative in outcome.negatives]
         assert realize(positive) == positive_text
@@ -101,8 +101,8 @@ CASE_STUDY_PAIRS = [
 def test_criterion_2_definitions_and_case_studies(lexicon):
     """Every definition pair and case-study pair is oracle-equivalent."""
     for first, second in DEFINITION_PAIRS + CASE_STUDY_PAIRS:
-        formula_1 = to_formula(parse_sentence(first, lexicon), lexicon)
-        formula_2 = to_formula(parse_sentence(second, lexicon), lexicon)
+        formula_1 = to_formula(build_graph(parse_sentence_struct(first, lexicon)), lexicon)
+        formula_2 = to_formula(build_graph(parse_sentence_struct(second, lexicon)), lexicon)
         assert equivalent(formula_1, formula_2), (first, second)
     # Double negation on an arbitrary proposition: p == ~~p, p != ~p.
     raining = Atom("it", "raining")
@@ -122,7 +122,7 @@ def test_criterion_3_full_corpus_soundness(full_corpus, lexicon):
         for law in laws:
             applications += 1
             try:
-                apply_law(record.struct, law, lexicon, verify=True)
+                apply_law(record.struct, law, lexicon)
             except OracleViolation:
                 violations += 1
     elapsed = time.perf_counter() - start
@@ -222,7 +222,8 @@ def test_criterion_7_prompt_augmentation(lexicon, tmp_path):
     answer order survive a full validation file."""
 
     def formula(text):
-        return to_formula(parse_sentence(text, lexicon, grammar=EXTENDED), lexicon)
+        graph = build_graph(parse_sentence_struct(text, lexicon, grammar=EXTENDED))
+        return to_formula(graph, lexicon)
 
     augmented, _ = augment_record(KEYBOARD_RECORD, lexicon)
     option_b = split_sentences(augmented.answers[1])

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from test_lexicon import make_source
+
 import amr_logic_aug
 from amr_logic_aug import __version__
 from amr_logic_aug.cli import main
@@ -128,6 +130,23 @@ def test_synth_lexicon_overrides(tmp_path):
     texts = [row["text"] for row in read_jsonl(out)]
     assert len(texts) == 4
     assert all(text.startswith(("The cat", "The dog")) for text in texts)
+
+
+def test_synth_reads_a_lexicon_file(tmp_path):
+    lexicon = tmp_path / "custom.tsv"
+    lexicon.write_text(make_source(entities=("the fox", "Zed")), encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    code = main(
+        ["-q", "synth", "--count", "4", "--mix", "atomic-dn=1.0",
+         "--lexicon", str(lexicon), "--out", str(out)]
+    )
+    assert code == 0
+    texts = sorted(row["text"] for row in read_jsonl(out))
+    assert texts == [
+        "The fox is strong.", "The fox is weak.", "Zed is strong.", "Zed is weak."
+    ]
+    checksum = hashlib.sha256(lexicon.read_bytes()).hexdigest()
+    assert manifest_of(out)["lexicon_checksum"] == checksum
 
 
 def test_synth_rejects_an_entity_holding_a_penman_delimiter(tmp_path):
@@ -461,6 +480,40 @@ def test_prompt_aug_manifest_does_not_depend_on_the_hash_seed(tmp_path):
         manifests.add((tmp_path / f"{out.name}.manifest.json").read_bytes())
     assert len(manifests) == 1
     assert json.loads(manifests.pop())["laws"] == ["contraposition", "implication"]
+
+
+def test_prompt_aug_passes_malformed_records_through(tmp_path):
+    record = _mcq_payload()[0]
+    malformed = [[5], {**record, "context": 5}, {**record, "answers": [1, "b", "c", "d"]}]
+    src = tmp_path / "val.json"
+    src.write_text(json.dumps(malformed + _mcq_payload()), encoding="utf-8")
+    out = tmp_path / "val_aug.json"
+    assert main(["-q", "prompt-aug", "--in", str(src), "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))[:3] == malformed
+    manifest = manifest_of(out)
+    assert manifest["records_skipped"] == 3
+    assert manifest["records_processed"] == 1
+
+
+@pytest.mark.parametrize(
+    "command, text, location",
+    [
+        (["prompt-aug"], '[{"context": "c"},\n  oops]', "in.txt: Expecting value: line 2"),
+        (["pararule", "--depth", "1"], '{"rules": []}\n[1, 2]\n', "got list on line 2"),
+        (["pararule", "--depth", "1"], '{"rules": [1]}\n', "must be a string on line 1"),
+    ],
+)
+def test_malformed_input_exits_1_with_one_located_error(
+    tmp_path, caplog, command, text, location
+):
+    src = tmp_path / "in.txt"
+    src.write_text(text, encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", *command, "--in", str(src), "--out", str(tmp_path / "out")])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert location in errors[0]
 
 
 # ---------------------------------------------------------------------------

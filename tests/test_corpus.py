@@ -17,10 +17,15 @@ from amr_logic_aug.corpus import (
     corpus_from_jsonl,
     corpus_to_jsonl,
     family_capacity,
-    generate_atomic,
     generate_pattern,
 )
-from amr_logic_aug.grammar import Shape, parse_sentence, read_graph, realize
+from amr_logic_aug.grammar import (
+    Shape,
+    build_graph,
+    parse_sentence_struct,
+    read_graph,
+    realize,
+)
 
 
 def atoms_of(record, lexicon):
@@ -31,18 +36,6 @@ def atoms_of(record, lexicon):
 # ---------------------------------------------------------------------------
 # Enumeration and capacities
 # ---------------------------------------------------------------------------
-
-
-def test_generate_atomic_enumerates_all_combinations(lexicon):
-    sentences = generate_atomic(lexicon)
-    expected = len(lexicon.entities) * len(lexicon.relations) * len(lexicon.attributes)
-    assert expected == 1840
-    assert len(sentences) == expected
-    assert len({s.text for s in sentences}) == expected
-    assert sentences[0].text == "The bald eagle is kind."
-    # Relations cycle slowest within a subject: affirmed block, then negated.
-    assert sentences[40].text == "The bald eagle is not kind."
-    assert all(s.pattern is PatternKind.ATOMIC_DN for s in sentences)
 
 
 def test_family_capacities(lexicon):
@@ -144,7 +137,7 @@ def test_generate_pattern_negative_count(lexicon):
 def test_records_are_canonical(lexicon, small_corpus):
     for record in small_corpus:
         assert realize(record.graph) == record.text
-        assert parse_sentence(record.text, lexicon) == record.graph
+        assert build_graph(parse_sentence_struct(record.text, lexicon)) == record.graph
 
 
 def test_atoms_use_the_base_attribute_side(lexicon, small_corpus):

@@ -19,8 +19,6 @@ from amr_logic_aug.grammar import (
     GrammarStructureError,
     Shape,
     build_graph,
-    canonicalize,
-    parse_sentence,
     parse_sentence_struct,
     read_graph,
     realize,
@@ -47,7 +45,7 @@ from amr_logic_aug.lexicon import with_overrides
     ],
 )
 def test_canonicalize_normalizes_surface(lexicon, text, canonical):
-    assert canonicalize(text, lexicon) == canonical
+    assert realize_struct(parse_sentence_struct(text, lexicon)) == canonical
 
 
 def normalize_reference(text):
@@ -202,9 +200,9 @@ def test_sentence_struct_arity_is_checked():
 
 
 def test_build_graph_exact_serialization(lexicon):
-    graph = parse_sentence(
+    graph = build_graph(parse_sentence_struct(
         "The bald eagle is kind and the bald eagle is clever.", lexicon
-    )
+    ))
     # Variable names collide on first letters and get numeric suffixes.
     assert serialize(graph) == (
         "(a / and"
@@ -214,17 +212,17 @@ def test_build_graph_exact_serialization(lexicon):
 
 
 def test_negation_becomes_polarity_edge(lexicon):
-    graph = parse_sentence("The bald eagle is not kind.", lexicon)
+    graph = build_graph(parse_sentence_struct("The bald eagle is not kind.", lexicon))
     assert serialize(graph) == "(k / kind :polarity - :domain (t / the-bald-eagle))"
 
 
 def test_conditional_edge_order_tracks_surface(lexicon):
-    leading = parse_sentence(
+    leading = build_graph(parse_sentence_struct(
         "If the lion is funny, then the tiger is beautiful.", lexicon
-    )
-    trailing = parse_sentence(
+    ))
+    trailing = build_graph(parse_sentence_struct(
         "The tiger is beautiful if the lion is funny.", lexicon
-    )
+    ))
     assert [role for _, role, _ in leading.out_edges(leading.root)] == [
         ":condition",
         ":domain",
@@ -250,7 +248,7 @@ def test_conditional_edge_order_tracks_surface(lexicon):
     ],
 )
 def test_parse_realize_round_trip(lexicon, text):
-    graph = parse_sentence(text, lexicon)
+    graph = build_graph(parse_sentence_struct(text, lexicon))
     assert realize(graph) == text
     # The graph itself survives a struct round trip.
     assert build_graph(read_graph(graph)) == graph
@@ -315,11 +313,11 @@ def test_extended_verb_phrases(lexicon, text, negated, predicate, realized):
 
 def test_extended_round_trip_is_stable(lexicon):
     text = "You are not able to use a computer if you have no keyboarding skills."
-    once = canonicalize(text, lexicon, grammar=EXTENDED)
+    once = realize_struct(parse_sentence_struct(text, lexicon, grammar=EXTENDED))
     assert once == (
         "You are not able to use a computer if you do not have keyboarding skills."
     )
-    assert canonicalize(once, lexicon, grammar=EXTENDED) == once
+    assert realize_struct(parse_sentence_struct(once, lexicon, grammar=EXTENDED)) == once
 
 
 def test_core_rejects_extended_phrases(lexicon):

@@ -8,7 +8,7 @@ import pytest
 
 from amr_logic_aug import logic
 from amr_logic_aug.graph import parse_penman
-from amr_logic_aug.grammar import parse_sentence, parse_sentence_struct, realize_struct
+from amr_logic_aug.grammar import build_graph, parse_sentence_struct, realize_struct
 from amr_logic_aug.laws import (
     LawError,
     LawKind,
@@ -55,7 +55,7 @@ REFERENCE_ROWS = [
 
 @pytest.mark.parametrize("law, original, positive, negative", REFERENCE_ROWS)
 def test_reference_rewrites(lexicon, law, original, positive, negative):
-    graph = parse_sentence(original, lexicon)
+    graph = build_graph(parse_sentence_struct(original, lexicon))
     outcome = apply_law(graph, law, lexicon)
     assert outcome.law is law
     assert realize_struct(outcome.positive) == positive
@@ -90,7 +90,7 @@ def test_reference_rewrites(lexicon, law, original, positive, negative):
     ],
 )
 def test_applicable_laws(lexicon, text, expected):
-    assert applicable_laws(parse_sentence(text, lexicon), lexicon) == expected
+    assert applicable_laws(build_graph(parse_sentence_struct(text, lexicon)), lexicon) == expected
 
 
 def test_applicable_laws_outside_grammar(lexicon):
@@ -132,7 +132,7 @@ def test_applicable_laws_outside_grammar(lexicon):
     ],
 )
 def test_precondition_errors(lexicon, law, text, reason):
-    graph = parse_sentence(text, lexicon)
+    graph = build_graph(parse_sentence_struct(text, lexicon))
     with pytest.raises(LawError, match=reason):
         apply_law(graph, law, lexicon)
 
@@ -234,13 +234,6 @@ def test_verify_outcome_rejects_equivalent_negative(lexicon):
 
 def test_oracle_violation_is_an_assertion_error():
     assert issubclass(OracleViolation, AssertionError)
-
-
-def test_apply_law_verify_flag(lexicon):
-    graph = parse_sentence("Alan is kind and Bob is clever.", lexicon)
-    gated = apply_law(graph, LawKind.COMMUTATIVE, lexicon, verify=True)
-    ungated = apply_law(graph, LawKind.COMMUTATIVE, lexicon, verify=False)
-    assert gated == ungated
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+from importlib import resources
+
 import pytest
 
 from amr_logic_aug.lexicon import (
-    ENV_LEXICON_PATH,
     Lexicon,
     LexiconError,
     default_lexicon,
@@ -137,12 +139,15 @@ def test_load_lexicon_checksum_tracks_bytes(tmp_path):
     assert first.entities == second.entities
 
 
-def test_env_override(tmp_path, monkeypatch):
+def test_environment_does_not_change_default_lexicon(tmp_path, monkeypatch):
+    shipped = resources.files("amr_logic_aug").joinpath("data", "lexicon.tsv").read_bytes()
     path = tmp_path / "custom.tsv"
     path.write_text(make_source(entities=("the fox", "Bob")), encoding="utf-8")
-    monkeypatch.setenv(ENV_LEXICON_PATH, str(path))
+    monkeypatch.setenv("AMR_LOGIC_AUG_LEXICON", str(path))
     lexicon = default_lexicon()
-    assert lexicon.entities == ("the fox", "Bob")
+    assert lexicon.checksum == hashlib.sha256(shipped).hexdigest()
+    assert lexicon.checksum != load_lexicon(path).checksum
+    assert "the fox" not in lexicon.entities
 
 
 def test_with_overrides_rebuilds_and_revalidates():

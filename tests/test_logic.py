@@ -9,7 +9,13 @@ from collections import Counter
 import pytest
 
 from amr_logic_aug.corpus import PATTERN_LAW
-from amr_logic_aug.grammar import Clause, GrammarSentence, Shape, parse_sentence
+from amr_logic_aug.grammar import (
+    Clause,
+    GrammarSentence,
+    Shape,
+    build_graph,
+    parse_sentence_struct,
+)
 from amr_logic_aug.laws import apply_law
 from amr_logic_aug.lexicon import with_overrides
 from amr_logic_aug.logic import (
@@ -23,7 +29,6 @@ from amr_logic_aug.logic import (
     clause_literal,
     equivalent,
     formula_of_struct,
-    is_tautology,
     make_atom,
     structs_equivalent,
     to_formula,
@@ -67,6 +72,12 @@ def equivalent2(f, g):
         if eval2(f, assignment) != eval2(g, assignment):
             return False
     return True
+
+
+def tautology(formula):
+    """The bitset oracle's tautology verdict: a formula is a tautology exactly
+    when it is equivalent to ``f or not f``, which has the same atoms."""
+    return equivalent(formula, Or(formula, Not(formula)))
 
 
 def random_formula(rng: random.Random, depth: int = 3):
@@ -121,8 +132,8 @@ def test_equivalence_basics():
     assert equivalent(Implies(p, q), Implies(Not(q), Not(p)))
     assert equivalent(And(p, q), And(q, p))
     assert not equivalent(Implies(p, q), Implies(q, p))
-    assert is_tautology(Or(p, Not(p)))
-    assert not is_tautology(p)
+    assert tautology(Or(p, Not(p)))
+    assert not tautology(p)
 
 
 def test_oracle_budget_is_enforced():
@@ -131,12 +142,12 @@ def test_oracle_budget_is_enforced():
     for atom in atoms[1:]:
         big = And(big, atom)
     with pytest.raises(LogicError, match="budget"):
-        is_tautology(big)
+        tautology(big)
     # at the budget boundary it still works
     ok = atoms[0]
     for atom in atoms[1 : MAX_ORACLE_ATOMS]:
         ok = And(ok, atom)
-    assert not is_tautology(ok)
+    assert not tautology(ok)
 
 
 # --- reading formulas off graphs --------------------------------------------
@@ -144,7 +155,7 @@ def test_oracle_budget_is_enforced():
 
 def test_to_formula_shapes(lexicon):
     def formula_of(text):
-        return to_formula(parse_sentence(text, lexicon), lexicon)
+        return to_formula(build_graph(parse_sentence_struct(text, lexicon)), lexicon)
 
     atom = formula_of("The cat is kind.")
     assert atom == Atom("the cat", "kind")
@@ -160,7 +171,7 @@ def test_to_formula_shapes(lexicon):
 
 
 def test_to_formula_applies_antonym_normalization(lexicon):
-    f = to_formula(parse_sentence("The cat is weak.", lexicon), lexicon)
+    f = to_formula(build_graph(parse_sentence_struct("The cat is weak.", lexicon)), lexicon)
     assert f == Not(Atom("the cat", "strong"))
 
 
@@ -227,7 +238,7 @@ def test_bitset_oracle_matches_enumeration(n):
             assert verdict == equivalent2(first, second)
             verdicts.add(verdict)
         for formula in (f, Or(f, Not(f)), Implies(And(f, g), f)):
-            assert is_tautology(formula) == tautology2(formula)
+            assert tautology(formula) == tautology2(formula)
     assert verdicts == {True, False}
 
 
@@ -241,7 +252,7 @@ def test_bitset_oracle_budget_is_the_union_of_atoms():
     with pytest.raises(LogicError, match="budget"):
         equivalent(left, right)
     with pytest.raises(LogicError, match="budget"):
-        is_tautology(Or(left, right))
+        tautology(Or(left, right))
 
 
 # --- the struct compile against the Formula reference -----------------------
@@ -262,7 +273,7 @@ def test_structs_equivalent_matches_reference_on_corpus_rewrites(lexicon, full_c
     verdicts = Counter()
     for sentence in full_corpus:
         struct = sentence.struct
-        outcome = apply_law(struct, PATTERN_LAW[sentence.pattern], lexicon, verify=False)
+        outcome = apply_law(struct, PATTERN_LAW[sentence.pattern], lexicon)
         for other in (outcome.positive, *outcome.negatives, *one_clause_flips(struct)):
             verdict = structs_equivalent(struct, other, lexicon)
             assert verdict == reference_equivalent(struct, other, lexicon), (struct, other)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 
 import pytest
 
@@ -161,6 +162,21 @@ def test_alter_pararule_file(tmp_path):
     out = [json.loads(line) for line in dst.read_text(encoding="utf-8").splitlines()]
     assert out[0]["rules"] == DEPTH1_ALTERED
     assert out[1]["rules"] == ["If someone is not kind then they are not strong."]
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[1, 2]", "record must be a JSON object, got list on line 2"),
+        ('{"rules": [1]}', "every rule must be a string on line 2"),
+        ('{"rules": "If someone is tall then they are quiet."}', "'rules' list on line 2"),
+    ],
+)
+def test_alter_pararule_file_names_the_malformed_line(tmp_path, line, reason):
+    src = tmp_path / "in.jsonl"
+    src.write_text('{"rules": []}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(PararuleError, match=re.escape(reason)):
+        alter_pararule_file(src, tmp_path / "out.jsonl", depth=1)
 
 
 def test_alter_pararule_file_bad_json(tmp_path):

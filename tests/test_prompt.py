@@ -69,6 +69,27 @@ def test_record_from_dict_bad_answers():
         McqRecord.from_dict({"context": "c", "question": "q", "answers": "abcd"})
 
 
+@pytest.mark.parametrize("payload", [5, [5], "context"])
+def test_record_from_dict_rejects_a_non_object(payload):
+    with pytest.raises(PromptError, match="must be a JSON object"):
+        McqRecord.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("context", 5, "context and question must be strings"),
+        ("question", None, "context and question must be strings"),
+        ("answers", [1, "b", "c", "d"], "answers must be a list of strings"),
+    ],
+)
+def test_record_from_dict_rejects_a_non_string_field(field, value, reason):
+    payload = {"context": "c", "question": "q", "answers": ["a", "b", "c", "d"]}
+    payload[field] = value
+    with pytest.raises(PromptError, match=reason):
+        McqRecord.from_dict(payload)
+
+
 def test_record_dict_round_trip():
     record = McqRecord("c", "q", ("a", "b", "c", "d"), label=2, id_string="r1")
     assert McqRecord.from_dict(record.to_dict()) == record
@@ -319,6 +340,13 @@ def test_augment_file_rejects_non_array_reclor(lexicon, tmp_path):
     src = tmp_path / "val.json"
     src.write_text('{"context": "not an array"}', encoding="utf-8")
     with pytest.raises(PromptError, match="JSON array"):
+        augment_file(src, tmp_path / "out.json", file_format=RECLOR, lexicon=lexicon)
+
+
+def test_augment_file_reports_malformed_reclor_json(lexicon, tmp_path):
+    src = tmp_path / "val.json"
+    src.write_text('[{"context": "c"},\n  oops]', encoding="utf-8")
+    with pytest.raises(PromptError, match=r"malformed JSON in .*val\.json: .*line 2 column 3"):
         augment_file(src, tmp_path / "out.json", file_format=RECLOR, lexicon=lexicon)
 
 
