@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, corpus, grammar, laws, pairs, pararule, prompt, scoring
+from .files import read_json, read_lines, write_jsonl, write_text
 from .graph import ParseError, parse_penman, serialize
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, with_overrides
 
@@ -119,9 +120,9 @@ def _resolve_lexicon(args: argparse.Namespace) -> Lexicon:
 def write_manifest(data_path: str | Path, payload: dict) -> None:
     """Write the ``<data_path>.manifest.json`` sidecar: ``version`` plus ``payload``."""
     manifest_path = Path(f"{data_path}.manifest.json")
-    manifest_path.write_text(
-        json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    write_text(
+        manifest_path,
+        (json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True), "\n"),
     )
     logger.info("wrote %s", manifest_path)
 
@@ -132,9 +133,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.format == "jsonl":
         corpus.corpus_to_jsonl(built, args.out)
     else:
-        Path(args.out).write_text(
-            "".join(f"{sentence.text}\n" for sentence in built), encoding="utf-8"
-        )
+        write_text(args.out, (f"{sentence.text}\n" for sentence in built))
     by_pattern: dict[str, int] = {}
     for sentence in built:
         by_pattern[sentence.pattern.value] = by_pattern.get(sentence.pattern.value, 0) + 1
@@ -155,14 +154,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     lexicon = _resolve_lexicon(args)
-    processed = skipped = 0
-    with Path(args.in_path).open(encoding="utf-8") as src, Path(args.out).open(
-        "w", encoding="utf-8"
-    ) as dst:
-        for line in src:
-            line = line.strip()
-            if not line:
-                continue
+    render = grammar.realize_struct if args.format == "text" else (
+        lambda sentence: serialize(grammar.build_graph(sentence))
+    )
+    skipped = 0
+
+    def rows():
+        nonlocal skipped
+        for _, line in read_lines(args.in_path, grammar.GrammarError):
             try:
                 if args.format == "penman":
                     sentence = parse_penman(line)
@@ -174,14 +173,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
             ) as err:
                 skipped += 1
                 logger.warning("skipped %r: %s", line, err)
-                dst.write(
-                    json.dumps({"input": line, "skipped": str(err)}, ensure_ascii=False)
-                    + "\n"
-                )
+                yield {"input": line, "skipped": str(err)}
                 continue
-            render = grammar.realize_struct if args.format == "text" else (
-                lambda sentence: serialize(grammar.build_graph(sentence))
-            )
             payload = {
                 "input": line,
                 "law": outcome.law.value,
@@ -189,8 +182,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
             }
             if args.negatives:
                 payload["negatives"] = [render(s) for s in outcome.negatives]
-            dst.write(json.dumps(payload, ensure_ascii=False) + "\n")
-            processed += 1
+            yield payload
+
+    processed = write_jsonl(args.out, rows()) - skipped
     write_manifest(
         args.out,
         {
@@ -212,16 +206,13 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     if args.corpus:
         sentences = corpus.corpus_from_jsonl(args.corpus, lexicon)
         sidecar = Path(f"{args.corpus}.manifest.json")
-        seed = None
-        if sidecar.is_file():
-            try:
-                seed = json.loads(sidecar.read_text(encoding="utf-8")).get("seed")
-            except json.JSONDecodeError as err:
-                raise pairs.DatasetError(f"malformed corpus sidecar {sidecar}: {err}") from err
+        recorded = read_json(sidecar, pairs.DatasetError) if sidecar.is_file() else {}
+        if not isinstance(recorded, dict):
+            raise pairs.DatasetError(f"corpus sidecar {sidecar} is not a JSON object")
         provenance = {
             "corpus_path": args.corpus,
             "corpus_sha256": hashlib.sha256(Path(args.corpus).read_bytes()).hexdigest(),
-            "corpus_seed": seed,
+            "corpus_seed": recorded.get("seed"),
         }
     else:
         sentences = corpus.build_corpus(lexicon, args.count, args.mix, args.seed)

@@ -28,13 +28,13 @@ capped at family capacity with deterministic redistribution).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import logic
+from .files import read_jsonl, write_jsonl
 from .grammar import (
     AmrGraph,
     Clause,
@@ -45,6 +45,7 @@ from .grammar import (
     parse_sentence_struct,
     realize_struct,
 )
+from .graph import serialize
 from .laws import LawKind
 from .lexicon import Lexicon
 
@@ -336,26 +337,11 @@ def build_corpus(
 
 def corpus_to_jsonl(corpus: Sequence[SynthSentence], path) -> int:
     """Write one {text, penman, pattern} object per line; returns the count."""
-    from pathlib import Path
-
-    from .graph import serialize
-
-    count = 0
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for sentence in corpus:
-            handle.write(
-                json.dumps(
-                    {
-                        "text": sentence.text,
-                        "penman": serialize(sentence.graph),
-                        "pattern": sentence.pattern.value,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            count += 1
-    return count
+    rows = (
+        {"text": s.text, "penman": serialize(s.graph), "pattern": s.pattern.value}
+        for s in corpus
+    )
+    return write_jsonl(path, rows)
 
 
 def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
@@ -364,24 +350,16 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
     Structs are reconstructed by re-parsing the text, so a file
     whose text drifted from the grammar fails loudly with a line number.
     """
-    from pathlib import Path
-
     corpus: list[SynthSentence] = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                struct = parse_sentence_struct(payload["text"], lexicon)
-                sentence = _sentence(struct, PatternKind(payload["pattern"]))
-            except (json.JSONDecodeError, KeyError, ValueError, GrammarError) as err:
-                raise CorpusError(f"line {lineno}: {err}") from err
-            if sentence.text != payload["text"]:
-                raise CorpusError(
-                    f"line {lineno}: text is not canonical: {payload['text']!r}"
-                )
-            corpus.append(sentence)
+    for lineno, payload in read_jsonl(path, CorpusError):
+        try:
+            struct = parse_sentence_struct(payload["text"], lexicon)
+            sentence = _sentence(struct, PatternKind(payload["pattern"]))
+        except (KeyError, TypeError, ValueError, GrammarError) as err:
+            raise CorpusError(f"line {lineno}: {err}") from err
+        if sentence.text != payload["text"]:
+            raise CorpusError(f"line {lineno}: text is not canonical: {payload['text']!r}")
+        corpus.append(sentence)
     return corpus
 
 

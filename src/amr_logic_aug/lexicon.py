@@ -218,21 +218,27 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
     )
 
 
-def load_lexicon(path: str | Path) -> Lexicon:
-    path = Path(path)
+def _from_bytes(data: bytes, source: str | Path) -> Lexicon:
     try:
-        data = path.read_bytes()
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise LexiconError(f"{source}: line {lineno} is not UTF-8 text") from None
+    return parse_lexicon(text, checksum=hashlib.sha256(data).hexdigest())
+
+
+def load_lexicon(path: str | Path) -> Lexicon:
+    try:
+        data = Path(path).read_bytes()
     except OSError as err:
         raise LexiconError(f"cannot read lexicon file {path}: {err}") from err
-    checksum = hashlib.sha256(data).hexdigest()
-    return parse_lexicon(data.decode("utf-8"), checksum=checksum)
+    return _from_bytes(data, path)
 
 
 def default_lexicon() -> Lexicon:
     """The shipped ``data/lexicon.tsv``."""
-    data = resources.files(__package__).joinpath("data", DEFAULT_RESOURCE).read_bytes()
-    checksum = hashlib.sha256(data).hexdigest()
-    return parse_lexicon(data.decode("utf-8"), checksum=checksum)
+    resource = resources.files(__package__).joinpath("data", DEFAULT_RESOURCE)
+    return _from_bytes(resource.read_bytes(), DEFAULT_RESOURCE)
 
 
 def _format_section(name: str, rows: Iterable[str]) -> list[str]:

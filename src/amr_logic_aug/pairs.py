@@ -14,7 +14,6 @@ of (corpus, lexicon, ratio, seed).
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from itertools import cycle
@@ -23,6 +22,7 @@ from typing import Iterable, Sequence
 
 from . import logic
 from .corpus import DEFAULT_SEED, PATTERN_LAW, SynthSentence
+from .files import read_jsonl, write_jsonl
 from .grammar import GrammarError, parse_sentence_struct, realize_struct
 from .laws import LawError, LawKind, apply_law, flip_polarity_negative
 from .lexicon import Lexicon
@@ -162,50 +162,34 @@ def split(
 
 
 def emit_jsonl(records: Iterable[PairRecord], path: str | Path) -> int:
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            payload = {
-                "sentence1": record.sentence1,
-                "sentence2": record.sentence2,
-                "label": record.label,
-                "law": record.law,
-                "pair_id": record.pair_id,
-            }
-            handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    rows = (
+        {"sentence1": r.sentence1, "sentence2": r.sentence2, "label": r.label,
+         "law": r.law, "pair_id": r.pair_id}
+        for r in records
+    )
+    return write_jsonl(path, rows)
 
 
 def load_jsonl(path: str | Path) -> list[PairRecord]:
     """Load and re-validate records; pair_id is recomputed, not trusted."""
     records: list[PairRecord] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"malformed JSON on line {lineno}: {err}") from err
-            if not isinstance(payload, dict):
-                raise DatasetError(f"line {lineno} is not a JSON object")
-            try:
-                records.append(
-                    PairRecord(
-                        sentence1=payload["sentence1"],
-                        sentence2=payload["sentence2"],
-                        label=payload["label"],
-                        law=payload["law"],
-                        pair_id=payload.get("pair_id", ""),
-                    )
+    for lineno, payload in read_jsonl(path, DatasetError):
+        if not isinstance(payload, dict):
+            raise DatasetError(f"line {lineno} is not a JSON object")
+        try:
+            records.append(
+                PairRecord(
+                    sentence1=payload["sentence1"],
+                    sentence2=payload["sentence2"],
+                    label=payload["label"],
+                    law=payload["law"],
+                    pair_id=payload.get("pair_id", ""),
                 )
-            except KeyError as err:
-                raise DatasetError(f"line {lineno} missing key {err}") from err
-            except DatasetError as err:
-                raise DatasetError(f"line {lineno}: {err}") from err
+            )
+        except KeyError as err:
+            raise DatasetError(f"line {lineno} missing key {err}") from err
+        except DatasetError as err:
+            raise DatasetError(f"line {lineno}: {err}") from err
     return records
 
 

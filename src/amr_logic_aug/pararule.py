@@ -22,11 +22,12 @@ unchanged and is reported as a warning.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from pathlib import Path
 from typing import Sequence
+
+from .files import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -103,24 +104,15 @@ def alter_record(record: dict, depth: int) -> dict:
 
 def alter_pararule_file(in_path: str | Path, out_path: str | Path, depth: int) -> int:
     """Alter each JSONL record's rules; returns the number of records."""
-    count = 0
-    with Path(in_path).open(encoding="utf-8") as src, Path(out_path).open(
-        "w", encoding="utf-8"
-    ) as dst:
-        for lineno, line in enumerate(src, start=1):
-            if not line.strip():
-                continue
+
+    def altered():
+        for lineno, record in read_jsonl(in_path, PararuleError):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise PararuleError(f"malformed JSON on line {lineno}: {err}") from err
-            try:
-                altered = alter_record(record, depth)
+                yield alter_record(record, depth)
             except PararuleError as err:
                 raise PararuleError(f"{err} on line {lineno}") from err
-            dst.write(json.dumps(altered, ensure_ascii=False) + "\n")
-            count += 1
-    return count
+
+    return write_jsonl(out_path, altered())
 
 
 __all__ = [

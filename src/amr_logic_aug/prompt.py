@@ -26,9 +26,10 @@ import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import grammar
+from .files import read_json, read_jsonl, write_jsonl, write_text
 from .laws import LawKind, OracleViolation, applicable_laws, apply_law
 from .lexicon import Lexicon
 
@@ -228,38 +229,15 @@ def augment_record(
     return augmented, AugmentationTrace(record_id=record.id_string, rows=tuple(rows))
 
 
-def _read_records(path: Path, file_format: str) -> list[dict]:
-    text = path.read_text(encoding="utf-8")
+def _read_records(path: str | Path, file_format: str) -> Iterable:
     if file_format == RECLOR:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise PromptError(f"malformed JSON in {path}: {err}") from err
+        payload = read_json(path, PromptError)
         if not isinstance(payload, list):
             raise PromptError("reclor input must be a JSON array of records")
         return payload
     if file_format == LOGIQA:
-        records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as err:
-                raise PromptError(f"malformed JSON on line {lineno}: {err}") from err
-        return records
+        return (payload for _, payload in read_jsonl(path, PromptError))
     raise PromptError(f"unknown format {file_format!r} (use {RECLOR} or {LOGIQA})")
-
-
-def _write_records(path: Path, payloads: Sequence[dict], file_format: str) -> None:
-    if file_format == RECLOR:
-        path.write_text(
-            json.dumps(payloads, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
-    else:
-        with path.open("w", encoding="utf-8") as handle:
-            for payload in payloads:
-                handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
 
 
 def augment_file(
@@ -276,7 +254,7 @@ def augment_file(
     ``records_skipped`` and written out unchanged.
     """
     laws = frozenset(laws)
-    payloads = _read_records(Path(in_path), file_format)
+    payloads = _read_records(in_path, file_format)
 
     out_payloads: list[dict] = []
     traces: list[AugmentationTrace] = []
@@ -307,18 +285,15 @@ def augment_file(
             for rewrite in row.rewrites:
                 stats["rewrites_per_law"][rewrite.law] += 1
 
-    _write_records(Path(out_path), out_payloads, file_format)
+    if file_format == RECLOR:
+        write_text(out_path, (json.dumps(out_payloads, ensure_ascii=False, indent=2), "\n"))
+    else:
+        write_jsonl(out_path, out_payloads)
     if trace_path is not None:
-        with Path(trace_path).open("w", encoding="utf-8") as handle:
-            for trace in traces:
-                for row in trace.rows:
-                    handle.write(
-                        json.dumps(
-                            {"record_id": trace.record_id, **asdict(row)},
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
+        write_jsonl(
+            trace_path,
+            ({"record_id": t.record_id, **asdict(row)} for t in traces for row in t.rows),
+        )
     seen = stats["sentences_seen"]
     stats["skip_rate"] = round(1 - stats["sentences_augmented"] / seen, 4) if seen else 0.0
     return stats

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .files import read_lines
+
 COSINE = "cosine"
 DOT = "dot"
 _ROLES = ("anchor", "pos", "neg")
@@ -120,33 +122,29 @@ def load_triplets_tsv(path: str | Path) -> list[tuple[str, Triplet]]:
     groups: dict[str, dict[str, tuple[float, ...]]] = {}
     order: list[str] = []
     dimension: int | None = None
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) < 3:
-                raise ScoreError(f"line {lineno}: need pair_id, role, floats")
-            pair_id, role, *values = columns
-            if role not in _ROLES:
-                raise ScoreError(f"line {lineno}: unknown role {role!r}")
-            try:
-                vector = tuple(float(value) for value in values)
-            except ValueError as err:
-                raise ScoreError(f"line {lineno}: bad float: {err}") from err
-            if dimension is None:
-                dimension = len(vector)
-            elif len(vector) != dimension:
-                raise ScoreError(
-                    f"line {lineno}: dimension {len(vector)} != {dimension}"
-                )
-            if pair_id not in groups:
-                groups[pair_id] = {}
-                order.append(pair_id)
-            if role in groups[pair_id]:
-                raise ScoreError(f"line {lineno}: duplicate {role!r} for {pair_id!r}")
-            groups[pair_id][role] = vector
+    for lineno, line in read_lines(path, ScoreError):
+        if line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        if len(columns) < 3:
+            raise ScoreError(f"line {lineno}: need pair_id, role, floats")
+        pair_id, role, *values = columns
+        if role not in _ROLES:
+            raise ScoreError(f"line {lineno}: unknown role {role!r}")
+        try:
+            vector = tuple(float(value) for value in values)
+        except ValueError as err:
+            raise ScoreError(f"line {lineno}: bad float: {err}") from err
+        if dimension is None:
+            dimension = len(vector)
+        elif len(vector) != dimension:
+            raise ScoreError(f"line {lineno}: dimension {len(vector)} != {dimension}")
+        if pair_id not in groups:
+            groups[pair_id] = {}
+            order.append(pair_id)
+        if role in groups[pair_id]:
+            raise ScoreError(f"line {lineno}: duplicate {role!r} for {pair_id!r}")
+        groups[pair_id][role] = vector
     triplets = []
     for pair_id in order:
         rows = groups[pair_id]

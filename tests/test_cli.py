@@ -318,6 +318,8 @@ def test_pairs_corpus_sidecar_identifies_its_corpus(tmp_path):
     sidecar = Path(f"{corpus_path}.manifest.json")
     sidecar.write_text('{"seed": 5', encoding="utf-8")  # truncated
     assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 1
+    sidecar.write_text("[5]", encoding="utf-8")  # not an object
+    assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 1
     sidecar.unlink()
     assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 0
     assert manifest_of(train)["corpus_seed"] is None
@@ -581,3 +583,173 @@ def test_loss_cli_bad_file_exits_1(tmp_path):
     vectors.write_text("p1\tanchor\t1.0\n", encoding="utf-8")
     assert main(["-q", "loss", "--vectors", str(vectors)]) == 1
     assert main(["-q", "loss", "--vectors", str(tmp_path / "nope.tsv")]) == 1
+
+
+
+# ---------------------------------------------------------------------------
+# Data files: decoding, replacement into place, pinned output bytes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["check", "--in", "IN"], ""),
+        (["augment", "--law", "commutative", "--in", "IN", "--out", "OUT"],
+         "Alan is kind and Bob is tall."),
+        (["pararule", "--depth", "1", "--in", "IN", "--out", "OUT"], '{"rules": []}'),
+        (["prompt-aug", "--format", "logiqa", "--in", "IN", "--out", "OUT"], ""),
+        (["prompt-aug", "--in", "IN", "--out", "OUT"], "["),
+        (["pairs", "--corpus", "IN", "--out-train", "OUT", "--out-val", "OUT2"], ""),
+        (["loss", "--vectors", "IN"], "# pair_id, role, floats"),
+        (["synth", "--lexicon", "IN", "--count", "5", "--out", "OUT"], "# lexicon"),
+    ],
+    ids=["check", "augment", "pararule", "prompt-aug-logiqa", "prompt-aug-reclor",
+         "pairs-corpus", "loss", "lexicon"],
+)
+def test_non_utf8_input_exits_1_with_one_located_error(tmp_path, caplog, argv, first_line):
+    src = tmp_path / "in.txt"
+    src.write_bytes(first_line.encode() + b"\ncaf\xe9\n")  # Latin-1, not UTF-8
+    paths = {"IN": src, "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", *(str(paths.get(arg, arg)) for arg in argv)])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [f"{src}: line 2 is not UTF-8 text"]
+    assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
+
+
+def test_a_utf16_file_fails_without_a_traceback(tmp_path):
+    src = tmp_path / "in.json"
+    src.write_bytes("[]".encode("utf-16"))  # starts with the byte-order mark \xff\xfe
+    repo = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "amr_logic_aug.cli", "prompt-aug",
+         "--in", str(src), "--out", str(tmp_path / "out.json")],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"ERROR amr_logic_aug: {src}: line 1 is not UTF-8 text"]
+
+
+@pytest.mark.parametrize(
+    "argv, line, key, expected",
+    [
+        (["pararule", "--depth", "1"],
+         json.dumps({"rules": ["If someone is tall then they are quiet."]}),
+         "rules", ["If someone is not quiet then they are not tall."]),
+        (["augment", "--law", "contraposition"],
+         "If Alan is kind, then Bob is clever.",
+         "positive", "Alan is not kind if Bob is not clever."),
+    ],
+    ids=["pararule", "augment"],
+)
+def test_an_output_may_name_its_own_input(tmp_path, argv, line, key, expected):
+    path = tmp_path / "data.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert main(["-q", *argv, "--in", str(path), "--out", str(path)]) == 0
+    [row] = read_jsonl(path)
+    assert row[key] == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.manifest.json"]
+
+
+def test_prompt_aug_logiqa_keeps_a_line_separator_inside_a_record(tmp_path):
+    record = _mcq_payload()[0]
+    record["answers"][3] = "Alan is kind\u2028and Bob is clever."
+    src, out, again = (tmp_path / name for name in ("in.jsonl", "out.jsonl", "again.jsonl"))
+    src.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    for source, target in ((src, out), (out, again)):
+        argv = ["-q", "prompt-aug", "--format", "logiqa", "--in", str(source), "--out", str(target)]
+        assert main(argv) == 0
+        assert manifest_of(target)["records_processed"] == 1
+    assert "\u2028" in out.read_text(encoding="utf-8")  # written raw, not escaped
+    [row] = [json.loads(line) for line in again.read_text(encoding="utf-8").split("\n") if line]
+    assert row["answers"][3].startswith("Alan is kind\u2028and Bob is clever.")
+
+
+PINNED_RUNS = [
+    ["synth", "--count", "30", "--seed", "7", "--format", "text", "--out", "synth.txt"],
+    ["synth", "--count", "30", "--seed", "7", "--out", "corpus.jsonl"],
+    ["pairs", "--corpus", "corpus.jsonl", "--ratio", "1:2", "--seed", "7",
+     "--out-train", "train.jsonl", "--out-val", "val.jsonl"],
+    ["augment", "--law", "contraposition", "--negatives", "--in", "lines.txt",
+     "--out", "augmented.jsonl"],
+    ["pararule", "--depth", "2", "--in", "rules.jsonl", "--out", "rules_alt.jsonl"],
+    ["prompt-aug", "--format", "logiqa", "--laws", "contraposition,implication,commutative",
+     "--in", "mcq.jsonl", "--out", "mcq_aug.jsonl", "--trace", "trace.jsonl"],
+    ["prompt-aug", "--in", "mcq.json", "--out", "mcq_aug.json"],
+]
+PINNED_INPUTS = {
+    "lines.txt": "If Alan is kind, then Bob is clever.\n\nZoë is kind.\n"
+                 "Alan is kind and Bob is tall.\n",
+    "rules.jsonl": json.dumps({"rules": [
+        "If someone is tall then they are quiet.",
+        "If someone is sad and dull then they are bad.",
+        "Strong people are kind.",
+        "All dull people are rough.",
+        "Les gens sont gentils.",
+    ]}) + "\n\n" + json.dumps({"rules": [], "id": "ünïcode"}, ensure_ascii=False) + "\n",
+    "mcq.jsonl": "".join(
+        json.dumps({**record, "answers": [*record["answers"][:3], "Zoë is kind."]},
+                   ensure_ascii=False) + "\n"
+        for record in _mcq_payload()
+    ),
+    "mcq.json": json.dumps(_mcq_payload() + [{"context": "Zoë"}], ensure_ascii=False),
+}
+# The sha256 of every file ``PINNED_RUNS`` writes, recorded before the readers
+# and writers moved into ``amr_logic_aug.files``: that move changed no byte.
+PINNED_SHA256 = {
+    "augmented.jsonl":
+        "60aa3a7507649120331b4fae3bef57124cc8aa5762908201a7cfe9588ad0b3de",
+    "augmented.jsonl.manifest.json":
+        "05ca6c5f3b10e3ba7b987b2f752194341c6497f21a8c4b2f783e52595e8c8b6a",
+    "corpus.jsonl":
+        "47c10edcef8fd513acdc8713168394d857beb8ce32676c91ecc1d6a9e5fc125b",
+    "corpus.jsonl.manifest.json":
+        "f2b356e2f3262aecb066dacd83900d5ec37c2b6eb618a2e6892b5ef96995cf88",
+    "mcq_aug.json":
+        "280881e547cd3c06925c91ae2ec44e2b393401fa7e63c411103da7ea77f62485",
+    "mcq_aug.json.manifest.json":
+        "1dbc69817ca459a3acda7e8f09890dddf869383d84d184a26379b4cbf6fe2dbb",
+    "mcq_aug.jsonl":
+        "024b09d5a9f6216fd2be8586379d0fd2f6c2e8e47ef4416ee0abebe87857f532",
+    "mcq_aug.jsonl.manifest.json":
+        "f106a3d96b0c25608812f8d43eae214702b89d98cdd13ed675b9cbf4fc3ccc8a",
+    "rules_alt.jsonl":
+        "57bb5c4a763617f1986b563f4030007b4b8c3278247c14a572d93747cba3ded9",
+    "rules_alt.jsonl.manifest.json":
+        "5deafd6cdfc527cf311df12c9cf0b740006e3c833edc48ed30aa479699d1cce3",
+    "synth.txt":
+        "cd91ecc43a3d0bfeb840e5bd870645ec3f3ebb9220afc7a39ca428d1a4326069",
+    "synth.txt.manifest.json":
+        "f2b356e2f3262aecb066dacd83900d5ec37c2b6eb618a2e6892b5ef96995cf88",
+    "trace.jsonl":
+        "03497ee7aee7220f37dc6a6d05009a930717cf02a48e53d29421c557b6cdf269",
+    "train.jsonl":
+        "683cd57853ec4c11ac75122cb5df8ebce018e9349bfb3a4c6857393f59b61a66",
+    "train.jsonl.manifest.json":
+        "763558eff0abb2e48ddbc57cedf957edbd48ed40d2007aa52055344fe6d5afdc",
+    "val.jsonl":
+        "e163f0fd9ffb2df2b44b2bbd22ef25bdfe46b534dad2d9b50694eb23ab805872",
+    "val.jsonl.manifest.json":
+        "1c44557ac7496dcfae0370fcd8f4640920645abe89e92c38995a83e5368a757d",
+}
+
+
+def pinned_outputs(workdir: Path) -> dict[str, str]:
+    """Run ``PINNED_RUNS`` in ``workdir``; returns the sha256 of every file they write."""
+    for name, text in PINNED_INPUTS.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    for argv in PINNED_RUNS:
+        assert main(["-q", *argv]) == 0, argv
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(workdir.iterdir())
+        if path.name not in PINNED_INPUTS
+    }
+
+
+def test_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert pinned_outputs(tmp_path) == PINNED_SHA256

@@ -210,6 +210,7 @@ def test_jsonl_blank_lines_are_skipped(lexicon, tmp_path):
     "line, reason",
     [
         ("{not json", "line 1:"),
+        ('["text", "pattern"]', "line 1:"),
         ('{"text": "The bald eagle is kind."}', "line 1:"),
         (
             '{"text": "The bald eagle is kind.", "pattern": "mystery"}',

@@ -1,0 +1,141 @@
+"""Data-file readers and the replace-into-place writers."""
+
+from __future__ import annotations
+
+import os
+import re
+import signal
+import stat
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from amr_logic_aug.files import read_json, read_jsonl, read_lines, write_jsonl, write_text
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class Refused(ValueError):
+    pass
+
+
+def test_read_lines_breaks_only_where_text_mode_iteration_does(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes("a\u2028b\x85c\r\n\n  \nd\re\n  f  ".encode("utf-8"))
+    assert list(read_lines(path, Refused)) == [
+        (1, "a\u2028b\x85c"), (4, "d"), (5, "e"), (6, "f"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "data, lineno",
+    [
+        (b"\xff\xfe{}\n", 1),
+        ("ok\n\ncafé\n".encode("utf-8") + b"caf\xe9\n", 4),
+        (b"ok\r\n\xed\xa0\x80\n", 2),  # an encoded surrogate is not UTF-8 either
+    ],
+)
+def test_a_byte_that_is_not_utf8_is_located(tmp_path, data, lineno):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    message = re.escape(f"{path}: line {lineno} is not UTF-8 text")
+    with pytest.raises(Refused, match=message):
+        list(read_lines(path, Refused))
+    with pytest.raises(Refused, match=message):
+        read_json(path, Refused)
+
+
+def test_read_jsonl_names_the_malformed_line(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"a": "\u2028"}\n\n{oops\n', encoding="utf-8")
+    rows = read_jsonl(path, Refused)
+    assert next(rows) == (1, {"a": "\u2028"})
+    with pytest.raises(Refused, match="malformed JSON on line 3: "):
+        next(rows)
+
+
+def test_read_json_names_the_file(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text('[1,\n  oops]', encoding="utf-8")
+    with pytest.raises(Refused, match=re.escape(f"malformed JSON in {path}: ") + ".*line 2"):
+        read_json(path, Refused)
+
+
+def test_write_jsonl_streams_utf8_rows_and_counts_them(tmp_path):
+    path = tmp_path / "out.jsonl"
+    assert write_jsonl(path, iter([{"a": "Zoë"}, [1]])) == 2
+    assert path.read_bytes() == '{"a": "Zoë"}\n[1]\n'.encode("utf-8")
+    assert write_text(path, ("x", "", "y\n")) == 3
+    assert path.read_bytes() == b"xy\n"
+
+
+@pytest.mark.parametrize("old", [b"old bytes\n", None], ids=["replaced", "created"])
+def test_a_failed_write_leaves_the_old_file(tmp_path, old):
+    path = tmp_path / "out.jsonl"
+    if old is not None:
+        path.write_bytes(old)
+
+    def rows():
+        yield {"n": 1}
+        raise Refused("part-way")
+
+    with pytest.raises(Refused, match="part-way"):
+        write_jsonl(path, rows())
+    assert sorted(tmp_path.iterdir()) == ([path] if old is not None else [])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+def test_a_written_file_gets_the_mode_open_gives(tmp_path):
+    reference = tmp_path / "reference"
+    reference.write_text("", encoding="utf-8")
+    write_text(tmp_path / "out", ["x"])
+    assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == stat.S_IMODE(
+        reference.stat().st_mode
+    )
+
+
+CHILD = textwrap.dedent(
+    """
+    import sys, time
+    from amr_logic_aug.files import write_jsonl
+
+    def rows():
+        for n in range(1000):
+            yield {"n": n, "pad": "x" * 1000}
+            if n == 100:
+                print("writing", flush=True)
+                time.sleep(60)
+
+    write_jsonl(sys.argv[1], rows())
+    """
+)
+
+
+@pytest.mark.parametrize("old", [b"old bytes\n", None], ids=["replaced", "created"])
+def test_a_killed_writer_leaves_the_old_file(tmp_path, old):
+    path = tmp_path / "out.jsonl"
+    if old is not None:
+        path.write_bytes(old)
+    child = subprocess.Popen(
+        [sys.executable, "-c", CHILD, str(path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert child.stdout.readline() == "writing\n"
+        [temp] = [p for p in tmp_path.iterdir() if p != path]
+        assert temp.stat().st_size > 0  # part of the output is on disk
+        child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    if old is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == old

@@ -7,6 +7,7 @@ the benchmark runs it, and left unchanged.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -47,3 +48,18 @@ def test_package_root_exports_only_the_version():
     public = {name for name in vars(amr_logic_aug) if not name.startswith("_")}
     assert public <= set(MODULES)  # submodules bind themselves once imported
     assert amr_logic_aug.__version__
+
+
+def test_only_the_files_module_opens_data_files():
+    """``lexicon`` is exempt: it hashes the raw bytes of its file."""
+    offenders = []
+    for name in sorted(set(MODULES) - {"files", "lexicon"}):
+        path = Path(importlib.import_module(f"amr_logic_aug.{name}").__file__)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("open", "read_text", "write_text")
+            ):
+                offenders.append(f"{name}.py:{node.lineno}")
+    assert offenders == []
