@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from . import __version__, corpus, grammar, laws, pairs, pararule, prompt, scoring
 from .files import read_json, read_lines, write_jsonl, write_text
-from .graph import ParseError, parse_penman, serialize
+from .graph import ParseError, parse_penman
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, with_overrides
 
 logger = logging.getLogger("amr_logic_aug")
@@ -154,9 +154,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     lexicon = _resolve_lexicon(args)
-    render = grammar.realize_struct if args.format == "text" else (
-        lambda sentence: serialize(grammar.build_graph(sentence))
-    )
+    render = grammar.realize_struct if args.format == "text" else grammar.penman_of_struct
     skipped = 0
 
     def rows():

@@ -43,9 +43,9 @@ from .grammar import (
     Shape,
     build_graph,
     parse_sentence_struct,
+    penman_of_struct,
     realize_struct,
 )
-from .graph import serialize
 from .laws import LawKind
 from .lexicon import Lexicon
 
@@ -86,7 +86,7 @@ class SynthSentence:
 
     @property
     def graph(self) -> AmrGraph:
-        """The canonical graph, built on demand for Penman output."""
+        """The canonical graph, built on demand."""
         return build_graph(self.struct)
 
 
@@ -338,7 +338,7 @@ def build_corpus(
 def corpus_to_jsonl(corpus: Sequence[SynthSentence], path) -> int:
     """Write one {text, penman, pattern} object per line; returns the count."""
     rows = (
-        {"text": s.text, "penman": serialize(s.graph), "pattern": s.pattern.value}
+        {"text": s.text, "penman": penman_of_struct(s.struct), "pattern": s.pattern.value}
         for s in corpus
     )
     return write_jsonl(path, rows)
@@ -353,6 +353,11 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
     corpus: list[SynthSentence] = []
     for lineno, payload in read_jsonl(path, CorpusError):
         try:
+            for key in ("text", "pattern"):
+                if not isinstance(payload[key], str):
+                    raise CorpusError(
+                        f"{key} must be a string, got {type(payload[key]).__name__}"
+                    )
             struct = parse_sentence_struct(payload["text"], lexicon)
             sentence = _sentence(struct, PatternKind(payload["pattern"]))
         except (KeyError, TypeError, ValueError, GrammarError) as err:

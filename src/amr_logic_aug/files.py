@@ -1,18 +1,43 @@
 """Data-file I/O: every reader and writer of the package's UTF-8 files.
 
 Readers raise the caller's error class, naming the file and line, for a
-byte that is not UTF-8 or for malformed JSON.  Writers stream into a
-temporary file beside the target and ``os.replace`` it into place, so a run
-that fails or is killed leaves the old file (or none), never a truncated
-one, and an output may name its own input.
+byte that is not UTF-8, for malformed JSON and for a JSON escape of a lone
+surrogate (which decodes, but could never be written back as UTF-8).
+Writers stream into a temporary file beside the target and ``os.replace``
+it into place, so a run that fails or is killed leaves the old file (or
+none), never a truncated one, and an output may name its own input.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import Any, Iterable, Iterator
+
+# A JSON escape of a code point in U+D800..U+DFFF.  ``json.loads`` joins a
+# high and a low escape side by side into one character and decodes any
+# other such escape to a lone surrogate, which no UTF-8 writer can encode.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
+# A string literal; in valid JSON none spans a line, since strings hold no
+# raw line break.
+_STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"')
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _no_lone_surrogate(line: str, path, lineno: int, error: type[Exception]) -> None:
+    """Raise ``error`` if a string on ``line``, a line of valid JSON, escapes
+    a lone surrogate.  Only the strings of a line holding a surrogate escape
+    are decoded again."""
+    if _SURROGATE_ESCAPE_RE.search(line):
+        for literal in _STRING_RE.findall(line):
+            try:
+                json.loads(literal).encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(
+                    f"{path}: line {lineno} escapes a lone surrogate, which is not UTF-8 text"
+                ) from None
 
 
 def _utf8(text: str, path, lineno: int, error: type[Exception]) -> str:
@@ -38,17 +63,24 @@ def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
 def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
     for lineno, line in read_lines(path, error):
         try:
-            yield lineno, json.loads(line)
+            value = json.loads(line)
         except json.JSONDecodeError as err:
             raise error(f"malformed JSON on line {lineno}: {err}") from err
+        if "\\" in line:  # only an escape makes one; far cheaper than the regex
+            _no_lone_surrogate(line, path, lineno, error)
+        yield lineno, value
 
 
 def read_json(path, error: type[Exception]) -> Any:
     text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     try:
-        return json.loads(_utf8(text, path, 1, error))
+        value = json.loads(_utf8(text, path, 1, error))
     except json.JSONDecodeError as err:
         raise error(f"malformed JSON in {path}: {err}") from err
+    if _SURROGATE_ESCAPE_RE.search(text):
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            _no_lone_surrogate(line, path, lineno, error)
+    return value
 
 
 def write_text(path, chunks: Iterable[str]) -> int:
@@ -69,7 +101,7 @@ def write_text(path, chunks: Iterable[str]) -> int:
 
 
 def write_jsonl(path, rows: Iterable[Any]) -> int:
-    return write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    return write_text(path, (_encode_json(row) + "\n" for row in rows))
 
 
 __all__ = ["read_lines", "read_jsonl", "read_json", "write_text", "write_jsonl"]

@@ -9,13 +9,14 @@ The grammar covers single sentences built from one or two clauses::
                   Alan is not kind if Bob is not clever. (trailing form)
                   The eagle is big, unless the mouse is small.  (parse only)
 
-Graphs canonically encode a clause as a predicate node carrying optional
-``:polarity -`` and a ``:domain`` edge to a leaf subject node; compounds use
-an ``and``/``or`` root with ``:op1``/``:op2``; conditionals attach the
-antecedent to the consequent's node via ``:condition``.  Surface order is
-part of the graph: a ``:condition`` edge placed before the clause's own
-edges realizes as "If A, then B." and one placed after them realizes as
-"B if A.".
+The graph encoding is defined by one writer, :func:`penman_of_struct`, and
+:func:`build_graph` is its Penman parsed.  A clause is a predicate node
+carrying optional ``:polarity -`` and a ``:domain`` edge to a leaf subject
+node; compounds use an ``and``/``or`` root with ``:op1``/``:op2``;
+conditionals attach the antecedent to the consequent's node via
+``:condition``.  Surface order is part of the graph: a ``:condition`` edge
+placed before the clause's own edges realizes as "If A, then B." and one
+placed after them realizes as "B if A.".
 
 Two grammar levels exist.  The default ``core`` level accepts only
 copula + single-word attribute clauses (what the synthetic corpus uses).
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .graph import AmrGraph, Constant, Edge, NEGATIVE, POLARITY_ROLE
+from .graph import AmrGraph, Constant, NEGATIVE, POLARITY_ROLE, parse_penman
 
 CONDITION_ROLE = ":condition"
 DOMAIN_ROLE = ":domain"
@@ -296,78 +297,77 @@ def parse_sentence_struct(
 
 
 # ---------------------------------------------------------------------------
-# Struct → graph → struct
+# Struct → Penman → graph → struct
 # ---------------------------------------------------------------------------
 
-
-def _surface_to_concept(surface: str) -> str:
-    return surface.replace(" ", "-")
+_NEGATED = f" {POLARITY_ROLE} {NEGATIVE}"
+# Module-level aliases: reading an enum member through its class is slow.
+_ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
 
 
 def _concept_to_surface(concept: str) -> str:
     return concept.replace("-", " ")
 
 
-class _VarNamer:
-    def __init__(self) -> None:
-        self.used: set[str] = set()
+def _variable(concept: str, used: set[str]) -> str:
+    """The concept's first letter, lower-cased (``x`` if it has none),
+    suffixed 2, 3, ... until it is not in ``used``; added to ``used``."""
+    for base in concept.lower():
+        if base.isalpha():
+            break
+    else:
+        base = "x"
+    var = base
+    counter = 2
+    while var in used:
+        var = f"{base}{counter}"
+        counter += 1
+    used.add(var)
+    return var
 
-    def fresh(self, concept: str) -> str:
-        for base in concept.lower():
-            if base.isalpha():
-                break
-        else:
-            base = "x"
-        var = base
-        counter = 2
-        while var in self.used:
-            var = f"{base}{counter}"
-            counter += 1
-        self.used.add(var)
-        return var
+
+def _clause_penman(clause: Clause, used: set[str]) -> tuple[str, str]:
+    """The predicate node's ``(var / concept`` and its own edges, unclosed;
+    the predicate is named before the subject."""
+    predicate = clause.predicate.replace(" ", "-")
+    subject = clause.subject.replace(" ", "-")
+    pred = _variable(predicate, used)
+    subj = _variable(subject, used)
+    polarity = _NEGATED if clause.negated else ""
+    return f"({pred} / {predicate}", f"{polarity} {DOMAIN_ROLE} ({subj} / {subject})"
+
+
+def penman_of_struct(sentence: GrammarSentence) -> str:
+    """The canonical Penman of a grammar struct (tense dropped), in one pass.
+
+    The encoding is the module docstring's; UNLESS, which always parses
+    trailing, is written as the trailing conditional.  Variables are named
+    root first, then per clause (antecedent before consequent) predicate
+    then subject.
+    """
+    used: set[str] = set()
+    shape = sentence.shape
+    if shape is _ATOMIC:
+        head, edges = _clause_penman(sentence.clauses[0], used)
+        return f"{head}{edges})"
+    if shape is _AND_PAIR or shape is _OR_PAIR:
+        concept = "and" if shape is _AND_PAIR else "or"
+        root = _variable(concept, used)
+        head1, edges1 = _clause_penman(sentence.clauses[0], used)
+        head2, edges2 = _clause_penman(sentence.clauses[1], used)
+        return f"({root} / {concept} :op1 {head1}{edges1}) :op2 {head2}{edges2}))"
+    # IF_THEN and UNLESS share the conditional encoding.
+    ante_head, ante_edges = _clause_penman(sentence.clauses[0], used)
+    head, edges = _clause_penman(sentence.clauses[1], used)
+    condition = f" {CONDITION_ROLE} {ante_head}{ante_edges})"
+    if sentence.trailing_condition:
+        return f"{head}{edges}{condition})"
+    return f"{head}{condition}{edges})"
 
 
 def build_graph(sentence: GrammarSentence) -> AmrGraph:
-    """Encode a grammar struct as its canonical graph (tense dropped)."""
-    namer = _VarNamer()
-    nodes: dict[str, str] = {}
-
-    def make_clause(clause: Clause) -> tuple[str, list[Edge]]:
-        pred_concept = _surface_to_concept(clause.predicate)
-        subj_concept = _surface_to_concept(clause.subject)
-        pred = namer.fresh(pred_concept)
-        nodes[pred] = pred_concept
-        subj = namer.fresh(subj_concept)
-        nodes[subj] = subj_concept
-        clause_edges: list[Edge] = []
-        if clause.negated:
-            clause_edges.append((pred, POLARITY_ROLE, Constant(NEGATIVE)))
-        clause_edges.append((pred, DOMAIN_ROLE, subj))
-        return pred, clause_edges
-
-    if sentence.shape is Shape.ATOMIC:
-        root, edges = make_clause(sentence.clauses[0])
-        return AmrGraph(root=root, nodes=nodes, edges=tuple(edges))
-    # Edges are stored in depth-first order so every built graph is an
-    # exact parse∘serialize fixed point.
-    if sentence.shape in (Shape.AND_PAIR, Shape.OR_PAIR):
-        concept = "and" if sentence.shape is Shape.AND_PAIR else "or"
-        root = namer.fresh(concept)
-        nodes[root] = concept
-        first, first_edges = make_clause(sentence.clauses[0])
-        second, second_edges = make_clause(sentence.clauses[1])
-        edges = [(root, ":op1", first), *first_edges]
-        edges += [(root, ":op2", second), *second_edges]
-        return AmrGraph(root=root, nodes=nodes, edges=tuple(edges))
-    # IF_THEN and UNLESS share the conditional encoding.
-    ante, ante_edges = make_clause(sentence.clauses[0])
-    cons, cons_edges = make_clause(sentence.clauses[1])
-    condition: Edge = (cons, CONDITION_ROLE, ante)
-    if sentence.trailing_condition:
-        edges = cons_edges + [condition] + ante_edges
-    else:
-        edges = [condition] + ante_edges + cons_edges
-    return AmrGraph(root=cons, nodes=nodes, edges=tuple(edges))
+    """The canonical graph of a grammar struct: ``penman_of_struct`` parsed."""
+    return parse_penman(penman_of_struct(sentence))
 
 
 def _read_clause(graph: AmrGraph, var: str, skip: frozenset[str] = frozenset()) -> Clause:
@@ -509,6 +509,7 @@ __all__ = [
     "Clause",
     "GrammarSentence",
     "parse_sentence_struct",
+    "penman_of_struct",
     "build_graph",
     "read_graph",
     "realize_struct",

@@ -176,6 +176,16 @@ def load_jsonl(path: str | Path) -> list[PairRecord]:
     for lineno, payload in read_jsonl(path, DatasetError):
         if not isinstance(payload, dict):
             raise DatasetError(f"line {lineno} is not a JSON object")
+        # A missing key passes these checks and is reported below.
+        for key in ("sentence1", "sentence2", "law", "pair_id"):
+            value = payload.get(key, "")
+            if not isinstance(value, str):
+                raise DatasetError(
+                    f"line {lineno}: {key} must be a string, got {type(value).__name__}"
+                )
+        label = payload.get("label", 0)
+        if type(label) is not int:  # a JSON true or 1.0 is not a label
+            raise DatasetError(f"line {lineno}: label must be 0 or 1, got {label!r}")
         try:
             records.append(
                 PairRecord(

@@ -503,6 +503,8 @@ def test_prompt_aug_passes_malformed_records_through(tmp_path):
         (["prompt-aug"], '[{"context": "c"},\n  oops]', "in.txt: Expecting value: line 2"),
         (["pararule", "--depth", "1"], '{"rules": []}\n[1, 2]\n', "got list on line 2"),
         (["pararule", "--depth", "1"], '{"rules": [1]}\n', "must be a string on line 1"),
+        (["pararule", "--depth", "1"], '{"rules": []}\n{"rules": [], "x": "\\ud800"}\n',
+         "in.txt: line 2 escapes a lone surrogate, which is not UTF-8 text"),
     ],
 )
 def test_malformed_input_exits_1_with_one_located_error(
@@ -516,6 +518,44 @@ def test_malformed_input_exits_1_with_one_located_error(
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1
     assert location in errors[0]
+
+
+OTHER_FIELDS = '"sentence2": "b", "law": "commutative"'
+
+
+@pytest.mark.parametrize(
+    "argv, line, location",
+    [
+        (["check"], f'{{"sentence1": 5, "label": 1, {OTHER_FIELDS}}}',
+         "line 1: sentence1 must be a string, got int"),
+        (["check"], '{"sentence1": "a", "sentence2": "b", "label": 1, "law": ["x"]}',
+         "line 1: law must be a string, got list"),
+        (["check"], f'{{"sentence1": "a", "label": 1, "pair_id": 7, {OTHER_FIELDS}}}',
+         "line 1: pair_id must be a string, got int"),
+        (["check"], f'{{"sentence1": "a", "label": true, {OTHER_FIELDS}}}',
+         "line 1: label must be 0 or 1, got True"),
+        (["check"], f'{{"sentence1": "a", "label": 1.0, {OTHER_FIELDS}}}',
+         "line 1: label must be 0 or 1, got 1.0"),
+        (["pairs", "--out-train", "OUT", "--out-val", "OUT2"],
+         '{"text": 5, "pattern": "atomic-dn"}', "line 1: text must be a string, got int"),
+        (["pairs", "--out-train", "OUT", "--out-val", "OUT2"],
+         '{"text": "Alan is kind.", "pattern": null}',
+         "line 1: pattern must be a string, got NoneType"),
+    ],
+    ids=["sentence1", "law", "pair_id", "label-true", "label-float", "text", "pattern"],
+)
+def test_a_wrong_field_type_exits_1_with_one_located_error(tmp_path, caplog, argv, line, location):
+    src = tmp_path / "in.txt"
+    src.write_text(line + "\n", encoding="utf-8")
+    paths = {"OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
+    flag = "--corpus" if argv[0] == "pairs" else "--in"
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", *(str(paths.get(arg, arg)) for arg in argv), flag, str(src)])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert location in errors[0]
+    assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +715,8 @@ PINNED_RUNS = [
      "--out-train", "train.jsonl", "--out-val", "val.jsonl"],
     ["augment", "--law", "contraposition", "--negatives", "--in", "lines.txt",
      "--out", "augmented.jsonl"],
+    ["augment", "--law", "implication", "--format", "penman", "--negatives",
+     "--in", "graphs.penman", "--out", "graphs_aug.jsonl"],
     ["pararule", "--depth", "2", "--in", "rules.jsonl", "--out", "rules_alt.jsonl"],
     ["prompt-aug", "--format", "logiqa", "--laws", "contraposition,implication,commutative",
      "--in", "mcq.jsonl", "--out", "mcq_aug.jsonl", "--trace", "trace.jsonl"],
@@ -683,6 +725,17 @@ PINNED_RUNS = [
 PINNED_INPUTS = {
     "lines.txt": "If Alan is kind, then Bob is clever.\n\nZoë is kind.\n"
                  "Alan is kind and Bob is tall.\n",
+    # One graph per shape: atomic, and, or (two subjects whose variables
+    # collide), a leading conditional with a negated consequent, and a
+    # trailing conditional.  Implication rewrites the last three and skips
+    # the first two.
+    "graphs.penman":
+        "(k / kind :domain (z / Zoë))\n"
+        "(a / and :op1 (k / kind :domain (a2 / Alan)) :op2 (t / tall :domain (b / Bob)))\n"
+        "(o / or :op1 (k / kind :polarity - :domain (t / the-bald-eagle))"
+        " :op2 (c / clever :domain (t2 / the-bald-eagle)))\n"
+        "(c / clever :condition (k / kind :domain (a / Alan)) :polarity - :domain (b / Bob))\n"
+        "(c / clever :domain (b / Bob) :condition (k / kind :polarity - :domain (z / Zoë)))\n",
     "rules.jsonl": json.dumps({"rules": [
         "If someone is tall then they are quiet.",
         "If someone is sad and dull then they are bad.",
@@ -699,6 +752,8 @@ PINNED_INPUTS = {
 }
 # The sha256 of every file ``PINNED_RUNS`` writes, recorded before the readers
 # and writers moved into ``amr_logic_aug.files``: that move changed no byte.
+# The ``graphs_aug.jsonl`` pair was recorded while Penman output still went
+# through ``serialize(build_graph(...))``; ``penman_of_struct`` changed no byte.
 PINNED_SHA256 = {
     "augmented.jsonl":
         "60aa3a7507649120331b4fae3bef57124cc8aa5762908201a7cfe9588ad0b3de",
@@ -708,6 +763,10 @@ PINNED_SHA256 = {
         "47c10edcef8fd513acdc8713168394d857beb8ce32676c91ecc1d6a9e5fc125b",
     "corpus.jsonl.manifest.json":
         "f2b356e2f3262aecb066dacd83900d5ec37c2b6eb618a2e6892b5ef96995cf88",
+    "graphs_aug.jsonl":
+        "8c1c7610b8c626e36713cbdd330797193638073f06ecaab381a3d6dad1b58474",
+    "graphs_aug.jsonl.manifest.json":
+        "033b54d68d3417422d7f2fe4e0ca7c89f18b86983fb5c4666fd478d5a81c5a93",
     "mcq_aug.json":
         "280881e547cd3c06925c91ae2ec44e2b393401fa7e63c411103da7ea77f62485",
     "mcq_aug.json.manifest.json":

@@ -23,9 +23,11 @@ from amr_logic_aug.grammar import (
     Shape,
     build_graph,
     parse_sentence_struct,
+    penman_of_struct,
     read_graph,
     realize,
 )
+from amr_logic_aug.graph import serialize
 
 
 def atoms_of(record, lexicon):
@@ -138,6 +140,8 @@ def test_records_are_canonical(lexicon, small_corpus):
     for record in small_corpus:
         assert realize(record.graph) == record.text
         assert build_graph(parse_sentence_struct(record.text, lexicon)) == record.graph
+        # The written Penman is the serializer's canonical form of its graph.
+        assert serialize(record.graph) == penman_of_struct(record.struct)
 
 
 def test_atoms_use_the_base_attribute_side(lexicon, small_corpus):

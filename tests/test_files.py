@@ -64,6 +64,32 @@ def test_read_json_names_the_file(tmp_path):
         read_json(path, Refused)
 
 
+@pytest.mark.parametrize(
+    "escape",
+    ["\\ud800", "\\uDFFF", "\\ude00\\ud83d", "\\ud83d x", "\\\\\\ud800"],
+    ids=["high", "low-upper-case", "pair-in-the-wrong-order", "high-alone", "after-a-backslash"],
+)
+def test_a_lone_surrogate_escape_is_located(tmp_path, escape):
+    pair = '{"a": "\\ud83d\\ude00"}'  # an escaped pair decodes to one character
+    lone = f'{{"b": ["x", "{escape}"]}}'
+    jsonl, whole = tmp_path / "in.jsonl", tmp_path / "in.json"
+    jsonl.write_text(f"{pair}\n\n{lone}\n", encoding="utf-8")
+    whole.write_text(f"[{pair},\n\n{lone}]", encoding="utf-8")
+    rows = read_jsonl(jsonl, Refused)
+    assert next(rows) == (1, {"a": "\U0001f600"})
+    for path, read in ((jsonl, lambda: next(rows)), (whole, lambda: read_json(whole, Refused))):
+        message = f"{path}: line 3 escapes a lone surrogate, which is not UTF-8 text"
+        with pytest.raises(Refused, match=re.escape(message)):
+            read()
+
+
+def test_surrogate_like_text_that_is_not_an_escape_loads(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"a": "\\\\ud800", "\\ud83d\\ude00": 1}\n', encoding="utf-8")
+    assert list(read_jsonl(path, Refused)) == [(1, {"a": "\\ud800", "\U0001f600": 1})]
+    assert read_json(path, Refused) == {"a": "\\ud800", "\U0001f600": 1}
+
+
 def test_write_jsonl_streams_utf8_rows_and_counts_them(tmp_path):
     path = tmp_path / "out.jsonl"
     assert write_jsonl(path, iter([{"a": "Zoë"}, [1]])) == 2

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from amr_logic_aug import grammar
-from amr_logic_aug.graph import Constant, parse_penman, serialize
+from amr_logic_aug.graph import Constant, ParseError, parse_penman, serialize
 from amr_logic_aug.grammar import (
     CORE,
     EXTENDED,
@@ -20,6 +20,7 @@ from amr_logic_aug.grammar import (
     Shape,
     build_graph,
     parse_sentence_struct,
+    penman_of_struct,
     read_graph,
     realize,
     realize_struct,
@@ -252,6 +253,66 @@ def test_parse_realize_round_trip(lexicon, text):
     assert realize(graph) == text
     # The graph itself survives a struct round trip.
     assert build_graph(read_graph(graph)) == graph
+
+
+# The Penman bytes of every shape, recorded from the graph builder and
+# serializer the writer replaced.
+KIND, NOT_DULL = Clause("Alan", "kind"), Clause("the wolf", "dull", negated=True)
+PENMAN_CASES = [
+    (GrammarSentence(Shape.ATOMIC, (KIND,)), "(k / kind :domain (a / Alan))"),
+    (GrammarSentence(Shape.ATOMIC, (Clause("Alan", "kind", tense="past"),)),
+     "(k / kind :domain (a / Alan))"),  # tense is dropped
+    (GrammarSentence(Shape.ATOMIC, (NOT_DULL,)),
+     "(d / dull :polarity - :domain (t / the-wolf))"),
+    (GrammarSentence(Shape.AND_PAIR, (KIND, NOT_DULL)),
+     "(a / and :op1 (k / kind :domain (a2 / Alan))"
+     " :op2 (d / dull :polarity - :domain (t / the-wolf)))"),
+    (GrammarSentence(Shape.OR_PAIR, (NOT_DULL, KIND)),
+     "(o / or :op1 (d / dull :polarity - :domain (t / the-wolf))"
+     " :op2 (k / kind :domain (a / Alan)))"),
+    # Leading: :condition first, before the consequent's own polarity.
+    (GrammarSentence(Shape.IF_THEN, (KIND, NOT_DULL)),
+     "(d / dull :condition (k / kind :domain (a / Alan))"
+     " :polarity - :domain (t / the-wolf))"),
+    # Trailing: :condition last.
+    (GrammarSentence(Shape.IF_THEN, (NOT_DULL, KIND), trailing_condition=True),
+     "(k / kind :domain (a / Alan)"
+     " :condition (d / dull :polarity - :domain (t / the-wolf)))"),
+    (GrammarSentence(Shape.UNLESS, (KIND, NOT_DULL), trailing_condition=True),
+     "(d / dull :polarity - :domain (t / the-wolf)"
+     " :condition (k / kind :domain (a / Alan)))"),
+    # Colliding variables count up from 2; the antecedent is named first.
+    (GrammarSentence(Shape.IF_THEN, (Clause("the tiger", "tall"), Clause("the tiger", "tame"))),
+     "(t3 / tame :condition (t / tall :domain (t2 / the-tiger)) :domain (t4 / the-tiger))"),
+    # A concept takes its first letter, lower-cased, or x without one.
+    (GrammarSentence(Shape.OR_PAIR, (Clause("3 Owls", "able to fly"), Clause("_", "9", True))),
+     "(o / or :op1 (a / able-to-fly :domain (o2 / 3-Owls))"
+     " :op2 (x / 9 :polarity - :domain (x2 / _)))"),
+]
+
+
+@pytest.mark.parametrize("struct, penman", PENMAN_CASES)
+def test_penman_of_struct_bytes(struct, penman):
+    assert penman_of_struct(struct) == penman
+    graph = build_graph(struct)
+    assert graph == parse_penman(penman)
+    assert serialize(graph) == penman  # the writer's output is canonical
+
+
+@pytest.mark.parametrize("struct, penman", PENMAN_CASES)
+def test_penman_of_struct_reads_back(struct, penman):
+    # Penman keeps no tense and no "unless", which reads back as "B if A.".
+    shape = Shape.IF_THEN if struct.shape is Shape.UNLESS else struct.shape
+    clauses = tuple(Clause(c.subject, c.predicate, c.negated) for c in struct.clauses)
+    expected = GrammarSentence(shape, clauses, struct.trailing_condition)
+    assert read_graph(parse_penman(penman_of_struct(struct))) == expected
+
+
+def test_build_graph_rejects_a_concept_penman_cannot_hold():
+    struct = GrammarSentence(Shape.ATOMIC, (Clause(":odd", "kind"),))
+    assert penman_of_struct(struct) == "(k / kind :domain (o / :odd))"
+    with pytest.raises(ParseError, match="expected concept"):
+        build_graph(struct)
 
 
 # ---------------------------------------------------------------------------
