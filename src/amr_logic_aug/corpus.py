@@ -360,7 +360,9 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
                     )
             struct = parse_sentence_struct(payload["text"], lexicon)
             sentence = _sentence(struct, PatternKind(payload["pattern"]))
-        except (KeyError, TypeError, ValueError, GrammarError) as err:
+        except KeyError as err:
+            raise CorpusError(f"line {lineno}: missing key {err}") from err
+        except (TypeError, ValueError, GrammarError) as err:
             raise CorpusError(f"line {lineno}: {err}") from err
         if sentence.text != payload["text"]:
             raise CorpusError(f"line {lineno}: text is not canonical: {payload['text']!r}")

@@ -60,6 +60,11 @@ class Shape(str, Enum):
     UNLESS = "unless"
 
 
+# Module-level aliases: reading an enum member through its class is slow.
+_ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
+_IF_THEN, _UNLESS = Shape.IF_THEN, Shape.UNLESS
+
+
 @dataclass(frozen=True)
 class Clause:
     """One predication: subject, predicate phrase, negation flag, tense."""
@@ -87,7 +92,7 @@ class GrammarSentence:
     trailing_condition: bool = False
 
     def __post_init__(self) -> None:
-        expected = 1 if self.shape is Shape.ATOMIC else 2
+        expected = 1 if self.shape is _ATOMIC else 2
         if len(self.clauses) != expected:
             raise GrammarError(
                 f"{self.shape.value} sentence needs {expected} clause(s), "
@@ -267,10 +272,10 @@ def parse_sentence_struct(
             if sep in rest:
                 ante, cons = rest.split(sep, 1)
                 return GrammarSentence(
-                    Shape.IF_THEN, (clause(ante), clause(cons))
+                    _IF_THEN, (clause(ante), clause(cons))
                 )
         raise GrammarError("outside grammar: conditional missing a comma")
-    for sep, shape in ((", unless ", Shape.UNLESS), (" unless ", Shape.UNLESS)):
+    for sep, shape in ((", unless ", _UNLESS), (" unless ", _UNLESS)):
         if sep in lower:
             idx = lower.index(sep)
             cons, ante = s[:idx], s[idx + len(sep) :]
@@ -281,19 +286,19 @@ def parse_sentence_struct(
         idx = lower.index(" if ")
         cons, ante = s[:idx], s[idx + 4 :]
         return GrammarSentence(
-            Shape.IF_THEN, (clause(ante), clause(cons)), trailing_condition=True
+            _IF_THEN, (clause(ante), clause(cons)), trailing_condition=True
         )
     if " and " in lower:
         idx = lower.index(" and ")
         return GrammarSentence(
-            Shape.AND_PAIR, (clause(s[:idx]), clause(s[idx + 5 :]))
+            _AND_PAIR, (clause(s[:idx]), clause(s[idx + 5 :]))
         )
     if " or " in lower:
         idx = lower.index(" or ")
         return GrammarSentence(
-            Shape.OR_PAIR, (clause(s[:idx]), clause(s[idx + 4 :]))
+            _OR_PAIR, (clause(s[:idx]), clause(s[idx + 4 :]))
         )
-    return GrammarSentence(Shape.ATOMIC, (clause(s),))
+    return GrammarSentence(_ATOMIC, (clause(s),))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +306,6 @@ def parse_sentence_struct(
 # ---------------------------------------------------------------------------
 
 _NEGATED = f" {POLARITY_ROLE} {NEGATIVE}"
-# Module-level aliases: reading an enum member through its class is slow.
-_ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
 
 
 def _concept_to_surface(concept: str) -> str:
@@ -425,14 +428,14 @@ def read_graph(graph: AmrGraph) -> GrammarSentence:
             if isinstance(target, Constant):
                 raise GrammarStructureError("operand must be a node, not a constant")
             operands.append(_read_clause(graph, target))
-        shape = Shape.AND_PAIR if concept == "and" else Shape.OR_PAIR
+        shape = _AND_PAIR if concept == "and" else _OR_PAIR
         return GrammarSentence(shape, (operands[0], operands[1]))
     out = graph.out_edges(root)
     condition_indexes = [
         i for i, (_, role, _) in enumerate(out) if role == CONDITION_ROLE
     ]
     if not condition_indexes:
-        return GrammarSentence(Shape.ATOMIC, (_read_clause(graph, root),))
+        return GrammarSentence(_ATOMIC, (_read_clause(graph, root),))
     if len(condition_indexes) > 1:
         raise GrammarStructureError("multiple :condition edges on one node")
     index = condition_indexes[0]
@@ -450,7 +453,7 @@ def read_graph(graph: AmrGraph) -> GrammarSentence:
     antecedent = _read_clause(graph, target)
     consequent = _read_clause(graph, root, skip=frozenset({CONDITION_ROLE}))
     return GrammarSentence(
-        Shape.IF_THEN, (antecedent, consequent), trailing_condition=trailing
+        _IF_THEN, (antecedent, consequent), trailing_condition=trailing
     )
 
 
@@ -474,10 +477,11 @@ def _realize_clause(clause: Clause) -> str:
 
 
 def realize_struct(sentence: GrammarSentence) -> str:
-    if sentence.shape is Shape.ATOMIC:
+    shape = sentence.shape
+    if shape is _ATOMIC:
         body = _realize_clause(sentence.clauses[0])
-    elif sentence.shape in (Shape.AND_PAIR, Shape.OR_PAIR):
-        joiner = "and" if sentence.shape is Shape.AND_PAIR else "or"
+    elif shape is _AND_PAIR or shape is _OR_PAIR:
+        joiner = "and" if shape is _AND_PAIR else "or"
         body = (
             f"{_realize_clause(sentence.clauses[0])} {joiner} "
             f"{_realize_clause(sentence.clauses[1])}"
@@ -485,7 +489,7 @@ def realize_struct(sentence: GrammarSentence) -> str:
     else:
         ante = _realize_clause(sentence.clauses[0])
         cons = _realize_clause(sentence.clauses[1])
-        if sentence.trailing_condition or sentence.shape is Shape.UNLESS:
+        if sentence.trailing_condition or shape is _UNLESS:
             body = f"{cons} if {ante}"
         else:
             body = f"If {ante}, then {cons}"

@@ -50,7 +50,10 @@ from .grammar import (
 )
 from .lexicon import Lexicon
 
-_CONDITIONALS = (Shape.IF_THEN, Shape.UNLESS)
+# Module-level aliases: reading an enum member through its class is slow.
+_ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
+_IF_THEN = Shape.IF_THEN
+_CONDITIONALS = (_IF_THEN, Shape.UNLESS)
 
 
 class LawError(ValueError):
@@ -66,6 +69,10 @@ class LawKind(str, Enum):
     IMPLICATION = "implication"
     COMMUTATIVE = "commutative"
     DOUBLE_NEGATION = "double-negation"
+
+
+_CONTRAPOSITION, _IMPLICATION = LawKind.CONTRAPOSITION, LawKind.IMPLICATION
+_COMMUTATIVE, _DOUBLE_NEGATION = LawKind.COMMUTATIVE, LawKind.DOUBLE_NEGATION
 
 
 @dataclass(frozen=True)
@@ -94,14 +101,14 @@ def applicable_laws(
     except LawError:
         return set()
     if sentence.shape in _CONDITIONALS:
-        return {LawKind.CONTRAPOSITION, LawKind.IMPLICATION}
-    if sentence.shape is Shape.OR_PAIR:
-        return {LawKind.IMPLICATION}
-    if sentence.shape is Shape.AND_PAIR:
-        return {LawKind.COMMUTATIVE}
+        return {_CONTRAPOSITION, _IMPLICATION}
+    if sentence.shape is _OR_PAIR:
+        return {_IMPLICATION}
+    if sentence.shape is _AND_PAIR:
+        return {_COMMUTATIVE}
     clause = sentence.clauses[0]
     if not clause.negated and lexicon.antonym_of(clause.predicate) is not None:
-        return {LawKind.DOUBLE_NEGATION}
+        return {_DOUBLE_NEGATION}
     return set()
 
 
@@ -109,40 +116,37 @@ def apply_contraposition(sentence: GrammarSentence) -> RewriteOutcome:
     if sentence.shape not in _CONDITIONALS:
         raise LawError("contraposition requires a conditional root")
     ante, cons = sentence.clauses
-    positive = GrammarSentence(
-        Shape.IF_THEN, (cons.negate(), ante.negate()), trailing_condition=True
-    )
-    negative = GrammarSentence(
-        Shape.IF_THEN, (cons, ante.negate()), trailing_condition=True
-    )
-    return RewriteOutcome(LawKind.CONTRAPOSITION, positive, (negative,))
+    not_ante = ante.negate()
+    positive = GrammarSentence(_IF_THEN, (cons.negate(), not_ante), trailing_condition=True)
+    negative = GrammarSentence(_IF_THEN, (cons, not_ante), trailing_condition=True)
+    return RewriteOutcome(_CONTRAPOSITION, positive, (negative,))
 
 
 def apply_implication(sentence: GrammarSentence) -> RewriteOutcome:
     if sentence.shape in _CONDITIONALS:
         ante, cons = sentence.clauses
-        positive = GrammarSentence(Shape.OR_PAIR, (ante.negate(), cons))
-        negative = GrammarSentence(Shape.OR_PAIR, (ante, cons))
-    elif sentence.shape is Shape.OR_PAIR:
+        positive = GrammarSentence(_OR_PAIR, (ante.negate(), cons))
+        negative = GrammarSentence(_OR_PAIR, (ante, cons))
+    elif sentence.shape is _OR_PAIR:
         first, second = sentence.clauses
-        positive = GrammarSentence(Shape.IF_THEN, (first.negate(), second))
-        negative = GrammarSentence(Shape.IF_THEN, (first.negate(), second.negate()))
+        positive = GrammarSentence(_IF_THEN, (first.negate(), second))
+        negative = GrammarSentence(_IF_THEN, (first.negate(), second.negate()))
     else:
         raise LawError("implication requires a conditional or disjunction root")
-    return RewriteOutcome(LawKind.IMPLICATION, positive, (negative,))
+    return RewriteOutcome(_IMPLICATION, positive, (negative,))
 
 
 def apply_commutative(sentence: GrammarSentence) -> RewriteOutcome:
-    if sentence.shape is not Shape.AND_PAIR:
+    if sentence.shape is not _AND_PAIR:
         raise LawError("commutative requires a conjunction root")
     first, second = sentence.clauses
-    positive = GrammarSentence(Shape.AND_PAIR, (second, first))
-    negative = GrammarSentence(Shape.AND_PAIR, (second.negate(), first.negate()))
-    return RewriteOutcome(LawKind.COMMUTATIVE, positive, (negative,))
+    positive = GrammarSentence(_AND_PAIR, (second, first))
+    negative = GrammarSentence(_AND_PAIR, (second.negate(), first.negate()))
+    return RewriteOutcome(_COMMUTATIVE, positive, (negative,))
 
 
 def apply_double_negation(sentence: GrammarSentence, lexicon: Lexicon) -> RewriteOutcome:
-    if sentence.shape is not Shape.ATOMIC:
+    if sentence.shape is not _ATOMIC:
         raise LawError("double negation requires an atomic predicate")
     clause = sentence.clauses[0]
     if clause.negated:
@@ -150,9 +154,9 @@ def apply_double_negation(sentence: GrammarSentence, lexicon: Lexicon) -> Rewrit
     antonym = lexicon.antonym_of(clause.predicate)
     if antonym is None:
         raise LawError(f"no antonym for {clause.predicate!r}")
-    positive = GrammarSentence(Shape.ATOMIC, (Clause(clause.subject, antonym, True),))
-    negative = GrammarSentence(Shape.ATOMIC, (Clause(clause.subject, antonym, False),))
-    return RewriteOutcome(LawKind.DOUBLE_NEGATION, positive, (negative,))
+    positive = GrammarSentence(_ATOMIC, (Clause(clause.subject, antonym, True),))
+    negative = GrammarSentence(_ATOMIC, (Clause(clause.subject, antonym, False),))
+    return RewriteOutcome(_DOUBLE_NEGATION, positive, (negative,))
 
 
 def apply_law(
@@ -160,11 +164,11 @@ def apply_law(
 ) -> RewriteOutcome:
     """Dispatch a rewrite and gate it through the truth-table oracle."""
     sentence = _read(sentence)
-    if law is LawKind.CONTRAPOSITION:
+    if law is _CONTRAPOSITION:
         outcome = apply_contraposition(sentence)
-    elif law is LawKind.IMPLICATION:
+    elif law is _IMPLICATION:
         outcome = apply_implication(sentence)
-    elif law is LawKind.COMMUTATIVE:
+    elif law is _COMMUTATIVE:
         outcome = apply_commutative(sentence)
     else:
         outcome = apply_double_negation(sentence, lexicon)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import cycle, groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -208,25 +208,39 @@ def verify_records(
 ) -> list[tuple[int, str]]:
     """Oracle replay: re-check that each label matches truth-table semantics.
 
-    Returns a list of (record index, problem) tuples; empty means a clean
-    bill of health.
+    Records are visited grouped by ``sentence1`` (a stable sort of their
+    indexes by anchor text), so each anchor is parsed once and only the
+    current anchor's struct is alive; ``sentence2`` is parsed per record.
+    An unparseable anchor is reported on every record that names it.
+    Returns (record index, problem) tuples in record order; empty means a
+    clean bill of health.
     """
+    def anchor_of(index: int) -> str:
+        return records[index].sentence1
+
     problems: list[tuple[int, str]] = []
-    for index, record in enumerate(records):
+    for anchor, group in groupby(sorted(range(len(records)), key=anchor_of), key=anchor_of):
         try:
-            first = parse_sentence_struct(record.sentence1, lexicon, grammar_level)
-            second = parse_sentence_struct(record.sentence2, lexicon, grammar_level)
+            first = parse_sentence_struct(anchor, lexicon, grammar_level)
         except GrammarError as err:
-            problems.append((index, f"unparseable pair: {err}"))
+            problems.extend((index, f"unparseable pair: {err}") for index in group)
             continue
-        if logic.structs_equivalent(first, second, lexicon) != bool(record.label):
-            problems.append(
-                (
-                    index,
-                    f"label {record.label} contradicts oracle "
-                    f"({record.sentence1!r} vs {record.sentence2!r})",
+        for index in group:
+            record = records[index]
+            try:
+                second = parse_sentence_struct(record.sentence2, lexicon, grammar_level)
+            except GrammarError as err:
+                problems.append((index, f"unparseable pair: {err}"))
+                continue
+            if logic.structs_equivalent(first, second, lexicon) != bool(record.label):
+                problems.append(
+                    (
+                        index,
+                        f"label {record.label} contradicts oracle "
+                        f"({record.sentence1!r} vs {record.sentence2!r})",
+                    )
                 )
-            )
+    problems.sort()
     return problems
 
 

@@ -361,6 +361,41 @@ def test_check_flags_bad_labels(tmp_path, capsys):
     assert "checked 1 records: 1 violations" in out
 
 
+IF_A = "If Alan is kind, then Bob is clever."
+A_AND_B = "Alan is kind and Bob is clever."
+NOT_B = "Bob is not clever."
+# Anchors repeat out of order, two labels are flipped (records 1 and 5) and
+# record 2's anchor is outside the grammar.
+CHECK_RECORDS = [
+    (IF_A, "If Bob is not clever, then Alan is not kind.", 1, "contraposition"),
+    (A_AND_B, "Bob is clever and Alan is kind.", 0, "commutative"),
+    ("Colorless green ideas sleep furiously.", "Alan is kind.", 0, "random-sample"),
+    (NOT_B, "Alan is kind.", 0, "random-sample"),
+    (IF_A, "Alan is not kind or Bob is clever.", 1, "implication"),
+    (A_AND_B, "Alan is kind or Bob is clever.", 1, "commutative"),
+    (NOT_B, "Bob is clever.", 0, "double-negation"),
+    (IF_A, "If Alan is kind, then Bob is not clever.", 0, "contraposition"),
+    (A_AND_B, "Bob is not clever and Alan is not kind.", 0, "commutative"),
+]
+# Recorded while ``verify_records`` still parsed both sentences of every
+# record in file order; visiting the records grouped by anchor changed no byte.
+CHECK_STDOUT = (
+    "record 1: label 0 contradicts oracle ('Alan is kind and Bob is clever.' vs "
+    "'Bob is clever and Alan is kind.')\n"
+    "record 2: unparseable pair: outside grammar: expected copula, got 'green'\n"
+    "record 5: label 1 contradicts oracle ('Alan is kind and Bob is clever.' vs "
+    "'Alan is kind or Bob is clever.')\n"
+    "checked 9 records: 3 violations\n"
+)
+
+
+def test_check_stdout_and_exit_code_are_pinned(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    emit_jsonl([PairRecord(*fields) for fields in CHECK_RECORDS], path)
+    assert main(["-q", "check", "--in", str(path)]) == 1
+    assert capsys.readouterr().out == CHECK_STDOUT
+
+
 def test_check_empty_file_exits_1(tmp_path):
     path = tmp_path / "pairs.jsonl"
     path.write_text("", encoding="utf-8")
@@ -541,8 +576,11 @@ OTHER_FIELDS = '"sentence2": "b", "law": "commutative"'
         (["pairs", "--out-train", "OUT", "--out-val", "OUT2"],
          '{"text": "Alan is kind.", "pattern": null}',
          "line 1: pattern must be a string, got NoneType"),
+        (["pairs", "--out-train", "OUT", "--out-val", "OUT2"],
+         '{"pattern": "atomic-dn"}', "line 1: missing key 'text'"),
     ],
-    ids=["sentence1", "law", "pair_id", "label-true", "label-float", "text", "pattern"],
+    ids=["sentence1", "law", "pair_id", "label-true", "label-float", "text", "pattern",
+         "missing-text"],
 )
 def test_a_wrong_field_type_exits_1_with_one_located_error(tmp_path, caplog, argv, line, location):
     src = tmp_path / "in.txt"

@@ -216,6 +216,7 @@ def test_jsonl_blank_lines_are_skipped(lexicon, tmp_path):
         ("{not json", "line 1:"),
         ('["text", "pattern"]', "line 1:"),
         ('{"text": "The bald eagle is kind."}', "line 1:"),
+        ('{"pattern": "atomic-dn"}', "line 1: missing key 'text'"),
         (
             '{"text": "The bald eagle is kind.", "pattern": "mystery"}',
             "line 1:",

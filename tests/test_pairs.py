@@ -286,6 +286,67 @@ def test_verify_records_reports_unparseable(lexicon):
     assert problems and "unparseable pair" in problems[0][1]
 
 
+def reference_replay(records, lexicon):
+    """Both sentences of every record parsed afresh, in record order."""
+    problems = []
+    for index, record in enumerate(records):
+        try:
+            first = grammar.parse_sentence_struct(record.sentence1, lexicon)
+            second = grammar.parse_sentence_struct(record.sentence2, lexicon)
+        except grammar.GrammarError as err:
+            problems.append((index, f"unparseable pair: {err}"))
+            continue
+        if logic.structs_equivalent(first, second, lexicon) != bool(record.label):
+            problems.append(
+                (index, f"label {record.label} contradicts oracle "
+                        f"({record.sentence1!r} vs {record.sentence2!r})")
+            )
+    return problems
+
+
+IF_A = "If Alan is kind, then Bob is clever."
+A_AND_B = "Alan is kind and Bob is clever."
+NONSENSE = "Colorless green ideas sleep furiously."
+REPLAY_RECORDS = [
+    PairRecord(*fields)
+    for fields in [
+        (IF_A, "If Bob is not clever, then Alan is not kind.", 1, "contraposition"),
+        (A_AND_B, "Bob is clever and Alan is kind.", 0, "commutative"),  # flipped
+        (NONSENSE, "Alan is kind.", 0, RANDOM_SAMPLE_LAW),
+        ("Bob is not clever.", "Alan is kind.", 0, RANDOM_SAMPLE_LAW),
+        (IF_A, "Alan is not kind or Bob is clever.", 0, "implication"),  # flipped
+        (A_AND_B, "Green ideas sleep.", 0, RANDOM_SAMPLE_LAW),  # bad sentence2
+        (NONSENSE, "Bob is clever.", 1, RANDOM_SAMPLE_LAW),
+        ("Alan is kind.", "Alan is not kind.", 0, "double-negation"),
+        (IF_A, "If Alan is kind, then Bob is not clever.", 0, "contraposition"),
+        (A_AND_B, "Bob is not clever and Alan is not kind.", 0, "commutative"),
+        (NONSENSE, "Alan is not kind.", 0, RANDOM_SAMPLE_LAW),
+        ("Bob is not clever.", "Bob is clever.", 1, "double-negation"),  # flipped
+    ]
+]
+
+
+def test_verify_records_matches_a_per_record_replay(lexicon):
+    expected = reference_replay(REPLAY_RECORDS, lexicon)
+    assert [index for index, _ in expected] == [1, 2, 4, 5, 6, 10, 11]
+    assert verify_records(REPLAY_RECORDS, lexicon) == expected
+
+
+def test_verify_records_parses_each_anchor_once(lexicon, monkeypatch):
+    records = [record for record in REPLAY_RECORDS
+               if record.sentence1 != NONSENSE and record.sentence2 != "Green ideas sleep."]
+    texts = []
+
+    def counting(text, *args):
+        texts.append(text)
+        return grammar.parse_sentence_struct(text, *args)
+
+    monkeypatch.setattr(pairs, "parse_sentence_struct", counting)
+    assert verify_records(records, lexicon) == reference_replay(records, lexicon)
+    anchors = {record.sentence1 for record in records}
+    assert len(texts) == len(anchors) + len(records)
+
+
 # ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
