@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import logic
-from .files import read_jsonl, write_jsonl
+from .files import json_string, read_jsonl, write_text
 from .grammar import (
     AmrGraph,
     Clause,
@@ -75,8 +74,6 @@ PATTERN_LAW: dict[PatternKind, LawKind] = {
 
 DEFAULT_MIX: dict[PatternKind, float] = {kind: 0.25 for kind in PatternKind}
 
-AtomSign = tuple[str, str, bool]
-
 
 @dataclass(frozen=True)
 class SynthSentence:
@@ -88,11 +85,6 @@ class SynthSentence:
     def graph(self) -> AmrGraph:
         """The canonical graph, built on demand."""
         return build_graph(self.struct)
-
-
-def _clause_atom(clause: Clause, lexicon: Lexicon) -> AtomSign:
-    (subject, attribute), negated = logic.clause_literal(clause, lexicon)
-    return (subject, attribute, not negated)
 
 
 def _sentence(struct: GrammarSentence, pattern: PatternKind) -> SynthSentence:
@@ -131,10 +123,10 @@ def _decode_pair(lexicon: Lexicon, index: int) -> tuple[str, str, str, str]:
 
 
 def _degenerate(tuple4: tuple[str, str, str, str], lexicon: Lexicon) -> bool:
+    """Whether both clauses name one atom (``logic.clause_literal``'s key)."""
     sub1, adj1, sub2, adj2 = tuple4
-    atom1 = _clause_atom(Clause(sub1, adj1), lexicon)
-    atom2 = _clause_atom(Clause(sub2, adj2), lexicon)
-    return atom1[:2] == atom2[:2]
+    bases = lexicon.antonym_bases
+    return sub1 == sub2 and bases.get(adj1, adj1) == bases.get(adj2, adj2)
 
 
 def _atomic_capacity(lexicon: Lexicon) -> int:
@@ -336,19 +328,26 @@ def build_corpus(
 
 
 def corpus_to_jsonl(corpus: Sequence[SynthSentence], path) -> int:
-    """Write one {text, penman, pattern} object per line; returns the count."""
-    rows = (
-        {"text": s.text, "penman": penman_of_struct(s.struct), "pattern": s.pattern.value}
-        for s in corpus
+    """Write one {text, penman, pattern} object per line, the bytes of
+    ``json.dumps(row, ensure_ascii=False)``; returns the count."""
+    quote = json_string
+    return write_text(
+        path,
+        (
+            f'{{"text": {quote(s.text)}, "penman": {quote(penman_of_struct(s.struct))}, '
+            f'"pattern": {quote(s.pattern.value)}}}\n'
+            for s in corpus
+        ),
     )
-    return write_jsonl(path, rows)
 
 
 def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
     """Rebuild sentences from a {text, penman, pattern} JSONL file.
 
-    Structs are reconstructed by re-parsing the text, so a file
-    whose text drifted from the grammar fails loudly with a line number.
+    Structs are reconstructed by re-parsing the text, and each line's
+    ``penman`` must be the Penman of that struct, so a file whose text
+    drifted from the grammar, or whose graph drifted from its text, fails
+    loudly with a line number.
     """
     corpus: list[SynthSentence] = []
     for lineno, payload in read_jsonl(path, CorpusError):
@@ -366,6 +365,13 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
             raise CorpusError(f"line {lineno}: {err}") from err
         if sentence.text != payload["text"]:
             raise CorpusError(f"line {lineno}: text is not canonical: {payload['text']!r}")
+        if "penman" not in payload:
+            raise CorpusError(f"line {lineno}: missing key 'penman'")
+        expected = penman_of_struct(struct)
+        if payload["penman"] != expected:
+            raise CorpusError(
+                f"line {lineno}: penman {payload['penman']!r} is not the text's {expected!r}"
+            )
         corpus.append(sentence)
     return corpus
 

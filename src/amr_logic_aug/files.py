@@ -6,6 +6,9 @@ surrogate (which decodes, but could never be written back as UTF-8).
 Writers stream into a temporary file beside the target and ``os.replace``
 it into place, so a run that fails or is killed leaves the old file (or
 none), never a truncated one, and an output may name its own input.
+A fixed-key row can be formatted directly, each string through
+:func:`json_string`, and written with :func:`write_text`; its bytes are
+those :func:`write_jsonl` writes for the same row.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
 # raw line break.
 _STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"')
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
+# The string quoter that encoder uses: ``json_string(s)`` is
+# ``json.dumps(s, ensure_ascii=False)`` without the per-call encoder.
+json_string = json.encoder.encode_basestring
 
 
 def _no_lone_surrogate(line: str, path, lineno: int, error: type[Exception]) -> None:
@@ -104,4 +110,4 @@ def write_jsonl(path, rows: Iterable[Any]) -> int:
     return write_text(path, (_encode_json(row) + "\n" for row in rows))
 
 
-__all__ = ["read_lines", "read_jsonl", "read_json", "write_text", "write_jsonl"]
+__all__ = ["read_lines", "read_jsonl", "read_json", "json_string", "write_text", "write_jsonl"]

@@ -69,6 +69,14 @@ class Lexicon:
         return self.entities + self.extension_entities
 
     @cached_property
+    def antonym_bases(self) -> dict[str, str]:
+        """The literal table: each antonym word that is the larger of its pair,
+        mapped to its partner, the pair's base word.  A word in the table
+        means "not base"; a word outside it is its own base.  Built once
+        per lexicon."""
+        return {word: partner for word, partner in self.antonyms.items() if partner < word}
+
+    @cached_property
     def subject_table(self) -> tuple[dict[tuple[str, ...], str], tuple[int, ...]]:
         """Exact-lookup table for the sentence parser's subject match.
 
@@ -255,7 +263,9 @@ def with_overrides(
     """Rebuild (and fully re-validate) a lexicon with sections replaced.
 
     ``antonym_pairs`` takes undirected pairs; both directed rows are emitted.
-    Used by the CLI override flags.
+    Without them, the base's rows are kept, a row whose target is not one of
+    the base's attributes keeping its ``external`` flag.  Used by the CLI
+    override flags.
     """
     new_entities = tuple(entities) if entities is not None else base.entities
     new_attributes = tuple(attributes) if attributes is not None else base.attributes
@@ -265,7 +275,11 @@ def with_overrides(
             directed.append(f"{a}\t{b}")
             directed.append(f"{b}\t{a}")
     else:
-        directed = [f"{a}\t{b}" for a, b in base.antonyms.items()]
+        known = set(base.attributes) | set(base.extension_attributes)
+        directed = [
+            f"{a}\t{b}" if b in known else f"{a}\t{b}\texternal"
+            for a, b in base.antonyms.items()
+        ]
     lines: list[str] = []
     lines += _format_section("ENTITY", new_entities)
     lines += _format_section("RELATION", base.relations)

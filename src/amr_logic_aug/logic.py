@@ -79,10 +79,11 @@ Formula = Union[Atom, Not, And, Or, Implies]
 
 def clause_literal(clause: Clause, lexicon: Lexicon) -> tuple[tuple[str, str], bool]:
     """The clause's atom ``(subject, base attribute)`` and whether the clause
-    negates it, the attribute mapped to the base side of its antonym pair."""
-    partner = lexicon.antonym_of(clause.predicate)
-    if partner is not None and partner < clause.predicate:
-        return (clause.subject, partner), not clause.negated
+    negates it, the attribute mapped to the base side of its antonym pair
+    through ``lexicon.antonym_bases``."""
+    base = lexicon.antonym_bases.get(clause.predicate)
+    if base is not None:
+        return (clause.subject, base), not clause.negated
     return (clause.subject, clause.predicate), clause.negated
 
 

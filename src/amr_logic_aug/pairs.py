@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import logic
 from .corpus import DEFAULT_SEED, PATTERN_LAW, SynthSentence
-from .files import read_jsonl, write_jsonl
+from .files import json_string, read_jsonl, write_text
 from .grammar import GrammarError, parse_sentence_struct, realize_struct
 from .laws import LawError, LawKind, apply_law, flip_polarity_negative
 from .lexicon import Lexicon
@@ -52,7 +52,7 @@ class PairRecord:
     pair_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.label not in (0, 1):
+        if type(self.label) is not int or self.label not in (0, 1):  # a bool is an int
             raise DatasetError(f"label must be 0 or 1, got {self.label!r}")
         if self.law not in _VALID_LAWS:
             raise DatasetError(f"law must be one of {sorted(_VALID_LAWS)}, got {self.law!r}")
@@ -89,13 +89,15 @@ def build_pairs(
     """One oracle-gated positive and k negatives per corpus sentence."""
     negatives_per = parse_ratio(ratio)
     records: list[PairRecord] = []
+    # Reseeding gives the stream a fresh Random(f"{seed}:neg:{text}") would.
+    rng = random.Random()
     for sentence in corpus:
         law = PATTERN_LAW[sentence.pattern]
         outcome = apply_law(sentence.struct, law, lexicon)
         positive_text = realize_struct(outcome.positive)
         records.append(PairRecord(sentence.text, positive_text, 1, law.value))
 
-        rng = random.Random(f"{seed}:neg:{sentence.text}")
+        rng.seed(f"{seed}:neg:{sentence.text}")
         used = {sentence.text, positive_text}
         negatives: list[tuple[str, str]] = []
 
@@ -162,12 +164,17 @@ def split(
 
 
 def emit_jsonl(records: Iterable[PairRecord], path: str | Path) -> int:
-    rows = (
-        {"sentence1": r.sentence1, "sentence2": r.sentence2, "label": r.label,
-         "law": r.law, "pair_id": r.pair_id}
-        for r in records
+    """Write one {sentence1, sentence2, label, law, pair_id} object per line,
+    the bytes of ``json.dumps(row, ensure_ascii=False)``; returns the count."""
+    quote = json_string
+    return write_text(
+        path,
+        (
+            f'{{"sentence1": {quote(r.sentence1)}, "sentence2": {quote(r.sentence2)}, '
+            f'"label": {r.label}, "law": {quote(r.law)}, "pair_id": {quote(r.pair_id)}}}\n'
+            for r in records
+        ),
     )
-    return write_jsonl(path, rows)
 
 
 def load_jsonl(path: str | Path) -> list[PairRecord]:
@@ -183,9 +190,6 @@ def load_jsonl(path: str | Path) -> list[PairRecord]:
                 raise DatasetError(
                     f"line {lineno}: {key} must be a string, got {type(value).__name__}"
                 )
-        label = payload.get("label", 0)
-        if type(label) is not int:  # a JSON true or 1.0 is not a label
-            raise DatasetError(f"line {lineno}: label must be 0 or 1, got {label!r}")
         try:
             records.append(
                 PairRecord(

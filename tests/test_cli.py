@@ -578,9 +578,12 @@ OTHER_FIELDS = '"sentence2": "b", "law": "commutative"'
          "line 1: pattern must be a string, got NoneType"),
         (["pairs", "--out-train", "OUT", "--out-val", "OUT2"],
          '{"pattern": "atomic-dn"}', "line 1: missing key 'text'"),
+        (["pairs", "--out-train", "OUT", "--out-val", "OUT2"],
+         '{"text": "Alan is kind.", "penman": "(x / nonsense)", "pattern": "atomic-dn"}',
+         "line 1: penman '(x / nonsense)' is not the text's"),
     ],
     ids=["sentence1", "law", "pair_id", "label-true", "label-float", "text", "pattern",
-         "missing-text"],
+         "missing-text", "penman"],
 )
 def test_a_wrong_field_type_exits_1_with_one_located_error(tmp_path, caplog, argv, line, location):
     src = tmp_path / "in.txt"
@@ -850,3 +853,18 @@ def pinned_outputs(workdir: Path) -> dict[str, str]:
 def test_output_bytes_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert pinned_outputs(tmp_path) == PINNED_SHA256
+
+
+BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def test_default_size_build_bytes_match_the_benchmark_digests(tmp_path, monkeypatch):
+    """The benchmark's ``build`` workload at its pinned seed is default-seed
+    ``synth`` then ``pairs --ratio 1:3``; its outputs keep their pinned bytes."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["-q", "synth", "--out", "corpus.jsonl"]) == 0
+    assert main(
+        ["-q", "pairs", "--ratio", "1:3", "--out-train", "train.jsonl", "--out-val", "val.jsonl"]
+    ) == 0
+    pinned = json.loads(BENCHMARK_DIGESTS.read_text(encoding="utf-8"))["build"]
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in pinned} == pinned

@@ -12,7 +12,6 @@ from amr_logic_aug.corpus import (
     DEFAULT_TARGET,
     CorpusError,
     PatternKind,
-    _clause_atom,
     build_corpus,
     corpus_from_jsonl,
     corpus_to_jsonl,
@@ -28,11 +27,13 @@ from amr_logic_aug.grammar import (
     realize,
 )
 from amr_logic_aug.graph import serialize
+from amr_logic_aug.logic import clause_literal
 
 
 def atoms_of(record, lexicon):
     """(subject, base attribute, sign) of each clause of a corpus sentence."""
-    return tuple(_clause_atom(clause, lexicon) for clause in record.struct.clauses)
+    literals = (clause_literal(clause, lexicon) for clause in record.struct.clauses)
+    return tuple((*key, not negated) for key, negated in literals)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,15 @@ def test_jsonl_blank_lines_are_skipped(lexicon, tmp_path):
         (
             '{"text": "the bald eagle is kind.", "pattern": "atomic-dn"}',
             "not canonical",
+        ),
+        (
+            '{"text": "The bald eagle is kind.", "pattern": "atomic-dn"}',
+            "line 1: missing key 'penman'",
+        ),
+        (
+            '{"text": "The bald eagle is kind.", "penman": "(x / nonsense)", '
+            '"pattern": "atomic-dn"}',
+            r"line 1: penman '\(x / nonsense\)' is not the text's",
         ),
     ],
 )

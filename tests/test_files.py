@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import re
 import signal
@@ -12,8 +14,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amr_logic_aug.corpus import PatternKind, SynthSentence, corpus_to_jsonl
 from amr_logic_aug.files import read_json, read_jsonl, read_lines, write_jsonl, write_text
+from amr_logic_aug.grammar import Clause, GrammarSentence, Shape, penman_of_struct
+from amr_logic_aug.pairs import PairRecord, emit_jsonl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,6 +103,51 @@ def test_write_jsonl_streams_utf8_rows_and_counts_them(tmp_path):
     assert path.read_bytes() == '{"a": "Zoë"}\n[1]\n'.encode("utf-8")
     assert write_text(path, ("x", "", "y\n")) == 3
     assert path.read_bytes() == b"xy\n"
+
+
+def _dumps_lines(rows) -> bytes:
+    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode("utf-8")
+
+
+def assert_fixed_key_writers_match_json_dumps(texts: list[str], path: Path) -> None:
+    """``emit_jsonl`` and ``corpus_to_jsonl`` write what ``json.dumps`` writes
+    for the same rows, with every text as a sentence and inside a Penman."""
+    records = [
+        PairRecord(first, second, label, law)
+        for first, second in zip(texts, texts[1:] + ["other"])
+        if first != second
+        for label, law in ((0, "random-sample"), (1, "commutative"))
+    ]
+    assert emit_jsonl(records, path) == len(records)
+    assert path.read_bytes() == _dumps_lines(
+        {"sentence1": r.sentence1, "sentence2": r.sentence2, "label": r.label,
+         "law": r.law, "pair_id": r.pair_id}
+        for r in records
+    )
+    sentences = [
+        SynthSentence(text, GrammarSentence(Shape.ATOMIC, (Clause(text, text),)), pattern)
+        for text, pattern in zip(texts, itertools.cycle(PatternKind))
+    ]
+    assert corpus_to_jsonl(sentences, path) == len(sentences)
+    assert path.read_bytes() == _dumps_lines(
+        {"text": s.text, "penman": penman_of_struct(s.struct), "pattern": s.pattern.value}
+        for s in sentences
+    )
+
+
+def test_fixed_key_writers_escape_like_json_dumps(tmp_path):
+    texts = [
+        'say "hi"', "back\\slash", "nul\x00 bell\x07 tab\t nl\n cr\r us\x1f del\x7f",
+        "Zoë Ærø 漢字 😀", "line\u2028separator", "next\x85line", "para\u2029", "",
+    ]
+    assert_fixed_key_writers_match_json_dumps(texts, tmp_path / "out.jsonl")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(), min_size=1, max_size=8))
+def test_fixed_key_writers_match_json_dumps_on_any_text(tmp_path_factory, texts):
+    path = tmp_path_factory.mktemp("writers") / "out.jsonl"
+    assert_fixed_key_writers_match_json_dumps(texts, path)
 
 
 @pytest.mark.parametrize("old", [b"old bytes\n", None], ids=["replaced", "created"])

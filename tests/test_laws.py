@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from amr_logic_aug import logic
 from amr_logic_aug.graph import parse_penman
-from amr_logic_aug.grammar import build_graph, parse_sentence_struct, realize_struct
+from amr_logic_aug.grammar import (
+    Clause,
+    GrammarSentence,
+    Shape,
+    build_graph,
+    parse_sentence_struct,
+    realize_struct,
+)
 from amr_logic_aug.laws import (
     LawError,
     LawKind,
@@ -252,3 +260,62 @@ def test_flip_polarity_negative_is_nonequivalent(lexicon):
     source = logic.formula_of_struct(sentence, lexicon)
     flipped = flip_polarity_negative(sentence, lexicon, random.Random(7))
     assert not logic.equivalent(source, logic.formula_of_struct(flipped, lexicon))
+
+
+# ---------------------------------------------------------------------------
+# The law table over the whole struct space
+# ---------------------------------------------------------------------------
+
+
+def every_struct(subjects, predicates):
+    """Every struct over the clauses of ``subjects`` x ``predicates`` x both
+    polarities: atomic, conjunction, disjunction, and the leading, trailing
+    and "unless" conditionals."""
+    clauses = [
+        Clause(subject, predicate, negated)
+        for subject in subjects for predicate in predicates for negated in (False, True)
+    ]
+    structs = [GrammarSentence(Shape.ATOMIC, (clause,)) for clause in clauses]
+    for first, second in itertools.product(clauses, repeat=2):
+        structs += [
+            GrammarSentence(Shape.AND_PAIR, (first, second)),
+            GrammarSentence(Shape.OR_PAIR, (first, second)),
+            GrammarSentence(Shape.IF_THEN, (first, second)),
+            GrammarSentence(Shape.IF_THEN, (first, second), trailing_condition=True),
+            GrammarSentence(Shape.UNLESS, (first, second), trailing_condition=True),
+        ]
+    return structs
+
+
+def test_every_applicable_law_passes_its_gate_on_the_whole_struct_space(lexicon):
+    # An antonym pair and a plain attribute give every way two clauses can
+    # share, oppose or differ in an atom.
+    assert lexicon.antonym_of("strong") == "weak" and lexicon.antonym_of("round") is None
+    structs = every_struct(lexicon.entities[:2], ("strong", "weak", "round"))
+    assert len(structs) == 732
+    passed, violations = 0, []
+    for struct in structs:
+        for law in applicable_laws(struct, lexicon):
+            try:
+                apply_law(struct, law, lexicon)
+            except OracleViolation:
+                violations.append((law, struct))
+            else:
+                passed += 1
+    assert passed == 1136
+
+    def complementary(struct):
+        (atom1, negated1), (atom2, negated2) = (
+            logic.clause_literal(clause, lexicon) for clause in struct.clauses
+        )
+        return atom1 == atom2 and negated1 != negated2
+
+    # Only commutative fails, on a self-contradictory conjunction, whose
+    # swapped negation is the same contradiction.
+    contradictions = [
+        (LawKind.COMMUTATIVE, struct)
+        for struct in structs
+        if struct.shape is Shape.AND_PAIR and complementary(struct)
+    ]
+    assert len(contradictions) == 20
+    assert violations == contradictions

@@ -157,6 +157,10 @@ def test_with_overrides_rebuilds_and_revalidates():
     assert replaced.attributes == base.attributes
     swapped = with_overrides(base, antonym_pairs=[("strong", "round")])
     assert swapped.antonym_of("round") == "strong"
+    external = parse_lexicon(
+        make_source(antonyms=(("round", "flat\texternal"), ("flat", "round")))
+    )
+    assert with_overrides(external, entities=["the owl"]).antonyms == external.antonyms
     with pytest.raises(LexiconError):
         with_overrides(base, attributes=["solo"], antonym_pairs=[("solo", "gone")])
     with pytest.raises(LexiconError):

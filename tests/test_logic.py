@@ -17,7 +17,7 @@ from amr_logic_aug.grammar import (
     parse_sentence_struct,
 )
 from amr_logic_aug.laws import apply_law
-from amr_logic_aug.lexicon import with_overrides
+from amr_logic_aug.lexicon import parse_lexicon, with_overrides
 from amr_logic_aug.logic import (
     MAX_ORACLE_ATOMS,
     And,
@@ -34,6 +34,8 @@ from amr_logic_aug.logic import (
     to_formula,
 )
 from amr_logic_aug.graph import parse_penman
+
+from test_lexicon import make_source
 
 
 # --- independent re-implementation of the oracle, for cross-checking -------
@@ -117,6 +119,25 @@ def test_make_atom_normalizes_antonyms(lexicon):
     assert isinstance(strong, Atom) and strong.attribute == "strong"
     assert clause_literal(Clause("the cat", "weak"), lexicon) == (("the cat", "strong"), True)
     assert clause_literal(Clause("the cat", "weak", True), lexicon) == (("the cat", "strong"), False)
+
+
+def test_clause_literal_follows_the_antonym_rule(lexicon):
+    # "round" is paired with the external word "flat", which sorts first, so
+    # an attribute maps to a base atom outside the attributes.
+    source = make_source(
+        antonyms=(("strong", "weak"), ("weak", "strong"),
+                  ("round", "flat\texternal"), ("flat", "round")),
+    )
+    external = with_overrides(parse_lexicon(source), entities=["the owl"])
+    assert external.antonym_of("flat") == "round"
+    for lex in (lexicon, external):
+        words = set(lex.attributes) | set(lex.extension_attributes) | set(lex.antonyms)
+        for word in sorted(words):
+            partner = lex.antonyms.get(word)
+            base = word if partner is None else min(word, partner)
+            for negated in (False, True):
+                expected = (("the owl", base), negated != (base != word))
+                assert clause_literal(Clause("the owl", word, negated), lex) == expected
 
 
 def test_make_atom_without_antonym(lexicon):
