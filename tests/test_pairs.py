@@ -70,11 +70,11 @@ def test_pair_record_fills_in_pair_id():
     "kwargs, reason",
     [
         (dict(label=2), "label must be 0 or 1"),
-        (dict(label=True), "label must be 0 or 1, got True"),
-        (dict(label=1.0), "label must be 0 or 1, got 1.0"),
         (dict(law="osmosis"), "law must be one of"),
         (dict(sentence2="A is kind."), "sentence1 == sentence2"),
         (dict(pair_id="0" * 16), "pair_id mismatch"),
+        (dict(label=True), "label must be 0 or 1, got True"),
+        (dict(label=1.0), "label must be 0 or 1, got 1.0"),
     ],
 )
 def test_pair_record_validation(kwargs, reason):
