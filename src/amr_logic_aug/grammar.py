@@ -120,6 +120,7 @@ _CONTRACTION_RE = re.compile(
 _PROPER_NAME_RE = re.compile(r"[A-Z][a-z]+$")
 _COPULAS = {"is": "present", "are": "present", "was": "past", "were": "past"}
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
+_PREDICATE_RE = re.compile(r"[A-Za-z][A-Za-z-]*(?: [A-Za-z][A-Za-z-]*)*")
 
 
 def _normalize_text(text: str) -> str:
@@ -138,7 +139,7 @@ def _match_subject(words: list[str], lexicon) -> Optional[tuple[str, list[str]]]
     entity, "you" and then a capitalized proper name take one word.
     """
     entities, lengths = lexicon.subject_table
-    lowered = [word.lower() for word in words[: max(lengths, default=1)]]
+    lowered = [word.lower() for word in words[: lengths[0] if lengths else 1]]
     for length in lengths:
         if len(words) > length:
             entity = entities.get(tuple(lowered[:length]))
@@ -152,17 +153,19 @@ def _match_subject(words: list[str], lexicon) -> Optional[tuple[str, list[str]]]
 
 
 def _strip_determiners(tokens: list[str]) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i : i + 3] == ["at", "least", "some"]:
-            i += 3
-            continue
-        if tokens[i] == "some":
+    out = tokens
+    if "some" in tokens:
+        out = []
+        i = 0
+        while i < len(tokens):
+            if tokens[i : i + 3] == ["at", "least", "some"]:
+                i += 3
+                continue
+            if tokens[i] == "some":
+                i += 1
+                continue
+            out.append(tokens[i])
             i += 1
-            continue
-        out.append(tokens[i])
-        i += 1
     if out[-2:] == ["at", "all"]:
         out = out[:-2]
     return out
@@ -220,10 +223,12 @@ def _parse_predicate(rest: list[str], grammar: str) -> tuple[bool, str, str]:
             "outside grammar: core clauses take a single-word attribute, "
             f"got {' '.join(tokens)!r}"
         )
-    for token in tokens:
-        if not _TOKEN_RE.fullmatch(token):
-            raise GrammarError(f"outside grammar: unexpected token {token!r}")
-    return negated, " ".join(tokens), tense
+    predicate = " ".join(tokens)
+    if not _PREDICATE_RE.fullmatch(predicate):
+        for token in tokens:
+            if not _TOKEN_RE.fullmatch(token):
+                raise GrammarError(f"outside grammar: unexpected token {token!r}")
+    return negated, predicate, tense
 
 
 def _parse_clause(text: str, lexicon, grammar: str) -> Clause:

@@ -92,24 +92,32 @@ def _read(sentence: Union[GrammarSentence, AmrGraph]) -> GrammarSentence:
         raise LawError(f"graph outside grammar: {err}") from err
 
 
+# The answers of :func:`applicable_laws`, built once.
+_NO_LAWS = frozenset()
+_CONDITIONAL_LAWS = frozenset({_CONTRAPOSITION, _IMPLICATION})
+_OR_LAWS, _AND_LAWS = frozenset({_IMPLICATION}), frozenset({_COMMUTATIVE})
+_ATOMIC_LAWS = frozenset({_DOUBLE_NEGATION})
+
+
 def applicable_laws(
     sentence: Union[GrammarSentence, AmrGraph], lexicon: Lexicon
-) -> set[LawKind]:
-    """Laws whose preconditions the sentence meets; {} for non-grammar graphs."""
+) -> frozenset[LawKind]:
+    """Laws whose preconditions the sentence meets; empty for non-grammar graphs."""
     try:
         sentence = _read(sentence)
     except LawError:
-        return set()
-    if sentence.shape in _CONDITIONALS:
-        return {_CONTRAPOSITION, _IMPLICATION}
-    if sentence.shape is _OR_PAIR:
-        return {_IMPLICATION}
-    if sentence.shape is _AND_PAIR:
-        return {_COMMUTATIVE}
+        return _NO_LAWS
+    shape = sentence.shape
+    if shape in _CONDITIONALS:
+        return _CONDITIONAL_LAWS
+    if shape is _OR_PAIR:
+        return _OR_LAWS
+    if shape is _AND_PAIR:
+        return _AND_LAWS
     clause = sentence.clauses[0]
     if not clause.negated and lexicon.antonym_of(clause.predicate) is not None:
-        return {_DOUBLE_NEGATION}
-    return set()
+        return _ATOMIC_LAWS
+    return _NO_LAWS
 
 
 def apply_contraposition(sentence: GrammarSentence) -> RewriteOutcome:

@@ -264,8 +264,9 @@ def with_overrides(
 
     ``antonym_pairs`` takes undirected pairs; both directed rows are emitted.
     Without them, the base's rows are kept, a row whose target is not one of
-    the base's attributes keeping its ``external`` flag.  Used by the CLI
-    override flags.
+    the base's attributes keeping its ``external`` flag, except that a pair
+    one of whose words was a base attribute and is not one any more is
+    dropped, both rows together.  Used by the CLI override flags.
     """
     new_entities = tuple(entities) if entities is not None else base.entities
     new_attributes = tuple(attributes) if attributes is not None else base.attributes
@@ -276,9 +277,11 @@ def with_overrides(
             directed.append(f"{b}\t{a}")
     else:
         known = set(base.attributes) | set(base.extension_attributes)
+        left = known - set(new_attributes) - set(base.extension_attributes)
         directed = [
             f"{a}\t{b}" if b in known else f"{a}\t{b}\texternal"
             for a, b in base.antonyms.items()
+            if a not in left and b not in left
         ]
     lines: list[str] = []
     lines += _format_section("ENTITY", new_entities)

@@ -45,6 +45,8 @@ LAW_ORDER: tuple[LawKind, ...] = (
 DEFAULT_PROMPT_LAWS: frozenset[LawKind] = frozenset(
     {LawKind.CONTRAPOSITION, LawKind.IMPLICATION}
 )
+# Each law with its ``value``, read once: an enum property read is slow.
+_LAW_VALUES: tuple[tuple[LawKind, str], ...] = tuple((law, law.value) for law in LAW_ORDER)
 
 
 class PromptError(ValueError):
@@ -136,7 +138,8 @@ def split_sentences(text: str) -> list[str]:
     for match in _SENTENCE_END.finditer(text):
         end = match.end(1)
         candidate = text[start:end].strip()
-        last_word = candidate[:-1].rsplit(None, 1)[-1].lower() if candidate[:-1].split() else ""
+        words = candidate[:-1].rsplit(None, 1)
+        last_word = words[-1].lower() if words else ""
         if match.group(1) == "." and (
             last_word.rstrip(".") in _ABBREVIATIONS or len(last_word.rstrip(".")) == 1
         ):
@@ -150,35 +153,34 @@ def split_sentences(text: str) -> list[str]:
     return pieces
 
 
-def rewrite_sentence(text: str, lexicon: Lexicon, laws: Iterable[LawKind]) -> TraceRow:
+def rewrite_sentence(
+    text: str, lexicon: Lexicon, laws: Iterable[LawKind], source: str = ""
+) -> TraceRow:
     """All requested applicable rewrites of one sentence under the extended
-    grammar, oracle-gated.
+    grammar, oracle-gated, as a trace row from ``source``.
 
     A sentence that any requested law's gate refuses is skipped whole, with
     the gate's message as its skip reason.
     """
-    requested = [law for law in LAW_ORDER if law in set(laws)]
+    if not isinstance(laws, (set, frozenset)):
+        laws = set(laws)
     try:
         sentence = grammar.parse_sentence_struct(text, lexicon, grammar.EXTENDED)
     except grammar.GrammarError as err:
-        return TraceRow(source="", original=text, skipped_reason=str(err))
+        return TraceRow(source, text, skipped_reason=str(err))
     available = applicable_laws(sentence, lexicon)
     try:
         rewrites = tuple(
-            Rewrite(law.value, grammar.realize_struct(apply_law(sentence, law, lexicon).positive))
-            for law in requested
-            if law in available
+            Rewrite(value, grammar.realize_struct(apply_law(sentence, law, lexicon).positive))
+            for law, value in _LAW_VALUES
+            if law in available and law in laws
         )
     except OracleViolation as err:
         # "A and not A" has no non-equivalent commutative negative.
-        return TraceRow(source="", original=text, skipped_reason=str(err))
+        return TraceRow(source, text, skipped_reason=str(err))
     if not rewrites:
-        return TraceRow(source="", original=text, skipped_reason="no applicable law")
-    return TraceRow(source="", original=text, rewrites=rewrites)
-
-
-def _with_source(row: TraceRow, source: str) -> TraceRow:
-    return TraceRow(source, row.original, row.rewrites, row.skipped_reason)
+        return TraceRow(source, text, skipped_reason="no applicable law")
+    return TraceRow(source, text, rewrites)
 
 
 def augment_record(
@@ -188,26 +190,23 @@ def augment_record(
 ) -> tuple[McqRecord, AugmentationTrace]:
     """Append option rewrites and context rewrites to every option."""
     laws = frozenset(laws)
-    rows: list[TraceRow] = []
-
-    context_rows = [
-        _with_source(rewrite_sentence(sentence, lexicon, laws), "context")
+    rows = [
+        rewrite_sentence(sentence, lexicon, laws, "context")
         for sentence in split_sentences(record.context)
     ]
-    rows.extend(context_rows)
     # Law-major ordering: every context sentence under law 1, then law 2, …
     context_rewrites: list[str] = []
-    for law in LAW_ORDER:
+    for law, value in _LAW_VALUES:
         if law not in laws:
             continue
-        for row in context_rows:
+        for row in rows:
             context_rewrites.extend(
-                rewrite.text for rewrite in row.rewrites if rewrite.law == law.value
+                rewrite.text for rewrite in row.rewrites if rewrite.law == value
             )
 
     answers: list[str] = []
     for index, option in enumerate(record.answers):
-        row = _with_source(rewrite_sentence(option, lexicon, laws), f"option {index}")
+        row = rewrite_sentence(option, lexicon, laws, f"option {index}")
         rows.append(row)
         # Sentence-level dedup makes augmentation idempotent: re-running on
         # already-augmented options appends nothing that is already present.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -130,6 +131,17 @@ def test_synth_lexicon_overrides(tmp_path):
     texts = [row["text"] for row in read_jsonl(out)]
     assert len(texts) == 4
     assert all(text.startswith(("The cat", "The dog")) for text in texts)
+
+
+def test_synth_attributes_without_antonyms_drops_the_pairs_they_remove(tmp_path):
+    out = tmp_path / "corpus.jsonl"
+    code = main(
+        ["-q", "synth", "--attributes", "kind,clever", "--count", "5", "--out", str(out)]
+    )
+    assert code == 0
+    texts = [row["text"] for row in read_jsonl(out)]
+    assert len(texts) == 5
+    assert all("kind" in text or "clever" in text for text in texts)
 
 
 def test_synth_reads_a_lexicon_file(tmp_path):
@@ -868,3 +880,24 @@ def test_default_size_build_bytes_match_the_benchmark_digests(tmp_path, monkeypa
     ) == 0
     pinned = json.loads(BENCHMARK_DIGESTS.read_text(encoding="utf-8"))["build"]
     assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in pinned} == pinned
+
+
+# sha256 of the seed-0 ``prompt`` workload's ``--trace`` sidecar; it holds the
+# parser's error message for each of the 4,767 sentences the grammar skips.
+PROMPT_TRACE_SHA256 = "3435c14ef61d10142beaa89cc30627d31c175c411c71c3cc98e40abd9499758b"
+
+
+def test_default_size_prompt_bytes_match_the_benchmark_digests(tmp_path, monkeypatch):
+    """The benchmark's ``prompt`` workload at its pinned seed is ``prompt-aug``
+    on 1,000 generated ReClor records; its output and trace keep their bytes."""
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIGESTS.parent))
+    inputs = importlib.import_module("inputs")
+    monkeypatch.chdir(tmp_path)
+    inputs.make_reclor_file(0, tmp_path / "reclor.json")
+    assert main(
+        ["-q", "prompt-aug", "--in", "reclor.json", "--out", "augmented.json",
+         "--trace", "trace.jsonl"]
+    ) == 0
+    pinned = json.loads(BENCHMARK_DIGESTS.read_text(encoding="utf-8"))["prompt"]
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in pinned} == pinned
+    assert hashlib.sha256(Path("trace.jsonl").read_bytes()).hexdigest() == PROMPT_TRACE_SHA256

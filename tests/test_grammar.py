@@ -381,6 +381,37 @@ def test_extended_round_trip_is_stable(lexicon):
     assert realize_struct(parse_sentence_struct(once, lexicon, grammar=EXTENDED)) == once
 
 
+@pytest.mark.parametrize(
+    "text, negated, predicate",
+    [
+        ("You can use some tools daily.", False, "able to use tools daily"),
+        ("You will not be able to use at least some tools daily.", True,
+         "able to use tools daily"),
+        ("You have some keyboarding skills at all.", False, "have keyboarding skills"),
+        # Only a trailing "at all" is dropped.
+        ("You are tired at all hours.", False, "tired at all hours"),
+    ],
+)
+def test_extended_determiners_are_dropped_mid_predicate(lexicon, text, negated, predicate):
+    clause = parse_sentence_struct(text, lexicon, grammar=EXTENDED).clauses[0]
+    assert (clause.negated, clause.predicate) == (negated, predicate)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("You can use a computer, daily.", "outside grammar: unexpected token 'computer,'"),
+        ("You have some 3 skills 4.", "outside grammar: unexpected token '3'"),
+        ("You will not be at all.", "outside grammar: clause has no attribute"),
+        ("You are some at all.", "outside grammar: clause has no attribute"),
+    ],
+)
+def test_extended_grammar_error_messages(lexicon, text, message):
+    with pytest.raises(GrammarError) as info:
+        parse_sentence_struct(text, lexicon, grammar=EXTENDED)
+    assert str(info.value) == message
+
+
 def test_core_rejects_extended_phrases(lexicon):
     with pytest.raises(GrammarError, match="expected copula"):
         parse_sentence_struct("You have keyboarding skills.", lexicon, grammar=CORE)

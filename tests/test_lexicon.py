@@ -167,6 +167,22 @@ def test_with_overrides_rebuilds_and_revalidates():
         with_overrides(base, entities=["dup", "dup"])
 
 
+def test_with_overrides_drops_pairs_whose_words_leave_the_attributes():
+    base = parse_lexicon(
+        make_source(
+            attributes=("strong", "weak", "round", "big"),
+            ext_attributes=("sleepy", "small"),
+            antonyms=(("strong", "weak"), ("weak", "strong"), ("big", "small"),
+                      ("small", "big"), ("round", "flat\texternal"), ("flat", "round")),
+        )
+    )
+    # "weak" leaves: both rows of its pair go; "small" is an extension word.
+    kept = with_overrides(base, attributes=["strong", "round", "big"])
+    assert kept.antonyms == {"big": "small", "small": "big", "round": "flat", "flat": "round"}
+    # "round" leaves: its external pair goes too.
+    assert with_overrides(base, attributes=["big"]).antonyms == {"big": "small", "small": "big"}
+
+
 def test_lexicon_is_frozen():
     lexicon = parse_lexicon(make_source())
     with pytest.raises(AttributeError):

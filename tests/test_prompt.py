@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from amr_logic_aug import prompt
 from amr_logic_aug.laws import LawKind
 from amr_logic_aug.prompt import (
     DEFAULT_PROMPT_LAWS,
@@ -160,6 +161,14 @@ def test_rewrite_sentence_respects_law_filter(lexicon):
     assert [r.law for r in row.rewrites] == ["contraposition"]
 
 
+def test_rewrite_sentence_takes_laws_once_and_names_its_source(lexicon):
+    row = rewrite_sentence(
+        "If Alan is kind, then Bob is clever.", lexicon, iter(LAW_ORDER), "option 2"
+    )
+    assert row.source == "option 2"
+    assert [r.law for r in row.rewrites] == ["contraposition", "implication"]
+
+
 def test_rewrite_sentence_skips_free_text(lexicon):
     row = rewrite_sentence("Whatever happens, happens!", lexicon, DEFAULT_PROMPT_LAWS)
     assert row.rewrites == ()
@@ -238,6 +247,19 @@ def test_keyboard_trace_rows(lexicon):
     ]
     for row in trace.rows:
         assert [r.law for r in row.rewrites] == ["contraposition", "implication"]
+
+
+def test_augment_record_rewrites_each_sentence_once(lexicon, monkeypatch):
+    texts = []
+
+    def counting(text, *args):
+        texts.append(text)
+        return rewrite_sentence(text, *args)
+
+    monkeypatch.setattr(prompt, "rewrite_sentence", counting)
+    _, trace = augment_record(KEYBOARD_RECORD, lexicon)
+    assert texts == split_sentences(KEYBOARD_CONTEXT) + list(KEYBOARD_ANSWERS)
+    assert [row.original for row in trace.rows] == texts
 
 
 def test_augmentation_is_idempotent(lexicon):
