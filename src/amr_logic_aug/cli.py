@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, corpus, grammar, laws, pairs, pararule, prompt, scoring
-from .files import read_json, read_lines, write_jsonl, write_text
+from .files import json_string, read_json, read_lines, write_text
 from .graph import ParseError, parse_penman
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, with_overrides
 
@@ -155,9 +155,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_augment(args: argparse.Namespace) -> int:
     lexicon = _resolve_lexicon(args)
     render = grammar.realize_struct if args.format == "text" else grammar.penman_of_struct
+    quote = json_string
+    law = quote(args.law.value)
     skipped = 0
 
     def rows():
+        """One fixed-key JSON line per input line: ``{"input", "law",
+        "positive"[, "negatives"]}`` or ``{"input", "skipped"}``, the bytes
+        of ``json.dumps(row, ensure_ascii=False)``."""
         nonlocal skipped
         for _, line in read_lines(args.in_path, grammar.GrammarError):
             try:
@@ -171,18 +176,17 @@ def cmd_augment(args: argparse.Namespace) -> int:
             ) as err:
                 skipped += 1
                 logger.warning("skipped %r: %s", line, err)
-                yield {"input": line, "skipped": str(err)}
+                yield f'{{"input": {quote(line)}, "skipped": {quote(str(err))}}}\n'
                 continue
-            payload = {
-                "input": line,
-                "law": outcome.law.value,
-                "positive": render(outcome.positive),
-            }
+            positive = quote(render(outcome.positive))
+            row = f'{{"input": {quote(line)}, "law": {law}, "positive": {positive}'
             if args.negatives:
-                payload["negatives"] = [render(s) for s in outcome.negatives]
-            yield payload
+                negatives = ", ".join([quote(render(s)) for s in outcome.negatives])
+                yield f'{row}, "negatives": [{negatives}]}}\n'
+            else:
+                yield f"{row}}}\n"
 
-    processed = write_jsonl(args.out, rows()) - skipped
+    processed = write_text(args.out, rows()) - skipped
     write_manifest(
         args.out,
         {

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .graph import AmrGraph, Constant, NEGATIVE, POLARITY_ROLE, parse_penman
+from .graph import AmrGraph, Constant, Edge, NEGATIVE, POLARITY_ROLE, parse_penman
 
 CONDITION_ROLE = ":condition"
 DOMAIN_ROLE = ":domain"
@@ -378,14 +378,16 @@ def build_graph(sentence: GrammarSentence) -> AmrGraph:
     return parse_penman(penman_of_struct(sentence))
 
 
-def _read_clause(graph: AmrGraph, var: str, skip: frozenset[str] = frozenset()) -> Clause:
+def _read_clause(
+    graph: AmrGraph, out: dict[str, list[Edge]], var: str, skip: str = ""
+) -> Clause:
     concept = graph.concept(var)
     if concept in ("and", "or"):
         raise GrammarStructureError("nested compound clause")
     negated = False
     subject: Optional[str] = None
-    for _, role, target in graph.out_edges(var):
-        if role in skip:
+    for _, role, target in out.get(var, ()):
+        if role == skip:
             continue
         if role == POLARITY_ROLE:
             if not isinstance(target, Constant) or target.raw != NEGATIVE:
@@ -400,7 +402,7 @@ def _read_clause(graph: AmrGraph, var: str, skip: frozenset[str] = frozenset()) 
                 raise GrammarStructureError(f"multiple subjects on {var!r}")
             if isinstance(target, Constant):
                 raise GrammarStructureError("subject must be a node, not a constant")
-            if graph.out_edges(target):
+            if target in out:
                 raise GrammarStructureError("subject must be a leaf node")
             subject = target
         else:
@@ -419,44 +421,47 @@ def read_graph(graph: AmrGraph) -> GrammarSentence:
 
     Raises :class:`GrammarStructureError` for graphs outside the grammar.
     """
+    # Each node's out-edges, in stored order; a node without any has no entry.
+    out: dict[str, list[Edge]] = {}
+    for edge in graph.edges:
+        out.setdefault(edge[0], []).append(edge)
     root = graph.root
     concept = graph.concept(root)
+    edges = out.get(root, [])
     if concept in ("and", "or"):
-        out = graph.out_edges(root)
-        roles = [role for _, role, _ in out]
+        roles = [role for _, role, _ in edges]
         if roles != [":op1", ":op2"]:
             raise GrammarStructureError(
                 f"connective needs exactly :op1 and :op2 operands, got {roles}"
             )
         operands = []
-        for _, _, target in out:
+        for _, _, target in edges:
             if isinstance(target, Constant):
                 raise GrammarStructureError("operand must be a node, not a constant")
-            operands.append(_read_clause(graph, target))
+            operands.append(_read_clause(graph, out, target))
         shape = _AND_PAIR if concept == "and" else _OR_PAIR
         return GrammarSentence(shape, (operands[0], operands[1]))
-    out = graph.out_edges(root)
     condition_indexes = [
-        i for i, (_, role, _) in enumerate(out) if role == CONDITION_ROLE
+        i for i, (_, role, _) in enumerate(edges) if role == CONDITION_ROLE
     ]
     if not condition_indexes:
-        return GrammarSentence(_ATOMIC, (_read_clause(graph, root),))
+        return GrammarSentence(_ATOMIC, (_read_clause(graph, out, root),))
     if len(condition_indexes) > 1:
         raise GrammarStructureError("multiple :condition edges on one node")
     index = condition_indexes[0]
     if index == 0:
         trailing = False
-    elif index == len(out) - 1:
+    elif index == len(edges) - 1:
         trailing = True
     else:
         raise GrammarStructureError(
             ":condition edge must come before or after all clause edges"
         )
-    target = out[index][2]
+    target = edges[index][2]
     if isinstance(target, Constant):
         raise GrammarStructureError("antecedent must be a node, not a constant")
-    antecedent = _read_clause(graph, target)
-    consequent = _read_clause(graph, root, skip=frozenset({CONDITION_ROLE}))
+    antecedent = _read_clause(graph, out, target)
+    consequent = _read_clause(graph, out, root, skip=CONDITION_ROLE)
     return GrammarSentence(
         _IF_THEN, (antecedent, consequent), trailing_condition=trailing
     )

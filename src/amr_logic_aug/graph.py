@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Union
 
 POLARITY_ROLE = ":polarity"
@@ -68,9 +69,6 @@ class AmrGraph:
         except KeyError:
             raise GraphError(f"unknown variable {var!r}") from None
 
-    def out_edges(self, var: str) -> list[Edge]:
-        return [e for e in self.edges if e[0] == var]
-
     def __str__(self) -> str:
         return serialize(self)
 
@@ -79,40 +77,38 @@ class AmrGraph:
 # Parsing
 
 
-# One token per match: optional whitespace, then a delimiter, a string, a
-# role, an atom, a lone '"' (an unterminated string) or the end of input.
-# Some alternative matches wherever a match is tried, so finditer skips no
-# text, every parse ends on one end-of-input match, and trailing whitespace
-# is scanned once instead of once per position.  An atom starts with a
-# non-space; atom and role characters after the first stop only at ASCII
-# whitespace, so "b\u00a0c" is one atom.
-_TOKEN_RE = re.compile(
-    r'\s*(?:([()/])|("(?:\\[\s\S]|[^"\\])*")|(:[^ \t\r\n()/"]*)'
-    r'|([^\s()/"][^ \t\r\n()/"]*)|(")|(\Z))'
-)
-_DELIMITER, _STRING, _ROLE, _ATOM, _QUOTE, _END = range(1, 7)
+# One token per match: a delimiter, a string, a role or atom, or an
+# unterminated string, which runs to the end of the input.  Some alternative
+# matches at every character that is not whitespace, so only whitespace lies
+# between matches, and each try at a whitespace character fails at once, so
+# a run of whitespace costs linear time.  A token's first character gives its
+# kind: ':' starts a role.  An atom starts with a non-space; atom and role
+# characters after the first stop only at ASCII whitespace, so "b\u00a0c" is
+# one atom.  Offsets are not kept: an error finds its token's offset by
+# scanning the text again, once.
+_STRING = r'"(?:\\[\s\S]|[^"\\])*"'
+_STRING_RE = re.compile(_STRING)
+_TOKEN_RE = re.compile(rf'[()/]|{_STRING}|[^\s()/"][^ \t\r\n()/"]*|"[\s\S]*')
+# First characters of the tokens that are not atoms.
+_NOT_ATOM = frozenset('()/":')
 # Parser states: what the next token must be.
 _OPEN, _VARIABLE, _SLASH, _CONCEPT, _BODY, _TARGET, _DONE = range(7)
 _NUMBER_RE = re.compile(r"[+-]?\d")
 
 
 def _fail(text: str, index: int, reason: str) -> "ParseError":
-    return ParseError(reason, len(text[:index].encode("utf-8")))
+    """The error at token ``index`` of ``text``, located by scanning again."""
+    match = next(islice(_TOKEN_RE.finditer(text), index, None))
+    return ParseError(reason, len(text[: match.start()].encode("utf-8")))
 
 
-def _unexpected(text: str, match: re.Match, reason: str) -> "ParseError":
-    """The error for a token that does not fit; a malformed token says so first.
-
-    Input that ends here ends inside an open node.
-    """
-    kind = match.lastindex
-    if kind == _QUOTE:
+def _unexpected(text: str, index: int, token: str, reason: str) -> "ParseError":
+    """The error for a token that does not fit; a malformed token says so first."""
+    if token == '"':
         reason = "unterminated string"
-    elif kind == _ROLE and len(match[kind]) == 1:
+    elif token == ":":
         reason = "empty role name"
-    elif kind == _END:
-        reason = "unbalanced parentheses"
-    return _fail(text, match.start(kind), reason)
+    return _fail(text, index, reason)
 
 
 def _is_constant_atom(token: str) -> bool:
@@ -131,90 +127,89 @@ def parse_penman(text: str) -> AmrGraph:
     before they are referenced.  The parser is iterative, so arbitrarily deep
     nesting cannot exhaust the interpreter stack.
     """
+    tokens = _TOKEN_RE.findall(text)
+    # Only the last token can be an unterminated string; it becomes a lone '"'.
+    if tokens and tokens[-1][0] == '"' and not _STRING_RE.fullmatch(tokens[-1]):
+        tokens[-1] = '"'
     nodes: dict[str, str] = {}
     edges: list[Edge] = []
     root = var = role = ""
     # Each stack entry is the variable of a node whose ')' is still pending.
     stack: list[str] = []
     state = _OPEN
-    opened = declared = None  # matches of the last '(' and variable, for errors
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastindex
-        value = match[kind]
+    for index, token in enumerate(tokens):
         if state == _BODY:
-            if kind == _ROLE and len(value) > 1:
-                role = value
+            if token[0] == ":" and token != ":":
+                role = token
                 state = _TARGET
-            elif value == ")":
+            elif token == ")":
                 stack.pop()
                 if not stack:
                     state = _DONE
             else:
-                raise _unexpected(text, match, f"expected role or ')', got {value!r}")
+                raise _unexpected(text, index, token, f"expected role or ')', got {token!r}")
         elif state == _TARGET:
-            if kind == _ATOM:
-                if _is_constant_atom(value):
-                    edges.append((stack[-1], role, Constant(value)))
-                elif value in nodes:
-                    edges.append((stack[-1], role, value))
-                else:
-                    raise _fail(
-                        text, match.start(kind), f"reference to undeclared variable {value!r}"
-                    )
-                state = _BODY
-            elif value == "(":
-                opened = match
+            if token == "(":
                 state = _VARIABLE
-            elif kind == _STRING:
-                edges.append((stack[-1], role, Constant(value)))
+            elif token[0] not in _NOT_ATOM:
+                if _is_constant_atom(token):
+                    edges.append((stack[-1], role, Constant(token)))
+                elif token in nodes:
+                    edges.append((stack[-1], role, token))
+                else:
+                    raise _fail(text, index, f"reference to undeclared variable {token!r}")
                 state = _BODY
-            elif value == "/":
-                raise _fail(text, match.start(kind), "unexpected '/'")
+            elif token[0] == '"' and token != '"':
+                edges.append((stack[-1], role, Constant(token)))
+                state = _BODY
+            elif token == "/":
+                raise _fail(text, index, "unexpected '/'")
             else:
-                raise _unexpected(text, match, "expected edge target")
+                raise _unexpected(text, index, token, "expected edge target")
         elif state == _VARIABLE:
-            if kind == _ATOM and not _is_constant_atom(value):
-                var = value
-                declared = match
+            if token[0] not in _NOT_ATOM and not _is_constant_atom(token):
+                var = token
                 state = _SLASH
-            elif kind == _END:
-                raise _fail(text, opened.start(_DELIMITER), "expected variable name")
             else:
-                raise _unexpected(text, match, "expected variable name")
+                raise _unexpected(text, index, token, "expected variable name")
         elif state == _SLASH:
-            if value == "/":
+            if token == "/":
                 state = _CONCEPT
-            elif kind == _END:
-                raise _fail(text, declared.start(_ATOM), "expected '/'")
             else:
-                raise _unexpected(text, match, "expected '/'")
+                raise _unexpected(text, index, token, "expected '/'")
         elif state == _CONCEPT:
-            if kind == _ATOM or kind == _STRING:
+            if token[0] not in "()/:" and token != '"':
                 if var in nodes:
-                    raise _fail(
-                        text, declared.start(_ATOM), f"duplicate instance declaration for {var!r}"
-                    )
-                nodes[var] = value
+                    raise _fail(text, index - 2, f"duplicate instance declaration for {var!r}")
+                nodes[var] = token
                 if stack:
                     edges.append((stack[-1], role, var))
                 else:
                     root = var
                 stack.append(var)
                 state = _BODY
-            elif kind == _END:
-                raise _fail(text, declared.start(_ATOM), "expected concept")
             else:
-                raise _unexpected(text, match, "expected concept")
+                raise _unexpected(text, index, token, "expected concept")
         elif state == _OPEN:
-            if value == "(":
-                opened = match
+            if token == "(":
                 state = _VARIABLE
-            elif kind == _END:
-                raise ParseError("empty input", 0)
             else:
-                raise _unexpected(text, match, "expected '('")
-        elif kind != _END:  # _DONE
-            raise _unexpected(text, match, "trailing content after graph")
+                raise _unexpected(text, index, token, "expected '('")
+        else:  # _DONE
+            raise _unexpected(text, index, token, "trailing content after graph")
+    if state != _DONE:
+        # The input ended inside a node: at its '(' or variable if the node
+        # is not yet declared, otherwise before some ')'.
+        last = len(tokens) - 1
+        if state == _OPEN:
+            raise ParseError("empty input", 0)
+        if state == _VARIABLE:
+            raise _fail(text, last, "expected variable name")
+        if state == _SLASH:
+            raise _fail(text, last, "expected '/'")
+        if state == _CONCEPT:
+            raise _fail(text, last - 1, "expected concept")
+        raise ParseError("unbalanced parentheses", len(text.encode("utf-8")))
     return AmrGraph(root=root, nodes=nodes, edges=tuple(edges))
 
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
 from . import grammar
-from .files import read_json, read_jsonl, write_jsonl, write_text
+from .files import json_string, read_json, read_jsonl, write_jsonl, write_text
 from .laws import LawKind, OracleViolation, applicable_laws, apply_law
 from .lexicon import Lexicon
 
@@ -239,6 +239,25 @@ def _read_records(path: str | Path, file_format: str) -> Iterable:
     raise PromptError(f"unknown format {file_format!r} (use {RECLOR} or {LOGIQA})")
 
 
+def _trace_lines(traces: Iterable[AugmentationTrace]) -> Iterable[str]:
+    """One line per trace row, the bytes of ``json.dumps({"record_id": ...,
+    **dataclasses.asdict(row)}, ensure_ascii=False)``, formatted directly."""
+    quote = json_string
+    for trace in traces:
+        # Taken from the input as it is, so it may be any JSON value.
+        record_id = json.dumps(trace.record_id, ensure_ascii=False)
+        for row in trace.rows:
+            rewrites = ", ".join(
+                [f'{{"law": {quote(r.law)}, "text": {quote(r.text)}}}' for r in row.rewrites]
+            )
+            reason = "null" if row.skipped_reason is None else quote(row.skipped_reason)
+            yield (
+                f'{{"record_id": {record_id}, "source": {quote(row.source)}, '
+                f'"original": {quote(row.original)}, "rewrites": [{rewrites}], '
+                f'"skipped_reason": {reason}}}\n'
+            )
+
+
 def augment_file(
     in_path: str | Path,
     out_path: str | Path,
@@ -289,10 +308,7 @@ def augment_file(
     else:
         write_jsonl(out_path, out_payloads)
     if trace_path is not None:
-        write_jsonl(
-            trace_path,
-            ({"record_id": t.record_id, **asdict(row)} for t in traces for row in t.rows),
-        )
+        write_text(trace_path, _trace_lines(traces))
     seen = stats["sentences_seen"]
     stats["skip_rate"] = round(1 - stats["sentences_augmented"] / seen, 4) if seen else 0.0
     return stats

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -16,8 +17,9 @@ import pytest
 from test_lexicon import make_source
 
 import amr_logic_aug
-from amr_logic_aug import __version__
+from amr_logic_aug import __version__, laws
 from amr_logic_aug.cli import main
+from amr_logic_aug.graph import ParseError, parse_penman
 from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
 
 
@@ -220,6 +222,53 @@ def test_augment_penman_lines(tmp_path):
     row = read_jsonl(out)[0]
     assert row["law"] == "implication"
     assert row["positive"].startswith("(o / or")
+
+
+# A good line, a line with a fault after a two-byte character, and a good
+# line whose subject is a string holding '"' and '\\'.
+AUGMENT_ROW_LINES = [
+    "(c / clever :condition (k / kind :domain (a / Alan)) :domain (b / Bob))",
+    "(c / clever :domain (j / José) / :condition)",
+    '(c / clever :condition (k / kind :domain (a / "Al \\"A\\" \\\\")) :domain (b / Bob))',
+]
+
+
+@pytest.mark.parametrize(
+    "negatives, copies", [([], 1), (["--negatives"], 1), (["--negatives"], 2)]
+)
+def test_augment_rows_are_the_json_of_their_values(tmp_path, monkeypatch, negatives, copies):
+    # Every law yields one negative; ``copies`` repeats it to fill a longer list.
+    apply_law = laws.apply_law
+
+    def apply_law_with_copies(*args):
+        outcome = apply_law(*args)
+        return dataclasses.replace(outcome, negatives=outcome.negatives * copies)
+
+    monkeypatch.setattr(laws, "apply_law", apply_law_with_copies)
+    src = tmp_path / "in.penman"
+    src.write_text("\n".join(AUGMENT_ROW_LINES) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(
+        ["-q", "augment", "--law", "contraposition", "--format", "penman", *negatives,
+         "--in", str(src), "--out", str(out)]
+    ) == 0
+    *lines, end = out.read_text(encoding="utf-8").split("\n")
+    rows = [json.loads(line) for line in lines]
+    assert end == "" and lines == [json.dumps(row, ensure_ascii=False) for row in rows]
+    assert [row["input"] for row in rows] == AUGMENT_ROW_LINES
+    keys = ["input", "law", "positive", *(["negatives"] if negatives else [])]
+    assert [list(row) for row in rows] == [keys, ["input", "skipped"], keys]
+    assert '"' in rows[2]["positive"] and "\\" in rows[2]["positive"]
+    assert [len(row["negatives"]) for row in rows if "negatives" in row] == (
+        [copies, copies] if negatives else []
+    )
+    with pytest.raises(ParseError) as err:
+        parse_penman(AUGMENT_ROW_LINES[1])
+    assert rows[1]["skipped"] == str(err.value)
+    fault = AUGMENT_ROW_LINES[1].index(" / :") + 1
+    assert str(err.value).endswith(f" at byte {fault + 1}")  # "é" takes two bytes
+    manifest = manifest_of(out)
+    assert (manifest["processed"], manifest["skipped"]) == (2, 1)
 
 
 CONTRADICTION = "Alan is kind and Alan is not kind."

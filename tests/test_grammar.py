@@ -224,11 +224,11 @@ def test_conditional_edge_order_tracks_surface(lexicon):
     trailing = build_graph(parse_sentence_struct(
         "The tiger is beautiful if the lion is funny.", lexicon
     ))
-    assert [role for _, role, _ in leading.out_edges(leading.root)] == [
+    assert [role for source, role, _ in leading.edges if source == leading.root] == [
         ":condition",
         ":domain",
     ]
-    assert [role for _, role, _ in trailing.out_edges(trailing.root)] == [
+    assert [role for source, role, _ in trailing.edges if source == trailing.root] == [
         ":domain",
         ":condition",
     ]

@@ -143,7 +143,7 @@ def random_graph(rng: random.Random) -> AmrGraph:
 
 
 def per_source(graph: AmrGraph) -> dict[str, list]:
-    return {var: graph.out_edges(var) for var in graph.nodes}
+    return {var: [e for e in graph.edges if e[0] == var] for var in graph.nodes}
 
 
 def test_structured_fuzz_round_trip_sampled():
@@ -431,4 +431,13 @@ def test_trailing_whitespace_costs_linear_time():
     assert parse_penman("(a / b)" + " " * 20_000) == AmrGraph("a", {"a": "b"}, ())
     with pytest.raises(ParseError, match="empty input"):
         parse_penman(" " * 20_000)
+    # An error is located by scanning the text again once, not once per token.
+    edges = "(a / b" + " :c -" * 20_000
+    with pytest.raises(ParseError) as err:
+        parse_penman(edges + " /)")
+    assert str(err.value) == f"expected role or ')', got '/' at byte {len(edges) + 1}"
+    # An unterminated string is one token running to the end of the text;
+    # otherwise each later '"' would start a string scan to the end again.
+    with pytest.raises(ParseError, match="unterminated string at byte 10"):
+        parse_penman('(a / b :c "' + '\\"' * 20_000)
     assert time.perf_counter() - start < 2.0

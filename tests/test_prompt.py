@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -334,6 +335,37 @@ def test_augment_file_reclor(lexicon, tmp_path):
     assert len(rows) == 11
     assert rows[0]["record_id"] == "keyboard-1"
     assert {"source", "original", "rewrites", "skipped_reason"} <= set(rows[0])
+
+
+def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
+    # Each trace line is formatted directly; its bytes must stay those of
+    # json.dumps over the row's dataclass fields, for any input id_string.
+    payloads = [
+        {**KEYBOARD_RECORD.to_dict(), "id_string": 7},
+        {
+            "context": 'If Alan is kind, then Bob is clever. Zoë said "no\\" \u2028 twice.',
+            "question": "q",
+            "answers": ["Alan is kind and Bob is clever.", "Beta.", "Gamma.", "Delta."],
+            "id_string": {"n": [1, "é"]},
+        },
+    ]
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(json.dumps(p) + "\n" for p in payloads), encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    augment_file(src, tmp_path / "out.jsonl", lexicon, LOGIQA, LAW_ORDER, trace)
+    expected = [
+        json.dumps({"record_id": record_trace.record_id, **asdict(row)}, ensure_ascii=False)
+        + "\n"
+        for record_trace in (
+            augment_record(McqRecord.from_dict(p), lexicon, LAW_ORDER)[1] for p in payloads
+        )
+        for row in record_trace.rows
+    ]
+    lines = trace.read_text(encoding="utf-8").split("\n")
+    assert [line + "\n" for line in lines[:-1]] == expected and lines[-1] == ""
+    rows = [json.loads(line) for line in expected]
+    assert {row["skipped_reason"] is None for row in rows} == {True, False}
+    assert any('"' in row["original"] and "\\" in row["original"] for row in rows)
 
 
 def test_augment_file_logiqa_round_trip(lexicon, tmp_path):
