@@ -1,4 +1,5 @@
-"""Data-file I/O: every reader and writer of the package's UTF-8 files.
+"""Data-file I/O: every reader and writer of the package's UTF-8 files,
+and the digest of a data file (:func:`sha256_of`).
 
 Readers raise the caller's error class, naming the file and line, for a
 byte that is not UTF-8, for malformed JSON and for a JSON escape of a lone
@@ -13,6 +14,7 @@ those :func:`write_jsonl` writes for the same row.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -89,6 +91,11 @@ def read_json(path, error: type[Exception]) -> Any:
     return value
 
 
+def sha256_of(path) -> str:
+    """The sha256 hex digest of the file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def write_text(path, chunks: Iterable[str]) -> int:
     """Replace ``path`` with the chunks, in order; returns how many there were."""
     path = Path(path)
@@ -110,4 +117,7 @@ def write_jsonl(path, rows: Iterable[Any]) -> int:
     return write_text(path, (_encode_json(row) + "\n" for row in rows))
 
 
-__all__ = ["read_lines", "read_jsonl", "read_json", "json_string", "write_text", "write_jsonl"]
+__all__ = [
+    "read_lines", "read_jsonl", "read_json", "sha256_of", "json_string", "write_text",
+    "write_jsonl",
+]

@@ -348,10 +348,11 @@ def _clause_penman(clause: Clause, used: set[str]) -> tuple[str, str]:
 def penman_of_struct(sentence: GrammarSentence) -> str:
     """The canonical Penman of a grammar struct (tense dropped), in one pass.
 
-    The encoding is the module docstring's; UNLESS, which always parses
-    trailing, is written as the trailing conditional.  Variables are named
-    root first, then per clause (antecedent before consequent) predicate
-    then subject.
+    The encoding is the module docstring's; UNLESS is written as the
+    conditional, trailing when ``trailing_condition`` is set (the parser
+    always sets it for "unless"), as :func:`realize_struct` words it.
+    Variables are named root first, then per clause (antecedent before
+    consequent) predicate then subject.
     """
     used: set[str] = set()
     shape = sentence.shape
@@ -499,7 +500,7 @@ def realize_struct(sentence: GrammarSentence) -> str:
     else:
         ante = _realize_clause(sentence.clauses[0])
         cons = _realize_clause(sentence.clauses[1])
-        if sentence.trailing_condition or shape is _UNLESS:
+        if sentence.trailing_condition:
             body = f"{cons} if {ante}"
         else:
             body = f"If {ante}, then {cons}"

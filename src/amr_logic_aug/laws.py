@@ -6,9 +6,17 @@ negative (logically nonequivalent) struct.  :func:`apply_law` and
 :func:`applicable_laws` also accept an :class:`AmrGraph`, which they read
 into its struct once at entry; that is the only place the laws meet a graph.
 A "B unless A" struct rewrites exactly like the trailing conditional
-"B if A.".  :func:`apply_law` always runs the oracle gate
-(:func:`verify_outcome`); it and :func:`flip_polarity_negative` gate on the
-structs themselves through :func:`~amr_logic_aug.logic.structs_equivalent`.
+"B if A.".
+
+This module alone decides whether a law applies: :func:`applicable_laws`
+returns exactly the laws for which :func:`apply_law` returns, and
+:func:`apply_law` raises :class:`LawError`, naming the precondition, for
+every other law.  It then always runs the oracle gate
+(:func:`verify_outcome`), which no sentence that meets the preconditions
+fails (the tests sweep the whole struct space): an
+:class:`OracleViolation` is a bug in a law, never a skip.  The gate and
+:func:`flip_polarity_negative` work on the structs themselves through
+:func:`~amr_logic_aug.logic.structs_equivalent`.
 Conventions, each checked by that gate on every :func:`apply_law` call:
 
 contraposition (conditional only)
@@ -22,9 +30,11 @@ implication (disjunction → conditional)
     positive: leading "If A, then B." with the first operand negated
     (the negated operand becomes the antecedent).
     negative: the positive with its consequent negated.
-commutative (conjunction only)
+commutative (conjunction only, not a contradictory one)
     positive: operands swapped.
-    negative: the swapped conjunction with both operands negated.
+    negative: the swapped conjunction with both operands negated.  For
+    "A and not A" (one atom, opposite signs, antonyms normalized) that is
+    the same contradiction, so the law does not apply there.
 double negation (un-negated atomic with a lexicon antonym)
     positive: negate and substitute the antonym ("strong" → "not weak"),
     so realized text never stacks two "not" tokens.
@@ -113,11 +123,19 @@ def applicable_laws(
     if shape is _OR_PAIR:
         return _OR_LAWS
     if shape is _AND_PAIR:
-        return _AND_LAWS
+        return _NO_LAWS if _contradictory(sentence, lexicon) else _AND_LAWS
     clause = sentence.clauses[0]
     if not clause.negated and lexicon.antonym_of(clause.predicate) is not None:
         return _ATOMIC_LAWS
     return _NO_LAWS
+
+
+def _contradictory(conjunction: GrammarSentence, lexicon: Lexicon) -> bool:
+    """Whether the two clauses are one atom with opposite signs."""
+    (atom1, negated1), (atom2, negated2) = (
+        logic.clause_literal(clause, lexicon) for clause in conjunction.clauses
+    )
+    return atom1 == atom2 and negated1 != negated2
 
 
 def apply_contraposition(sentence: GrammarSentence) -> RewriteOutcome:
@@ -177,6 +195,8 @@ def apply_law(
     elif law is _IMPLICATION:
         outcome = apply_implication(sentence)
     elif law is _COMMUTATIVE:
+        if sentence.shape is _AND_PAIR and _contradictory(sentence, lexicon):
+            raise LawError("commutative does not apply to a contradictory conjunction")
         outcome = apply_commutative(sentence)
     else:
         outcome = apply_double_negation(sentence, lexicon)

@@ -207,9 +207,7 @@ def load_jsonl(path: str | Path) -> list[PairRecord]:
     return records
 
 
-def verify_records(
-    records: Sequence[PairRecord], lexicon: Lexicon, grammar_level: str = "core"
-) -> list[tuple[int, str]]:
+def verify_records(records: Sequence[PairRecord], lexicon: Lexicon) -> list[tuple[int, str]]:
     """Oracle replay: re-check that each label matches truth-table semantics.
 
     Records are visited grouped by ``sentence1`` (a stable sort of their
@@ -225,14 +223,14 @@ def verify_records(
     problems: list[tuple[int, str]] = []
     for anchor, group in groupby(sorted(range(len(records)), key=anchor_of), key=anchor_of):
         try:
-            first = parse_sentence_struct(anchor, lexicon, grammar_level)
+            first = parse_sentence_struct(anchor, lexicon)
         except GrammarError as err:
             problems.extend((index, f"unparseable pair: {err}") for index in group)
             continue
         for index in group:
             record = records[index]
             try:
-                second = parse_sentence_struct(record.sentence2, lexicon, grammar_level)
+                second = parse_sentence_struct(record.sentence2, lexicon)
             except GrammarError as err:
                 problems.append((index, f"unparseable pair: {err}"))
                 continue

@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 from . import grammar
 from .files import json_string, read_json, read_jsonl, write_jsonl, write_text
-from .laws import LawKind, OracleViolation, applicable_laws, apply_law
+from .laws import LawKind, applicable_laws, apply_law
 from .lexicon import Lexicon
 
 RECLOR = "reclor"
@@ -159,8 +159,9 @@ def rewrite_sentence(
     """All requested applicable rewrites of one sentence under the extended
     grammar, oracle-gated, as a trace row from ``source``.
 
-    A sentence that any requested law's gate refuses is skipped whole, with
-    the gate's message as its skip reason.
+    A sentence outside the grammar, or one that no requested law applies to
+    (see :func:`~amr_logic_aug.laws.applicable_laws`), is skipped with the
+    reason.
     """
     if not isinstance(laws, (set, frozenset)):
         laws = set(laws)
@@ -169,15 +170,11 @@ def rewrite_sentence(
     except grammar.GrammarError as err:
         return TraceRow(source, text, skipped_reason=str(err))
     available = applicable_laws(sentence, lexicon)
-    try:
-        rewrites = tuple(
-            Rewrite(value, grammar.realize_struct(apply_law(sentence, law, lexicon).positive))
-            for law, value in _LAW_VALUES
-            if law in available and law in laws
-        )
-    except OracleViolation as err:
-        # "A and not A" has no non-equivalent commutative negative.
-        return TraceRow(source, text, skipped_reason=str(err))
+    rewrites = tuple(
+        Rewrite(value, grammar.realize_struct(apply_law(sentence, law, lexicon).positive))
+        for law, value in _LAW_VALUES
+        if law in available and law in laws
+    )
     if not rewrites:
         return TraceRow(source, text, skipped_reason="no applicable law")
     return TraceRow(source, text, rewrites)

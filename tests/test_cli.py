@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 from test_lexicon import make_source
 
 import amr_logic_aug
-from amr_logic_aug import __version__, laws
+from amr_logic_aug import __version__, laws, scoring
 from amr_logic_aug.cli import main
 from amr_logic_aug.graph import ParseError, parse_penman
 from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
@@ -63,6 +64,7 @@ def test_version_flag(capsys):
         ["pararule", "--depth", "3", "--in", "a", "--out", "b"],
         ["prompt-aug", "--in", "a", "--out", "b", "--laws", "gravity"],
         ["frobnicate"],
+        ["check", "--in", "a", "--grammar", "extended"],  # pairs files are core-grammar
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -276,7 +278,7 @@ CONTRADICTION = "Alan is kind and Alan is not kind."
 
 def test_augment_skips_a_self_contradiction(tmp_path):
     # The swapped-and-negated conjunction of "A and not A" is equivalent to
-    # it, so the commutative negative fails its oracle gate on that line.
+    # it, so commutative does not apply to that line.
     src = tmp_path / "in.txt"
     src.write_text(
         f"Alan is kind and Bob is tall.\n{CONTRADICTION}\nBob is big and Alan is small.\n",
@@ -294,7 +296,7 @@ def test_augment_skips_a_self_contradiction(tmp_path):
         "Alan is small and Bob is big.",
     ]
     assert rows[1]["input"] == CONTRADICTION
-    assert "negative is accidentally equivalent" in rows[1]["skipped"]
+    assert "contradictory conjunction" in rows[1]["skipped"]
     manifest = manifest_of(out)
     assert (manifest["processed"], manifest["skipped"]) == (2, 1)
 
@@ -552,12 +554,34 @@ def test_prompt_aug_skips_a_self_contradiction(tmp_path):
     ]
     assert context_rows[1]["original"] == CONTRADICTION
     assert context_rows[1]["rewrites"] == []
-    assert "negative is accidentally equivalent" in context_rows[1]["skipped_reason"]
+    assert context_rows[1]["skipped_reason"] == "no applicable law"
     answers = json.loads(out.read_text(encoding="utf-8"))[0]["answers"]
     assert answers[3] == (
         "Alan is kind and Bob is clever. Bob is clever and Alan is kind. "
         "Bob is tall and Alan is kind."
     )
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["augment", "--law", "contraposition"], "If Alan is kind, then Bob is clever.\n"),
+        (["prompt-aug"], json.dumps(_mcq_payload())),
+    ],
+    ids=["augment", "prompt-aug"],
+)
+def test_an_oracle_violation_is_a_fault_not_a_skip(tmp_path, monkeypatch, caplog, argv, text):
+    def refuse(original, outcome, lexicon):
+        raise laws.OracleViolation("forced")
+
+    monkeypatch.setattr(laws, "verify_outcome", refuse)
+    src = tmp_path / "in.txt"
+    src.write_text(text, encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", *argv, "--in", str(src), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == ["forced"]
+    assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
 
 
 def test_prompt_aug_manifest_does_not_depend_on_the_hash_seed(tmp_path):
@@ -705,6 +729,30 @@ def test_loss_cli(tmp_path, capsys):
     assert total[1] == "1"
     assert total[2] == "cosine"
     assert float(total[3]) == pytest.approx(float(loss))
+
+
+def test_loss_cli_scores_each_triplet_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    triplet_scores = scoring.triplet_scores
+
+    def counted(triplet, kind=scoring.COSINE):
+        calls.append(triplet)
+        return triplet_scores(triplet, kind)
+
+    monkeypatch.setattr(scoring, "triplet_scores", counted)
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text(
+        "".join(
+            f"p{i}\tanchor\t1.0\t{i}.0\np{i}\tpos\t1.0\t0.5\np{i}\tneg\t0.0\t1.0\n"
+            for i in range(3)
+        ),
+        encoding="utf-8",
+    )
+    assert main(["-q", "loss", "--vectors", str(vectors)]) == 0
+    assert len(calls) == 3
+    lines = capsys.readouterr().out.splitlines()
+    losses = [float(line.split("\t")[3]) for line in lines[:3]]
+    assert lines[3].split("\t")[3] == repr(math.fsum(losses))
 
 
 def test_loss_cli_dot_kind(tmp_path, capsys):

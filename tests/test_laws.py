@@ -15,6 +15,7 @@ from amr_logic_aug.grammar import (
     Shape,
     build_graph,
     parse_sentence_struct,
+    realize,
     realize_struct,
 )
 from amr_logic_aug.laws import (
@@ -95,6 +96,12 @@ def test_reference_rewrites(lexicon, law, original, positive, negative):
         ("Alan is not kind.", set()),
         # No lexicon antonym for the attribute.
         ("The bald eagle is round.", set()),
+        # A contradictory conjunction: one atom, opposite signs.
+        ("Alan is kind and Alan is not kind.", set()),
+        ("Alan is strong and Alan is strong.", {LawKind.COMMUTATIVE}),
+        ("Alan is strong and Alan is weak.", set()),
+        ("Alan is not weak and Alan is weak.", set()),
+        ("Alan is strong and Bob is weak.", {LawKind.COMMUTATIVE}),
     ],
 )
 def test_applicable_laws(lexicon, text, expected):
@@ -137,6 +144,16 @@ def test_applicable_laws_outside_grammar(lexicon):
             "without polarity",
         ),
         (LawKind.DOUBLE_NEGATION, "The bald eagle is round.", "no antonym for 'round'"),
+        (
+            LawKind.COMMUTATIVE,
+            "Alan is kind and Alan is not kind.",
+            "contradictory conjunction",
+        ),
+        (
+            LawKind.COMMUTATIVE,
+            "Alan is strong and Alan is weak.",
+            "contradictory conjunction",
+        ),
     ],
 )
 def test_precondition_errors(lexicon, law, text, reason):
@@ -287,22 +304,36 @@ def every_struct(subjects, predicates):
     return structs
 
 
+def test_realize_struct_words_a_struct_as_its_graph_does(lexicon):
+    structs = every_struct(lexicon.entities[:2], ("strong", "weak", "round"))
+    # A leading "unless" struct is worded as a leading conditional, as its
+    # Penman encodes it.
+    structs.append(GrammarSentence(Shape.UNLESS, (Clause("Alan", "kind"), Clause("Bob", "clever"))))
+    for struct in structs:
+        assert realize_struct(struct) == realize(build_graph(struct)), struct
+    assert realize_struct(structs[-1]) == "If Alan is kind, then Bob is clever."
+
+
 def test_every_applicable_law_passes_its_gate_on_the_whole_struct_space(lexicon):
     # An antonym pair and a plain attribute give every way two clauses can
     # share, oppose or differ in an atom.
     assert lexicon.antonym_of("strong") == "weak" and lexicon.antonym_of("round") is None
     structs = every_struct(lexicon.entities[:2], ("strong", "weak", "round"))
     assert len(structs) == 732
-    passed, violations = 0, []
+    passed, refused = [], []
     for struct in structs:
-        for law in applicable_laws(struct, lexicon):
+        for law in LawKind:
             try:
-                apply_law(struct, law, lexicon)
-            except OracleViolation:
-                violations.append((law, struct))
+                apply_law(struct, law, lexicon)  # an OracleViolation fails the test
+            except LawError:
+                refused.append((law, struct))
             else:
-                passed += 1
-    assert passed == 1136
+                passed.append((law, struct))
+    assert (len(passed), len(refused)) == (1136, 1792)
+    assert passed == [
+        (law, struct) for struct in structs for law in LawKind
+        if law in applicable_laws(struct, lexicon)
+    ]
 
     def complementary(struct):
         (atom1, negated1), (atom2, negated2) = (
@@ -310,12 +341,12 @@ def test_every_applicable_law_passes_its_gate_on_the_whole_struct_space(lexicon)
         )
         return atom1 == atom2 and negated1 != negated2
 
-    # Only commutative fails, on a self-contradictory conjunction, whose
-    # swapped negation is the same contradiction.
-    contradictions = [
-        (LawKind.COMMUTATIVE, struct)
-        for struct in structs
-        if struct.shape is Shape.AND_PAIR and complementary(struct)
-    ]
+    # Commutative is left out exactly on a self-contradictory conjunction,
+    # whose swapped negation is the same contradiction.
+    conjunctions = [struct for struct in structs if struct.shape is Shape.AND_PAIR]
+    contradictions = [struct for struct in conjunctions if complementary(struct)]
     assert len(contradictions) == 20
-    assert violations == contradictions
+    assert [
+        struct for struct in conjunctions
+        if LawKind.COMMUTATIVE not in applicable_laws(struct, lexicon)
+    ] == contradictions

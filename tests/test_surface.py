@@ -19,6 +19,7 @@ import amr_logic_aug
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(amr_logic_aug.__path__))
+READERS_AND_WRITERS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
 
 
 def load_tracer():
@@ -59,7 +60,7 @@ def test_only_the_files_module_opens_data_files():
             if isinstance(node, ast.Call) and (
                 isinstance(node.func, ast.Name) and node.func.id == "open"
                 or isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("open", "read_text", "write_text")
+                and node.func.attr in READERS_AND_WRITERS
             ):
                 offenders.append(f"{name}.py:{node.lineno}")
     assert offenders == []
