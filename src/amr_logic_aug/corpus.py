@@ -29,9 +29,8 @@ capped at family capacity with deterministic redistribution).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .files import json_string, read_jsonl, write_text
 from .grammar import (
@@ -75,8 +74,7 @@ PATTERN_LAW: dict[PatternKind, LawKind] = {
 DEFAULT_MIX: dict[PatternKind, float] = {kind: 0.25 for kind in PatternKind}
 
 
-@dataclass(frozen=True)
-class SynthSentence:
+class SynthSentence(NamedTuple):
     text: str
     struct: GrammarSentence
     pattern: PatternKind

@@ -29,9 +29,8 @@ dropped) so that paraphrases of the same predicate map to the same atom.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import AmrGraph, Constant, Edge, NEGATIVE, POLARITY_ROLE, parse_penman
 
@@ -65,8 +64,7 @@ _ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
 _IF_THEN, _UNLESS = Shape.IF_THEN, Shape.UNLESS
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """One predication: subject, predicate phrase, negation flag, tense."""
 
     subject: str
@@ -78,26 +76,33 @@ class Clause:
         return Clause(self.subject, self.predicate, not self.negated, self.tense)
 
 
-@dataclass(frozen=True)
-class GrammarSentence:
+class _SentenceFields(NamedTuple):
+    shape: Shape
+    clauses: tuple[Clause, ...]
+    trailing_condition: bool = False
+
+
+class GrammarSentence(_SentenceFields):
     """A parsed sentence.
 
     ``clauses`` order: operands for AND_PAIR/OR_PAIR, and always
     (antecedent, consequent) for IF_THEN/UNLESS regardless of surface form;
     ``trailing_condition`` records the "B if A." surface for conditionals.
+    The clause count is checked on construction (``_make`` and ``_replace``
+    skip the check).
     """
 
-    shape: Shape
-    clauses: tuple[Clause, ...]
-    trailing_condition: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        expected = 1 if self.shape is _ATOMIC else 2
-        if len(self.clauses) != expected:
+    def __new__(
+        cls, shape: Shape, clauses: tuple[Clause, ...], trailing_condition: bool = False
+    ) -> "GrammarSentence":
+        expected = 1 if shape is _ATOMIC else 2
+        if len(clauses) != expected:
             raise GrammarError(
-                f"{self.shape.value} sentence needs {expected} clause(s), "
-                f"got {len(self.clauses)}"
+                f"{shape.value} sentence needs {expected} clause(s), got {len(clauses)}"
             )
+        return tuple.__new__(cls, (shape, clauses, trailing_condition))
 
 
 # ---------------------------------------------------------------------------

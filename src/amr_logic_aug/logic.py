@@ -14,11 +14,13 @@ idea, without the sharing).
 
 :func:`structs_equivalent` is the production oracle: it compiles each struct
 (at most two clauses, one connective) in one pass, a literal mask per clause
-combined by shape.  The :data:`Formula` tree, :func:`formula_of_struct` and
+combined by shape.  A pair of structs names at most 4 atoms, so its tables
+have 16 rows: small ints, negated with ``^ 0xFFFF`` and compared with
+``==``.  The :data:`Formula` tree, :func:`formula_of_struct` and
 :func:`equivalent` are the reference surface that defines these semantics;
 the acceptance tests and the compile's differential test are written
-against it.  Its budget of :data:`MAX_ORACLE_ATOMS` atoms is enforced with
-an error rather than silently degrading.
+against it.  It keeps the budget of :data:`MAX_ORACLE_ATOMS` atoms (256-row
+tables), enforced with an error rather than silently degrading.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ _ATOM_MASKS: tuple[int, ...] = tuple(
     sum(1 << row for row in range(1 << MAX_ORACLE_ATOMS) if row >> i & 1)
     for i in range(MAX_ORACLE_ATOMS)
 )
+# A pair of structs names at most 4 atoms (two clauses each), so its tables
+# need only the 16 rows over atoms 0-3: small ints, negated with ``^ 0xFFFF``.
+_PAIR_MASKS: tuple[int, ...] = tuple(mask & 0xFFFF for mask in _ATOM_MASKS[:4])
 # Reading an enum member through its class costs more than the bit algebra.
 _AND_PAIR, _OR_PAIR = Shape.AND_PAIR, Shape.OR_PAIR
 
@@ -168,13 +173,13 @@ def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:
 
 
 def _struct_table(sentence: GrammarSentence, lexicon: Lexicon, index: dict) -> int:
-    """The struct's table, compiled like ``formula_of_struct`` without the tree;
-    ``index`` numbers the atoms seen so far."""
+    """The struct's 16-row table, compiled like ``formula_of_struct`` without
+    the tree; ``index`` numbers the atoms seen so far (at most 4 in a pair)."""
     tables = []
     for clause in sentence.clauses:
         key, negated = clause_literal(clause, lexicon)
-        mask = _ATOM_MASKS[index.setdefault(key, len(index))]
-        tables.append(~mask if negated else mask)
+        mask = _PAIR_MASKS[index.setdefault(key, len(index))]
+        tables.append(mask ^ 0xFFFF if negated else mask)
     if len(tables) == 1:
         return tables[0]
     first, second = tables
@@ -183,16 +188,14 @@ def _struct_table(sentence: GrammarSentence, lexicon: Lexicon, index: dict) -> i
         return first & second
     if shape is _OR_PAIR:
         return first | second
-    return ~first | second
+    return (first ^ 0xFFFF) | second
 
 
 def structs_equivalent(first: GrammarSentence, second: GrammarSentence, lexicon: Lexicon) -> bool:
     """``equivalent(formula_of_struct(first), formula_of_struct(second))``
-    without the trees.  A pair has at most 4 atoms, inside the budget."""
+    without the trees, on 16-row tables."""
     index: dict[tuple[str, str], int] = {}
-    table = _struct_table(first, lexicon, index) ^ _struct_table(second, lexicon, index)
-    full = (1 << (1 << len(index))) - 1
-    return table & full == 0
+    return _struct_table(first, lexicon, index) == _struct_table(second, lexicon, index)
 
 
 __all__ = [

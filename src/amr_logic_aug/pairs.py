@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from itertools import cycle, groupby
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import logic
 from .corpus import DEFAULT_SEED, PATTERN_LAW, SynthSentence
@@ -43,28 +42,35 @@ def make_pair_id(sentence1: str, sentence2: str, label: int, law: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class _PairFields(NamedTuple):
     sentence1: str
     sentence2: str
     label: int
     law: str
     pair_id: str = ""
 
-    def __post_init__(self) -> None:
-        if type(self.label) is not int or self.label not in (0, 1):  # a bool is an int
-            raise DatasetError(f"label must be 0 or 1, got {self.label!r}")
-        if self.law not in _VALID_LAWS:
-            raise DatasetError(f"law must be one of {sorted(_VALID_LAWS)}, got {self.law!r}")
-        if self.sentence1 == self.sentence2:
+
+class PairRecord(_PairFields):
+    """One labelled pair, validated on construction (``_make`` and
+    ``_replace`` skip the checks); an empty ``pair_id`` is filled in."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, sentence1: str, sentence2: str, label: int, law: str, pair_id: str = ""
+    ) -> "PairRecord":
+        if type(label) is not int or label not in (0, 1):  # a bool is an int
+            raise DatasetError(f"label must be 0 or 1, got {label!r}")
+        if law not in _VALID_LAWS:
+            raise DatasetError(f"law must be one of {sorted(_VALID_LAWS)}, got {law!r}")
+        if sentence1 == sentence2:
             raise DatasetError("sentence1 == sentence2")
-        expected = make_pair_id(self.sentence1, self.sentence2, self.label, self.law)
-        if not self.pair_id:
-            object.__setattr__(self, "pair_id", expected)
-        elif self.pair_id != expected:
-            raise DatasetError(
-                f"pair_id mismatch: got {self.pair_id!r}, expected {expected!r}"
-            )
+        expected = make_pair_id(sentence1, sentence2, label, law)
+        if not pair_id:
+            pair_id = expected
+        elif pair_id != expected:
+            raise DatasetError(f"pair_id mismatch: got {pair_id!r}, expected {expected!r}")
+        return tuple.__new__(cls, (sentence1, sentence2, label, law, pair_id))
 
 
 def parse_ratio(ratio: str) -> int:
@@ -257,8 +263,10 @@ def build_manifest(
     """The ``pairs`` sidecar payload for ``records`` (see ``cli.write_manifest``);
     ``val_fraction`` is ``None`` for a set that was not split."""
     by_law: dict[str, int] = {}
+    positives = 0
     for record in records:
         by_law[record.law] = by_law.get(record.law, 0) + 1
+        positives += record.label
     return {
         "command": "pairs",
         "seed": seed,
@@ -266,8 +274,8 @@ def build_manifest(
         "val_fraction": val_fraction,
         "lexicon_checksum": lexicon.checksum,
         "records_total": len(records),
-        "positives": sum(1 for r in records if r.label == 1),
-        "negatives": sum(1 for r in records if r.label == 0),
+        "positives": positives,
+        "negatives": len(records) - positives,
         "by_law": dict(sorted(by_law.items())),
         "corpus_size": corpus_size,
     }

@@ -64,8 +64,9 @@ class McqRecord:
     def __post_init__(self) -> None:
         if len(self.answers) != 4:
             raise PromptError(f"record needs exactly 4 answers, got {len(self.answers)}")
-        if self.label is not None and self.label not in range(4):
-            raise PromptError(f"label must be 0-3, got {self.label!r}")
+        label = self.label  # checked by type, because a bool is an int
+        if label is not None and (type(label) is not int or label not in range(4)):
+            raise PromptError(f"label must be 0-3, got {label!r}")
 
     @staticmethod
     def from_dict(payload: dict) -> "McqRecord":

@@ -998,3 +998,21 @@ def test_default_size_prompt_bytes_match_the_benchmark_digests(tmp_path, monkeyp
     pinned = json.loads(BENCHMARK_DIGESTS.read_text(encoding="utf-8"))["prompt"]
     assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in pinned} == pinned
     assert hashlib.sha256(Path("trace.jsonl").read_bytes()).hexdigest() == PROMPT_TRACE_SHA256
+
+
+def test_default_size_penman_bytes_match_the_benchmark_digests(tmp_path, monkeypatch):
+    """The benchmark's ``penman`` workload at its pinned seed is ``augment
+    --format penman --negatives`` on each default-corpus family with that
+    family's law; its outputs keep their pinned bytes."""
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIGESTS.parent))
+    inputs = importlib.import_module("inputs")
+    monkeypatch.chdir(tmp_path)
+    paths = inputs.make_penman_files(0, tmp_path)
+    for family, law in inputs.PENMAN_FAMILY_LAW.items():
+        assert main(
+            ["-q", "augment", "--format", "penman", "--negatives", "--law", law,
+             "--in", str(paths[family]), "--out", f"{family}.jsonl"]
+        ) == 0
+    pinned = json.loads(BENCHMARK_DIGESTS.read_text(encoding="utf-8"))["penman"]
+    assert set(pinned) == {f"{family}.jsonl" for family in inputs.PENMAN_FAMILY_LAW}
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in pinned} == pinned

@@ -326,10 +326,15 @@ def test_structs_equivalent_matches_reference_on_random_pairs(lexicon):
     subjects = lexicon.entities[:2]
     rng = random.Random(2021)
     verdicts = Counter()
+    # Pairs that name 4 distinct atoms fill all 16 rows of the oracle's tables.
+    four_atom_pairs = 0
     for _ in range(50_000):
         first = random_struct(rng, subjects, attributes)
         second = random_struct(rng, subjects, attributes)
         verdict = structs_equivalent(first, second, small)
         assert verdict == reference_equivalent(first, second, small), (first, second)
         verdicts[verdict] += 1
+        keys = {clause_literal(c, small)[0] for c in first.clauses + second.clauses}
+        four_atom_pairs += len(keys) == 4
     assert verdicts[True] > 500 and verdicts[False] > 40_000
+    assert four_atom_pairs > 5_000  # 7,973 at this seed

@@ -83,6 +83,9 @@ def test_record_from_dict_rejects_a_non_object(payload):
         ("context", 5, "context and question must be strings"),
         ("question", None, "context and question must be strings"),
         ("answers", [1, "b", "c", "d"], "answers must be a list of strings"),
+        # ``True in range(4)`` and ``1.0 in range(4)`` hold; neither is a label.
+        ("label", True, "label must be 0-3, got True"),
+        ("label", 1.0, "label must be 0-3, got 1.0"),
     ],
 )
 def test_record_from_dict_rejects_a_non_string_field(field, value, reason):
@@ -335,6 +338,18 @@ def test_augment_file_reclor(lexicon, tmp_path):
     assert len(rows) == 11
     assert rows[0]["record_id"] == "keyboard-1"
     assert {"source", "original", "rewrites", "skipped_reason"} <= set(rows[0])
+
+
+def test_augment_file_skips_a_record_whose_label_is_not_an_int(lexicon, tmp_path):
+    src, dst = tmp_path / "val.json", tmp_path / "val_aug.json"
+    payloads = [dict(KEYBOARD_RECORD.to_dict(), label=label) for label in (True, 1.0, 1)]
+    src.write_text(json.dumps(payloads), encoding="utf-8")
+    stats = augment_file(src, dst, file_format=RECLOR, lexicon=lexicon)
+    assert stats["records_processed"] == 1
+    assert stats["records_skipped"] == 2
+    out = json.loads(dst.read_text(encoding="utf-8"))
+    assert out[:2] == payloads[:2]  # written back unchanged
+    assert out[2]["answers"] != payloads[2]["answers"]
 
 
 def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):

@@ -16,6 +16,9 @@ from pathlib import Path
 import pytest
 
 import amr_logic_aug
+from amr_logic_aug.corpus import PatternKind, SynthSentence
+from amr_logic_aug.grammar import Clause, GrammarSentence, Shape
+from amr_logic_aug.pairs import PairRecord
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(amr_logic_aug.__path__))
@@ -64,3 +67,44 @@ def test_only_the_files_module_opens_data_files():
             ):
                 offenders.append(f"{name}.py:{node.lineno}")
     assert offenders == []
+
+
+
+def _clause():
+    return Clause("the cat", "strong", negated=True)
+
+
+def _struct():
+    return GrammarSentence(Shape.IF_THEN, (_clause(), Clause("you", "kind")), True)
+
+
+# Each engine value type: a factory for a fresh instance, and its fields in order.
+VALUE_TYPES = {
+    "Clause": (_clause, ("subject", "predicate", "negated", "tense")),
+    "GrammarSentence": (_struct, ("shape", "clauses", "trailing_condition")),
+    "SynthSentence": (
+        lambda: SynthSentence(
+            "You are kind if the cat is not strong.", _struct(), PatternKind.IMPLICATION_PAIR
+        ),
+        ("text", "struct", "pattern"),
+    ),
+    "PairRecord": (
+        lambda: PairRecord("The cat is strong.", "The cat is not weak.", 1, "double-negation"),
+        ("sentence1", "sentence2", "label", "law", "pair_id"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_immutable_and_compare_by_value(name):
+    """Validation messages are pinned where each type is tested:
+    ``test_grammar.py::test_sentence_struct_arity_is_checked`` and
+    ``test_pairs.py::test_pair_record_validation``."""
+    make, fields = VALUE_TYPES[name]
+    value, twin = make(), make()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(twin, field))
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    shown = ", ".join(f"{field}={getattr(value, field)!r}" for field in fields)
+    assert repr(value) == f"{name}({shown})"
