@@ -349,6 +349,10 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
     """
     corpus: list[SynthSentence] = []
     for lineno, payload in read_jsonl(path, CorpusError):
+        if not isinstance(payload, dict):
+            raise CorpusError(
+                f"line {lineno}: not a JSON object, got {type(payload).__name__}"
+            )
         try:
             for key in ("text", "pattern"):
                 if not isinstance(payload[key], str):

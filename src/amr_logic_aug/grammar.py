@@ -7,7 +7,11 @@ The grammar covers single sentences built from one or two clauses::
     disjunction   Alan is not kind or Bob is clever.
     conditional   If Alan is kind, then Bob is clever.   (leading form)
                   Alan is not kind if Bob is not clever. (trailing form)
-                  The eagle is big, unless the mouse is small.  (parse only)
+
+"B unless A" (with or without the comma) parses as the trailing conditional
+"B if A.", and "was"/"were" parse like "is"/"are": a struct holds exactly
+what its graph holds, so ``read_graph(build_graph(s)) == s`` for every parse
+whose words hold no hyphen (see :func:`penman_of_struct`).
 
 The graph encoding is defined by one writer, :func:`penman_of_struct`, and
 :func:`build_graph` is its Penman parsed.  A clause is a predicate node
@@ -56,24 +60,22 @@ class Shape(str, Enum):
     AND_PAIR = "and-pair"
     OR_PAIR = "or-pair"
     IF_THEN = "if-then"
-    UNLESS = "unless"
 
 
 # Module-level aliases: reading an enum member through its class is slow.
 _ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
-_IF_THEN, _UNLESS = Shape.IF_THEN, Shape.UNLESS
+_IF_THEN = Shape.IF_THEN
 
 
 class Clause(NamedTuple):
-    """One predication: subject, predicate phrase, negation flag, tense."""
+    """One predication: subject, predicate phrase, negation flag."""
 
     subject: str
     predicate: str
     negated: bool = False
-    tense: str = "present"
 
     def negate(self) -> "Clause":
-        return Clause(self.subject, self.predicate, not self.negated, self.tense)
+        return Clause(self.subject, self.predicate, not self.negated)
 
 
 class _SentenceFields(NamedTuple):
@@ -86,7 +88,7 @@ class GrammarSentence(_SentenceFields):
     """A parsed sentence.
 
     ``clauses`` order: operands for AND_PAIR/OR_PAIR, and always
-    (antecedent, consequent) for IF_THEN/UNLESS regardless of surface form;
+    (antecedent, consequent) for IF_THEN regardless of surface form;
     ``trailing_condition`` records the "B if A." surface for conditionals.
     The clause count is checked on construction (``_make`` and ``_replace``
     skip the check).
@@ -123,7 +125,7 @@ _CONTRACTION_RE = re.compile(
     r"\b(" + "|".join(re.escape(c) for c in _CONTRACTIONS) + r")\b", re.IGNORECASE
 )
 _PROPER_NAME_RE = re.compile(r"[A-Z][a-z]+$")
-_COPULAS = {"is": "present", "are": "present", "was": "past", "were": "past"}
+_COPULAS = frozenset({"is", "are", "was", "were"})
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
 _PREDICATE_RE = re.compile(r"[A-Za-z][A-Za-z-]*(?: [A-Za-z][A-Za-z-]*)*")
 
@@ -176,14 +178,12 @@ def _strip_determiners(tokens: list[str]) -> list[str]:
     return out
 
 
-def _parse_predicate(rest: list[str], grammar: str) -> tuple[bool, str, str]:
-    """Parse the post-subject verb phrase → (negated, predicate, tense)."""
+def _parse_predicate(rest: list[str], grammar: str) -> tuple[bool, str]:
+    """Parse the post-subject verb phrase → (negated, predicate)."""
     if not rest:
         raise GrammarError("outside grammar: clause has no verb phrase")
     negated = False
-    tense = "present"
     if rest[0] in _COPULAS:
-        tense = _COPULAS[rest[0]]
         rest = rest[1:]
         if rest and rest[0] == "not":
             negated = True
@@ -233,7 +233,7 @@ def _parse_predicate(rest: list[str], grammar: str) -> tuple[bool, str, str]:
         for token in tokens:
             if not _TOKEN_RE.fullmatch(token):
                 raise GrammarError(f"outside grammar: unexpected token {token!r}")
-    return negated, predicate, tense
+    return negated, predicate
 
 
 def _parse_clause(text: str, lexicon, grammar: str) -> Clause:
@@ -242,8 +242,8 @@ def _parse_clause(text: str, lexicon, grammar: str) -> Clause:
     if matched is None:
         raise GrammarError(f"outside grammar: no recognizable subject in {text!r}")
     subject, rest = matched
-    negated, predicate, tense = _parse_predicate(rest, grammar)
-    return Clause(subject=subject, predicate=predicate, negated=negated, tense=tense)
+    negated, predicate = _parse_predicate(rest, grammar)
+    return Clause(subject, predicate, negated)
 
 
 def parse_sentence_struct(
@@ -285,19 +285,13 @@ def parse_sentence_struct(
                     _IF_THEN, (clause(ante), clause(cons))
                 )
         raise GrammarError("outside grammar: conditional missing a comma")
-    for sep, shape in ((", unless ", _UNLESS), (" unless ", _UNLESS)):
+    for sep in (", unless ", " unless ", " if "):
         if sep in lower:
             idx = lower.index(sep)
             cons, ante = s[:idx], s[idx + len(sep) :]
             return GrammarSentence(
-                shape, (clause(ante), clause(cons)), trailing_condition=True
+                _IF_THEN, (clause(ante), clause(cons)), trailing_condition=True
             )
-    if " if " in lower:
-        idx = lower.index(" if ")
-        cons, ante = s[:idx], s[idx + 4 :]
-        return GrammarSentence(
-            _IF_THEN, (clause(ante), clause(cons)), trailing_condition=True
-        )
     if " and " in lower:
         idx = lower.index(" and ")
         return GrammarSentence(
@@ -351,13 +345,12 @@ def _clause_penman(clause: Clause, used: set[str]) -> tuple[str, str]:
 
 
 def penman_of_struct(sentence: GrammarSentence) -> str:
-    """The canonical Penman of a grammar struct (tense dropped), in one pass.
+    """The canonical Penman of a grammar struct, in one pass.
 
-    The encoding is the module docstring's; UNLESS is written as the
-    conditional, trailing when ``trailing_condition`` is set (the parser
-    always sets it for "unless"), as :func:`realize_struct` words it.
-    Variables are named root first, then per clause (antecedent before
-    consequent) predicate then subject.
+    The encoding is the module docstring's.  Variables are named root first,
+    then per clause (antecedent before consequent) predicate then subject.
+    A space in a subject or predicate is written as a hyphen, so a hyphen
+    inside a word reads back as a space: "well-off" reads back as "well off".
     """
     used: set[str] = set()
     shape = sentence.shape
@@ -370,7 +363,6 @@ def penman_of_struct(sentence: GrammarSentence) -> str:
         head1, edges1 = _clause_penman(sentence.clauses[0], used)
         head2, edges2 = _clause_penman(sentence.clauses[1], used)
         return f"({root} / {concept} :op1 {head1}{edges1}) :op2 {head2}{edges2}))"
-    # IF_THEN and UNLESS share the conditional encoding.
     ante_head, ante_edges = _clause_penman(sentence.clauses[0], used)
     head, edges = _clause_penman(sentence.clauses[1], used)
     condition = f" {CONDITION_ROLE} {ante_head}{ante_edges})"

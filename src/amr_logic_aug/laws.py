@@ -5,8 +5,6 @@ produces a positive (logically equivalent) struct plus one law-specific
 negative (logically nonequivalent) struct.  :func:`apply_law` and
 :func:`applicable_laws` also accept an :class:`AmrGraph`, which they read
 into its struct once at entry; that is the only place the laws meet a graph.
-A "B unless A" struct rewrites exactly like the trailing conditional
-"B if A.".
 
 This module alone decides whether a law applies: :func:`applicable_laws`
 returns exactly the laws for which :func:`apply_law` returns, and
@@ -63,7 +61,6 @@ from .lexicon import Lexicon
 # Module-level aliases: reading an enum member through its class is slow.
 _ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
 _IF_THEN = Shape.IF_THEN
-_CONDITIONALS = (_IF_THEN, Shape.UNLESS)
 
 
 class LawError(ValueError):
@@ -118,7 +115,7 @@ def applicable_laws(
     except LawError:
         return _NO_LAWS
     shape = sentence.shape
-    if shape in _CONDITIONALS:
+    if shape is _IF_THEN:
         return _CONDITIONAL_LAWS
     if shape is _OR_PAIR:
         return _OR_LAWS
@@ -139,7 +136,7 @@ def _contradictory(conjunction: GrammarSentence, lexicon: Lexicon) -> bool:
 
 
 def apply_contraposition(sentence: GrammarSentence) -> RewriteOutcome:
-    if sentence.shape not in _CONDITIONALS:
+    if sentence.shape is not _IF_THEN:
         raise LawError("contraposition requires a conditional root")
     ante, cons = sentence.clauses
     not_ante = ante.negate()
@@ -149,7 +146,7 @@ def apply_contraposition(sentence: GrammarSentence) -> RewriteOutcome:
 
 
 def apply_implication(sentence: GrammarSentence) -> RewriteOutcome:
-    if sentence.shape in _CONDITIONALS:
+    if sentence.shape is _IF_THEN:
         ante, cons = sentence.clauses
         positive = GrammarSentence(_OR_PAIR, (ante.negate(), cons))
         negative = GrammarSentence(_OR_PAIR, (ante, cons))

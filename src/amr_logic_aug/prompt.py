@@ -16,8 +16,9 @@ and recorded in the trace with a skip reason.
 
 :func:`augment_file` takes the lexicon from its caller.  A file that does
 not parse raises :class:`PromptError` naming where; a record that is not an
-object with string ``context``, ``question`` and ``answers`` is written out
-unchanged and counted in ``records_skipped``.
+object with string ``context``, ``question`` and ``answers`` (and, when
+present, a string ``id_string``) is written out unchanged and counted in
+``records_skipped``.
 """
 
 from __future__ import annotations
@@ -84,12 +85,15 @@ class McqRecord:
             raise PromptError("answers must be a list of strings")
         if not isinstance(context, str) or not isinstance(question, str):
             raise PromptError("context and question must be strings")
+        id_string = payload.get("id_string", "")
+        if not isinstance(id_string, str):
+            raise PromptError(f"id_string must be a string, got {type(id_string).__name__}")
         return McqRecord(
             context=context,
             question=question,
             answers=tuple(answers),
             label=payload.get("label"),
-            id_string=payload.get("id_string", ""),
+            id_string=id_string,
         )
 
     def to_dict(self) -> dict:
@@ -242,8 +246,7 @@ def _trace_lines(traces: Iterable[AugmentationTrace]) -> Iterable[str]:
     **dataclasses.asdict(row)}, ensure_ascii=False)``, formatted directly."""
     quote = json_string
     for trace in traces:
-        # Taken from the input as it is, so it may be any JSON value.
-        record_id = json.dumps(trace.record_id, ensure_ascii=False)
+        record_id = quote(trace.record_id)
         for row in trace.rows:
             rewrites = ", ".join(
                 [f'{{"law": {quote(r.law)}, "text": {quote(r.text)}}}' for r in row.rewrites]

@@ -9,8 +9,8 @@ embedding model is bundled: vectors arrive via a TSV file keyed by pair id
 so any external encoder can be audited against the objective.
 
 Each per-triplet term is evaluated in the numerically stable form
-``log1p(exp(h- - h+))`` and the sum uses compensated summation, so the
-total is permutation-invariant to within 1e-12.
+``log1p(exp(h- - h+))``; the ``loss`` command sums the terms with
+``math.fsum``, so its total does not depend on the triplet order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .files import read_lines
 
@@ -93,14 +93,6 @@ def triplet_loss_gradient(h_pos: float, h_neg: float) -> float:
     return -exp_gap / (1.0 + exp_gap)
 
 
-def contrastive_loss(triplets: Iterable[Triplet], kind: str = COSINE) -> float:
-    """Summed loss over all triplets; compensated, permutation-invariant."""
-    terms = [triplet_loss(*triplet_scores(triplet, kind)) for triplet in triplets]
-    if not terms:
-        raise ScoreError("contrastive loss needs at least one triplet")
-    return math.fsum(terms)
-
-
 def loss_report(triplets: Sequence[Triplet], kind: str = COSINE) -> list[dict]:
     """Per-triplet h+, h-, and loss, in input order."""
     report = []
@@ -166,7 +158,6 @@ __all__ = [
     "triplet_scores",
     "triplet_loss",
     "triplet_loss_gradient",
-    "contrastive_loss",
     "loss_report",
     "load_triplets_tsv",
 ]

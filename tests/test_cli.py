@@ -9,6 +9,7 @@ import json
 import logging
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -753,6 +754,28 @@ def test_loss_cli_scores_each_triplet_once(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     losses = [float(line.split("\t")[3]) for line in lines[:3]]
     assert lines[3].split("\t")[3] == repr(math.fsum(losses))
+
+
+def test_loss_cli_total_is_permutation_invariant(tmp_path, capsys):
+    # The TOTAL line is a math.fsum, so the triplet order cannot move it.
+    rng = random.Random(3)
+    triplets = []
+    for i in range(100):
+        angles = [rng.uniform(0, 6.28) for _ in range(3)]
+        triplets.append("".join(
+            f"p{i}\t{role}\t{math.cos(angle)!r}\t{math.sin(angle)!r}\n"
+            for role, angle in zip(("anchor", "pos", "neg"), angles)
+        ))
+    shuffled = triplets[:]
+    rng.shuffle(shuffled)
+    totals = []
+    for name, rows in (("ordered", triplets), ("shuffled", shuffled)):
+        vectors = tmp_path / f"{name}.tsv"
+        vectors.write_text("".join(rows), encoding="utf-8")
+        assert main(["-q", "loss", "--vectors", str(vectors)]) == 0
+        totals.append(capsys.readouterr().out.splitlines()[-1])
+    assert totals[0].startswith("TOTAL\t100\tcosine\t")
+    assert totals[0] == totals[1]
 
 
 def test_loss_cli_dot_kind(tmp_path, capsys):

@@ -239,6 +239,8 @@ def test_jsonl_blank_lines_are_skipped(lexicon, tmp_path):
             '"pattern": "atomic-dn"}',
             r"line 1: penman '\(x / nonsense\)' is not the text's",
         ),
+        ("[1, 2]", "line 1: not a JSON object, got list"),
+        ('"x"', "line 1: not a JSON object, got str"),
     ],
 )
 def test_jsonl_load_errors(lexicon, tmp_path, line, reason):

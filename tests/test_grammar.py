@@ -102,10 +102,17 @@ def test_regex_whitespace_is_str_isspace():
     }
 
 
-def test_past_tense_recorded_then_normalized(lexicon):
-    struct = parse_sentence_struct("The lion was thin.", lexicon)
-    assert struct.clauses[0].tense == "past"
-    assert realize(build_graph(struct)) == "The lion is thin."
+def test_past_tense_parses_like_present(lexicon):
+    # The struct, like its graph, holds no tense.
+    for past, present in (
+        ("The lion was thin.", "The lion is thin."),
+        ("You were not kind.", "You are not kind."),
+        ("The bear wasn't sleepy or Bob weren't cute.",
+         "The bear is not sleepy or Bob is not cute."),
+    ):
+        struct = parse_sentence_struct(past, lexicon)
+        assert struct == parse_sentence_struct(present, lexicon)
+        assert realize(build_graph(struct)) == present
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +177,17 @@ def test_trailing_conditional(lexicon):
 
 
 def test_unless_parses_as_trailing_condition(lexicon):
-    struct = parse_sentence_struct(
-        "The bald eagle isn't small, unless the mouse is small.", lexicon
+    trailing_if = GrammarSentence(
+        Shape.IF_THEN,
+        (Clause("the mouse", "small"), Clause("the bald eagle", "small", negated=True)),
+        trailing_condition=True,
     )
-    assert struct.shape is Shape.UNLESS
-    assert struct.trailing_condition
-    assert struct.clauses == (
-        Clause("the mouse", "small"),
-        Clause("the bald eagle", "small", negated=True),
-    )
-    # UNLESS is parse-only: realization falls back to the trailing-if surface.
-    assert (
-        realize(build_graph(struct))
-        == "The bald eagle is not small if the mouse is small."
-    )
+    for text in (
+        "The bald eagle isn't small, unless the mouse is small.",
+        "The bald eagle isn't small unless the mouse is small.",
+    ):
+        assert parse_sentence_struct(text, lexicon) == trailing_if
+    assert realize_struct(trailing_if) == "The bald eagle is not small if the mouse is small."
 
 
 def test_sentence_struct_arity_is_checked():
@@ -260,8 +264,8 @@ def test_parse_realize_round_trip(lexicon, text):
 KIND, NOT_DULL = Clause("Alan", "kind"), Clause("the wolf", "dull", negated=True)
 PENMAN_CASES = [
     (GrammarSentence(Shape.ATOMIC, (KIND,)), "(k / kind :domain (a / Alan))"),
-    (GrammarSentence(Shape.ATOMIC, (Clause("Alan", "kind", tense="past"),)),
-     "(k / kind :domain (a / Alan))"),  # tense is dropped
+    (GrammarSentence(Shape.ATOMIC, (Clause("you", "able to use a computer", True),)),
+     "(a / able-to-use-a-computer :polarity - :domain (y / you))"),
     (GrammarSentence(Shape.ATOMIC, (NOT_DULL,)),
      "(d / dull :polarity - :domain (t / the-wolf))"),
     (GrammarSentence(Shape.AND_PAIR, (KIND, NOT_DULL)),
@@ -278,7 +282,8 @@ PENMAN_CASES = [
     (GrammarSentence(Shape.IF_THEN, (NOT_DULL, KIND), trailing_condition=True),
      "(k / kind :domain (a / Alan)"
      " :condition (d / dull :polarity - :domain (t / the-wolf)))"),
-    (GrammarSentence(Shape.UNLESS, (KIND, NOT_DULL), trailing_condition=True),
+    # "The wolf is not dull unless Alan is kind."
+    (GrammarSentence(Shape.IF_THEN, (KIND, NOT_DULL), trailing_condition=True),
      "(d / dull :polarity - :domain (t / the-wolf)"
      " :condition (k / kind :domain (a / Alan)))"),
     # Colliding variables count up from 2; the antecedent is named first.
@@ -301,11 +306,48 @@ def test_penman_of_struct_bytes(struct, penman):
 
 @pytest.mark.parametrize("struct, penman", PENMAN_CASES)
 def test_penman_of_struct_reads_back(struct, penman):
-    # Penman keeps no tense and no "unless", which reads back as "B if A.".
-    shape = Shape.IF_THEN if struct.shape is Shape.UNLESS else struct.shape
-    clauses = tuple(Clause(c.subject, c.predicate, c.negated) for c in struct.clauses)
-    expected = GrammarSentence(shape, clauses, struct.trailing_condition)
-    assert read_graph(parse_penman(penman_of_struct(struct))) == expected
+    assert read_graph(parse_penman(penman_of_struct(struct))) == struct
+
+
+# Parses that a struct and its graph must hold alike: both "unless" forms,
+# past tense, contractions and hyphen-free extended-grammar sentences, with
+# every shape among them.
+IDENTITY_TEXTS = [
+    ("The bald eagle is kind.", CORE),
+    ("The bald eagle wasn't kind and the wolf is not dull.", CORE),
+    ("The bear is not sleepy or Bob isn't cute.", CORE),
+    ("If the lion was funny, then the tiger is beautiful.", CORE),
+    ("If the lion is funny, the tiger were not beautiful.", CORE),
+    ("The wolf is dull if the lion is funny.", CORE),
+    ("The bald eagle isn't small, unless the mouse is small.", CORE),
+    ("The bald eagle is big unless the mouse was small.", CORE),
+    ("You aren't kind.", CORE),
+    ("You will not be able to use a computer if you have no keyboarding skills at all.",
+     EXTENDED),
+    ("You cannot write your essays unless you can use a computer.", EXTENDED),
+    ("You can't vote or you don't have keyboarding skills.", EXTENDED),
+]
+
+
+@pytest.mark.parametrize("text, level", IDENTITY_TEXTS)
+def test_a_struct_and_its_graph_hold_the_same(lexicon, text, level):
+    struct = parse_sentence_struct(text, lexicon, level)
+    assert read_graph(build_graph(struct)) == struct
+
+
+def test_every_shape_is_the_parse_of_a_listed_sentence(lexicon):
+    # A shape no parse returns would be a struct its graph cannot hold.
+    shapes = {
+        parse_sentence_struct(text, lexicon, level).shape for text, level in IDENTITY_TEXTS
+    }
+    assert shapes == set(Shape)
+
+
+def test_every_corpus_struct_is_its_graph(full_corpus, lexicon):
+    for record in full_corpus:
+        struct = parse_sentence_struct(record.text, lexicon)
+        assert struct == record.struct, record.text
+        assert read_graph(build_graph(struct)) == struct, record.text
 
 
 def test_build_graph_rejects_a_concept_penman_cannot_hold():

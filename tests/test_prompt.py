@@ -86,6 +86,9 @@ def test_record_from_dict_rejects_a_non_object(payload):
         # ``True in range(4)`` and ``1.0 in range(4)`` hold; neither is a label.
         ("label", True, "label must be 0-3, got True"),
         ("label", 1.0, "label must be 0-3, got 1.0"),
+        ("id_string", 7, "id_string must be a string, got int"),
+        ("id_string", {"n": [1, "é"]}, "id_string must be a string, got dict"),
+        ("id_string", None, "id_string must be a string, got NoneType"),
     ],
 )
 def test_record_from_dict_rejects_a_non_string_field(field, value, reason):
@@ -352,16 +355,33 @@ def test_augment_file_skips_a_record_whose_label_is_not_an_int(lexicon, tmp_path
     assert out[2]["answers"] != payloads[2]["answers"]
 
 
+def test_augment_file_skips_a_record_whose_id_string_is_not_a_string(lexicon, tmp_path):
+    src, dst = tmp_path / "val.json", tmp_path / "val_aug.json"
+    trace = tmp_path / "trace.jsonl"
+    payloads = [
+        dict(KEYBOARD_RECORD.to_dict(), id_string=id_string)
+        for id_string in (7, {"n": [1, "é"]}, None, "r-1")
+    ]
+    src.write_text(json.dumps(payloads), encoding="utf-8")
+    stats = augment_file(src, dst, file_format=RECLOR, lexicon=lexicon, trace_path=trace)
+    assert (stats["records_processed"], stats["records_skipped"]) == (1, 3)
+    out = json.loads(dst.read_text(encoding="utf-8"))
+    assert out[:3] == payloads[:3]  # written back unchanged
+    assert out[3]["answers"] != payloads[3]["answers"]
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert {json.loads(line)["record_id"] for line in lines} == {"r-1"}
+
+
 def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
     # Each trace line is formatted directly; its bytes must stay those of
-    # json.dumps over the row's dataclass fields, for any input id_string.
+    # json.dumps over the row's dataclass fields, whatever the id_string holds.
     payloads = [
-        {**KEYBOARD_RECORD.to_dict(), "id_string": 7},
+        {**KEYBOARD_RECORD.to_dict(), "id_string": 'Zoë "7" \\ \u2028 \U0001f600'},
         {
             "context": 'If Alan is kind, then Bob is clever. Zoë said "no\\" \u2028 twice.',
             "question": "q",
             "answers": ["Alan is kind and Bob is clever.", "Beta.", "Gamma.", "Delta."],
-            "id_string": {"n": [1, "é"]},
+            "id_string": "",
         },
     ]
     src = tmp_path / "in.jsonl"

@@ -12,7 +12,6 @@ from amr_logic_aug.scoring import (
     DOT,
     ScoreError,
     Triplet,
-    contrastive_loss,
     load_triplets_tsv,
     loss_report,
     score,
@@ -151,31 +150,6 @@ def test_gradient_matches_finite_differences():
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
-
-
-def test_contrastive_loss_sums_terms():
-    triplets = [
-        Triplet(unit(0.0), unit(0.0), unit(math.pi / 2)),
-        Triplet(unit(0.3), unit(0.3), unit(0.3 + math.pi)),
-    ]
-    expected = sum(triplet_loss(*triplet_scores(t)) for t in triplets)
-    assert contrastive_loss(triplets) == pytest.approx(expected, rel=1e-15)
-
-
-def test_contrastive_loss_is_permutation_invariant():
-    rng = random.Random(3)
-    triplets = [
-        Triplet(unit(rng.uniform(0, 6.28)), unit(rng.uniform(0, 6.28)), unit(rng.uniform(0, 6.28)))
-        for _ in range(100)
-    ]
-    shuffled = triplets[:]
-    rng.shuffle(shuffled)
-    assert abs(contrastive_loss(triplets) - contrastive_loss(shuffled)) <= 1e-12
-
-
-def test_contrastive_loss_requires_triplets():
-    with pytest.raises(ScoreError, match="at least one triplet"):
-        contrastive_loss([])
 
 
 def test_loss_report_structure():

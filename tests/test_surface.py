@@ -20,7 +20,8 @@ from amr_logic_aug.corpus import PatternKind, SynthSentence
 from amr_logic_aug.grammar import Clause, GrammarSentence, Shape
 from amr_logic_aug.pairs import PairRecord
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(amr_logic_aug.__path__))
 READERS_AND_WRITERS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
 
@@ -46,6 +47,39 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"amr_logic_aug.{name}")
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+# Exports that only the acceptance tests call, with the criterion that does.
+UNUSED_EXPORTS = {
+    "corpus.generate_pattern": "ACCEPTANCE 4 samples single pattern families with it",
+    "scoring.triplet_loss_gradient": "ACCEPTANCE 9 checks it against finite differences",
+}
+
+
+def loaded_names(directory: Path) -> set[str]:
+    """Every name and attribute the Python files under ``directory`` read."""
+    names = set()
+    for path in sorted(directory.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_use_outside_the_tests():
+    """An exported name that only its own tests call is dead code; the
+    tracer's ``LAYERS`` count as uses, because the benchmark wraps them."""
+    used = set().union(*(loaded_names(ROOT / part) for part in ("src", "perfbench", "scripts")))
+    used.update(name for names in load_tracer().LAYERS.values() for name in names)
+    unused = [
+        f"{name}.{export}"
+        for name in MODULES
+        for export in getattr(importlib.import_module(f"amr_logic_aug.{name}"), "__all__", ())
+        if export not in used
+    ]
+    assert sorted(unused) == sorted(UNUSED_EXPORTS)
 
 
 def test_package_root_exports_only_the_version():
@@ -80,7 +114,7 @@ def _struct():
 
 # Each engine value type: a factory for a fresh instance, and its fields in order.
 VALUE_TYPES = {
-    "Clause": (_clause, ("subject", "predicate", "negated", "tense")),
+    "Clause": (_clause, ("subject", "predicate", "negated")),
     "GrammarSentence": (_struct, ("shape", "clauses", "trailing_condition")),
     "SynthSentence": (
         lambda: SynthSentence(
