@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .graph import AmrGraph, Constant, Edge, NEGATIVE, POLARITY_ROLE, parse_penman
 
@@ -254,7 +254,24 @@ def parse_sentence_struct(
     Raises :class:`GrammarError` (message prefixed ``outside grammar``) for
     anything the controlled grammar does not cover, so callers can skip
     free text.
+
+    A core sentence in the canonical form :func:`realize_struct` writes is
+    read by the lexicon's one compiled pattern (see
+    :func:`compile_core_parser`); every other input goes through the
+    general parser, which defines the grammar and owns every error.
     """
+    if grammar == CORE:
+        parse_canonical = lexicon.core_parser
+        if parse_canonical is not None:
+            sentence = parse_canonical(text)
+            if sentence is not None:
+                return sentence
+    return _parse_general(text, lexicon, grammar)
+
+
+def _parse_general(text: str, lexicon, grammar: str) -> GrammarSentence:
+    """The grammar's definition: normalize, route on the connectives, then
+    parse each clause."""
     if grammar not in (CORE, EXTENDED):
         raise ValueError(f"unknown grammar level {grammar!r}")
     s = _normalize_text(text)
@@ -303,6 +320,78 @@ def parse_sentence_struct(
             _OR_PAIR, (clause(s[:idx]), clause(s[idx + 4 :]))
         )
     return GrammarSentence(_ATOMIC, (clause(s),))
+
+
+# The words the general parser routes on before it reads a clause.  A
+# predicate of the canonical pattern is none of them, in any case.
+_ROUTING_WORDS = ("if", "unless", "then", "and", "or", "not")
+# No entity word may be a routing word, the stripped lead-in "but" or a
+# copula: then the only way to read a pattern match is the general parser's.
+_NON_ENTITY_WORDS = frozenset(_ROUTING_WORDS + ("but",)) | _COPULAS
+_ENTITY_WORD_RE = re.compile(r"[a-z][a-z-]*")
+
+
+def compile_core_parser(
+    entities: dict[tuple[str, ...], str]
+) -> Optional[Callable[[str], Optional[GrammarSentence]]]:
+    """The canonical-core-sentence reader over a subject table's entities.
+
+    ``entities`` is ``lexicon.subject_table[0]``.  The reader fullmatches
+    one regular expression against the raw text and returns the struct, or
+    None when the text is not canonical: "If A, then B.", "If A, B.",
+    "B if A.", "A and B.", "A or B." or "A.", each clause an entity in any
+    ASCII case, a lower-case copula, an optional " not" and one predicate
+    token that is no routing word.  On every text it accepts it returns
+    what the general parser returns; the subject is the table's entity for
+    the lower-cased words.
+
+    Returns None (no fast path) for a lexicon without entities or with an
+    entity word outside ``[a-z][a-z-]*`` or in ``_NON_ENTITY_WORDS``.  With
+    those excluded, an entity is always followed by a copula and never
+    holds one, so the match cannot back off to a shorter entity than the
+    general parser's longest-first lookup takes.
+    """
+    if not entities or any(
+        word in _NON_ENTITY_WORDS or not _ENTITY_WORD_RE.fullmatch(word)
+        for words in entities
+        for word in words
+    ):
+        return None
+    subjects = {" ".join(words): entity for words, entity in entities.items()}
+    # Longest entity first, as ``_match_subject`` tries them.
+    alternatives = "|".join(
+        re.escape(key) for key in sorted(subjects, key=lambda key: -key.count(" "))
+    )
+    routing = "|".join(_ROUTING_WORDS)
+    clause = (
+        rf"((?i:{alternatives})) (?:is|are|was|were)( not)? "
+        rf"(?!(?i:{routing})(?![A-Za-z-]))([A-Za-z][A-Za-z-]*)"
+    )
+    fullmatch = re.compile(
+        rf"(?:If {clause}, (?:then )?{clause}|{clause}(?: (if|and|or) {clause})?)\.",
+        re.ASCII,
+    ).fullmatch
+
+    def parse(text: str) -> Optional[GrammarSentence]:
+        match = fullmatch(text)
+        if match is None:
+            return None
+        (subject1, not1, predicate1, subject2, not2, predicate2,
+         subject3, not3, predicate3, joiner, subject4, not4, predicate4) = match.groups()
+        if subject1 is not None:
+            return GrammarSentence(_IF_THEN, (
+                Clause(subjects[subject1.lower()], predicate1, not1 is not None),
+                Clause(subjects[subject2.lower()], predicate2, not2 is not None),
+            ))
+        first = Clause(subjects[subject3.lower()], predicate3, not3 is not None)
+        if joiner is None:
+            return GrammarSentence(_ATOMIC, (first,))
+        second = Clause(subjects[subject4.lower()], predicate4, not4 is not None)
+        if joiner == "if":
+            return GrammarSentence(_IF_THEN, (second, first), trailing_condition=True)
+        return GrammarSentence(_AND_PAIR if joiner == "and" else _OR_PAIR, (first, second))
+
+    return parse
 
 
 # ---------------------------------------------------------------------------

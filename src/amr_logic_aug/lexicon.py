@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
+
+from .grammar import GrammarSentence, compile_core_parser
 
 DEFAULT_RESOURCE = "lexicon.tsv"
 
@@ -92,6 +94,14 @@ class Lexicon:
             entities.setdefault(tuple(word.lower() for word in entity.split()), entity)
         lengths = tuple(sorted({len(words) for words in entities}, reverse=True))
         return entities, lengths
+
+    @cached_property
+    def core_parser(self) -> Optional[Callable[[str], Optional[GrammarSentence]]]:
+        """The sentence parser's reader of canonical core sentences over
+        these entities, or None when the lexicon allows none (see
+        :func:`grammar.compile_core_parser`).  Built once per lexicon, on
+        its first core parse."""
+        return compile_core_parser(self.subject_table[0])
 
 
 def _parse_rows(text: str) -> dict[str, list[tuple[int, list[str]]]]:

@@ -175,14 +175,17 @@ def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:
 def _struct_table(sentence: GrammarSentence, lexicon: Lexicon, index: dict) -> int:
     """The struct's 16-row table, compiled like ``formula_of_struct`` without
     the tree; ``index`` numbers the atoms seen so far (at most 4 in a pair)."""
-    tables = []
-    for clause in sentence.clauses:
-        key, negated = clause_literal(clause, lexicon)
-        mask = _PAIR_MASKS[index.setdefault(key, len(index))]
-        tables.append(mask ^ 0xFFFF if negated else mask)
-    if len(tables) == 1:
-        return tables[0]
-    first, second = tables
+    clauses = sentence.clauses
+    key, negated = clause_literal(clauses[0], lexicon)
+    first = _PAIR_MASKS[index.setdefault(key, len(index))]
+    if negated:
+        first ^= 0xFFFF
+    if len(clauses) == 1:
+        return first
+    key, negated = clause_literal(clauses[1], lexicon)
+    second = _PAIR_MASKS[index.setdefault(key, len(index))]
+    if negated:
+        second ^= 0xFFFF
     shape = sentence.shape
     if shape is _AND_PAIR:
         return first & second

@@ -188,7 +188,9 @@ def load_jsonl(path: str | Path) -> list[PairRecord]:
     records: list[PairRecord] = []
     for lineno, payload in read_jsonl(path, DatasetError):
         if not isinstance(payload, dict):
-            raise DatasetError(f"line {lineno} is not a JSON object")
+            raise DatasetError(
+                f"line {lineno}: not a JSON object, got {type(payload).__name__}"
+            )
         # A missing key passes these checks and is reported below.
         for key in ("sentence1", "sentence2", "law", "pair_id"):
             value = payload.get(key, "")
@@ -207,7 +209,7 @@ def load_jsonl(path: str | Path) -> list[PairRecord]:
                 )
             )
         except KeyError as err:
-            raise DatasetError(f"line {lineno} missing key {err}") from err
+            raise DatasetError(f"line {lineno}: missing key {err}") from err
         except DatasetError as err:
             raise DatasetError(f"line {lineno}: {err}") from err
     return records

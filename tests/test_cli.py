@@ -667,9 +667,11 @@ OTHER_FIELDS = '"sentence2": "b", "law": "commutative"'
         (["pairs", "--out-train", "OUT", "--out-val", "OUT2"],
          '{"text": "Alan is kind.", "penman": "(x / nonsense)", "pattern": "atomic-dn"}',
          "line 1: penman '(x / nonsense)' is not the text's"),
+        (["check"], f'{{"label": 1, {OTHER_FIELDS}}}', "line 1: missing key 'sentence1'"),
+        (["check"], '["sentence1", "a"]', "line 1: not a JSON object, got list"),
     ],
     ids=["sentence1", "law", "pair_id", "label-true", "label-float", "text", "pattern",
-         "missing-text", "penman"],
+         "missing-text", "penman", "check-missing-key", "check-not-an-object"],
 )
 def test_a_wrong_field_type_exits_1_with_one_located_error(tmp_path, caplog, argv, line, location):
     src = tmp_path / "in.txt"

@@ -7,8 +7,11 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from amr_logic_aug import grammar
+from amr_logic_aug.corpus import build_corpus
 from amr_logic_aug.graph import Constant, ParseError, parse_penman, serialize
 from amr_logic_aug.grammar import (
     CORE,
@@ -26,6 +29,7 @@ from amr_logic_aug.grammar import (
     realize_struct,
 )
 from amr_logic_aug.lexicon import with_overrides
+from amr_logic_aug.pairs import build_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -635,3 +639,202 @@ def test_subject_table_is_per_lexicon(lexicon):
     words = "the bald eagle is kind".split()
     assert grammar._match_subject(words, overridden) == ("the bald", ["eagle", "is", "kind"])
     assert grammar._match_subject(words, lexicon) == ("the bald eagle", ["is", "kind"])
+
+
+# ---------------------------------------------------------------------------
+# Canonical core sentences: one compiled pattern per lexicon
+# ---------------------------------------------------------------------------
+
+
+def outcome(parse, text, lexicon, level=CORE):
+    try:
+        return "struct", parse(text, lexicon, level)
+    except GrammarError as err:
+        return type(err), str(err)
+
+
+def assert_as_general(text, lexicon, level=CORE):
+    assert outcome(parse_sentence_struct, text, lexicon, level) == outcome(
+        grammar._parse_general, text, lexicon, level
+    ), text
+
+
+# Overridden lexicons keep the default's extension entities ("the duck",
+# "James"); "copula-entity" holds an entity the pattern cannot take.
+PATTERN_LEXICONS = {
+    "default": None,
+    "overlapping": ["the big dog", "the big", "the", "the bald eagle", "alan"],
+    "case-duplicates": ["Bob", "bob", "the Big Dog", "the big dog"],
+    "copula-entity": ["the cat is", "the cat", "bob"],
+}
+
+
+@pytest.fixture(scope="module")
+def pattern_lexicons(lexicon):
+    return {
+        name: lexicon if entities is None else with_overrides(lexicon, entities=entities)
+        for name, entities in PATTERN_LEXICONS.items()
+    }
+
+
+def test_which_lexicons_get_a_pattern(pattern_lexicons):
+    assert {name: lex.core_parser is not None for name, lex in pattern_lexicons.items()} == {
+        "default": True,
+        "overlapping": True,
+        "case-duplicates": True,
+        "copula-entity": False,
+    }
+
+
+def test_canonical_core_sentences_never_reach_the_general_parser(
+    full_corpus, lexicon, monkeypatch
+):
+    records = build_pairs(build_corpus(lexicon, 400), lexicon, "1:3")
+    texts = [sentence.text for sentence in full_corpus] + [
+        text for record in records for text in (record.sentence1, record.sentence2)
+    ]
+    expected = [grammar._parse_general(text, lexicon, CORE) for text in texts]
+
+    def unreachable(text, lexicon, level):
+        raise AssertionError(f"general parser reached on {text!r}")
+
+    monkeypatch.setattr(grammar, "_parse_general", unreachable)
+    assert [parse_sentence_struct(text, lexicon) for text in texts] == expected
+
+
+@pytest.mark.parametrize("name", PATTERN_LEXICONS)
+def test_core_pattern_agrees_with_the_general_parser_on_the_corpus(
+    pattern_lexicons, full_corpus, name
+):
+    for sentence in full_corpus:
+        assert_as_general(sentence.text, pattern_lexicons[name])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "The bald eagle is kind.",
+        "THE BALD EAGLE is kind.",
+        "The bald eagle IS kind.",
+        "The bald eagle is NOT kind.",
+        "The bald eagle is not.",
+        "The bald eagle is notable.",
+        "The bald eagle is not not.",
+        "The bald eagle is kind .",
+        " The bald eagle is kind.",
+        "The bald eagle is kind.\n",
+        "The bald eagle is kind",
+        "The bald eagle is well-off.",
+        "The bald eagle is -off.",
+        "The bald eagle is kind and the cat is big and bob is red.",
+        "The bald eagle is kind if the cat is big if bob is red.",
+        "Alan is AND or Bob is kind.",
+        "Alan is IF and Bob is kind.",
+        "If the cat is kind, Then bob is big.",
+        "If the cat is kind, then then is big.",
+        "IF the cat is kind, then bob is big.",
+        "The cat is kind If bob is big.",
+        "The cat is kind, unless bob is big.",
+        "The ſnake is kind.",  # long s: matches "s" ignoring Unicode case; lower() keeps it
+        "The snaKe is kind.",  # Kelvin sign: lower() gives an ASCII "k"
+        "İf the cat is kind, then bob is big.",
+        "The bald eagle is kïnd.",
+        "The duck is kind.",
+        "James is not kind or the goose is big.",
+        "You are kind.",
+        "Zed is kind.",
+    ],
+)
+def test_core_pattern_agrees_with_the_general_parser_on_edge_cases(pattern_lexicons, text):
+    for lex in pattern_lexicons.values():
+        assert_as_general(text, lex)
+
+
+@pytest.mark.parametrize("entity", ["the cat is", "but", "And", "if", "the dog not", "o'neil", "the émeu"])
+def test_an_entity_the_pattern_cannot_take_turns_it_off(lexicon, entity):
+    lex = with_overrides(lexicon, entities=[entity, "the cat", "bob"])
+    assert lex.core_parser is None
+    for template in ("{} is kind.", "{} kind.", "{} is not kind.", "{} is kind and bob is big.",
+                     "If {} is kind, then bob is big.", "Bob is big if {} is kind."):
+        for text in (template.format(entity), template.format(entity.capitalize())):
+            assert_as_general(text, lex)
+
+
+# "some" is a predicate of the core grammar that the extended one drops.
+_PATTERN_PREDICATES = ("kind", "big", "well-off", "notable", "x", "is", "but", "some")
+# The words the parser routes on, in several cases.
+_ROUTING_PREDICATES = ("if", "IF", "Unless", "then", "And", "or", "OR", "not", "Not")
+
+
+def _recase(text, draw):
+    words = text.split(" ")
+    i = draw(st.integers(0, len(words) - 1))
+    words[i] = draw(st.sampled_from([str.upper, str.lower, str.capitalize, str.swapcase]))(words[i])
+    return " ".join(words)
+
+
+def _routing_word(text, draw):
+    words = text.split(" ")
+    i = draw(st.integers(0, len(words) - 1))
+    words[i] = draw(st.sampled_from(["if", "unless", "then", "and", "or", "not", "If", "AND"]))
+    return " ".join(words)
+
+
+def _spacing(text, draw):
+    spaces = [i for i, char in enumerate(text) if char == " "]
+    if not spaces:
+        return text
+    i = draw(st.sampled_from(spaces))
+    return text[:i] + draw(st.sampled_from(["  ", "\t", ", ", " ,", ",", "\u00a0"])) + text[i + 1:]
+
+
+def _lead_in(text, draw):
+    return draw(st.sampled_from(["And ", "But ", "If ", "and ", "but ", "if "])) + text
+
+
+def _ending(text, draw):
+    return text[:-1] + draw(st.sampled_from(["?", "!", "", " .", ".."]))
+
+
+def _apostrophe(text, draw):
+    if " is not " in text and draw(st.booleans()):
+        return text.replace(" is not ", draw(st.sampled_from([" isn't ", " isn’t ", " ISN'T "])), 1)
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(st.sampled_from(["'", "’"])) + text[i:]
+
+
+@st.composite
+def near_canonical(draw, subjects):
+    predicates = draw(st.sampled_from([_PATTERN_PREDICATES, _ROUTING_PREDICATES]))
+
+    def clause():
+        return Clause(
+            draw(st.sampled_from(subjects)),
+            draw(st.sampled_from(predicates + ("kind",))),
+            draw(st.booleans()),
+        )
+
+    shape = draw(st.sampled_from(list(Shape)))
+    clauses = (clause(),) if shape is Shape.ATOMIC else (clause(), clause())
+    trailing = shape is Shape.IF_THEN and draw(st.booleans())
+    text = realize_struct(GrammarSentence(shape, clauses, trailing))
+    mutations = [_recase, _routing_word, _spacing, _lead_in, _ending, _apostrophe]
+    for mutate in draw(st.lists(st.sampled_from(mutations), max_size=2)):
+        text = mutate(text, draw)
+    return text
+
+
+@pytest.mark.parametrize("name", PATTERN_LEXICONS)
+def test_core_pattern_agrees_with_the_general_parser_near_canonical(pattern_lexicons, name):
+    lex = pattern_lexicons[name]
+    subjects = lex.all_entities + ("you", "Alan", "Zed", "the", "the big dogs")
+
+    @seed(20231017)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        text = data.draw(near_canonical(subjects))
+        assert_as_general(text, lex)
+        assert_as_general(text, lex, EXTENDED)
+
+    check()

@@ -236,8 +236,8 @@ def test_load_rejects_tampered_sentence(tiny_pairs, tmp_path):
     "line, reason",
     [
         ("{oops", "malformed JSON on line 1"),
-        ('["not", "an", "object"]', "line 1 is not a JSON object"),
-        ('{"sentence1": "a"}', "line 1 missing key"),
+        ('["not", "an", "object"]', "line 1: not a JSON object, got list"),
+        ('{"sentence1": "a"}', "line 1: missing key 'sentence2'"),
         (
             '{"sentence1": "a", "sentence2": "b", "label": 3, "law": "commutative"}',
             "line 1: label must be 0 or 1",
