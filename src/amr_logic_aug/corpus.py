@@ -32,11 +32,10 @@ import random
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .files import json_string, read_jsonl, write_text
+from .files import json_string, read_objects, write_text
 from .grammar import (
     AmrGraph,
     Clause,
-    GrammarError,
     GrammarSentence,
     Shape,
     build_graph,
@@ -347,35 +346,22 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
     drifted from the grammar, or whose graph drifted from its text, fails
     loudly with a line number.
     """
-    corpus: list[SynthSentence] = []
-    for lineno, payload in read_jsonl(path, CorpusError):
-        if not isinstance(payload, dict):
-            raise CorpusError(
-                f"line {lineno}: not a JSON object, got {type(payload).__name__}"
-            )
-        try:
-            for key in ("text", "pattern"):
-                if not isinstance(payload[key], str):
-                    raise CorpusError(
-                        f"{key} must be a string, got {type(payload[key]).__name__}"
-                    )
-            struct = parse_sentence_struct(payload["text"], lexicon)
-            sentence = _sentence(struct, PatternKind(payload["pattern"]))
-        except KeyError as err:
-            raise CorpusError(f"line {lineno}: missing key {err}") from err
-        except (TypeError, ValueError, GrammarError) as err:
-            raise CorpusError(f"line {lineno}: {err}") from err
-        if sentence.text != payload["text"]:
-            raise CorpusError(f"line {lineno}: text is not canonical: {payload['text']!r}")
-        if "penman" not in payload:
-            raise CorpusError(f"line {lineno}: missing key 'penman'")
+
+    def sentence_of(row: dict) -> SynthSentence:
+        for key in ("text", "pattern"):
+            if not isinstance(row[key], str):
+                raise CorpusError(f"{key} must be a string, got {type(row[key]).__name__}")
+        struct = parse_sentence_struct(row["text"], lexicon)
+        sentence = _sentence(struct, PatternKind(row["pattern"]))
+        if sentence.text != row["text"]:
+            raise CorpusError(f"text is not canonical: {row['text']!r}")
+        penman = row["penman"]
         expected = penman_of_struct(struct)
-        if payload["penman"] != expected:
-            raise CorpusError(
-                f"line {lineno}: penman {payload['penman']!r} is not the text's {expected!r}"
-            )
-        corpus.append(sentence)
-    return corpus
+        if penman != expected:
+            raise CorpusError(f"penman {penman!r} is not the text's {expected!r}")
+        return sentence
+
+    return list(read_objects(path, CorpusError, sentence_of))
 
 
 __all__ = [

@@ -4,6 +4,8 @@ and the digest of a data file (:func:`sha256_of`).
 Readers raise the caller's error class, naming the file and line, for a
 byte that is not UTF-8, for malformed JSON and for a JSON escape of a lone
 surrogate (which decodes, but could never be written back as UTF-8).
+:func:`read_objects` is the one reader of row files: it also names the line
+of a row that is not an object or that its builder refuses.
 Writers stream into a temporary file beside the target and ``os.replace``
 it into place, so a run that fails or is killed leaves the old file (or
 none), never a truncated one, and an output may name its own input.
@@ -19,7 +21,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 # A JSON escape of a code point in U+D800..U+DFFF.  ``json.loads`` joins a
 # high and a low escape side by side into one character and decodes any
@@ -79,6 +81,23 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
         yield lineno, value
 
 
+def read_objects(path, error: type[Exception], build: Callable[[dict], Any]) -> Iterator[Any]:
+    """Yield ``build(row)`` for each JSON object line.  A line that is not an
+    object, and a ``KeyError`` or ``ValueError`` from ``build``, raise
+    ``error`` prefixed ``line N:``; any other exception is a bug and
+    propagates as it is."""
+    for lineno, row in read_jsonl(path, error):
+        if not isinstance(row, dict):
+            raise error(f"line {lineno}: not a JSON object, got {type(row).__name__}")
+        try:
+            value = build(row)
+        except KeyError as err:
+            raise error(f"line {lineno}: missing key {err}") from err
+        except ValueError as err:
+            raise error(f"line {lineno}: {err}") from err
+        yield value
+
+
 def read_json(path, error: type[Exception]) -> Any:
     text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     try:
@@ -118,6 +137,6 @@ def write_jsonl(path, rows: Iterable[Any]) -> int:
 
 
 __all__ = [
-    "read_lines", "read_jsonl", "read_json", "sha256_of", "json_string", "write_text",
-    "write_jsonl",
+    "read_lines", "read_jsonl", "read_objects", "read_json", "sha256_of", "json_string",
+    "write_text", "write_jsonl",
 ]

@@ -126,6 +126,9 @@ _CONTRACTION_RE = re.compile(
 )
 _PROPER_NAME_RE = re.compile(r"[A-Z][a-z]+$")
 _COPULAS = frozenset({"is", "are", "was", "were"})
+# The words the general parser routes on before it reads a clause.  No
+# predicate is one of them, in any case: its rewrite could not re-parse.
+_ROUTING_WORDS = ("if", "unless", "then", "and", "or", "not")
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
 _PREDICATE_RE = re.compile(r"[A-Za-z][A-Za-z-]*(?: [A-Za-z][A-Za-z-]*)*")
 
@@ -233,6 +236,8 @@ def _parse_predicate(rest: list[str], grammar: str) -> tuple[bool, str]:
         for token in tokens:
             if not _TOKEN_RE.fullmatch(token):
                 raise GrammarError(f"outside grammar: unexpected token {token!r}")
+    if len(tokens) == 1 and predicate.lower() in _ROUTING_WORDS:
+        raise GrammarError(f"outside grammar: predicate {predicate!r} is a routing word")
     return negated, predicate
 
 
@@ -322,9 +327,6 @@ def _parse_general(text: str, lexicon, grammar: str) -> GrammarSentence:
     return GrammarSentence(_ATOMIC, (clause(s),))
 
 
-# The words the general parser routes on before it reads a clause.  A
-# predicate of the canonical pattern is none of them, in any case.
-_ROUTING_WORDS = ("if", "unless", "then", "and", "or", "not")
 # No entity word may be a routing word, the stripped lead-in "but" or a
 # copula: then the only way to read a pattern match is the general parser's.
 _NON_ENTITY_WORDS = frozenset(_ROUTING_WORDS + ("but",)) | _COPULAS

@@ -219,18 +219,22 @@ def verify_outcome(original: GrammarSentence, outcome: RewriteOutcome, lexicon: 
 def flip_polarity_negative(
     sentence: GrammarSentence, lexicon: Lexicon, rng: random.Random
 ) -> GrammarSentence:
-    """Negate one random clause, oracle-checked against ``sentence``."""
+    """Negate one random clause, oracle-checked against ``sentence``.
+
+    Negating either clause of any struct changes its truth table, so the
+    check failing is an :class:`OracleViolation`, never a skip.
+    """
     order = list(range(len(sentence.clauses)))
-    rng.shuffle(order)
-    for index in order:
-        clauses = list(sentence.clauses)
-        clauses[index] = clauses[index].negate()
-        candidate = GrammarSentence(
-            sentence.shape, tuple(clauses), sentence.trailing_condition
+    rng.shuffle(order)  # the shuffle's draws keep the stream after it as it was
+    clauses = list(sentence.clauses)
+    clauses[order[0]] = clauses[order[0]].negate()
+    candidate = GrammarSentence(sentence.shape, tuple(clauses), sentence.trailing_condition)
+    if logic.structs_equivalent(sentence, candidate, lexicon):
+        raise OracleViolation(
+            "polarity flip is accidentally equivalent: "
+            f"{realize_struct(sentence)!r} vs {realize_struct(candidate)!r}"
         )
-        if not logic.structs_equivalent(sentence, candidate, lexicon):
-            return candidate
-    raise LawError("no polarity flip yields a nonequivalent sentence")
+    return candidate
 
 
 __all__ = [

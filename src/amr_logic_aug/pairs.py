@@ -21,9 +21,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import logic
 from .corpus import DEFAULT_SEED, PATTERN_LAW, SynthSentence
-from .files import json_string, read_jsonl, write_text
+from .files import json_string, read_objects, write_text
 from .grammar import GrammarError, parse_sentence_struct, realize_struct
-from .laws import LawError, LawKind, apply_law, flip_polarity_negative
+from .laws import LawKind, apply_law, flip_polarity_negative
 from .lexicon import Lexicon
 
 DEFAULT_VAL_FRACTION = 0.2
@@ -119,11 +119,8 @@ def build_pairs(
             if len(negatives) >= negatives_per:
                 break
             if kind == "flip":
-                try:
-                    flipped = flip_polarity_negative(sentence.struct, lexicon, rng)
-                    admit(realize_struct(flipped), law.value)
-                except LawError:
-                    pass  # no usable flip; the sample arm fills the slot
+                flipped = flip_polarity_negative(sentence.struct, lexicon, rng)
+                admit(realize_struct(flipped), law.value)
                 continue
             for _ in range(SAMPLE_ATTEMPTS):
                 candidate = corpus[rng.randrange(len(corpus))]
@@ -185,34 +182,18 @@ def emit_jsonl(records: Iterable[PairRecord], path: str | Path) -> int:
 
 def load_jsonl(path: str | Path) -> list[PairRecord]:
     """Load and re-validate records; pair_id is recomputed, not trusted."""
-    records: list[PairRecord] = []
-    for lineno, payload in read_jsonl(path, DatasetError):
-        if not isinstance(payload, dict):
-            raise DatasetError(
-                f"line {lineno}: not a JSON object, got {type(payload).__name__}"
-            )
+
+    def record_of(row: dict) -> PairRecord:
         # A missing key passes these checks and is reported below.
         for key in ("sentence1", "sentence2", "law", "pair_id"):
-            value = payload.get(key, "")
+            value = row.get(key, "")
             if not isinstance(value, str):
-                raise DatasetError(
-                    f"line {lineno}: {key} must be a string, got {type(value).__name__}"
-                )
-        try:
-            records.append(
-                PairRecord(
-                    sentence1=payload["sentence1"],
-                    sentence2=payload["sentence2"],
-                    label=payload["label"],
-                    law=payload["law"],
-                    pair_id=payload.get("pair_id", ""),
-                )
-            )
-        except KeyError as err:
-            raise DatasetError(f"line {lineno}: missing key {err}") from err
-        except DatasetError as err:
-            raise DatasetError(f"line {lineno}: {err}") from err
-    return records
+                raise DatasetError(f"{key} must be a string, got {type(value).__name__}")
+        return PairRecord(
+            row["sentence1"], row["sentence2"], row["label"], row["law"], row.get("pair_id", "")
+        )
+
+    return list(read_objects(path, DatasetError, record_of))
 
 
 def verify_records(records: Sequence[PairRecord], lexicon: Lexicon) -> list[tuple[int, str]]:

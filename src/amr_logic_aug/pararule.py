@@ -27,7 +27,7 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from .files import read_jsonl, write_jsonl
+from .files import read_objects, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -104,15 +104,8 @@ def alter_record(record: dict, depth: int) -> dict:
 
 def alter_pararule_file(in_path: str | Path, out_path: str | Path, depth: int) -> int:
     """Alter each JSONL record's rules; returns the number of records."""
-
-    def altered():
-        for lineno, record in read_jsonl(in_path, PararuleError):
-            try:
-                yield alter_record(record, depth)
-            except PararuleError as err:
-                raise PararuleError(f"{err} on line {lineno}") from err
-
-    return write_jsonl(out_path, altered())
+    rows = read_objects(in_path, PararuleError, lambda record: alter_record(record, depth))
+    return write_jsonl(out_path, rows)
 
 
 __all__ = [

@@ -274,6 +274,19 @@ def test_augment_rows_are_the_json_of_their_values(tmp_path, monkeypatch, negati
     assert (manifest["processed"], manifest["skipped"]) == (2, 1)
 
 
+def test_augment_skips_a_routing_word_predicate(tmp_path):
+    # Its implication positive, "Bob is not if or Alan is kind.", would not
+    # re-parse, so the input is refused.
+    src = tmp_path / "in.txt"
+    src.write_text("If Bob is if, then Alan is kind.\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["-q", "augment", "--law", "implication", "--in", str(src), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == (
+        '{"input": "If Bob is if, then Alan is kind.", '
+        '"skipped": "outside grammar: predicate \'if\' is a routing word"}\n'
+    )
+
+
 CONTRADICTION = "Alan is kind and Alan is not kind."
 
 
@@ -622,8 +635,9 @@ def test_prompt_aug_passes_malformed_records_through(tmp_path):
     "command, text, location",
     [
         (["prompt-aug"], '[{"context": "c"},\n  oops]', "in.txt: Expecting value: line 2"),
-        (["pararule", "--depth", "1"], '{"rules": []}\n[1, 2]\n', "got list on line 2"),
-        (["pararule", "--depth", "1"], '{"rules": [1]}\n', "must be a string on line 1"),
+        (["pararule", "--depth", "1"], '{"rules": []}\n[1, 2]\n',
+         "line 2: not a JSON object, got list"),
+        (["pararule", "--depth", "1"], '{"rules": [1]}\n', "line 1: every rule must be a string"),
         (["pararule", "--depth", "1"], '{"rules": []}\n{"rules": [], "x": "\\ud800"}\n',
          "in.txt: line 2 escapes a lone surrogate, which is not UTF-8 text"),
     ],

@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amr_logic_aug.corpus import PatternKind, SynthSentence, corpus_to_jsonl
-from amr_logic_aug.files import read_json, read_jsonl, read_lines, write_jsonl, write_text
-from amr_logic_aug.grammar import Clause, GrammarSentence, Shape, penman_of_struct
+from amr_logic_aug.files import (
+    read_json, read_jsonl, read_lines, read_objects, write_jsonl, write_text,
+)
+from amr_logic_aug.grammar import Clause, GrammarError, GrammarSentence, Shape, penman_of_struct
 from amr_logic_aug.pairs import PairRecord, emit_jsonl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,6 +64,42 @@ def test_read_jsonl_names_the_malformed_line(tmp_path):
     assert next(rows) == (1, {"a": "\u2028"})
     with pytest.raises(Refused, match="malformed JSON on line 3: "):
         next(rows)
+
+
+def _refuse_b(row):
+    if row["a"] == "b":
+        raise GrammarError("outside grammar: b")
+    return row["a"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('["a"]', "line 3: not a JSON object, got list"),
+        ('"a"', "line 3: not a JSON object, got str"),
+        ('{"b": "a"}', "line 3: missing key 'a'"),
+        ('{"a": "b"}', "line 3: outside grammar: b"),
+    ],
+)
+def test_read_objects_names_the_line_a_row_fails_on(tmp_path, line, message):
+    path = tmp_path / "in.jsonl"
+    path.write_text(f'{{"a": "x"}}\n\n{line}\n{{"a": "y"}}\n', encoding="utf-8")
+    rows = read_objects(path, Refused, _refuse_b)
+    assert next(rows) == "x"
+    with pytest.raises(Refused, match=f"^{re.escape(message)}$"):
+        next(rows)
+
+
+@pytest.mark.parametrize("error", [AttributeError, TypeError])
+def test_read_objects_relabels_no_bug(tmp_path, error):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"a": "x"}\n', encoding="utf-8")
+
+    def build(row):
+        raise error("a bug")
+
+    with pytest.raises(error, match="^a bug$"):
+        list(read_objects(path, Refused, build))
 
 
 def test_read_json_names_the_file(tmp_path):

@@ -500,6 +500,23 @@ def test_out_of_grammar_text(lexicon, text, reason):
         parse_sentence_struct(text, lexicon)
 
 
+@pytest.mark.parametrize(
+    "text, predicate",
+    [
+        ("If Bob is if, then Alan is kind.", "if"),
+        ("Bob is and.", "and"),
+        ("Bob is not not.", "not"),
+        ("Alan is kind or Bob is Unless.", "Unless"),
+        ("Alan is kind if Bob is THEN.", "THEN"),
+    ],
+)
+@pytest.mark.parametrize("level", [CORE, EXTENDED])
+def test_a_routing_word_is_no_predicate(lexicon, text, predicate, level):
+    message = f"outside grammar: predicate {predicate!r} is a routing word"
+    with pytest.raises(GrammarError, match=re.escape(message)):
+        parse_sentence_struct(text, lexicon, level)
+
+
 def test_grammar_error_messages_carry_prefix(lexicon):
     with pytest.raises(GrammarError) as info:
         parse_sentence_struct("What a day.", lexicon)

@@ -308,6 +308,33 @@ def test_realize_struct_words_a_struct_as_its_graph_does(lexicon):
         assert realize_struct(struct) == realize(build_graph(struct)), struct
 
 
+class FirstClause:
+    """An rng whose shuffle puts clause ``first`` at the front."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def shuffle(self, order):
+        order.sort(key=lambda index: index != self.first)
+
+
+def test_a_polarity_flip_of_either_clause_never_raises_on_the_whole_struct_space(lexicon):
+    # flip_polarity_negative raises OracleViolation if a flip is equivalent.
+    for struct in every_struct(lexicon.entities[:2], ("strong", "weak", "round")):
+        for index, clause in enumerate(struct.clauses):
+            clauses = list(struct.clauses)
+            clauses[index] = clause.negate()
+            flipped = flip_polarity_negative(struct, lexicon, FirstClause(index))
+            assert flipped == struct._replace(clauses=tuple(clauses)), struct
+
+
+def test_an_equivalent_polarity_flip_is_an_oracle_violation(lexicon, monkeypatch):
+    sentence = parse_sentence_struct("The bald eagle is strong.", lexicon)
+    monkeypatch.setattr(logic, "structs_equivalent", lambda *args: True)
+    with pytest.raises(OracleViolation, match="polarity flip is accidentally equivalent"):
+        flip_polarity_negative(sentence, lexicon, random.Random(0))
+
+
 def test_every_applicable_law_passes_its_gate_on_the_whole_struct_space(lexicon):
     # An antonym pair and a plain attribute give every way two clauses can
     # share, oppose or differ in an atom.

@@ -167,9 +167,12 @@ def test_alter_pararule_file(tmp_path):
 @pytest.mark.parametrize(
     "line, reason",
     [
-        ("[1, 2]", "record must be a JSON object, got list on line 2"),
-        ('{"rules": [1]}', "every rule must be a string on line 2"),
-        ('{"rules": "If someone is tall then they are quiet."}', "'rules' list on line 2"),
+        ("[1, 2]", "line 2: not a JSON object, got list"),
+        ('{"rules": [1]}', "line 2: every rule must be a string"),
+        (
+            '{"rules": "If someone is tall then they are quiet."}',
+            "line 2: record needs a 'rules' list",
+        ),
     ],
 )
 def test_alter_pararule_file_names_the_malformed_line(tmp_path, line, reason):

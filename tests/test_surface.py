@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,20 @@ def test_only_the_files_module_opens_data_files():
                 offenders.append(f"{name}.py:{node.lineno}")
     assert offenders == []
 
+
+
+def test_every_source_file_parses_as_the_oldest_declared_python():
+    """``ast.parse`` with ``feature_version`` refuses syntax newer than the
+    ``requires-python`` floor, ``except*`` for one (a best-effort check: it
+    does not catch every newer construct, nor a newer library call)."""
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (3, int(floor.group(1)))
+    assert version == (3, 10)
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def _clause():
