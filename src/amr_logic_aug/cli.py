@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from . import __version__, corpus, grammar, laws, pairs, pararule, prompt, scoring
 from .files import json_string, read_json, read_lines, sha256_of, write_text
 from .graph import ParseError, parse_penman
-from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon, with_overrides
+from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
 
 logger = logging.getLogger("amr_logic_aug")
 
@@ -76,45 +76,13 @@ def _parse_laws(text: str) -> list[laws.LawKind]:
     return requested
 
 
-def _parse_antonym_pairs(text: str) -> list[tuple[str, str]]:
-    result = []
-    for part in text.split(","):
-        left, sep, right = part.partition(":")
-        if not sep or not left.strip() or not right.strip():
-            raise argparse.ArgumentTypeError(
-                f"bad antonym pair {part!r} (want word:word)"
-            )
-        result.append((left.strip(), right.strip()))
-    return result
-
-
-def _add_lexicon_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("lexicon")
-    group.add_argument("--lexicon", metavar="PATH", help="TSV lexicon file")
-    group.add_argument(
-        "--entities", type=lambda s: s.split(","), metavar="LIST",
-        help="comma-separated replacement entity list",
-    )
-    group.add_argument(
-        "--attributes", type=lambda s: s.split(","), metavar="LIST",
-        help="comma-separated replacement attribute list",
-    )
-    group.add_argument(
-        "--antonyms", type=_parse_antonym_pairs, metavar="PAIRS",
-        help="comma-separated word:word replacement antonym pairs",
-    )
+def _add_lexicon_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--lexicon", metavar="PATH",
+                        help="TSV lexicon file (default: the shipped lexicon)")
 
 
 def _resolve_lexicon(args: argparse.Namespace) -> Lexicon:
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
-    if args.entities or args.attributes or args.antonyms:
-        lexicon = with_overrides(
-            lexicon,
-            entities=args.entities,
-            attributes=args.attributes,
-            antonym_pairs=args.antonyms,
-        )
-    return lexicon
+    return load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
 
 
 def write_manifest(data_path: str | Path, payload: dict) -> None:
@@ -272,13 +240,11 @@ def cmd_pararule(args: argparse.Namespace) -> int:
 
 
 def cmd_loss(args: argparse.Namespace) -> int:
-    loaded = scoring.load_triplets_tsv(args.vectors)
-    triplets = [triplet for _, triplet in loaded]
-    report = scoring.loss_report(triplets, args.score)
-    for (pair_id, _), row in zip(loaded, report):
-        print(f"{pair_id}\t{row['h_pos']!r}\t{row['h_neg']!r}\t{row['loss']!r}")
+    report = scoring.loss_report(scoring.load_triplets_tsv(args.vectors), args.score)
+    for row in report:
+        print(f"{row['pair_id']}\t{row['h_pos']!r}\t{row['h_neg']!r}\t{row['loss']!r}")
     total = math.fsum(row["loss"] for row in report)
-    print(f"TOTAL\t{len(triplets)}\t{args.score}\t{total!r}")
+    print(f"TOTAL\t{len(report)}\t{args.score}\t{total!r}")
     return 0
 
 
@@ -300,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=corpus.DEFAULT_SEED)
     synth.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     synth.add_argument("--out", required=True)
-    _add_lexicon_flags(synth)
+    _add_lexicon_flag(synth)
     synth.set_defaults(func=cmd_synth)
 
     augment = commands.add_parser("augment", help="apply one law per input line")
@@ -314,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=grammar.CORE)
     augment.add_argument("--negatives", action="store_true",
                          help="also emit oracle-checked non-equivalent variants")
-    _add_lexicon_flags(augment)
+    _add_lexicon_flag(augment)
     augment.set_defaults(func=cmd_augment)
 
     pairs_cmd = commands.add_parser("pairs", help="build contrastive pairs + split")
@@ -327,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     pairs_cmd.add_argument("--mix", type=_parse_mix, default=None)
     pairs_cmd.add_argument("--out-train", required=True)
     pairs_cmd.add_argument("--out-val", required=True)
-    _add_lexicon_flags(pairs_cmd)
+    _add_lexicon_flag(pairs_cmd)
     pairs_cmd.set_defaults(func=cmd_pairs)
 
     check = commands.add_parser("check", help="oracle-replay a pairs JSONL file")
     check.add_argument("--in", dest="in_path", required=True)
-    _add_lexicon_flags(check)
+    _add_lexicon_flag(check)
     check.set_defaults(func=cmd_check)
 
     prompt_aug = commands.add_parser("prompt-aug", help="augment MCQ records")
@@ -343,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     prompt_aug.add_argument("--in", dest="in_path", required=True)
     prompt_aug.add_argument("--out", required=True)
     prompt_aug.add_argument("--trace", default=None, help="sidecar trace JSONL")
-    _add_lexicon_flags(prompt_aug)
+    _add_lexicon_flag(prompt_aug)
     prompt_aug.set_defaults(func=cmd_prompt_aug)
 
     pararule_cmd = commands.add_parser("pararule", help="alter deductive rule strings")

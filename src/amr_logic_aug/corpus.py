@@ -28,6 +28,7 @@ capped at family capacity with deterministic redistribution).
 
 from __future__ import annotations
 
+import math
 import random
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -279,8 +280,8 @@ def build_corpus(
     unknown = [kind for kind in mix if not isinstance(kind, PatternKind)]
     if unknown:
         raise CorpusError(f"unknown pattern kinds in mix: {unknown}")
-    if any(fraction < 0 for fraction in mix.values()):
-        raise CorpusError("mix fractions must be non-negative")
+    if not all(math.isfinite(fraction) and fraction >= 0 for fraction in mix.values()):
+        raise CorpusError("mix fractions must be finite and non-negative")
     total = sum(mix.values())
     if abs(total - 1.0) > 1e-9:
         raise CorpusError(f"mix fractions must sum to 1, got {total}")

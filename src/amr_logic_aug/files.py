@@ -4,8 +4,8 @@ and the digest of a data file (:func:`sha256_of`).
 Readers raise the caller's error class, naming the file and line, for a
 byte that is not UTF-8, for malformed JSON and for a JSON escape of a lone
 surrogate (which decodes, but could never be written back as UTF-8).
-:func:`read_objects` is the one reader of row files: it also names the line
-of a row that is not an object or that its builder refuses.
+:func:`read_objects` is the one reader of row files: it also names the file
+and line of a row that is not an object or that its builder refuses.
 Writers stream into a temporary file beside the target and ``os.replace``
 it into place, so a run that fails or is killed leaves the old file (or
 none), never a truncated one, and an output may name its own input.
@@ -75,7 +75,7 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
         try:
             value = json.loads(line)
         except json.JSONDecodeError as err:
-            raise error(f"malformed JSON on line {lineno}: {err}") from err
+            raise error(f"{path}: malformed JSON on line {lineno}: {err}") from err
         if "\\" in line:  # only an escape makes one; far cheaper than the regex
             _no_lone_surrogate(line, path, lineno, error)
         yield lineno, value
@@ -84,17 +84,17 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
 def read_objects(path, error: type[Exception], build: Callable[[dict], Any]) -> Iterator[Any]:
     """Yield ``build(row)`` for each JSON object line.  A line that is not an
     object, and a ``KeyError`` or ``ValueError`` from ``build``, raise
-    ``error`` prefixed ``line N:``; any other exception is a bug and
+    ``error`` prefixed ``<path>: line N:``; any other exception is a bug and
     propagates as it is."""
     for lineno, row in read_jsonl(path, error):
         if not isinstance(row, dict):
-            raise error(f"line {lineno}: not a JSON object, got {type(row).__name__}")
+            raise error(f"{path}: line {lineno}: not a JSON object, got {type(row).__name__}")
         try:
             value = build(row)
         except KeyError as err:
-            raise error(f"line {lineno}: missing key {err}") from err
+            raise error(f"{path}: line {lineno}: missing key {err}") from err
         except ValueError as err:
-            raise error(f"line {lineno}: {err}") from err
+            raise error(f"{path}: line {lineno}: {err}") from err
         yield value
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .grammar import GrammarSentence, compile_core_parser
 
@@ -259,57 +259,10 @@ def default_lexicon() -> Lexicon:
     return _from_bytes(resource.read_bytes(), DEFAULT_RESOURCE)
 
 
-def _format_section(name: str, rows: Iterable[str]) -> list[str]:
-    rows = list(rows)
-    return [f"{name}\t{len(rows)}"] + rows
-
-
-def with_overrides(
-    base: Lexicon,
-    entities: Optional[Iterable[str]] = None,
-    attributes: Optional[Iterable[str]] = None,
-    antonym_pairs: Optional[Iterable[tuple[str, str]]] = None,
-) -> Lexicon:
-    """Rebuild (and fully re-validate) a lexicon with sections replaced.
-
-    ``antonym_pairs`` takes undirected pairs; both directed rows are emitted.
-    Without them, the base's rows are kept, a row whose target is not one of
-    the base's attributes keeping its ``external`` flag, except that a pair
-    one of whose words was a base attribute and is not one any more is
-    dropped, both rows together.  Used by the CLI override flags.
-    """
-    new_entities = tuple(entities) if entities is not None else base.entities
-    new_attributes = tuple(attributes) if attributes is not None else base.attributes
-    if antonym_pairs is not None:
-        directed: list[str] = []
-        for a, b in antonym_pairs:
-            directed.append(f"{a}\t{b}")
-            directed.append(f"{b}\t{a}")
-    else:
-        known = set(base.attributes) | set(base.extension_attributes)
-        left = known - set(new_attributes) - set(base.extension_attributes)
-        directed = [
-            f"{a}\t{b}" if b in known else f"{a}\t{b}\texternal"
-            for a, b in base.antonyms.items()
-            if a not in left and b not in left
-        ]
-    lines: list[str] = []
-    lines += _format_section("ENTITY", new_entities)
-    lines += _format_section("RELATION", base.relations)
-    lines += _format_section("ATTRIBUTE", new_attributes)
-    lines += _format_section("EXTENSION_ENTITY", base.extension_entities)
-    lines += _format_section("EXTENSION_ATTRIBUTE", base.extension_attributes)
-    lines += _format_section("ANTONYM", directed)
-    text = "\n".join(lines) + "\n"
-    checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return parse_lexicon(text, checksum=checksum)
-
-
 __all__ = [
     "LexiconError",
     "Lexicon",
     "parse_lexicon",
     "load_lexicon",
     "default_lexicon",
-    "with_overrides",
 ]

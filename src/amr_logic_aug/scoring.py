@@ -54,12 +54,16 @@ def score(a: Sequence[float], b: Sequence[float], kind: str = COSINE) -> float:
         raise ScoreError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if not a:
         raise ScoreError("vectors must be non-empty")
-    dot = math.fsum(x * y for x, y in zip(a, b))
+    try:
+        dot = math.fsum(x * y for x, y in zip(a, b))
+        if kind == COSINE:
+            norm_a = math.sqrt(math.fsum(x * x for x in a))
+            norm_b = math.sqrt(math.fsum(y * y for y in b))
+    except OverflowError:
+        raise ScoreError("a sum of products overflows a float") from None
     if kind == DOT:
         return dot
     if kind == COSINE:
-        norm_a = math.sqrt(math.fsum(x * x for x in a))
-        norm_b = math.sqrt(math.fsum(y * y for y in b))
         if norm_a == 0.0 or norm_b == 0.0:
             raise ScoreError("cosine is undefined for a zero vector")
         return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
@@ -93,15 +97,17 @@ def triplet_loss_gradient(h_pos: float, h_neg: float) -> float:
     return -exp_gap / (1.0 + exp_gap)
 
 
-def loss_report(triplets: Sequence[Triplet], kind: str = COSINE) -> list[dict]:
-    """Per-triplet h+, h-, and loss, in input order."""
+def loss_report(triplets: Sequence[tuple[str, Triplet]], kind: str = COSINE) -> list[dict]:
+    """Per-triplet pair id, h+, h-, and loss, in input order; a triplet that
+    cannot be scored raises :class:`ScoreError` naming its pair id."""
     report = []
-    for index, triplet in enumerate(triplets):
-        h_pos, h_neg = triplet_scores(triplet, kind)
-        report.append(
-            {"index": index, "h_pos": h_pos, "h_neg": h_neg,
-             "loss": triplet_loss(h_pos, h_neg)}
-        )
+    for pair_id, triplet in triplets:
+        try:
+            h_pos, h_neg = triplet_scores(triplet, kind)
+            loss = triplet_loss(h_pos, h_neg)
+        except ScoreError as err:
+            raise ScoreError(f"pair {pair_id!r}: {err}") from None
+        report.append({"pair_id": pair_id, "h_pos": h_pos, "h_neg": h_neg, "loss": loss})
     return report
 
 
@@ -127,6 +133,8 @@ def load_triplets_tsv(path: str | Path) -> list[tuple[str, Triplet]]:
             vector = tuple(float(value) for value in values)
         except ValueError as err:
             raise ScoreError(f"line {lineno}: bad float: {err}") from err
+        if not all(math.isfinite(x) for x in vector):
+            raise ScoreError(f"line {lineno}: vector values must be finite")
         if dimension is None:
             dimension = len(vector)
         elif len(vector) != dimension:

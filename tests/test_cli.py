@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import importlib
@@ -10,6 +11,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from test_lexicon import make_source
 
 import amr_logic_aug
 from amr_logic_aug import __version__, laws, scoring
-from amr_logic_aug.cli import main
+from amr_logic_aug.cli import build_parser, main
 from amr_logic_aug.graph import ParseError, parse_penman
 from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
 
@@ -66,12 +68,40 @@ def test_version_flag(capsys):
         ["prompt-aug", "--in", "a", "--out", "b", "--laws", "gravity"],
         ["frobnicate"],
         ["check", "--in", "a", "--grammar", "extended"],  # pairs files are core-grammar
+        # A lexicon comes only from the shipped file or --lexicon FILE.
+        ["synth", "--out", "x", "--entities", "the cat,the dog"],
+        ["pairs", "--out-train", "a", "--out-val", "b", "--attributes", "strong,weak"],
+        ["check", "--in", "a", "--antonyms", "strong:weak"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+def parser_options(parser):
+    """Every option string of ``parser`` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= parser_options(subparser)
+    return options
+
+
+def test_every_flag_the_readme_names_exists():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    named = {
+        flag
+        for line in lines
+        if not line.lstrip().startswith("pip ")
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+    }
+    assert named, "no flags found in README"
+    assert named - parser_options(build_parser()) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -121,34 +151,6 @@ def test_synth_unreachable_count_exits_1(tmp_path):
     assert not out.exists()
 
 
-def test_synth_lexicon_overrides(tmp_path):
-    out = tmp_path / "corpus.jsonl"
-    code = main(
-        [
-            "-q", "synth", "--count", "4", "--mix", "atomic-dn=1.0",
-            "--entities", "the cat,the dog",
-            "--attributes", "strong,weak",
-            "--antonyms", "strong:weak",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    texts = [row["text"] for row in read_jsonl(out)]
-    assert len(texts) == 4
-    assert all(text.startswith(("The cat", "The dog")) for text in texts)
-
-
-def test_synth_attributes_without_antonyms_drops_the_pairs_they_remove(tmp_path):
-    out = tmp_path / "corpus.jsonl"
-    code = main(
-        ["-q", "synth", "--attributes", "kind,clever", "--count", "5", "--out", str(out)]
-    )
-    assert code == 0
-    texts = [row["text"] for row in read_jsonl(out)]
-    assert len(texts) == 5
-    assert all("kind" in text or "clever" in text for text in texts)
-
-
 def test_synth_reads_a_lexicon_file(tmp_path):
     lexicon = tmp_path / "custom.tsv"
     lexicon.write_text(make_source(entities=("the fox", "Zed")), encoding="utf-8")
@@ -167,12 +169,25 @@ def test_synth_reads_a_lexicon_file(tmp_path):
 
 
 def test_synth_rejects_an_entity_holding_a_penman_delimiter(tmp_path):
+    lexicon = tmp_path / "custom.tsv"
+    lexicon.write_text(make_source(entities=("the (odd) dog", "Alan")), encoding="utf-8")
     out = tmp_path / "corpus.jsonl"
     code = main(
-        ["-q", "synth", "--count", "4", "--entities", "the (odd) dog,Alan",
-         "--out", str(out)]
+        ["-q", "synth", "--count", "4", "--lexicon", str(lexicon), "--out", str(out)]
     )
     assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction", ["nan", "inf"])
+def test_synth_non_finite_mix_exits_1_with_one_error(tmp_path, caplog, fraction):
+    out = tmp_path / "corpus.jsonl"
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", "synth", "--mix", f"atomic-dn={fraction}", "--count", "10",
+                     "--out", str(out)])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == ["mix fractions must be finite and non-negative"]
     assert not out.exists()
 
 
@@ -697,7 +712,7 @@ def test_a_wrong_field_type_exits_1_with_one_located_error(tmp_path, caplog, arg
     assert code == 1
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1
-    assert location in errors[0]
+    assert errors[0].startswith(f"{src}: {location}")
     assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
 
 
@@ -812,6 +827,31 @@ def test_loss_cli_bad_file_exits_1(tmp_path):
     vectors.write_text("p1\tanchor\t1.0\n", encoding="utf-8")
     assert main(["-q", "loss", "--vectors", str(vectors)]) == 1
     assert main(["-q", "loss", "--vectors", str(tmp_path / "nope.tsv")]) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, kind, error",
+    [
+        ("p1\tanchor\t1.0\t0.0\np1\tpos\tnan\t0.0\np1\tneg\t0.0\t1.0\n", "cosine",
+         "line 2: vector values must be finite"),
+        ("p1\tanchor\t1.0\t0.0\np1\tpos\t1.0\t0.0\np1\tneg\t0.0\t1.0\n"
+         "p2\tanchor\t1.0\t0.0\np2\tpos\t0.0\t0.0\np2\tneg\t0.0\t1.0\n", "cosine",
+         "pair 'p2': cosine is undefined for a zero vector"),
+        ("p1\tanchor\t1e200\t0\np1\tpos\t1e200\t0\np1\tneg\t1\t0\n", "dot",
+         "pair 'p1': non-finite scores: h+=inf, h-=1e+200"),
+        ("p1\tanchor\t1e154\t1e154\np1\tpos\t1e154\t1e154\np1\tneg\t1\t0\n", "cosine",
+         "pair 'p1': a sum of products overflows a float"),
+    ],
+    ids=["nan", "zero-vector", "infinite-score", "overflow"],
+)
+def test_loss_cli_fault_names_its_line_or_pair(tmp_path, caplog, capsys, rows, kind, error):
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text(rows, encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        assert main(["-q", "loss", "--vectors", str(vectors), "--score", kind]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [error]
+    assert capsys.readouterr().out == ""
 
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -105,6 +106,9 @@ def test_build_corpus_respects_mix(lexicon):
         ({PatternKind.ATOMIC_DN: 0.5}, "must sum to 1"),
         ({PatternKind.ATOMIC_DN: -0.5, PatternKind.COMMUTATIVE_PAIR: 1.5}, "non-negative"),
         ({"atomic-dn": 1.0}, "unknown pattern kinds"),
+        ({PatternKind.ATOMIC_DN: math.nan}, "must be finite"),
+        ({PatternKind.ATOMIC_DN: math.inf}, "must be finite"),
+        ({PatternKind.ATOMIC_DN: math.nan, PatternKind.COMMUTATIVE_PAIR: 1.0}, "must be finite"),
     ],
 )
 def test_mix_validation(lexicon, mix, reason):

@@ -62,7 +62,7 @@ def test_read_jsonl_names_the_malformed_line(tmp_path):
     path.write_text('{"a": "\u2028"}\n\n{oops\n', encoding="utf-8")
     rows = read_jsonl(path, Refused)
     assert next(rows) == (1, {"a": "\u2028"})
-    with pytest.raises(Refused, match="malformed JSON on line 3: "):
+    with pytest.raises(Refused, match="^" + re.escape(f"{path}: malformed JSON on line 3: ")):
         next(rows)
 
 
@@ -86,7 +86,7 @@ def test_read_objects_names_the_line_a_row_fails_on(tmp_path, line, message):
     path.write_text(f'{{"a": "x"}}\n\n{line}\n{{"a": "y"}}\n', encoding="utf-8")
     rows = read_objects(path, Refused, _refuse_b)
     assert next(rows) == "x"
-    with pytest.raises(Refused, match=f"^{re.escape(message)}$"):
+    with pytest.raises(Refused, match=f"^{re.escape(f'{path}: {message}')}$"):
         next(rows)
 
 

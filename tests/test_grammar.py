@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 import sys
@@ -28,7 +29,6 @@ from amr_logic_aug.grammar import (
     realize,
     realize_struct,
 )
-from amr_logic_aug.lexicon import with_overrides
 from amr_logic_aug.pairs import build_pairs
 
 
@@ -632,10 +632,10 @@ def probe_lexicon(lexicon, overridden):
     if not overridden:
         return lexicon
     # "The Big Dog", "the Big Dog" and "the big dog" differ only in case.
-    return with_overrides(
+    return dataclasses.replace(
         lexicon,
-        entities=["the bald", "the bald eagle", "The Big Dog", "the big dog",
-                  "the Big Dog", "alan", "the"],
+        entities=("the bald", "the bald eagle", "The Big Dog", "the big dog",
+                  "the Big Dog", "alan", "the"),
     )
 
 
@@ -649,7 +649,7 @@ def test_indexed_subject_match_agrees_with_the_sorted_rule(lexicon, overridden):
 
 
 def test_subject_table_is_per_lexicon(lexicon):
-    overridden = with_overrides(lexicon, entities=["the bald", "the big dog"])
+    overridden = dataclasses.replace(lexicon, entities=("the bald", "the big dog"))
     words = "the big dog is kind".split()
     assert grammar._match_subject(words, overridden) == ("the big dog", ["is", "kind"])
     assert grammar._match_subject(words, lexicon) is None
@@ -676,20 +676,20 @@ def assert_as_general(text, lexicon, level=CORE):
     ), text
 
 
-# Overridden lexicons keep the default's extension entities ("the duck",
+# Variant lexicons keep the default's extension entities ("the duck",
 # "James"); "copula-entity" holds an entity the pattern cannot take.
 PATTERN_LEXICONS = {
     "default": None,
-    "overlapping": ["the big dog", "the big", "the", "the bald eagle", "alan"],
-    "case-duplicates": ["Bob", "bob", "the Big Dog", "the big dog"],
-    "copula-entity": ["the cat is", "the cat", "bob"],
+    "overlapping": ("the big dog", "the big", "the", "the bald eagle", "alan"),
+    "case-duplicates": ("Bob", "bob", "the Big Dog", "the big dog"),
+    "copula-entity": ("the cat is", "the cat", "bob"),
 }
 
 
 @pytest.fixture(scope="module")
 def pattern_lexicons(lexicon):
     return {
-        name: lexicon if entities is None else with_overrides(lexicon, entities=entities)
+        name: lexicon if entities is None else dataclasses.replace(lexicon, entities=entities)
         for name, entities in PATTERN_LEXICONS.items()
     }
 
@@ -769,7 +769,7 @@ def test_core_pattern_agrees_with_the_general_parser_on_edge_cases(pattern_lexic
 
 @pytest.mark.parametrize("entity", ["the cat is", "but", "And", "if", "the dog not", "o'neil", "the émeu"])
 def test_an_entity_the_pattern_cannot_take_turns_it_off(lexicon, entity):
-    lex = with_overrides(lexicon, entities=[entity, "the cat", "bob"])
+    lex = dataclasses.replace(lexicon, entities=(entity, "the cat", "bob"))
     assert lex.core_parser is None
     for template in ("{} is kind.", "{} kind.", "{} is not kind.", "{} is kind and bob is big.",
                      "If {} is kind, then bob is big.", "Bob is big if {} is kind."):

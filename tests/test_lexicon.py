@@ -1,4 +1,4 @@
-"""Lexicon file format, validation, and overrides."""
+"""Lexicon file format and validation."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from amr_logic_aug.lexicon import (
     default_lexicon,
     load_lexicon,
     parse_lexicon,
-    with_overrides,
 )
 
 
@@ -148,39 +147,6 @@ def test_environment_does_not_change_default_lexicon(tmp_path, monkeypatch):
     assert lexicon.checksum == hashlib.sha256(shipped).hexdigest()
     assert lexicon.checksum != load_lexicon(path).checksum
     assert "the fox" not in lexicon.entities
-
-
-def test_with_overrides_rebuilds_and_revalidates():
-    base = parse_lexicon(make_source())
-    replaced = with_overrides(base, entities=["the owl"])
-    assert replaced.entities == ("the owl",)
-    assert replaced.attributes == base.attributes
-    swapped = with_overrides(base, antonym_pairs=[("strong", "round")])
-    assert swapped.antonym_of("round") == "strong"
-    external = parse_lexicon(
-        make_source(antonyms=(("round", "flat\texternal"), ("flat", "round")))
-    )
-    assert with_overrides(external, entities=["the owl"]).antonyms == external.antonyms
-    with pytest.raises(LexiconError):
-        with_overrides(base, attributes=["solo"], antonym_pairs=[("solo", "gone")])
-    with pytest.raises(LexiconError):
-        with_overrides(base, entities=["dup", "dup"])
-
-
-def test_with_overrides_drops_pairs_whose_words_leave_the_attributes():
-    base = parse_lexicon(
-        make_source(
-            attributes=("strong", "weak", "round", "big"),
-            ext_attributes=("sleepy", "small"),
-            antonyms=(("strong", "weak"), ("weak", "strong"), ("big", "small"),
-                      ("small", "big"), ("round", "flat\texternal"), ("flat", "round")),
-        )
-    )
-    # "weak" leaves: both rows of its pair go; "small" is an extension word.
-    kept = with_overrides(base, attributes=["strong", "round", "big"])
-    assert kept.antonyms == {"big": "small", "small": "big", "round": "flat", "flat": "round"}
-    # "round" leaves: its external pair goes too.
-    assert with_overrides(base, attributes=["big"]).antonyms == {"big": "small", "small": "big"}
 
 
 def test_lexicon_is_frozen():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from amr_logic_aug.grammar import (
     parse_sentence_struct,
 )
 from amr_logic_aug.laws import apply_law
-from amr_logic_aug.lexicon import parse_lexicon, with_overrides
+from amr_logic_aug.lexicon import parse_lexicon
 from amr_logic_aug.logic import (
     MAX_ORACLE_ATOMS,
     And,
@@ -125,10 +126,11 @@ def test_clause_literal_follows_the_antonym_rule(lexicon):
     # "round" is paired with the external word "flat", which sorts first, so
     # an attribute maps to a base atom outside the attributes.
     source = make_source(
+        entities=("the owl",),
         antonyms=(("strong", "weak"), ("weak", "strong"),
                   ("round", "flat\texternal"), ("flat", "round")),
     )
-    external = with_overrides(parse_lexicon(source), entities=["the owl"])
+    external = parse_lexicon(source)
     assert external.antonym_of("flat") == "round"
     for lex in (lexicon, external):
         words = set(lex.attributes) | set(lex.extension_attributes) | set(lex.antonyms)
@@ -318,10 +320,10 @@ def test_structs_equivalent_matches_reference_on_random_pairs(lexicon):
     # is listed base-first and one base-last, so both sides of the
     # normalization are exercised.
     attributes = ("weak", "strong", "old", "young", "round")
-    small = with_overrides(
+    small = dataclasses.replace(
         lexicon,
         attributes=attributes,
-        antonym_pairs=[("weak", "strong"), ("old", "young")],
+        antonyms={"weak": "strong", "strong": "weak", "old": "young", "young": "old"},
     )
     subjects = lexicon.entities[:2]
     rng = random.Random(2021)

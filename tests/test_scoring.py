@@ -58,6 +58,8 @@ def test_dot_score():
         ((0.0, 0.0), (1.0, 0.0), COSINE, "zero vector"),
         ((1.0, 0.0), (0.0, 0.0), COSINE, "zero vector"),
         ((1.0,), (1.0,), "manhattan", "unknown score kind"),
+        ((1e154, 1e154), (1e154, 1e154), DOT, "overflows a float"),
+        ((1e154, 1e154), (1.0, 0.0), COSINE, "overflows a float"),
     ],
 )
 def test_score_errors(a, b, kind, reason):
@@ -154,11 +156,19 @@ def test_gradient_matches_finite_differences():
 
 def test_loss_report_structure():
     triplet = Triplet(unit(0.0), unit(0.0), unit(math.pi / 2))
-    report = loss_report([triplet, triplet])
-    assert [row["index"] for row in report] == [0, 1]
+    report = loss_report([("p1", triplet), ("p0", triplet)])
+    assert [row["pair_id"] for row in report] == ["p1", "p0"]
     assert report[0]["h_pos"] == pytest.approx(1.0)
     assert report[0]["h_neg"] == pytest.approx(0.0)
     assert report[0]["loss"] == pytest.approx(triplet_loss(1.0, 0.0))
+
+
+def test_loss_report_names_the_pair_of_a_zero_vector():
+    zero = Triplet((1.0, 0.0), (0.0, 0.0), (0.0, 1.0))
+    good = Triplet((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    with pytest.raises(ScoreError, match="^pair 'p2': cosine is undefined for a zero vector$"):
+        loss_report([("p1", good), ("p2", zero)])
+    assert len(loss_report([("p2", zero)], DOT)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +207,8 @@ def test_load_triplets_tsv(tmp_path):
         (["p1\tanchor"], "line 1: need pair_id, role, floats"),
         (["p1\tcenter\t1.0"], "line 1: unknown role 'center'"),
         (["p1\tanchor\tabc"], "line 1: bad float"),
+        (["p1\tanchor\t1.0", "p1\tpos\tnan"], "line 2: vector values must be finite"),
+        (["p1\tanchor\t-inf"], "line 1: vector values must be finite"),
         (
             ["p1\tanchor\t1.0\t2.0", "p1\tpos\t1.0"],
             "line 2: dimension 1 != 2",
