@@ -137,7 +137,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
                 if args.format == "penman":
                     sentence = parse_penman(line)
                 else:
-                    sentence = grammar.parse_sentence_struct(line, lexicon, args.grammar)
+                    sentence = grammar.parse_sentence_struct(
+                        line, lexicon, args.grammar or grammar.CORE
+                    )
                 outcome = laws.apply_law(sentence, args.law, lexicon)
             except (ParseError, grammar.GrammarError, laws.LawError) as err:
                 skipped += 1
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     augment.add_argument("--out", required=True)
     augment.add_argument("--format", choices=("text", "penman"), default="text")
     augment.add_argument("--grammar", choices=(grammar.CORE, grammar.EXTENDED),
-                         default=grammar.CORE)
+                         help=f"text input only (default: {grammar.CORE})")
     augment.add_argument("--negatives", action="store_true",
                          help="also emit oracle-checked non-equivalent variants")
     _add_lexicon_flag(augment)
@@ -328,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "augment" and args.format == "penman" and args.grammar:
+        parser.error("augment: --grammar applies to text input only, not --format penman")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if args.quiet else logging.INFO,

@@ -44,7 +44,7 @@ from .grammar import (
     penman_of_struct,
     realize_struct,
 )
-from .laws import LawKind
+from .laws import LawKind, applicable_laws
 from .lexicon import Lexicon
 
 DEFAULT_TARGET = 14_962
@@ -342,9 +342,10 @@ def corpus_to_jsonl(corpus: Sequence[SynthSentence], path) -> int:
 def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
     """Rebuild sentences from a {text, penman, pattern} JSONL file.
 
-    Structs are reconstructed by re-parsing the text, and each line's
-    ``penman`` must be the Penman of that struct, so a file whose text
-    drifted from the grammar, or whose graph drifted from its text, fails
+    Structs are reconstructed by re-parsing the text, each line's
+    ``penman`` must be the Penman of that struct, and its pattern's law must
+    apply to it, so a file whose text drifted from the grammar, whose graph
+    drifted from its text, or whose pattern does not fit its text fails
     loudly with a line number.
     """
 
@@ -353,13 +354,20 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
             if not isinstance(row[key], str):
                 raise CorpusError(f"{key} must be a string, got {type(row[key]).__name__}")
         struct = parse_sentence_struct(row["text"], lexicon)
-        sentence = _sentence(struct, PatternKind(row["pattern"]))
+        pattern = PatternKind(row["pattern"])
+        sentence = _sentence(struct, pattern)
         if sentence.text != row["text"]:
             raise CorpusError(f"text is not canonical: {row['text']!r}")
         penman = row["penman"]
         expected = penman_of_struct(struct)
         if penman != expected:
             raise CorpusError(f"penman {penman!r} is not the text's {expected!r}")
+        law = PATTERN_LAW[pattern]
+        if law not in applicable_laws(struct, lexicon):
+            raise CorpusError(
+                f"pattern {pattern.value!r} needs the {law.value} law, "
+                "which does not apply to this text"
+            )
         return sentence
 
     return list(read_objects(path, CorpusError, sentence_of))

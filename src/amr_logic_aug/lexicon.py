@@ -9,10 +9,10 @@ EXTENSION_ENTITY, EXTENSION_ATTRIBUTE
     Extra vocabulary for robustness variants; never used by default
     generation but valid antonym targets.
 ANTONYM
-    Directed rows ``word<TAB>antonym[<TAB>external]``.  Every row must have
-    its mirror row (symmetry is validated, not assumed), no word maps to
-    itself or to two different words, and the target must be a known
-    attribute unless the row carries the ``external`` flag.
+    Directed rows ``word<TAB>antonym``.  Every row must have its mirror row
+    (symmetry is validated, not assumed), no word maps to itself or to two
+    different words, and the target must be an ATTRIBUTE or
+    EXTENSION_ATTRIBUTE entry.
 
 Entries of every section but RELATION can become Penman concepts, so
 none may contain ``(``, ``)``, ``/`` or ``"``.
@@ -172,17 +172,9 @@ def _antonym_map(
     rows: list[tuple[int, list[str]]], known_attributes: set[str]
 ) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    external: set[str] = set()
     for lineno, cells in rows:
-        if len(cells) == 3 and cells[2].strip() == "external":
-            flagged = True
-        elif len(cells) == 2:
-            flagged = False
-        else:
-            raise LexiconError(
-                "antonym rows must be 'word<TAB>antonym' with an optional "
-                f"'external' flag at line {lineno}"
-            )
+        if len(cells) != 2:
+            raise LexiconError(f"antonym rows must be 'word<TAB>antonym' at line {lineno}")
         source, target = cells[0].strip(), cells[1].strip()
         if not source or not target:
             raise LexiconError(f"empty antonym cell at line {lineno}")
@@ -193,19 +185,14 @@ def _antonym_map(
                 f"antonym maps {source!r} to both {mapping[source]!r} and {target!r}"
             )
         mapping[source] = target
-        if flagged:
-            external.add(target)
     for source, target in mapping.items():
         if mapping.get(target) != source:
             raise LexiconError(
                 f"asymmetric antonym rows: {source!r}→{target!r} "
                 f"without {target!r}→{source!r}"
             )
-        if target not in known_attributes and target not in external:
-            raise LexiconError(
-                f"unknown antonym word {target!r} (not an attribute; "
-                "flag it external if intended)"
-            )
+        if target not in known_attributes:
+            raise LexiconError(f"unknown antonym word {target!r} (not an attribute)")
     return mapping
 
 

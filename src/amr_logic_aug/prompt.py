@@ -12,9 +12,10 @@ Sentences are always parsed with the extended verb-phrase grammar so real
 reading-comprehension phrasings ("you will not be able to use a computer",
 "you have no keyboarding skills at all") normalize onto stable atoms.
 Free text outside even the extended grammar is passed through unchanged
-and recorded in the trace with a skip reason.
+and recorded in its trace row with a skip reason.
 
-:func:`augment_file` takes the lexicon from its caller.  A file that does
+:func:`augment_file` takes the lexicon from its caller and keeps each
+record's trace rows only when a trace file is asked for.  A file that does
 not parse raises :class:`PromptError` naming where; a record that is not an
 object with string ``context``, ``question`` and ``answers`` (and, when
 present, a string ``id_string``) is written out unchanged and counted in
@@ -123,12 +124,6 @@ class TraceRow:
     skipped_reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AugmentationTrace:
-    record_id: str
-    rows: tuple[TraceRow, ...]
-
-
 _ABBREVIATIONS = {
     "mr", "mrs", "ms", "dr", "prof", "sr", "jr", "st", "no", "vs", "etc",
     "e.g", "i.e", "cf", "al", "inc", "ltd", "co", "fig", "approx",
@@ -189,8 +184,10 @@ def augment_record(
     record: McqRecord,
     lexicon: Lexicon,
     laws: Iterable[LawKind] = DEFAULT_PROMPT_LAWS,
-) -> tuple[McqRecord, AugmentationTrace]:
-    """Append option rewrites and context rewrites to every option."""
+) -> tuple[McqRecord, tuple[TraceRow, ...]]:
+    """Append option rewrites and context rewrites to every option; returns
+    the augmented record and one trace row per context sentence, then one per
+    option."""
     laws = frozenset(laws)
     rows = [
         rewrite_sentence(sentence, lexicon, laws, "context")
@@ -227,7 +224,7 @@ def augment_record(
         label=record.label,
         id_string=record.id_string,
     )
-    return augmented, AugmentationTrace(record_id=record.id_string, rows=tuple(rows))
+    return augmented, tuple(rows)
 
 
 def _read_records(path: str | Path, file_format: str) -> Iterable:
@@ -241,19 +238,20 @@ def _read_records(path: str | Path, file_format: str) -> Iterable:
     raise PromptError(f"unknown format {file_format!r} (use {RECLOR} or {LOGIQA})")
 
 
-def _trace_lines(traces: Iterable[AugmentationTrace]) -> Iterable[str]:
-    """One line per trace row, the bytes of ``json.dumps({"record_id": ...,
-    **dataclasses.asdict(row)}, ensure_ascii=False)``, formatted directly."""
+def _trace_lines(traces: Iterable[tuple[str, tuple[TraceRow, ...]]]) -> Iterable[str]:
+    """One line per trace row of each ``(record_id, rows)`` pair, the bytes of
+    ``json.dumps({"record_id": ..., **dataclasses.asdict(row)},
+    ensure_ascii=False)``, formatted directly."""
     quote = json_string
-    for trace in traces:
-        record_id = quote(trace.record_id)
-        for row in trace.rows:
+    for record_id, rows in traces:
+        quoted_id = quote(record_id)
+        for row in rows:
             rewrites = ", ".join(
                 [f'{{"law": {quote(r.law)}, "text": {quote(r.text)}}}' for r in row.rewrites]
             )
             reason = "null" if row.skipped_reason is None else quote(row.skipped_reason)
             yield (
-                f'{{"record_id": {record_id}, "source": {quote(row.source)}, '
+                f'{{"record_id": {quoted_id}, "source": {quote(row.source)}, '
                 f'"original": {quote(row.original)}, "rewrites": [{rewrites}], '
                 f'"skipped_reason": {reason}}}\n'
             )
@@ -276,7 +274,7 @@ def augment_file(
     payloads = _read_records(in_path, file_format)
 
     out_payloads: list[dict] = []
-    traces: list[AugmentationTrace] = []
+    traces: list[tuple[str, tuple[TraceRow, ...]]] = []
     stats = {
         "records_processed": 0,
         "records_skipped": 0,
@@ -291,13 +289,14 @@ def augment_file(
             stats["records_skipped"] += 1
             out_payloads.append(payload)
             continue
-        augmented, trace = augment_record(record, lexicon, laws)
+        augmented, rows = augment_record(record, lexicon, laws)
         result = dict(payload)
         result["answers"] = list(augmented.answers)
         out_payloads.append(result)
-        traces.append(trace)
+        if trace_path is not None:
+            traces.append((record.id_string, rows))
         stats["records_processed"] += 1
-        for row in trace.rows:
+        for row in rows:
             stats["sentences_seen"] += 1
             if row.rewrites:
                 stats["sentences_augmented"] += 1
@@ -324,7 +323,6 @@ __all__ = [
     "McqRecord",
     "Rewrite",
     "TraceRow",
-    "AugmentationTrace",
     "split_sentences",
     "rewrite_sentence",
     "augment_record",

@@ -59,7 +59,9 @@ def score(a: Sequence[float], b: Sequence[float], kind: str = COSINE) -> float:
         if kind == COSINE:
             norm_a = math.sqrt(math.fsum(x * x for x in a))
             norm_b = math.sqrt(math.fsum(y * y for y in b))
-    except OverflowError:
+            if not (math.isfinite(dot) and math.isfinite(norm_a) and math.isfinite(norm_b)):
+                raise OverflowError
+    except (OverflowError, ValueError):  # fsum raises ValueError on -inf + inf
         raise ScoreError("a sum of products overflows a float") from None
     if kind == DOT:
         return dot
@@ -118,7 +120,6 @@ def load_triplets_tsv(path: str | Path) -> list[tuple[str, Triplet]]:
     vectors in the file must share one dimension.
     """
     groups: dict[str, dict[str, tuple[float, ...]]] = {}
-    order: list[str] = []
     dimension: int | None = None
     for lineno, line in read_lines(path, ScoreError):
         if line.startswith("#"):
@@ -139,15 +140,12 @@ def load_triplets_tsv(path: str | Path) -> list[tuple[str, Triplet]]:
             dimension = len(vector)
         elif len(vector) != dimension:
             raise ScoreError(f"line {lineno}: dimension {len(vector)} != {dimension}")
-        if pair_id not in groups:
-            groups[pair_id] = {}
-            order.append(pair_id)
-        if role in groups[pair_id]:
+        rows = groups.setdefault(pair_id, {})
+        if role in rows:
             raise ScoreError(f"line {lineno}: duplicate {role!r} for {pair_id!r}")
-        groups[pair_id][role] = vector
+        rows[role] = vector
     triplets = []
-    for pair_id in order:
-        rows = groups[pair_id]
+    for pair_id, rows in groups.items():
         missing = [role for role in _ROLES if role not in rows]
         if missing:
             raise ScoreError(f"pair {pair_id!r} missing roles: {', '.join(missing)}")

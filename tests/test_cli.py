@@ -12,6 +12,7 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,9 @@ def test_version_flag(capsys):
         ["synth", "--out", "x", "--entities", "the cat,the dog"],
         ["pairs", "--out-train", "a", "--out-val", "b", "--attributes", "strong,weak"],
         ["check", "--in", "a", "--antonyms", "strong:weak"],
+        # Penman input is not parsed by a sentence grammar.
+        ["augment", "--law", "double-negation", "--format", "penman", "--grammar",
+         "extended", "--in", "a", "--out", "b"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -102,6 +106,33 @@ def test_every_flag_the_readme_names_exists():
     }
     assert named, "no flags found in README"
     assert named - parser_options(build_parser()) == set()
+
+
+def test_readme_commands_parse_and_name_their_own_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    # Every command line of a fenced sh block parses, continuations joined.
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [
+        line.strip()
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("amr-logic-aug ")
+    ]
+    assert len(lines) >= 9
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+    # An inline span that starts with a subcommand names only its options.
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)
+    spans = [span.split() for span in re.findall(r"`([^`]+)`", prose)]
+    checked = 0
+    for words in spans:
+        if words and words[0] in commands.choices:
+            options = parser_options(commands.choices[words[0]])
+            assert {w for w in words if w.startswith("--")} <= options, words
+            checked += 1
+    assert checked >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +872,11 @@ def test_loss_cli_bad_file_exits_1(tmp_path):
          "pair 'p1': non-finite scores: h+=inf, h-=1e+200"),
         ("p1\tanchor\t1e154\t1e154\np1\tpos\t1e154\t1e154\np1\tneg\t1\t0\n", "cosine",
          "pair 'p1': a sum of products overflows a float"),
+        ("p1\tanchor\t1\t0\np1\tpos\t1\t0\np1\tneg\t1\t0\n"
+         "p2\tanchor\t1e160\t1e160\np2\tpos\t1e160\t-1e160\np2\tneg\t1\t0\n", "cosine",
+         "pair 'p2': a sum of products overflows a float"),
     ],
-    ids=["nan", "zero-vector", "infinite-score", "overflow"],
+    ids=["nan", "zero-vector", "infinite-score", "overflow", "overflow-to-nan"],
 )
 def test_loss_cli_fault_names_its_line_or_pair(tmp_path, caplog, capsys, rows, kind, error):
     vectors = tmp_path / "vectors.tsv"

@@ -245,6 +245,17 @@ def test_jsonl_blank_lines_are_skipped(lexicon, tmp_path):
         ),
         ("[1, 2]", "line 1: not a JSON object, got list"),
         ('"x"', "line 1: not a JSON object, got str"),
+        (
+            '{"text": "If Alan is kind, then Bob is tall.", "penman": "(t / tall '
+            ':condition (k / kind :domain (a / Alan)) :domain (b / Bob))", '
+            '"pattern": "commutative-pair"}',
+            "line 1: pattern 'commutative-pair' needs the commutative law",
+        ),
+        (
+            '{"text": "Alan is kind.", "penman": "(k / kind :domain (a / Alan))", '
+            '"pattern": "atomic-dn"}',
+            "line 1: pattern 'atomic-dn' needs the double-negation law",
+        ),
     ],
 )
 def test_jsonl_load_errors(lexicon, tmp_path, line, reason):

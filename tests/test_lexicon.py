@@ -95,8 +95,12 @@ def test_parse_round_trip():
         (dict(ext_entities=("the (sheep",)), "section EXTENSION_ENTITY .* line 13"),
         (dict(ext_attributes=('sle"epy',)), "section EXTENSION_ATTRIBUTE .* line 15"),
         (
-            dict(antonyms=(("strong", "we(ak\texternal"), ("we(ak", "strong"))),
+            dict(antonyms=(("strong", "we(ak"), ("we(ak", "strong"))),
             "section ANTONYM .* line 17",
+        ),
+        (
+            dict(antonyms=(("strong", "weak\texternal"), ("weak", "strong"))),
+            "antonym rows must be 'word<TAB>antonym' at line 17",
         ),
     ],
 )

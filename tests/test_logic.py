@@ -123,16 +123,17 @@ def test_make_atom_normalizes_antonyms(lexicon):
 
 
 def test_clause_literal_follows_the_antonym_rule(lexicon):
-    # "round" is paired with the external word "flat", which sorts first, so
-    # an attribute maps to a base atom outside the attributes.
+    # "round" is paired with the extension attribute "flat", which sorts
+    # first, so an attribute maps to a base atom outside the attributes.
     source = make_source(
         entities=("the owl",),
+        ext_attributes=("sleepy", "flat"),
         antonyms=(("strong", "weak"), ("weak", "strong"),
-                  ("round", "flat\texternal"), ("flat", "round")),
+                  ("round", "flat"), ("flat", "round")),
     )
-    external = parse_lexicon(source)
-    assert external.antonym_of("flat") == "round"
-    for lex in (lexicon, external):
+    extended = parse_lexicon(source)
+    assert extended.antonym_of("flat") == "round"
+    for lex in (lexicon, extended):
         words = set(lex.attributes) | set(lex.extension_attributes) | set(lex.antonyms)
         for word in sorted(words):
             partner = lex.antonyms.get(word)

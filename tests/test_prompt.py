@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from dataclasses import asdict
 
 import pytest
@@ -242,9 +244,8 @@ def test_keyboard_untouched_fields(lexicon):
 
 
 def test_keyboard_trace_rows(lexicon):
-    _, trace = augment_record(KEYBOARD_RECORD, lexicon)
-    assert trace.record_id == "keyboard-1"
-    assert [row.source for row in trace.rows] == [
+    _, rows = augment_record(KEYBOARD_RECORD, lexicon)
+    assert [row.source for row in rows] == [
         "context",
         "context",
         "option 0",
@@ -252,7 +253,7 @@ def test_keyboard_trace_rows(lexicon):
         "option 2",
         "option 3",
     ]
-    for row in trace.rows:
+    for row in rows:
         assert [r.law for r in row.rewrites] == ["contraposition", "implication"]
 
 
@@ -264,9 +265,9 @@ def test_augment_record_rewrites_each_sentence_once(lexicon, monkeypatch):
         return rewrite_sentence(text, *args)
 
     monkeypatch.setattr(prompt, "rewrite_sentence", counting)
-    _, trace = augment_record(KEYBOARD_RECORD, lexicon)
+    _, rows = augment_record(KEYBOARD_RECORD, lexicon)
     assert texts == split_sentences(KEYBOARD_CONTEXT) + list(KEYBOARD_ANSWERS)
-    assert [row.original for row in trace.rows] == texts
+    assert [row.original for row in rows] == texts
 
 
 def test_augmentation_is_idempotent(lexicon):
@@ -276,12 +277,12 @@ def test_augmentation_is_idempotent(lexicon):
 
 
 def test_law_filter_drops_implication_rewrites(lexicon):
-    augmented, trace = augment_record(
+    augmented, rows = augment_record(
         KEYBOARD_RECORD, lexicon, laws={LawKind.CONTRAPOSITION}
     )
     assert all(
         rewrite.law == "contraposition"
-        for row in trace.rows
+        for row in rows
         for rewrite in row.rewrites
     )
     assert " or " not in augmented.answers[1]
@@ -294,9 +295,9 @@ def test_free_text_record_passes_through(lexicon):
         answers=("Opinions, varied.", "Nobody knows?!", "So it goes...", "Hmm!"),
         label=0,
     )
-    augmented, trace = augment_record(record, lexicon)
+    augmented, rows = augment_record(record, lexicon)
     assert augmented.answers == record.answers
-    assert all(row.skipped_reason for row in trace.rows)
+    assert all(row.skipped_reason for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +342,31 @@ def test_augment_file_reclor(lexicon, tmp_path):
     assert len(rows) == 11
     assert rows[0]["record_id"] == "keyboard-1"
     assert {"source", "original", "rewrites", "skipped_reason"} <= set(rows[0])
+
+
+def test_augment_file_holds_no_trace_rows_without_a_trace_file(lexicon, tmp_path, monkeypatch):
+    # Rows of records already written out must be free by the time the
+    # output is written; only the last record's rows may still be bound.
+    refs = []
+
+    def recording(*args):
+        augmented, rows = augment_record(*args)
+        refs.extend(weakref.ref(row) for row in rows)
+        return augmented, rows
+
+    def writing(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return write_text(*args)
+
+    alive = []
+    write_text = prompt.write_text
+    monkeypatch.setattr(prompt, "augment_record", recording)
+    monkeypatch.setattr(prompt, "write_text", writing)
+    src, dst = tmp_path / "val.json", tmp_path / "val_aug.json"
+    src.write_text(json.dumps([KEYBOARD_RECORD.to_dict()] * 3), encoding="utf-8")
+    augment_file(src, dst, lexicon, RECLOR)
+    assert len(refs) == 18 and alive == [6]
 
 
 def test_augment_file_skips_a_record_whose_label_is_not_an_int(lexicon, tmp_path):
@@ -389,12 +415,9 @@ def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
     trace = tmp_path / "trace.jsonl"
     augment_file(src, tmp_path / "out.jsonl", lexicon, LOGIQA, LAW_ORDER, trace)
     expected = [
-        json.dumps({"record_id": record_trace.record_id, **asdict(row)}, ensure_ascii=False)
-        + "\n"
-        for record_trace in (
-            augment_record(McqRecord.from_dict(p), lexicon, LAW_ORDER)[1] for p in payloads
-        )
-        for row in record_trace.rows
+        json.dumps({"record_id": p["id_string"], **asdict(row)}, ensure_ascii=False) + "\n"
+        for p in payloads
+        for row in augment_record(McqRecord.from_dict(p), lexicon, LAW_ORDER)[1]
     ]
     lines = trace.read_text(encoding="utf-8").split("\n")
     assert [line + "\n" for line in lines[:-1]] == expected and lines[-1] == ""

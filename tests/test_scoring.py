@@ -60,6 +60,8 @@ def test_dot_score():
         ((1.0,), (1.0,), "manhattan", "unknown score kind"),
         ((1e154, 1e154), (1e154, 1e154), DOT, "overflows a float"),
         ((1e154, 1e154), (1.0, 0.0), COSINE, "overflows a float"),
+        ((1e160, 0.0), (-1e160, 0.0), COSINE, "overflows a float"),
+        ((1e160, 1e160), (1e160, -1e160), COSINE, "overflows a float"),
     ],
 )
 def test_score_errors(a, b, kind, reason):
