@@ -149,8 +149,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             positive = quote(render(outcome.positive))
             row = f'{{"input": {quote(line)}, "law": {law}, "positive": {positive}'
             if args.negatives:
-                negatives = ", ".join([quote(render(s)) for s in outcome.negatives])
-                yield f'{row}, "negatives": [{negatives}]}}\n'
+                yield f'{row}, "negatives": [{quote(render(outcome.negative))}]}}\n'
             else:
                 yield f"{row}}}\n"
 
@@ -223,7 +222,7 @@ def cmd_prompt_aug(args: argparse.Namespace) -> int:
         {
             "command": "prompt-aug",
             "format": args.format,
-            "laws": [law.value for law in prompt.LAW_ORDER if law in args.laws],
+            "laws": [law.value for law in laws.LawKind if law in args.laws],
             "lexicon_checksum": lexicon.checksum,
             **stats,
         },

@@ -44,7 +44,7 @@ from .grammar import (
     penman_of_struct,
     realize_struct,
 )
-from .laws import LawKind, applicable_laws
+from .laws import LawKind, refusal
 from .lexicon import Lexicon
 
 DEFAULT_TARGET = 14_962
@@ -234,21 +234,6 @@ def _generate_family(
     return accepted
 
 
-def generate_pattern(
-    lexicon: Lexicon, pattern: PatternKind, count: int, seed: int = DEFAULT_SEED
-) -> list[SynthSentence]:
-    """Seeded sampling without replacement of one pattern family."""
-    if count < 0:
-        raise CorpusError("count must be non-negative")
-    capacity = family_capacity(lexicon, pattern)
-    if count > capacity:
-        raise CorpusError(
-            f"count {count} exceeds distinct combinations {capacity} "
-            f"for {pattern.value}"
-        )
-    return _generate_family(lexicon, pattern, count, _family_rng(seed, pattern), set())
-
-
 def _largest_remainder(target: int, weights: dict[PatternKind, float]) -> dict[PatternKind, int]:
     shares = {kind: target * weight for kind, weight in weights.items()}
     quotas = {kind: int(share) for kind, share in shares.items()}
@@ -363,7 +348,7 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
         if penman != expected:
             raise CorpusError(f"penman {penman!r} is not the text's {expected!r}")
         law = PATTERN_LAW[pattern]
-        if law not in applicable_laws(struct, lexicon):
+        if refusal(struct, law, lexicon):
             raise CorpusError(
                 f"pattern {pattern.value!r} needs the {law.value} law, "
                 "which does not apply to this text"
@@ -381,7 +366,6 @@ __all__ = [
     "CorpusError",
     "PatternKind",
     "SynthSentence",
-    "generate_pattern",
     "build_corpus",
     "family_capacity",
     "corpus_to_jsonl",

@@ -6,15 +6,16 @@ negative (logically nonequivalent) struct.  :func:`apply_law` and
 :func:`applicable_laws` also accept an :class:`AmrGraph`, which they read
 into its struct once at entry; that is the only place the laws meet a graph.
 
-This module alone decides whether a law applies: :func:`applicable_laws`
-returns exactly the laws for which :func:`apply_law` returns, and
-:func:`apply_law` raises :class:`LawError`, naming the precondition, for
-every other law.  It then always runs the oracle gate
-(:func:`verify_outcome`), which no sentence that meets the preconditions
-fails (the tests sweep the whole struct space): an
-:class:`OracleViolation` is a bug in a law, never a skip.  The gate and
-:func:`flip_polarity_negative` work on the structs themselves through
-:func:`~amr_logic_aug.logic.structs_equivalent`.
+Each law's precondition is stated once, in :func:`refusal`, which every
+caller that asks whether a law applies reads.  :func:`applicable_laws`
+returns the laws it passes, and :func:`apply_law`, the only public way to
+rewrite, raises its :class:`LawError` text for every other law before it
+runs the law's guard-free entry in ``_REWRITES``.  It
+then always runs the oracle gate (:func:`verify_outcome`), which no
+sentence that meets the preconditions fails (the tests sweep the whole
+struct space): an :class:`OracleViolation` is a bug in a law, never a skip.
+The gate and :func:`flip_polarity_negative` work on the structs themselves
+through :func:`~amr_logic_aug.logic.structs_equivalent`.
 Conventions, each checked by that gate on every :func:`apply_law` call:
 
 contraposition (conditional only)
@@ -80,13 +81,14 @@ class LawKind(str, Enum):
 
 _CONTRAPOSITION, _IMPLICATION = LawKind.CONTRAPOSITION, LawKind.IMPLICATION
 _COMMUTATIVE, _DOUBLE_NEGATION = LawKind.COMMUTATIVE, LawKind.DOUBLE_NEGATION
+_LAWS = tuple(LawKind)  # iterating the enum class is slow too
 
 
 @dataclass(frozen=True)
 class RewriteOutcome:
     law: LawKind
     positive: GrammarSentence
-    negatives: tuple[GrammarSentence, ...]
+    negative: GrammarSentence
 
 
 def _read(sentence: Union[GrammarSentence, AmrGraph]) -> GrammarSentence:
@@ -99,11 +101,33 @@ def _read(sentence: Union[GrammarSentence, AmrGraph]) -> GrammarSentence:
         raise LawError(f"graph outside grammar: {err}") from err
 
 
-# The answers of :func:`applicable_laws`, built once.
-_NO_LAWS = frozenset()
-_CONDITIONAL_LAWS = frozenset({_CONTRAPOSITION, _IMPLICATION})
-_OR_LAWS, _AND_LAWS = frozenset({_IMPLICATION}), frozenset({_COMMUTATIVE})
-_ATOMIC_LAWS = frozenset({_DOUBLE_NEGATION})
+def refusal(sentence: GrammarSentence, law: LawKind, lexicon: Lexicon) -> str:
+    """Why ``law`` does not apply to ``sentence`` (the text :func:`apply_law`
+    raises), or ``''`` when it does."""
+    shape = sentence.shape
+    if law is _CONTRAPOSITION:
+        return "" if shape is _IF_THEN else "contraposition requires a conditional root"
+    if law is _IMPLICATION:
+        if shape is _IF_THEN or shape is _OR_PAIR:
+            return ""
+        return "implication requires a conditional or disjunction root"
+    if law is _COMMUTATIVE:
+        if shape is not _AND_PAIR:
+            return "commutative requires a conjunction root"
+        (atom1, negated1), (atom2, negated2) = (
+            logic.clause_literal(clause, lexicon) for clause in sentence.clauses
+        )
+        if atom1 == atom2 and negated1 != negated2:
+            return "commutative does not apply to a contradictory conjunction"
+        return ""
+    if shape is not _ATOMIC:
+        return "double negation requires an atomic predicate"
+    clause = sentence.clauses[0]
+    if clause.negated:
+        return "double negation requires a predicate without polarity"
+    if lexicon.antonym_of(clause.predicate) is None:
+        return f"no antonym for {clause.predicate!r}"
+    return ""
 
 
 def applicable_laws(
@@ -113,90 +137,67 @@ def applicable_laws(
     try:
         sentence = _read(sentence)
     except LawError:
-        return _NO_LAWS
-    shape = sentence.shape
-    if shape is _IF_THEN:
-        return _CONDITIONAL_LAWS
-    if shape is _OR_PAIR:
-        return _OR_LAWS
-    if shape is _AND_PAIR:
-        return _NO_LAWS if _contradictory(sentence, lexicon) else _AND_LAWS
-    clause = sentence.clauses[0]
-    if not clause.negated and lexicon.antonym_of(clause.predicate) is not None:
-        return _ATOMIC_LAWS
-    return _NO_LAWS
+        return frozenset()
+    return frozenset([law for law in _LAWS if not refusal(sentence, law, lexicon)])
 
 
-def _contradictory(conjunction: GrammarSentence, lexicon: Lexicon) -> bool:
-    """Whether the two clauses are one atom with opposite signs."""
-    (atom1, negated1), (atom2, negated2) = (
-        logic.clause_literal(clause, lexicon) for clause in conjunction.clauses
-    )
-    return atom1 == atom2 and negated1 != negated2
-
-
-def apply_contraposition(sentence: GrammarSentence) -> RewriteOutcome:
-    if sentence.shape is not _IF_THEN:
-        raise LawError("contraposition requires a conditional root")
+def _contraposition(sentence: GrammarSentence, lexicon: Lexicon):
     ante, cons = sentence.clauses
     not_ante = ante.negate()
-    positive = GrammarSentence(_IF_THEN, (cons.negate(), not_ante), trailing_condition=True)
-    negative = GrammarSentence(_IF_THEN, (cons, not_ante), trailing_condition=True)
-    return RewriteOutcome(_CONTRAPOSITION, positive, (negative,))
+    return (
+        GrammarSentence(_IF_THEN, (cons.negate(), not_ante), trailing_condition=True),
+        GrammarSentence(_IF_THEN, (cons, not_ante), trailing_condition=True),
+    )
 
 
-def apply_implication(sentence: GrammarSentence) -> RewriteOutcome:
-    if sentence.shape is _IF_THEN:
-        ante, cons = sentence.clauses
-        positive = GrammarSentence(_OR_PAIR, (ante.negate(), cons))
-        negative = GrammarSentence(_OR_PAIR, (ante, cons))
-    elif sentence.shape is _OR_PAIR:
-        first, second = sentence.clauses
-        positive = GrammarSentence(_IF_THEN, (first.negate(), second))
-        negative = GrammarSentence(_IF_THEN, (first.negate(), second.negate()))
-    else:
-        raise LawError("implication requires a conditional or disjunction root")
-    return RewriteOutcome(_IMPLICATION, positive, (negative,))
-
-
-def apply_commutative(sentence: GrammarSentence) -> RewriteOutcome:
-    if sentence.shape is not _AND_PAIR:
-        raise LawError("commutative requires a conjunction root")
+def _implication(sentence: GrammarSentence, lexicon: Lexicon):
     first, second = sentence.clauses
-    positive = GrammarSentence(_AND_PAIR, (second, first))
-    negative = GrammarSentence(_AND_PAIR, (second.negate(), first.negate()))
-    return RewriteOutcome(_COMMUTATIVE, positive, (negative,))
+    if sentence.shape is _IF_THEN:
+        return (
+            GrammarSentence(_OR_PAIR, (first.negate(), second)),
+            GrammarSentence(_OR_PAIR, (first, second)),
+        )
+    return (
+        GrammarSentence(_IF_THEN, (first.negate(), second)),
+        GrammarSentence(_IF_THEN, (first.negate(), second.negate())),
+    )
 
 
-def apply_double_negation(sentence: GrammarSentence, lexicon: Lexicon) -> RewriteOutcome:
-    if sentence.shape is not _ATOMIC:
-        raise LawError("double negation requires an atomic predicate")
-    clause = sentence.clauses[0]
-    if clause.negated:
-        raise LawError("double negation requires a predicate without polarity")
-    antonym = lexicon.antonym_of(clause.predicate)
-    if antonym is None:
-        raise LawError(f"no antonym for {clause.predicate!r}")
-    positive = GrammarSentence(_ATOMIC, (Clause(clause.subject, antonym, True),))
-    negative = GrammarSentence(_ATOMIC, (Clause(clause.subject, antonym, False),))
-    return RewriteOutcome(_DOUBLE_NEGATION, positive, (negative,))
+def _commutative(sentence: GrammarSentence, lexicon: Lexicon):
+    first, second = sentence.clauses
+    return (
+        GrammarSentence(_AND_PAIR, (second, first)),
+        GrammarSentence(_AND_PAIR, (second.negate(), first.negate())),
+    )
+
+
+def _double_negation(sentence: GrammarSentence, lexicon: Lexicon):
+    subject, predicate, _ = sentence.clauses[0]
+    antonym = lexicon.antonym_of(predicate)
+    return (
+        GrammarSentence(_ATOMIC, (Clause(subject, antonym, True),)),
+        GrammarSentence(_ATOMIC, (Clause(subject, antonym, False),)),
+    )
+
+
+# ``(positive, negative)`` of a sentence that meets the law's precondition.
+_REWRITES = {
+    _CONTRAPOSITION: _contraposition,
+    _IMPLICATION: _implication,
+    _COMMUTATIVE: _commutative,
+    _DOUBLE_NEGATION: _double_negation,
+}
 
 
 def apply_law(
     sentence: Union[GrammarSentence, AmrGraph], law: LawKind, lexicon: Lexicon
 ) -> RewriteOutcome:
-    """Dispatch a rewrite and gate it through the truth-table oracle."""
+    """Rewrite by ``law`` and gate the result through the truth-table oracle."""
     sentence = _read(sentence)
-    if law is _CONTRAPOSITION:
-        outcome = apply_contraposition(sentence)
-    elif law is _IMPLICATION:
-        outcome = apply_implication(sentence)
-    elif law is _COMMUTATIVE:
-        if sentence.shape is _AND_PAIR and _contradictory(sentence, lexicon):
-            raise LawError("commutative does not apply to a contradictory conjunction")
-        outcome = apply_commutative(sentence)
-    else:
-        outcome = apply_double_negation(sentence, lexicon)
+    reason = refusal(sentence, law, lexicon)
+    if reason:
+        raise LawError(reason)
+    outcome = RewriteOutcome(law, *_REWRITES[law](sentence, lexicon))
     verify_outcome(sentence, outcome, lexicon)
     return outcome
 
@@ -208,12 +209,11 @@ def verify_outcome(original: GrammarSentence, outcome: RewriteOutcome, lexicon: 
             f"{outcome.law.value} positive is not equivalent: "
             f"{realize_struct(original)!r} vs {realize_struct(outcome.positive)!r}"
         )
-    for negative in outcome.negatives:
-        if logic.structs_equivalent(original, negative, lexicon):
-            raise OracleViolation(
-                f"{outcome.law.value} negative is accidentally equivalent: "
-                f"{realize_struct(original)!r} vs {realize_struct(negative)!r}"
-            )
+    if logic.structs_equivalent(original, outcome.negative, lexicon):
+        raise OracleViolation(
+            f"{outcome.law.value} negative is accidentally equivalent: "
+            f"{realize_struct(original)!r} vs {realize_struct(outcome.negative)!r}"
+        )
 
 
 def flip_polarity_negative(
@@ -242,11 +242,8 @@ __all__ = [
     "OracleViolation",
     "LawKind",
     "RewriteOutcome",
+    "refusal",
     "applicable_laws",
-    "apply_contraposition",
-    "apply_implication",
-    "apply_commutative",
-    "apply_double_negation",
     "apply_law",
     "verify_outcome",
     "flip_polarity_negative",

@@ -224,12 +224,16 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
 
 
 def _from_bytes(data: bytes, source: str | Path) -> Lexicon:
+    """The lexicon of a file's bytes; every error is prefixed ``<source>: ``."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         lineno = data.count(b"\n", 0, err.start) + 1
         raise LexiconError(f"{source}: line {lineno} is not UTF-8 text") from None
-    return parse_lexicon(text, checksum=hashlib.sha256(data).hexdigest())
+    try:
+        return parse_lexicon(text, checksum=hashlib.sha256(data).hexdigest())
+    except LexiconError as err:
+        raise LexiconError(f"{source}: {err}") from None
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

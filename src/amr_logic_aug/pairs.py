@@ -114,7 +114,7 @@ def build_pairs(
             negatives.append((text, tag))
             return True
 
-        admit(realize_struct(outcome.negatives[0]), law.value)
+        admit(realize_struct(outcome.negative), law.value)
         for kind in cycle(("flip", "sample")):
             if len(negatives) >= negatives_per:
                 break

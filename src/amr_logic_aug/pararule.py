@@ -15,9 +15,12 @@ rule into a logically equivalent form:
 * universal rules ("All dull people are rough."): double-negated form
   ("There are no dull people who are not rough.")
 
-Quantified rules are handled as string templates (they exceed the
-propositional oracle); anything that matches no template passes through
-unchanged and is reported as a warning.
+Every template is a single-variable universal ∀x φ(x) whose matrix φ is
+quantifier-free and monadic, so two such rules are equivalent exactly when
+φ(c) ≡ ψ(c) for a fresh constant c, which the propositional oracle can
+decide.  The alterations are not gated by it yet: they are string
+templates, checked only by the tests.  A rule that matches no template
+passes through unchanged and is reported as a warning.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 Records carry ``context``, ``question``, four ``answers``, an optional
 ``label``, and an ``id_string``.  Augmentation appends logically equivalent
 rewrites: each option gains its own rewrites (per requested law, in the
-fixed order contraposition → implication → commutative → double negation),
-followed by rewrites of every context sentence (law-major: all sentences
-under the first law, then all under the next).  The context field itself,
-the question, the label, and the answer order are never touched.
+order :class:`~amr_logic_aug.laws.LawKind` declares them: contraposition →
+implication → commutative → double negation), followed by rewrites of
+every context sentence (law-major: all sentences under the first law, then
+all under the next).  The context field itself, the question, the label,
+and the answer order are never touched.
 
 Sentences are always parsed with the extended verb-phrase grammar so real
 reading-comprehension phrasings ("you will not be able to use a computer",
@@ -32,23 +33,17 @@ from typing import Iterable, Optional
 
 from . import grammar
 from .files import json_string, read_json, read_jsonl, write_jsonl, write_text
-from .laws import LawKind, applicable_laws, apply_law
+from .laws import LawKind, apply_law, refusal
 from .lexicon import Lexicon
 
 RECLOR = "reclor"
 LOGIQA = "logiqa"
 
-LAW_ORDER: tuple[LawKind, ...] = (
-    LawKind.CONTRAPOSITION,
-    LawKind.IMPLICATION,
-    LawKind.COMMUTATIVE,
-    LawKind.DOUBLE_NEGATION,
-)
 DEFAULT_PROMPT_LAWS: frozenset[LawKind] = frozenset(
     {LawKind.CONTRAPOSITION, LawKind.IMPLICATION}
 )
 # Each law with its ``value``, read once: an enum property read is slow.
-_LAW_VALUES: tuple[tuple[LawKind, str], ...] = tuple((law, law.value) for law in LAW_ORDER)
+_LAW_VALUES: tuple[tuple[LawKind, str], ...] = tuple((law, law.value) for law in LawKind)
 
 
 class PromptError(ValueError):
@@ -96,18 +91,6 @@ class McqRecord:
             label=payload.get("label"),
             id_string=id_string,
         )
-
-    def to_dict(self) -> dict:
-        payload: dict = {
-            "context": self.context,
-            "question": self.question,
-            "answers": list(self.answers),
-        }
-        if self.label is not None:
-            payload["label"] = self.label
-        if self.id_string:
-            payload["id_string"] = self.id_string
-        return payload
 
 
 @dataclass(frozen=True)
@@ -160,7 +143,7 @@ def rewrite_sentence(
     grammar, oracle-gated, as a trace row from ``source``.
 
     A sentence outside the grammar, or one that no requested law applies to
-    (see :func:`~amr_logic_aug.laws.applicable_laws`), is skipped with the
+    (see :func:`~amr_logic_aug.laws.refusal`), is skipped with the
     reason.
     """
     if not isinstance(laws, (set, frozenset)):
@@ -169,11 +152,10 @@ def rewrite_sentence(
         sentence = grammar.parse_sentence_struct(text, lexicon, grammar.EXTENDED)
     except grammar.GrammarError as err:
         return TraceRow(source, text, skipped_reason=str(err))
-    available = applicable_laws(sentence, lexicon)
     rewrites = tuple(
         Rewrite(value, grammar.realize_struct(apply_law(sentence, law, lexicon).positive))
         for law, value in _LAW_VALUES
-        if law in available and law in laws
+        if law in laws and not refusal(sentence, law, lexicon)
     )
     if not rewrites:
         return TraceRow(source, text, skipped_reason="no applicable law")
@@ -280,7 +262,7 @@ def augment_file(
         "records_skipped": 0,
         "sentences_seen": 0,
         "sentences_augmented": 0,
-        "rewrites_per_law": {law.value: 0 for law in LAW_ORDER if law in laws},
+        "rewrites_per_law": {law.value: 0 for law in LawKind if law in laws},
     }
     for payload in payloads:
         try:
@@ -317,7 +299,6 @@ def augment_file(
 __all__ = [
     "RECLOR",
     "LOGIQA",
-    "LAW_ORDER",
     "DEFAULT_PROMPT_LAWS",
     "PromptError",
     "McqRecord",

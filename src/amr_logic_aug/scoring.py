@@ -48,28 +48,41 @@ class Triplet:
                 raise ScoreError("triplet vectors must be finite")
 
 
+def _scaled(vector: Sequence[float]) -> tuple[list[float], int]:
+    """``(v, e)`` with ``vector == v * 2**e`` and every ``|v[i]| < 1``: a
+    power-of-two scaling, exact but for entries that fall below the float
+    range next to the largest."""
+    if not all(map(math.isfinite, vector)):
+        raise ScoreError("vectors must be finite")
+    exponent = math.frexp(max(map(abs, vector)))[1]
+    return [math.ldexp(x, -exponent) for x in vector], exponent
+
+
 def score(a: Sequence[float], b: Sequence[float], kind: str = COSINE) -> float:
-    """Similarity between two equal-dimension vectors."""
+    """Similarity between two equal-dimension finite vectors.
+
+    Both vectors are scaled into (-1, 1) by powers of two first, so no sum
+    overflows and no nonzero vector sums to zero: cosine is defined for every
+    pair of nonzero vectors, and a dot product overflows only when its true
+    value is beyond the float range.
+    """
     if len(a) != len(b):
         raise ScoreError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if not a:
         raise ScoreError("vectors must be non-empty")
-    try:
-        dot = math.fsum(x * y for x, y in zip(a, b))
-        if kind == COSINE:
-            norm_a = math.sqrt(math.fsum(x * x for x in a))
-            norm_b = math.sqrt(math.fsum(y * y for y in b))
-            if not (math.isfinite(dot) and math.isfinite(norm_a) and math.isfinite(norm_b)):
-                raise OverflowError
-    except (OverflowError, ValueError):  # fsum raises ValueError on -inf + inf
-        raise ScoreError("a sum of products overflows a float") from None
+    if kind != COSINE and kind != DOT:
+        raise ScoreError(f"unknown score kind {kind!r} (use {COSINE} or {DOT})")
+    (a, exponent_a), (b, exponent_b) = _scaled(a), _scaled(b)
+    dot = math.fsum([x * y for x, y in zip(a, b)])
     if kind == DOT:
-        return dot
-    if kind == COSINE:
-        if norm_a == 0.0 or norm_b == 0.0:
-            raise ScoreError("cosine is undefined for a zero vector")
-        return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
-    raise ScoreError(f"unknown score kind {kind!r} (use {COSINE} or {DOT})")
+        try:
+            return math.ldexp(dot, exponent_a + exponent_b)
+        except OverflowError:
+            raise ScoreError("the dot product overflows a float") from None
+    norms = math.sqrt(math.fsum([x * x for x in a])) * math.sqrt(math.fsum([y * y for y in b]))
+    if norms == 0.0:
+        raise ScoreError("cosine is undefined for a zero vector")
+    return max(-1.0, min(1.0, dot / norms))
 
 
 def triplet_scores(triplet: Triplet, kind: str = COSINE) -> tuple[float, float]:
@@ -126,32 +139,32 @@ def load_triplets_tsv(path: str | Path) -> list[tuple[str, Triplet]]:
             continue
         columns = line.split("\t")
         if len(columns) < 3:
-            raise ScoreError(f"line {lineno}: need pair_id, role, floats")
+            raise ScoreError(f"{path}: line {lineno}: need pair_id, role, floats")
         pair_id, role, *values = columns
         if role not in _ROLES:
-            raise ScoreError(f"line {lineno}: unknown role {role!r}")
+            raise ScoreError(f"{path}: line {lineno}: unknown role {role!r}")
         try:
             vector = tuple(float(value) for value in values)
         except ValueError as err:
-            raise ScoreError(f"line {lineno}: bad float: {err}") from err
+            raise ScoreError(f"{path}: line {lineno}: bad float: {err}") from err
         if not all(math.isfinite(x) for x in vector):
-            raise ScoreError(f"line {lineno}: vector values must be finite")
+            raise ScoreError(f"{path}: line {lineno}: vector values must be finite")
         if dimension is None:
             dimension = len(vector)
         elif len(vector) != dimension:
-            raise ScoreError(f"line {lineno}: dimension {len(vector)} != {dimension}")
+            raise ScoreError(f"{path}: line {lineno}: dimension {len(vector)} != {dimension}")
         rows = groups.setdefault(pair_id, {})
         if role in rows:
-            raise ScoreError(f"line {lineno}: duplicate {role!r} for {pair_id!r}")
+            raise ScoreError(f"{path}: line {lineno}: duplicate {role!r} for {pair_id!r}")
         rows[role] = vector
     triplets = []
     for pair_id, rows in groups.items():
         missing = [role for role in _ROLES if role not in rows]
         if missing:
-            raise ScoreError(f"pair {pair_id!r} missing roles: {', '.join(missing)}")
+            raise ScoreError(f"{path}: pair {pair_id!r} missing roles: {', '.join(missing)}")
         triplets.append((pair_id, Triplet(rows["anchor"], rows["pos"], rows["neg"])))
     if not triplets:
-        raise ScoreError(f"no vector rows in {path}")
+        raise ScoreError(f"{path}: no vector rows")
     return triplets
 
 

@@ -20,19 +20,12 @@ import pytest
 from test_graph import per_source, random_graph
 from test_laws import REFERENCE_ROWS
 from test_pararule import DEPTH1_ALTERED, DEPTH1_RULES, DEPTH2_ALTERED_PAIRS
-from test_prompt import KEYBOARD_RECORD
+from test_prompt import KEYBOARD_PAYLOAD, KEYBOARD_RECORD
 
-from amr_logic_aug.corpus import DEFAULT_TARGET, PatternKind, generate_pattern
+from amr_logic_aug.corpus import DEFAULT_TARGET, PatternKind, build_corpus
 from amr_logic_aug.grammar import EXTENDED, build_graph, parse_sentence_struct, realize
 from amr_logic_aug.graph import ParseError, parse_penman, serialize
-from amr_logic_aug.laws import (
-    OracleViolation,
-    apply_commutative,
-    apply_contraposition,
-    apply_implication,
-    apply_law,
-    applicable_laws,
-)
+from amr_logic_aug.laws import LawKind, OracleViolation, apply_law, applicable_laws
 from amr_logic_aug.logic import Atom, Not, equivalent, to_formula
 from amr_logic_aug.pairs import build_pairs, split
 from amr_logic_aug.pararule import alter_pararule_rules, alter_rule
@@ -48,13 +41,12 @@ def test_criterion_1_reference_rewrites(lexicon):
         graph = build_graph(parse_sentence_struct(original, lexicon))
         outcome = apply_law(graph, law, lexicon)  # runs the oracle gate
         positive = build_graph(outcome.positive)
-        negatives = [build_graph(negative) for negative in outcome.negatives]
+        negative = build_graph(outcome.negative)
         assert realize(positive) == positive_text
-        assert realize(negatives[0]) == negative_text
+        assert realize(negative) == negative_text
         source = to_formula(graph, lexicon)
         assert equivalent(source, to_formula(positive, lexicon))
-        for negative in negatives:
-            assert not equivalent(source, to_formula(negative, lexicon))
+        assert not equivalent(source, to_formula(negative, lexicon))
     assert time.perf_counter() - start < 1.0
 
 
@@ -133,21 +125,25 @@ def test_criterion_3_full_corpus_soundness(full_corpus, lexicon):
 
 def test_criterion_4_involutions(lexicon):
     """Applying a law twice (or there-and-back) recovers the original."""
-    conditionals = generate_pattern(lexicon, PatternKind.CONDITIONAL_CONTRA, 1000, seed=404)
+
+    def apply_twice(law, struct):
+        return apply_law(apply_law(struct, law, lexicon).positive, law, lexicon)
+
+    conditionals = build_corpus(lexicon, 1000, {PatternKind.CONDITIONAL_CONTRA: 1.0}, 404)
     for record in conditionals:
-        twice = apply_contraposition(apply_contraposition(record.struct).positive)
+        twice = apply_twice(LawKind.CONTRAPOSITION, record.struct)
         assert equivalent(
             to_formula(record.graph, lexicon), to_formula(build_graph(twice.positive), lexicon)
         )
 
-    conjunctions = generate_pattern(lexicon, PatternKind.COMMUTATIVE_PAIR, 1000, seed=404)
+    conjunctions = build_corpus(lexicon, 1000, {PatternKind.COMMUTATIVE_PAIR: 1.0}, 404)
     for record in conjunctions:
-        twice = apply_commutative(apply_commutative(record.struct).positive)
+        twice = apply_twice(LawKind.COMMUTATIVE, record.struct)
         assert build_graph(twice.positive) == record.graph  # graph-identical, not just equivalent
 
-    mixed = generate_pattern(lexicon, PatternKind.IMPLICATION_PAIR, 1000, seed=404)
+    mixed = build_corpus(lexicon, 1000, {PatternKind.IMPLICATION_PAIR: 1.0}, 404)
     for record in mixed:
-        back = apply_implication(apply_implication(record.struct).positive)
+        back = apply_twice(LawKind.IMPLICATION, record.struct)
         assert equivalent(
             to_formula(record.graph, lexicon), to_formula(build_graph(back.positive), lexicon)
         )
@@ -236,7 +232,7 @@ def test_criterion_7_prompt_augmentation(lexicon, tmp_path):
 
     # A validation-style file: the keyboard record plus free-text records
     # with every label value, including unlabeled.
-    payloads = [KEYBOARD_RECORD.to_dict()]
+    payloads = [KEYBOARD_PAYLOAD]
     for index, label in enumerate([0, 1, 2, 3, None]):
         payload = {
             "context": "If Alan is kind, then Bob is clever. The wolf is fierce.",

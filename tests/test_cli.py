@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -210,6 +209,16 @@ def test_synth_rejects_an_entity_holding_a_penman_delimiter(tmp_path):
     assert not out.exists()
 
 
+def test_a_bad_lexicon_file_error_names_the_file(tmp_path, caplog):
+    lexicon = tmp_path / "custom.tsv"
+    lexicon.write_text(make_source() + "\nENTITY\t0\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", "synth", "--lexicon", str(lexicon), "--out", str(tmp_path / "c")])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [f"{lexicon}: duplicate section header 'ENTITY' at line 19"]
+
+
 @pytest.mark.parametrize("fraction", ["nan", "inf"])
 def test_synth_non_finite_mix_exits_1_with_one_error(tmp_path, caplog, fraction):
     out = tmp_path / "corpus.jsonl"
@@ -282,18 +291,8 @@ AUGMENT_ROW_LINES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "negatives, copies", [([], 1), (["--negatives"], 1), (["--negatives"], 2)]
-)
-def test_augment_rows_are_the_json_of_their_values(tmp_path, monkeypatch, negatives, copies):
-    # Every law yields one negative; ``copies`` repeats it to fill a longer list.
-    apply_law = laws.apply_law
-
-    def apply_law_with_copies(*args):
-        outcome = apply_law(*args)
-        return dataclasses.replace(outcome, negatives=outcome.negatives * copies)
-
-    monkeypatch.setattr(laws, "apply_law", apply_law_with_copies)
+@pytest.mark.parametrize("negatives", [[], ["--negatives"]])
+def test_augment_rows_are_the_json_of_their_values(tmp_path, negatives):
     src = tmp_path / "in.penman"
     src.write_text("\n".join(AUGMENT_ROW_LINES) + "\n", encoding="utf-8")
     out = tmp_path / "out.jsonl"
@@ -309,7 +308,7 @@ def test_augment_rows_are_the_json_of_their_values(tmp_path, monkeypatch, negati
     assert [list(row) for row in rows] == [keys, ["input", "skipped"], keys]
     assert '"' in rows[2]["positive"] and "\\" in rows[2]["positive"]
     assert [len(row["negatives"]) for row in rows if "negatives" in row] == (
-        [copies, copies] if negatives else []
+        [1, 1] if negatives else []
     )
     with pytest.raises(ParseError) as err:
         parse_penman(AUGMENT_ROW_LINES[1])
@@ -864,19 +863,16 @@ def test_loss_cli_bad_file_exits_1(tmp_path):
     "rows, kind, error",
     [
         ("p1\tanchor\t1.0\t0.0\np1\tpos\tnan\t0.0\np1\tneg\t0.0\t1.0\n", "cosine",
-         "line 2: vector values must be finite"),
+         "{path}: line 2: vector values must be finite"),
         ("p1\tanchor\t1.0\t0.0\np1\tpos\t1.0\t0.0\np1\tneg\t0.0\t1.0\n"
          "p2\tanchor\t1.0\t0.0\np2\tpos\t0.0\t0.0\np2\tneg\t0.0\t1.0\n", "cosine",
          "pair 'p2': cosine is undefined for a zero vector"),
         ("p1\tanchor\t1e200\t0\np1\tpos\t1e200\t0\np1\tneg\t1\t0\n", "dot",
-         "pair 'p1': non-finite scores: h+=inf, h-=1e+200"),
-        ("p1\tanchor\t1e154\t1e154\np1\tpos\t1e154\t1e154\np1\tneg\t1\t0\n", "cosine",
-         "pair 'p1': a sum of products overflows a float"),
-        ("p1\tanchor\t1\t0\np1\tpos\t1\t0\np1\tneg\t1\t0\n"
-         "p2\tanchor\t1e160\t1e160\np2\tpos\t1e160\t-1e160\np2\tneg\t1\t0\n", "cosine",
-         "pair 'p2': a sum of products overflows a float"),
+         "pair 'p1': the dot product overflows a float"),
+        ("p1\tanchor\t1e154\t1e154\np1\tpos\t1e154\t1e154\np1\tneg\t1\t0\n", "dot",
+         "pair 'p1': the dot product overflows a float"),
     ],
-    ids=["nan", "zero-vector", "infinite-score", "overflow", "overflow-to-nan"],
+    ids=["nan", "zero-vector", "infinite-score", "overflow"],
 )
 def test_loss_cli_fault_names_its_line_or_pair(tmp_path, caplog, capsys, rows, kind, error):
     vectors = tmp_path / "vectors.tsv"
@@ -884,8 +880,26 @@ def test_loss_cli_fault_names_its_line_or_pair(tmp_path, caplog, capsys, rows, k
     with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
         assert main(["-q", "loss", "--vectors", str(vectors), "--score", kind]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert errors == [error]
+    assert errors == [error.format(path=vectors)]
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "rows, h_pos",
+    [
+        ("p1\tanchor\t1e154\t1e154\np1\tpos\t1e154\t1e154\np1\tneg\t1\t0\n", 1.0),
+        ("p2\tanchor\t1e160\t1e160\np2\tpos\t1e160\t-1e160\np2\tneg\t1\t0\n", 0.0),
+        ("p3\tanchor\t1e-200\t0\np3\tpos\t1\t0\np3\tneg\t0\t1\n", 1.0),
+    ],
+    ids=["overflow", "overflow-to-nan", "underflow"],
+)
+def test_loss_cli_scores_cosine_beyond_the_square_root_of_the_float_range(
+    tmp_path, capsys, rows, h_pos
+):
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text(rows, encoding="utf-8")
+    assert main(["-q", "loss", "--vectors", str(vectors)]) == 0
+    assert float(capsys.readouterr().out.splitlines()[0].split("\t")[1]) == h_pos
 
 
 

@@ -17,7 +17,6 @@ from amr_logic_aug.corpus import (
     corpus_from_jsonl,
     corpus_to_jsonl,
     family_capacity,
-    generate_pattern,
 )
 from amr_logic_aug.grammar import (
     Shape,
@@ -116,24 +115,16 @@ def test_mix_validation(lexicon, mix, reason):
         build_corpus(lexicon, 10, mix=mix)
 
 
-def test_negative_target_is_rejected(lexicon):
-    with pytest.raises(CorpusError, match="non-negative"):
-        build_corpus(lexicon, -1)
+@pytest.mark.parametrize("mix", [None, {PatternKind.ATOMIC_DN: 1.0}])
+def test_negative_target_is_rejected(lexicon, mix):
+    with pytest.raises(CorpusError, match="^target size must be non-negative$"):
+        build_corpus(lexicon, -1, mix)
 
 
 def test_unreachable_family_target(lexicon):
-    with pytest.raises(CorpusError, match="unreachable target"):
+    assert family_capacity(lexicon, PatternKind.ATOMIC_DN) == 483
+    with pytest.raises(CorpusError, match="^unreachable target: 484 exceeds total capacity 483$"):
         build_corpus(lexicon, 484, mix={PatternKind.ATOMIC_DN: 1.0})
-
-
-def test_generate_pattern_over_capacity(lexicon):
-    with pytest.raises(CorpusError, match="exceeds distinct combinations"):
-        generate_pattern(lexicon, PatternKind.ATOMIC_DN, 484)
-
-
-def test_generate_pattern_negative_count(lexicon):
-    with pytest.raises(CorpusError, match="non-negative"):
-        generate_pattern(lexicon, PatternKind.ATOMIC_DN, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +155,7 @@ def test_pair_records_are_never_degenerate(lexicon, small_corpus):
 
 
 def test_conditional_family_cycles_polarity_scenarios(lexicon):
-    records = generate_pattern(lexicon, PatternKind.CONDITIONAL_CONTRA, 8, seed=2)
+    records = build_corpus(lexicon, 8, {PatternKind.CONDITIONAL_CONTRA: 1.0}, 2)
     flags = set()
     for record in records:
         struct = read_graph(record.graph)
@@ -174,7 +165,7 @@ def test_conditional_family_cycles_polarity_scenarios(lexicon):
 
 
 def test_implication_family_alternates_directions(lexicon):
-    records = generate_pattern(lexicon, PatternKind.IMPLICATION_PAIR, 6, seed=2)
+    records = build_corpus(lexicon, 6, {PatternKind.IMPLICATION_PAIR: 1.0}, 2)
     shapes = [read_graph(record.graph).shape for record in records]
     assert shapes == [Shape.IF_THEN, Shape.OR_PAIR] * 3
     # Disjunctions carry the "A is not X or B is Y." template polarity.
@@ -183,7 +174,7 @@ def test_implication_family_alternates_directions(lexicon):
 
 
 def test_commutative_family_alternates_polarity(lexicon):
-    records = generate_pattern(lexicon, PatternKind.COMMUTATIVE_PAIR, 4, seed=2)
+    records = build_corpus(lexicon, 4, {PatternKind.COMMUTATIVE_PAIR: 1.0}, 2)
     for index, record in enumerate(records):
         struct = read_graph(record.graph)
         assert struct.shape is Shape.AND_PAIR

@@ -130,6 +130,18 @@ def test_count_header_and_line_numbers():
         parse_lexicon(text)
 
 
+def test_a_lexicon_file_error_names_the_file(tmp_path):
+    text = make_source() + "\nENTITY\t0"  # a second ENTITY header on line 19
+    with pytest.raises(LexiconError, match="^duplicate section header 'ENTITY' at line 19$"):
+        parse_lexicon(text)
+    path = tmp_path / "lex.tsv"
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}: duplicate section header 'ENTITY' at line 19"
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(path)
+    assert str(err.value) == message
+
+
 def test_load_lexicon_checksum_tracks_bytes(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text(make_source(), encoding="utf-8")

@@ -298,7 +298,7 @@ def test_structs_equivalent_matches_reference_on_corpus_rewrites(lexicon, full_c
     for sentence in full_corpus:
         struct = sentence.struct
         outcome = apply_law(struct, PATTERN_LAW[sentence.pattern], lexicon)
-        for other in (outcome.positive, *outcome.negatives, *one_clause_flips(struct)):
+        for other in (outcome.positive, outcome.negative, *one_clause_flips(struct)):
             verdict = structs_equivalent(struct, other, lexicon)
             assert verdict == reference_equivalent(struct, other, lexicon), (struct, other)
             verdicts[verdict] += 1

@@ -12,7 +12,8 @@ import pytest
 from amr_logic_aug import grammar, logic, pairs
 from amr_logic_aug.cli import main
 from amr_logic_aug.corpus import build_corpus
-from amr_logic_aug.prompt import LAW_ORDER, rewrite_sentence
+from amr_logic_aug.laws import LawKind
+from amr_logic_aug.prompt import rewrite_sentence
 from amr_logic_aug.pairs import (
     DEFAULT_VAL_FRACTION,
     RANDOM_SAMPLE_LAW,
@@ -393,7 +394,7 @@ def test_text_paths_never_build_or_read_graphs(lexicon, tiny_corpus, tmp_path, m
         "You are able to vote unless you are young.",
         "The bald eagle is strong.",
     ):
-        assert rewrite_sentence(text, lexicon, LAW_ORDER).rewrites
+        assert rewrite_sentence(text, lexicon, LawKind).rewrites
     src, out = tmp_path / "in.txt", tmp_path / "out.jsonl"
     src.write_text("If Alan is kind, then Bob is clever.\n", encoding="utf-8")
     assert main(["-q", "augment", "--law", "contraposition", "--negatives",

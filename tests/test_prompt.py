@@ -13,7 +13,6 @@ from amr_logic_aug import prompt
 from amr_logic_aug.laws import LawKind
 from amr_logic_aug.prompt import (
     DEFAULT_PROMPT_LAWS,
-    LAW_ORDER,
     LOGIQA,
     RECLOR,
     McqRecord,
@@ -39,13 +38,14 @@ KEYBOARD_ANSWERS = (
     "If you have some keyboarding skills, you will be able to write your essays "
     "using a word processing program.",
 )
-KEYBOARD_RECORD = McqRecord(
-    context=KEYBOARD_CONTEXT,
-    question="If the statements above are true, which one of the following must be true?",
-    answers=KEYBOARD_ANSWERS,
-    label=1,
-    id_string="keyboard-1",
-)
+KEYBOARD_PAYLOAD = {
+    "context": KEYBOARD_CONTEXT,
+    "question": "If the statements above are true, which one of the following must be true?",
+    "answers": list(KEYBOARD_ANSWERS),
+    "label": 1,
+    "id_string": "keyboard-1",
+}
+KEYBOARD_RECORD = McqRecord.from_dict(KEYBOARD_PAYLOAD)
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +100,6 @@ def test_record_from_dict_rejects_a_non_string_field(field, value, reason):
         McqRecord.from_dict(payload)
 
 
-def test_record_dict_round_trip():
-    record = McqRecord("c", "q", ("a", "b", "c", "d"), label=2, id_string="r1")
-    assert McqRecord.from_dict(record.to_dict()) == record
-    bare = McqRecord("c", "q", ("a", "b", "c", "d"))
-    payload = bare.to_dict()
-    assert "label" not in payload and "id_string" not in payload
-
-
 # ---------------------------------------------------------------------------
 # Sentence splitting
 # ---------------------------------------------------------------------------
@@ -146,7 +138,7 @@ def test_split_keeps_quoted_periods_together():
 
 
 def test_law_order_and_defaults():
-    assert LAW_ORDER == (
+    assert tuple(LawKind) == (
         LawKind.CONTRAPOSITION,
         LawKind.IMPLICATION,
         LawKind.COMMUTATIVE,
@@ -172,7 +164,7 @@ def test_rewrite_sentence_respects_law_filter(lexicon):
 
 def test_rewrite_sentence_takes_laws_once_and_names_its_source(lexicon):
     row = rewrite_sentence(
-        "If Alan is kind, then Bob is clever.", lexicon, iter(LAW_ORDER), "option 2"
+        "If Alan is kind, then Bob is clever.", lexicon, iter(LawKind), "option 2"
     )
     assert row.source == "option 2"
     assert [r.law for r in row.rewrites] == ["contraposition", "implication"]
@@ -307,14 +299,14 @@ def test_free_text_record_passes_through(lexicon):
 
 def _keyboard_payloads():
     return [
-        KEYBOARD_RECORD.to_dict(),
+        KEYBOARD_PAYLOAD,
         {"context": "No answers here."},
-        McqRecord(
-            context="Alan is kind and Bob is clever.",
-            question="q",
-            answers=("Alpha.", "Beta.", "Gamma.", "Delta."),
-            label=3,
-        ).to_dict(),
+        {
+            "context": "Alan is kind and Bob is clever.",
+            "question": "q",
+            "answers": ["Alpha.", "Beta.", "Gamma.", "Delta."],
+            "label": 3,
+        },
     ]
 
 
@@ -364,14 +356,14 @@ def test_augment_file_holds_no_trace_rows_without_a_trace_file(lexicon, tmp_path
     monkeypatch.setattr(prompt, "augment_record", recording)
     monkeypatch.setattr(prompt, "write_text", writing)
     src, dst = tmp_path / "val.json", tmp_path / "val_aug.json"
-    src.write_text(json.dumps([KEYBOARD_RECORD.to_dict()] * 3), encoding="utf-8")
+    src.write_text(json.dumps([KEYBOARD_PAYLOAD] * 3), encoding="utf-8")
     augment_file(src, dst, lexicon, RECLOR)
     assert len(refs) == 18 and alive == [6]
 
 
 def test_augment_file_skips_a_record_whose_label_is_not_an_int(lexicon, tmp_path):
     src, dst = tmp_path / "val.json", tmp_path / "val_aug.json"
-    payloads = [dict(KEYBOARD_RECORD.to_dict(), label=label) for label in (True, 1.0, 1)]
+    payloads = [dict(KEYBOARD_PAYLOAD, label=label) for label in (True, 1.0, 1)]
     src.write_text(json.dumps(payloads), encoding="utf-8")
     stats = augment_file(src, dst, file_format=RECLOR, lexicon=lexicon)
     assert stats["records_processed"] == 1
@@ -385,7 +377,7 @@ def test_augment_file_skips_a_record_whose_id_string_is_not_a_string(lexicon, tm
     src, dst = tmp_path / "val.json", tmp_path / "val_aug.json"
     trace = tmp_path / "trace.jsonl"
     payloads = [
-        dict(KEYBOARD_RECORD.to_dict(), id_string=id_string)
+        dict(KEYBOARD_PAYLOAD, id_string=id_string)
         for id_string in (7, {"n": [1, "é"]}, None, "r-1")
     ]
     src.write_text(json.dumps(payloads), encoding="utf-8")
@@ -402,7 +394,7 @@ def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
     # Each trace line is formatted directly; its bytes must stay those of
     # json.dumps over the row's dataclass fields, whatever the id_string holds.
     payloads = [
-        {**KEYBOARD_RECORD.to_dict(), "id_string": 'Zoë "7" \\ \u2028 \U0001f600'},
+        {**KEYBOARD_PAYLOAD, "id_string": 'Zoë "7" \\ \u2028 \U0001f600'},
         {
             "context": 'If Alan is kind, then Bob is clever. Zoë said "no\\" \u2028 twice.',
             "question": "q",
@@ -413,11 +405,11 @@ def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
     src = tmp_path / "in.jsonl"
     src.write_text("".join(json.dumps(p) + "\n" for p in payloads), encoding="utf-8")
     trace = tmp_path / "trace.jsonl"
-    augment_file(src, tmp_path / "out.jsonl", lexicon, LOGIQA, LAW_ORDER, trace)
+    augment_file(src, tmp_path / "out.jsonl", lexicon, LOGIQA, LawKind, trace)
     expected = [
         json.dumps({"record_id": p["id_string"], **asdict(row)}, ensure_ascii=False) + "\n"
         for p in payloads
-        for row in augment_record(McqRecord.from_dict(p), lexicon, LAW_ORDER)[1]
+        for row in augment_record(McqRecord.from_dict(p), lexicon, LawKind)[1]
     ]
     lines = trace.read_text(encoding="utf-8").split("\n")
     assert [line + "\n" for line in lines[:-1]] == expected and lines[-1] == ""
@@ -429,7 +421,7 @@ def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
 def test_augment_file_logiqa_round_trip(lexicon, tmp_path):
     src = tmp_path / "val.jsonl"
     dst = tmp_path / "val_aug.jsonl"
-    payloads = [KEYBOARD_RECORD.to_dict()]
+    payloads = [KEYBOARD_PAYLOAD]
     src.write_text(
         "\n".join(json.dumps(p) for p in payloads) + "\n", encoding="utf-8"
     )

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amr_logic_aug.scoring import (
     COSINE,
@@ -58,15 +62,73 @@ def test_dot_score():
         ((0.0, 0.0), (1.0, 0.0), COSINE, "zero vector"),
         ((1.0, 0.0), (0.0, 0.0), COSINE, "zero vector"),
         ((1.0,), (1.0,), "manhattan", "unknown score kind"),
-        ((1e154, 1e154), (1e154, 1e154), DOT, "overflows a float"),
-        ((1e154, 1e154), (1.0, 0.0), COSINE, "overflows a float"),
-        ((1e160, 0.0), (-1e160, 0.0), COSINE, "overflows a float"),
-        ((1e160, 1e160), (1e160, -1e160), COSINE, "overflows a float"),
+        ((1e154, 1e154), (1e154, 1e154), DOT, "^the dot product overflows a float$"),
+        ((1e200, 0.0), (1e200, 0.0), DOT, "^the dot product overflows a float$"),
+        ((1.0, math.inf), (1.0, 0.0), COSINE, "^vectors must be finite$"),
+        ((1.0, 0.0), (math.nan, 0.0), DOT, "^vectors must be finite$"),
     ],
 )
 def test_score_errors(a, b, kind, reason):
     with pytest.raises(ScoreError, match=reason):
         score(a, b, kind)
+
+
+@pytest.mark.parametrize(
+    "a, b, kind, expected",
+    [
+        # Sums of squares or products that leave the float range, with an
+        # ordinary true score.
+        ((1e-200, 0.0), (1.0, 0.0), COSINE, 1.0),
+        ((1e154, 1e154), (1.0, 0.0), COSINE, math.sqrt(0.5)),
+        ((1e160, 0.0), (-1e160, 0.0), COSINE, -1.0),
+        ((1e160, 1e160), (1e160, -1e160), COSINE, 0.0),
+        ((1e200, 0.0), (1e200, 0.0), COSINE, 1.0),
+        ((1e200, 0.0), (1e-200, 0.0), DOT, 1.0),
+        ((1e-200, 0.0), (1e-200, 0.0), DOT, 0.0),
+    ],
+)
+def test_score_is_exact_across_the_float_range(a, b, kind, expected):
+    assert score(a, b, kind) == pytest.approx(expected, abs=1e-15)
+
+
+# Floats from the whole range, subnormals included, and small integers, so
+# that equal magnitudes cancel.
+ELEMENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3).map(float)
+)
+VECTOR_PAIRS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(ELEMENTS, min_size=n, max_size=n)] * 2)
+)
+FLOAT_LIMIT = Fraction(2) ** 1024  # the least magnitude that rounds to infinity
+
+
+@settings(max_examples=400, deadline=None)
+@given(VECTOR_PAIRS)
+def test_score_agrees_with_exact_rational_arithmetic(pair):
+    a, b = pair
+    products = [Fraction(x) * Fraction(y) for x, y in zip(a, b)]
+    exact = sum(products)
+    # Rounding each product and the sum costs at most 2**-52 of sum(|x*y|),
+    # each entry scaled below the float range at most 2**-1071 of
+    # max|a| * max|b|, and a subnormal result half a step; each term of the
+    # tolerance is at least twice its bound.
+    scale = Fraction(max(map(abs, a))) * Fraction(max(map(abs, b)))
+    tolerance = (sum(map(abs, products)) + len(a) * scale / 2**1020) / 2**50
+    tolerance += Fraction(1, 2**1074)
+    if abs(exact) >= FLOAT_LIMIT + tolerance:
+        with pytest.raises(ScoreError, match="^the dot product overflows a float$"):
+            score(a, b, DOT)
+    elif abs(exact) < FLOAT_LIMIT - tolerance:
+        assert abs(Fraction(score(a, b, DOT)) - exact) <= tolerance
+
+    if scale == 0:
+        with pytest.raises(ScoreError, match="zero vector"):
+            score(a, b)
+        return
+    # The exact cosine is the signed root of an exact square.
+    square = exact**2 / (sum(Fraction(x) ** 2 for x in a) * sum(Fraction(y) ** 2 for y in b))
+    expected = math.sqrt(float(square)) * (-1 if exact < 0 else 1)
+    assert abs(score(a, b) - expected) <= 2**-48
 
 
 # ---------------------------------------------------------------------------
@@ -228,5 +290,5 @@ def test_load_triplets_tsv(tmp_path):
 )
 def test_load_triplets_tsv_errors(tmp_path, rows, reason):
     path = write_tsv(tmp_path / "vectors.tsv", rows)
-    with pytest.raises(ScoreError, match=reason):
+    with pytest.raises(ScoreError, match="^" + re.escape(f"{path}: {reason}")):
         load_triplets_tsv(path)

@@ -52,7 +52,6 @@ def test_every_exported_name_exists(name):
 
 # Exports that only the acceptance tests call, with the criterion that does.
 UNUSED_EXPORTS = {
-    "corpus.generate_pattern": "ACCEPTANCE 4 samples single pattern families with it",
     "scoring.triplet_loss_gradient": "ACCEPTANCE 9 checks it against finite differences",
 }
 
@@ -103,6 +102,21 @@ def test_only_the_files_module_opens_data_files():
                 offenders.append(f"{name}.py:{node.lineno}")
     assert offenders == []
 
+
+def test_readme_library_quick_start_prints_what_its_comments_say(capsys):
+    """Each ``print`` of the README's python block is followed by its
+    output, as a comment on the same line or as the next line."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library quick start$.*?^```python\n(.*?)^```", readme, re.M | re.S)
+    lines = block.group(1).splitlines()
+    expected = []
+    for index, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line.partition("  # ")[2] or lines[index + 1].removeprefix("# ")
+            expected.append(comment)
+    assert len(expected) == 3
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_every_source_file_parses_as_the_oldest_declared_python():
