@@ -184,7 +184,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
             "corpus_seed": recorded.get("seed"),
         }
     else:
-        sentences = corpus.build_corpus(lexicon, args.count, args.mix, args.seed)
+        count = corpus.DEFAULT_TARGET if args.count is None else args.count
+        sentences = corpus.build_corpus(lexicon, count, args.mix, args.seed)
     records = pairs.build_pairs(sentences, lexicon, args.ratio, args.seed)
     train, validation = pairs.split(records, args.val_frac, args.seed)
     for path, part in ((args.out_train, train), (args.out_val, validation)):
@@ -289,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     pairs_cmd.add_argument("--val-frac", type=float, default=pairs.DEFAULT_VAL_FRACTION)
     pairs_cmd.add_argument("--seed", type=int, default=corpus.DEFAULT_SEED)
     pairs_cmd.add_argument("--corpus", help="corpus JSONL (default: regenerate)")
-    pairs_cmd.add_argument("--count", type=int, default=corpus.DEFAULT_TARGET,
-                           help="corpus size when regenerating")
-    pairs_cmd.add_argument("--mix", type=_parse_mix, default=None)
+    pairs_cmd.add_argument("--count", type=int, help="corpus size when regenerating "
+                           f"(default: {corpus.DEFAULT_TARGET})")
+    pairs_cmd.add_argument("--mix", type=_parse_mix, default=None,
+                           help="corpus mix when regenerating")
     pairs_cmd.add_argument("--out-train", required=True)
     pairs_cmd.add_argument("--out-val", required=True)
     _add_lexicon_flag(pairs_cmd)
@@ -333,6 +335,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "augment" and args.format == "penman" and args.grammar:
         parser.error("augment: --grammar applies to text input only, not --format penman")
+    if args.command == "pairs" and args.corpus and (args.count, args.mix) != (None, None):
+        parser.error("pairs: --count and --mix apply to a regenerated corpus, not --corpus")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if args.quiet else logging.INFO,

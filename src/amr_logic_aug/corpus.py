@@ -1,6 +1,9 @@
 """Controlled synthetic sentence corpus over the lexicon.
 
-Four pattern families, one per logic-pattern template:
+Four pattern families, one per law.  Each is one entry of the private
+``_FAMILIES`` table: its law (``PATTERN_LAW``), its slot capacity
+(:func:`family_capacity`) and a function from slot index and running
+position to the slot's struct, or ``None`` for a degenerate slot.
 
 AtomicDN
     ``subject is attribute`` for attributes with a lexicon antonym
@@ -15,11 +18,12 @@ ImplicationPair
     Alternating directions: leading conditionals (``If A, then B.``) and
     their disjunction counterparts (``A is not X or B is Y.``).
 
-Pair families sample (subject1, attribute1, subject2, attribute2) tuples
-without replacement from the off-diagonal combination space; tuples whose
-two clauses normalize to the same atom (same subject and same base
-attribute, e.g. "the cat is strong"/"the cat is weak") are excluded because
-law negatives over such sentences can collapse into accidental equivalences.
+A pair family's slots are the off-diagonal (subject1, attribute1,
+subject2, attribute2) cell pairs, sampled without replacement.  A pair whose
+two clauses name one atom (``logic.clause_literal``'s key: same subject and
+same base attribute, e.g. "the cat is strong"/"the cat is weak") is
+degenerate, because law negatives over such sentences can collapse into
+accidental equivalences.
 
 :func:`build_corpus` assembles a deduplicated corpus of an exact target
 size from per-family quotas (largest-remainder allocation of the mix,
@@ -46,6 +50,7 @@ from .grammar import (
 )
 from .laws import LawKind, refusal
 from .lexicon import Lexicon
+from .logic import clause_literal
 
 DEFAULT_TARGET = 14_962
 DEFAULT_SEED = 2021
@@ -63,13 +68,6 @@ class PatternKind(str, Enum):
     CONDITIONAL_CONTRA = "conditional-contra"
     IMPLICATION_PAIR = "implication-pair"
 
-
-PATTERN_LAW: dict[PatternKind, LawKind] = {
-    PatternKind.ATOMIC_DN: LawKind.DOUBLE_NEGATION,
-    PatternKind.COMMUTATIVE_PAIR: LawKind.COMMUTATIVE,
-    PatternKind.CONDITIONAL_CONTRA: LawKind.CONTRAPOSITION,
-    PatternKind.IMPLICATION_PAIR: LawKind.IMPLICATION,
-}
 
 DEFAULT_MIX: dict[PatternKind, float] = {kind: 0.25 for kind in PatternKind}
 
@@ -103,86 +101,75 @@ def _pair_space(lexicon: Lexicon) -> int:
     return cells * (cells - 1)
 
 
-def _decode_pair(lexicon: Lexicon, index: int) -> tuple[str, str, str, str]:
-    """Index → (subject1, attribute1, subject2, attribute2), off-diagonal."""
-    cells = len(lexicon.entities) * len(lexicon.attributes)
-    first, second = divmod(index, cells - 1)
-    if second >= first:
-        second += 1
-    n_attr = len(lexicon.attributes)
-    sub1, adj1 = divmod(first, n_attr)
-    sub2, adj2 = divmod(second, n_attr)
-    return (
-        lexicon.entities[sub1],
-        lexicon.attributes[adj1],
-        lexicon.entities[sub2],
-        lexicon.attributes[adj2],
-    )
-
-
-def _degenerate(tuple4: tuple[str, str, str, str], lexicon: Lexicon) -> bool:
-    """Whether both clauses name one atom (``logic.clause_literal``'s key)."""
-    sub1, adj1, sub2, adj2 = tuple4
-    bases = lexicon.antonym_bases
-    return sub1 == sub2 and bases.get(adj1, adj1) == bases.get(adj2, adj2)
-
-
-def _atomic_capacity(lexicon: Lexicon) -> int:
-    return len(lexicon.entities) * len(_mapped_attributes(lexicon))
-
-
-def _atomic_struct(lexicon: Lexicon, index: int) -> GrammarSentence:
+def _atomic_struct(lexicon: Lexicon, index: int, position: int) -> GrammarSentence:
     mapped = _mapped_attributes(lexicon)
     subject_index, attribute_index = divmod(index, len(mapped))
     clause = Clause(lexicon.entities[subject_index], mapped[attribute_index])
     return GrammarSentence(Shape.ATOMIC, (clause,))
 
 
-def _commutative_struct(tuple4: tuple[str, str, str, str], position: int) -> GrammarSentence:
-    sub1, adj1, sub2, adj2 = tuple4
-    negated = position % 2 == 1
-    return GrammarSentence(
-        Shape.AND_PAIR,
-        (Clause(sub1, adj1, negated), Clause(sub2, adj2, negated)),
-    )
+_SlotStruct = Callable[[Lexicon, int, int], Optional[GrammarSentence]]
 
 
-def _contra_struct(tuple4: tuple[str, str, str, str], position: int) -> GrammarSentence:
-    sub1, adj1, sub2, adj2 = tuple4
-    scenario = position % 4
-    return GrammarSentence(
-        Shape.IF_THEN,
-        (
-            Clause(sub1, adj1, scenario in (2, 3)),
-            Clause(sub2, adj2, scenario in (1, 3)),
+def _pair_family(form: Callable[[int], tuple[Shape, bool, bool]]) -> _SlotStruct:
+    """The slot → struct function of a pair family whose ``form(position)``
+    gives the shape and the two clauses' negations."""
+
+    def struct(lexicon: Lexicon, index: int, position: int) -> Optional[GrammarSentence]:
+        cells = len(lexicon.entities) * len(lexicon.attributes)
+        first, second = divmod(index, cells - 1)
+        if second >= first:
+            second += 1
+        n_attr = len(lexicon.attributes)
+        sub1, adj1 = divmod(first, n_attr)
+        sub2, adj2 = divmod(second, n_attr)
+        shape, negated1, negated2 = form(position)
+        one = Clause(lexicon.entities[sub1], lexicon.attributes[adj1], negated1)
+        two = Clause(lexicon.entities[sub2], lexicon.attributes[adj2], negated2)
+        if clause_literal(one, lexicon)[0] == clause_literal(two, lexicon)[0]:
+            return None
+        return GrammarSentence(shape, (one, two))
+
+    return struct
+
+
+class _Family(NamedTuple):
+    law: LawKind
+    capacity: Callable[[Lexicon], int]
+    struct: _SlotStruct
+
+
+_FAMILIES: dict[PatternKind, _Family] = {
+    PatternKind.ATOMIC_DN: _Family(
+        LawKind.DOUBLE_NEGATION,
+        lambda lexicon: len(lexicon.entities) * len(_mapped_attributes(lexicon)),
+        _atomic_struct,
+    ),
+    PatternKind.COMMUTATIVE_PAIR: _Family(
+        LawKind.COMMUTATIVE,
+        _pair_space,
+        _pair_family(lambda position: (Shape.AND_PAIR, position % 2 == 1, position % 2 == 1)),
+    ),
+    PatternKind.CONDITIONAL_CONTRA: _Family(
+        LawKind.CONTRAPOSITION,
+        _pair_space,
+        _pair_family(lambda position: (Shape.IF_THEN, position % 4 >= 2, position % 2 == 1)),
+    ),
+    PatternKind.IMPLICATION_PAIR: _Family(
+        LawKind.IMPLICATION,
+        _pair_space,
+        _pair_family(
+            lambda position: (Shape.OR_PAIR, True, False) if position % 2
+            else (Shape.IF_THEN, False, False)
         ),
-    )
-
-
-def _implication_struct(tuple4: tuple[str, str, str, str], position: int) -> GrammarSentence:
-    sub1, adj1, sub2, adj2 = tuple4
-    if position % 2 == 0:
-        return GrammarSentence(
-            Shape.IF_THEN, (Clause(sub1, adj1), Clause(sub2, adj2))
-        )
-    return GrammarSentence(
-        Shape.OR_PAIR, (Clause(sub1, adj1, True), Clause(sub2, adj2))
-    )
-
-
-_PAIR_BUILDERS: dict[
-    PatternKind, Callable[[tuple[str, str, str, str], int], GrammarSentence]
-] = {
-    PatternKind.COMMUTATIVE_PAIR: _commutative_struct,
-    PatternKind.CONDITIONAL_CONTRA: _contra_struct,
-    PatternKind.IMPLICATION_PAIR: _implication_struct,
+    ),
 }
+
+PATTERN_LAW: dict[PatternKind, LawKind] = {kind: f.law for kind, f in _FAMILIES.items()}
 
 
 def family_capacity(lexicon: Lexicon, pattern: PatternKind) -> int:
-    if pattern is PatternKind.ATOMIC_DN:
-        return _atomic_capacity(lexicon)
-    return _pair_space(lexicon)
+    return _FAMILIES[pattern].capacity(lexicon)
 
 
 def _family_rng(seed: int, pattern: PatternKind) -> random.Random:
@@ -196,8 +183,9 @@ def _generate_family(
     rng: random.Random,
     seen_texts: set[str],
 ) -> list[SynthSentence]:
-    """Fill a family quota, skipping degenerate tuples and duplicate texts."""
-    capacity = family_capacity(lexicon, pattern)
+    """Fill a family quota, skipping degenerate slots and duplicate texts."""
+    family = _FAMILIES[pattern]
+    capacity = family.capacity(lexicon)
     accepted: list[SynthSentence] = []
     used: set[int] = set()
 
@@ -206,13 +194,9 @@ def _generate_family(
             if len(accepted) >= count:
                 return
             used.add(index)
-            if pattern is PatternKind.ATOMIC_DN:
-                struct = _atomic_struct(lexicon, index)
-            else:
-                tuple4 = _decode_pair(lexicon, index)
-                if _degenerate(tuple4, lexicon):
-                    continue
-                struct = _PAIR_BUILDERS[pattern](tuple4, len(accepted))
+            struct = family.struct(lexicon, index, len(accepted))
+            if struct is None:
+                continue
             sentence = _sentence(struct, pattern)
             key = sentence.text.lower()
             if key in seen_texts:

@@ -3,8 +3,10 @@
 The lexicon is a TSV file with section header rows (``SECTION<TAB>count``)
 followed by one entry per line.  Sections:
 
-ENTITY, RELATION, ATTRIBUTE
+ENTITY, ATTRIBUTE
     Core generation vocabulary, one string per row, order significant.
+RELATION
+    Required and checked as a one-column word section, but never read.
 EXTENSION_ENTITY, EXTENSION_ATTRIBUTE
     Extra vocabulary for robustness variants; never used by default
     generation but valid antonym targets.
@@ -56,7 +58,6 @@ class LexiconError(ValueError):
 @dataclass(frozen=True)
 class Lexicon:
     entities: tuple[str, ...]
-    relations: tuple[str, ...]
     attributes: tuple[str, ...]
     antonyms: dict[str, str] = field(compare=False)
     extension_entities: tuple[str, ...] = ()
@@ -199,7 +200,7 @@ def _antonym_map(
 def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
     sections = _parse_rows(text)
     entities = _word_section("ENTITY", sections["ENTITY"])
-    relations = _word_section("RELATION", sections["RELATION"])
+    _word_section("RELATION", sections["RELATION"])  # checked, never read
     attributes = _word_section("ATTRIBUTE", sections["ATTRIBUTE"])
     ext_entities = _word_section("EXTENSION_ENTITY", sections["EXTENSION_ENTITY"])
     ext_attributes = _word_section("EXTENSION_ATTRIBUTE", sections["EXTENSION_ATTRIBUTE"])
@@ -214,7 +215,6 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
     antonyms = _antonym_map(sections["ANTONYM"], set(attributes) | set(ext_attributes))
     return Lexicon(
         entities=entities,
-        relations=relations,
         attributes=attributes,
         antonyms=antonyms,
         extension_entities=ext_entities,

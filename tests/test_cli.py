@@ -75,6 +75,10 @@ def test_version_flag(capsys):
         # Penman input is not parsed by a sentence grammar.
         ["augment", "--law", "double-negation", "--format", "penman", "--grammar",
          "extended", "--in", "a", "--out", "b"],
+        # --count and --mix shape a regenerated corpus; --corpus is read as it is.
+        ["pairs", "--corpus", "c.jsonl", "--count", "7", "--out-train", "a", "--out-val", "b"],
+        ["pairs", "--corpus", "c.jsonl", "--mix", "atomic-dn=1.0", "--out-train", "a",
+         "--out-val", "b"],
     ],
 )
 def test_usage_errors_exit_2(argv):

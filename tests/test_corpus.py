@@ -19,6 +19,7 @@ from amr_logic_aug.corpus import (
     family_capacity,
 )
 from amr_logic_aug.grammar import (
+    Clause,
     Shape,
     build_graph,
     parse_sentence_struct,
@@ -27,6 +28,7 @@ from amr_logic_aug.grammar import (
     realize,
 )
 from amr_logic_aug.graph import serialize
+from amr_logic_aug.lexicon import parse_lexicon
 from amr_logic_aug.logic import clause_literal
 
 
@@ -49,6 +51,59 @@ def test_family_capacities(lexicon):
         PatternKind.IMPLICATION_PAIR,
     ):
         assert family_capacity(lexicon, pattern) == 845_480
+
+
+TINY_LEXICON = parse_lexicon(
+    "ENTITY\t2\nthe cat\nAlan\n"
+    "RELATION\t1\nis\n"
+    "ATTRIBUTE\t3\nstrong\nweak\nround\n"
+    "ANTONYM\t2\nstrong\tweak\nweak\tstrong\n"
+)
+PAIR_FAMILIES = [kind for kind in PatternKind if kind is not PatternKind.ATOMIC_DN]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_atomic_family_fills_its_capacity(seed):
+    capacity = family_capacity(TINY_LEXICON, PatternKind.ATOMIC_DN)
+    assert capacity == 4  # two entities times the two attributes with an antonym
+    built = build_corpus(TINY_LEXICON, capacity, {PatternKind.ATOMIC_DN: 1.0}, seed)
+    assert {s.struct.clauses for s in built} == {
+        (Clause(subject, attribute),)
+        for subject in ("the cat", "Alan")
+        for attribute in ("strong", "weak")
+    }
+    with pytest.raises(CorpusError, match="^unreachable target: 5 exceeds total capacity 4$"):
+        build_corpus(TINY_LEXICON, capacity + 1, {PatternKind.ATOMIC_DN: 1.0}, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", PAIR_FAMILIES)
+def test_a_pair_family_reaches_every_nondegenerate_slot(kind, seed):
+    cells = [
+        Clause(subject, attribute)
+        for subject in TINY_LEXICON.entities
+        for attribute in TINY_LEXICON.attributes
+    ]
+    ordered = [(one, two) for one in cells for two in cells if one != two]
+    assert family_capacity(TINY_LEXICON, kind) == len(ordered) == 30
+    reachable = {
+        (one, two)
+        for one, two in ordered
+        if clause_literal(one, TINY_LEXICON)[0] != clause_literal(two, TINY_LEXICON)[0]
+    }
+    assert len(ordered) - len(reachable) == 4  # strong/weak on one subject, both orders
+
+    built = build_corpus(TINY_LEXICON, len(reachable), {kind: 1.0}, seed)
+    positive = {
+        tuple(clause._replace(negated=False) for clause in s.struct.clauses) for s in built
+    }
+    assert positive == reachable
+    with pytest.raises(
+        CorpusError,
+        match=f"^unreachable target: {kind.value} family exhausted at 26 of 27 "
+        "requested sentences$",
+    ):
+        build_corpus(TINY_LEXICON, len(reachable) + 1, {kind: 1.0}, seed)
 
 
 # ---------------------------------------------------------------------------

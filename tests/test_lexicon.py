@@ -45,12 +45,10 @@ def make_source(
 def test_default_lexicon_shape():
     lexicon = default_lexicon()
     assert len(lexicon.entities) == 23
-    assert len(lexicon.relations) == 2
     assert len(lexicon.attributes) == 40
     assert len(lexicon.extension_entities) == 15
     assert len(lexicon.extension_attributes) == 10
     assert lexicon.entities[0] == "the bald eagle"
-    assert lexicon.relations == ("is", "is not")
     assert lexicon.attributes[0] == "kind"
     assert lexicon.checksum and len(lexicon.checksum) == 64
 
@@ -102,6 +100,9 @@ def test_parse_round_trip():
             dict(antonyms=(("strong", "weak\texternal"), ("weak", "strong"))),
             "antonym rows must be 'word<TAB>antonym' at line 17",
         ),
+        # RELATION words are read by nothing, but still checked.
+        (dict(relations=("is\tnot",)), "section RELATION entries must have one column at line 6"),
+        (dict(relations=("is", "is")), "duplicate entry 'is' in section RELATION"),
     ],
 )
 def test_validation_errors(change, message):
@@ -121,6 +122,12 @@ def test_validation_errors(change, message):
 def test_count_mismatch_is_rejected():
     text = make_source().replace("ENTITY\t2", "ENTITY\t3")
     with pytest.raises(LexiconError, match="declares 3 entries but has 2"):
+        parse_lexicon(text)
+
+
+def test_the_relation_section_is_required():
+    text = make_source().replace("RELATION\t2\nis\nis not\n", "")
+    with pytest.raises(LexiconError, match="^missing required section RELATION$"):
         parse_lexicon(text)
 
 

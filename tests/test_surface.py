@@ -1,14 +1,17 @@
 """The package surface that outside code depends on.
 
 ``perfbench/tracer.py`` wraps functions by ``(layer, name)``; a name it can
-no longer find breaks every traced benchmark run.  It is loaded by path, as
-the benchmark runs it, and left unchanged.
+no longer find breaks every traced benchmark run.  ``perfbench/inputs.py``
+writes every workload's input through the package; an input it can no
+longer make breaks every benchmark run.  Both are loaded by path, as the
+benchmark runs them, and left unchanged.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 import importlib.util
 import pkgutil
 import re
@@ -17,21 +20,28 @@ from pathlib import Path
 import pytest
 
 import amr_logic_aug
+from amr_logic_aug import corpus, pairs
 from amr_logic_aug.corpus import PatternKind, SynthSentence
-from amr_logic_aug.grammar import Clause, GrammarSentence, Shape
+from amr_logic_aug.grammar import Clause, GrammarSentence, Shape, penman_of_struct
+from amr_logic_aug.lexicon import default_lexicon
 from amr_logic_aug.pairs import PairRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+INPUTS = ROOT / "perfbench" / "inputs.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(amr_logic_aug.__path__))
 READERS_AND_WRITERS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_by_path("perfbench_tracer", TRACER)
 
 
 def test_every_traced_layer_resolves():
@@ -80,6 +90,38 @@ def test_every_export_has_a_use_outside_the_tests():
         if export not in used
     ]
     assert sorted(unused) == sorted(UNUSED_EXPORTS)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_benchmark_inputs_are_made_at_a_small_size(seed, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(INPUTS.parent))  # inputs.py imports its word lists
+    inputs = load_by_path("perfbench_inputs", INPUTS)
+    monkeypatch.setattr(inputs, "CHECK_CORPUS_SIZE", 40)
+    monkeypatch.setattr(inputs, "PROMPT_RECORDS", 12)
+    monkeypatch.setattr(corpus, "DEFAULT_TARGET", 48)
+    lexicon = default_lexicon()
+
+    reclor = tmp_path / "reclor.json"
+    records = inputs.make_reclor_file(seed, reclor)
+    assert len(records) == 12
+    assert json.loads(reclor.read_text(encoding="utf-8")) == records
+
+    check = tmp_path / "check.jsonl"
+    planted = inputs.make_check_file(seed, check)
+    assert planted  # the 128-record train split holds one planted flip
+    problems = pairs.verify_records(pairs.load_jsonl(check), lexicon)
+    assert [index for index, _ in problems] == planted
+
+    paths = inputs.make_penman_files(seed, tmp_path)
+    assert sorted(paths) == sorted(kind.value for kind in PatternKind)
+    # The penman workload rewrites each family's file with that family's law.
+    assert inputs.PENMAN_FAMILY_LAW == {
+        kind.value: law.value for kind, law in corpus.PATTERN_LAW.items()
+    }
+    built = corpus.build_corpus(lexicon, 48, None, inputs.cli_seed(seed))
+    for kind in PatternKind:
+        expected = [penman_of_struct(s.struct) for s in built if s.pattern is kind]
+        assert paths[kind.value].read_text(encoding="utf-8").splitlines() == expected
 
 
 def test_package_root_exports_only_the_version():
