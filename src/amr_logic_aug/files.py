@@ -31,6 +31,9 @@ _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
 # raw line break.
 _STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"')
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
+# The scan ``json.loads`` ends in.  On a stripped line that no BOM starts,
+# consuming the whole line is exactly what ``json.loads`` accepts.
+_raw_decode = json.JSONDecoder().raw_decode
 # The string quoter that encoder uses: ``json_string(s)`` is
 # ``json.dumps(s, ensure_ascii=False)`` without the per-call encoder.
 json_string = json.encoder.encode_basestring
@@ -71,11 +74,19 @@ def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
 
 
 def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
+    """Yield ``(line number, value)`` for each non-blank line.  A line's value
+    is the scanner's when it consumed the whole line; any other line goes
+    through ``json.loads``, whose message a malformed line reports."""
     for lineno, line in read_lines(path, error):
         try:
-            value = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise error(f"{path}: malformed JSON on line {lineno}: {err}") from err
+            value, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise error(f"{path}: malformed JSON on line {lineno}: {err}") from err
         if "\\" in line:  # only an escape makes one; far cheaper than the regex
             _no_lone_surrogate(line, path, lineno, error)
         yield lineno, value

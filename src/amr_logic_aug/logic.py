@@ -14,9 +14,10 @@ idea, without the sharing).
 
 :func:`structs_equivalent` is the production oracle: it compiles each struct
 (at most two clauses, one connective) in one pass, a literal mask per clause
-combined by shape.  A pair of structs names at most 4 atoms, so its tables
-have 16 rows: small ints, negated with ``^ 0xFFFF`` and compared with
-``==``.  The :data:`Formula` tree, :func:`formula_of_struct` and
+combined by shape; :func:`equivalence_to` compiles one side once for a
+run of comparisons against it.  A pair of structs names at most 4 atoms,
+so its tables have 16 rows: small ints, negated with ``^ 0xFFFF`` and
+compared with ``==``.  The :data:`Formula` tree, :func:`formula_of_struct` and
 :func:`equivalent` are the reference surface that defines these semantics;
 the acceptance tests and the compile's differential test are written
 against it.  It keeps the budget of :data:`MAX_ORACLE_ATOMS` atoms (256-row
@@ -26,7 +27,7 @@ tables), enforced with an error rather than silently degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .grammar import Clause, GrammarSentence, GrammarStructureError, Shape, read_graph
 from .graph import AmrGraph
@@ -201,6 +202,21 @@ def structs_equivalent(first: GrammarSentence, second: GrammarSentence, lexicon:
     return _struct_table(first, lexicon, index) == _struct_table(second, lexicon, index)
 
 
+def equivalence_to(
+    first: GrammarSentence, lexicon: Lexicon
+) -> Callable[[GrammarSentence], bool]:
+    """``lambda second: structs_equivalent(first, second, lexicon)`` with
+    ``first``'s table compiled once: each ``second`` is compiled against a
+    copy of ``first``'s atom index."""
+    index: dict[tuple[str, str], int] = {}
+    table = _struct_table(first, lexicon, index)
+
+    def equivalent_to_first(second: GrammarSentence) -> bool:
+        return _struct_table(second, lexicon, index.copy()) == table
+
+    return equivalent_to_first
+
+
 __all__ = [
     "MAX_ORACLE_ATOMS",
     "LogicError",
@@ -217,4 +233,5 @@ __all__ = [
     "to_formula",
     "formula_of_struct",
     "structs_equivalent",
+    "equivalence_to",
 ]

@@ -5,7 +5,7 @@ and ``k`` negatives for a ``1:k`` ratio.  The first negative is the law's
 own near-miss negative construction; further negatives alternate polarity
 flips and random corpus samples.  Every record passes the truth-table
 oracle at construction time, and ``load_jsonl`` re-derives each record's
-``pair_id`` so tampered files fail fast.
+required ``pair_id`` so tampered files fail fast.
 
 Output order is sorted by ``pair_id``, making emitted bytes a pure function
 of (corpus, lexicon, ratio, seed).
@@ -38,7 +38,7 @@ class DatasetError(ValueError):
 
 
 def make_pair_id(sentence1: str, sentence2: str, label: int, law: str) -> str:
-    payload = "\x1f".join([sentence1, sentence2, str(label), law])
+    payload = f"{sentence1}\x1f{sentence2}\x1f{label}\x1f{law}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -181,17 +181,23 @@ def emit_jsonl(records: Iterable[PairRecord], path: str | Path) -> int:
 
 
 def load_jsonl(path: str | Path) -> list[PairRecord]:
-    """Load and re-validate records; pair_id is recomputed, not trusted."""
+    """Load and re-validate records; ``pair_id`` is required and recomputed,
+    not trusted."""
 
     def record_of(row: dict) -> PairRecord:
-        # A missing key passes these checks and is reported below.
+        # A missing key passes these checks and is reported by the lookups
+        # below; a missing pair_id only after PairRecord's own checks.
         for key in ("sentence1", "sentence2", "law", "pair_id"):
             value = row.get(key, "")
             if not isinstance(value, str):
                 raise DatasetError(f"{key} must be a string, got {type(value).__name__}")
-        return PairRecord(
-            row["sentence1"], row["sentence2"], row["label"], row["law"], row.get("pair_id", "")
-        )
+        pair_id = row.get("pair_id", "")
+        record = PairRecord(row["sentence1"], row["sentence2"], row["label"], row["law"], pair_id)
+        if not pair_id:  # PairRecord filled it in, but a file must carry it
+            if "pair_id" not in row:
+                raise KeyError("pair_id")
+            raise DatasetError(f"pair_id mismatch: got {pair_id!r}, expected {record.pair_id!r}")
+        return record
 
     return list(read_objects(path, DatasetError, record_of))
 
@@ -200,15 +206,13 @@ def verify_records(records: Sequence[PairRecord], lexicon: Lexicon) -> list[tupl
     """Oracle replay: re-check that each label matches truth-table semantics.
 
     Records are visited grouped by ``sentence1`` (a stable sort of their
-    indexes by anchor text), so each anchor is parsed once and only the
-    current anchor's struct is alive; ``sentence2`` is parsed per record.
-    An unparseable anchor is reported on every record that names it.
-    Returns (record index, problem) tuples in record order; empty means a
-    clean bill of health.
+    indexes by anchor text), so each anchor is parsed and its truth table
+    compiled once, and only the current anchor's struct is alive;
+    ``sentence2`` is parsed per record.  An unparseable anchor is reported
+    on every record that names it.  Returns (record index, problem) tuples
+    in record order; empty means a clean bill of health.
     """
-    def anchor_of(index: int) -> str:
-        return records[index].sentence1
-
+    anchor_of = [record.sentence1 for record in records].__getitem__
     problems: list[tuple[int, str]] = []
     for anchor, group in groupby(sorted(range(len(records)), key=anchor_of), key=anchor_of):
         try:
@@ -216,6 +220,7 @@ def verify_records(records: Sequence[PairRecord], lexicon: Lexicon) -> list[tupl
         except GrammarError as err:
             problems.extend((index, f"unparseable pair: {err}") for index in group)
             continue
+        equivalent_to_anchor = logic.equivalence_to(first, lexicon)
         for index in group:
             record = records[index]
             try:
@@ -223,7 +228,7 @@ def verify_records(records: Sequence[PairRecord], lexicon: Lexicon) -> list[tupl
             except GrammarError as err:
                 problems.append((index, f"unparseable pair: {err}"))
                 continue
-            if logic.structs_equivalent(first, second, lexicon) != bool(record.label):
+            if equivalent_to_anchor(second) != bool(record.label):
                 problems.append(
                     (
                         index,

@@ -11,7 +11,8 @@ rule into a logically equivalent form:
 * conjunctive conditionals at depth 2: contraposition with the negated
   conjunction phrased "not both X and Y"
 * bare-plural rules ("Strong people are kind."): contraposition
-  ("If someone is not kind then they are not strong.")
+  ("If someone is not kind then they are not strong."); a determiner or
+  quantifier subject ("Some people are kind.") is no bare plural
 * universal rules ("All dull people are rough."): double-negated form
   ("There are no dull people who are not rough.")
 
@@ -40,6 +41,12 @@ _CONJ_COND = re.compile(
     rf"^If someone is ({_ADJ}) and ({_ADJ}) then they are ({_ADJ})\.$"
 )
 _BARE_PLURAL = re.compile(rf"^([A-Z][a-z-]*) people are ({_ADJ})\.$")
+# Determiners and quantifiers: "Some people are kind." is no bare plural, and
+# its contraposition over "some" as an adjective would be garbled and wrong.
+_CLOSED_CLASS = frozenset({
+    "All", "Any", "Both", "Each", "Either", "Every", "Few", "Many", "Most", "Neither",
+    "No", "Other", "Several", "Some", "Such", "The", "These", "Those",
+})
 _ALL_PEOPLE = re.compile(rf"^All ({_ADJ}) people are ({_ADJ})\.$")
 
 
@@ -68,7 +75,7 @@ def alter_rule(rule: str, depth: int) -> tuple[str, bool]:
         )
 
     match = _BARE_PLURAL.match(rule)
-    if match:
+    if match and match[1] not in _CLOSED_CLASS:
         subject, consequent = match.groups()
         return f"If someone is not {consequent} then they are not {subject.lower()}.", True
 

@@ -732,9 +732,14 @@ OTHER_FIELDS = '"sentence2": "b", "law": "commutative"'
          "line 1: penman '(x / nonsense)' is not the text's"),
         (["check"], f'{{"label": 1, {OTHER_FIELDS}}}', "line 1: missing key 'sentence1'"),
         (["check"], '["sentence1", "a"]', "line 1: not a JSON object, got list"),
+        (["check"], f'{{"sentence1": "a", "label": 1, {OTHER_FIELDS}}}',
+         "line 1: missing key 'pair_id'"),
+        (["check"], f'{{"sentence1": "a", "label": 1, "pair_id": "", {OTHER_FIELDS}}}',
+         "line 1: pair_id mismatch: got '', expected '8df97a35b48d9323'"),
     ],
     ids=["sentence1", "law", "pair_id", "label-true", "label-float", "text", "pattern",
-         "missing-text", "penman", "check-missing-key", "check-not-an-object"],
+         "missing-text", "penman", "check-missing-key", "check-not-an-object",
+         "check-missing-pair-id", "check-empty-pair-id"],
 )
 def test_a_wrong_field_type_exits_1_with_one_located_error(tmp_path, caplog, argv, line, location):
     src = tmp_path / "in.txt"

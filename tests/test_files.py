@@ -22,7 +22,7 @@ from amr_logic_aug.files import (
     read_json, read_jsonl, read_lines, read_objects, write_jsonl, write_text,
 )
 from amr_logic_aug.grammar import Clause, GrammarError, GrammarSentence, Shape, penman_of_struct
-from amr_logic_aug.pairs import PairRecord, emit_jsonl
+from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -255,3 +255,98 @@ def test_a_killed_writer_leaves_the_old_file(tmp_path, old):
         assert not path.exists()
     else:
         assert path.read_bytes() == old
+
+
+# ---------------------------------------------------------------------------
+# The row decoder agrees with json.loads
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """A ``json.dumps`` line, then one mutation that may make it malformed."""
+    line = json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    mutation = draw(st.sampled_from(
+        ["none", "bom", "extra-item", "extra-value", "truncated", "non-finite",
+         "duplicate-keys", "nested", "large-integer"]
+    ))
+    if mutation == "bom":
+        return "\ufeff" + line
+    if mutation == "extra-item":
+        return line + ", 1"
+    if mutation == "extra-value":
+        return line + " 2"
+    if mutation == "truncated":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if mutation == "non-finite":
+        return f"[NaN, -Infinity, {line}, Infinity]"
+    if mutation == "duplicate-keys":
+        return f'{{"k": 0, "k": {line}, "j": 1, "j": {line}}}'
+    if mutation == "nested":  # past the recursion limit, both decoders raise
+        depth = draw(st.integers(1, 50) | st.just(100_000))
+        return "[" * depth + line + "]" * depth
+    if mutation == "large-integer":  # past 4,300 digits, both decoders raise
+        digits = draw(st.sampled_from("123456789")) * draw(st.integers(19, 5_000))
+        return f"[{draw(st.sampled_from(['', '-']))}{digits}, {line}]"
+    return line
+
+
+def expected_rows(path, lines):
+    """What ``read_jsonl`` must give for ``lines``: ``(line number, value)``
+    per non-blank line, ending with the exception ``json.loads`` leads to."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append((lineno, json.loads(line)))
+        except json.JSONDecodeError as err:
+            return rows, Refused(f"{path}: malformed JSON on line {lineno}: {err}")
+        except (ValueError, RecursionError) as err:
+            return rows, err
+    return rows, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(jsonl_lines(), min_size=1, max_size=6))
+def test_the_row_decoder_agrees_with_json_loads(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("decoder") / "in.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want, error = expected_rows(path, lines)
+    got = []
+    try:
+        got.extend(read_jsonl(path, Refused))
+    except (ValueError, RecursionError) as err:
+        assert (type(err), str(err)) == (type(error), str(error))
+    else:
+        assert error is None
+    assert repr(got) == repr(want)  # repr tells 1 from 1.0 and matches NaN
+
+
+def test_a_well_formed_file_decodes_without_json_loads(tmp_path, monkeypatch):
+    rows = [
+        {"a": 'Zoë "quoted" \\ back\tslash', "b": [1, -2.5e-7, None, True, {}]},
+        ["x", 10**40], "a string", 7, {"\u00e9": "\u2028"},
+    ]
+    path, pairs_path = tmp_path / "in.jsonl", tmp_path / "pairs.jsonl"
+    lines = [json.dumps(row, ensure_ascii=ascii) for row in rows for ascii in (True, False)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records = [
+        PairRecord("Zoë 😀 is kind.", "Zoë 😀 is not unkind.", 1, "double-negation"),
+        PairRecord("Alan is kind.", "Alan is not kind.", 0, "double-negation"),
+    ]
+    emit_jsonl(records, pairs_path)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *args: calls.append(args) or loads(*args))
+    assert [value for _, value in read_jsonl(path, Refused)] == [row for row in rows for _ in "ab"]
+    assert load_jsonl(pairs_path) == records
+    assert calls == []

@@ -28,6 +28,7 @@ from amr_logic_aug.logic import (
     Not,
     Or,
     clause_literal,
+    equivalence_to,
     equivalent,
     formula_of_struct,
     make_atom,
@@ -36,6 +37,7 @@ from amr_logic_aug.logic import (
 )
 from amr_logic_aug.graph import parse_penman
 
+from test_laws import every_struct
 from test_lexicon import make_source
 
 
@@ -341,3 +343,42 @@ def test_structs_equivalent_matches_reference_on_random_pairs(lexicon):
         four_atom_pairs += len(keys) == 4
     assert verdicts[True] > 500 and verdicts[False] > 40_000
     assert four_atom_pairs > 5_000  # 7,973 at this seed
+
+
+def test_equivalence_to_matches_structs_equivalent_on_random_pairs(lexicon):
+    # As above, and each compiled anchor is reused across several structs, as
+    # the replay reuses it across an anchor's records.
+    attributes = ("weak", "strong", "old", "young", "round")
+    small = dataclasses.replace(
+        lexicon,
+        attributes=attributes,
+        antonyms={"weak": "strong", "strong": "weak", "old": "young", "young": "old"},
+    )
+    subjects = lexicon.entities[:2]
+    rng = random.Random(2023)
+    verdicts = Counter()
+    four_atom_pairs = 0
+    for _ in range(10_000):
+        first = random_struct(rng, subjects, attributes)
+        equivalent_to_first = equivalence_to(first, small)
+        for _ in range(5):
+            second = random_struct(rng, subjects, attributes)
+            verdict = equivalent_to_first(second)
+            assert verdict == structs_equivalent(first, second, small), (first, second)
+            verdicts[verdict] += 1
+            keys = {clause_literal(c, small)[0] for c in first.clauses + second.clauses}
+            four_atom_pairs += len(keys) == 4
+    assert verdicts[True] > 500 and verdicts[False] > 40_000
+    assert four_atom_pairs > 5_000  # 7,172 at this seed
+
+
+def test_equivalence_to_matches_structs_equivalent_on_the_whole_struct_space(lexicon):
+    structs = every_struct(lexicon.entities[:2], ("strong", "weak", "round"))
+    verdicts = Counter()
+    for first in structs:
+        equivalent_to_first = equivalence_to(first, lexicon)
+        for second in structs:
+            verdict = equivalent_to_first(second)
+            assert verdict == structs_equivalent(first, second, lexicon), (first, second)
+            verdicts[verdict] += 1
+    assert (verdicts[True], verdicts[False]) == (10_676, 335_068)  # 588 ** 2 ordered pairs

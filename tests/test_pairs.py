@@ -243,6 +243,14 @@ def test_load_rejects_tampered_sentence(tiny_pairs, tmp_path):
             '{"sentence1": "a", "sentence2": "b", "label": 3, "law": "commutative"}',
             "line 1: label must be 0 or 1",
         ),
+        (
+            '{"sentence1": "a", "sentence2": "b", "label": 1, "law": "commutative"}',
+            "line 1: missing key 'pair_id'",
+        ),
+        (
+            '{"sentence1": "a", "sentence2": "b", "label": 1, "law": "commutative", "pair_id": ""}',
+            "line 1: pair_id mismatch: got '', expected '8df97a35b48d9323'",
+        ),
     ],
 )
 def test_load_line_errors(tmp_path, line, reason):
@@ -348,6 +356,34 @@ def test_verify_records_parses_each_anchor_once(lexicon, monkeypatch):
     assert verify_records(records, lexicon) == reference_replay(records, lexicon)
     anchors = {record.sentence1 for record in records}
     assert len(texts) == len(anchors) + len(records)
+
+
+def test_verify_records_compiles_each_anchor_once(lexicon, monkeypatch):
+    compiled, compared = [], []
+    equivalence_to = logic.equivalence_to
+
+    def counting(first, *args):
+        compiled.append(first)
+        equivalent_to_first = equivalence_to(first, *args)
+
+        def compare(second):
+            compared.append(second)
+            return equivalent_to_first(second)
+
+        return compare
+
+    def refuse(*args):
+        raise AssertionError("the replay compiled an anchor per record")
+
+    expected = reference_replay(REPLAY_RECORDS, lexicon)
+    monkeypatch.setattr(logic, "equivalence_to", counting)
+    monkeypatch.setattr(logic, "structs_equivalent", refuse)
+    assert verify_records(REPLAY_RECORDS, lexicon) == expected
+    anchors = {record.sentence1 for record in REPLAY_RECORDS} - {NONSENSE}
+    assert sorted(compiled) == sorted(grammar.parse_sentence_struct(a, lexicon) for a in anchors)
+    parsed = [record for record in REPLAY_RECORDS
+              if record.sentence1 != NONSENSE and record.sentence2 != "Green ideas sleep."]
+    assert len(compared) == len(parsed)
 
 
 # ---------------------------------------------------------------------------

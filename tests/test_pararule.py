@@ -117,6 +117,23 @@ def test_unmatched_rule_logs_warning(caplog):
     assert "rule 0 matches no template" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        "Some people are kind.",  # existential: no contraposition over "some"
+        "All people are kind.",
+        "No people are kind.",
+        "Many people are kind.",
+    ],
+)
+def test_a_quantified_subject_is_no_bare_plural(rule, caplog):
+    for depth in (1, 2):
+        assert alter_rule(rule, depth) == (rule, False)
+    with caplog.at_level(logging.WARNING, logger="amr_logic_aug.pararule"):
+        assert alter_pararule_rules([rule], depth=2) == [rule]
+    assert "rule 0 matches no template" in caplog.text
+
+
 @pytest.mark.parametrize("depth", [0, 3, -1, "1"])
 def test_depth_validation(depth):
     with pytest.raises(PararuleError, match="depth must be 1 or 2"):
