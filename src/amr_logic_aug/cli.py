@@ -135,7 +135,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         for _, line in read_lines(args.in_path, grammar.GrammarError):
             try:
                 if args.format == "penman":
-                    sentence = parse_penman(line)
+                    sentence = grammar.read_canonical_penman(line) or parse_penman(line)
                 else:
                     sentence = grammar.parse_sentence_struct(
                         line, lexicon, args.grammar or grammar.CORE

@@ -2,8 +2,10 @@
 and the digest of a data file (:func:`sha256_of`).
 
 Readers raise the caller's error class, naming the file and line, for a
-byte that is not UTF-8, for malformed JSON and for a JSON escape of a lone
-surrogate (which decodes, but could never be written back as UTF-8).
+byte that is not UTF-8, for malformed JSON (an integer past Python's digit
+limit and nesting past the recursion limit among it) and for a JSON escape
+of a lone surrogate (which decodes, but could never be written back as
+UTF-8).
 :func:`read_objects` is the one reader of row files: it also names the file
 and line of a row that is not an object or that its builder refuses.
 Writers stream into a temporary file beside the target and ``os.replace``
@@ -37,6 +39,10 @@ _raw_decode = json.JSONDecoder().raw_decode
 # The string quoter that encoder uses: ``json_string(s)`` is
 # ``json.dumps(s, ensure_ascii=False)`` without the per-call encoder.
 json_string = json.encoder.encode_basestring
+# What decoding malformed JSON raises: ``json.JSONDecodeError``, or the
+# ``ValueError`` of an integer past the digit limit, or the ``RecursionError``
+# of nesting past the recursion limit.
+_UNDECODABLE = (ValueError, RecursionError)
 
 
 def _no_lone_surrogate(line: str, path, lineno: int, error: type[Exception]) -> None:
@@ -80,12 +86,12 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
     for lineno, line in read_lines(path, error):
         try:
             value, end = _raw_decode(line)
-        except json.JSONDecodeError:
+        except _UNDECODABLE:
             end = -1
         if end != len(line):
             try:
                 value = json.loads(line)
-            except json.JSONDecodeError as err:
+            except _UNDECODABLE as err:
                 raise error(f"{path}: malformed JSON on line {lineno}: {err}") from err
         if "\\" in line:  # only an escape makes one; far cheaper than the regex
             _no_lone_surrogate(line, path, lineno, error)
@@ -111,9 +117,10 @@ def read_objects(path, error: type[Exception], build: Callable[[dict], Any]) -> 
 
 def read_json(path, error: type[Exception]) -> Any:
     text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    text = _utf8(text, path, 1, error)
     try:
-        value = json.loads(_utf8(text, path, 1, error))
-    except json.JSONDecodeError as err:
+        value = json.loads(text)
+    except _UNDECODABLE as err:
         raise error(f"malformed JSON in {path}: {err}") from err
     if _SURROGATE_ESCAPE_RE.search(text):
         for lineno, line in enumerate(text.split("\n"), start=1):

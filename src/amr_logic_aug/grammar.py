@@ -14,11 +14,12 @@ what its graph holds, so ``read_graph(build_graph(s)) == s`` for every parse
 whose words hold no hyphen (see :func:`penman_of_struct`).
 
 The graph encoding is defined by one writer, :func:`penman_of_struct`, and
-:func:`build_graph` is its Penman parsed.  A clause is a predicate node
-carrying optional ``:polarity -`` and a ``:domain`` edge to a leaf subject
-node; compounds use an ``and``/``or`` root with ``:op1``/``:op2``;
-conditionals attach the antecedent to the consequent's node via
-``:condition``.  Surface order is part of the graph: a ``:condition`` edge
+:func:`build_graph` is its Penman parsed; :func:`read_canonical_penman`
+reads that writer's exact text back without a graph.  A clause is a
+predicate node carrying optional ``:polarity -`` and a ``:domain`` edge to
+a leaf subject node; compounds use an ``and``/``or`` root with
+``:op1``/``:op2``; conditionals attach the antecedent to the consequent's
+node via ``:condition``.  Surface order is part of the graph: a ``:condition`` edge
 placed before the clause's own edges realizes as "If A, then B." and one
 placed after them realizes as "B if A.".
 
@@ -32,6 +33,7 @@ dropped) so that paraphrases of the same predicate map to the same atom.
 
 from __future__ import annotations
 
+import functools
 import re
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -462,6 +464,71 @@ def penman_of_struct(sentence: GrammarSentence) -> str:
     return f"{head}{condition}{edges})"
 
 
+@functools.cache
+def _canonical_penman() -> Callable[[str], Optional[re.Match]]:
+    """The fullmatch of :func:`read_canonical_penman`'s pattern, compiled
+    on first use (about 1.3 ms), not at import.
+
+    A clause is five groups: predicate variable, predicate, polarity,
+    subject variable, subject.  Groups 0-11 are a connective root (variable,
+    ``and``/``or``, two clauses).  Groups 12-26 are a clause root: its head
+    (12-13), a leading antecedent (14-18), its own edges (19-21) and a
+    trailing antecedent (22-26).
+    """
+    variable = r"([a-z][0-9]*)"
+    concept = r"([A-Za-z][A-Za-z-]*)"
+    head = rf"\({variable} / (?!(?:and|or) ){concept}"
+    edges = rf"( {POLARITY_ROLE} {NEGATIVE})? {DOMAIN_ROLE} \({variable} / {concept}\)"
+    clause = rf"{head}{edges}\)"
+    condition = f" {CONDITION_ROLE} {clause}"
+    return re.compile(
+        rf"\({variable} / (and|or) :op1 {clause} :op2 {clause}\)"
+        rf"|{head}(?:{condition})?{edges}(?:{condition})?\)"
+    ).fullmatch
+
+
+def read_canonical_penman(text: str) -> Optional[GrammarSentence]:
+    """The struct of ``text`` when it is Penman as :func:`penman_of_struct`
+    writes it, else None.
+
+    It reads one compiled pattern: single spaces, variables ``[a-z][0-9]*``
+    all distinct, concepts ``[A-Za-z][A-Za-z-]*`` and no clause predicate
+    ``and`` or ``or``.  On every text it accepts it returns what
+    ``read_graph(parse_penman(text))`` returns; every other text, and every
+    error, is :func:`parse_penman`'s and :func:`read_graph`'s.
+    """
+    match = _canonical_penman()(text)
+    if match is None:
+        return None
+    groups = match.groups()
+    trailing = False
+    if groups[1] is not None:
+        variables = [groups[0]]
+        shape = _AND_PAIR if groups[1] == "and" else _OR_PAIR
+        parts = (groups[2:7], groups[7:12])
+    else:
+        variables = []
+        own = groups[12:14] + groups[19:22]
+        leading, trailing_antecedent = groups[14:19], groups[22:27]
+        if leading[0] is None and trailing_antecedent[0] is None:
+            shape, parts = _ATOMIC, (own,)
+        elif trailing_antecedent[0] is None:
+            shape, parts = _IF_THEN, (leading, own)
+        elif leading[0] is None:
+            shape, parts, trailing = _IF_THEN, (trailing_antecedent, own), True
+        else:
+            return None  # two :condition edges
+    clauses = []
+    for predicate_var, predicate, polarity, subject_var, subject in parts:
+        variables += (predicate_var, subject_var)
+        clauses.append(Clause(
+            _concept_to_surface(subject), _concept_to_surface(predicate), polarity is not None
+        ))
+    if len(set(variables)) != len(variables):
+        return None  # a duplicate instance declaration
+    return GrammarSentence(shape, tuple(clauses), trailing)
+
+
 def build_graph(sentence: GrammarSentence) -> AmrGraph:
     """The canonical graph of a grammar struct: ``penman_of_struct`` parsed."""
     return parse_penman(penman_of_struct(sentence))
@@ -613,6 +680,7 @@ __all__ = [
     "GrammarSentence",
     "parse_sentence_struct",
     "penman_of_struct",
+    "read_canonical_penman",
     "build_graph",
     "read_graph",
     "realize_struct",

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from test_files import PAST_THE_DECODER_LIMITS
 from test_lexicon import make_source
 
 import amr_logic_aug
-from amr_logic_aug import __version__, laws, scoring
+from amr_logic_aug import __version__, grammar, laws, scoring
 from amr_logic_aug.cli import build_parser, main
 from amr_logic_aug.graph import ParseError, parse_penman
 from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
@@ -364,6 +365,72 @@ def test_augment_skips_a_self_contradiction(tmp_path):
     assert (manifest["processed"], manifest["skipped"]) == (2, 1)
 
 
+# Near-canonical lines the canonical Penman reader refuses, each with what
+# the general path makes of it under implication: the skip message, or the
+# positive and the negative.  Recorded while every Penman line still went
+# through ``parse_penman``.
+REFUSED_PENMAN = [
+    ("(k / kind :domain (k / Alan))",  # a duplicate declaration
+     "duplicate instance declaration for 'k' at byte 19"),
+    ("(a / and :op1 (o / or :domain (b / Bob)) :op2 (k / kind :domain (a2 / Alan)))",
+     "graph outside grammar: nested compound clause"),
+    # Polarity before a leading :condition.
+    ("(k / kind :polarity - :condition (c / clever :domain (b / Bob)) :domain (a / Alan))",
+     "graph outside grammar: :condition edge must come before or after all clause edges"),
+    # A :condition between the clause's own edges.
+    ("(k / kind :domain (a / Alan) :condition (c / clever :domain (b / Bob)) :polarity -)",
+     "graph outside grammar: :condition edge must come before or after all clause edges"),
+    ("(k / kind :condition (c / clever :domain (b / Bob)) :domain (a / Alan)"
+     " :condition (d / dull :domain (d2 / Dan)))",
+     "graph outside grammar: multiple :condition edges on one node"),
+    # Polarity after :domain.
+    ("(k / kind :domain (a / Alan) :polarity - :condition (c / clever :domain (b / Bob)))",
+     "(o / or :op1 (c / clever :polarity - :domain (b / Bob))"
+     " :op2 (k / kind :polarity - :domain (a / Alan)))",
+     "(o / or :op1 (c / clever :domain (b / Bob)) :op2 (k / kind :polarity - :domain (a / Alan)))"),
+    ("(c / clever :condition (k / kind :domain (j / José)) :domain (b / Bob))",
+     "(o / or :op1 (k / kind :polarity - :domain (j / José)) :op2 (c / clever :domain (b / Bob)))",
+     "(o / or :op1 (k / kind :domain (j / José)) :op2 (c / clever :domain (b / Bob)))"),
+    ('(o / or :op1 (k / kind :domain (a / "Alan")) :op2 (c / clever :domain (b / Bob)))',
+     '(c / clever :condition (k / kind :polarity - :domain (a / "Alan")) :domain (b / Bob))',
+     '(c / clever :condition (k / kind :polarity - :domain (a / "Alan"))'
+     ' :polarity - :domain (b / Bob))'),
+    ("(o / or :op1 (k / kind :domain (a / Alan))  :op2 (c / clever :domain (b / Bob)))",
+     "(c / clever :condition (k / kind :polarity - :domain (a / Alan)) :domain (b / Bob))",
+     "(c / clever :condition (k / kind :polarity - :domain (a / Alan))"
+     " :polarity - :domain (b / Bob))"),
+    ("(o / or :op1 (k / kind :domain (a / Alan)) :op2 (c / clever :domain (b / Bob))) x",
+     "trailing content after graph at byte 80"),
+    # An upper-case variable.
+    ("(O / or :op1 (k / kind :polarity - :domain (a / Alan)) :op2 (c / clever :domain (b / Bob)))",
+     "(c / clever :condition (k / kind :domain (a / Alan)) :domain (b / Bob))",
+     "(c / clever :condition (k / kind :domain (a / Alan)) :polarity - :domain (b / Bob))"),
+]
+REFUSED_PENMAN_SHA256 = "68c4e0078acd3cba0cb0ea4fb5d18deba572eb483b601f8d841a2a4d397f2103"
+
+
+def test_augment_rows_of_refused_penman_lines_are_pinned(tmp_path):
+    lines = [line for line, *_ in REFUSED_PENMAN]
+    assert [grammar.read_canonical_penman(line) for line in lines] == [None] * len(lines)
+    src = tmp_path / "in.penman"
+    src.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(
+        ["-q", "augment", "--law", "implication", "--format", "penman", "--negatives",
+         "--in", str(src), "--out", str(out)]
+    ) == 0
+    expected = [
+        {"input": line, "skipped": outcome[0]} if len(outcome) == 1
+        else {"input": line, "law": "implication", "positive": outcome[0],
+              "negatives": [outcome[1]]}
+        for line, *outcome in REFUSED_PENMAN
+    ]
+    assert read_jsonl(out) == expected
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFUSED_PENMAN_SHA256
+    manifest = manifest_of(out)
+    assert (manifest["processed"], manifest["skipped"]) == (5, 6)
+
+
 def test_augment_missing_input_exits_1(tmp_path):
     code = main(
         ["-q", "augment", "--law", "commutative",
@@ -702,6 +769,33 @@ def test_malformed_input_exits_1_with_one_located_error(
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1
     assert location in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv, location",
+    [
+        (["check"], "{src}: malformed JSON on line 1: "),
+        (["prompt-aug", "--out", "OUT"], "malformed JSON in {src}: "),
+        (["prompt-aug", "--format", "logiqa", "--out", "OUT"],
+         "{src}: malformed JSON on line 1: "),
+    ],
+    ids=["check", "prompt-aug", "prompt-aug-logiqa"],
+)
+@pytest.mark.parametrize("text, reason", PAST_THE_DECODER_LIMITS.values(),
+                         ids=PAST_THE_DECODER_LIMITS)
+def test_json_past_the_decoder_limits_exits_1_with_one_located_error(
+    tmp_path, caplog, argv, location, text, reason
+):
+    src = tmp_path / "in.txt"
+    src.write_text(text + "\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", *(out if arg == "OUT" else arg for arg in argv), "--in", str(src)])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert errors[0].startswith(location.format(src=src) + reason)
+    assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
 
 
 OTHER_FIELDS = '"sentence2": "b", "law": "commutative"'

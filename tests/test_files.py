@@ -109,6 +109,30 @@ def test_read_json_names_the_file(tmp_path):
         read_json(path, Refused)
 
 
+# JSON that decodes to a ``ValueError`` or a ``RecursionError``, not to a
+# ``json.JSONDecodeError``: an integer past the digit limit, and nesting
+# past the recursion limit.
+PAST_THE_DECODER_LIMITS = {
+    "long-integer": ("[" + "7" * 4_301 + "]", "Exceeds the limit (4300 digits)"),
+    "deep-nesting": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("text, reason", PAST_THE_DECODER_LIMITS.values(),
+                         ids=PAST_THE_DECODER_LIMITS)
+def test_json_past_the_decoder_limits_is_malformed(tmp_path, text, reason):
+    path = tmp_path / "in.json"
+    path.write_text(f'{{"a": 1}}\n{text}\n', encoding="utf-8")
+    rows = read_jsonl(path, Refused)
+    assert next(rows) == (1, {"a": 1})
+    message = f"{path}: malformed JSON on line 2: {reason}"
+    with pytest.raises(Refused, match="^" + re.escape(message)):
+        next(rows)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(Refused, match="^" + re.escape(f"malformed JSON in {path}: {reason}")):
+        read_json(path, Refused)
+
+
 @pytest.mark.parametrize(
     "escape",
     ["\\ud800", "\\uDFFF", "\\ude00\\ud83d", "\\ud83d x", "\\\\\\ud800"],
@@ -300,7 +324,10 @@ def jsonl_lines(draw):
 
 def expected_rows(path, lines):
     """What ``read_jsonl`` must give for ``lines``: ``(line number, value)``
-    per non-blank line, ending with the exception ``json.loads`` leads to."""
+    per non-blank line, ending with the located error of the first line
+    ``json.loads`` refuses.  An integer past the digit limit (``ValueError``)
+    and nesting past the recursion limit (``RecursionError``) are malformed
+    JSON too."""
     rows = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -308,10 +335,8 @@ def expected_rows(path, lines):
             continue
         try:
             rows.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as err:
-            return rows, Refused(f"{path}: malformed JSON on line {lineno}: {err}")
         except (ValueError, RecursionError) as err:
-            return rows, err
+            return rows, Refused(f"{path}: malformed JSON on line {lineno}: {err}")
     return rows, None
 
 
@@ -324,8 +349,8 @@ def test_the_row_decoder_agrees_with_json_loads(tmp_path_factory, lines):
     got = []
     try:
         got.extend(read_jsonl(path, Refused))
-    except (ValueError, RecursionError) as err:
-        assert (type(err), str(err)) == (type(error), str(error))
+    except Refused as err:
+        assert str(err) == str(error)
     else:
         assert error is None
     assert repr(got) == repr(want)  # repr tells 1 from 1.0 and matches NaN

@@ -25,6 +25,7 @@ from amr_logic_aug.grammar import (
     build_graph,
     parse_sentence_struct,
     penman_of_struct,
+    read_canonical_penman,
     read_graph,
     realize,
     realize_struct,
@@ -853,5 +854,142 @@ def test_core_pattern_agrees_with_the_general_parser_near_canonical(pattern_lexi
         text = data.draw(near_canonical(subjects))
         assert_as_general(text, lex)
         assert_as_general(text, lex, EXTENDED)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Canonical Penman lines: one compiled pattern
+# ---------------------------------------------------------------------------
+
+
+def general_penman(text):
+    """What the general path makes of ``text``: its struct, or its error."""
+    try:
+        return read_graph(parse_penman(text))
+    except (ParseError, GrammarStructureError) as err:
+        return type(err), str(err)
+
+
+def test_canonical_penman_reads_every_corpus_struct(full_corpus):
+    for sentence in full_corpus:
+        assert read_canonical_penman(penman_of_struct(sentence.struct)) == sentence.struct
+
+
+def test_canonical_penman_agrees_with_the_general_path_on_the_corpus(full_corpus):
+    for sentence in full_corpus:
+        text = penman_of_struct(sentence.struct)
+        assert read_canonical_penman(text) == general_penman(text), text
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        ("(k / kind :domain (k / Alan))", False),  # a duplicate declaration
+        ("(a / and :op1 (o / or :domain (b / Bob)) :op2 (k / kind :domain (a2 / Alan)))",
+         False),  # a nested compound clause
+        ("(k / kind :polarity - :condition (c / clever :domain (b / Bob)) :domain (a / Alan))",
+         False),  # a :condition between the clause's own edges
+        ("(k / kind :domain (a / Alan) :polarity -)", False),
+        ("(k / kind :domain (j / José))", False),
+        ("(k / kind :domain (a / \"Alan\"))", False),
+        ("(k / kind  :domain (a / Alan))", False),
+        ("(k / kind :domain (a / Alan))\n", False),
+        ("(K / kind :domain (a / Alan))", False),
+        ("(k / and :domain (a / Alan))", False),
+        ("(k / kind :condition (c / clever :domain (b / Bob)) :domain (a / Alan)"
+         " :condition (d / dull :domain (d2 / Dan)))", False),
+        ("(k / kind :domain (a / and))", True),
+        ("(a / And :domain (o / or))", True),
+        ("(w / well-off :domain (a / Alan))", True),
+        ("(k9 / kind :domain (k10 / Alan))", True),  # any distinct variables
+        ("(c / clever :condition (k / kind :domain (a / Alan)) :polarity - :domain (b / Bob))",
+         True),
+    ],
+)
+def test_canonical_penman_edge_cases(text, accepted):
+    struct = read_canonical_penman(text)
+    assert (struct is not None) == accepted
+    if accepted:
+        assert struct == general_penman(text)
+
+
+def test_a_hyphen_in_a_penman_concept_reads_as_a_space():
+    struct = read_canonical_penman("(w / well-off :domain (t / the-bald-eagle))")
+    assert struct.clauses == (Clause("the bald eagle", "well off"),)
+
+
+# Tokens that turn a canonical line into a near-canonical one.
+_PENMAN_TOKENS = (
+    "and", "or", "And", "-", "+", "0", "42", ":polarity -", ":condition", ":op1",
+    '"s"', "José", "  ",
+)
+
+
+def _join_penman(tokens):
+    """Tokens spaced as Penman is written: no space after '(' or before ')'."""
+    text = " ".join(tokens)
+    return text.replace("( ", "(").replace(" )", ")")
+
+
+@st.composite
+def penman_mutants(draw, lines):
+    """A canonical line with one to three tokens replaced, inserted or deleted."""
+    line = draw(st.sampled_from(lines))
+    tokens = re.findall(r"[()]|[^ ()]+", line)
+    assert _join_penman(tokens) == line
+    variables = re.findall(r"\(([^ ]+) /", line)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        token = draw(st.sampled_from(_PENMAN_TOKENS + (draw(st.sampled_from(variables)),)))
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if action == "replace":
+            tokens[i] = token
+        elif action == "insert":
+            tokens.insert(i, token)
+        elif len(tokens) > 1:
+            del tokens[i]
+    return _join_penman(tokens)
+
+
+def accepted_as_general(text):
+    """Whether the reader accepts ``text``; what it accepts, it reads as the
+    general path does."""
+    struct = read_canonical_penman(text)
+    if struct is not None:
+        assert struct == general_penman(text), text
+    return struct is not None
+
+
+def test_canonical_penman_agrees_with_the_general_path_after_one_edit(full_corpus):
+    # One corpus line per shape, surface form and polarity pattern.
+    lines = {}
+    for sentence in full_corpus:
+        struct = sentence.struct
+        key = (struct.shape, struct.trailing_condition, [c.negated for c in struct.clauses])
+        lines.setdefault(repr(key), penman_of_struct(struct))
+    assert len(lines) == 8
+    accepted = 0
+    for line in lines.values():
+        tokens = re.findall(r"[()]|[^ ()]+", line)
+        edits = _PENMAN_TOKENS + tuple(re.findall(r"\(([^ ]+) /", line))
+        for i in range(len(tokens) + 1):
+            accepted += accepted_as_general(_join_penman(tokens[:i] + tokens[i + 1:]))
+            for token in edits:
+                accepted += accepted_as_general(_join_penman([*tokens[:i], token, *tokens[i:]]))
+                accepted += accepted_as_general(
+                    _join_penman([*tokens[:i], token, *tokens[i + 1:]])
+                )
+    assert accepted > 200  # polarity added, concepts renamed, lines unchanged
+
+
+def test_canonical_penman_agrees_with_the_general_path_near_canonical(full_corpus):
+    lines = sorted({penman_of_struct(sentence.struct) for sentence in full_corpus})
+
+    @seed(20261019)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        accepted_as_general(data.draw(penman_mutants(lines)))
 
     check()

@@ -22,7 +22,9 @@ import pytest
 import amr_logic_aug
 from amr_logic_aug import corpus, pairs
 from amr_logic_aug.corpus import PatternKind, SynthSentence
-from amr_logic_aug.grammar import Clause, GrammarSentence, Shape, penman_of_struct
+from amr_logic_aug.grammar import (
+    Clause, GrammarSentence, Shape, penman_of_struct, read_canonical_penman,
+)
 from amr_logic_aug.lexicon import default_lexicon
 from amr_logic_aug.pairs import PairRecord
 
@@ -120,8 +122,11 @@ def test_the_benchmark_inputs_are_made_at_a_small_size(seed, tmp_path, monkeypat
     }
     built = corpus.build_corpus(lexicon, 48, None, inputs.cli_seed(seed))
     for kind in PatternKind:
-        expected = [penman_of_struct(s.struct) for s in built if s.pattern is kind]
-        assert paths[kind.value].read_text(encoding="utf-8").splitlines() == expected
+        structs = [s.struct for s in built if s.pattern is kind]
+        lines = paths[kind.value].read_text(encoding="utf-8").splitlines()
+        assert lines == [penman_of_struct(struct) for struct in structs]
+        # Every line takes augment's canonical Penman reader, not parse_penman.
+        assert [read_canonical_penman(line) for line in lines] == structs
 
 
 def test_package_root_exports_only_the_version():
