@@ -186,6 +186,9 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     else:
         count = corpus.DEFAULT_TARGET if args.count is None else args.count
         sentences = corpus.build_corpus(lexicon, count, args.mix, args.seed)
+    if not sentences:  # the pairs files would hold no record for check to read
+        source = args.corpus or "the --count 0 corpus"
+        raise pairs.DatasetError(f"no sentences in {source}, so no pairs to write")
     records = pairs.build_pairs(sentences, lexicon, args.ratio, args.seed)
     train, validation = pairs.split(records, args.val_frac, args.seed)
     for path, part in ((args.out_train, train), (args.out_val, validation)):

@@ -13,9 +13,8 @@ so they can never be confused with a variable reference.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
-from typing import Union
+from typing import NamedTuple, Union
 
 POLARITY_ROLE = ":polarity"
 NEGATIVE = "-"
@@ -34,8 +33,7 @@ class ParseError(GraphError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     """An attribute value such as ``-``, ``42`` or ``"Sarah"`` (raw token)."""
 
     raw: str
@@ -48,8 +46,7 @@ Target = Union[str, Constant]
 Edge = tuple[str, str, Target]  # (source variable, role, target)
 
 
-@dataclass(frozen=True)
-class AmrGraph:
+class AmrGraph(NamedTuple):
     """An immutable rooted graph.
 
     Fields:

@@ -43,9 +43,8 @@ double negation (un-negated atomic with a lexicon antonym)
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import logic
 from .grammar import (
@@ -84,8 +83,7 @@ _COMMUTATIVE, _DOUBLE_NEGATION = LawKind.COMMUTATIVE, LawKind.DOUBLE_NEGATION
 _LAWS = tuple(LawKind)  # iterating the enum class is slow too
 
 
-@dataclass(frozen=True)
-class RewriteOutcome:
+class RewriteOutcome(NamedTuple):
     law: LawKind
     positive: GrammarSentence
     negative: GrammarSentence

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .grammar import GrammarSentence, compile_core_parser
 
@@ -55,14 +54,17 @@ class LexiconError(ValueError):
     """Raised for malformed or inconsistent lexicon files."""
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class _LexiconFields(NamedTuple):
     entities: tuple[str, ...]
     attributes: tuple[str, ...]
-    antonyms: dict[str, str] = field(compare=False)
+    antonyms: dict[str, str]
     extension_entities: tuple[str, ...] = ()
     extension_attributes: tuple[str, ...] = ()
     checksum: str = ""
+
+
+class Lexicon(_LexiconFields):
+    # No __slots__: the cached_property tables live in the instance __dict__.
 
     def antonym_of(self, adjective: str) -> Optional[str]:
         return self.antonyms.get(adjective)

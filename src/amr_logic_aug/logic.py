@@ -26,8 +26,7 @@ tables), enforced with an error rather than silently degrading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .grammar import Clause, GrammarSentence, GrammarStructureError, Shape, read_graph
 from .graph import AmrGraph
@@ -51,33 +50,46 @@ class LogicError(ValueError):
     """Raised for non-grammar graphs and oracle budget violations."""
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     subject: str
     attribute: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     operand: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     antecedent: "Formula"
     consequent: "Formula"
+
+
+def _node_eq(self, other: object) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _node_ne(self, other: object) -> bool:
+    return type(self) is not type(other) or tuple.__ne__(self, other)
+
+
+def _node_hash(self) -> int:
+    return hash((type(self), tuple.__hash__(self)))
+
+
+# Tuple equality ignores the type, so And(p, q) would equal Or(p, q): each
+# node compares and hashes by its class and its fields.
+for _node in (Atom, Not, And, Or, Implies):
+    _node.__eq__, _node.__ne__, _node.__hash__ = _node_eq, _node_ne, _node_hash
 
 
 Formula = Union[Atom, Not, And, Or, Implies]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from itertools import cycle, groupby
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -31,6 +32,7 @@ RANDOM_SAMPLE_LAW = "random-sample"
 SAMPLE_ATTEMPTS = 100
 
 _VALID_LAWS = {law.value for law in LawKind} | {RANDOM_SAMPLE_LAW}
+_RATIO = re.compile(r"1:([1-9][0-9]*)")
 
 
 class DatasetError(ValueError):
@@ -74,16 +76,12 @@ class PairRecord(_PairFields):
 
 
 def parse_ratio(ratio: str) -> int:
-    """``1:k`` → k (negatives per positive)."""
-    parts = ratio.split(":")
-    if len(parts) == 2 and parts[0].strip() == "1":
-        try:
-            negatives = int(parts[1])
-        except ValueError:
-            negatives = 0
-        if negatives >= 1:
-            return negatives
-    raise DatasetError(f"ratio must be '1:k' with k >= 1, got {ratio!r}")
+    """``1:k`` → k (negatives per positive); k is ASCII digits with no sign,
+    space, underscore or leading zero, so the sidecar records one spelling."""
+    match = _RATIO.fullmatch(ratio)
+    if match is None:
+        raise DatasetError(f"ratio must be '1:k' with k >= 1, got {ratio!r}")
+    return int(match.group(1))
 
 
 def build_pairs(

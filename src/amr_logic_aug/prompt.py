@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import grammar
 from .files import json_string, read_json, read_jsonl, write_jsonl, write_text
@@ -50,20 +49,34 @@ class PromptError(ValueError):
     """Raised for malformed records or files."""
 
 
-@dataclass(frozen=True)
-class McqRecord:
+class _McqFields(NamedTuple):
     context: str
     question: str
     answers: tuple[str, str, str, str]
     label: Optional[int] = None
     id_string: str = ""
 
-    def __post_init__(self) -> None:
-        if len(self.answers) != 4:
-            raise PromptError(f"record needs exactly 4 answers, got {len(self.answers)}")
-        label = self.label  # checked by type, because a bool is an int
+
+class McqRecord(_McqFields):
+    """One multiple-choice record, validated on construction (``_make`` and
+    ``_replace`` skip the checks)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        context: str,
+        question: str,
+        answers: tuple[str, str, str, str],
+        label: Optional[int] = None,
+        id_string: str = "",
+    ) -> "McqRecord":
+        if len(answers) != 4:
+            raise PromptError(f"record needs exactly 4 answers, got {len(answers)}")
+        # checked by type, because a bool is an int
         if label is not None and (type(label) is not int or label not in range(4)):
             raise PromptError(f"label must be 0-3, got {label!r}")
+        return tuple.__new__(cls, (context, question, answers, label, id_string))
 
     @staticmethod
     def from_dict(payload: dict) -> "McqRecord":
@@ -93,14 +106,12 @@ class McqRecord:
         )
 
 
-@dataclass(frozen=True)
-class Rewrite:
+class Rewrite(NamedTuple):
     law: str
     text: str
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     source: str  # "context" or "option <k>"
     original: str
     rewrites: tuple[Rewrite, ...] = ()
@@ -221,9 +232,10 @@ def _read_records(path: str | Path, file_format: str) -> Iterable:
 
 
 def _trace_lines(traces: Iterable[tuple[str, tuple[TraceRow, ...]]]) -> Iterable[str]:
-    """One line per trace row of each ``(record_id, rows)`` pair, the bytes of
-    ``json.dumps({"record_id": ..., **dataclasses.asdict(row)},
-    ensure_ascii=False)``, formatted directly."""
+    """One line per trace row of each ``(record_id, rows)`` pair, formatted
+    directly: the bytes of ``json.dumps`` with ``ensure_ascii=False`` over
+    ``{"record_id": ..., **row._asdict()}``, each rewrite an object of its
+    ``_asdict()``."""
     quote = json_string
     for record_id, rows in traces:
         quoted_id = quote(record_id)

@@ -16,9 +16,8 @@ Each per-triplet term is evaluated in the numerically stable form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .files import read_lines
 
@@ -31,21 +30,30 @@ class ScoreError(ValueError):
     """Raised for malformed vectors, triplets, or vector files."""
 
 
-@dataclass(frozen=True)
-class Triplet:
+class _TripletFields(NamedTuple):
     anchor: tuple[float, ...]
     positive: tuple[float, ...]
     negative: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        dims = {len(self.anchor), len(self.positive), len(self.negative)}
+
+class Triplet(_TripletFields):
+    """One (anchor, positive, negative) triplet, validated on construction
+    (``_make`` and ``_replace`` skip the checks)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, anchor: tuple[float, ...], positive: tuple[float, ...], negative: tuple[float, ...]
+    ) -> "Triplet":
+        dims = {len(anchor), len(positive), len(negative)}
         if dims == {0}:
             raise ScoreError("triplet vectors must be non-empty")
         if len(dims) != 1:
             raise ScoreError(f"triplet dimensions differ: {sorted(dims)}")
-        for vector in (self.anchor, self.positive, self.negative):
+        for vector in (anchor, positive, negative):
             if not all(math.isfinite(x) for x in vector):
                 raise ScoreError("triplet vectors must be finite")
+        return tuple.__new__(cls, (anchor, positive, negative))
 
 
 def _scaled(vector: Sequence[float]) -> tuple[list[float], int]:

@@ -479,6 +479,24 @@ def test_pairs_corpus_input(tmp_path):
     assert len(load_jsonl(train)) + len(load_jsonl(val)) == 40
 
 
+@pytest.mark.parametrize("source", ["corpus", "count"])
+def test_pairs_on_an_empty_corpus_exits_1_and_writes_nothing(tmp_path, caplog, source):
+    # check refuses an empty pairs file, so pairs must not write one.
+    corpus_path = tmp_path / "corpus.jsonl"
+    assert main(["-q", "synth", "--count", "0", "--out", str(corpus_path)]) == 0
+    train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    args = ["--corpus", str(corpus_path)] if source == "corpus" else ["--count", "0"]
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", "pairs", *args, "--out-train", str(train), "--out-val", str(val)])
+    assert code == 1
+    where = str(corpus_path) if source == "corpus" else "the --count 0 corpus"
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [f"no sentences in {where}, so no pairs to write"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "corpus.jsonl", "corpus.jsonl.manifest.json"
+    ]
+
+
 def test_synth_then_pairs_matches_pairs_alone(tmp_path):
     corpus_path = tmp_path / "corpus.jsonl"
     assert main(["-q", "synth", "--count", "30", "--seed", "5", "--out", str(corpus_path)]) == 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 import sys
@@ -633,8 +632,7 @@ def probe_lexicon(lexicon, overridden):
     if not overridden:
         return lexicon
     # "The Big Dog", "the Big Dog" and "the big dog" differ only in case.
-    return dataclasses.replace(
-        lexicon,
+    return lexicon._replace(
         entities=("the bald", "the bald eagle", "The Big Dog", "the big dog",
                   "the Big Dog", "alan", "the"),
     )
@@ -650,7 +648,7 @@ def test_indexed_subject_match_agrees_with_the_sorted_rule(lexicon, overridden):
 
 
 def test_subject_table_is_per_lexicon(lexicon):
-    overridden = dataclasses.replace(lexicon, entities=("the bald", "the big dog"))
+    overridden = lexicon._replace(entities=("the bald", "the big dog"))
     words = "the big dog is kind".split()
     assert grammar._match_subject(words, overridden) == ("the big dog", ["is", "kind"])
     assert grammar._match_subject(words, lexicon) is None
@@ -690,7 +688,7 @@ PATTERN_LEXICONS = {
 @pytest.fixture(scope="module")
 def pattern_lexicons(lexicon):
     return {
-        name: lexicon if entities is None else dataclasses.replace(lexicon, entities=entities)
+        name: lexicon if entities is None else lexicon._replace(entities=entities)
         for name, entities in PATTERN_LEXICONS.items()
     }
 
@@ -770,7 +768,7 @@ def test_core_pattern_agrees_with_the_general_parser_on_edge_cases(pattern_lexic
 
 @pytest.mark.parametrize("entity", ["the cat is", "but", "And", "if", "the dog not", "o'neil", "the émeu"])
 def test_an_entity_the_pattern_cannot_take_turns_it_off(lexicon, entity):
-    lex = dataclasses.replace(lexicon, entities=(entity, "the cat", "bob"))
+    lex = lexicon._replace(entities=(entity, "the cat", "bob"))
     assert lex.core_parser is None
     for template in ("{} is kind.", "{} kind.", "{} is not kind.", "{} is kind and bob is big.",
                      "If {} is kind, then bob is big.", "Bob is big if {} is kind."):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -160,6 +159,19 @@ def test_equivalence_basics():
     assert not equivalent(Implies(p, q), Implies(q, p))
     assert tautology(Or(p, Not(p)))
     assert not tautology(p)
+
+
+def test_formula_nodes_compare_and_hash_by_type():
+    # Each node is a named tuple; plain tuple equality would make And(p, q)
+    # equal Or(p, q), and the == asserts on rewrites would pass on a wrong
+    # connective.
+    p, q = Atom("p", "a"), Atom("q", "a")
+    assert len({And(p, q), Or(p, q), Implies(p, q)}) == 3
+    assert Not(p) != (p,) and (p,) != Not(p)
+    assert Atom("p", "a") != ("p", "a")
+    assert And(p, q) != Or(p, q) and not And(p, q) == Or(p, q)
+    assert And(p, q) == And(Atom("p", "a"), q) and not And(p, q) != And(p, q)
+    assert hash(And(p, q)) == hash(And(Atom("p", "a"), q))
 
 
 def test_oracle_budget_is_enforced():
@@ -323,8 +335,7 @@ def test_structs_equivalent_matches_reference_on_random_pairs(lexicon):
     # is listed base-first and one base-last, so both sides of the
     # normalization are exercised.
     attributes = ("weak", "strong", "old", "young", "round")
-    small = dataclasses.replace(
-        lexicon,
+    small = lexicon._replace(
         attributes=attributes,
         antonyms={"weak": "strong", "strong": "weak", "old": "young", "young": "old"},
     )
@@ -349,8 +360,7 @@ def test_equivalence_to_matches_structs_equivalent_on_random_pairs(lexicon):
     # As above, and each compiled anchor is reused across several structs, as
     # the replay reuses it across an anchor's records.
     attributes = ("weak", "strong", "old", "young", "round")
-    small = dataclasses.replace(
-        lexicon,
+    small = lexicon._replace(
         attributes=attributes,
         antonyms={"weak": "strong", "strong": "weak", "old": "young", "young": "old"},
     )

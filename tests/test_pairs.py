@@ -95,7 +95,11 @@ def test_parse_ratio(ratio, expected):
     assert parse_ratio(ratio) == expected
 
 
-@pytest.mark.parametrize("ratio", ["2:1", "1:0", "1:-1", "1:x", "3", "1:1:1", ""])
+@pytest.mark.parametrize(
+    "ratio",
+    ["2:1", "1:0", "1:-1", "1:x", "3", "1:1:1", "",
+     "1:1_0", "1:+3", "1: 3", "1:3 ", " 1:3", "1:\uff13", "1:03", "01:3", "1:3\n"],
+)
 def test_parse_ratio_rejects(ratio):
     with pytest.raises(DatasetError, match="ratio must be '1:k'"):
         parse_ratio(ratio)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
-import weakref
-from dataclasses import asdict
+import re
 
 import pytest
 
@@ -17,6 +16,7 @@ from amr_logic_aug.prompt import (
     RECLOR,
     McqRecord,
     PromptError,
+    TraceRow,
     augment_file,
     augment_record,
     rewrite_sentence,
@@ -61,6 +61,21 @@ def test_record_needs_four_answers():
 def test_record_label_range():
     with pytest.raises(PromptError, match="label must be 0-3"):
         McqRecord("c", "q", ("a", "b", "c", "d"), label=4)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"answers": ("a", "b", "c")}, "record needs exactly 4 answers, got 3"),
+        ({"answers": ("a",) * 5, "label": 1}, "record needs exactly 4 answers, got 5"),
+        ({"answers": ("a",) * 4, "label": 4}, "label must be 0-3, got 4"),
+        ({"answers": ("a",) * 4, "label": True}, "label must be 0-3, got True"),
+        ({"answers": ("a",) * 4, "label": "1"}, "label must be 0-3, got '1'"),
+    ],
+)
+def test_record_class_raises_its_messages(fields, message):
+    with pytest.raises(PromptError, match=f"^{re.escape(message)}$"):
+        McqRecord(context="c", question="q", **fields)
 
 
 def test_record_from_dict_missing_key():
@@ -339,26 +354,32 @@ def test_augment_file_reclor(lexicon, tmp_path):
 def test_augment_file_holds_no_trace_rows_without_a_trace_file(lexicon, tmp_path, monkeypatch):
     # Rows of records already written out must be free by the time the
     # output is written; only the last record's rows may still be bound.
-    refs = []
+    # A tuple takes no weak reference, so the rows count their own frees.
+    made, freed = [], []
 
-    def recording(*args):
-        augmented, rows = augment_record(*args)
-        refs.extend(weakref.ref(row) for row in rows)
-        return augmented, rows
+    class CountedRow(TraceRow):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            made.append(1)
+            return super().__new__(cls, *args, **kwargs)
+
+        def __del__(self):
+            freed.append(1)
 
     def writing(*args):
         gc.collect()
-        alive.append(sum(ref() is not None for ref in refs))
+        alive.append(len(made) - len(freed))
         return write_text(*args)
 
     alive = []
     write_text = prompt.write_text
-    monkeypatch.setattr(prompt, "augment_record", recording)
+    monkeypatch.setattr(prompt, "TraceRow", CountedRow)
     monkeypatch.setattr(prompt, "write_text", writing)
     src, dst = tmp_path / "val.json", tmp_path / "val_aug.json"
     src.write_text(json.dumps([KEYBOARD_PAYLOAD] * 3), encoding="utf-8")
     augment_file(src, dst, lexicon, RECLOR)
-    assert len(refs) == 18 and alive == [6]
+    assert len(made) == 18 and alive == [6]
 
 
 def test_augment_file_skips_a_record_whose_label_is_not_an_int(lexicon, tmp_path):
@@ -392,7 +413,7 @@ def test_augment_file_skips_a_record_whose_id_string_is_not_a_string(lexicon, tm
 
 def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
     # Each trace line is formatted directly; its bytes must stay those of
-    # json.dumps over the row's dataclass fields, whatever the id_string holds.
+    # json.dumps over the row's fields, whatever the id_string holds.
     payloads = [
         {**KEYBOARD_PAYLOAD, "id_string": 'Zoë "7" \\ \u2028 \U0001f600'},
         {
@@ -407,7 +428,11 @@ def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
     trace = tmp_path / "trace.jsonl"
     augment_file(src, tmp_path / "out.jsonl", lexicon, LOGIQA, LawKind, trace)
     expected = [
-        json.dumps({"record_id": p["id_string"], **asdict(row)}, ensure_ascii=False) + "\n"
+        json.dumps(
+            {"record_id": p["id_string"], **row._asdict(),
+             "rewrites": [rewrite._asdict() for rewrite in row.rewrites]},
+            ensure_ascii=False,
+        ) + "\n"
         for p in payloads
         for row in augment_record(McqRecord.from_dict(p), lexicon, LawKind)[1]
     ]

@@ -147,6 +147,21 @@ def test_triplet_validation():
         Triplet((1.0,), (0.5,), (float("inf"),))
 
 
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        (((1.0,), (1.0, 2.0), (1.0,)), "triplet dimensions differ: [1, 2]"),
+        (((), (1.0,), (1.0,)), "triplet dimensions differ: [0, 1]"),
+        (((), (), ()), "triplet vectors must be non-empty"),
+        (((float("-inf"),), (0.5,), (0.5,)), "triplet vectors must be finite"),
+    ],
+)
+def test_triplet_class_raises_its_messages(vectors, message):
+    anchor, positive, negative = vectors
+    with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
+        Triplet(anchor=anchor, positive=positive, negative=negative)
+
+
 def test_triplet_scores():
     triplet = Triplet(unit(0.0), unit(0.0), unit(math.pi / 2))
     h_pos, h_neg = triplet_scores(triplet)

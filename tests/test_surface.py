@@ -13,8 +13,11 @@ import ast
 import importlib
 import json
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,8 +28,13 @@ from amr_logic_aug.corpus import PatternKind, SynthSentence
 from amr_logic_aug.grammar import (
     Clause, GrammarSentence, Shape, penman_of_struct, read_canonical_penman,
 )
+from amr_logic_aug.graph import Constant
+from amr_logic_aug.laws import LawKind, RewriteOutcome
 from amr_logic_aug.lexicon import default_lexicon
+from amr_logic_aug.logic import And, Atom, Not
 from amr_logic_aug.pairs import PairRecord
+from amr_logic_aug.prompt import McqRecord, Rewrite, TraceRow
+from amr_logic_aug.scoring import Triplet
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -202,14 +210,37 @@ VALUE_TYPES = {
         lambda: PairRecord("The cat is strong.", "The cat is not weak.", 1, "double-negation"),
         ("sentence1", "sentence2", "label", "law", "pair_id"),
     ),
+    "Constant": (lambda: Constant("-"), ("raw",)),
+    "Atom": (lambda: Atom("the cat", "strong"), ("subject", "attribute")),
+    "Not": (lambda: Not(Atom("the cat", "strong")), ("operand",)),
+    "And": (lambda: And(Atom("you", "kind"), Atom("the cat", "strong")), ("left", "right")),
+    "RewriteOutcome": (
+        lambda: RewriteOutcome(LawKind.CONTRAPOSITION, _struct(), _struct()),
+        ("law", "positive", "negative"),
+    ),
+    "Rewrite": (lambda: Rewrite("implication", "You are kind."), ("law", "text")),
+    "TraceRow": (
+        lambda: TraceRow("option 0", "x.", (Rewrite("implication", "y."),)),
+        ("source", "original", "rewrites", "skipped_reason"),
+    ),
+    "McqRecord": (
+        lambda: McqRecord("c", "q", ("a", "b", "c", "d"), 2, "r-1"),
+        ("context", "question", "answers", "label", "id_string"),
+    ),
+    "Triplet": (
+        lambda: Triplet((1.0, 0.0), (0.5, 0.5), (0.0, -1.0)),
+        ("anchor", "positive", "negative"),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_value_types_are_immutable_and_compare_by_value(name):
     """Validation messages are pinned where each type is tested:
-    ``test_grammar.py::test_sentence_struct_arity_is_checked`` and
-    ``test_pairs.py::test_pair_record_validation``."""
+    ``test_grammar.py::test_sentence_struct_arity_is_checked``,
+    ``test_pairs.py::test_pair_record_validation``, and the record checks of
+    ``test_prompt.py`` and ``test_scoring.py``.  ``AmrGraph`` and ``Lexicon``
+    hold a dict, so they are not hashable and are left out."""
     make, fields = VALUE_TYPES[name]
     value, twin = make(), make()
     for field in fields:
@@ -218,3 +249,23 @@ def test_value_types_are_immutable_and_compare_by_value(name):
     assert value is not twin and value == twin and hash(value) == hash(twin)
     shown = ", ".join(f"{field}={getattr(value, field)!r}" for field in fields)
     assert repr(value) == f"{name}({shown})"
+
+
+def test_cli_cold_start_imports_no_dataclasses():
+    """Each CLI call imports the package and reads the shipped lexicon in a
+    fresh interpreter.  ``dataclasses`` (which pulls in ``inspect``, ``ast``
+    and ``dis``) and its code generation cost 15-19 ms of that, so no module
+    may bring it in."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import amr_logic_aug.cli\n"
+        "from amr_logic_aug.lexicon import default_lexicon\n"
+        "default_lexicon()\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n", done.stdout
