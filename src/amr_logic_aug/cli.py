@@ -13,9 +13,9 @@ Subcommands:
 Every subcommand is deterministic given its flags.  Data goes to files,
 logs go to standard error, and each output file gets a
 ``<name>.manifest.json`` sidecar (see ``write_manifest``) recording the
-package version, the subcommand, its seed and counts, and the lexicon
-checksum.  Exit codes: 0 success, 1 validation or oracle failure,
-2 usage error.
+package version, the data file's sha256, the subcommand, its seed and
+counts, and the lexicon checksum.  Exit codes: 0 success, 1 validation or
+oracle failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -86,12 +86,10 @@ def _resolve_lexicon(args: argparse.Namespace) -> Lexicon:
 
 
 def write_manifest(data_path: str | Path, payload: dict) -> None:
-    """Write the ``<data_path>.manifest.json`` sidecar: ``version`` plus ``payload``."""
+    """Write ``<data_path>.manifest.json``: ``version``, ``data_sha256`` and ``payload``."""
     manifest_path = Path(f"{data_path}.manifest.json")
-    write_text(
-        manifest_path,
-        (json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True), "\n"),
-    )
+    manifest = {"version": __version__, "data_sha256": sha256_of(data_path), **payload}
+    write_text(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True), "\n"))
     logger.info("wrote %s", manifest_path)
 
 
@@ -340,6 +338,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("augment: --grammar applies to text input only, not --format penman")
     if args.command == "pairs" and args.corpus and (args.count, args.mix) != (None, None):
         parser.error("pairs: --count and --mix apply to a regenerated corpus, not --corpus")
+    if args.command == "pairs" and Path(args.out_train).resolve() == Path(args.out_val).resolve():
+        parser.error("pairs: --out-train and --out-val name the same file")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if args.quiet else logging.INFO,

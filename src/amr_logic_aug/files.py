@@ -129,8 +129,12 @@ def read_json(path, error: type[Exception]) -> Any:
 
 
 def sha256_of(path) -> str:
-    """The sha256 hex digest of the file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 hex digest of the file's bytes, read a block at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_text(path, chunks: Iterable[str]) -> int:

@@ -14,8 +14,8 @@ runs the law's guard-free entry in ``_REWRITES``.  It
 then always runs the oracle gate (:func:`verify_outcome`), which no
 sentence that meets the preconditions fails (the tests sweep the whole
 struct space): an :class:`OracleViolation` is a bug in a law, never a skip.
-The gate and :func:`flip_polarity_negative` work on the structs themselves
-through :func:`~amr_logic_aug.logic.structs_equivalent`.
+The gate and :func:`flip_polarity_negative` compare the structs' canonical
+keys, :func:`~amr_logic_aug.logic.meaning`.
 Conventions, each checked by that gate on every :func:`apply_law` call:
 
 contraposition (conditional only)
@@ -202,12 +202,13 @@ def apply_law(
 
 def verify_outcome(original: GrammarSentence, outcome: RewriteOutcome, lexicon: Lexicon) -> None:
     """Raise :class:`OracleViolation` unless labels are semantically right."""
-    if not logic.structs_equivalent(original, outcome.positive, lexicon):
+    key = logic.meaning(original, lexicon)
+    if logic.meaning(outcome.positive, lexicon) != key:
         raise OracleViolation(
             f"{outcome.law.value} positive is not equivalent: "
             f"{realize_struct(original)!r} vs {realize_struct(outcome.positive)!r}"
         )
-    if logic.structs_equivalent(original, outcome.negative, lexicon):
+    if logic.meaning(outcome.negative, lexicon) == key:
         raise OracleViolation(
             f"{outcome.law.value} negative is accidentally equivalent: "
             f"{realize_struct(original)!r} vs {realize_struct(outcome.negative)!r}"
@@ -227,7 +228,7 @@ def flip_polarity_negative(
     clauses = list(sentence.clauses)
     clauses[order[0]] = clauses[order[0]].negate()
     candidate = GrammarSentence(sentence.shape, tuple(clauses), sentence.trailing_condition)
-    if logic.structs_equivalent(sentence, candidate, lexicon):
+    if logic.meaning(candidate, lexicon) == logic.meaning(sentence, lexicon):
         raise OracleViolation(
             "polarity flip is accidentally equivalent: "
             f"{realize_struct(sentence)!r} vs {realize_struct(candidate)!r}"

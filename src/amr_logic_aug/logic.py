@@ -12,21 +12,21 @@ fixed bit mask, ``~``, ``&`` and ``|`` are bitwise, and two formulas are
 equivalent exactly when their tables are equal (Bryant's canonical-form
 idea, without the sharing).
 
-:func:`structs_equivalent` is the production oracle: it compiles each struct
-(at most two clauses, one connective) in one pass, a literal mask per clause
-combined by shape; :func:`equivalence_to` compiles one side once for a
-run of comparisons against it.  A pair of structs names at most 4 atoms,
-so its tables have 16 rows: small ints, negated with ``^ 0xFFFF`` and
-compared with ``==``.  The :data:`Formula` tree, :func:`formula_of_struct` and
-:func:`equivalent` are the reference surface that defines these semantics;
-the acceptance tests and the compile's differential test are written
-against it.  It keeps the budget of :data:`MAX_ORACLE_ATOMS` atoms (256-row
-tables), enforced with an error rather than silently degrading.
+:func:`meaning` is the production oracle.  A struct names at most two
+atoms, so its meaning has a canonical key: its essential atoms (those its
+table depends on), sorted, and its 4-row table over them.  Two structs are
+equivalent exactly when their keys are equal, which makes equivalence an
+identity test (Bryant's reduced ordered form, for at most two inputs).  The
+:data:`Formula` tree, :func:`formula_of_struct` and :func:`equivalent` are the
+reference surface that defines these semantics; the acceptance tests and
+the key's differential test are written against it.  It keeps the budget of
+:data:`MAX_ORACLE_ATOMS` atoms (256-row tables), enforced with an error
+rather than silently degrading.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .grammar import Clause, GrammarSentence, GrammarStructureError, Shape, read_graph
 from .graph import AmrGraph
@@ -39,9 +39,6 @@ _ATOM_MASKS: tuple[int, ...] = tuple(
     sum(1 << row for row in range(1 << MAX_ORACLE_ATOMS) if row >> i & 1)
     for i in range(MAX_ORACLE_ATOMS)
 )
-# A pair of structs names at most 4 atoms (two clauses each), so its tables
-# need only the 16 rows over atoms 0-3: small ints, negated with ``^ 0xFFFF``.
-_PAIR_MASKS: tuple[int, ...] = tuple(mask & 0xFFFF for mask in _ATOM_MASKS[:4])
 # Reading an enum member through its class costs more than the bit algebra.
 _AND_PAIR, _OR_PAIR = Shape.AND_PAIR, Shape.OR_PAIR
 
@@ -185,48 +182,39 @@ def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:
     return Implies(*literals)
 
 
-def _struct_table(sentence: GrammarSentence, lexicon: Lexicon, index: dict) -> int:
-    """The struct's 16-row table, compiled like ``formula_of_struct`` without
-    the tree; ``index`` numbers the atoms seen so far (at most 4 in a pair)."""
+def meaning(
+    sentence: GrammarSentence, lexicon: Lexicon
+) -> tuple[Optional[tuple[str, str]], Optional[tuple[str, str]], int]:
+    """The canonical key ``(atom 0, atom 1, table)``: the struct's essential
+    :func:`clause_literal` atoms, sorted, ``None`` for an absent one, and its
+    4-row table over them (atom 0 is ``0b1010``, atom 1 ``0b1100``).  Two
+    clauses on one atom collapse to it, or to no atom for a tautology or a
+    contradiction."""
     clauses = sentence.clauses
-    key, negated = clause_literal(clauses[0], lexicon)
-    first = _PAIR_MASKS[index.setdefault(key, len(index))]
-    if negated:
-        first ^= 0xFFFF
+    first, first_negated = clause_literal(clauses[0], lexicon)
     if len(clauses) == 1:
-        return first
-    key, negated = clause_literal(clauses[1], lexicon)
-    second = _PAIR_MASKS[index.setdefault(key, len(index))]
-    if negated:
-        second ^= 0xFFFF
+        return first, None, 0b0101 if first_negated else 0b1010
+    second, second_negated = clause_literal(clauses[1], lexicon)
+    if first == second:
+        left = right = 0b1010
+    elif first < second:
+        left, right = 0b1010, 0b1100
+    else:
+        left, right = 0b1100, 0b1010
+    if first_negated:
+        left ^= 0b1111
+    if second_negated:
+        right ^= 0b1111
     shape = sentence.shape
     if shape is _AND_PAIR:
-        return first & second
-    if shape is _OR_PAIR:
-        return first | second
-    return (first ^ 0xFFFF) | second
-
-
-def structs_equivalent(first: GrammarSentence, second: GrammarSentence, lexicon: Lexicon) -> bool:
-    """``equivalent(formula_of_struct(first), formula_of_struct(second))``
-    without the trees, on 16-row tables."""
-    index: dict[tuple[str, str], int] = {}
-    return _struct_table(first, lexicon, index) == _struct_table(second, lexicon, index)
-
-
-def equivalence_to(
-    first: GrammarSentence, lexicon: Lexicon
-) -> Callable[[GrammarSentence], bool]:
-    """``lambda second: structs_equivalent(first, second, lexicon)`` with
-    ``first``'s table compiled once: each ``second`` is compiled against a
-    copy of ``first``'s atom index."""
-    index: dict[tuple[str, str], int] = {}
-    table = _struct_table(first, lexicon, index)
-
-    def equivalent_to_first(second: GrammarSentence) -> bool:
-        return _struct_table(second, lexicon, index.copy()) == table
-
-    return equivalent_to_first
+        table = left & right
+    elif shape is _OR_PAIR:
+        table = left | right
+    else:
+        table = (left ^ 0b1111) | right
+    if first == second:
+        return (None, None, table) if table in (0, 0b1111) else (first, None, table)
+    return (first, second, table) if first < second else (second, first, table)
 
 
 __all__ = [
@@ -244,6 +232,5 @@ __all__ = [
     "equivalent",
     "to_formula",
     "formula_of_struct",
-    "structs_equivalent",
-    "equivalence_to",
+    "meaning",
 ]

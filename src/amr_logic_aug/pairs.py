@@ -113,6 +113,7 @@ def build_pairs(
             return True
 
         admit(realize_struct(outcome.negative), law.value)
+        anchor_key = None
         for kind in cycle(("flip", "sample")):
             if len(negatives) >= negatives_per:
                 break
@@ -120,11 +121,12 @@ def build_pairs(
                 flipped = flip_polarity_negative(sentence.struct, lexicon, rng)
                 admit(realize_struct(flipped), law.value)
                 continue
+            anchor_key = anchor_key or logic.meaning(sentence.struct, lexicon)
             for _ in range(SAMPLE_ATTEMPTS):
                 candidate = corpus[rng.randrange(len(corpus))]
                 if candidate.text in used:
                     continue
-                if logic.structs_equivalent(sentence.struct, candidate.struct, lexicon):
+                if logic.meaning(candidate.struct, lexicon) == anchor_key:
                     continue
                 admit(candidate.text, RANDOM_SAMPLE_LAW)
                 break
@@ -147,7 +149,7 @@ def split(
     val_fraction: float = DEFAULT_VAL_FRACTION,
     seed: int = DEFAULT_SEED,
 ) -> tuple[list[PairRecord], list[PairRecord]]:
-    """Label-stratified seeded split; both sides sorted by pair_id."""
+    """Label-stratified seeded split; both sides nonempty, sorted by pair_id."""
     if not 0 < val_fraction < 1:
         raise DatasetError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = random.Random(f"{seed}:split")
@@ -159,6 +161,9 @@ def split(
         cut = int(len(group) * val_fraction + 0.5)
         validation.extend(group[:cut])
         train.extend(group[cut:])
+    if not train or not validation:  # check refuses an empty pairs file
+        raise DatasetError(f"a {val_fraction} validation split of {len(records)} records leaves "
+                           f"{len(train)} training and {len(validation)} validation records")
     train.sort(key=lambda record: record.pair_id)
     validation.sort(key=lambda record: record.pair_id)
     return train, validation
@@ -204,29 +209,29 @@ def verify_records(records: Sequence[PairRecord], lexicon: Lexicon) -> list[tupl
     """Oracle replay: re-check that each label matches truth-table semantics.
 
     Records are visited grouped by ``sentence1`` (a stable sort of their
-    indexes by anchor text), so each anchor is parsed and its truth table
-    compiled once, and only the current anchor's struct is alive;
-    ``sentence2`` is parsed per record.  An unparseable anchor is reported
-    on every record that names it.  Returns (record index, problem) tuples
-    in record order; empty means a clean bill of health.
+    indexes by anchor text), so each anchor is parsed and keyed
+    (:func:`~amr_logic_aug.logic.meaning`) once, and only the current
+    anchor's key is alive; ``sentence2`` is parsed and keyed per record.
+    An unparseable anchor is reported on every record that names it.
+    Returns (record index, problem) tuples in record order; empty means a
+    clean bill of health.
     """
     anchor_of = [record.sentence1 for record in records].__getitem__
     problems: list[tuple[int, str]] = []
     for anchor, group in groupby(sorted(range(len(records)), key=anchor_of), key=anchor_of):
         try:
-            first = parse_sentence_struct(anchor, lexicon)
+            anchor_key = logic.meaning(parse_sentence_struct(anchor, lexicon), lexicon)
         except GrammarError as err:
             problems.extend((index, f"unparseable pair: {err}") for index in group)
             continue
-        equivalent_to_anchor = logic.equivalence_to(first, lexicon)
         for index in group:
             record = records[index]
             try:
-                second = parse_sentence_struct(record.sentence2, lexicon)
+                key = logic.meaning(parse_sentence_struct(record.sentence2, lexicon), lexicon)
             except GrammarError as err:
                 problems.append((index, f"unparseable pair: {err}"))
                 continue
-            if equivalent_to_anchor(second) != bool(record.label):
+            if (key == anchor_key) != bool(record.label):
                 problems.append(
                     (
                         index,

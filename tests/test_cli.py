@@ -80,6 +80,9 @@ def test_version_flag(capsys):
         ["pairs", "--corpus", "c.jsonl", "--count", "7", "--out-train", "a", "--out-val", "b"],
         ["pairs", "--corpus", "c.jsonl", "--mix", "atomic-dn=1.0", "--out-train", "a",
          "--out-val", "b"],
+        # The validation file would replace the training file.
+        ["pairs", "--out-train", "F", "--out-val", "F"],
+        ["pairs", "--out-train", "d/F", "--out-val", "d/./F"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -477,6 +480,53 @@ def test_pairs_corpus_input(tmp_path):
     )
     assert code == 0
     assert len(load_jsonl(train)) + len(load_jsonl(val)) == 40
+
+
+@pytest.mark.parametrize(
+    "args, sizes",
+    [
+        (["--count", "1"], (2, 0)),
+        (["--count", "2"], (4, 0)),
+        (["--count", "10", "--val-frac", "0.01"], (20, 0)),
+        (["--count", "10", "--val-frac", "0.99"], (0, 20)),
+    ],
+)
+def test_pairs_with_an_empty_split_side_exits_1_and_writes_nothing(
+    tmp_path, caplog, args, sizes
+):
+    # check refuses an empty pairs file, so pairs must not write one.
+    train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        code = main(["-q", "pairs", *args, "--out-train", str(train), "--out-val", str(val)])
+    assert code == 1
+    (error,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert error.endswith(f"leaves {sizes[0]} training and {sizes[1]} validation records")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_sidecar_records_the_sha256_of_its_data_file(tmp_path):
+    corpus_path, train, val = (tmp_path / name for name in ("c.jsonl", "t.jsonl", "v.jsonl"))
+    lines, mcq, rules = (tmp_path / name for name in ("in.txt", "mcq.json", "rules.jsonl"))
+    lines.write_text("If Alan is kind, then Bob is clever.\nNonsense here.\n", encoding="utf-8")
+    mcq.write_text(json.dumps(_mcq_payload()), encoding="utf-8")
+    rules.write_text(json.dumps({"rules": ["If someone is tall then they are quiet."]}) + "\n",
+                     encoding="utf-8")
+    runs = {
+        corpus_path: ["synth", "--count", "20", "--out", str(corpus_path)],
+        train: ["pairs", "--corpus", str(corpus_path), "--out-train", str(train),
+                "--out-val", str(val)],
+        tmp_path / "aug.jsonl": ["augment", "--law", "contraposition", "--in", str(lines),
+                                 "--out", str(tmp_path / "aug.jsonl")],
+        tmp_path / "mcq_aug.json": ["prompt-aug", "--in", str(mcq),
+                                    "--out", str(tmp_path / "mcq_aug.json")],
+        tmp_path / "alt.jsonl": ["pararule", "--depth", "1", "--in", str(rules),
+                                 "--out", str(tmp_path / "alt.jsonl")],
+    }
+    for argv in runs.values():
+        assert main(["-q", *argv]) == 0
+    for path in (*runs, val):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert manifest_of(path)["data_sha256"] == digest, path
 
 
 @pytest.mark.parametrize("source", ["corpus", "count"])
@@ -1152,45 +1202,47 @@ PINNED_INPUTS = {
 # and writers moved into ``amr_logic_aug.files``: that move changed no byte.
 # The ``graphs_aug.jsonl`` pair was recorded while Penman output still went
 # through ``serialize(build_graph(...))``; ``penman_of_struct`` changed no byte.
+# The ``.manifest.json`` digests were re-recorded when every sidecar gained
+# ``data_sha256``; with that key removed, each sidecar has its old bytes.
 PINNED_SHA256 = {
     "augmented.jsonl":
         "60aa3a7507649120331b4fae3bef57124cc8aa5762908201a7cfe9588ad0b3de",
     "augmented.jsonl.manifest.json":
-        "05ca6c5f3b10e3ba7b987b2f752194341c6497f21a8c4b2f783e52595e8c8b6a",
+        "fc19ef0aaf9e91a9233ea3e81586508cafc1e0b94ee55a4fde932678de9fab3e",
     "corpus.jsonl":
         "47c10edcef8fd513acdc8713168394d857beb8ce32676c91ecc1d6a9e5fc125b",
     "corpus.jsonl.manifest.json":
-        "f2b356e2f3262aecb066dacd83900d5ec37c2b6eb618a2e6892b5ef96995cf88",
+        "49a64f9d2432c8e3c34497c6eecf36f19f3bf07f9423b86cb4a4785024c2d468",
     "graphs_aug.jsonl":
         "8c1c7610b8c626e36713cbdd330797193638073f06ecaab381a3d6dad1b58474",
     "graphs_aug.jsonl.manifest.json":
-        "033b54d68d3417422d7f2fe4e0ca7c89f18b86983fb5c4666fd478d5a81c5a93",
+        "0858a5f02af2870eea6b0cc8acf2007700fbad06ac970c5080c8fb9e73d58164",
     "mcq_aug.json":
         "280881e547cd3c06925c91ae2ec44e2b393401fa7e63c411103da7ea77f62485",
     "mcq_aug.json.manifest.json":
-        "1dbc69817ca459a3acda7e8f09890dddf869383d84d184a26379b4cbf6fe2dbb",
+        "670e8bd0f2487eabc0c4884b6fd29ae5fe76c0cb05ccd9b3065a85584bc8e573",
     "mcq_aug.jsonl":
         "024b09d5a9f6216fd2be8586379d0fd2f6c2e8e47ef4416ee0abebe87857f532",
     "mcq_aug.jsonl.manifest.json":
-        "f106a3d96b0c25608812f8d43eae214702b89d98cdd13ed675b9cbf4fc3ccc8a",
+        "7cc17c55781e940d083b635d5748465428824f3cbecd86080c9741949e57eb96",
     "rules_alt.jsonl":
         "57bb5c4a763617f1986b563f4030007b4b8c3278247c14a572d93747cba3ded9",
     "rules_alt.jsonl.manifest.json":
-        "5deafd6cdfc527cf311df12c9cf0b740006e3c833edc48ed30aa479699d1cce3",
+        "b6a7febb3ce1f4f6fcce1a4c371901d5505a98533b178b9cd90dcc39491ed7d5",
     "synth.txt":
         "cd91ecc43a3d0bfeb840e5bd870645ec3f3ebb9220afc7a39ca428d1a4326069",
     "synth.txt.manifest.json":
-        "f2b356e2f3262aecb066dacd83900d5ec37c2b6eb618a2e6892b5ef96995cf88",
+        "7f6305dac96a107e812f1e2bccd3ac54ab1194c6015a8d4cd2387a08f2a60728",
     "trace.jsonl":
         "03497ee7aee7220f37dc6a6d05009a930717cf02a48e53d29421c557b6cdf269",
     "train.jsonl":
         "683cd57853ec4c11ac75122cb5df8ebce018e9349bfb3a4c6857393f59b61a66",
     "train.jsonl.manifest.json":
-        "763558eff0abb2e48ddbc57cedf957edbd48ed40d2007aa52055344fe6d5afdc",
+        "2feb648fc93ff3d45424fb7614e67585ece022d99f2d4d43fe89245726c8d46c",
     "val.jsonl":
         "e163f0fd9ffb2df2b44b2bbd22ef25bdfe46b534dad2d9b50694eb23ab805872",
     "val.jsonl.manifest.json":
-        "1c44557ac7496dcfae0370fcd8f4640920645abe89e92c38995a83e5368a757d",
+        "31920f74960dd3730c0e3d3bf6581e285466f15c8e8efc8e4f91883ac602532e",
 }
 
 

@@ -27,11 +27,10 @@ from amr_logic_aug.logic import (
     Not,
     Or,
     clause_literal,
-    equivalence_to,
     equivalent,
     formula_of_struct,
     make_atom,
-    structs_equivalent,
+    meaning,
     to_formula,
 )
 from amr_logic_aug.graph import parse_penman
@@ -293,7 +292,7 @@ def test_bitset_oracle_budget_is_the_union_of_atoms():
         tautology(Or(left, right))
 
 
-# --- the struct compile against the Formula reference -----------------------
+# --- the canonical key against the Formula reference -----------------------
 
 
 def reference_equivalent(first, second, lexicon):
@@ -307,13 +306,14 @@ def one_clause_flips(struct):
         yield GrammarSentence(struct.shape, tuple(clauses), struct.trailing_condition)
 
 
-def test_structs_equivalent_matches_reference_on_corpus_rewrites(lexicon, full_corpus):
+def test_meaning_matches_reference_on_corpus_rewrites(lexicon, full_corpus):
     verdicts = Counter()
     for sentence in full_corpus:
         struct = sentence.struct
+        key = meaning(struct, lexicon)
         outcome = apply_law(struct, PATTERN_LAW[sentence.pattern], lexicon)
         for other in (outcome.positive, outcome.negative, *one_clause_flips(struct)):
-            verdict = structs_equivalent(struct, other, lexicon)
+            verdict = meaning(other, lexicon) == key
             assert verdict == reference_equivalent(struct, other, lexicon), (struct, other)
             verdicts[verdict] += 1
     assert verdicts[True] == len(full_corpus)
@@ -330,7 +330,7 @@ def random_struct(rng, subjects, attributes):
     return GrammarSentence(shape, clauses, rng.random() < 0.5)
 
 
-def test_structs_equivalent_matches_reference_on_random_pairs(lexicon):
+def test_meaning_matches_reference_on_random_pairs(lexicon):
     # Few subjects and attributes make shared atoms common.  One antonym pair
     # is listed base-first and one base-last, so both sides of the
     # normalization are exercised.
@@ -342,12 +342,13 @@ def test_structs_equivalent_matches_reference_on_random_pairs(lexicon):
     subjects = lexicon.entities[:2]
     rng = random.Random(2021)
     verdicts = Counter()
-    # Pairs that name 4 distinct atoms fill all 16 rows of the oracle's tables.
+    # Pairs that name 4 distinct atoms share none, so only the sorted atoms
+    # of each key can tell them apart.
     four_atom_pairs = 0
     for _ in range(50_000):
         first = random_struct(rng, subjects, attributes)
         second = random_struct(rng, subjects, attributes)
-        verdict = structs_equivalent(first, second, small)
+        verdict = meaning(first, small) == meaning(second, small)
         assert verdict == reference_equivalent(first, second, small), (first, second)
         verdicts[verdict] += 1
         keys = {clause_literal(c, small)[0] for c in first.clauses + second.clauses}
@@ -356,39 +357,39 @@ def test_structs_equivalent_matches_reference_on_random_pairs(lexicon):
     assert four_atom_pairs > 5_000  # 7,973 at this seed
 
 
-def test_equivalence_to_matches_structs_equivalent_on_random_pairs(lexicon):
-    # As above, and each compiled anchor is reused across several structs, as
-    # the replay reuses it across an anchor's records.
-    attributes = ("weak", "strong", "old", "young", "round")
-    small = lexicon._replace(
-        attributes=attributes,
-        antonyms={"weak": "strong", "strong": "weak", "old": "young", "young": "old"},
-    )
-    subjects = lexicon.entities[:2]
-    rng = random.Random(2023)
-    verdicts = Counter()
-    four_atom_pairs = 0
-    for _ in range(10_000):
-        first = random_struct(rng, subjects, attributes)
-        equivalent_to_first = equivalence_to(first, small)
-        for _ in range(5):
-            second = random_struct(rng, subjects, attributes)
-            verdict = equivalent_to_first(second)
-            assert verdict == structs_equivalent(first, second, small), (first, second)
-            verdicts[verdict] += 1
-            keys = {clause_literal(c, small)[0] for c in first.clauses + second.clauses}
-            four_atom_pairs += len(keys) == 4
-    assert verdicts[True] > 500 and verdicts[False] > 40_000
-    assert four_atom_pairs > 5_000  # 7,172 at this seed
-
-
-def test_equivalence_to_matches_structs_equivalent_on_the_whole_struct_space(lexicon):
+def test_meaning_matches_reference_on_the_whole_struct_space(lexicon):
     structs = every_struct(lexicon.entities[:2], ("strong", "weak", "round"))
+    keys = [meaning(struct, lexicon) for struct in structs]
+    formulas = [formula_of_struct(struct, lexicon) for struct in structs]
     verdicts = Counter()
-    for first in structs:
-        equivalent_to_first = equivalence_to(first, lexicon)
-        for second in structs:
-            verdict = equivalent_to_first(second)
-            assert verdict == structs_equivalent(first, second, lexicon), (first, second)
+    for first, first_key, first_formula in zip(structs, keys, formulas):
+        for second, second_key, second_formula in zip(structs, keys, formulas):
+            verdict = first_key == second_key
+            assert verdict == equivalent(first_formula, second_formula), (first, second)
             verdicts[verdict] += 1
     assert (verdicts[True], verdicts[False]) == (10_676, 335_068)  # 588 ** 2 ordered pairs
+
+
+def test_meaning_is_canonical_on_the_whole_struct_space(lexicon):
+    # Each key names exactly the atoms its reference table depends on, in
+    # sorted order, and its table is that function over them.
+    shapes = Counter()
+    for struct in every_struct(lexicon.entities[:2], ("strong", "weak", "round")):
+        formula = formula_of_struct(struct, lexicon)
+        names = sorted(atoms2(formula))
+        rows = [dict(zip(names, values))
+                for values in itertools.product([False, True], repeat=len(names))]
+        essential = [
+            name for name in names
+            if any(eval2(formula, row) != eval2(formula, {**row, name: not row[name]})
+                   for row in rows)
+        ]
+        first, second, table = meaning(struct, lexicon)
+        named = [atom for atom in (first, second) if atom is not None]
+        assert named == essential, struct
+        assert second is None or first is not None, struct
+        for row in range(4):
+            values = {**rows[0], **{atom: bool(row >> i & 1) for i, atom in enumerate(named)}}
+            assert bool(table >> row & 1) == eval2(formula, values), (struct, row)
+        shapes[len(named)] += 1
+    assert shapes == {0: 80, 1: 92, 2: 416}

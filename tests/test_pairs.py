@@ -151,18 +151,19 @@ def test_build_pairs_survives_oracle_replay(lexicon, tiny_pairs):
 
 
 def test_build_pairs_oracle_call_count(lexicon, tiny_corpus, monkeypatch):
-    # Two law gates, one flip check and one sample draw per sentence here;
-    # the Formula-based oracle (logic.equivalent) made the same 240 calls.
+    # Per sentence here: three keys for the law gate (the original, the
+    # positive, the negative), two for the flip check, and the anchor's and
+    # one sample's for the sample draw.
     calls = []
-    structs_equivalent = logic.structs_equivalent
+    meaning = logic.meaning
 
-    def counting(first, second, lexicon):
-        calls.append((first, second))
-        return structs_equivalent(first, second, lexicon)
+    def counting(struct, lexicon):
+        calls.append(struct)
+        return meaning(struct, lexicon)
 
-    monkeypatch.setattr(logic, "structs_equivalent", counting)
+    monkeypatch.setattr(logic, "meaning", counting)
     build_pairs(tiny_corpus, lexicon, ratio="1:3", seed=7)
-    assert len(calls) == 240
+    assert len(calls) == 7 * len(tiny_corpus) == 420
 
 
 def test_build_pairs_ratio_unreachable(lexicon):
@@ -199,6 +200,18 @@ def test_split_partitions_without_overlap(tiny_pairs):
 def test_split_is_deterministic(tiny_pairs):
     assert split(tiny_pairs, seed=1) == split(tiny_pairs, seed=1)
     assert split(tiny_pairs, seed=1) != split(tiny_pairs, seed=2)
+
+
+@pytest.mark.parametrize(
+    "count, fraction, sizes", [(2, 0.2, (2, 0)), (10, 0.01, (10, 0)), (10, 0.99, (0, 10))]
+)
+def test_split_refuses_an_empty_side(tiny_pairs, count, fraction, sizes):
+    with pytest.raises(DatasetError) as info:
+        split(tiny_pairs[:count], val_fraction=fraction)
+    assert str(info.value) == (
+        f"a {fraction} validation split of {count} records leaves "
+        f"{sizes[0]} training and {sizes[1]} validation records"
+    )
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
@@ -311,7 +324,10 @@ def reference_replay(records, lexicon):
         except grammar.GrammarError as err:
             problems.append((index, f"unparseable pair: {err}"))
             continue
-        if logic.structs_equivalent(first, second, lexicon) != bool(record.label):
+        verdict = logic.equivalent(
+            logic.formula_of_struct(first, lexicon), logic.formula_of_struct(second, lexicon)
+        )
+        if verdict != bool(record.label):
             problems.append(
                 (index, f"label {record.label} contradicts oracle "
                         f"({record.sentence1!r} vs {record.sentence2!r})")
@@ -362,32 +378,24 @@ def test_verify_records_parses_each_anchor_once(lexicon, monkeypatch):
     assert len(texts) == len(anchors) + len(records)
 
 
-def test_verify_records_compiles_each_anchor_once(lexicon, monkeypatch):
-    compiled, compared = [], []
-    equivalence_to = logic.equivalence_to
+def test_verify_records_keys_each_anchor_once_and_each_parsed_sentence2_once(
+    lexicon, monkeypatch
+):
+    keyed = []
+    meaning = logic.meaning
 
-    def counting(first, *args):
-        compiled.append(first)
-        equivalent_to_first = equivalence_to(first, *args)
-
-        def compare(second):
-            compared.append(second)
-            return equivalent_to_first(second)
-
-        return compare
-
-    def refuse(*args):
-        raise AssertionError("the replay compiled an anchor per record")
+    def counting(struct, *args):
+        keyed.append(struct)
+        return meaning(struct, *args)
 
     expected = reference_replay(REPLAY_RECORDS, lexicon)
-    monkeypatch.setattr(logic, "equivalence_to", counting)
-    monkeypatch.setattr(logic, "structs_equivalent", refuse)
+    monkeypatch.setattr(logic, "meaning", counting)
     assert verify_records(REPLAY_RECORDS, lexicon) == expected
     anchors = {record.sentence1 for record in REPLAY_RECORDS} - {NONSENSE}
-    assert sorted(compiled) == sorted(grammar.parse_sentence_struct(a, lexicon) for a in anchors)
-    parsed = [record for record in REPLAY_RECORDS
+    parsed = [record.sentence2 for record in REPLAY_RECORDS
               if record.sentence1 != NONSENSE and record.sentence2 != "Green ideas sleep."]
-    assert len(compared) == len(parsed)
+    texts = [*anchors, *parsed]
+    assert sorted(keyed) == sorted(grammar.parse_sentence_struct(t, lexicon) for t in texts)
 
 
 # ---------------------------------------------------------------------------
