@@ -21,6 +21,7 @@ oracle failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -338,18 +339,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("augment: --grammar applies to text input only, not --format penman")
     if args.command == "pairs" and args.corpus and (args.count, args.mix) != (None, None):
         parser.error("pairs: --count and --mix apply to a regenerated corpus, not --corpus")
-    if args.command == "pairs" and Path(args.out_train).resolve() == Path(args.out_val).resolve():
-        parser.error("pairs: --out-train and --out-val name the same file")
+    if args.command == "pairs":
+        outputs = (Path(args.out_train).resolve(), Path(args.out_val).resolve())
+        if outputs[0] == outputs[1]:
+            parser.error("pairs: --out-train and --out-val name the same file")
+        if args.corpus and Path(args.corpus).resolve() in outputs:
+            parser.error("pairs: an output names the --corpus file, which it would replace")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # A subcommand makes no reference cycles that grow with its input, so
+    # the cyclic collector would only rescan live objects; the caller gets
+    # its own setting back.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as err:
         logger.error("%s", err)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -84,11 +84,7 @@ class SynthSentence(NamedTuple):
 
 
 def _sentence(struct: GrammarSentence, pattern: PatternKind) -> SynthSentence:
-    return SynthSentence(text=realize_struct(struct), struct=struct, pattern=pattern)
-
-
-def _mapped_attributes(lexicon: Lexicon) -> list[str]:
-    return [a for a in lexicon.attributes if lexicon.antonym_of(a) is not None]
+    return SynthSentence(realize_struct(struct), struct, pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +98,7 @@ def _pair_space(lexicon: Lexicon) -> int:
 
 
 def _atomic_struct(lexicon: Lexicon, index: int, position: int) -> GrammarSentence:
-    mapped = _mapped_attributes(lexicon)
+    mapped = lexicon.antonym_attributes
     subject_index, attribute_index = divmod(index, len(mapped))
     clause = Clause(lexicon.entities[subject_index], mapped[attribute_index])
     return GrammarSentence(Shape.ATOMIC, (clause,))
@@ -142,7 +138,7 @@ class _Family(NamedTuple):
 _FAMILIES: dict[PatternKind, _Family] = {
     PatternKind.ATOMIC_DN: _Family(
         LawKind.DOUBLE_NEGATION,
-        lambda lexicon: len(lexicon.entities) * len(_mapped_attributes(lexicon)),
+        lambda lexicon: len(lexicon.entities) * len(lexicon.antonym_attributes),
         _atomic_struct,
     ),
     PatternKind.COMMUTATIVE_PAIR: _Family(

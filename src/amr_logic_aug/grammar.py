@@ -77,7 +77,8 @@ class Clause(NamedTuple):
     negated: bool = False
 
     def negate(self) -> "Clause":
-        return Clause(self.subject, self.predicate, not self.negated)
+        subject, predicate, negated = self
+        return Clause(subject, predicate, not negated)
 
 
 class _SentenceFields(NamedTuple):
@@ -392,7 +393,7 @@ def compile_core_parser(
             return GrammarSentence(_ATOMIC, (first,))
         second = Clause(subjects[subject4.lower()], predicate4, not4 is not None)
         if joiner == "if":
-            return GrammarSentence(_IF_THEN, (second, first), trailing_condition=True)
+            return GrammarSentence(_IF_THEN, (second, first), True)
         return GrammarSentence(_AND_PAIR if joiner == "and" else _OR_PAIR, (first, second))
 
     return parse

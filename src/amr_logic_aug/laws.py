@@ -143,8 +143,8 @@ def _contraposition(sentence: GrammarSentence, lexicon: Lexicon):
     ante, cons = sentence.clauses
     not_ante = ante.negate()
     return (
-        GrammarSentence(_IF_THEN, (cons.negate(), not_ante), trailing_condition=True),
-        GrammarSentence(_IF_THEN, (cons, not_ante), trailing_condition=True),
+        GrammarSentence(_IF_THEN, (cons.negate(), not_ante), True),
+        GrammarSentence(_IF_THEN, (cons, not_ante), True),
     )
 
 
@@ -216,9 +216,10 @@ def verify_outcome(original: GrammarSentence, outcome: RewriteOutcome, lexicon: 
 
 
 def flip_polarity_negative(
-    sentence: GrammarSentence, lexicon: Lexicon, rng: random.Random
+    sentence: GrammarSentence, lexicon: Lexicon, rng: random.Random, key: tuple
 ) -> GrammarSentence:
-    """Negate one random clause, oracle-checked against ``sentence``.
+    """Negate one random clause, oracle-checked against ``key``, the
+    caller's :func:`~amr_logic_aug.logic.meaning` of ``sentence``.
 
     Negating either clause of any struct changes its truth table, so the
     check failing is an :class:`OracleViolation`, never a skip.
@@ -228,7 +229,7 @@ def flip_polarity_negative(
     clauses = list(sentence.clauses)
     clauses[order[0]] = clauses[order[0]].negate()
     candidate = GrammarSentence(sentence.shape, tuple(clauses), sentence.trailing_condition)
-    if logic.meaning(candidate, lexicon) == logic.meaning(sentence, lexicon):
+    if logic.meaning(candidate, lexicon) == key:
         raise OracleViolation(
             "polarity flip is accidentally equivalent: "
             f"{realize_struct(sentence)!r} vs {realize_struct(candidate)!r}"

@@ -82,6 +82,12 @@ class Lexicon(_LexiconFields):
         return {word: partner for word, partner in self.antonyms.items() if partner < word}
 
     @cached_property
+    def antonym_attributes(self) -> tuple[str, ...]:
+        """The core attributes that have an antonym, in lexicon order: the
+        atomic corpus family's predicates.  Built once per lexicon."""
+        return tuple(a for a in self.attributes if a in self.antonyms)
+
+    @cached_property
     def subject_table(self) -> tuple[dict[tuple[str, ...], str], tuple[int, ...]]:
         """Exact-lookup table for the sentence parser's subject match.
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from itertools import cycle, groupby
+from array import array
+from itertools import cycle, groupby, islice, pairwise
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,6 +35,7 @@ SAMPLE_ATTEMPTS = 100
 
 _VALID_LAWS = {law.value for law in LawKind} | {RANDOM_SAMPLE_LAW}
 _RATIO = re.compile(r"1:([1-9][0-9]*)")
+_PAIR_ID = attrgetter("pair_id")
 
 
 class DatasetError(ValueError):
@@ -91,55 +94,49 @@ def build_pairs(
     seed: int = DEFAULT_SEED,
 ) -> list[PairRecord]:
     """One oracle-gated positive and k negatives per corpus sentence."""
-    negatives_per = parse_ratio(ratio)
+    wanted = 2 + parse_ratio(ratio)  # the anchor, its positive, then k negatives
     records: list[PairRecord] = []
     # Reseeding gives the stream a fresh Random(f"{seed}:neg:{text}") would.
     rng = random.Random()
-    for sentence in corpus:
-        law = PATTERN_LAW[sentence.pattern]
-        outcome = apply_law(sentence.struct, law, lexicon)
+    for text, struct, pattern in corpus:
+        law = PATTERN_LAW[pattern]
+        tag = law.value
+        outcome = apply_law(struct, law, lexicon)
         positive_text = realize_struct(outcome.positive)
-        records.append(PairRecord(sentence.text, positive_text, 1, law.value))
-
-        rng.seed(f"{seed}:neg:{sentence.text}")
-        used = {sentence.text, positive_text}
-        negatives: list[tuple[str, str]] = []
-
-        def admit(text: str, tag: str) -> bool:
-            if text in used:
-                return False
-            used.add(text)
-            negatives.append((text, tag))
-            return True
-
-        admit(realize_struct(outcome.negative), law.value)
-        anchor_key = None
-        for kind in cycle(("flip", "sample")):
-            if len(negatives) >= negatives_per:
-                break
-            if kind == "flip":
-                flipped = flip_polarity_negative(sentence.struct, lexicon, rng)
-                admit(realize_struct(flipped), law.value)
-                continue
-            anchor_key = anchor_key or logic.meaning(sentence.struct, lexicon)
-            for _ in range(SAMPLE_ATTEMPTS):
-                candidate = corpus[rng.randrange(len(corpus))]
-                if candidate.text in used:
+        records.append(PairRecord(text, positive_text, 1, tag))
+        # Each sentence2 maps to its law tag in the order it was admitted;
+        # the anchor and its positive come first, so no negative repeats
+        # either, and a text already held is not admitted again.
+        texts = {text: "", positive_text: ""}
+        texts.setdefault(realize_struct(outcome.negative), tag)
+        if len(texts) < wanted:
+            rng.seed(f"{seed}:neg:{text}")
+            anchor_key = logic.meaning(struct, lexicon)  # for the flip and the sample arm
+            for kind in cycle(("flip", "sample")):
+                if len(texts) >= wanted:
+                    break
+                if kind == "flip":
+                    flipped = flip_polarity_negative(struct, lexicon, rng, anchor_key)
+                    texts.setdefault(realize_struct(flipped), tag)
                     continue
-                if logic.meaning(candidate.struct, lexicon) == anchor_key:
-                    continue
-                admit(candidate.text, RANDOM_SAMPLE_LAW)
-                break
-            else:
-                raise DatasetError(
-                    "ratio unreachable: no distinct nonequivalent corpus "
-                    f"sample found for {sentence.text!r} after {SAMPLE_ATTEMPTS} attempts"
-                )
-        for text, tag in negatives:
-            records.append(PairRecord(sentence.text, text, 0, tag))
-    records.sort(key=lambda record: record.pair_id)
-    ids = {record.pair_id for record in records}
-    if len(ids) != len(records):
+                for _ in range(SAMPLE_ATTEMPTS):
+                    candidate = corpus[rng.randrange(len(corpus))]
+                    if candidate.text in texts:
+                        continue
+                    if logic.meaning(candidate.struct, lexicon) == anchor_key:
+                        continue
+                    texts[candidate.text] = RANDOM_SAMPLE_LAW
+                    break
+                else:
+                    raise DatasetError(
+                        "ratio unreachable: no distinct nonequivalent corpus "
+                        f"sample found for {text!r} after {SAMPLE_ATTEMPTS} attempts"
+                    )
+        for negative_text, negative_tag in islice(texts.items(), 2, None):
+            records.append(PairRecord(text, negative_text, 0, negative_tag))
+    records.sort(key=_PAIR_ID)
+    # Sorted, equal ids are neighbours.
+    if any(first.pair_id == second.pair_id for first, second in pairwise(records)):
         raise DatasetError("pair_id collision in generated dataset")
     return records
 
@@ -153,19 +150,24 @@ def split(
     if not 0 < val_fraction < 1:
         raise DatasetError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = random.Random(f"{seed}:split")
+    held_out = bytearray(len(records))
+    for label in (1, 0):
+        # Each label's indexes in input order, in an array so that no int
+        # object per record stays alive; the shuffle takes a list's draws.
+        group = array("L", (i for i, record in enumerate(records) if record.label == label))
+        rng.shuffle(group)
+        for index in group[: int(len(group) * val_fraction + 0.5)]:
+            held_out[index] = 1
     train: list[PairRecord] = []
     validation: list[PairRecord] = []
-    for label in (1, 0):
-        group = [record for record in records if record.label == label]
-        rng.shuffle(group)
-        cut = int(len(group) * val_fraction + 0.5)
-        validation.extend(group[:cut])
-        train.extend(group[cut:])
+    for record, out in zip(records, held_out):
+        (validation if out else train).append(record)
     if not train or not validation:  # check refuses an empty pairs file
         raise DatasetError(f"a {val_fraction} validation split of {len(records)} records leaves "
                            f"{len(train)} training and {len(validation)} validation records")
-    train.sort(key=lambda record: record.pair_id)
-    validation.sort(key=lambda record: record.pair_id)
+    # One linear pass each when ``records`` is sorted, as build_pairs returns it.
+    train.sort(key=_PAIR_ID)
+    validation.sort(key=_PAIR_ID)
     return train, validation
 
 

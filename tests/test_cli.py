@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import importlib
 import json
@@ -22,7 +23,7 @@ from test_files import PAST_THE_DECODER_LIMITS
 from test_lexicon import make_source
 
 import amr_logic_aug
-from amr_logic_aug import __version__, grammar, laws, scoring
+from amr_logic_aug import __version__, cli, grammar, laws, scoring
 from amr_logic_aug.cli import build_parser, main
 from amr_logic_aug.graph import ParseError, parse_penman
 from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
@@ -83,12 +84,27 @@ def test_version_flag(capsys):
         # The validation file would replace the training file.
         ["pairs", "--out-train", "F", "--out-val", "F"],
         ["pairs", "--out-train", "d/F", "--out-val", "d/./F"],
+        # An output would replace the corpus its sidecar names.
+        ["pairs", "--corpus", "c.jsonl", "--out-train", "c.jsonl", "--out-val", "v"],
+        ["pairs", "--corpus", "d/c.jsonl", "--out-train", "t", "--out-val", "d/./c.jsonl"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+def test_pairs_refuses_to_replace_its_corpus_and_writes_nothing(tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    assert main(["-q", "synth", "--count", "20", "--out", str(corpus)]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    for argv in (["--out-train", str(corpus), "--out-val", str(tmp_path / "v.jsonl")],
+                 ["--out-train", str(tmp_path / "t.jsonl"), "--out-val", str(corpus)]):
+        with pytest.raises(SystemExit) as info:
+            main(["-q", "pairs", "--corpus", str(corpus), *argv])
+        assert info.value.code == 2
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def parser_options(parser):
@@ -1316,3 +1332,101 @@ def test_default_size_penman_bytes_match_the_benchmark_digests(tmp_path, monkeyp
     pinned = json.loads(BENCHMARK_DIGESTS.read_text(encoding="utf-8"))["penman"]
     assert set(pinned) == {f"{family}.jsonl" for family in inputs.PENMAN_FAMILY_LAW}
     assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in pinned} == pinned
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Gives the test's caller its collector setting back."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["synth", "--count", "5", "--out", "{tmp}/c.jsonl"], 0),
+        (["check", "--in", "{tmp}/missing.jsonl"], 1),
+        (["pairs", "--out-train", "{tmp}/F", "--out-val", "{tmp}/F"], 2),
+    ],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_main_gives_the_caller_its_collector_setting_back(tmp_path, collector, enabled, argv,
+                                                          code):
+    (gc.enable if enabled else gc.disable)()
+    argv = ["-q", *(arg.format(tmp=tmp_path) for arg in argv)]
+    if code == 2:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    else:
+        assert main(argv) == code
+    assert gc.isenabled() is enabled
+
+
+def test_a_subcommand_runs_with_the_collector_paused(monkeypatch, collector):
+    seen = []
+
+    def probe(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("a bug, not a domain error")
+
+    monkeypatch.setattr(cli, "cmd_check", probe)
+    gc.enable()
+    with pytest.raises(RuntimeError):
+        main(["-q", "check", "--in", "x"])
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_the_cyclic_garbage_of_a_subcommand_does_not_grow_with_its_input(tmp_path, collector):
+    """What the paused collector leaves behind is a fixed amount per run
+    (the argument parser's tables, and a few cycles per sidecar from
+    ``json``'s indented encoder), not an amount per item."""
+
+    def garbage(argv):
+        gc.disable()
+        gc.collect()
+        assert main(["-q", *argv]) == 0
+        return gc.collect()
+
+    def run(size, name):
+        work = tmp_path / f"{name}-{size}"
+        work.mkdir()
+        corpus = work / "corpus.jsonl"
+        found = {"synth": garbage(["synth", "--count", str(size), "--out", str(corpus)])}
+        rows = read_jsonl(corpus)
+        penman = work / "in.penman"
+        penman.write_text(
+            "".join(f"{row['penman']}\n" for row in rows if row["pattern"] == "implication-pair"),
+            encoding="utf-8",
+        )
+        texts = [row["text"] for row in rows]
+        records = [
+            {"context": " ".join(texts[i:i + 3]), "question": "Which must be true?",
+             "answers": texts[i + 3:i + 7], "label": 0, "id_string": f"r{i}"}
+            for i in range(0, len(texts) - 7, 7)
+        ]
+        mcq = work / "mcq.json"
+        mcq.write_text(json.dumps(records), encoding="utf-8")
+        train, val = work / "train.jsonl", work / "val.jsonl"
+        found["pairs"] = garbage(["pairs", "--corpus", str(corpus), "--ratio", "1:3",
+                                  "--out-train", str(train), "--out-val", str(val)])
+        found["check"] = garbage(["check", "--in", str(train)])
+        found["augment"] = garbage(["augment", "--law", "implication", "--format", "penman",
+                                    "--negatives", "--in", str(penman),
+                                    "--out", str(work / "augmented.jsonl")])
+        found["prompt-aug"] = garbage(["prompt-aug", "--in", str(mcq),
+                                       "--out", str(work / "mcq_aug.json"),
+                                       "--trace", str(work / "trace.jsonl")])
+        return found
+
+    run(40, "warm-up")  # first-use tables are built once per process
+    small, large = run(40, "small"), run(400, "large")
+    assert small == large

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from collections import Counter
 
@@ -152,8 +153,8 @@ def test_build_pairs_survives_oracle_replay(lexicon, tiny_pairs):
 
 def test_build_pairs_oracle_call_count(lexicon, tiny_corpus, monkeypatch):
     # Per sentence here: three keys for the law gate (the original, the
-    # positive, the negative), two for the flip check, and the anchor's and
-    # one sample's for the sample draw.
+    # positive, the negative), the anchor's once for the flip check and the
+    # sample draw, the flip's, and one sample's.
     calls = []
     meaning = logic.meaning
 
@@ -163,7 +164,7 @@ def test_build_pairs_oracle_call_count(lexicon, tiny_corpus, monkeypatch):
 
     monkeypatch.setattr(logic, "meaning", counting)
     build_pairs(tiny_corpus, lexicon, ratio="1:3", seed=7)
-    assert len(calls) == 7 * len(tiny_corpus) == 420
+    assert len(calls) == 6 * len(tiny_corpus) == 360
 
 
 def test_build_pairs_ratio_unreachable(lexicon):
@@ -212,6 +213,48 @@ def test_split_refuses_an_empty_side(tiny_pairs, count, fraction, sizes):
         f"a {fraction} validation split of {count} records leaves "
         f"{sizes[0]} training and {sizes[1]} validation records"
     )
+
+
+def reference_split(records, val_fraction, seed):
+    """The label-stratified split restated plainly: each label's records in
+    input order, shuffled with the split RNG, the first ``cut`` held out,
+    then each side sorted by ``pair_id``."""
+    rng = random.Random(f"{seed}:split")
+    train, validation = [], []
+    for label in (1, 0):
+        group = [record for record in records if record.label == label]
+        rng.shuffle(group)
+        cut = int(len(group) * val_fraction + 0.5)
+        validation.extend(group[:cut])
+        train.extend(group[cut:])
+    if not train or not validation:
+        raise DatasetError(f"a {val_fraction} validation split of {len(records)} records leaves "
+                           f"{len(train)} training and {len(validation)} validation records")
+    return (sorted(train, key=lambda r: r.pair_id), sorted(validation, key=lambda r: r.pair_id))
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except DatasetError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("size", [3, 5, 40])
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "reversed"])
+def test_split_matches_the_reference(lexicon, tiny_corpus, size, order):
+    records = build_pairs(tiny_corpus, lexicon, ratio="1:3", seed=7)
+    rng = random.Random(size)
+    chosen = rng.sample([r for r in records if r.label], size // 2)
+    chosen += rng.sample([r for r in records if not r.label], size - size // 2)
+    chosen.sort(key=lambda r: r.pair_id, reverse=order == "reversed")
+    if order == "shuffled":
+        rng.shuffle(chosen)
+    for seed in range(6):
+        for fraction in (0.2, 0.5, 0.7):
+            expected = outcome(reference_split, chosen, fraction, seed)
+            assert outcome(split, chosen, fraction, seed) == expected
+            assert outcome(split, tuple(chosen), fraction, seed) == expected
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
