@@ -173,18 +173,20 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     provenance = {}
     if args.corpus:
         sentences = corpus.corpus_from_jsonl(args.corpus, lexicon)
+        digest = sha256_of(args.corpus)
         sidecar = Path(f"{args.corpus}.manifest.json")
         recorded = read_json(sidecar, pairs.DatasetError) if sidecar.is_file() else {}
         if not isinstance(recorded, dict):
             raise pairs.DatasetError(f"corpus sidecar {sidecar} is not a JSON object")
-        provenance = {
-            "corpus_path": args.corpus,
-            "corpus_sha256": sha256_of(args.corpus),
-            "corpus_seed": recorded.get("seed"),
-        }
+        # A sidecar vouches for its seed only while it hashes this corpus.
+        vouches = recorded.get("data_sha256") == digest
+        if recorded and not vouches:
+            logger.warning("corpus sidecar %s hashes another file, so corpus_seed is null", sidecar)
+        provenance = {"corpus_path": args.corpus, "corpus_sha256": digest,
+                      "corpus_seed": recorded.get("seed") if vouches else None}
     else:
         count = corpus.DEFAULT_TARGET if args.count is None else args.count
-        sentences = corpus.build_corpus(lexicon, count, args.mix, args.seed)
+        sentences = corpus.build_corpus(lexicon, count, None, args.seed)
     if not sentences:  # the pairs files would hold no record for check to read
         source = args.corpus or "the --count 0 corpus"
         raise pairs.DatasetError(f"no sentences in {source}, so no pairs to write")
@@ -294,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     pairs_cmd.add_argument("--corpus", help="corpus JSONL (default: regenerate)")
     pairs_cmd.add_argument("--count", type=int, help="corpus size when regenerating "
                            f"(default: {corpus.DEFAULT_TARGET})")
-    pairs_cmd.add_argument("--mix", type=_parse_mix, default=None,
-                           help="corpus mix when regenerating")
     pairs_cmd.add_argument("--out-train", required=True)
     pairs_cmd.add_argument("--out-val", required=True)
     _add_lexicon_flag(pairs_cmd)
@@ -337,14 +337,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "augment" and args.format == "penman" and args.grammar:
         parser.error("augment: --grammar applies to text input only, not --format penman")
-    if args.command == "pairs" and args.corpus and (args.count, args.mix) != (None, None):
-        parser.error("pairs: --count and --mix apply to a regenerated corpus, not --corpus")
-    if args.command == "pairs":
-        outputs = (Path(args.out_train).resolve(), Path(args.out_val).resolve())
-        if outputs[0] == outputs[1]:
-            parser.error("pairs: --out-train and --out-val name the same file")
-        if args.corpus and Path(args.corpus).resolve() in outputs:
-            parser.error("pairs: an output names the --corpus file, which it would replace")
+    if args.command == "pairs" and args.corpus and args.count is not None:
+        parser.error("pairs: --count applies to a regenerated corpus, not --corpus")
+    # The files a run writes (each output, its sidecar, the trace) resolve to distinct paths.
+    files = [(f"--{key.replace('_', '-')}", path) for key, path in vars(args).items()
+             if key in ("out", "out_train", "out_val", "trace") and path]
+    files += [(f"the {flag} sidecar", f"{path}.manifest.json")
+              for flag, path in files if flag != "--trace"]
+    written: dict[Path, str] = {}
+    for label, path in files:
+        other = written.setdefault(Path(path).resolve(), label)
+        if other != label:
+            parser.error(f"{args.command}: {other} and {label} name the same file")
+    if args.command == "pairs" and args.corpus and Path(args.corpus).resolve() in written:
+        parser.error("pairs: an output names the --corpus file, which it would replace")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if args.quiet else logging.INFO,

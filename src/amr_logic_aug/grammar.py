@@ -50,11 +50,7 @@ YOU = "you"
 
 
 class GrammarError(ValueError):
-    """Text (or a struct) outside the controlled grammar."""
-
-
-class GrammarStructureError(GrammarError):
-    """Graph outside the grammar's canonical shapes."""
+    """Text, a struct or a graph outside the controlled grammar."""
 
 
 class Shape(str, Enum):
@@ -535,12 +531,17 @@ def build_graph(sentence: GrammarSentence) -> AmrGraph:
     return parse_penman(penman_of_struct(sentence))
 
 
+def _outside(reason: str) -> GrammarError:
+    """The error of a graph outside the grammar; its text names ``reason``."""
+    return GrammarError(f"graph outside grammar: {reason}")
+
+
 def _read_clause(
     graph: AmrGraph, out: dict[str, list[Edge]], var: str, skip: str = ""
 ) -> Clause:
     concept = graph.concept(var)
     if concept in ("and", "or"):
-        raise GrammarStructureError("nested compound clause")
+        raise _outside("nested compound clause")
     negated = False
     subject: Optional[str] = None
     for _, role, target in out.get(var, ()):
@@ -548,24 +549,24 @@ def _read_clause(
             continue
         if role == POLARITY_ROLE:
             if not isinstance(target, Constant) or target.raw != NEGATIVE:
-                raise GrammarStructureError(
+                raise _outside(
                     f"unsupported polarity value {target!r} on {var!r}"
                 )
             if negated:
-                raise GrammarStructureError(f"duplicate polarity on {var!r}")
+                raise _outside(f"duplicate polarity on {var!r}")
             negated = True
         elif role == DOMAIN_ROLE:
             if subject is not None:
-                raise GrammarStructureError(f"multiple subjects on {var!r}")
+                raise _outside(f"multiple subjects on {var!r}")
             if isinstance(target, Constant):
-                raise GrammarStructureError("subject must be a node, not a constant")
+                raise _outside("subject must be a node, not a constant")
             if target in out:
-                raise GrammarStructureError("subject must be a leaf node")
+                raise _outside("subject must be a leaf node")
             subject = target
         else:
-            raise GrammarStructureError(f"unexpected role {role} on {var!r}")
+            raise _outside(f"unexpected role {role} on {var!r}")
     if subject is None:
-        raise GrammarStructureError(f"clause {var!r} has no {DOMAIN_ROLE} subject")
+        raise _outside(f"clause {var!r} has no {DOMAIN_ROLE} subject")
     return Clause(
         subject=_concept_to_surface(graph.concept(subject) or ""),
         predicate=_concept_to_surface(concept),
@@ -576,7 +577,8 @@ def _read_clause(
 def read_graph(graph: AmrGraph) -> GrammarSentence:
     """Decode a canonical grammar graph back into its struct.
 
-    Raises :class:`GrammarStructureError` for graphs outside the grammar.
+    Raises :class:`GrammarError` ``graph outside grammar: <reason>`` for a graph
+    outside the grammar, which every graph entry point lets pass.
     """
     # Each node's out-edges, in stored order; a node without any has no entry.
     out: dict[str, list[Edge]] = {}
@@ -588,13 +590,13 @@ def read_graph(graph: AmrGraph) -> GrammarSentence:
     if concept in ("and", "or"):
         roles = [role for _, role, _ in edges]
         if roles != [":op1", ":op2"]:
-            raise GrammarStructureError(
+            raise _outside(
                 f"connective needs exactly :op1 and :op2 operands, got {roles}"
             )
         operands = []
         for _, _, target in edges:
             if isinstance(target, Constant):
-                raise GrammarStructureError("operand must be a node, not a constant")
+                raise _outside("operand must be a node, not a constant")
             operands.append(_read_clause(graph, out, target))
         shape = _AND_PAIR if concept == "and" else _OR_PAIR
         return GrammarSentence(shape, (operands[0], operands[1]))
@@ -604,19 +606,19 @@ def read_graph(graph: AmrGraph) -> GrammarSentence:
     if not condition_indexes:
         return GrammarSentence(_ATOMIC, (_read_clause(graph, out, root),))
     if len(condition_indexes) > 1:
-        raise GrammarStructureError("multiple :condition edges on one node")
+        raise _outside("multiple :condition edges on one node")
     index = condition_indexes[0]
     if index == 0:
         trailing = False
     elif index == len(edges) - 1:
         trailing = True
     else:
-        raise GrammarStructureError(
+        raise _outside(
             ":condition edge must come before or after all clause edges"
         )
     target = edges[index][2]
     if isinstance(target, Constant):
-        raise GrammarStructureError("antecedent must be a node, not a constant")
+        raise _outside("antecedent must be a node, not a constant")
     antecedent = _read_clause(graph, out, target)
     consequent = _read_clause(graph, out, root, skip=CONDITION_ROLE)
     return GrammarSentence(
@@ -675,7 +677,6 @@ __all__ = [
     "EXTENDED",
     "YOU",
     "GrammarError",
-    "GrammarStructureError",
     "Shape",
     "Clause",
     "GrammarSentence",

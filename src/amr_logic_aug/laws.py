@@ -5,6 +5,8 @@ produces a positive (logically equivalent) struct plus one law-specific
 negative (logically nonequivalent) struct.  :func:`apply_law` and
 :func:`applicable_laws` also accept an :class:`AmrGraph`, which they read
 into its struct once at entry; that is the only place the laws meet a graph.
+A graph outside the grammar raises ``read_graph``'s ``GrammarError`` from
+:func:`apply_law` and gets no law from :func:`applicable_laws`.
 
 Each law's precondition is stated once, in :func:`refusal`, which every
 caller that asks whether a law applies reads.  :func:`applicable_laws`
@@ -50,8 +52,8 @@ from . import logic
 from .grammar import (
     AmrGraph,
     Clause,
+    GrammarError,
     GrammarSentence,
-    GrammarStructureError,
     Shape,
     read_graph,
     realize_struct,
@@ -90,13 +92,8 @@ class RewriteOutcome(NamedTuple):
 
 
 def _read(sentence: Union[GrammarSentence, AmrGraph]) -> GrammarSentence:
-    """The struct of a sentence given as a struct or as a grammar graph."""
-    if not isinstance(sentence, AmrGraph):
-        return sentence
-    try:
-        return read_graph(sentence)
-    except GrammarStructureError as err:
-        raise LawError(f"graph outside grammar: {err}") from err
+    """The struct of a sentence given as a struct or as a graph (``read_graph``'s)."""
+    return read_graph(sentence) if isinstance(sentence, AmrGraph) else sentence
 
 
 def refusal(sentence: GrammarSentence, law: LawKind, lexicon: Lexicon) -> str:
@@ -134,7 +131,7 @@ def applicable_laws(
     """Laws whose preconditions the sentence meets; empty for non-grammar graphs."""
     try:
         sentence = _read(sentence)
-    except LawError:
+    except GrammarError:
         return frozenset()
     return frozenset([law for law in _LAWS if not refusal(sentence, law, lexicon)])
 

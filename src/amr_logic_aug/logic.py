@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .grammar import Clause, GrammarSentence, GrammarStructureError, Shape, read_graph
+from .grammar import Clause, GrammarSentence, Shape, read_graph
 from .graph import AmrGraph
 from .lexicon import Lexicon
 
@@ -44,7 +44,7 @@ _AND_PAIR, _OR_PAIR = Shape.AND_PAIR, Shape.OR_PAIR
 
 
 class LogicError(ValueError):
-    """Raised for non-grammar graphs and oracle budget violations."""
+    """Raised for oracle budget violations."""
 
 
 class Atom(NamedTuple):
@@ -159,15 +159,9 @@ def equivalent(first: Formula, second: Formula) -> bool:
 def to_formula(graph: AmrGraph, lexicon: Lexicon) -> Formula:
     """Interpret a grammar graph as a propositional formula.
 
-    Raises :class:`LogicError` with ``unsupported structure`` for graphs the
-    sentence grammar cannot produce (multi-operand connectives, missing
-    subjects, nested compounds).
+    A graph outside the grammar raises ``read_graph``'s ``GrammarError``.
     """
-    try:
-        sentence = read_graph(graph)
-    except GrammarStructureError as err:
-        raise LogicError(f"unsupported structure: {err}") from err
-    return formula_of_struct(sentence, lexicon)
+    return formula_of_struct(read_graph(graph), lexicon)
 
 
 def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:

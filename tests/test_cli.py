@@ -77,13 +77,17 @@ def test_version_flag(capsys):
         # Penman input is not parsed by a sentence grammar.
         ["augment", "--law", "double-negation", "--format", "penman", "--grammar",
          "extended", "--in", "a", "--out", "b"],
-        # --count and --mix shape a regenerated corpus; --corpus is read as it is.
+        # --count sizes a regenerated corpus; --corpus is read as it is.
         ["pairs", "--corpus", "c.jsonl", "--count", "7", "--out-train", "a", "--out-val", "b"],
+        # pairs takes no --mix: synth --mix then pairs --corpus shapes a corpus.
         ["pairs", "--corpus", "c.jsonl", "--mix", "atomic-dn=1.0", "--out-train", "a",
          "--out-val", "b"],
-        # The validation file would replace the training file.
+        # The files one run writes (outputs, sidecars, trace) would replace each other.
         ["pairs", "--out-train", "F", "--out-val", "F"],
         ["pairs", "--out-train", "d/F", "--out-val", "d/./F"],
+        ["pairs", "--out-train", "t.jsonl", "--out-val", "t.jsonl.manifest.json"],
+        ["prompt-aug", "--in", "r.json", "--out", "a.json", "--trace", "a.json"],
+        ["prompt-aug", "--in", "r.json", "--out", "a.json", "--trace", "a.json.manifest.json"],
         # An output would replace the corpus its sidecar names.
         ["pairs", "--corpus", "c.jsonl", "--out-train", "c.jsonl", "--out-val", "v"],
         ["pairs", "--corpus", "d/c.jsonl", "--out-train", "t", "--out-val", "d/./c.jsonl"],
@@ -103,6 +107,22 @@ def test_pairs_refuses_to_replace_its_corpus_and_writes_nothing(tmp_path):
                  ["--out-train", str(tmp_path / "t.jsonl"), "--out-val", str(corpus)]):
         with pytest.raises(SystemExit) as info:
             main(["-q", "pairs", "--corpus", str(corpus), *argv])
+        assert info.value.code == 2
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_a_run_whose_files_would_replace_each_other_writes_nothing(tmp_path):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_mcq_payload()), encoding="utf-8")
+    out = str(tmp_path / "a.json")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    for argv in (
+        ["prompt-aug", "--in", str(src), "--out", out, "--trace", out],
+        ["prompt-aug", "--in", str(src), "--out", out, "--trace", f"{out}.manifest.json"],
+        ["pairs", "--count", "20", "--out-train", out, "--out-val", f"{out}.manifest.json"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["-q", *argv])
         assert info.value.code == 2
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
@@ -579,7 +599,7 @@ def test_synth_then_pairs_matches_pairs_alone(tmp_path):
     assert outputs["chain"] == outputs["alone"]
 
 
-def test_pairs_corpus_sidecar_identifies_its_corpus(tmp_path):
+def test_pairs_corpus_sidecar_identifies_its_corpus(tmp_path, caplog):
     corpus_path = tmp_path / "corpus.jsonl"
     assert main(["-q", "synth", "--count", "20", "--seed", "5", "--out", str(corpus_path)]) == 0
     digest = hashlib.sha256(corpus_path.read_bytes()).hexdigest()
@@ -592,7 +612,18 @@ def test_pairs_corpus_sidecar_identifies_its_corpus(tmp_path):
         assert manifest["corpus_sha256"] == digest
         assert manifest["corpus_seed"] == 5
 
+    # A sidecar that hashes another file does not vouch for this corpus's seed.
     sidecar = Path(f"{corpus_path}.manifest.json")
+    first_sidecar = sidecar.read_bytes()
+    assert main(["-q", "synth", "--count", "20", "--seed", "6", "--out", str(corpus_path)]) == 0
+    digest = hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+    sidecar.write_bytes(first_sidecar)
+    assert json.loads(first_sidecar)["data_sha256"] != digest
+    assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 0
+    assert manifest_of(train)["corpus_seed"] is None
+    assert f"corpus sidecar {sidecar} hashes another file" in caplog.text
+    assert manifest_of(train)["corpus_sha256"] == digest
+
     sidecar.write_text('{"seed": 5', encoding="utf-8")  # truncated
     assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 1
     sidecar.write_text("[5]", encoding="utf-8")  # not an object

@@ -19,7 +19,6 @@ from amr_logic_aug.grammar import (
     Clause,
     GrammarError,
     GrammarSentence,
-    GrammarStructureError,
     Shape,
     build_graph,
     parse_sentence_struct,
@@ -29,6 +28,8 @@ from amr_logic_aug.grammar import (
     realize,
     realize_struct,
 )
+from amr_logic_aug.laws import LawKind, applicable_laws, apply_law
+from amr_logic_aug.logic import to_formula
 from amr_logic_aug.pairs import build_pairs
 
 
@@ -528,51 +529,62 @@ def test_grammar_error_messages_carry_prefix(lexicon):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "penman, reason",
-    [
-        ("(a / and :op1 (k / kind :domain (t / the-cat)))", "exactly :op1 and :op2"),
-        (
-            "(a / and :op1 (o / or :op1 (k / kind :domain (t / the-cat))"
-            " :op2 (d / dull :domain (u / the-cow)))"
-            " :op2 (c / clever :domain (v / the-hen)))",
-            "nested compound clause",
-        ),
-        ("(a / and :op1 - :op2 (k / kind :domain (t / the-cat)))", "not a constant"),
-        ("(k / kind :polarity + :domain (t / the-cat))", "unsupported polarity value"),
-        (
-            "(k / kind :polarity - :polarity - :domain (t / the-cat))",
-            "duplicate polarity",
-        ),
-        ("(k / kind :domain (t / the-cat) :domain (u / the-cow))", "multiple subjects"),
-        ("(k / kind :domain 42)", "subject must be a node"),
-        ("(k / kind :domain (t / tall :domain (u / the-cat)))", "subject must be a leaf"),
-        ("(k / kind :ARG0 (t / the-cat))", "unexpected role"),
-        ("(k / kind)", "has no :domain subject"),
-        (
-            "(k / kind :condition (d / dull :domain (t / the-cat))"
-            " :condition (c / clever :domain (u / the-cow))"
-            " :domain (v / the-hen))",
-            "multiple :condition edges",
-        ),
-        (
-            "(k / kind :polarity - :condition (d / dull :domain (t / the-cat))"
-            " :domain (v / the-hen))",
-            ":condition edge must come before or after",
-        ),
-        (
-            "(k / kind :condition - :domain (t / the-cat))",
-            "antecedent must be a node",
-        ),
-    ],
-)
+OUT_OF_GRAMMAR_GRAPHS = [
+    ("(a / and :op1 (k / kind :domain (t / the-cat)))", "exactly :op1 and :op2"),
+    (
+        "(a / and :op1 (o / or :op1 (k / kind :domain (t / the-cat))"
+        " :op2 (d / dull :domain (u / the-cow)))"
+        " :op2 (c / clever :domain (v / the-hen)))",
+        "nested compound clause",
+    ),
+    ("(a / and :op1 - :op2 (k / kind :domain (t / the-cat)))", "not a constant"),
+    ("(k / kind :polarity + :domain (t / the-cat))", "unsupported polarity value"),
+    (
+        "(k / kind :polarity - :polarity - :domain (t / the-cat))",
+        "duplicate polarity",
+    ),
+    ("(k / kind :domain (t / the-cat) :domain (u / the-cow))", "multiple subjects"),
+    ("(k / kind :domain 42)", "subject must be a node"),
+    ("(k / kind :domain (t / tall :domain (u / the-cat)))", "subject must be a leaf"),
+    ("(k / kind :ARG0 (t / the-cat))", "unexpected role"),
+    ("(k / kind)", "has no :domain subject"),
+    (
+        "(k / kind :condition (d / dull :domain (t / the-cat))"
+        " :condition (c / clever :domain (u / the-cow))"
+        " :domain (v / the-hen))",
+        "multiple :condition edges",
+    ),
+    (
+        "(k / kind :polarity - :condition (d / dull :domain (t / the-cat))"
+        " :domain (v / the-hen))",
+        ":condition edge must come before or after",
+    ),
+    (
+        "(k / kind :condition - :domain (t / the-cat))",
+        "antecedent must be a node",
+    ),
+]
+
+
+@pytest.mark.parametrize("penman, reason", OUT_OF_GRAMMAR_GRAPHS)
 def test_out_of_grammar_graphs(penman, reason):
-    with pytest.raises(GrammarStructureError, match=reason):
+    with pytest.raises(GrammarError, match=f"^graph outside grammar: .*{re.escape(reason)}"):
         read_graph(parse_penman(penman))
 
 
-def test_structure_error_is_a_grammar_error():
-    assert issubclass(GrammarStructureError, GrammarError)
+@pytest.mark.parametrize("penman, reason", OUT_OF_GRAMMAR_GRAPHS)
+def test_every_graph_entry_point_refuses_an_out_of_grammar_graph_alike(lexicon, penman, reason):
+    graph = parse_penman(penman)
+    entry_points = [read_graph, realize, lambda g: to_formula(g, lexicon)]
+    entry_points += [lambda g, law=law: apply_law(g, law, lexicon) for law in LawKind]
+    refusals = set()
+    for entry_point in entry_points:
+        with pytest.raises(GrammarError, match=re.escape(reason)) as info:
+            entry_point(graph)
+        refusals.add((type(info.value), str(info.value)))
+    ((kind, text),) = refusals
+    assert kind is GrammarError and text.startswith("graph outside grammar: ")
+    assert applicable_laws(graph, lexicon) == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +877,7 @@ def general_penman(text):
     """What the general path makes of ``text``: its struct, or its error."""
     try:
         return read_graph(parse_penman(text))
-    except (ParseError, GrammarStructureError) as err:
+    except (ParseError, GrammarError) as err:
         return type(err), str(err)
 
 

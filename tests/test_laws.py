@@ -11,6 +11,7 @@ from amr_logic_aug import logic
 from amr_logic_aug.graph import parse_penman
 from amr_logic_aug.grammar import (
     Clause,
+    GrammarError,
     GrammarSentence,
     Shape,
     build_graph,
@@ -161,7 +162,7 @@ def test_precondition_errors(lexicon, law, text, reason):
 
 def test_law_on_non_grammar_graph(lexicon):
     graph = parse_penman("(w / want-01 :ARG0 (b / boy))")
-    with pytest.raises(LawError, match="graph outside grammar"):
+    with pytest.raises(GrammarError, match="^graph outside grammar: "):
         apply_law(graph, LawKind.CONTRAPOSITION, lexicon)
 
 

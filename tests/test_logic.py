@@ -11,6 +11,7 @@ import pytest
 from amr_logic_aug.corpus import PATTERN_LAW
 from amr_logic_aug.grammar import (
     Clause,
+    GrammarError,
     GrammarSentence,
     Shape,
     build_graph,
@@ -214,7 +215,7 @@ def test_to_formula_applies_antonym_normalization(lexicon):
 
 def test_to_formula_rejects_non_grammar_graph(lexicon):
     graph = parse_penman("(w / want-01 :ARG0 (b / boy))")
-    with pytest.raises(LogicError, match="unsupported structure"):
+    with pytest.raises(GrammarError, match="^graph outside grammar: "):
         to_formula(graph, lexicon)
 
 
