@@ -86,9 +86,14 @@ def _resolve_lexicon(args: argparse.Namespace) -> Lexicon:
     return load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
 
 
+def _sidecar(data_path: str | Path) -> Path:
+    """The manifest sidecar of a data file, ``<data_path>.manifest.json``."""
+    return Path(f"{data_path}.manifest.json")
+
+
 def write_manifest(data_path: str | Path, payload: dict) -> None:
     """Write ``<data_path>.manifest.json``: ``version``, ``data_sha256`` and ``payload``."""
-    manifest_path = Path(f"{data_path}.manifest.json")
+    manifest_path = _sidecar(data_path)
     manifest = {"version": __version__, "data_sha256": sha256_of(data_path), **payload}
     write_text(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True), "\n"))
     logger.info("wrote %s", manifest_path)
@@ -174,7 +179,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     if args.corpus:
         sentences = corpus.corpus_from_jsonl(args.corpus, lexicon)
         digest = sha256_of(args.corpus)
-        sidecar = Path(f"{args.corpus}.manifest.json")
+        sidecar = _sidecar(args.corpus)
         recorded = read_json(sidecar, pairs.DatasetError) if sidecar.is_file() else {}
         if not isinstance(recorded, dict):
             raise pairs.DatasetError(f"corpus sidecar {sidecar} is not a JSON object")
@@ -342,15 +347,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # The files a run writes (each output, its sidecar, the trace) resolve to distinct paths.
     files = [(f"--{key.replace('_', '-')}", path) for key, path in vars(args).items()
              if key in ("out", "out_train", "out_val", "trace") and path]
-    files += [(f"the {flag} sidecar", f"{path}.manifest.json")
+    files += [(f"the {flag} sidecar", _sidecar(path))
               for flag, path in files if flag != "--trace"]
     written: dict[Path, str] = {}
     for label, path in files:
         other = written.setdefault(Path(path).resolve(), label)
         if other != label:
             parser.error(f"{args.command}: {other} and {label} name the same file")
-    if args.command == "pairs" and args.corpus and Path(args.corpus).resolve() in written:
-        parser.error("pairs: an output names the --corpus file, which it would replace")
+    if args.command == "pairs" and args.corpus:
+        # The corpus and the sidecar that vouches for its seed are read, never replaced.
+        for label, path in (("file", args.corpus), ("sidecar", _sidecar(args.corpus))):
+            writer = written.get(Path(path).resolve())
+            if writer:
+                parser.error(f"pairs: {writer} names the --corpus {label}, which it would replace")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if args.quiet else logging.INFO,

@@ -181,9 +181,10 @@ def _strip_determiners(tokens: list[str]) -> list[str]:
 
 
 def _parse_predicate(rest: list[str], grammar: str) -> tuple[bool, str]:
-    """Parse the post-subject verb phrase → (negated, predicate)."""
-    if not rest:
-        raise GrammarError("outside grammar: clause has no verb phrase")
+    """Parse the post-subject verb phrase → (negated, predicate).
+
+    ``rest`` is never empty: :func:`_match_subject` leaves at least one word.
+    """
     negated = False
     if rest[0] in _COPULAS:
         rest = rest[1:]

@@ -38,9 +38,6 @@ class Constant(NamedTuple):
 
     raw: str
 
-    def __str__(self) -> str:
-        return self.raw
-
 
 Target = Union[str, Constant]
 Edge = tuple[str, str, Target]  # (source variable, role, target)
@@ -65,9 +62,6 @@ class AmrGraph(NamedTuple):
             return self.nodes[var]
         except KeyError:
             raise GraphError(f"unknown variable {var!r}") from None
-
-    def __str__(self) -> str:
-        return serialize(self)
 
 
 # ---------------------------------------------------------------------------

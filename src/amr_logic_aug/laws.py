@@ -120,7 +120,7 @@ def refusal(sentence: GrammarSentence, law: LawKind, lexicon: Lexicon) -> str:
     clause = sentence.clauses[0]
     if clause.negated:
         return "double negation requires a predicate without polarity"
-    if lexicon.antonym_of(clause.predicate) is None:
+    if clause.predicate not in lexicon.antonyms:
         return f"no antonym for {clause.predicate!r}"
     return ""
 
@@ -168,7 +168,7 @@ def _commutative(sentence: GrammarSentence, lexicon: Lexicon):
 
 def _double_negation(sentence: GrammarSentence, lexicon: Lexicon):
     subject, predicate, _ = sentence.clauses[0]
-    antonym = lexicon.antonym_of(predicate)
+    antonym = lexicon.antonyms.get(predicate)
     return (
         GrammarSentence(_ATOMIC, (Clause(subject, antonym, True),)),
         GrammarSentence(_ATOMIC, (Clause(subject, antonym, False),)),

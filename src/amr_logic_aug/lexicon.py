@@ -66,13 +66,6 @@ class _LexiconFields(NamedTuple):
 class Lexicon(_LexiconFields):
     # No __slots__: the cached_property tables live in the instance __dict__.
 
-    def antonym_of(self, adjective: str) -> Optional[str]:
-        return self.antonyms.get(adjective)
-
-    @property
-    def all_entities(self) -> tuple[str, ...]:
-        return self.entities + self.extension_entities
-
     @cached_property
     def antonym_bases(self) -> dict[str, str]:
         """The literal table: each antonym word that is the larger of its pair,
@@ -99,7 +92,8 @@ class Lexicon(_LexiconFields):
         sorted rule would try first.  Built once per lexicon.
         """
         entities: dict[tuple[str, ...], str] = {}
-        for entity in sorted(self.all_entities, key=lambda e: (-len(e.split()), e)):
+        for entity in sorted(self.entities + self.extension_entities,
+                             key=lambda e: (-len(e.split()), e)):
             entities.setdefault(tuple(word.lower() for word in entity.split()), entity)
         lengths = tuple(sorted({len(words) for words in entities}, reverse=True))
         return entities, lengths
@@ -167,9 +161,7 @@ def _word_section(name: str, rows: list[tuple[int, list[str]]]) -> tuple[str, ..
             raise LexiconError(
                 f"section {name} entries must have one column at line {lineno}"
             )
-        word = cells[0].strip()
-        if not word:
-            raise LexiconError(f"empty entry in section {name} at line {lineno}")
+        word = cells[0].strip()  # not empty: _parse_rows skips blank lines
         if word in seen:
             raise LexiconError(f"duplicate entry {word!r} in section {name}")
         seen.add(word)

@@ -91,6 +91,11 @@ def test_version_flag(capsys):
         # An output would replace the corpus its sidecar names.
         ["pairs", "--corpus", "c.jsonl", "--out-train", "c.jsonl", "--out-val", "v"],
         ["pairs", "--corpus", "d/c.jsonl", "--out-train", "t", "--out-val", "d/./c.jsonl"],
+        # An output would replace the sidecar that vouches for the corpus's seed.
+        ["pairs", "--corpus", "c.jsonl", "--out-train", "c.jsonl.manifest.json",
+         "--out-val", "v"],
+        ["pairs", "--corpus", "c.jsonl", "--out-train", "t",
+         "--out-val", "d/../c.jsonl.manifest.json"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -103,8 +108,11 @@ def test_pairs_refuses_to_replace_its_corpus_and_writes_nothing(tmp_path):
     corpus = tmp_path / "c.jsonl"
     assert main(["-q", "synth", "--count", "20", "--out", str(corpus)]) == 0
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    sidecar = f"{corpus}.manifest.json"
     for argv in (["--out-train", str(corpus), "--out-val", str(tmp_path / "v.jsonl")],
-                 ["--out-train", str(tmp_path / "t.jsonl"), "--out-val", str(corpus)]):
+                 ["--out-train", str(tmp_path / "t.jsonl"), "--out-val", str(corpus)],
+                 ["--out-train", sidecar, "--out-val", str(tmp_path / "v.jsonl")],
+                 ["--out-train", str(tmp_path / "t.jsonl"), "--out-val", sidecar]):
         with pytest.raises(SystemExit) as info:
             main(["-q", "pairs", "--corpus", str(corpus), *argv])
         assert info.value.code == 2

@@ -451,6 +451,8 @@ def test_extended_determiners_are_dropped_mid_predicate(lexicon, text, negated, 
         ("You have some 3 skills 4.", "outside grammar: unexpected token '3'"),
         ("You will not be at all.", "outside grammar: clause has no attribute"),
         ("You are some at all.", "outside grammar: clause has no attribute"),
+        ("Alan will go.", "outside grammar: expected 'be' after 'will'"),
+        ("If , then Alan is kind.", "outside grammar: empty clause"),
     ],
 )
 def test_extended_grammar_error_messages(lexicon, text, message):
@@ -608,12 +610,13 @@ def test_subject_match_prefers_longest_entity(lexicon):
     # "the bald eagle" must win over any shorter prefix entity.
     struct = parse_sentence_struct("The bald eagle is kind.", lexicon)
     assert struct.clauses[0].subject == "the bald eagle"
-    assert "the bald eagle" in lexicon.all_entities
+    assert "the bald eagle" in lexicon.entities
 
 
 def match_subject_reference(words, lexicon):
     """The matching rule: longest entity first, then alphabetical, ignoring case."""
-    for entity in sorted(lexicon.all_entities, key=lambda e: (-len(e.split()), e)):
+    all_entities = lexicon.entities + lexicon.extension_entities
+    for entity in sorted(all_entities, key=lambda e: (-len(e.split()), e)):
         parts = entity.split()
         if len(words) > len(parts) and [w.lower() for w in words[: len(parts)]] == [
             p.lower() for p in parts
@@ -627,8 +630,9 @@ def match_subject_reference(words, lexicon):
 
 
 def subject_probes(lexicon):
-    lengths = {len(entity.split()) for entity in lexicon.all_entities}
-    for entity in lexicon.all_entities + ("you", "Alan", "the bald", "the"):
+    all_entities = lexicon.entities + lexicon.extension_entities
+    lengths = {len(entity.split()) for entity in all_entities}
+    for entity in all_entities + ("you", "Alan", "the bald", "the"):
         words = entity.split()
         for variant in (words, [w.upper() for w in words], [words[0].capitalize()] + words[1:]):
             yield variant
@@ -855,7 +859,8 @@ def near_canonical(draw, subjects):
 @pytest.mark.parametrize("name", PATTERN_LEXICONS)
 def test_core_pattern_agrees_with_the_general_parser_near_canonical(pattern_lexicons, name):
     lex = pattern_lexicons[name]
-    subjects = lex.all_entities + ("you", "Alan", "Zed", "the", "the big dogs")
+    subjects = lex.entities + lex.extension_entities
+    subjects += ("you", "Alan", "Zed", "the", "the big dogs")
 
     @seed(20231017)
     @settings(max_examples=500, deadline=None, database=None)

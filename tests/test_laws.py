@@ -344,7 +344,7 @@ def test_an_equivalent_polarity_flip_is_an_oracle_violation(lexicon):
 def test_every_applicable_law_passes_its_gate_on_the_whole_struct_space(lexicon):
     # An antonym pair and a plain attribute give every way two clauses can
     # share, oppose or differ in an atom.
-    assert lexicon.antonym_of("strong") == "weak" and lexicon.antonym_of("round") is None
+    assert lexicon.antonyms.get("strong") == "weak" and lexicon.antonyms.get("round") is None
     structs = every_struct(lexicon.entities[:2], ("strong", "weak", "round"))
     assert len(structs) == 588
     passed, refused = [], []

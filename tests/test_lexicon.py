@@ -55,23 +55,22 @@ def test_default_lexicon_shape():
 
 def test_default_antonyms_are_symmetric():
     lexicon = default_lexicon()
-    assert lexicon.antonym_of("strong") == "weak"
-    assert lexicon.antonym_of("weak") == "strong"
-    assert lexicon.antonym_of("round") is None
+    assert lexicon.antonyms.get("strong") == "weak"
+    assert lexicon.antonyms.get("weak") == "strong"
+    assert lexicon.antonyms.get("round") is None
     for word, opposite in lexicon.antonyms.items():
         assert lexicon.antonyms[opposite] == word
         assert word != opposite
-    assert lexicon.antonym_of("beautiful") == "ugly"
+    assert lexicon.antonyms.get("beautiful") == "ugly"
 
 
 def test_parse_round_trip():
     lexicon = parse_lexicon(make_source())
     assert lexicon.entities == ("the cat", "Alan")
-    assert lexicon.antonym_of("strong") == "weak"
+    assert lexicon.antonyms.get("strong") == "weak"
     assert "the sheep" in lexicon.extension_entities
     assert "the fox" not in lexicon.entities + lexicon.extension_entities
     assert "sleepy" in lexicon.extension_attributes
-    assert "the sheep" in lexicon.all_entities
 
 
 @pytest.mark.parametrize(
@@ -103,20 +102,19 @@ def test_parse_round_trip():
         # RELATION words are read by nothing, but still checked.
         (dict(relations=("is\tnot",)), "section RELATION entries must have one column at line 6"),
         (dict(relations=("is", "is")), "duplicate entry 'is' in section RELATION"),
+        (dict(antonyms=(("strong", ""),)), "empty antonym cell at line 17"),
+        (dict(ext_entities=("the cat",)), r"duplicate across entity sections: \['the cat'\]"),
+        # A whitespace-only entry is a blank line, so no entry is ever empty.
+        (dict(entities=("the cat", " \t ")), "section ENTITY declares 2 entries but has 1"),
+        # A (old, new) pair edits the text of the default source.
+        (("ENTITY\t2", "ENTITY\t2\t2"), "section header needs exactly one count column at line 2"),
+        (("# test lexicon", "the dog"), "entry before any section header at line 1"),
     ],
 )
 def test_validation_errors(change, message):
-    base = dict(
-        entities=("the cat", "Alan"),
-        relations=("is", "is not"),
-        attributes=("strong", "weak", "round"),
-        ext_entities=("the sheep",),
-        ext_attributes=("sleepy",),
-        antonyms=(("strong", "weak"), ("weak", "strong")),
-    )
-    base.update(change)
+    text = make_source().replace(*change) if isinstance(change, tuple) else make_source(**change)
     with pytest.raises(LexiconError, match=message):
-        parse_lexicon(make_source(**base))
+        parse_lexicon(text)
 
 
 def test_count_mismatch_is_rejected():
@@ -147,6 +145,10 @@ def test_a_lexicon_file_error_names_the_file(tmp_path):
     with pytest.raises(LexiconError) as err:
         load_lexicon(path)
     assert str(err.value) == message
+    missing = tmp_path / "missing.tsv"
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(missing)
+    assert str(err.value).startswith(f"cannot read lexicon file {missing}: ")
 
 
 def test_load_lexicon_checksum_tracks_bytes(tmp_path):

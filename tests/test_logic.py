@@ -27,6 +27,7 @@ from amr_logic_aug.logic import (
     LogicError,
     Not,
     Or,
+    atoms,
     clause_literal,
     equivalent,
     formula_of_struct,
@@ -133,7 +134,7 @@ def test_clause_literal_follows_the_antonym_rule(lexicon):
                   ("round", "flat"), ("flat", "round")),
     )
     extended = parse_lexicon(source)
-    assert extended.antonym_of("flat") == "round"
+    assert extended.antonyms.get("flat") == "round"
     for lex in (lexicon, extended):
         words = set(lex.attributes) | set(lex.extension_attributes) | set(lex.antonyms)
         for word in sorted(words):
@@ -219,12 +220,18 @@ def test_to_formula_rejects_non_grammar_graph(lexicon):
         to_formula(graph, lexicon)
 
 
-def test_atom_order_is_first_occurrence():
-    p, q, r = Atom("p", "a"), Atom("q", "a"), Atom("r", "a")
-    formula = Or(And(q, p), And(r, q))
-    from amr_logic_aug.logic import atoms
+P, Q, R = Atom("p", "a"), Atom("q", "a"), Atom("r", "a")
 
-    assert atoms(formula) == (q, p, r)
+
+@pytest.mark.parametrize(
+    "formula, order",
+    [
+        (Or(And(Q, P), And(R, Q)), (Q, P, R)),
+        (Implies(Not(R), Or(P, R)), (R, P)),
+    ],
+)
+def test_atom_order_is_first_occurrence(formula, order):
+    assert atoms(formula) == order
 
 
 # --- bitset oracle against the enumeration reference -----------------------

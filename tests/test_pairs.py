@@ -12,7 +12,7 @@ import pytest
 
 from amr_logic_aug import grammar, logic, pairs
 from amr_logic_aug.cli import main
-from amr_logic_aug.corpus import build_corpus
+from amr_logic_aug.corpus import PatternKind, SynthSentence, build_corpus
 from amr_logic_aug.laws import LawKind
 from amr_logic_aug.prompt import rewrite_sentence
 from amr_logic_aug.pairs import (
@@ -165,6 +165,28 @@ def test_build_pairs_oracle_call_count(lexicon, tiny_corpus, monkeypatch):
     monkeypatch.setattr(logic, "meaning", counting)
     build_pairs(tiny_corpus, lexicon, ratio="1:3", seed=7)
     assert len(calls) == 6 * len(tiny_corpus) == 360
+
+
+def test_the_sample_arm_passes_over_a_candidate_equivalent_to_its_anchor(lexicon):
+    # The first two sentences differ in text but not in meaning.  At seed 7
+    # a sample draw of one meets the other, so without the meaning check a
+    # random-sample negative would be equivalent to its anchor.
+    texts = ("Alan is strong and Bob is kind.", "Alan is not weak and Bob is kind.",
+             "Alan is clever and Bob is quiet.")
+    corpus = [
+        SynthSentence(text, grammar.parse_sentence_struct(text, lexicon),
+                      PatternKind.COMMUTATIVE_PAIR)
+        for text in texts
+    ]
+    records = build_pairs(corpus, lexicon, ratio="1:3", seed=7)
+    sampled = [record for record in records if record.law == RANDOM_SAMPLE_LAW]
+    assert len(sampled) == len(corpus)
+    for record in sampled:
+        anchor, negative = (
+            logic.meaning(grammar.parse_sentence_struct(text, lexicon), lexicon)
+            for text in (record.sentence1, record.sentence2)
+        )
+        assert anchor != negative
 
 
 def test_build_pairs_ratio_unreachable(lexicon):

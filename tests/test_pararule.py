@@ -158,11 +158,17 @@ def test_alter_record_touches_only_rules():
     assert record["rules"] == DEPTH1_RULES  # input not mutated
 
 
-def test_alter_record_requires_rules_list():
-    with pytest.raises(PararuleError, match="'rules' list"):
-        alter_record({"rules": "not a list"}, depth=1)
-    with pytest.raises(PararuleError, match="'rules' list"):
-        alter_record({"context": "no rules"}, depth=1)
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"rules": "not a list"}, "record needs a 'rules' list"),
+        ({"context": "no rules"}, "record needs a 'rules' list"),
+        (["rules"], "record must be a JSON object, got list"),
+    ],
+)
+def test_alter_record_requires_rules_list(record, message):
+    with pytest.raises(PararuleError, match=re.escape(message)):
+        alter_record(record, depth=1)
 
 
 def test_alter_pararule_file(tmp_path):
