@@ -16,6 +16,10 @@ logs go to standard error, and each output file gets a
 package version, the data file's sha256, the subcommand, its seed and
 counts, and the lexicon checksum.  Exit codes: 0 success, 1 validation or
 oracle failure, 2 usage error.
+
+A process defines only the subcommand it runs, and imports only the
+modules that subcommand needs: ``augment`` never loads ``corpus``,
+``pairs``, ``prompt``, ``pararule`` or ``scoring``.
 """
 
 from __future__ import annotations
@@ -27,31 +31,42 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import __version__, corpus, grammar, laws, pairs, pararule, prompt, scoring
+from . import __version__, grammar
 from .files import json_string, read_json, read_lines, sha256_of, write_text
 from .graph import ParseError, parse_penman
-from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
+from .lexicon import Lexicon, default_lexicon, load_lexicon
+
+if TYPE_CHECKING:  # each subcommand imports the rest of the package itself
+    from . import corpus, laws
 
 logger = logging.getLogger("amr_logic_aug")
 
+# The package's exceptions that a subcommand reports as exit 1 with their
+# message, as "module.Class"; OSError too.  A module the subcommand never
+# imported raised none of them, so only loaded modules are looked up, and
+# only once an exception reaches ``main``.
 _DOMAIN_ERRORS = (
-    LexiconError,
-    ParseError,
-    grammar.GrammarError,
-    laws.LawError,
-    laws.OracleViolation,
-    corpus.CorpusError,
-    pairs.DatasetError,
-    prompt.PromptError,
-    pararule.PararuleError,
-    scoring.ScoreError,
-    OSError,
+    "lexicon.LexiconError", "graph.ParseError", "grammar.GrammarError", "laws.LawError",
+    "laws.OracleViolation", "corpus.CorpusError", "pairs.DatasetError",
+    "prompt.PromptError", "pararule.PararuleError", "scoring.ScoreError",
 )
 
 
+def _domain_errors() -> tuple[type[BaseException], ...]:
+    found: list[type[BaseException]] = [OSError]
+    for path in _DOMAIN_ERRORS:
+        module, _, name = path.partition(".")
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            found.append(getattr(loaded, name))
+    return tuple(found)
+
+
 def _parse_mix(text: str) -> dict[corpus.PatternKind, float]:
+    from . import corpus
+
     mix: dict[corpus.PatternKind, float] = {}
     for part in text.split(","):
         name, _, value = part.partition("=")
@@ -65,6 +80,8 @@ def _parse_mix(text: str) -> dict[corpus.PatternKind, float]:
 
 
 def _parse_laws(text: str) -> list[laws.LawKind]:
+    from . import laws
+
     requested = []
     for name in text.split(","):
         try:
@@ -100,6 +117,8 @@ def write_manifest(data_path: str | Path, payload: dict) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import corpus
+
     lexicon = _resolve_lexicon(args)
     built = corpus.build_corpus(lexicon, args.count, args.mix, args.seed)
     if args.format == "jsonl":
@@ -125,6 +144,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
+    from . import laws
+
     lexicon = _resolve_lexicon(args)
     render = grammar.realize_struct if args.format == "text" else grammar.penman_of_struct
     quote = json_string
@@ -174,6 +195,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
+    from . import corpus, pairs
+
     lexicon = _resolve_lexicon(args)
     provenance = {}
     if args.corpus:
@@ -211,6 +234,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import pairs
+
     lexicon = _resolve_lexicon(args)
     records = pairs.load_jsonl(args.in_path)
     if not records:
@@ -223,6 +248,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_prompt_aug(args: argparse.Namespace) -> int:
+    from . import laws, prompt
+
     lexicon = _resolve_lexicon(args)
     stats = prompt.augment_file(
         args.in_path, args.out, lexicon, args.format, args.laws, args.trace
@@ -242,6 +269,8 @@ def cmd_prompt_aug(args: argparse.Namespace) -> int:
 
 
 def cmd_pararule(args: argparse.Namespace) -> int:
+    from . import pararule
+
     count = pararule.alter_pararule_file(args.in_path, args.out, args.depth)
     write_manifest(
         args.out, {"command": "pararule", "depth": args.depth, "records": count}
@@ -251,6 +280,8 @@ def cmd_pararule(args: argparse.Namespace) -> int:
 
 
 def cmd_loss(args: argparse.Namespace) -> int:
+    from . import scoring
+
     report = scoring.loss_report(scoring.load_triplets_tsv(args.vectors), args.score)
     for row in report:
         print(f"{row['pair_id']}\t{row['h_pos']!r}\t{row['h_neg']!r}\t{row['loss']!r}")
@@ -259,18 +290,9 @@ def cmd_loss(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="amr-logic-aug",
-        description="Logic-driven data augmentation over AMR graphs.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "-q", "--quiet", action="store_true", help="only warnings and errors on stderr"
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _define_synth(synth: argparse.ArgumentParser) -> None:
+    from . import corpus
 
-    synth = commands.add_parser("synth", help="generate the synthetic corpus")
     synth.add_argument("--count", type=int, default=corpus.DEFAULT_TARGET)
     synth.add_argument("--mix", type=_parse_mix, default=None,
                        help="e.g. atomic-dn=0.25,commutative-pair=0.75")
@@ -280,7 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lexicon_flag(synth)
     synth.set_defaults(func=cmd_synth)
 
-    augment = commands.add_parser("augment", help="apply one law per input line")
+
+def _define_augment(augment: argparse.ArgumentParser) -> None:
+    from . import laws
+
     augment.add_argument("--law", type=laws.LawKind, required=True,
                          choices=list(laws.LawKind),
                          metavar=f"{{{','.join(k.value for k in laws.LawKind)}}}")
@@ -294,7 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lexicon_flag(augment)
     augment.set_defaults(func=cmd_augment)
 
-    pairs_cmd = commands.add_parser("pairs", help="build contrastive pairs + split")
+
+def _define_pairs(pairs_cmd: argparse.ArgumentParser) -> None:
+    from . import corpus, pairs
+
     pairs_cmd.add_argument("--ratio", default="1:1", help="positives:negatives, e.g. 1:3")
     pairs_cmd.add_argument("--val-frac", type=float, default=pairs.DEFAULT_VAL_FRACTION)
     pairs_cmd.add_argument("--seed", type=int, default=corpus.DEFAULT_SEED)
@@ -306,12 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lexicon_flag(pairs_cmd)
     pairs_cmd.set_defaults(func=cmd_pairs)
 
-    check = commands.add_parser("check", help="oracle-replay a pairs JSONL file")
+
+def _define_check(check: argparse.ArgumentParser) -> None:
     check.add_argument("--in", dest="in_path", required=True)
     _add_lexicon_flag(check)
     check.set_defaults(func=cmd_check)
 
-    prompt_aug = commands.add_parser("prompt-aug", help="augment MCQ records")
+
+def _define_prompt_aug(prompt_aug: argparse.ArgumentParser) -> None:
+    from . import prompt
+
     prompt_aug.add_argument("--format", choices=(prompt.RECLOR, prompt.LOGIQA),
                             default=prompt.RECLOR)
     prompt_aug.add_argument("--laws", type=_parse_laws,
@@ -322,23 +354,61 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lexicon_flag(prompt_aug)
     prompt_aug.set_defaults(func=cmd_prompt_aug)
 
-    pararule_cmd = commands.add_parser("pararule", help="alter deductive rule strings")
+
+def _define_pararule(pararule_cmd: argparse.ArgumentParser) -> None:
     pararule_cmd.add_argument("--depth", type=int, choices=(1, 2), required=True)
     pararule_cmd.add_argument("--in", dest="in_path", required=True)
     pararule_cmd.add_argument("--out", required=True)
     pararule_cmd.set_defaults(func=cmd_pararule)
 
-    loss = commands.add_parser("loss", help="contrastive loss over vector file")
+
+def _define_loss(loss: argparse.ArgumentParser) -> None:
+    from . import scoring
+
     loss.add_argument("--vectors", required=True, help="TSV: pair_id, role, floats")
     loss.add_argument("--score", choices=(scoring.COSINE, scoring.DOT),
                       default=scoring.COSINE)
     loss.set_defaults(func=cmd_loss)
 
+
+# Each subcommand's help line and the function that defines its arguments.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "synth": ("generate the synthetic corpus", _define_synth),
+    "augment": ("apply one law per input line", _define_augment),
+    "pairs": ("build contrastive pairs + split", _define_pairs),
+    "check": ("oracle-replay a pairs JSONL file", _define_check),
+    "prompt-aug": ("augment MCQ records", _define_prompt_aug),
+    "pararule": ("alter deductive rule strings", _define_pararule),
+    "loss": ("contrastive loss over vector file", _define_loss),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is listed with its help line,
+    but only ``command``'s arguments are defined (and its modules
+    imported), or every subcommand's when ``command`` is None."""
+    parser = argparse.ArgumentParser(
+        prog="amr-logic-aug",
+        description="Logic-driven data augmentation over AMR graphs.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "-q", "--quiet", action="store_true", help="only warnings and errors on stderr"
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, define) in _COMMANDS.items():
+        subparser = commands.add_parser(name, help=summary)
+        if command in (None, name):
+            define(subparser)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # No top-level option takes a value, so the first word that is not an
+    # option names the subcommand; any other word gets the full parser.
+    command = next((word for word in argv if not word.startswith("-")), None)
+    parser = build_parser(command if command in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "augment" and args.format == "penman" and args.grammar:
         parser.error("augment: --grammar applies to text input only, not --format penman")
@@ -372,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as err:
+    except _domain_errors() as err:
         logger.error("%s", err)
         return 1
     finally:

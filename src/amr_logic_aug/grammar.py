@@ -128,6 +128,11 @@ _COPULAS = frozenset({"is", "are", "was", "were"})
 # The words the general parser routes on before it reads a clause.  No
 # predicate is one of them, in any case: its rewrite could not re-parse.
 _ROUTING_WORDS = ("if", "unless", "then", "and", "or", "not")
+# The grammar's own words: the routing words, the lead-in "but" the general
+# parser strips, and the copulas.  ``lexicon.parse_lexicon`` refuses an entity
+# or attribute that holds one, in any case, since a sentence made from it
+# would not read back as the sentence meant.
+GRAMMAR_WORDS = frozenset(_ROUTING_WORDS + ("but",)) | _COPULAS
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
 _PREDICATE_RE = re.compile(r"[A-Za-z][A-Za-z-]*(?: [A-Za-z][A-Za-z-]*)*")
 
@@ -327,9 +332,6 @@ def _parse_general(text: str, lexicon, grammar: str) -> GrammarSentence:
     return GrammarSentence(_ATOMIC, (clause(s),))
 
 
-# No entity word may be a routing word, the stripped lead-in "but" or a
-# copula: then the only way to read a pattern match is the general parser's.
-_NON_ENTITY_WORDS = frozenset(_ROUTING_WORDS + ("but",)) | _COPULAS
 _ENTITY_WORD_RE = re.compile(r"[a-z][a-z-]*")
 
 
@@ -348,13 +350,15 @@ def compile_core_parser(
     the lower-cased words.
 
     Returns None (no fast path) for a lexicon without entities or with an
-    entity word outside ``[a-z][a-z-]*`` or in ``_NON_ENTITY_WORDS``.  With
-    those excluded, an entity is always followed by a copula and never
-    holds one, so the match cannot back off to a shorter entity than the
-    general parser's longest-first lookup takes.
+    entity word outside ``[a-z][a-z-]*`` or in ``GRAMMAR_WORDS`` (a
+    lexicon file can hold no such word, but a ``Lexicon`` built directly
+    can).  With those excluded, the only way to read a pattern match is
+    the general parser's: an entity is always followed by a copula and
+    never holds one, so the match cannot back off to a shorter entity than
+    the general parser's longest-first lookup takes.
     """
     if not entities or any(
-        word in _NON_ENTITY_WORDS or not _ENTITY_WORD_RE.fullmatch(word)
+        word in GRAMMAR_WORDS or not _ENTITY_WORD_RE.fullmatch(word)
         for words in entities
         for word in words
     ):

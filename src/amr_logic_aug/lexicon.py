@@ -17,7 +17,10 @@ ANTONYM
     EXTENSION_ATTRIBUTE entry.
 
 Entries of every section but RELATION can become Penman concepts, so
-none may contain ``(``, ``)``, ``/`` or ``"``.
+none may contain ``(``, ``)``, ``/`` or ``"``.  They become sentence words
+too, so none may hold a word of ``grammar.GRAMMAR_WORDS`` ("if", "then",
+"and", "not", "but", "is", ...) in any case, and no two entities may be
+equal once lower-cased: the sentences made from them would not parse back.
 
 Lines starting with ``#`` and blank lines are ignored.  The declared count
 in each header must match the number of entry rows in that section.
@@ -35,7 +38,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .grammar import GrammarSentence, compile_core_parser
+from .grammar import GRAMMAR_WORDS, GrammarSentence, compile_core_parser
 
 DEFAULT_RESOURCE = "lexicon.tsv"
 
@@ -164,6 +167,12 @@ def _word_section(name: str, rows: list[tuple[int, list[str]]]) -> tuple[str, ..
         word = cells[0].strip()  # not empty: _parse_rows skips blank lines
         if word in seen:
             raise LexiconError(f"duplicate entry {word!r} in section {name}")
+        held = GRAMMAR_WORDS.intersection(word.lower().split())
+        if held and name != "RELATION":  # RELATION is never read
+            raise LexiconError(
+                f"entry {word!r} in section {name} holds the grammar word "
+                f"{min(held)!r} at line {lineno}"
+            )
         seen.add(word)
         words.append(word)
     return tuple(words)
@@ -208,6 +217,17 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
     overlap = set(entities) & set(ext_entities)
     if overlap:
         raise LexiconError(f"duplicate across entity sections: {sorted(overlap)}")
+    # The sentence parser matches a subject by its lower-cased words.
+    folded: dict[tuple[str, ...], str] = {}
+    for name in ("ENTITY", "EXTENSION_ENTITY"):
+        for lineno, (entity,) in sections[name]:
+            entity = entity.strip()
+            other = folded.setdefault(tuple(entity.lower().split()), entity)
+            if other != entity:
+                raise LexiconError(
+                    f"entry {entity!r} in section {name} is {other!r} once lower-cased "
+                    f"at line {lineno}"
+                )
     overlap = set(attributes) & set(ext_attributes)
     if overlap:
         raise LexiconError(f"duplicate across attribute sections: {sorted(overlap)}")

@@ -25,8 +25,13 @@ from test_lexicon import make_source
 import amr_logic_aug
 from amr_logic_aug import __version__, cli, grammar, laws, scoring
 from amr_logic_aug.cli import build_parser, main
+from amr_logic_aug.corpus import CorpusError
 from amr_logic_aug.graph import ParseError, parse_penman
-from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
+from amr_logic_aug.lexicon import LexiconError
+from amr_logic_aug.logic import LogicError
+from amr_logic_aug.pairs import DatasetError, PairRecord, emit_jsonl, load_jsonl
+from amr_logic_aug.pararule import PararuleError
+from amr_logic_aug.prompt import PromptError
 
 
 def read_jsonl(path):
@@ -184,6 +189,27 @@ def test_readme_commands_parse_and_name_their_own_options():
             assert {w for w in words if w.startswith("--")} <= options, words
             checked += 1
     assert checked >= 5
+
+
+TEXT_SURFACE = Path(__file__).resolve().parent / "cli_text_surface.json"
+
+
+def test_the_help_usage_and_error_texts_are_pinned(capsys, monkeypatch):
+    """Each argv's exit code, stdout and stderr, recorded on Python 3.11 at
+    80 columns while ``build_parser`` still defined all seven subcommands
+    in every process.  ``--help augment`` lists the six subcommands that
+    ``main`` registers by name and help line only; ``chek`` takes the
+    full parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = json.loads(TEXT_SURFACE.read_text(encoding="utf-8"))
+    assert len(cases) == 11
+    for case in cases:
+        try:
+            code = main(case["argv"])
+        except SystemExit as info:
+            code = info.code
+        out, err = capsys.readouterr()
+        assert {**case, "exit": code, "stdout": out, "stderr": err} == case
 
 
 # ---------------------------------------------------------------------------
@@ -1371,6 +1397,106 @@ def test_default_size_penman_bytes_match_the_benchmark_digests(tmp_path, monkeyp
     pinned = json.loads(BENCHMARK_DIGESTS.read_text(encoding="utf-8"))["penman"]
     assert set(pinned) == {f"{family}.jsonl" for family in inputs.PENMAN_FAMILY_LAW}
     assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in pinned} == pinned
+
+
+# ---------------------------------------------------------------------------
+# Exit 1: the package's domain errors
+# ---------------------------------------------------------------------------
+
+# Each domain error, with a real subcommand run and the function it calls
+# that is made to raise it.
+DOMAIN_ERROR_RUNS = {
+    LexiconError: (["synth", "--count", "5", "--out", "OUT"], "cli.default_lexicon"),
+    ParseError: (["pairs", "--corpus", "IN", "--out-train", "OUT", "--out-val", "OUT2"],
+                 "corpus.corpus_from_jsonl"),
+    grammar.GrammarError: (["augment", "--law", "implication", "--in", "IN", "--out", "OUT"],
+                           "cli.read_lines"),
+    laws.LawError: (["pairs", "--count", "5", "--out-train", "OUT", "--out-val", "OUT2"],
+                    "pairs.build_pairs"),
+    laws.OracleViolation: (["pairs", "--count", "5", "--out-train", "OUT", "--out-val", "OUT2"],
+                           "laws.verify_outcome"),
+    CorpusError: (["synth", "--count", "5", "--out", "OUT"], "corpus.build_corpus"),
+    DatasetError: (["check", "--in", "IN"], "pairs.load_jsonl"),
+    PromptError: (["prompt-aug", "--in", "IN", "--out", "OUT"], "prompt.augment_file"),
+    PararuleError: (["pararule", "--depth", "1", "--in", "IN", "--out", "OUT"],
+                    "pararule.alter_pararule_file"),
+    scoring.ScoreError: (["loss", "--vectors", "IN"], "scoring.load_triplets_tsv"),
+    OSError: (["pararule", "--depth", "2", "--in", "IN", "--out", "OUT"],
+              "pararule.alter_pararule_file"),
+}
+# Errors that are bugs, not input faults: the caller sees them raised.
+PROPAGATED_RUNS = {
+    LogicError: (["check", "--in", "IN"], "pairs.load_jsonl"),
+    RuntimeError: (["loss", "--vectors", "IN"], "scoring.load_triplets_tsv"),
+}
+
+
+def forced(error):
+    """An ``error`` whose message is ``forced <name>`` (a ParseError adds its offset)."""
+    message = f"forced {error.__name__}"
+    return error(message, 0) if error is ParseError else error(message)
+
+
+def run_raising(tmp_path, monkeypatch, error, argv, target):
+    """Run ``main`` with ``target`` raising ``forced(error)``."""
+
+    def raise_it(*args, **kwargs):
+        raise forced(error)
+
+    monkeypatch.setattr(f"amr_logic_aug.{target}", raise_it)
+    src = tmp_path / "in.txt"
+    src.write_text("If Alan is kind, then Bob is clever.\n", encoding="utf-8")
+    paths = {"IN": src, "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
+    return main(["-q", *(str(paths.get(arg, arg)) for arg in argv)])
+
+
+def test_every_domain_error_has_a_run():
+    assert set(cli._domain_errors()) == set(DOMAIN_ERROR_RUNS)
+
+
+@pytest.mark.parametrize("error", DOMAIN_ERROR_RUNS, ids=lambda error: error.__name__)
+def test_a_domain_error_exits_1_with_its_message(tmp_path, monkeypatch, caplog, error):
+    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
+        assert run_raising(tmp_path, monkeypatch, error, *DOMAIN_ERROR_RUNS[error]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [str(forced(error))]
+    assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
+
+
+@pytest.mark.parametrize("error", PROPAGATED_RUNS, ids=lambda error: error.__name__)
+def test_any_other_error_propagates(tmp_path, monkeypatch, error):
+    with pytest.raises(error, match=f"^forced {error.__name__}$"):
+        run_raising(tmp_path, monkeypatch, error, *PROPAGATED_RUNS[error])
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["synth", "--count", "10", "--mix", "atomic-dn=0", "--out", "OUT"], "",
+         "mix fractions must sum to 1, got 0.0"),
+        (["check", "--in", "IN"], "", "no records in IN"),
+        (["prompt-aug", "--in", "IN", "--out", "OUT"], "not json",
+         "malformed JSON in IN: Expecting value: line 1 column 1 (char 0)"),
+        (["pararule", "--depth", "1", "--in", "IN", "--out", "OUT"], '{"rules": [1]}\n',
+         "IN: line 1: every rule must be a string"),
+        (["loss", "--vectors", "IN"], "p1\tanchor\t1.0\n", "IN: pair 'p1' missing roles: pos, neg"),
+    ],
+    ids=["CorpusError", "DatasetError", "PromptError", "PararuleError", "ScoreError"],
+)
+def test_a_lazily_imported_module_error_exits_1_in_a_fresh_process(tmp_path, argv, text,
+                                                                   message):
+    """A subcommand imports these modules itself, so only the process that
+    runs it has loaded the error's class."""
+    src = tmp_path / "in.txt"
+    src.write_text(text, encoding="utf-8")
+    paths = {"IN": str(src), "OUT": str(tmp_path / "out")}
+    done = subprocess.run(
+        [sys.executable, "-m", "amr_logic_aug", "-q", *(paths.get(arg, arg) for arg in argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"ERROR amr_logic_aug: {message.replace('IN', str(src))}"]
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,41 @@ def test_parse_round_trip():
         # A (old, new) pair edits the text of the default source.
         (("ENTITY\t2", "ENTITY\t2\t2"), "section header needs exactly one count column at line 2"),
         (("# test lexicon", "the dog"), "entry before any section header at line 1"),
+        # Entries whose sentences the grammar would read another way.
+        (dict(attributes=("strong", "weak", "then")),
+         "entry 'then' in section ATTRIBUTE holds the grammar word 'then' at line 11"),
+        (dict(entities=("the cat is", "Alan")),
+         "entry 'the cat is' in section ENTITY holds the grammar word 'is' at line 3"),
+        (dict(entities=("If", "Alan")),
+         "entry 'If' in section ENTITY holds the grammar word 'if' at line 3"),
+        (dict(ext_entities=("But the sheep",)),
+         "entry 'But the sheep' in section EXTENSION_ENTITY holds the grammar word 'but' "
+         "at line 13"),
+        (dict(entities=("the cat", "Alan", "alan")),
+         "entry 'alan' in section ENTITY is 'Alan' once lower-cased at line 5"),
+        (dict(ext_entities=("The  Cat",)),
+         "entry 'The  Cat' in section EXTENSION_ENTITY is 'the cat' once lower-cased at line 13"),
     ],
 )
 def test_validation_errors(change, message):
     text = make_source().replace(*change) if isinstance(change, tuple) else make_source(**change)
     with pytest.raises(LexiconError, match=message):
         parse_lexicon(text)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(entities=("the bald eagle", "the jack-o-lantern", "Zoë")),
+        dict(entities=("the cat", "you"), attributes=("strong", "weak", "bob")),
+        dict(ext_attributes=("able to swim", "blue-green")),
+    ],
+    ids=["multi-word-hyphen-non-ascii", "you-and-bob", "extension-attributes"],
+)
+def test_entries_that_hold_no_grammar_word_load(change):
+    lexicon = parse_lexicon(make_source(**change))
+    loaded = (lexicon.entities, lexicon.attributes, lexicon.extension_attributes)
+    assert set(change.values()) <= set(loaded)
 
 
 def test_count_mismatch_is_rejected():

@@ -269,3 +269,55 @@ def test_cli_cold_start_imports_no_dataclasses():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n", done.stdout
+
+
+# The package modules each of these subcommands loads beyond the ones all
+# five load: ``cli``, ``files``, ``lexicon`` (with ``grammar`` and ``graph``)
+# and ``laws`` (with ``logic``).
+SUBCOMMAND_MODULES = {
+    "synth": {"corpus"},
+    "augment": set(),
+    "pairs": {"corpus", "pairs"},
+    "check": {"corpus", "pairs"},
+    "prompt-aug": {"prompt"},
+}
+SHARED_MODULES = {"cli", "files", "grammar", "graph", "laws", "lexicon", "logic"}
+
+
+def test_each_subcommand_loads_only_its_own_modules(tmp_path):
+    """``cli`` defines and imports only the subcommand a process runs, so
+    ``augment`` compiles and runs none of ``corpus``, ``pairs``, ``prompt``,
+    ``pararule`` and ``scoring``."""
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('amr_logic_aug', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
+        "print(' '.join(sorted(name.partition('.')[2] for name in sys.modules\n"
+        "                      if name.startswith('amr_logic_aug.'))))\n"
+    )
+    (tmp_path / "in.txt").write_text("If Alan is kind, then Bob is clever.\n", encoding="utf-8")
+    record = {"context": "Alan is kind.", "question": "Which must be true?",
+              "answers": ["Bob is clever.", "a", "b", "c"], "label": 0, "id_string": "r1"}
+    (tmp_path / "mcq.json").write_text(json.dumps([record]), encoding="utf-8")
+    runs = {
+        "synth": ["--count", "8", "--out", "corpus.jsonl"],
+        "augment": ["--law", "contraposition", "--in", "in.txt", "--out", "out.jsonl"],
+        "pairs": ["--corpus", "corpus.jsonl", "--out-train", "train.jsonl",
+                  "--out-val", "val.jsonl"],
+        "check": ["--in", "train.jsonl"],
+        "prompt-aug": ["--in", "mcq.json", "--out", "mcq_aug.json"],
+    }
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = {}
+    for command, argv in runs.items():
+        done = subprocess.run(
+            [sys.executable, "-c", code, "-q", command, *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        loaded[command] = set(done.stdout.splitlines()[-1].split())  # check prints first
+    assert loaded == {
+        command: SHARED_MODULES | modules
+        for command, modules in SUBCOMMAND_MODULES.items()
+    }
