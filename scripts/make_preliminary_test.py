@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
 
     pairs.emit_jsonl(records, args.out)
     manifest = pairs.build_manifest(records, args.seed, "1:1", None, lexicon, len(sentences))
-    write_manifest(args.out, manifest)
+    write_manifest(args.out, manifest, args.quiet)
     logger.info("preliminary test set: %d records -> %s", len(records), args.out)
     return 0
 

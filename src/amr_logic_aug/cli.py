@@ -11,7 +11,8 @@ Subcommands:
 * ``loss``        evaluate the contrastive loss over supplied vectors
 
 Every subcommand is deterministic given its flags.  Data goes to files,
-logs go to standard error, and each output file gets a
+logs go to standard error as ``LEVEL name: message`` lines (INFO only for a
+``main`` call without ``-q``), and each output file gets a
 ``<name>.manifest.json`` sidecar (see ``write_manifest``) recording the
 package version, the data file's sha256, the subcommand, its seed and
 counts, and the lexicon checksum.  Exit codes: 0 success, 1 validation or
@@ -19,7 +20,8 @@ oracle failure, 2 usage error.
 
 A process defines only the subcommand it runs, and imports only the
 modules that subcommand needs: ``augment`` never loads ``corpus``,
-``pairs``, ``prompt``, ``pararule`` or ``scoring``.
+``pairs``, ``prompt``, ``pararule`` or ``scoring``, and only ``augment``,
+which reads Penman, loads ``graph``.  No process loads ``logging``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import sys
 from pathlib import Path
@@ -35,13 +36,22 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import __version__, grammar
 from .files import json_string, read_json, read_lines, sha256_of, write_text
-from .graph import ParseError, parse_penman
 from .lexicon import Lexicon, default_lexicon, load_lexicon
 
 if TYPE_CHECKING:  # each subcommand imports the rest of the package itself
     from . import corpus, laws
 
-logger = logging.getLogger("amr_logic_aug")
+
+def _log(level: str, message: str, name: str = "amr_logic_aug") -> None:
+    """Write one ``LEVEL name: message`` line to the current standard error."""
+    print(f"{level} {name}: {message}", file=sys.stderr)
+
+
+def _info(args: argparse.Namespace, message: str) -> None:
+    """An INFO line, unless this run was given ``-q``."""
+    if not args.quiet:
+        _log("INFO", message)
+
 
 # The package's exceptions that a subcommand reports as exit 1 with their
 # message, as "module.Class"; OSError too.  A module the subcommand never
@@ -108,12 +118,14 @@ def _sidecar(data_path: str | Path) -> Path:
     return Path(f"{data_path}.manifest.json")
 
 
-def write_manifest(data_path: str | Path, payload: dict) -> None:
-    """Write ``<data_path>.manifest.json``: ``version``, ``data_sha256`` and ``payload``."""
+def write_manifest(data_path: str | Path, payload: dict, quiet: bool) -> None:
+    """Write ``<data_path>.manifest.json``: ``version``, ``data_sha256`` and
+    ``payload``; say so in an INFO line unless ``quiet``."""
     manifest_path = _sidecar(data_path)
     manifest = {"version": __version__, "data_sha256": sha256_of(data_path), **payload}
     write_text(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True), "\n"))
-    logger.info("wrote %s", manifest_path)
+    if not quiet:
+        _log("INFO", f"wrote {manifest_path}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -138,13 +150,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "mix": {kind.value: frac for kind, frac in (args.mix or corpus.DEFAULT_MIX).items()},
             "lexicon_checksum": lexicon.checksum,
         },
+        args.quiet,
     )
-    logger.info("synth: %d sentences -> %s", len(built), args.out)
+    _info(args, f"synth: {len(built)} sentences -> {args.out}")
     return 0
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
     from . import laws
+    from .graph import ParseError, parse_penman
 
     lexicon = _resolve_lexicon(args)
     render = grammar.realize_struct if args.format == "text" else grammar.penman_of_struct
@@ -168,7 +182,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
                 outcome = laws.apply_law(sentence, args.law, lexicon)
             except (ParseError, grammar.GrammarError, laws.LawError) as err:
                 skipped += 1
-                logger.warning("skipped %r: %s", line, err)
+                _log("WARNING", f"skipped {line!r}: {err}")
                 yield f'{{"input": {quote(line)}, "skipped": {quote(str(err))}}}\n'
                 continue
             positive = quote(render(outcome.positive))
@@ -189,8 +203,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
             "skipped": skipped,
             "lexicon_checksum": lexicon.checksum,
         },
+        args.quiet,
     )
-    logger.info("augment: %d rewritten, %d skipped -> %s", processed, skipped, args.out)
+    _info(args, f"augment: {processed} rewritten, {skipped} skipped -> {args.out}")
     return 0
 
 
@@ -209,7 +224,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         # A sidecar vouches for its seed only while it hashes this corpus.
         vouches = recorded.get("data_sha256") == digest
         if recorded and not vouches:
-            logger.warning("corpus sidecar %s hashes another file, so corpus_seed is null", sidecar)
+            _log("WARNING", f"corpus sidecar {sidecar} hashes another file, so corpus_seed is null")
         provenance = {"corpus_path": args.corpus, "corpus_sha256": digest,
                       "corpus_seed": recorded.get("seed") if vouches else None}
     else:
@@ -225,11 +240,9 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         manifest = pairs.build_manifest(
             part, args.seed, args.ratio, args.val_frac, lexicon, len(sentences)
         )
-        write_manifest(path, {**manifest, **provenance})
-    logger.info(
-        "pairs: %d train, %d validation records (ratio %s) -> %s, %s",
-        len(train), len(validation), args.ratio, args.out_train, args.out_val,
-    )
+        write_manifest(path, {**manifest, **provenance}, args.quiet)
+    _info(args, f"pairs: {len(train)} train, {len(validation)} validation records "
+                f"(ratio {args.ratio}) -> {args.out_train}, {args.out_val}")
     return 0
 
 
@@ -263,19 +276,24 @@ def cmd_prompt_aug(args: argparse.Namespace) -> int:
             "lexicon_checksum": lexicon.checksum,
             **stats,
         },
+        args.quiet,
     )
-    logger.info("prompt-aug: %s -> %s", json.dumps(stats), args.out)
+    _info(args, f"prompt-aug: {json.dumps(stats)} -> {args.out}")
     return 0
 
 
 def cmd_pararule(args: argparse.Namespace) -> int:
     from . import pararule
 
-    count = pararule.alter_pararule_file(args.in_path, args.out, args.depth)
+    def unmatched(index: int, rule: str) -> None:
+        _log("WARNING", f"rule {index} matches no template, passed through: {rule!r}",
+             "amr_logic_aug.pararule")
+
+    count = pararule.alter_pararule_file(args.in_path, args.out, args.depth, unmatched)
     write_manifest(
-        args.out, {"command": "pararule", "depth": args.depth, "records": count}
+        args.out, {"command": "pararule", "depth": args.depth, "records": count}, args.quiet
     )
-    logger.info("pararule: %d records altered at depth %d -> %s", count, args.depth, args.out)
+    _info(args, f"pararule: {count} records altered at depth {args.depth} -> {args.out}")
     return 0
 
 
@@ -430,11 +448,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             writer = written.get(Path(path).resolve())
             if writer:
                 parser.error(f"pairs: {writer} names the --corpus {label}, which it would replace")
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     # A subcommand makes no reference cycles that grow with its input, so
     # the cyclic collector would only rescan live objects; the caller gets
     # its own setting back.
@@ -443,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except _domain_errors() as err:
-        logger.error("%s", err)
+        _log("ERROR", str(err))
         return 1
     finally:
         if collecting:

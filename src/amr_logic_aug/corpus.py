@@ -35,11 +35,10 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .files import json_string, read_objects, write_text
 from .grammar import (
-    AmrGraph,
     Clause,
     GrammarSentence,
     Shape,
@@ -51,6 +50,9 @@ from .grammar import (
 from .laws import LawKind, refusal
 from .lexicon import Lexicon
 from .logic import clause_literal
+
+if TYPE_CHECKING:
+    from .graph import AmrGraph
 
 DEFAULT_TARGET = 14_962
 DEFAULT_SEED = 2021

@@ -36,12 +36,15 @@ from __future__ import annotations
 import functools
 import re
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .graph import AmrGraph, Constant, Edge, NEGATIVE, POLARITY_ROLE, parse_penman
+if TYPE_CHECKING:  # the graph module loads only where a graph is built or read
+    from .graph import AmrGraph, Edge
 
 CONDITION_ROLE = ":condition"
 DOMAIN_ROLE = ":domain"
+POLARITY_ROLE = ":polarity"
+NEGATIVE = "-"
 
 CORE = "core"
 EXTENDED = "extended"
@@ -133,8 +136,10 @@ _ROUTING_WORDS = ("if", "unless", "then", "and", "or", "not")
 # or attribute that holds one, in any case, since a sentence made from it
 # would not read back as the sentence meant.
 GRAMMAR_WORDS = frozenset(_ROUTING_WORDS + ("but",)) | _COPULAS
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
-_PREDICATE_RE = re.compile(r"[A-Za-z][A-Za-z-]*(?: [A-Za-z][A-Za-z-]*)*")
+# One word of a predicate.  ``lexicon.parse_lexicon`` holds every attribute
+# entry to it: an attribute fills the one-word predicate slot.
+TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
+_PREDICATE_RE = re.compile(rf"{TOKEN_RE.pattern}(?: {TOKEN_RE.pattern})*")
 
 
 def _normalize_text(text: str) -> str:
@@ -239,7 +244,7 @@ def _parse_predicate(rest: list[str], grammar: str) -> tuple[bool, str]:
     predicate = " ".join(tokens)
     if not _PREDICATE_RE.fullmatch(predicate):
         for token in tokens:
-            if not _TOKEN_RE.fullmatch(token):
+            if not TOKEN_RE.fullmatch(token):
                 raise GrammarError(f"outside grammar: unexpected token {token!r}")
     if len(tokens) == 1 and predicate.lower() in _ROUTING_WORDS:
         raise GrammarError(f"outside grammar: predicate {predicate!r} is a routing word")
@@ -533,6 +538,8 @@ def read_canonical_penman(text: str) -> Optional[GrammarSentence]:
 
 def build_graph(sentence: GrammarSentence) -> AmrGraph:
     """The canonical graph of a grammar struct: ``penman_of_struct`` parsed."""
+    from .graph import parse_penman
+
     return parse_penman(penman_of_struct(sentence))
 
 
@@ -544,6 +551,8 @@ def _outside(reason: str) -> GrammarError:
 def _read_clause(
     graph: AmrGraph, out: dict[str, list[Edge]], var: str, skip: str = ""
 ) -> Clause:
+    from .graph import Constant
+
     concept = graph.concept(var)
     if concept in ("and", "or"):
         raise _outside("nested compound clause")
@@ -585,6 +594,8 @@ def read_graph(graph: AmrGraph) -> GrammarSentence:
     Raises :class:`GrammarError` ``graph outside grammar: <reason>`` for a graph
     outside the grammar, which every graph entry point lets pass.
     """
+    from .graph import Constant
+
     # Each node's out-edges, in stored order; a node without any has no entry.
     out: dict[str, list[Edge]] = {}
     for edge in graph.edges:

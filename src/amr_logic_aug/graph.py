@@ -16,9 +16,6 @@ import re
 from itertools import islice
 from typing import NamedTuple, Union
 
-POLARITY_ROLE = ":polarity"
-NEGATIVE = "-"
-
 
 class GraphError(ValueError):
     """Raised for structurally invalid graphs and unknown variables."""

@@ -46,11 +46,10 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import logic
 from .grammar import (
-    AmrGraph,
     Clause,
     GrammarError,
     GrammarSentence,
@@ -59,6 +58,9 @@ from .grammar import (
     realize_struct,
 )
 from .lexicon import Lexicon
+
+if TYPE_CHECKING:
+    from .graph import AmrGraph
 
 # Module-level aliases: reading an enum member through its class is slow.
 _ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
@@ -93,7 +95,7 @@ class RewriteOutcome(NamedTuple):
 
 def _read(sentence: Union[GrammarSentence, AmrGraph]) -> GrammarSentence:
     """The struct of a sentence given as a struct or as a graph (``read_graph``'s)."""
-    return read_graph(sentence) if isinstance(sentence, AmrGraph) else sentence
+    return sentence if isinstance(sentence, GrammarSentence) else read_graph(sentence)
 
 
 def refusal(sentence: GrammarSentence, law: LawKind, lexicon: Lexicon) -> str:

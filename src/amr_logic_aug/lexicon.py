@@ -19,8 +19,11 @@ ANTONYM
 Entries of every section but RELATION can become Penman concepts, so
 none may contain ``(``, ``)``, ``/`` or ``"``.  They become sentence words
 too, so none may hold a word of ``grammar.GRAMMAR_WORDS`` ("if", "then",
-"and", "not", "but", "is", ...) in any case, and no two entities may be
-equal once lower-cased: the sentences made from them would not parse back.
+"and", "not", "but", "is", ...) in any case, no two entities may be equal
+once lower-cased, and an ATTRIBUTE or EXTENSION_ATTRIBUTE entry must be one
+word of ``grammar.TOKEN_RE`` (an extension attribute reaches the one-word
+predicate slot as an antonym): the sentences made from them would not parse
+back.
 
 Lines starting with ``#`` and blank lines are ignored.  The declared count
 in each header must match the number of entry rows in that section.
@@ -38,7 +41,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .grammar import GRAMMAR_WORDS, GrammarSentence, compile_core_parser
+from .grammar import GRAMMAR_WORDS, TOKEN_RE, GrammarSentence, compile_core_parser
 
 DEFAULT_RESOURCE = "lexicon.tsv"
 
@@ -172,6 +175,11 @@ def _word_section(name: str, rows: list[tuple[int, list[str]]]) -> tuple[str, ..
             raise LexiconError(
                 f"entry {word!r} in section {name} holds the grammar word "
                 f"{min(held)!r} at line {lineno}"
+            )
+        if name in ("ATTRIBUTE", "EXTENSION_ATTRIBUTE") and not TOKEN_RE.fullmatch(word):
+            raise LexiconError(
+                f"entry {word!r} in section {name} is not one word {TOKEN_RE.pattern} "
+                f"at line {lineno}"
             )
         seen.add(word)
         words.append(word)

@@ -26,11 +26,13 @@ rather than silently degrading.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .grammar import Clause, GrammarSentence, Shape, read_graph
-from .graph import AmrGraph
 from .lexicon import Lexicon
+
+if TYPE_CHECKING:
+    from .graph import AmrGraph
 
 MAX_ORACLE_ATOMS = 8
 

@@ -21,19 +21,20 @@ quantifier-free and monadic, so two such rules are equivalent exactly when
 φ(c) ≡ ψ(c) for a fresh constant c, which the propositional oracle can
 decide.  The alterations are not gated by it yet: they are string
 templates, checked only by the tests.  A rule that matches no template
-passes through unchanged and is reported as a warning.
+passes through unchanged, and its index and text go to the caller's
+``unmatched`` callback when one is given (the CLI writes a warning).
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .files import read_objects, write_jsonl
 
-logger = logging.getLogger(__name__)
+# Called with the index and text of each rule that matches no template.
+Unmatched = Callable[[int, str], None]
 
 _ADJ = r"[a-z][a-z-]*"
 _SINGLE_COND = re.compile(rf"^If someone is ({_ADJ}) then they are ({_ADJ})\.$")
@@ -87,18 +88,20 @@ def alter_rule(rule: str, depth: int) -> tuple[str, bool]:
     return rule, False
 
 
-def alter_pararule_rules(rules: Sequence[str], depth: int) -> list[str]:
-    """Alter every template-matching rule; log a warning per unmatched rule."""
+def alter_pararule_rules(
+    rules: Sequence[str], depth: int, unmatched: Optional[Unmatched] = None
+) -> list[str]:
+    """Alter every template-matching rule; pass each other rule to ``unmatched``."""
     altered: list[str] = []
     for index, rule in enumerate(rules):
         text, matched = alter_rule(rule, depth)
-        if not matched:
-            logger.warning("rule %d matches no template, passed through: %r", index, rule)
+        if not matched and unmatched:
+            unmatched(index, rule)
         altered.append(text)
     return altered
 
 
-def alter_record(record: dict, depth: int) -> dict:
+def alter_record(record: dict, depth: int, unmatched: Optional[Unmatched] = None) -> dict:
     """Alter the ``rules`` list of one {context, rules[], questions[]} record."""
     if not isinstance(record, dict):
         raise PararuleError(f"record must be a JSON object, got {type(record).__name__}")
@@ -108,13 +111,18 @@ def alter_record(record: dict, depth: int) -> dict:
     if not all(isinstance(rule, str) for rule in rules):
         raise PararuleError("every rule must be a string")
     result = dict(record)
-    result["rules"] = alter_pararule_rules(rules, depth)
+    result["rules"] = alter_pararule_rules(rules, depth, unmatched)
     return result
 
 
-def alter_pararule_file(in_path: str | Path, out_path: str | Path, depth: int) -> int:
+def alter_pararule_file(
+    in_path: str | Path, out_path: str | Path, depth: int,
+    unmatched: Optional[Unmatched] = None,
+) -> int:
     """Alter each JSONL record's rules; returns the number of records."""
-    rows = read_objects(in_path, PararuleError, lambda record: alter_record(record, depth))
+    rows = read_objects(
+        in_path, PararuleError, lambda record: alter_record(record, depth, unmatched)
+    )
     return write_jsonl(out_path, rows)
 
 

@@ -7,7 +7,6 @@ import gc
 import hashlib
 import importlib
 import json
-import logging
 import math
 import os
 import random
@@ -40,6 +39,13 @@ def read_jsonl(path):
         for line in path.read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
+
+
+def logged(capsys, level="ERROR"):
+    """The messages of the ``LEVEL amr_logic_aug: message`` lines on stderr so far."""
+    prefix = f"{level} amr_logic_aug: "
+    lines = capsys.readouterr().err.splitlines()
+    return [line.removeprefix(prefix) for line in lines if line.startswith(prefix)]
 
 
 def manifest_of(path):
@@ -287,24 +293,22 @@ def test_synth_rejects_an_entity_holding_a_penman_delimiter(tmp_path):
     assert not out.exists()
 
 
-def test_a_bad_lexicon_file_error_names_the_file(tmp_path, caplog):
+def test_a_bad_lexicon_file_error_names_the_file(tmp_path, capsys):
     lexicon = tmp_path / "custom.tsv"
     lexicon.write_text(make_source() + "\nENTITY\t0\n", encoding="utf-8")
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", "synth", "--lexicon", str(lexicon), "--out", str(tmp_path / "c")])
+    code = main(["-q", "synth", "--lexicon", str(lexicon), "--out", str(tmp_path / "c")])
     assert code == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    errors = logged(capsys)
     assert errors == [f"{lexicon}: duplicate section header 'ENTITY' at line 19"]
 
 
 @pytest.mark.parametrize("fraction", ["nan", "inf"])
-def test_synth_non_finite_mix_exits_1_with_one_error(tmp_path, caplog, fraction):
+def test_synth_non_finite_mix_exits_1_with_one_error(tmp_path, capsys, fraction):
     out = tmp_path / "corpus.jsonl"
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", "synth", "--mix", f"atomic-dn={fraction}", "--count", "10",
-                     "--out", str(out)])
+    code = main(["-q", "synth", "--mix", f"atomic-dn={fraction}", "--count", "10",
+                 "--out", str(out)])
     assert code == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    errors = logged(capsys)
     assert errors == ["mix fractions must be finite and non-negative"]
     assert not out.exists()
 
@@ -314,7 +318,7 @@ def test_synth_non_finite_mix_exits_1_with_one_error(tmp_path, caplog, fraction)
 # ---------------------------------------------------------------------------
 
 
-def test_augment_text_lines(tmp_path, caplog):
+def test_augment_text_lines(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text(
         "If Alan is kind, then Bob is clever.\n"
@@ -323,11 +327,10 @@ def test_augment_text_lines(tmp_path, caplog):
         encoding="utf-8",
     )
     out = tmp_path / "out.jsonl"
-    with caplog.at_level(logging.WARNING, logger="amr_logic_aug"):
-        code = main(
-            ["-q", "augment", "--law", "contraposition",
-             "--in", str(src), "--out", str(out), "--negatives"]
-        )
+    code = main(
+        ["-q", "augment", "--law", "contraposition",
+         "--in", str(src), "--out", str(out), "--negatives"]
+    )
     assert code == 0
     rows = read_jsonl(out)
     assert rows[0] == {
@@ -341,7 +344,7 @@ def test_augment_text_lines(tmp_path, caplog):
     manifest = manifest_of(out)
     assert manifest["processed"] == 1
     assert manifest["skipped"] == 2
-    assert sum("skipped" in record.message for record in caplog.records) == 2
+    assert sum("skipped" in message for message in logged(capsys, "WARNING")) == 2
 
 
 def test_augment_penman_lines(tmp_path):
@@ -562,14 +565,13 @@ def test_pairs_corpus_input(tmp_path):
     ],
 )
 def test_pairs_with_an_empty_split_side_exits_1_and_writes_nothing(
-    tmp_path, caplog, args, sizes
+    tmp_path, capsys, args, sizes
 ):
     # check refuses an empty pairs file, so pairs must not write one.
     train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", "pairs", *args, "--out-train", str(train), "--out-val", str(val)])
+    code = main(["-q", "pairs", *args, "--out-train", str(train), "--out-val", str(val)])
     assert code == 1
-    (error,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    (error,) = logged(capsys)
     assert error.endswith(f"leaves {sizes[0]} training and {sizes[1]} validation records")
     assert list(tmp_path.iterdir()) == []
 
@@ -600,17 +602,16 @@ def test_every_sidecar_records_the_sha256_of_its_data_file(tmp_path):
 
 
 @pytest.mark.parametrize("source", ["corpus", "count"])
-def test_pairs_on_an_empty_corpus_exits_1_and_writes_nothing(tmp_path, caplog, source):
+def test_pairs_on_an_empty_corpus_exits_1_and_writes_nothing(tmp_path, capsys, source):
     # check refuses an empty pairs file, so pairs must not write one.
     corpus_path = tmp_path / "corpus.jsonl"
     assert main(["-q", "synth", "--count", "0", "--out", str(corpus_path)]) == 0
     train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
     args = ["--corpus", str(corpus_path)] if source == "corpus" else ["--count", "0"]
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", "pairs", *args, "--out-train", str(train), "--out-val", str(val)])
+    code = main(["-q", "pairs", *args, "--out-train", str(train), "--out-val", str(val)])
     assert code == 1
     where = str(corpus_path) if source == "corpus" else "the --count 0 corpus"
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    errors = logged(capsys)
     assert errors == [f"no sentences in {where}, so no pairs to write"]
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "corpus.jsonl", "corpus.jsonl.manifest.json"
@@ -633,7 +634,7 @@ def test_synth_then_pairs_matches_pairs_alone(tmp_path):
     assert outputs["chain"] == outputs["alone"]
 
 
-def test_pairs_corpus_sidecar_identifies_its_corpus(tmp_path, caplog):
+def test_pairs_corpus_sidecar_identifies_its_corpus(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     assert main(["-q", "synth", "--count", "20", "--seed", "5", "--out", str(corpus_path)]) == 0
     digest = hashlib.sha256(corpus_path.read_bytes()).hexdigest()
@@ -655,7 +656,7 @@ def test_pairs_corpus_sidecar_identifies_its_corpus(tmp_path, caplog):
     assert json.loads(first_sidecar)["data_sha256"] != digest
     assert main(["-q", "pairs", "--corpus", str(corpus_path), *outputs]) == 0
     assert manifest_of(train)["corpus_seed"] is None
-    assert f"corpus sidecar {sidecar} hashes another file" in caplog.text
+    assert f"corpus sidecar {sidecar} hashes another file" in capsys.readouterr().err
     assert manifest_of(train)["corpus_sha256"] == digest
 
     sidecar.write_text('{"seed": 5', encoding="utf-8")  # truncated
@@ -849,17 +850,16 @@ def test_prompt_aug_skips_a_self_contradiction(tmp_path):
     ],
     ids=["augment", "prompt-aug"],
 )
-def test_an_oracle_violation_is_a_fault_not_a_skip(tmp_path, monkeypatch, caplog, argv, text):
+def test_an_oracle_violation_is_a_fault_not_a_skip(tmp_path, monkeypatch, capsys, argv, text):
     def refuse(original, outcome, lexicon):
         raise laws.OracleViolation("forced")
 
     monkeypatch.setattr(laws, "verify_outcome", refuse)
     src = tmp_path / "in.txt"
     src.write_text(text, encoding="utf-8")
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", *argv, "--in", str(src), "--out", str(tmp_path / "out")])
+    code = main(["-q", *argv, "--in", str(src), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == ["forced"]
+    assert logged(capsys) == ["forced"]
     assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
 
 
@@ -908,14 +908,13 @@ def test_prompt_aug_passes_malformed_records_through(tmp_path):
     ],
 )
 def test_malformed_input_exits_1_with_one_located_error(
-    tmp_path, caplog, command, text, location
+    tmp_path, capsys, command, text, location
 ):
     src = tmp_path / "in.txt"
     src.write_text(text, encoding="utf-8")
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", *command, "--in", str(src), "--out", str(tmp_path / "out")])
+    code = main(["-q", *command, "--in", str(src), "--out", str(tmp_path / "out")])
     assert code == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    errors = logged(capsys)
     assert len(errors) == 1
     assert location in errors[0]
 
@@ -933,15 +932,14 @@ def test_malformed_input_exits_1_with_one_located_error(
 @pytest.mark.parametrize("text, reason", PAST_THE_DECODER_LIMITS.values(),
                          ids=PAST_THE_DECODER_LIMITS)
 def test_json_past_the_decoder_limits_exits_1_with_one_located_error(
-    tmp_path, caplog, argv, location, text, reason
+    tmp_path, capsys, argv, location, text, reason
 ):
     src = tmp_path / "in.txt"
     src.write_text(text + "\n", encoding="utf-8")
     out = str(tmp_path / "out")
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", *(out if arg == "OUT" else arg for arg in argv), "--in", str(src)])
+    code = main(["-q", *(out if arg == "OUT" else arg for arg in argv), "--in", str(src)])
     assert code == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    errors = logged(capsys)
     assert len(errors) == 1
     assert errors[0].startswith(location.format(src=src) + reason)
     assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
@@ -984,15 +982,14 @@ OTHER_FIELDS = '"sentence2": "b", "law": "commutative"'
          "missing-text", "penman", "check-missing-key", "check-not-an-object",
          "check-missing-pair-id", "check-empty-pair-id"],
 )
-def test_a_wrong_field_type_exits_1_with_one_located_error(tmp_path, caplog, argv, line, location):
+def test_a_wrong_field_type_exits_1_with_one_located_error(tmp_path, capsys, argv, line, location):
     src = tmp_path / "in.txt"
     src.write_text(line + "\n", encoding="utf-8")
     paths = {"OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
     flag = "--corpus" if argv[0] == "pairs" else "--in"
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", *(str(paths.get(arg, arg)) for arg in argv), flag, str(src)])
+    code = main(["-q", *(str(paths.get(arg, arg)) for arg in argv), flag, str(src)])
     assert code == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    errors = logged(capsys)
     assert len(errors) == 1
     assert errors[0].startswith(f"{src}: {location}")
     assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
@@ -1126,14 +1123,13 @@ def test_loss_cli_bad_file_exits_1(tmp_path):
     ],
     ids=["nan", "zero-vector", "infinite-score", "overflow"],
 )
-def test_loss_cli_fault_names_its_line_or_pair(tmp_path, caplog, capsys, rows, kind, error):
+def test_loss_cli_fault_names_its_line_or_pair(tmp_path, capsys, rows, kind, error):
     vectors = tmp_path / "vectors.tsv"
     vectors.write_text(rows, encoding="utf-8")
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        assert main(["-q", "loss", "--vectors", str(vectors), "--score", kind]) == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert errors == [error.format(path=vectors)]
-    assert capsys.readouterr().out == ""
+    assert main(["-q", "loss", "--vectors", str(vectors), "--score", kind]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR amr_logic_aug: {error.format(path=vectors)}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -1176,14 +1172,13 @@ def test_loss_cli_scores_cosine_beyond_the_square_root_of_the_float_range(
     ids=["check", "augment", "pararule", "prompt-aug-logiqa", "prompt-aug-reclor",
          "pairs-corpus", "loss", "lexicon"],
 )
-def test_non_utf8_input_exits_1_with_one_located_error(tmp_path, caplog, argv, first_line):
+def test_non_utf8_input_exits_1_with_one_located_error(tmp_path, capsys, argv, first_line):
     src = tmp_path / "in.txt"
     src.write_bytes(first_line.encode() + b"\ncaf\xe9\n")  # Latin-1, not UTF-8
     paths = {"IN": src, "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        code = main(["-q", *(str(paths.get(arg, arg)) for arg in argv)])
+    code = main(["-q", *(str(paths.get(arg, arg)) for arg in argv)])
     assert code == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    errors = logged(capsys)
     assert errors == [f"{src}: line 2 is not UTF-8 text"]
     assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
 
@@ -1455,10 +1450,9 @@ def test_every_domain_error_has_a_run():
 
 
 @pytest.mark.parametrize("error", DOMAIN_ERROR_RUNS, ids=lambda error: error.__name__)
-def test_a_domain_error_exits_1_with_its_message(tmp_path, monkeypatch, caplog, error):
-    with caplog.at_level(logging.ERROR, logger="amr_logic_aug"):
-        assert run_raising(tmp_path, monkeypatch, error, *DOMAIN_ERROR_RUNS[error]) == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+def test_a_domain_error_exits_1_with_its_message(tmp_path, monkeypatch, capsys, error):
+    assert run_raising(tmp_path, monkeypatch, error, *DOMAIN_ERROR_RUNS[error]) == 1
+    errors = logged(capsys)
     assert errors == [str(forced(error))]
     assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
 
@@ -1497,6 +1491,104 @@ def test_a_lazily_imported_module_error_exits_1_in_a_fresh_process(tmp_path, arg
     )
     assert done.returncode == 1
     assert done.stderr.splitlines() == [f"ERROR amr_logic_aug: {message.replace('IN', str(src))}"]
+
+
+# ---------------------------------------------------------------------------
+# Standard error: one ``LEVEL name: message`` line per event
+# ---------------------------------------------------------------------------
+
+
+def run_fresh(argv, cwd):
+    """``python argv...`` in a fresh interpreter in ``cwd``; stderr stays bytes."""
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+
+
+def test_the_stderr_bytes_of_every_log_level_are_pinned(tmp_path):
+    """Each run's whole standard error and exit code, in a fresh process
+    with paths relative to its working directory."""
+    (tmp_path / "in.txt").write_text(
+        "If Alan is kind, then Bob is clever.\nThis is not in the grammar at all!\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "rules.jsonl").write_text(json.dumps({"rules": [
+        "The cat likes the dog.", "If someone is tall then they are quiet.",
+    ]}) + "\n", encoding="utf-8")
+
+    def stderr_of(*argv):
+        done = run_fresh(["-m", "amr_logic_aug", *argv], tmp_path)
+        return done.returncode, done.stderr.decode("utf-8")
+
+    assert stderr_of("synth", "--count", "8", "--out", "corpus.jsonl") == (0, (
+        "INFO amr_logic_aug: wrote corpus.jsonl.manifest.json\n"
+        "INFO amr_logic_aug: synth: 8 sentences -> corpus.jsonl\n"
+    ))
+    assert stderr_of(
+        "augment", "--law", "contraposition", "--in", "in.txt", "--out", "out.jsonl"
+    ) == (0, (
+        "WARNING amr_logic_aug: skipped 'This is not in the grammar at all!': "
+        "outside grammar: not a declarative sentence\n"
+        "INFO amr_logic_aug: wrote out.jsonl.manifest.json\n"
+        "INFO amr_logic_aug: augment: 1 rewritten, 1 skipped -> out.jsonl\n"
+    ))
+    assert stderr_of("check", "--in", "missing.jsonl") == (
+        1, "ERROR amr_logic_aug: [Errno 2] No such file or directory: 'missing.jsonl'\n"
+    )
+    (tmp_path / "corpus.jsonl.manifest.json").write_text(
+        json.dumps({"data_sha256": "0" * 64, "seed": 5}), encoding="utf-8"
+    )
+    assert stderr_of(
+        "pairs", "--corpus", "corpus.jsonl", "--out-train", "train.jsonl",
+        "--out-val", "val.jsonl",
+    ) == (0, (
+        "WARNING amr_logic_aug: corpus sidecar corpus.jsonl.manifest.json hashes another "
+        "file, so corpus_seed is null\n"
+        "INFO amr_logic_aug: wrote train.jsonl.manifest.json\n"
+        "INFO amr_logic_aug: wrote val.jsonl.manifest.json\n"
+        "INFO amr_logic_aug: pairs: 12 train, 4 validation records (ratio 1:1) "
+        "-> train.jsonl, val.jsonl\n"
+    ))
+    assert stderr_of(
+        "pararule", "--depth", "1", "--in", "rules.jsonl", "--out", "altered.jsonl"
+    ) == (0, (
+        "WARNING amr_logic_aug.pararule: rule 0 matches no template, passed through: "
+        "'The cat likes the dog.'\n"
+        "INFO amr_logic_aug: wrote altered.jsonl.manifest.json\n"
+        "INFO amr_logic_aug: pararule: 1 records altered at depth 1 -> altered.jsonl\n"
+    ))
+
+
+def test_info_lines_go_to_the_stderr_of_the_moment(tmp_path, capsys):
+    out = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--count", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"INFO amr_logic_aug: wrote {out}.manifest.json\n"
+        f"INFO amr_logic_aug: synth: 4 sentences -> {out}\n"
+    )
+
+
+@pytest.mark.parametrize("quiet_first", [False, True], ids=["loud-first", "quiet-first"])
+def test_quiet_holds_for_its_own_main_call_only(tmp_path, quiet_first):
+    """Two ``main`` calls in one interpreter: only the call without ``-q``
+    writes its INFO lines, whichever call comes first."""
+    calls = [["synth", "--count", "4", "--out", "loud.jsonl"],
+             ["-q", "synth", "--count", "4", "--out", "quiet.jsonl"]]
+    if quiet_first:
+        calls.reverse()
+    code = (
+        "import sys\n"
+        "from amr_logic_aug.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert main(argv.split()) == 0\n"
+    )
+    done = run_fresh(["-c", code, *(" ".join(argv) for argv in calls)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.decode("utf-8") == (
+        "INFO amr_logic_aug: wrote loud.jsonl.manifest.json\n"
+        "INFO amr_logic_aug: synth: 4 sentences -> loud.jsonl\n"
+    )
 
 
 # ---------------------------------------------------------------------------

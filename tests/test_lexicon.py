@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from importlib import resources
 
 import pytest
@@ -123,6 +124,20 @@ def test_parse_round_trip():
          "entry 'alan' in section ENTITY is 'Alan' once lower-cased at line 5"),
         (dict(ext_entities=("The  Cat",)),
          "entry 'The  Cat' in section EXTENSION_ENTITY is 'the cat' once lower-cased at line 13"),
+        # An attribute fills the one-word predicate slot, an extension
+        # attribute through double negation's antonym.
+        (dict(attributes=("strong", "weak", "k9")),
+         re.escape("entry 'k9' in section ATTRIBUTE is not one word [A-Za-z][A-Za-z-]* "
+                   "at line 11")),
+        (dict(ext_attributes=("-odd",)),
+         re.escape("entry '-odd' in section EXTENSION_ATTRIBUTE is not one word "
+                   "[A-Za-z][A-Za-z-]* at line 15")),
+        (dict(attributes=("strong", "weak", "very tall")),
+         re.escape("entry 'very tall' in section ATTRIBUTE is not one word "
+                   "[A-Za-z][A-Za-z-]* at line 11")),
+        (dict(ext_attributes=("able to swim",)),
+         re.escape("entry 'able to swim' in section EXTENSION_ATTRIBUTE is not one word "
+                   "[A-Za-z][A-Za-z-]* at line 15")),
     ],
 )
 def test_validation_errors(change, message):
@@ -136,7 +151,7 @@ def test_validation_errors(change, message):
     [
         dict(entities=("the bald eagle", "the jack-o-lantern", "Zoë")),
         dict(entities=("the cat", "you"), attributes=("strong", "weak", "bob")),
-        dict(ext_attributes=("able to swim", "blue-green")),
+        dict(ext_attributes=("blue-green",)),
     ],
     ids=["multi-word-hyphen-non-ascii", "you-and-bob", "extension-attributes"],
 )

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import logging
 import re
 
 import pytest
 
+from amr_logic_aug.cli import main
 from amr_logic_aug.pararule import (
     PararuleError,
     alter_pararule_file,
@@ -107,14 +107,24 @@ def test_unmatched_rules_pass_through(rule):
     assert alter_rule(rule, depth=1) == (rule, False)
 
 
-def test_unmatched_rule_logs_warning(caplog):
+def run_pararule(tmp_path, capsys, rules, depth):
+    """The CLI's ``pararule`` on one record of ``rules``: the altered rules
+    and the lines written to stderr."""
+    src, out = tmp_path / "rules.jsonl", tmp_path / "altered.jsonl"
+    src.write_text(json.dumps({"rules": rules}) + "\n", encoding="utf-8")
+    argv = ["-q", "pararule", "--depth", str(depth), "--in", str(src), "--out", str(out)]
+    assert main(argv) == 0
+    (record,) = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    return record["rules"], capsys.readouterr().err.splitlines()
+
+
+def test_unmatched_rule_logs_warning(tmp_path, capsys):
     rules = ["The cat likes the dog.", "If someone is tall then they are quiet."]
-    with caplog.at_level(logging.WARNING, logger="amr_logic_aug.pararule"):
-        altered = alter_pararule_rules(rules, depth=1)
+    altered, stderr = run_pararule(tmp_path, capsys, rules, depth=1)
     assert altered[0] == "The cat likes the dog."
     assert altered[1] == "If someone is not quiet then they are not tall."
-    assert len(caplog.records) == 1
-    assert "rule 0 matches no template" in caplog.text
+    assert len(stderr) == 1
+    assert "rule 0 matches no template" in stderr[0]
 
 
 @pytest.mark.parametrize(
@@ -126,12 +136,12 @@ def test_unmatched_rule_logs_warning(caplog):
         "Many people are kind.",
     ],
 )
-def test_a_quantified_subject_is_no_bare_plural(rule, caplog):
+def test_a_quantified_subject_is_no_bare_plural(rule, tmp_path, capsys):
     for depth in (1, 2):
         assert alter_rule(rule, depth) == (rule, False)
-    with caplog.at_level(logging.WARNING, logger="amr_logic_aug.pararule"):
-        assert alter_pararule_rules([rule], depth=2) == [rule]
-    assert "rule 0 matches no template" in caplog.text
+    altered, stderr = run_pararule(tmp_path, capsys, [rule], depth=2)
+    assert altered == [rule]
+    assert "rule 0 matches no template" in "\n".join(stderr)
 
 
 @pytest.mark.parametrize("depth", [0, 3, -1, "1"])

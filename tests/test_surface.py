@@ -255,14 +255,17 @@ def test_cli_cold_start_imports_no_dataclasses():
     """Each CLI call imports the package and reads the shipped lexicon in a
     fresh interpreter.  ``dataclasses`` (which pulls in ``inspect``, ``ast``
     and ``dis``) and its code generation cost 15-19 ms of that, so no module
-    may bring it in."""
+    may bring it in.  ``logging`` (with ``traceback``) cost 5-8 ms and the
+    Penman ``graph`` module 3-4.6 ms; only a subcommand that reads Penman
+    loads the latter."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import amr_logic_aug.cli\n"
         "from amr_logic_aug.lexicon import default_lexicon\n"
         "default_lexicon()\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "unwanted = {'dataclasses', 'inspect', 'logging', 'traceback', 'amr_logic_aug.graph'}\n"
+        "print(sorted(unwanted & (set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
@@ -271,36 +274,46 @@ def test_cli_cold_start_imports_no_dataclasses():
     assert done.stdout == "[]\n", done.stdout
 
 
-# The package modules each of these subcommands loads beyond the ones all
-# five load: ``cli``, ``files``, ``lexicon`` (with ``grammar`` and ``graph``)
-# and ``laws`` (with ``logic``).
+# The package modules each subcommand loads beyond the ones every one loads:
+# ``cli``, ``files`` and ``lexicon`` (with ``grammar``).  ``laws`` brings in
+# ``logic``, and only ``augment``, which reads Penman, loads ``graph``.
 SUBCOMMAND_MODULES = {
-    "synth": {"corpus"},
-    "augment": set(),
-    "pairs": {"corpus", "pairs"},
-    "check": {"corpus", "pairs"},
-    "prompt-aug": {"prompt"},
+    "synth": {"corpus", "laws", "logic"},
+    "augment": {"graph", "laws", "logic"},
+    "pairs": {"corpus", "laws", "logic", "pairs"},
+    "check": {"corpus", "laws", "logic", "pairs"},
+    "prompt-aug": {"laws", "logic", "prompt"},
+    "pararule": {"pararule"},
+    "loss": {"scoring"},
 }
-SHARED_MODULES = {"cli", "files", "grammar", "graph", "laws", "lexicon", "logic"}
+SHARED_MODULES = {"cli", "files", "grammar", "lexicon"}
 
 
 def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     """``cli`` defines and imports only the subcommand a process runs, so
     ``augment`` compiles and runs none of ``corpus``, ``pairs``, ``prompt``,
-    ``pararule`` and ``scoring``."""
+    ``pararule`` and ``scoring``.  No process loads ``logging``, which
+    would be listed too."""
     code = (
         "import runpy, sys\n"
         "try:\n"
         "    runpy.run_module('amr_logic_aug', run_name='__main__')\n"
         "except SystemExit as exit:\n"
         "    assert exit.code == 0, exit.code\n"
-        "print(' '.join(sorted(name.partition('.')[2] for name in sys.modules\n"
-        "                      if name.startswith('amr_logic_aug.'))))\n"
+        "print(' '.join(sorted([name.partition('.')[2] for name in sys.modules\n"
+        "                       if name.startswith('amr_logic_aug.')]\n"
+        "                      + [name for name in ('logging',) if name in sys.modules])))\n"
     )
     (tmp_path / "in.txt").write_text("If Alan is kind, then Bob is clever.\n", encoding="utf-8")
     record = {"context": "Alan is kind.", "question": "Which must be true?",
               "answers": ["Bob is clever.", "a", "b", "c"], "label": 0, "id_string": "r1"}
     (tmp_path / "mcq.json").write_text(json.dumps([record]), encoding="utf-8")
+    (tmp_path / "rules.jsonl").write_text(
+        json.dumps({"rules": ["Strong people are kind."]}) + "\n", encoding="utf-8"
+    )
+    (tmp_path / "vectors.tsv").write_text(
+        "p1\tanchor\t1.0\t0.0\np1\tpos\t1.0\t0.0\np1\tneg\t0.0\t1.0\n", encoding="utf-8"
+    )
     runs = {
         "synth": ["--count", "8", "--out", "corpus.jsonl"],
         "augment": ["--law", "contraposition", "--in", "in.txt", "--out", "out.jsonl"],
@@ -308,6 +321,8 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
                   "--out-val", "val.jsonl"],
         "check": ["--in", "train.jsonl"],
         "prompt-aug": ["--in", "mcq.json", "--out", "mcq_aug.json"],
+        "pararule": ["--depth", "2", "--in", "rules.jsonl", "--out", "rules_alt.jsonl"],
+        "loss": ["--vectors", "vectors.tsv"],
     }
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     loaded = {}
@@ -316,7 +331,7 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
             [sys.executable, "-c", code, "-q", command, *argv], cwd=tmp_path, env=env,
             capture_output=True, text=True, check=True, timeout=60,
         )
-        loaded[command] = set(done.stdout.splitlines()[-1].split())  # check prints first
+        loaded[command] = set(done.stdout.splitlines()[-1].split())  # check and loss print first
     assert loaded == {
         command: SHARED_MODULES | modules
         for command, modules in SUBCOMMAND_MODULES.items()
