@@ -13,17 +13,13 @@ recipe among many that reach this size.
 from __future__ import annotations
 
 import argparse
-import logging
-import sys
 
 from amr_logic_aug import corpus, pairs
-from amr_logic_aug.cli import write_manifest
+from amr_logic_aug.cli import log, write_manifest
 from amr_logic_aug.lexicon import default_lexicon, load_lexicon
 
 SENTENCE_COUNT = 656
 RECORD_COUNT = 1_312
-
-logger = logging.getLogger("make_preliminary_test")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,12 +31,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress progress logs")
     args = parser.parse_args(argv)
 
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-
     lexicon = load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
     sentences = corpus.build_corpus(lexicon, SENTENCE_COUNT, seed=args.seed)
     records = pairs.build_pairs(sentences, lexicon, "1:1", args.seed)
@@ -50,7 +40,9 @@ def main(argv: list[str] | None = None) -> int:
     pairs.emit_jsonl(records, args.out)
     manifest = pairs.build_manifest(records, args.seed, "1:1", None, lexicon, len(sentences))
     write_manifest(args.out, manifest, args.quiet)
-    logger.info("preliminary test set: %d records -> %s", len(records), args.out)
+    if not args.quiet:
+        log("INFO", f"preliminary test set: {len(records)} records -> {args.out}",
+            "make_preliminary_test")
     return 0
 
 

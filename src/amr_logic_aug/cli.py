@@ -15,13 +15,15 @@ logs go to standard error as ``LEVEL name: message`` lines (INFO only for a
 ``main`` call without ``-q``), and each output file gets a
 ``<name>.manifest.json`` sidecar (see ``write_manifest``) recording the
 package version, the data file's sha256, the subcommand, its seed and
-counts, and the lexicon checksum.  Exit codes: 0 success, 1 validation or
-oracle failure, 2 usage error.
+counts, and the lexicon checksum.  Exit codes: 0 success; 1 when an
+``OSError`` or an exception of a class this package defines ends the run,
+with one ERROR line holding its message; 2 usage error.  Any other
+exception is a bug and propagates.
 
 A process defines only the subcommand it runs, and imports only the
 modules that subcommand needs: ``augment`` never loads ``corpus``,
-``pairs``, ``prompt``, ``pararule`` or ``scoring``, and only ``augment``,
-which reads Penman, loads ``graph``.  No process loads ``logging``.
+``pairs``, ``prompt``, ``pararule`` or ``scoring``, and only ``augment
+--format penman`` loads ``graph``.  No process loads ``logging``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ if TYPE_CHECKING:  # each subcommand imports the rest of the package itself
     from . import corpus, laws
 
 
-def _log(level: str, message: str, name: str = "amr_logic_aug") -> None:
+def log(level: str, message: str, name: str = "amr_logic_aug") -> None:
     """Write one ``LEVEL name: message`` line to the current standard error."""
     print(f"{level} {name}: {message}", file=sys.stderr)
 
@@ -50,28 +52,7 @@ def _log(level: str, message: str, name: str = "amr_logic_aug") -> None:
 def _info(args: argparse.Namespace, message: str) -> None:
     """An INFO line, unless this run was given ``-q``."""
     if not args.quiet:
-        _log("INFO", message)
-
-
-# The package's exceptions that a subcommand reports as exit 1 with their
-# message, as "module.Class"; OSError too.  A module the subcommand never
-# imported raised none of them, so only loaded modules are looked up, and
-# only once an exception reaches ``main``.
-_DOMAIN_ERRORS = (
-    "lexicon.LexiconError", "graph.ParseError", "grammar.GrammarError", "laws.LawError",
-    "laws.OracleViolation", "corpus.CorpusError", "pairs.DatasetError",
-    "prompt.PromptError", "pararule.PararuleError", "scoring.ScoreError",
-)
-
-
-def _domain_errors() -> tuple[type[BaseException], ...]:
-    found: list[type[BaseException]] = [OSError]
-    for path in _DOMAIN_ERRORS:
-        module, _, name = path.partition(".")
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            found.append(getattr(loaded, name))
-    return tuple(found)
+        log("INFO", message)
 
 
 def _parse_mix(text: str) -> dict[corpus.PatternKind, float]:
@@ -125,7 +106,7 @@ def write_manifest(data_path: str | Path, payload: dict, quiet: bool) -> None:
     manifest = {"version": __version__, "data_sha256": sha256_of(data_path), **payload}
     write_text(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True), "\n"))
     if not quiet:
-        _log("INFO", f"wrote {manifest_path}")
+        log("INFO", f"wrote {manifest_path}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -158,10 +139,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     from . import laws
-    from .graph import ParseError, parse_penman
 
     lexicon = _resolve_lexicon(args)
-    render = grammar.realize_struct if args.format == "text" else grammar.penman_of_struct
+    if args.format == "penman":  # only Penman input loads the graph module
+        from .graph import ParseError, parse_penman
+
+        def read(line: str) -> grammar.GrammarSentence:
+            return grammar.read_canonical_penman(line) or parse_penman(line)
+
+        render, skips = grammar.penman_of_struct, (ParseError, grammar.GrammarError, laws.LawError)
+    else:
+        def read(line: str) -> grammar.GrammarSentence:
+            return grammar.parse_sentence_struct(line, lexicon, args.grammar or grammar.CORE)
+
+        render, skips = grammar.realize_struct, (grammar.GrammarError, laws.LawError)
     quote = json_string
     law = quote(args.law.value)
     skipped = 0
@@ -173,16 +164,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
         nonlocal skipped
         for _, line in read_lines(args.in_path, grammar.GrammarError):
             try:
-                if args.format == "penman":
-                    sentence = grammar.read_canonical_penman(line) or parse_penman(line)
-                else:
-                    sentence = grammar.parse_sentence_struct(
-                        line, lexicon, args.grammar or grammar.CORE
-                    )
-                outcome = laws.apply_law(sentence, args.law, lexicon)
-            except (ParseError, grammar.GrammarError, laws.LawError) as err:
+                outcome = laws.apply_law(read(line), args.law, lexicon)
+            except skips as err:
                 skipped += 1
-                _log("WARNING", f"skipped {line!r}: {err}")
+                log("WARNING", f"skipped {line!r}: {err}")
                 yield f'{{"input": {quote(line)}, "skipped": {quote(str(err))}}}\n'
                 continue
             positive = quote(render(outcome.positive))
@@ -224,7 +209,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         # A sidecar vouches for its seed only while it hashes this corpus.
         vouches = recorded.get("data_sha256") == digest
         if recorded and not vouches:
-            _log("WARNING", f"corpus sidecar {sidecar} hashes another file, so corpus_seed is null")
+            log("WARNING", f"corpus sidecar {sidecar} hashes another file, so corpus_seed is null")
         provenance = {"corpus_path": args.corpus, "corpus_sha256": digest,
                       "corpus_seed": recorded.get("seed") if vouches else None}
     else:
@@ -286,8 +271,8 @@ def cmd_pararule(args: argparse.Namespace) -> int:
     from . import pararule
 
     def unmatched(index: int, rule: str) -> None:
-        _log("WARNING", f"rule {index} matches no template, passed through: {rule!r}",
-             "amr_logic_aug.pararule")
+        log("WARNING", f"rule {index} matches no template, passed through: {rule!r}",
+            "amr_logic_aug.pararule")
 
     count = pararule.alter_pararule_file(args.in_path, args.out, args.depth, unmatched)
     write_manifest(
@@ -455,9 +440,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except _domain_errors() as err:
-        _log("ERROR", str(err))
-        return 1
+    except Exception as err:
+        # An input or environment fault: a class of this package, or OSError.
+        # Any other exception is a bug, and the caller sees it raised.
+        if isinstance(err, OSError) or type(err).__module__.startswith(f"{__package__}."):
+            log("ERROR", str(err))
+            return 1
+        raise
     finally:
         if collecting:
             gc.enable()

@@ -338,18 +338,3 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
         return sentence
 
     return list(read_objects(path, CorpusError, sentence_of))
-
-
-__all__ = [
-    "DEFAULT_TARGET",
-    "DEFAULT_SEED",
-    "DEFAULT_MIX",
-    "PATTERN_LAW",
-    "CorpusError",
-    "PatternKind",
-    "SynthSentence",
-    "build_corpus",
-    "family_capacity",
-    "corpus_to_jsonl",
-    "corpus_from_jsonl",
-]

@@ -156,9 +156,3 @@ def write_text(path, chunks: Iterable[str]) -> int:
 
 def write_jsonl(path, rows: Iterable[Any]) -> int:
     return write_text(path, (_encode_json(row) + "\n" for row in rows))
-
-
-__all__ = [
-    "read_lines", "read_jsonl", "read_objects", "read_json", "sha256_of", "json_string",
-    "write_text", "write_jsonl",
-]

@@ -684,23 +684,3 @@ def realize_struct(sentence: GrammarSentence) -> str:
 def realize(graph: AmrGraph) -> str:
     """The sentence of a grammar graph (``realize_struct(read_graph(graph))``)."""
     return realize_struct(read_graph(graph))
-
-
-__all__ = [
-    "CONDITION_ROLE",
-    "DOMAIN_ROLE",
-    "CORE",
-    "EXTENDED",
-    "YOU",
-    "GrammarError",
-    "Shape",
-    "Clause",
-    "GrammarSentence",
-    "parse_sentence_struct",
-    "penman_of_struct",
-    "read_canonical_penman",
-    "build_graph",
-    "read_graph",
-    "realize_struct",
-    "realize",
-]

@@ -234,16 +234,3 @@ def flip_polarity_negative(
             f"{realize_struct(sentence)!r} vs {realize_struct(candidate)!r}"
         )
     return candidate
-
-
-__all__ = [
-    "LawError",
-    "OracleViolation",
-    "LawKind",
-    "RewriteOutcome",
-    "refusal",
-    "applicable_laws",
-    "apply_law",
-    "verify_outcome",
-    "flip_polarity_negative",
-]

@@ -20,10 +20,11 @@ Entries of every section but RELATION can become Penman concepts, so
 none may contain ``(``, ``)``, ``/`` or ``"``.  They become sentence words
 too, so none may hold a word of ``grammar.GRAMMAR_WORDS`` ("if", "then",
 "and", "not", "but", "is", ...) in any case, no two entities may be equal
-once lower-cased, and an ATTRIBUTE or EXTENSION_ATTRIBUTE entry must be one
-word of ``grammar.TOKEN_RE`` (an extension attribute reaches the one-word
-predicate slot as an antonym): the sentences made from them would not parse
-back.
+once lower-cased, an entity must keep its letters once capitalized and
+lower-cased (``ı``, ``ß`` and ``İ`` do not), and an ATTRIBUTE or
+EXTENSION_ATTRIBUTE entry must be one word of ``grammar.TOKEN_RE`` (an
+extension attribute reaches the one-word predicate slot as an antonym):
+the sentences made from them would not parse back.
 
 Lines starting with ``#`` and blank lines are ignored.  The declared count
 in each header must match the number of entry rows in that section.
@@ -236,6 +237,12 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
                     f"entry {entity!r} in section {name} is {other!r} once lower-cased "
                     f"at line {lineno}"
                 )
+            # A sentence capitalizes its first word, and the parser cuts the
+            # text where its lower-cased copy matches.
+            lowered = (entity[0].upper() + entity[1:]).lower()
+            if lowered != entity.lower() or len(lowered) != len(entity):
+                raise LexiconError(f"entry {entity!r} in section {name} does not read back "
+                                   f"once capitalized and lower-cased at line {lineno}")
     overlap = set(attributes) & set(ext_attributes)
     if overlap:
         raise LexiconError(f"duplicate across attribute sections: {sorted(overlap)}")
@@ -276,12 +283,3 @@ def default_lexicon() -> Lexicon:
     """The shipped ``data/lexicon.tsv``."""
     resource = resources.files(__package__).joinpath("data", DEFAULT_RESOURCE)
     return _from_bytes(resource.read_bytes(), DEFAULT_RESOURCE)
-
-
-__all__ = [
-    "LexiconError",
-    "Lexicon",
-    "parse_lexicon",
-    "load_lexicon",
-    "default_lexicon",
-]

@@ -211,22 +211,3 @@ def meaning(
     if first == second:
         return (None, None, table) if table in (0, 0b1111) else (first, None, table)
     return (first, second, table) if first < second else (second, first, table)
-
-
-__all__ = [
-    "MAX_ORACLE_ATOMS",
-    "LogicError",
-    "Atom",
-    "Not",
-    "And",
-    "Or",
-    "Implies",
-    "Formula",
-    "clause_literal",
-    "make_atom",
-    "atoms",
-    "equivalent",
-    "to_formula",
-    "formula_of_struct",
-    "meaning",
-]

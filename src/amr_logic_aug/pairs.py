@@ -272,19 +272,3 @@ def build_manifest(
         "by_law": dict(sorted(by_law.items())),
         "corpus_size": corpus_size,
     }
-
-
-__all__ = [
-    "DEFAULT_VAL_FRACTION",
-    "RANDOM_SAMPLE_LAW",
-    "DatasetError",
-    "PairRecord",
-    "make_pair_id",
-    "parse_ratio",
-    "build_pairs",
-    "split",
-    "emit_jsonl",
-    "load_jsonl",
-    "verify_records",
-    "build_manifest",
-]

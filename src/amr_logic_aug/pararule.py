@@ -124,12 +124,3 @@ def alter_pararule_file(
         in_path, PararuleError, lambda record: alter_record(record, depth, unmatched)
     )
     return write_jsonl(out_path, rows)
-
-
-__all__ = [
-    "PararuleError",
-    "alter_rule",
-    "alter_pararule_rules",
-    "alter_record",
-    "alter_pararule_file",
-]

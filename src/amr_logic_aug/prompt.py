@@ -306,18 +306,3 @@ def augment_file(
     seen = stats["sentences_seen"]
     stats["skip_rate"] = round(1 - stats["sentences_augmented"] / seen, 4) if seen else 0.0
     return stats
-
-
-__all__ = [
-    "RECLOR",
-    "LOGIQA",
-    "DEFAULT_PROMPT_LAWS",
-    "PromptError",
-    "McqRecord",
-    "Rewrite",
-    "TraceRow",
-    "split_sentences",
-    "rewrite_sentence",
-    "augment_record",
-    "augment_file",
-]

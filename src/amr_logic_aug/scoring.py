@@ -174,17 +174,3 @@ def load_triplets_tsv(path: str | Path) -> list[tuple[str, Triplet]]:
     if not triplets:
         raise ScoreError(f"{path}: no vector rows")
     return triplets
-
-
-__all__ = [
-    "COSINE",
-    "DOT",
-    "ScoreError",
-    "Triplet",
-    "score",
-    "triplet_scores",
-    "triplet_loss",
-    "triplet_loss_gradient",
-    "loss_report",
-    "load_triplets_tsv",
-]

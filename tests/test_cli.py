@@ -9,6 +9,7 @@ import importlib
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import shlex
@@ -25,7 +26,7 @@ import amr_logic_aug
 from amr_logic_aug import __version__, cli, grammar, laws, scoring
 from amr_logic_aug.cli import build_parser, main
 from amr_logic_aug.corpus import CorpusError
-from amr_logic_aug.graph import ParseError, parse_penman
+from amr_logic_aug.graph import GraphError, ParseError, parse_penman
 from amr_logic_aug.lexicon import LexiconError
 from amr_logic_aug.logic import LogicError
 from amr_logic_aug.pairs import DatasetError, PairRecord, emit_jsonl, load_jsonl
@@ -1398,12 +1399,15 @@ def test_default_size_penman_bytes_match_the_benchmark_digests(tmp_path, monkeyp
 # Exit 1: the package's domain errors
 # ---------------------------------------------------------------------------
 
-# Each domain error, with a real subcommand run and the function it calls
-# that is made to raise it.
+# Each exception class a package module defines, and OSError, with a real
+# subcommand run and the function it calls that is made to raise it.
 DOMAIN_ERROR_RUNS = {
     LexiconError: (["synth", "--count", "5", "--out", "OUT"], "cli.default_lexicon"),
     ParseError: (["pairs", "--corpus", "IN", "--out-train", "OUT", "--out-val", "OUT2"],
                  "corpus.corpus_from_jsonl"),
+    GraphError: (["augment", "--format", "penman", "--law", "implication", "--in", "IN",
+                  "--out", "OUT"], "grammar.read_canonical_penman"),
+    LogicError: (["check", "--in", "IN"], "pairs.load_jsonl"),
     grammar.GrammarError: (["augment", "--law", "implication", "--in", "IN", "--out", "OUT"],
                            "cli.read_lines"),
     laws.LawError: (["pairs", "--count", "5", "--out-train", "OUT", "--out-val", "OUT2"],
@@ -1419,10 +1423,12 @@ DOMAIN_ERROR_RUNS = {
     OSError: (["pararule", "--depth", "2", "--in", "IN", "--out", "OUT"],
               "pararule.alter_pararule_file"),
 }
-# Errors that are bugs, not input faults: the caller sees them raised.
+# Builtin errors raised in package code are bugs, not input faults: the
+# caller sees them raised.
 PROPAGATED_RUNS = {
-    LogicError: (["check", "--in", "IN"], "pairs.load_jsonl"),
     RuntimeError: (["loss", "--vectors", "IN"], "scoring.load_triplets_tsv"),
+    ValueError: (["synth", "--count", "5", "--out", "OUT"], "corpus.build_corpus"),
+    KeyError: (["prompt-aug", "--in", "IN", "--out", "OUT"], "prompt.augment_file"),
 }
 
 
@@ -1446,7 +1452,13 @@ def run_raising(tmp_path, monkeypatch, error, argv, target):
 
 
 def test_every_domain_error_has_a_run():
-    assert set(cli._domain_errors()) == set(DOMAIN_ERROR_RUNS)
+    defined = set()
+    for info in pkgutil.iter_modules(amr_logic_aug.__path__):
+        module = importlib.import_module(f"amr_logic_aug.{info.name}")
+        defined.update(value for value in vars(module).values()
+                       if isinstance(value, type) and issubclass(value, BaseException)
+                       and value.__module__ == module.__name__)
+    assert defined | {OSError} == set(DOMAIN_ERROR_RUNS)
 
 
 @pytest.mark.parametrize("error", DOMAIN_ERROR_RUNS, ids=lambda error: error.__name__)
@@ -1459,8 +1471,9 @@ def test_a_domain_error_exits_1_with_its_message(tmp_path, monkeypatch, capsys, 
 
 @pytest.mark.parametrize("error", PROPAGATED_RUNS, ids=lambda error: error.__name__)
 def test_any_other_error_propagates(tmp_path, monkeypatch, error):
-    with pytest.raises(error, match=f"^forced {error.__name__}$"):
+    with pytest.raises(error) as raised:
         run_raising(tmp_path, monkeypatch, error, *PROPAGATED_RUNS[error])
+    assert type(raised.value) is error and raised.value.args == (f"forced {error.__name__}",)
 
 
 @pytest.mark.parametrize(
@@ -1558,6 +1571,31 @@ def test_the_stderr_bytes_of_every_log_level_are_pinned(tmp_path):
         "INFO amr_logic_aug: wrote altered.jsonl.manifest.json\n"
         "INFO amr_logic_aug: pararule: 1 records altered at depth 1 -> altered.jsonl\n"
     ))
+
+
+def test_the_preliminary_script_writes_its_lines_without_logging(tmp_path):
+    """The script's whole standard error and exit code, with and without
+    ``-q``, and its process never imports ``logging``."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_preliminary_test.py"
+    code = (
+        "import runpy, sys\n"
+        "del sys.argv[0]\n"
+        "try:\n"
+        "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        "finally:\n"
+        "    print('logging' in sys.modules)\n"
+    )
+
+    def run(*flags):
+        done = run_fresh(["-c", code, str(script), *flags, "--out", "p.jsonl"], tmp_path)
+        assert done.stdout == b"False\n"
+        return done.returncode, done.stderr.decode("utf-8")
+
+    assert run() == (0, (
+        "INFO amr_logic_aug: wrote p.jsonl.manifest.json\n"
+        "INFO make_preliminary_test: preliminary test set: 1312 records -> p.jsonl\n"
+    ))
+    assert run("-q") == (0, "")
 
 
 def test_info_lines_go_to_the_stderr_of_the_moment(tmp_path, capsys):

@@ -7,7 +7,10 @@ import re
 from importlib import resources
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from amr_logic_aug.corpus import CorpusError, build_corpus, corpus_from_jsonl, corpus_to_jsonl
 from amr_logic_aug.lexicon import (
     Lexicon,
     LexiconError,
@@ -15,6 +18,7 @@ from amr_logic_aug.lexicon import (
     load_lexicon,
     parse_lexicon,
 )
+from amr_logic_aug.pairs import build_pairs, verify_records
 
 
 def make_source(
@@ -124,6 +128,17 @@ def test_parse_round_trip():
          "entry 'alan' in section ENTITY is 'Alan' once lower-cased at line 5"),
         (dict(ext_entities=("The  Cat",)),
          "entry 'The  Cat' in section EXTENSION_ENTITY is 'the cat' once lower-cased at line 13"),
+        # A sentence capitalizes its first word and the parser reads it
+        # lower-cased: "ı" comes back "i", "ß" "ss", and "İ" one letter longer.
+        (dict(entities=("the cat", "ıo")),
+         "entry 'ıo' in section ENTITY does not read back once capitalized and lower-cased "
+         "at line 4"),
+        (dict(entities=("ßen", "Alan")),
+         "entry 'ßen' in section ENTITY does not read back once capitalized and "
+         "lower-cased at line 3"),
+        (dict(ext_entities=("İa",)),
+         "entry 'İa' in section EXTENSION_ENTITY does not read back once capitalized and "
+         "lower-cased at line 13"),
         # An attribute fills the one-word predicate slot, an extension
         # attribute through double negation's antonym.
         (dict(attributes=("strong", "weak", "k9")),
@@ -159,6 +174,50 @@ def test_entries_that_hold_no_grammar_word_load(change):
     lexicon = parse_lexicon(make_source(**change))
     loaded = (lexicon.entities, lexicon.attributes, lexicon.extension_attributes)
     assert set(change.values()) <= set(loaded)
+
+
+_WORD = st.lists(
+    st.text(st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo")), min_size=1, max_size=6),
+    min_size=1, max_size=3,
+).map("-".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entities=st.lists(
+        st.one_of(st.just("you"), _WORD, _WORD.map("the {}".format),
+                  st.lists(_WORD, min_size=2, max_size=3).map(" ".join)),
+        min_size=1, max_size=5, unique=True,
+    ),
+    attributes=st.lists(st.from_regex(r"[A-Za-z][A-Za-z-]{0,7}", fullmatch=True),
+                        min_size=2, max_size=6, unique=True),
+    count=st.integers(2, 40),
+    seed=st.integers(0, 99),
+)
+def test_the_sentences_of_every_loaded_lexicon_round_trip(
+    tmp_path_factory, entities, attributes, count, seed
+):
+    """Entities of multi-word, hyphenated and non-ASCII words and "you",
+    and one mirrored antonym pair: a lexicon that loads makes a corpus that
+    reads back equal, and 1:3 pairs whose oracle replay finds no problem."""
+    pair = attributes[:2]
+    source = make_source(entities=entities, attributes=attributes, ext_entities=(),
+                         ext_attributes=(), antonyms=(pair, pair[::-1]))
+    try:
+        lexicon = parse_lexicon(source)
+    except LexiconError:
+        reject()
+    try:
+        built = build_corpus(lexicon, count, None, seed)
+    except CorpusError as err:  # more sentences than the lexicon makes
+        assert str(err).startswith("unreachable target: "), err
+        reject()
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    corpus_to_jsonl(built, path)
+    assert corpus_from_jsonl(path, lexicon) == built
+    records = build_pairs(built, lexicon, "1:3", seed)
+    assert len(records) == 4 * count
+    assert verify_records(records, lexicon) == []
 
 
 def test_count_mismatch_is_rejected():

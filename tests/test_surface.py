@@ -10,6 +10,7 @@ benchmark runs them, and left unchanged.
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import json
 import importlib.util
@@ -63,43 +64,49 @@ def test_every_traced_layer_resolves():
             assert callable(getattr(module, name, None)), f"amr_logic_aug.{layer}.{name}"
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_every_exported_name_exists(name):
-    module = importlib.import_module(f"amr_logic_aug.{name}")
-    missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
-    assert missing == []
-
-
-# Exports that only the acceptance tests call, with the criterion that does.
+# Public names that only the acceptance tests call, with the criterion that does.
 UNUSED_EXPORTS = {
     "scoring.triplet_loss_gradient": "ACCEPTANCE 9 checks it against finite differences",
 }
 
 
-def loaded_names(directory: Path) -> set[str]:
-    """Every name and attribute the Python files under ``directory`` read."""
-    names = set()
-    for path in sorted(directory.rglob("*.py")):
+@functools.cache
+def names_read_outside_the_tests() -> frozenset[str]:
+    """Every name and attribute that the Python files of ``src``,
+    ``perfbench`` and ``scripts`` read, and every name the tracer wraps."""
+    names = {traced for traced_names in load_tracer().LAYERS.values() for traced in traced_names}
+    for path in sorted(path for part in ("src", "perfbench", "scripts")
+                       for path in (ROOT / part).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
-    return names
+    return frozenset(names)
 
 
-def test_every_export_has_a_use_outside_the_tests():
-    """An exported name that only its own tests call is dead code; the
+def public_names(name: str) -> list[str]:
+    """The top-level functions, classes and assigned names of module
+    ``name`` that do not start with an underscore."""
+    path = Path(importlib.import_module(f"amr_logic_aug.{name}").__file__)
+    defined = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [leaf.id for target in targets for leaf in ast.walk(target)
+                        if isinstance(leaf, ast.Name)]
+    return [public for public in defined if not public.startswith("_")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_has_a_use_outside_the_tests(name):
+    """A public name that only its own tests read is dead code; the
     tracer's ``LAYERS`` count as uses, because the benchmark wraps them."""
-    used = set().union(*(loaded_names(ROOT / part) for part in ("src", "perfbench", "scripts")))
-    used.update(name for names in load_tracer().LAYERS.values() for name in names)
-    unused = [
-        f"{name}.{export}"
-        for name in MODULES
-        for export in getattr(importlib.import_module(f"amr_logic_aug.{name}"), "__all__", ())
-        if export not in used
-    ]
-    assert sorted(unused) == sorted(UNUSED_EXPORTS)
+    used = names_read_outside_the_tests()
+    unused = [f"{name}.{public}" for public in public_names(name) if public not in used]
+    assert unused == [export for export in UNUSED_EXPORTS if export.startswith(f"{name}.")]
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -276,10 +283,12 @@ def test_cli_cold_start_imports_no_dataclasses():
 
 # The package modules each subcommand loads beyond the ones every one loads:
 # ``cli``, ``files`` and ``lexicon`` (with ``grammar``).  ``laws`` brings in
-# ``logic``, and only ``augment``, which reads Penman, loads ``graph``.
+# ``logic``, and only ``augment --format penman``, which reads Penman, loads
+# ``graph``.
 SUBCOMMAND_MODULES = {
     "synth": {"corpus", "laws", "logic"},
-    "augment": {"graph", "laws", "logic"},
+    "augment": {"laws", "logic"},
+    "augment --format penman": {"graph", "laws", "logic"},
     "pairs": {"corpus", "laws", "logic", "pairs"},
     "check": {"corpus", "laws", "logic", "pairs"},
     "prompt-aug": {"laws", "logic", "prompt"},
@@ -292,8 +301,8 @@ SHARED_MODULES = {"cli", "files", "grammar", "lexicon"}
 def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     """``cli`` defines and imports only the subcommand a process runs, so
     ``augment`` compiles and runs none of ``corpus``, ``pairs``, ``prompt``,
-    ``pararule`` and ``scoring``.  No process loads ``logging``, which
-    would be listed too."""
+    ``pararule`` and ``scoring``, and on text input not ``graph`` either.
+    No process loads ``logging``, which would be listed too."""
     code = (
         "import runpy, sys\n"
         "try:\n"
@@ -305,6 +314,10 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
         "                      + [name for name in ('logging',) if name in sys.modules])))\n"
     )
     (tmp_path / "in.txt").write_text("If Alan is kind, then Bob is clever.\n", encoding="utf-8")
+    (tmp_path / "in.penman").write_text(
+        "(c / clever :condition (k / kind :domain (a / Alan)) :domain (b / Bob))\n",
+        encoding="utf-8",
+    )
     record = {"context": "Alan is kind.", "question": "Which must be true?",
               "answers": ["Bob is clever.", "a", "b", "c"], "label": 0, "id_string": "r1"}
     (tmp_path / "mcq.json").write_text(json.dumps([record]), encoding="utf-8")
@@ -317,6 +330,8 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     runs = {
         "synth": ["--count", "8", "--out", "corpus.jsonl"],
         "augment": ["--law", "contraposition", "--in", "in.txt", "--out", "out.jsonl"],
+        "augment --format penman": ["--law", "contraposition", "--in", "in.penman",
+                                    "--out", "out.jsonl"],
         "pairs": ["--corpus", "corpus.jsonl", "--out-train", "train.jsonl",
                   "--out-val", "val.jsonl"],
         "check": ["--in", "train.jsonl"],
@@ -328,8 +343,8 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     loaded = {}
     for command, argv in runs.items():
         done = subprocess.run(
-            [sys.executable, "-c", code, "-q", command, *argv], cwd=tmp_path, env=env,
-            capture_output=True, text=True, check=True, timeout=60,
+            [sys.executable, "-c", code, "-q", *command.split(), *argv], cwd=tmp_path,
+            env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         loaded[command] = set(done.stdout.splitlines()[-1].split())  # check and loss print first
     assert loaded == {
