@@ -23,7 +23,12 @@ exception is a bug and propagates.
 A process defines only the subcommand it runs, and imports only the
 modules that subcommand needs: ``augment`` never loads ``corpus``,
 ``pairs``, ``prompt``, ``pararule`` or ``scoring``, and only ``augment
---format penman`` loads ``graph``.  No process loads ``logging``.
+--format penman`` loads ``graph``, for a line outside the Penman writer's
+format.  No process loads ``logging``.
+
+A process starts at ``amr_logic_aug.__main__.run``, which calls
+:func:`main` and then freezes the heap for a short exit.  :func:`main`
+itself never freezes, so an in-process caller keeps its collector as it was.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .lexicon import Lexicon, default_lexicon, load_lexicon
 
 if TYPE_CHECKING:  # each subcommand imports the rest of the package itself
     from . import corpus, laws
+    from .graph import AmrGraph
 
 
 def log(level: str, message: str, name: str = "amr_logic_aug") -> None:
@@ -141,18 +147,21 @@ def cmd_augment(args: argparse.Namespace) -> int:
     from . import laws
 
     lexicon = _resolve_lexicon(args)
-    if args.format == "penman":  # only Penman input loads the graph module
-        from .graph import ParseError, parse_penman
+    if args.format == "penman":
+        def read(line: str) -> grammar.GrammarSentence | AmrGraph:
+            sentence = grammar.read_canonical_penman(line)
+            if sentence is None:  # only Penman outside the writer's format loads graph
+                from .graph import parse_penman
 
-        def read(line: str) -> grammar.GrammarSentence:
-            return grammar.read_canonical_penman(line) or parse_penman(line)
+                return parse_penman(line)
+            return sentence
 
-        render, skips = grammar.penman_of_struct, (ParseError, grammar.GrammarError, laws.LawError)
+        render = grammar.penman_of_struct
     else:
         def read(line: str) -> grammar.GrammarSentence:
             return grammar.parse_sentence_struct(line, lexicon, args.grammar or grammar.CORE)
 
-        render, skips = grammar.realize_struct, (grammar.GrammarError, laws.LawError)
+        render = grammar.realize_struct
     quote = json_string
     law = quote(args.law.value)
     skipped = 0
@@ -165,7 +174,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         for _, line in read_lines(args.in_path, grammar.GrammarError):
             try:
                 outcome = laws.apply_law(read(line), args.law, lexicon)
-            except skips as err:
+            except (grammar.GrammarError, laws.LawError) as err:  # graph.ParseError included
                 skipped += 1
                 log("WARNING", f"skipped {line!r}: {err}")
                 yield f'{{"input": {quote(line)}, "skipped": {quote(str(err))}}}\n'
@@ -450,7 +459,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         if collecting:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

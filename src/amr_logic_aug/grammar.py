@@ -308,6 +308,11 @@ def _parse_general(text: str, lexicon, grammar: str) -> GrammarSentence:
         return _parse_clause(part, lexicon, grammar)
 
     lower = s.lower()
+    if len(lower) != len(s):
+        # 'İ' lowers to two characters, which would shift every index
+        # below; kept as it is, it matches no connective, as its lower
+        # case ("i" and a combining dot) does not.
+        lower = "".join(ch if len(ch.lower()) > 1 else ch.lower() for ch in s)
     if lower.startswith("if "):
         rest = s[3:]
         for sep in (", then ", ", "):

@@ -16,13 +16,20 @@ import re
 from itertools import islice
 from typing import NamedTuple, Union
 
+from .grammar import GrammarError
+
 
 class GraphError(ValueError):
     """Raised for structurally invalid graphs and unknown variables."""
 
 
-class ParseError(GraphError):
-    """Raised on malformed Penman text; carries the byte offset of the fault."""
+class ParseError(GraphError, GrammarError):
+    """Raised on malformed Penman text; carries the byte offset of the fault.
+
+    It is a :class:`~amr_logic_aug.grammar.GrammarError` too: Penman text
+    that does not parse is text outside the grammar, so a reader skips it
+    as it skips any other line outside the grammar.
+    """
 
     def __init__(self, reason: str, offset: int) -> None:
         super().__init__(f"{reason} at byte {offset}")

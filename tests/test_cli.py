@@ -364,6 +364,19 @@ def test_augment_penman_lines(tmp_path):
     assert row["positive"].startswith("(o / or")
 
 
+def test_augment_skips_an_unbalanced_penman_line(tmp_path, capsys):
+    line = "(x / kind :domain (y / Alan)"
+    src, out = tmp_path / "in.penman", tmp_path / "out.jsonl"
+    src.write_text(f"{line}\n", encoding="utf-8")
+    assert main(["-q", "augment", "--law", "contraposition", "--format", "penman",
+                 "--in", str(src), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == (
+        '{"input": "(x / kind :domain (y / Alan)", '
+        '"skipped": "unbalanced parentheses at byte 28"}\n'
+    )
+    assert logged(capsys, "WARNING") == [f"skipped {line!r}: unbalanced parentheses at byte 28"]
+
+
 # A good line, a line with a fault after a two-byte character, and a good
 # line whose subject is a string holding '"' and '\\'.
 AUGMENT_ROW_LINES = [
@@ -1189,7 +1202,7 @@ def test_a_utf16_file_fails_without_a_traceback(tmp_path):
     src.write_bytes("[]".encode("utf-16"))  # starts with the byte-order mark \xff\xfe
     repo = Path(__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-m", "amr_logic_aug.cli", "prompt-aug",
+        [sys.executable, "-m", "amr_logic_aug", "prompt-aug",
          "--in", str(src), "--out", str(tmp_path / "out.json")],
         env={**os.environ, "PYTHONPATH": str(repo / "src")},
         capture_output=True, text=True, timeout=60,
@@ -1654,7 +1667,10 @@ def collector():
 )
 def test_main_gives_the_caller_its_collector_setting_back(tmp_path, collector, enabled, argv,
                                                           code):
+    """Whatever the exit, ``main`` neither leaves the collector switched
+    nor freezes the heap: only the process entry point freezes."""
     (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
     argv = ["-q", *(arg.format(tmp=tmp_path) for arg in argv)]
     if code == 2:
         with pytest.raises(SystemExit) as info:
@@ -1663,6 +1679,51 @@ def test_main_gives_the_caller_its_collector_setting_back(tmp_path, collector, e
     else:
         assert main(argv) == code
     assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
+
+
+# Each probe reports at interpreter exit whether the heap was frozen.
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+)
+
+
+def test_a_process_ends_with_its_heap_frozen_and_the_same_bytes(tmp_path):
+    """The entry point freezes the heap once ``main`` returns, so the
+    collector's passes at exit skip it; a process that calls ``main``
+    itself does not freeze, and both exit alike and write the same bytes."""
+    calls = {
+        "entry": "import runpy\nrunpy.run_module('amr_logic_aug', run_name='__main__')\n",
+        "main": "from amr_logic_aug.cli import main\nsys.exit(main())\n",
+    }
+    ends = {}
+    for name, call in calls.items():
+        work = tmp_path / name
+        work.mkdir()
+        done = run_fresh(
+            ["-c", FREEZE_PROBE + call, "synth", "--count", "8", "--out", "corpus.jsonl"], work
+        )
+        ends[name] = (done.stdout, done.returncode, done.stderr,
+                      [(path.name, path.read_bytes()) for path in sorted(work.iterdir())])
+    assert ends["entry"][0] == b"frozen: True\n"
+    assert ends["main"][0] == b"frozen: False\n"
+    assert ends["entry"][1:] == ends["main"][1:]
+    assert ends["entry"][1] == 0
+    assert [name for name, _ in ends["entry"][3]] == ["corpus.jsonl", "corpus.jsonl.manifest.json"]
+
+
+def test_the_script_and_python_m_call_one_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        script = tomllib.load(handle)["project"]["scripts"]["amr-logic-aug"]
+    source = (root / "src" / "amr_logic_aug" / "__main__.py").read_text(encoding="utf-8")
+    called = re.search(r'^if __name__ == "__main__":\n    sys\.exit\((\w+)\(\)\)\n\Z', source, re.M)
+    assert called, "__main__ ends in no sys.exit(<entry>()) call"
+    assert script == f"amr_logic_aug.__main__:{called.group(1)}"
+    module, _, name = script.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_a_subcommand_runs_with_the_collector_paused(monkeypatch, collector):

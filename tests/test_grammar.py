@@ -520,6 +520,15 @@ def test_a_routing_word_is_no_predicate(lexicon, text, predicate, level):
         parse_sentence_struct(text, lexicon, level)
 
 
+@pytest.mark.parametrize("connective", ["if", "unless", "and", "or"])
+@pytest.mark.parametrize("level", [CORE, EXTENDED])
+def test_a_letter_that_lowers_to_two_does_not_shift_the_cut(lexicon, connective, level):
+    """'İ' lowers to two characters, yet the clauses are cut at the connective."""
+    message = "outside grammar: no recognizable subject in 'İi is big'"
+    with pytest.raises(GrammarError, match=re.escape(message)):
+        parse_sentence_struct(f"İi is big {connective} Bob is clever.", lexicon, level)
+
+
 def test_grammar_error_messages_carry_prefix(lexicon):
     with pytest.raises(GrammarError) as info:
         parse_sentence_struct("What a day.", lexicon)

@@ -283,12 +283,13 @@ def test_cli_cold_start_imports_no_dataclasses():
 
 # The package modules each subcommand loads beyond the ones every one loads:
 # ``cli``, ``files`` and ``lexicon`` (with ``grammar``).  ``laws`` brings in
-# ``logic``, and only ``augment --format penman``, which reads Penman, loads
-# ``graph``.
+# ``logic``.  ``augment --format penman`` reads a line in the Penman writer's
+# format without ``graph``, and loads it only for a line in another format.
 SUBCOMMAND_MODULES = {
     "synth": {"corpus", "laws", "logic"},
     "augment": {"laws", "logic"},
-    "augment --format penman": {"graph", "laws", "logic"},
+    "augment --format penman": {"laws", "logic"},
+    "augment --format penman, another format": {"graph", "laws", "logic"},
     "pairs": {"corpus", "laws", "logic", "pairs"},
     "check": {"corpus", "laws", "logic", "pairs"},
     "prompt-aug": {"laws", "logic", "prompt"},
@@ -301,8 +302,9 @@ SHARED_MODULES = {"cli", "files", "grammar", "lexicon"}
 def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     """``cli`` defines and imports only the subcommand a process runs, so
     ``augment`` compiles and runs none of ``corpus``, ``pairs``, ``prompt``,
-    ``pararule`` and ``scoring``, and on text input not ``graph`` either.
-    No process loads ``logging``, which would be listed too."""
+    ``pararule`` and ``scoring``, and not ``graph`` either unless a Penman
+    line is outside the writer's format.  No process loads ``logging``,
+    which would be listed too."""
     code = (
         "import runpy, sys\n"
         "try:\n"
@@ -318,6 +320,8 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
         "(c / clever :condition (k / kind :domain (a / Alan)) :domain (b / Bob))\n",
         encoding="utf-8",
     )
+    # Upper-case variables: the writer names its variables in lower case.
+    (tmp_path / "other.penman").write_text("(C / clever :domain (B / Bob))\n", encoding="utf-8")
     record = {"context": "Alan is kind.", "question": "Which must be true?",
               "answers": ["Bob is clever.", "a", "b", "c"], "label": 0, "id_string": "r1"}
     (tmp_path / "mcq.json").write_text(json.dumps([record]), encoding="utf-8")
@@ -327,23 +331,26 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     (tmp_path / "vectors.tsv").write_text(
         "p1\tanchor\t1.0\t0.0\np1\tpos\t1.0\t0.0\np1\tneg\t0.0\t1.0\n", encoding="utf-8"
     )
+    augment = ["augment", "--law", "contraposition", "--out", "out.jsonl"]
     runs = {
-        "synth": ["--count", "8", "--out", "corpus.jsonl"],
-        "augment": ["--law", "contraposition", "--in", "in.txt", "--out", "out.jsonl"],
-        "augment --format penman": ["--law", "contraposition", "--in", "in.penman",
-                                    "--out", "out.jsonl"],
-        "pairs": ["--corpus", "corpus.jsonl", "--out-train", "train.jsonl",
+        "synth": ["synth", "--count", "8", "--out", "corpus.jsonl"],
+        "augment": [*augment, "--in", "in.txt"],
+        "augment --format penman": [*augment, "--format", "penman", "--in", "in.penman"],
+        "augment --format penman, another format": [*augment, "--format", "penman",
+                                                    "--in", "other.penman"],
+        "pairs": ["pairs", "--corpus", "corpus.jsonl", "--out-train", "train.jsonl",
                   "--out-val", "val.jsonl"],
-        "check": ["--in", "train.jsonl"],
-        "prompt-aug": ["--in", "mcq.json", "--out", "mcq_aug.json"],
-        "pararule": ["--depth", "2", "--in", "rules.jsonl", "--out", "rules_alt.jsonl"],
-        "loss": ["--vectors", "vectors.tsv"],
+        "check": ["check", "--in", "train.jsonl"],
+        "prompt-aug": ["prompt-aug", "--in", "mcq.json", "--out", "mcq_aug.json"],
+        "pararule": ["pararule", "--depth", "2", "--in", "rules.jsonl",
+                     "--out", "rules_alt.jsonl"],
+        "loss": ["loss", "--vectors", "vectors.tsv"],
     }
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     loaded = {}
     for command, argv in runs.items():
         done = subprocess.run(
-            [sys.executable, "-c", code, "-q", *command.split(), *argv], cwd=tmp_path,
+            [sys.executable, "-c", code, "-q", *argv], cwd=tmp_path,
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         loaded[command] = set(done.stdout.splitlines()[-1].split())  # check and loss print first
