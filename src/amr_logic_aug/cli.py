@@ -20,8 +20,9 @@ counts, and the lexicon checksum.  Exit codes: 0 success; 1 when an
 with one ERROR line holding its message; 2 usage error.  Any other
 exception is a bug and propagates.
 
-A process defines only the subcommand it runs, and imports only the
-modules that subcommand needs: ``augment`` never loads ``corpus``,
+A process defines only the subcommand it runs (none for a missing or
+misspelt one, which is a usage error), and imports only the modules that
+subcommand needs: ``augment`` never loads ``corpus``,
 ``pairs``, ``prompt``, ``pararule`` or ``scoring``, and only ``augment
 --format penman`` loads ``graph``, for a line outside the Penman writer's
 format.  No process loads ``logging``.
@@ -312,7 +313,6 @@ def _define_synth(synth: argparse.ArgumentParser) -> None:
     synth.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     synth.add_argument("--out", required=True)
     _add_lexicon_flag(synth)
-    synth.set_defaults(func=cmd_synth)
 
 
 def _define_augment(augment: argparse.ArgumentParser) -> None:
@@ -329,7 +329,6 @@ def _define_augment(augment: argparse.ArgumentParser) -> None:
     augment.add_argument("--negatives", action="store_true",
                          help="also emit oracle-checked non-equivalent variants")
     _add_lexicon_flag(augment)
-    augment.set_defaults(func=cmd_augment)
 
 
 def _define_pairs(pairs_cmd: argparse.ArgumentParser) -> None:
@@ -344,13 +343,11 @@ def _define_pairs(pairs_cmd: argparse.ArgumentParser) -> None:
     pairs_cmd.add_argument("--out-train", required=True)
     pairs_cmd.add_argument("--out-val", required=True)
     _add_lexicon_flag(pairs_cmd)
-    pairs_cmd.set_defaults(func=cmd_pairs)
 
 
 def _define_check(check: argparse.ArgumentParser) -> None:
     check.add_argument("--in", dest="in_path", required=True)
     _add_lexicon_flag(check)
-    check.set_defaults(func=cmd_check)
 
 
 def _define_prompt_aug(prompt_aug: argparse.ArgumentParser) -> None:
@@ -364,14 +361,12 @@ def _define_prompt_aug(prompt_aug: argparse.ArgumentParser) -> None:
     prompt_aug.add_argument("--out", required=True)
     prompt_aug.add_argument("--trace", default=None, help="sidecar trace JSONL")
     _add_lexicon_flag(prompt_aug)
-    prompt_aug.set_defaults(func=cmd_prompt_aug)
 
 
 def _define_pararule(pararule_cmd: argparse.ArgumentParser) -> None:
     pararule_cmd.add_argument("--depth", type=int, choices=(1, 2), required=True)
     pararule_cmd.add_argument("--in", dest="in_path", required=True)
     pararule_cmd.add_argument("--out", required=True)
-    pararule_cmd.set_defaults(func=cmd_pararule)
 
 
 def _define_loss(loss: argparse.ArgumentParser) -> None:
@@ -380,25 +375,26 @@ def _define_loss(loss: argparse.ArgumentParser) -> None:
     loss.add_argument("--vectors", required=True, help="TSV: pair_id, role, floats")
     loss.add_argument("--score", choices=(scoring.COSINE, scoring.DOT),
                       default=scoring.COSINE)
-    loss.set_defaults(func=cmd_loss)
 
 
-# Each subcommand's help line and the function that defines its arguments.
-_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
-    "synth": ("generate the synthetic corpus", _define_synth),
-    "augment": ("apply one law per input line", _define_augment),
-    "pairs": ("build contrastive pairs + split", _define_pairs),
-    "check": ("oracle-replay a pairs JSONL file", _define_check),
-    "prompt-aug": ("augment MCQ records", _define_prompt_aug),
-    "pararule": ("alter deductive rule strings", _define_pararule),
-    "loss": ("contrastive loss over vector file", _define_loss),
+# Each subcommand's help line, the function that defines its arguments and
+# the one that runs it.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None],
+                           Callable[[argparse.Namespace], int]]] = {
+    "synth": ("generate the synthetic corpus", _define_synth, cmd_synth),
+    "augment": ("apply one law per input line", _define_augment, cmd_augment),
+    "pairs": ("build contrastive pairs + split", _define_pairs, cmd_pairs),
+    "check": ("oracle-replay a pairs JSONL file", _define_check, cmd_check),
+    "prompt-aug": ("augment MCQ records", _define_prompt_aug, cmd_prompt_aug),
+    "pararule": ("alter deductive rule strings", _define_pararule, cmd_pararule),
+    "loss": ("contrastive loss over vector file", _define_loss, cmd_loss),
 }
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The CLI's parser.  Every subcommand is listed with its help line,
     but only ``command``'s arguments are defined (and its modules
-    imported), or every subcommand's when ``command`` is None."""
+    imported); a missing or unknown ``command`` defines none."""
     parser = argparse.ArgumentParser(
         prog="amr-logic-aug",
         description="Logic-driven data augmentation over AMR graphs.",
@@ -408,9 +404,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         "-q", "--quiet", action="store_true", help="only warnings and errors on stderr"
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, define) in _COMMANDS.items():
+    for name, (summary, define, _) in _COMMANDS.items():
         subparser = commands.add_parser(name, help=summary)
-        if command in (None, name):
+        if name == command:
             define(subparser)
     return parser
 
@@ -418,9 +414,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # No top-level option takes a value, so the first word that is not an
-    # option names the subcommand; any other word gets the full parser.
-    command = next((word for word in argv if not word.startswith("-")), None)
-    parser = build_parser(command if command in _COMMANDS else None)
+    # option names the subcommand.
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     args = parser.parse_args(argv)
     if args.command == "augment" and args.format == "penman" and args.grammar:
         parser.error("augment: --grammar applies to text input only, not --format penman")
@@ -448,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except Exception as err:
         # An input or environment fault: a class of this package, or OSError.
         # Any other exception is a bug, and the caller sees it raised.

@@ -1,5 +1,9 @@
 """Data-file I/O: every reader and writer of the package's UTF-8 files,
-and the digest of a data file (:func:`sha256_of`).
+the lexicon among them, and the digest of a data file (:func:`sha256_of`).
+
+Every reader breaks lines at ``\n``, ``\r\n`` and ``\r`` only, never at
+U+2028, U+0085, a form feed or a vertical tab.  :func:`read_file` returns a
+whole file's bytes with its text, for a reader that also hashes the bytes.
 
 Readers raise the caller's error class, naming the file and line, for a
 byte that is not UTF-8, for malformed JSON (an integer past Python's digit
@@ -115,9 +119,19 @@ def read_objects(path, error: type[Exception], build: Callable[[dict], Any]) -> 
         yield value
 
 
+def read_file(path, error: type[Exception]) -> tuple[bytes, str]:
+    """The file's bytes and its text, whose lines break as :func:`read_lines`'
+    do: ``\r\n`` and ``\r`` read as ``\n``, and nothing else breaks one."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    text = data.decode("utf-8", "surrogateescape")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return data, _utf8(text, path, 1, error)
+
+
 def read_json(path, error: type[Exception]) -> Any:
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-    text = _utf8(text, path, 1, error)
+    text = read_file(path, error)[1]
     try:
         value = json.loads(text)
     except _UNDECODABLE as err:

@@ -136,8 +136,9 @@ _ROUTING_WORDS = ("if", "unless", "then", "and", "or", "not")
 # or attribute that holds one, in any case, since a sentence made from it
 # would not read back as the sentence meant.
 GRAMMAR_WORDS = frozenset(_ROUTING_WORDS + ("but",)) | _COPULAS
-# One word of a predicate.  ``lexicon.parse_lexicon`` holds every attribute
-# entry to it: an attribute fills the one-word predicate slot.
+# One word of a predicate, and the predicate and concept group of both
+# compiled readers.  ``lexicon.parse_lexicon`` holds every attribute entry to
+# it: an attribute fills the one-word predicate slot.
 TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
 _PREDICATE_RE = re.compile(rf"{TOKEN_RE.pattern}(?: {TOKEN_RE.pattern})*")
 
@@ -378,10 +379,11 @@ def compile_core_parser(
     alternatives = "|".join(
         re.escape(key) for key in sorted(subjects, key=lambda key: -key.count(" "))
     )
+    copulas = "|".join(sorted(_COPULAS))
     routing = "|".join(_ROUTING_WORDS)
     clause = (
-        rf"((?i:{alternatives})) (?:is|are|was|were)( not)? "
-        rf"(?!(?i:{routing})(?![A-Za-z-]))([A-Za-z][A-Za-z-]*)"
+        rf"((?i:{alternatives})) (?:{copulas})( not)? "
+        rf"(?!(?i:{routing})(?![A-Za-z-]))({TOKEN_RE.pattern})"
     )
     fullmatch = re.compile(
         rf"(?:If {clause}, (?:then )?{clause}|{clause}(?: (if|and|or) {clause})?)\.",
@@ -488,7 +490,7 @@ def _canonical_penman() -> Callable[[str], Optional[re.Match]]:
     trailing antecedent (22-26).
     """
     variable = r"([a-z][0-9]*)"
-    concept = r"([A-Za-z][A-Za-z-]*)"
+    concept = f"({TOKEN_RE.pattern})"
     head = rf"\({variable} / (?!(?:and|or) ){concept}"
     edges = rf"( {POLARITY_ROLE} {NEGATIVE})? {DOMAIN_ROLE} \({variable} / {concept}\)"
     clause = rf"{head}{edges}\)"
@@ -504,8 +506,8 @@ def read_canonical_penman(text: str) -> Optional[GrammarSentence]:
     writes it, else None.
 
     It reads one compiled pattern: single spaces, variables ``[a-z][0-9]*``
-    all distinct, concepts ``[A-Za-z][A-Za-z-]*`` and no clause predicate
-    ``and`` or ``or``.  On every text it accepts it returns what
+    all distinct, each concept one :data:`TOKEN_RE` word and no clause
+    predicate ``and`` or ``or``.  On every text it accepts it returns what
     ``read_graph(parse_penman(text))`` returns; every other text, and every
     error, is :func:`parse_penman`'s and :func:`read_graph`'s.
     """

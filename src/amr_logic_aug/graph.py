@@ -33,7 +33,6 @@ class ParseError(GraphError, GrammarError):
 
     def __init__(self, reason: str, offset: int) -> None:
         super().__init__(f"{reason} at byte {offset}")
-        self.reason = reason
         self.offset = offset
 
 

@@ -26,8 +26,9 @@ EXTENSION_ATTRIBUTE entry must be one word of ``grammar.TOKEN_RE`` (an
 extension attribute reaches the one-word predicate slot as an antonym):
 the sentences made from them would not parse back.
 
-Lines starting with ``#`` and blank lines are ignored.  The declared count
-in each header must match the number of entry rows in that section.
+Lines break where every data file's do (see :mod:`files`).  Lines
+starting with ``#`` and blank lines are ignored.  The declared count in
+each header must match the number of entry rows in that section.
 
 :func:`default_lexicon` always returns the shipped file; another lexicon is
 read with :func:`load_lexicon` (the CLI's ``--lexicon FILE``).
@@ -38,10 +39,10 @@ from __future__ import annotations
 import hashlib
 import re
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+from .files import read_file
 from .grammar import GRAMMAR_WORDS, TOKEN_RE, GrammarSentence, compile_core_parser
 
 DEFAULT_RESOURCE = "lexicon.tsv"
@@ -119,8 +120,7 @@ def _parse_rows(text: str) -> dict[str, list[tuple[int, list[str]]]]:
     sections: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SECTIONS}
     declared: dict[str, int] = {}
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = line.split("\t")
@@ -216,6 +216,8 @@ def _antonym_map(
 
 
 def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
+    """The lexicon of ``text``, whose lines break at ``\n`` only, as in the
+    text :func:`files.read_file` returns."""
     sections = _parse_rows(text)
     entities = _word_section("ENTITY", sections["ENTITY"])
     _word_section("RELATION", sections["RELATION"])  # checked, never read
@@ -258,28 +260,19 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
     )
 
 
-def _from_bytes(data: bytes, source: str | Path) -> Lexicon:
-    """The lexicon of a file's bytes; every error is prefixed ``<source>: ``."""
+def load_lexicon(path: str | Path) -> Lexicon:
+    """The lexicon of a file; every error is prefixed ``<path>: ``, and its
+    checksum is the sha256 of the file's bytes."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        lineno = data.count(b"\n", 0, err.start) + 1
-        raise LexiconError(f"{source}: line {lineno} is not UTF-8 text") from None
+        data, text = read_file(path, LexiconError)
+    except OSError as err:
+        raise LexiconError(f"cannot read lexicon file {path}: {err}") from err
     try:
         return parse_lexicon(text, checksum=hashlib.sha256(data).hexdigest())
     except LexiconError as err:
-        raise LexiconError(f"{source}: {err}") from None
-
-
-def load_lexicon(path: str | Path) -> Lexicon:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as err:
-        raise LexiconError(f"cannot read lexicon file {path}: {err}") from err
-    return _from_bytes(data, path)
+        raise LexiconError(f"{path}: {err}") from None
 
 
 def default_lexicon() -> Lexicon:
     """The shipped ``data/lexicon.tsv``."""
-    resource = resources.files(__package__).joinpath("data", DEFAULT_RESOURCE)
-    return _from_bytes(resource.read_bytes(), DEFAULT_RESOURCE)
+    return load_lexicon(Path(__file__).with_name("data") / DEFAULT_RESOURCE)

@@ -104,12 +104,6 @@ def clause_literal(clause: Clause, lexicon: Lexicon) -> tuple[tuple[str, str], b
     return (clause.subject, clause.predicate), clause.negated
 
 
-def make_atom(subject: str, attribute: str, negated: bool, lexicon: Lexicon) -> Formula:
-    """The normalized literal of one clause (see :func:`clause_literal`)."""
-    (subject, base), negated = clause_literal(Clause(subject, attribute, negated), lexicon)
-    return Not(Atom(subject, base)) if negated else Atom(subject, base)
-
-
 def atoms(formula: Formula) -> tuple[Atom, ...]:
     """All distinct atoms in first-occurrence order."""
     seen: dict[Atom, None] = {}
@@ -168,7 +162,8 @@ def to_formula(graph: AmrGraph, lexicon: Lexicon) -> Formula:
 
 def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:
     """Interpret a grammar struct directly (clauses in struct order)."""
-    literals = [make_atom(c.subject, c.predicate, c.negated, lexicon) for c in sentence.clauses]
+    literals = [Not(Atom(*atom)) if negated else Atom(*atom)
+                for atom, negated in (clause_literal(c, lexicon) for c in sentence.clauses)]
     if sentence.shape is Shape.ATOMIC:
         return literals[0]
     if sentence.shape is Shape.AND_PAIR:

@@ -158,6 +158,17 @@ def parser_options(parser):
     return options
 
 
+def subcommand_parsers():
+    """Each subcommand's parser, from a parser built for that subcommand:
+    ``build_parser`` defines only the subcommand it is named."""
+
+    def choices(parser):
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return commands.choices
+
+    return {name: choices(build_parser(name))[name] for name in choices(build_parser())}
+
+
 def test_every_flag_the_readme_names_exists():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
@@ -168,13 +179,15 @@ def test_every_flag_the_readme_names_exists():
         for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
     }
     assert named, "no flags found in README"
-    assert named - parser_options(build_parser()) == set()
+    defined = parser_options(build_parser()).union(
+        *map(parser_options, subcommand_parsers().values())
+    )
+    assert named - defined == set()
 
 
 def test_readme_commands_parse_and_name_their_own_options():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = subcommand_parsers()
     # Every command line of a fenced sh block parses, continuations joined.
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
     lines = [
@@ -185,14 +198,15 @@ def test_readme_commands_parse_and_name_their_own_options():
     ]
     assert len(lines) >= 9
     for line in lines:
-        parser.parse_args(shlex.split(line, comments=True)[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        build_parser(argv[0]).parse_args(argv)
     # An inline span that starts with a subcommand names only its options.
     prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)
     spans = [span.split() for span in re.findall(r"`([^`]+)`", prose)]
     checked = 0
     for words in spans:
-        if words and words[0] in commands.choices:
-            options = parser_options(commands.choices[words[0]])
+        if words and words[0] in parsers:
+            options = parser_options(parsers[words[0]])
             assert {w for w in words if w.startswith("--")} <= options, words
             checked += 1
     assert checked >= 5
@@ -205,8 +219,8 @@ def test_the_help_usage_and_error_texts_are_pinned(capsys, monkeypatch):
     """Each argv's exit code, stdout and stderr, recorded on Python 3.11 at
     80 columns while ``build_parser`` still defined all seven subcommands
     in every process.  ``--help augment`` lists the six subcommands that
-    ``main`` registers by name and help line only; ``chek`` takes the
-    full parser."""
+    ``main`` registers by name and help line only; ``chek`` defines none
+    of the seven."""
     monkeypatch.setenv("COLUMNS", "80")
     cases = json.loads(TEXT_SURFACE.read_text(encoding="utf-8"))
     assert len(cases) == 11
@@ -1713,6 +1727,20 @@ def test_a_process_ends_with_its_heap_frozen_and_the_same_bytes(tmp_path):
     assert [name for name, _ in ends["entry"][3]] == ["corpus.jsonl", "corpus.jsonl.manifest.json"]
 
 
+def test_the_package_version_is_stated_once():
+    """``pyproject.toml`` reads the version from ``amr_logic_aug.__version__``."""
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(path, "rb") as handle:
+        config = tomllib.load(handle)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "amr_logic_aug.__version__"
+    }
+    assert __version__ not in path.read_text(encoding="utf-8")
+
+
 def test_the_script_and_python_m_call_one_entry_function():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]
@@ -1733,7 +1761,8 @@ def test_a_subcommand_runs_with_the_collector_paused(monkeypatch, collector):
         seen.append(gc.isenabled())
         raise RuntimeError("a bug, not a domain error")
 
-    monkeypatch.setattr(cli, "cmd_check", probe)
+    summary, define, _ = cli._COMMANDS["check"]
+    monkeypatch.setitem(cli._COMMANDS, "check", (summary, define, probe))
     gc.enable()
     with pytest.raises(RuntimeError):
         main(["-q", "check", "--in", "x"])

@@ -20,6 +20,8 @@ from amr_logic_aug.lexicon import (
 )
 from amr_logic_aug.pairs import build_pairs, verify_records
 
+SHIPPED = resources.files("amr_logic_aug").joinpath("data", "lexicon.tsv").read_bytes()
+
 
 def make_source(
     entities=("the cat", "Alan"),
@@ -55,7 +57,8 @@ def test_default_lexicon_shape():
     assert len(lexicon.extension_attributes) == 10
     assert lexicon.entities[0] == "the bald eagle"
     assert lexicon.attributes[0] == "kind"
-    assert lexicon.checksum and len(lexicon.checksum) == 64
+    assert lexicon.checksum == hashlib.sha256(SHIPPED).hexdigest()
+    assert lexicon.checksum.startswith("f025777b")
 
 
 def test_default_antonyms_are_symmetric():
@@ -266,13 +269,36 @@ def test_load_lexicon_checksum_tracks_bytes(tmp_path):
     assert first.entities == second.entities
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c", "\x0b"],
+                         ids=["U+2028", "U+0085", "form-feed", "vertical-tab"])
+def test_only_a_line_end_breaks_a_lexicon_line(tmp_path, separator):
+    """A lexicon's lines break as every data file's do, at ``\\n``,
+    ``\\r\\n`` and ``\\r`` only."""
+    text = SHIPPED.decode("utf-8")
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(text.replace("# Default lexicon", f"# Default{separator}lexicon"),
+                    encoding="utf-8")
+    assert load_lexicon(path)[:5] == default_lexicon()[:5]
+    path.write_text(text.replace("\nquiet\n", f"\nqu{separator}iet\n"), encoding="utf-8")
+    word = repr(f"qu{separator}iet")
+    message = f"{path}: entry {word} in section ATTRIBUTE is not one word [A-Za-z][A-Za-z-]* "
+    with pytest.raises(LexiconError, match="^" + re.escape(message + "at line 33") + "$"):
+        load_lexicon(path)
+
+
+def test_a_byte_that_is_not_utf8_is_located_in_a_cr_only_lexicon(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes(SHIPPED.replace(b"\n", b"\r").replace(b"Alan", b"Al\xe1n"))
+    with pytest.raises(LexiconError, match="^" + re.escape(f"{path}: line 20 is not UTF-8 text")):
+        load_lexicon(path)
+
+
 def test_environment_does_not_change_default_lexicon(tmp_path, monkeypatch):
-    shipped = resources.files("amr_logic_aug").joinpath("data", "lexicon.tsv").read_bytes()
     path = tmp_path / "custom.tsv"
     path.write_text(make_source(entities=("the fox", "Bob")), encoding="utf-8")
     monkeypatch.setenv("AMR_LOGIC_AUG_LEXICON", str(path))
     lexicon = default_lexicon()
-    assert lexicon.checksum == hashlib.sha256(shipped).hexdigest()
+    assert lexicon.checksum == hashlib.sha256(SHIPPED).hexdigest()
     assert lexicon.checksum != load_lexicon(path).checksum
     assert "the fox" not in lexicon.entities
 

@@ -31,7 +31,6 @@ from amr_logic_aug.logic import (
     clause_literal,
     equivalent,
     formula_of_struct,
-    make_atom,
     meaning,
     to_formula,
 )
@@ -112,12 +111,18 @@ def test_oracle_agrees_with_independent_enumerator():
 # --- construction and normalization ----------------------------------------
 
 
-def test_make_atom_normalizes_antonyms(lexicon):
+def literal(attribute, negated, lexicon):
+    """The formula of the one-clause sentence "the cat is [not] <attribute>"."""
+    clause = Clause("the cat", attribute, negated)
+    return formula_of_struct(GrammarSentence(Shape.ATOMIC, (clause,)), lexicon)
+
+
+def test_a_literal_normalizes_antonyms(lexicon):
     # the antonym-side adjective becomes a negated base atom
-    weak = make_atom("the cat", "weak", False, lexicon)
-    strong = make_atom("the cat", "strong", False, lexicon)
+    weak = literal("weak", False, lexicon)
+    strong = literal("strong", False, lexicon)
     assert weak == Not(strong)
-    assert equivalent(make_atom("the cat", "weak", True, lexicon), strong)
+    assert equivalent(literal("weak", True, lexicon), strong)
     # the base attribute is the lexicographically smaller of the pair
     assert isinstance(strong, Atom) and strong.attribute == "strong"
     assert clause_literal(Clause("the cat", "weak"), lexicon) == (("the cat", "strong"), True)
@@ -145,10 +150,10 @@ def test_clause_literal_follows_the_antonym_rule(lexicon):
                 assert clause_literal(Clause("the owl", word, negated), lex) == expected
 
 
-def test_make_atom_without_antonym(lexicon):
-    atom = make_atom("the cat", "round", False, lexicon)
+def test_a_literal_without_antonym(lexicon):
+    atom = literal("round", False, lexicon)
     assert atom == Atom("the cat", "round")
-    assert make_atom("the cat", "round", True, lexicon) == Not(atom)
+    assert literal("round", True, lexicon) == Not(atom)
     assert clause_literal(Clause("the cat", "round", True), lexicon) == (("the cat", "round"), True)
 
 

@@ -151,9 +151,8 @@ def test_package_root_exports_only_the_version():
 
 
 def test_only_the_files_module_opens_data_files():
-    """``lexicon`` is exempt: it hashes the raw bytes of its file."""
     offenders = []
-    for name in sorted(set(MODULES) - {"files", "lexicon"}):
+    for name in sorted(set(MODULES) - {"files"}):
         path = Path(importlib.import_module(f"amr_logic_aug.{name}").__file__)
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and (
@@ -285,6 +284,7 @@ def test_cli_cold_start_imports_no_dataclasses():
 # ``cli``, ``files`` and ``lexicon`` (with ``grammar``).  ``laws`` brings in
 # ``logic``.  ``augment --format penman`` reads a line in the Penman writer's
 # format without ``graph``, and loads it only for a line in another format.
+# A misspelt subcommand is a usage error (exit 2) that loads none of them.
 SUBCOMMAND_MODULES = {
     "synth": {"corpus", "laws", "logic"},
     "augment": {"laws", "logic"},
@@ -295,6 +295,7 @@ SUBCOMMAND_MODULES = {
     "prompt-aug": {"laws", "logic", "prompt"},
     "pararule": {"pararule"},
     "loss": {"scoring"},
+    "chek": set(),
 }
 SHARED_MODULES = {"cli", "files", "grammar", "lexicon"}
 
@@ -303,14 +304,15 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     """``cli`` defines and imports only the subcommand a process runs, so
     ``augment`` compiles and runs none of ``corpus``, ``pairs``, ``prompt``,
     ``pararule`` and ``scoring``, and not ``graph`` either unless a Penman
-    line is outside the writer's format.  No process loads ``logging``,
-    which would be listed too."""
+    line is outside the writer's format.  A misspelt subcommand defines
+    none, so its usage error loads no subcommand module.  No process loads
+    ``logging``, which would be listed too."""
     code = (
         "import runpy, sys\n"
         "try:\n"
         "    runpy.run_module('amr_logic_aug', run_name='__main__')\n"
         "except SystemExit as exit:\n"
-        "    assert exit.code == 0, exit.code\n"
+        "    print(exit.code)\n"
         "print(' '.join(sorted([name.partition('.')[2] for name in sys.modules\n"
         "                       if name.startswith('amr_logic_aug.')]\n"
         "                      + [name for name in ('logging',) if name in sys.modules])))\n"
@@ -345,6 +347,7 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
         "pararule": ["pararule", "--depth", "2", "--in", "rules.jsonl",
                      "--out", "rules_alt.jsonl"],
         "loss": ["loss", "--vectors", "vectors.tsv"],
+        "chek": ["chek", "--in", "train.jsonl"],
     }
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     loaded = {}
@@ -353,8 +356,9 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
             [sys.executable, "-c", code, "-q", *argv], cwd=tmp_path,
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
-        loaded[command] = set(done.stdout.splitlines()[-1].split())  # check and loss print first
+        *_, status, modules = done.stdout.splitlines()  # check and loss print first
+        loaded[command] = int(status), set(modules.split())
     assert loaded == {
-        command: SHARED_MODULES | modules
+        command: (2 if command == "chek" else 0, SHARED_MODULES | modules)
         for command, modules in SUBCOMMAND_MODULES.items()
     }
