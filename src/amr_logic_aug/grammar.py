@@ -360,13 +360,15 @@ def compile_core_parser(
     what the general parser returns; the subject is the table's entity for
     the lower-cased words.
 
-    Returns None (no fast path) for a lexicon without entities or with an
-    entity word outside ``[a-z][a-z-]*`` or in ``GRAMMAR_WORDS`` (a
-    lexicon file can hold no such word, but a ``Lexicon`` built directly
-    can).  With those excluded, the only way to read a pattern match is
-    the general parser's: an entity is always followed by a copula and
-    never holds one, so the match cannot back off to a shorter entity than
-    the general parser's longest-first lookup takes.
+    Returns None (no fast path: every core parse takes the general parser)
+    for a lexicon without entities, with an entity word in
+    ``GRAMMAR_WORDS`` (only a ``Lexicon`` built directly holds one), or
+    with an entity word outside ``[a-z][a-z-]*``, which a lexicon file may
+    hold (``Zoë``, ``O'Brien``, ``R2d2``).  With those excluded, the only
+    way to read a pattern match is the general parser's: an entity is
+    always followed by a copula and never holds one, so the match cannot
+    back off to a shorter entity than the general parser's longest-first
+    lookup takes.
     """
     if not entities or any(
         word in GRAMMAR_WORDS or not _ENTITY_WORD_RE.fullmatch(word)

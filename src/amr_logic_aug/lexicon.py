@@ -8,8 +8,8 @@ ENTITY, ATTRIBUTE
 RELATION
     Required and checked as a one-column word section, but never read.
 EXTENSION_ENTITY, EXTENSION_ATTRIBUTE
-    Extra vocabulary for robustness variants; never used by default
-    generation but valid antonym targets.
+    Extra vocabulary that default generation never uses.  Only the
+    entities are kept; the attributes are checked antonym targets.
 ANTONYM
     Directed rows ``word<TAB>antonym``.  Every row must have its mirror row
     (symmetry is validated, not assumed), no word maps to itself or to two
@@ -67,7 +67,6 @@ class _LexiconFields(NamedTuple):
     attributes: tuple[str, ...]
     antonyms: dict[str, str]
     extension_entities: tuple[str, ...] = ()
-    extension_attributes: tuple[str, ...] = ()
     checksum: str = ""
 
 
@@ -255,7 +254,6 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
         attributes=attributes,
         antonyms=antonyms,
         extension_entities=ext_entities,
-        extension_attributes=ext_attributes,
         checksum=checksum,
     )
 

@@ -51,22 +51,21 @@ class PromptError(ValueError):
 
 class _McqFields(NamedTuple):
     context: str
-    question: str
     answers: tuple[str, str, str, str]
     label: Optional[int] = None
     id_string: str = ""
 
 
 class McqRecord(_McqFields):
-    """One multiple-choice record, validated on construction (``_make`` and
-    ``_replace`` skip the checks)."""
+    """The parts of one multiple-choice record that augmentation reads,
+    validated on construction (``_make`` and ``_replace`` skip the checks).
+    :meth:`from_dict` checks the record's question too, but does not keep it."""
 
     __slots__ = ()
 
     def __new__(
         cls,
         context: str,
-        question: str,
         answers: tuple[str, str, str, str],
         label: Optional[int] = None,
         id_string: str = "",
@@ -76,7 +75,7 @@ class McqRecord(_McqFields):
         # checked by type, because a bool is an int
         if label is not None and (type(label) is not int or label not in range(4)):
             raise PromptError(f"label must be 0-3, got {label!r}")
-        return tuple.__new__(cls, (context, question, answers, label, id_string))
+        return tuple.__new__(cls, (context, answers, label, id_string))
 
     @staticmethod
     def from_dict(payload: dict) -> "McqRecord":
@@ -99,7 +98,6 @@ class McqRecord(_McqFields):
             raise PromptError(f"id_string must be a string, got {type(id_string).__name__}")
         return McqRecord(
             context=context,
-            question=question,
             answers=tuple(answers),
             label=payload.get("label"),
             id_string=id_string,
@@ -210,14 +208,8 @@ def augment_record(
                 seen.add(text)
         answers.append(" ".join(parts))
 
-    augmented = McqRecord(
-        context=record.context,
-        question=record.question,
-        answers=tuple(answers),
-        label=record.label,
-        id_string=record.id_string,
-    )
-    return augmented, tuple(rows)
+    # Still four answers under the same label, so the checks are not rerun.
+    return record._replace(answers=tuple(answers)), tuple(rows)
 
 
 def _read_records(path: str | Path, file_format: str) -> Iterable:

@@ -1373,14 +1373,28 @@ BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests
 
 def test_default_size_build_bytes_match_the_benchmark_digests(tmp_path, monkeypatch):
     """The benchmark's ``build`` workload at its pinned seed is default-seed
-    ``synth`` then ``pairs --ratio 1:3``; its outputs keep their pinned bytes."""
+    ``synth`` then ``pairs --ratio 1:3``; its outputs keep their pinned bytes.
+    ``pairs --corpus`` on that corpus, the documented path, writes the same
+    pairs bytes, and only its sidecars name the corpus."""
     monkeypatch.chdir(tmp_path)
     assert main(["-q", "synth", "--out", "corpus.jsonl"]) == 0
     assert main(
         ["-q", "pairs", "--ratio", "1:3", "--out-train", "train.jsonl", "--out-val", "val.jsonl"]
     ) == 0
+    assert main(
+        ["-q", "pairs", "--corpus", "corpus.jsonl", "--ratio", "1:3",
+         "--out-train", "read_train.jsonl", "--out-val", "read_val.jsonl"]
+    ) == 0
     pinned = json.loads(BENCHMARK_DIGESTS.read_text(encoding="utf-8"))["build"]
     assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in pinned} == pinned
+    for name in ("train.jsonl", "val.jsonl"):
+        assert hashlib.sha256(Path(f"read_{name}").read_bytes()).hexdigest() == pinned[name]
+        regenerated = json.loads(Path(f"{name}.manifest.json").read_text(encoding="utf-8"))
+        read = json.loads(Path(f"read_{name}.manifest.json").read_text(encoding="utf-8"))
+        provenance = {"corpus_path": "corpus.jsonl", "corpus_seed": 2021,
+                      "corpus_sha256": pinned["corpus.jsonl"]}
+        assert not provenance.keys() & regenerated.keys()
+        assert read == {**regenerated, **provenance}
 
 
 # sha256 of the seed-0 ``prompt`` workload's ``--trace`` sidecar; it holds the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -29,6 +30,7 @@ from amr_logic_aug.grammar import (
     realize_struct,
 )
 from amr_logic_aug.laws import LawKind, applicable_laws, apply_law
+from amr_logic_aug.lexicon import load_lexicon
 from amr_logic_aug.logic import to_formula
 from amr_logic_aug.pairs import build_pairs
 
@@ -718,13 +720,24 @@ def pattern_lexicons(lexicon):
     }
 
 
-def test_which_lexicons_get_a_pattern(pattern_lexicons):
+def test_which_lexicons_get_a_pattern(pattern_lexicons, tmp_path):
     assert {name: lex.core_parser is not None for name, lex in pattern_lexicons.items()} == {
         "default": True,
         "overlapping": True,
         "case-duplicates": True,
         "copula-entity": False,
     }
+    # A lexicon file may hold an entity word the pattern cannot take; every
+    # core parse over it takes the general parser.
+    shipped = (Path(grammar.__file__).with_name("data") / "lexicon.tsv").read_text(encoding="utf-8")
+    for entity in ("Zoë", "O'Brien", "R2d2"):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(shipped.replace("\nAlan\n", f"\n{entity}\n"), encoding="utf-8")
+        lex = load_lexicon(path)
+        assert entity in lex.entities and lex.core_parser is None
+        assert parse_sentence_struct(f"If {entity} is kind, then Bob is tall.", lex) == (
+            GrammarSentence(Shape.IF_THEN, (Clause(entity, "kind"), Clause("Bob", "tall")), False)
+        )
 
 
 def test_canonical_core_sentences_never_reach_the_general_parser(

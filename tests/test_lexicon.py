@@ -54,7 +54,10 @@ def test_default_lexicon_shape():
     assert len(lexicon.entities) == 23
     assert len(lexicon.attributes) == 40
     assert len(lexicon.extension_entities) == 15
-    assert len(lexicon.extension_attributes) == 10
+    # The ten extension attributes are checked, not kept; "cautious" is one,
+    # and the shipped antonym row reckless -> cautious needs it.
+    assert lexicon.antonyms["reckless"] == "cautious"
+    assert "cautious" not in lexicon.attributes
     assert lexicon.entities[0] == "the bald eagle"
     assert lexicon.attributes[0] == "kind"
     assert lexicon.checksum == hashlib.sha256(SHIPPED).hexdigest()
@@ -78,7 +81,6 @@ def test_parse_round_trip():
     assert lexicon.antonyms.get("strong") == "weak"
     assert "the sheep" in lexicon.extension_entities
     assert "the fox" not in lexicon.entities + lexicon.extension_entities
-    assert "sleepy" in lexicon.extension_attributes
 
 
 @pytest.mark.parametrize(
@@ -165,18 +167,20 @@ def test_validation_errors(change, message):
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, words",
     [
-        dict(entities=("the bald eagle", "the jack-o-lantern", "Zoë")),
-        dict(entities=("the cat", "you"), attributes=("strong", "weak", "bob")),
-        dict(ext_attributes=("blue-green",)),
+        (dict(entities=("the bald eagle", "the jack-o-lantern", "Zoë")),
+         {"the bald eagle", "the jack-o-lantern", "Zoë"}),
+        (dict(entities=("the cat", "you"), attributes=("strong", "weak", "bob")), {"you", "bob"}),
+        # An extension attribute is kept only as an antonym target.
+        (dict(ext_attributes=("blue-green",),
+              antonyms=(("round", "blue-green"), ("blue-green", "round"))), {"blue-green"}),
     ],
     ids=["multi-word-hyphen-non-ascii", "you-and-bob", "extension-attributes"],
 )
-def test_entries_that_hold_no_grammar_word_load(change):
+def test_entries_that_hold_no_grammar_word_load(change, words):
     lexicon = parse_lexicon(make_source(**change))
-    loaded = (lexicon.entities, lexicon.attributes, lexicon.extension_attributes)
-    assert set(change.values()) <= set(loaded)
+    assert words <= {*lexicon.entities, *lexicon.attributes, *lexicon.antonyms}
 
 
 _WORD = st.lists(
@@ -278,7 +282,7 @@ def test_only_a_line_end_breaks_a_lexicon_line(tmp_path, separator):
     path = tmp_path / "lexicon.tsv"
     path.write_text(text.replace("# Default lexicon", f"# Default{separator}lexicon"),
                     encoding="utf-8")
-    assert load_lexicon(path)[:5] == default_lexicon()[:5]
+    assert load_lexicon(path)[:-1] == default_lexicon()[:-1]  # all but the checksum
     path.write_text(text.replace("\nquiet\n", f"\nqu{separator}iet\n"), encoding="utf-8")
     word = repr(f"qu{separator}iet")
     message = f"{path}: entry {word} in section ATTRIBUTE is not one word [A-Za-z][A-Za-z-]* "

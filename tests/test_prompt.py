@@ -55,12 +55,12 @@ KEYBOARD_RECORD = McqRecord.from_dict(KEYBOARD_PAYLOAD)
 
 def test_record_needs_four_answers():
     with pytest.raises(PromptError, match="exactly 4 answers"):
-        McqRecord("c", "q", ("a", "b", "c"))
+        McqRecord("c", ("a", "b", "c"))
 
 
 def test_record_label_range():
     with pytest.raises(PromptError, match="label must be 0-3"):
-        McqRecord("c", "q", ("a", "b", "c", "d"), label=4)
+        McqRecord("c", ("a", "b", "c", "d"), label=4)
 
 
 @pytest.mark.parametrize(
@@ -75,7 +75,7 @@ def test_record_label_range():
 )
 def test_record_class_raises_its_messages(fields, message):
     with pytest.raises(PromptError, match=f"^{re.escape(message)}$"):
-        McqRecord(context="c", question="q", **fields)
+        McqRecord(context="c", **fields)
 
 
 def test_record_from_dict_missing_key():
@@ -243,7 +243,6 @@ def test_keyboard_option_b_layout(lexicon):
 def test_keyboard_untouched_fields(lexicon):
     augmented, _ = augment_record(KEYBOARD_RECORD, lexicon)
     assert augmented.context == KEYBOARD_RECORD.context
-    assert augmented.question == KEYBOARD_RECORD.question
     assert augmented.label == KEYBOARD_RECORD.label
     assert augmented.id_string == KEYBOARD_RECORD.id_string
     for original, rewritten in zip(KEYBOARD_RECORD.answers, augmented.answers):
@@ -298,7 +297,6 @@ def test_law_filter_drops_implication_rewrites(lexicon):
 def test_free_text_record_passes_through(lexicon):
     record = McqRecord(
         context="The committee deliberated at length!",
-        question="q",
         answers=("Opinions, varied.", "Nobody knows?!", "So it goes...", "Hmm!"),
         label=0,
     )
