@@ -25,7 +25,9 @@ misspelt one, which is a usage error), and imports only the modules that
 subcommand needs: ``augment`` never loads ``corpus``,
 ``pairs``, ``prompt``, ``pararule`` or ``scoring``, and only ``augment
 --format penman`` loads ``graph``, for a line outside the Penman writer's
-format.  No process loads ``logging``.
+format.  Only a subcommand that reads a lexicon loads ``grammar`` and
+``lexicon``: ``pararule``, ``loss`` and a usage error load neither.  No
+process loads ``logging``.
 
 A process starts at ``amr_logic_aug.__main__.run``, which calls
 :func:`main` and then freezes the heap for a short exit.  :func:`main`
@@ -42,13 +44,12 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import __version__, grammar
+from . import __version__
 from .files import json_string, read_json, read_lines, sha256_of, write_text
-from .lexicon import Lexicon, default_lexicon, load_lexicon
 
 if TYPE_CHECKING:  # each subcommand imports the rest of the package itself
     from . import corpus, laws
-    from .graph import AmrGraph
+    from .lexicon import Lexicon
 
 
 def log(level: str, message: str, name: str = "amr_logic_aug") -> None:
@@ -97,8 +98,19 @@ def _add_lexicon_flag(parser: argparse.ArgumentParser) -> None:
                         help="TSV lexicon file (default: the shipped lexicon)")
 
 
+def default_lexicon() -> Lexicon:
+    """The shipped lexicon; ``grammar`` and ``lexicon`` load on the first call."""
+    from . import lexicon
+
+    return lexicon.default_lexicon()
+
+
 def _resolve_lexicon(args: argparse.Namespace) -> Lexicon:
-    return load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
+    if args.lexicon:
+        from .lexicon import load_lexicon
+
+        return load_lexicon(args.lexicon)
+    return default_lexicon()
 
 
 def _sidecar(data_path: str | Path) -> Path:
@@ -145,26 +157,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    from . import laws
+    from . import grammar, laws
 
     lexicon = _resolve_lexicon(args)
     if args.format == "penman":
-        def read(line: str) -> grammar.GrammarSentence | AmrGraph:
-            sentence = grammar.read_canonical_penman(line)
-            if sentence is None:  # only Penman outside the writer's format loads graph
-                from .graph import parse_penman
-
-                return parse_penman(line)
-            return sentence
-
-        render = grammar.penman_of_struct
+        read, render = grammar.read_canonical_penman, grammar.penman_of_struct
     else:
         def read(line: str) -> grammar.GrammarSentence:
             return grammar.parse_sentence_struct(line, lexicon, args.grammar or grammar.CORE)
 
         render = grammar.realize_struct
+    apply_law, law, negatives = laws.apply_law, args.law, args.negatives
+    errors = (grammar.GrammarError, laws.LawError)  # graph.ParseError included
     quote = json_string
-    law = quote(args.law.value)
+    # The row's fixed text between its input and its positive, quoted once a run.
+    middle = f', "law": {quote(law.value)}, "positive": '
     skipped = 0
 
     def rows():
@@ -174,18 +181,22 @@ def cmd_augment(args: argparse.Namespace) -> int:
         nonlocal skipped
         for _, line in read_lines(args.in_path, grammar.GrammarError):
             try:
-                outcome = laws.apply_law(read(line), args.law, lexicon)
-            except (grammar.GrammarError, laws.LawError) as err:  # graph.ParseError included
+                sentence = read(line)
+                if sentence is None:  # Penman outside the writer's format: only it loads graph
+                    from .graph import parse_penman
+
+                    sentence = parse_penman(line)
+                outcome = apply_law(sentence, law, lexicon)
+            except errors as err:
                 skipped += 1
                 log("WARNING", f"skipped {line!r}: {err}")
                 yield f'{{"input": {quote(line)}, "skipped": {quote(str(err))}}}\n'
                 continue
-            positive = quote(render(outcome.positive))
-            row = f'{{"input": {quote(line)}, "law": {law}, "positive": {positive}'
-            if args.negatives:
-                yield f'{row}, "negatives": [{quote(render(outcome.negative))}]}}\n'
+            if negatives:
+                yield (f'{{"input": {quote(line)}{middle}{quote(render(outcome.positive))}, '
+                       f'"negatives": [{quote(render(outcome.negative))}]}}\n')
             else:
-                yield f"{row}}}\n"
+                yield f'{{"input": {quote(line)}{middle}{quote(render(outcome.positive))}}}\n'
 
     processed = write_text(args.out, rows()) - skipped
     write_manifest(
@@ -316,7 +327,7 @@ def _define_synth(synth: argparse.ArgumentParser) -> None:
 
 
 def _define_augment(augment: argparse.ArgumentParser) -> None:
-    from . import laws
+    from . import grammar, laws
 
     augment.add_argument("--law", type=laws.LawKind, required=True,
                          choices=list(laws.LawKind),

@@ -27,7 +27,8 @@ accidental equivalences.
 
 :func:`build_corpus` assembles a deduplicated corpus of an exact target
 size from per-family quotas (largest-remainder allocation of the mix,
-capped at family capacity with deterministic redistribution).
+capped at family capacity with deterministic redistribution); a family
+that runs dry passes its shortfall on the same way.
 """
 
 from __future__ import annotations
@@ -174,46 +175,47 @@ def _family_rng(seed: int, pattern: PatternKind) -> random.Random:
     return random.Random(f"{seed}:{pattern.name}")
 
 
-def _generate_family(
-    lexicon: Lexicon,
-    pattern: PatternKind,
-    count: int,
-    rng: random.Random,
-    seen_texts: set[str],
-) -> list[SynthSentence]:
-    """Fill a family quota, skipping degenerate slots and duplicate texts."""
-    family = _FAMILIES[pattern]
-    capacity = family.capacity(lexicon)
-    accepted: list[SynthSentence] = []
-    used: set[int] = set()
+class _FamilyFill:
+    """One family's sentences, drawn from its seeded slot order: each
+    :meth:`fill` call extends them towards a quota, skipping degenerate
+    slots and texts already in ``seen_texts``."""
 
-    def consume(indexes: Iterable[int]) -> None:
-        for index in indexes:
-            if len(accepted) >= count:
-                return
-            used.add(index)
-            struct = family.struct(lexicon, index, len(accepted))
-            if struct is None:
-                continue
-            sentence = _sentence(struct, pattern)
-            key = sentence.text.lower()
-            if key in seen_texts:
-                continue
-            seen_texts.add(key)
-            accepted.append(sentence)
+    def __init__(
+        self, lexicon: Lexicon, pattern: PatternKind, seed: int, seen_texts: set[str]
+    ) -> None:
+        self.lexicon, self.pattern, self.seen_texts = lexicon, pattern, seen_texts
+        self.rng = _family_rng(seed, pattern)
+        self.sentences: list[SynthSentence] = []
+        self.used: set[int] = set()
 
-    draw = min(capacity, count + _TOPUP_RESERVE)
-    consume(rng.sample(range(capacity), draw))
-    while len(accepted) < count and len(used) < capacity:
-        remaining = [i for i in range(capacity) if i not in used]
-        extra = min(len(remaining), count - len(accepted) + _TOPUP_RESERVE)
-        consume(rng.sample(remaining, extra))
-    if len(accepted) < count:
-        raise CorpusError(
-            f"unreachable target: {pattern.value} family exhausted at "
-            f"{len(accepted)} of {count} requested sentences"
-        )
-    return accepted
+    def fill(self, count: int) -> bool:
+        """Extend the sentences to ``count``; False if the slots run out first."""
+        family = _FAMILIES[self.pattern]
+        capacity = family.capacity(self.lexicon)
+        accepted, used, seen_texts = self.sentences, self.used, self.seen_texts
+
+        def consume(indexes: Iterable[int]) -> None:
+            for index in indexes:
+                if len(accepted) >= count:
+                    return
+                used.add(index)
+                struct = family.struct(self.lexicon, index, len(accepted))
+                if struct is None:
+                    continue
+                sentence = _sentence(struct, self.pattern)
+                key = sentence.text.lower()
+                if key in seen_texts:
+                    continue
+                seen_texts.add(key)
+                accepted.append(sentence)
+
+        if not used:  # the first fill draws its quota and a reserve at once
+            consume(self.rng.sample(range(capacity), min(capacity, count + _TOPUP_RESERVE)))
+        while len(accepted) < count and len(used) < capacity:
+            remaining = [i for i in range(capacity) if i not in used]
+            extra = min(len(remaining), count - len(accepted) + _TOPUP_RESERVE)
+            consume(self.rng.sample(remaining, extra))
+        return len(accepted) >= count
 
 
 def _largest_remainder(target: int, weights: dict[PatternKind, float]) -> dict[PatternKind, int]:
@@ -238,8 +240,9 @@ def build_corpus(
     """Exactly ``target_size`` unique sentences in family order.
 
     Quotas follow ``mix`` by largest remainder; a family whose quota
-    exceeds its capacity is capped, and the excess is redistributed evenly
-    over families with headroom.
+    exceeds its capacity is capped, and the excess is shared out over the
+    families with headroom, by largest remainder over their room.  A family
+    that runs dry below its quota passes the shortfall on the same way.
     """
     if target_size < 0:
         raise CorpusError("target size must be non-negative")
@@ -254,7 +257,7 @@ def build_corpus(
         raise CorpusError(f"mix fractions must sum to 1, got {total}")
 
     # Approximate capacities ignore degenerate-tuple and cross-family text
-    # losses; the per-family generators raise if those bite at the margin.
+    # losses; a family that loses slots to them runs dry below its quota.
     capacities = {kind: family_capacity(lexicon, kind) for kind in PatternKind}
     if target_size > sum(capacities[kind] for kind in mix):
         raise CorpusError(
@@ -262,7 +265,13 @@ def build_corpus(
             f"{sum(capacities[kind] for kind in mix)}"
         )
 
+    # A family that runs dry has found its real capacity: its shortfall is
+    # then overflow like any other, until the target is met or no family
+    # has room left.
     quotas = _largest_remainder(target_size, mix)
+    seen_texts: set[str] = set()
+    fills = {kind: _FamilyFill(lexicon, kind, seed, seen_texts) for kind in PatternKind}
+    exhausted = "unreachable target: no family headroom left"
     while True:
         overflow = 0
         headroom = {}
@@ -272,24 +281,24 @@ def build_corpus(
                 quotas[kind] = capacities[kind]
             elif quota < capacities[kind]:
                 headroom[kind] = capacities[kind] - quota
-        if not overflow:
-            break
-        if not headroom:
-            raise CorpusError("unreachable target: no family headroom left")
-        share = {kind: room / sum(headroom.values()) for kind, room in headroom.items()}
-        extra = _largest_remainder(overflow, share)
-        for kind, amount in extra.items():
-            quotas[kind] += amount
-
-    corpus: list[SynthSentence] = []
-    seen_texts: set[str] = set()
-    for kind in PatternKind:
-        quota = quotas.get(kind, 0)
-        if quota:
-            corpus.extend(
-                _generate_family(lexicon, kind, quota, _family_rng(seed, kind), seen_texts)
-            )
-    return corpus
+        if overflow:
+            if not headroom:
+                raise CorpusError(exhausted)
+            share = {kind: room / sum(headroom.values()) for kind, room in headroom.items()}
+            extra = _largest_remainder(overflow, share)
+            for kind, amount in extra.items():
+                quotas[kind] += amount
+            continue
+        dry = False
+        for kind, fill in fills.items():  # in family order: earlier texts come first
+            quota = quotas.get(kind, 0)
+            if quota and not fill.fill(quota):
+                exhausted = (f"unreachable target: {kind.value} family exhausted at "
+                             f"{len(fill.sentences)} of {quota} requested sentences")
+                capacities[kind] = len(fill.sentences)
+                dry = True
+        if not dry:
+            return [sentence for fill in fills.values() for sentence in fill.sentences]
 
 
 def corpus_to_jsonl(corpus: Sequence[SynthSentence], path) -> int:

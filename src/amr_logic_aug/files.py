@@ -63,14 +63,14 @@ def _no_lone_surrogate(line: str, path, lineno: int, error: type[Exception]) -> 
                 ) from None
 
 
-def _utf8(text: str, path, lineno: int, error: type[Exception]) -> str:
-    if not text.isascii():  # an undecodable byte was read as a lone surrogate
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as err:
-            lineno += text.count("\n", 0, err.start)
-            raise error(f"{path}: line {lineno} is not UTF-8 text") from None
-    return text
+def _utf8(text: str, path, lineno: int, error: type[Exception]) -> None:
+    """Raise ``error`` naming the line of an undecodable byte, which the
+    reader read as a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        lineno += text.count("\n", 0, err.start)
+        raise error(f"{path}: line {lineno} is not UTF-8 text") from None
 
 
 def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
@@ -78,7 +78,9 @@ def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
     break at ``\\n``, ``\\r\\n`` and ``\\r`` only, never at U+2028 or U+0085."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = _utf8(line, path, lineno, error).strip()
+            if not line.isascii():  # an ASCII line holds no undecodable byte
+                _utf8(line, path, lineno, error)
+            line = line.strip()
             if line:
                 yield lineno, line
 
@@ -127,7 +129,8 @@ def read_file(path, error: type[Exception]) -> tuple[bytes, str]:
     text = data.decode("utf-8", "surrogateescape")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return data, _utf8(text, path, 1, error)
+    _utf8(text, path, 1, error)
+    return data, text
 
 
 def read_json(path, error: type[Exception]) -> Any:

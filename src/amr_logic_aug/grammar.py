@@ -92,8 +92,9 @@ class GrammarSentence(_SentenceFields):
     ``clauses`` order: operands for AND_PAIR/OR_PAIR, and always
     (antecedent, consequent) for IF_THEN regardless of surface form;
     ``trailing_condition`` records the "B if A." surface for conditionals.
-    The clause count is checked on construction (``_make`` and ``_replace``
-    skip the check).
+    The clause count is checked on construction (``_make``, ``_replace`` and
+    a direct ``tuple.__new__``, which the Penman reader uses where the shape
+    fixes the count, skip the check).
     """
 
     __slots__ = ()
@@ -516,33 +517,38 @@ def read_canonical_penman(text: str) -> Optional[GrammarSentence]:
     match = _canonical_penman()(text)
     if match is None:
         return None
-    groups = match.groups()
-    trailing = False
-    if groups[1] is not None:
-        variables = [groups[0]]
-        shape = _AND_PAIR if groups[1] == "and" else _OR_PAIR
-        parts = (groups[2:7], groups[7:12])
-    else:
-        variables = []
-        own = groups[12:14] + groups[19:22]
-        leading, trailing_antecedent = groups[14:19], groups[22:27]
-        if leading[0] is None and trailing_antecedent[0] is None:
-            shape, parts = _ATOMIC, (own,)
-        elif trailing_antecedent[0] is None:
-            shape, parts = _IF_THEN, (leading, own)
-        elif leading[0] is None:
-            shape, parts, trailing = _IF_THEN, (trailing_antecedent, own), True
-        else:
-            return None  # two :condition edges
-    clauses = []
-    for predicate_var, predicate, polarity, subject_var, subject in parts:
-        variables += (predicate_var, subject_var)
-        clauses.append(Clause(
-            _concept_to_surface(subject), _concept_to_surface(predicate), polarity is not None
-        ))
-    if len(set(variables)) != len(variables):
-        return None  # a duplicate instance declaration
-    return GrammarSentence(shape, tuple(clauses), trailing)
+    # A clause is (predicate variable, predicate, polarity, subject variable,
+    # subject); a repeated variable is a duplicate instance declaration.  The
+    # structs are built without their class calls, whose clause-count check
+    # each shape here meets.
+    (root, connective, p1, predicate1, not1, s1, subject1, p2, predicate2, not2, s2, subject2,
+     p, predicate, lp, lead_predicate, lead_not, ls, lead_subject, negated, s, subject,
+     tp, trail_predicate, trail_not, ts, trail_subject) = match.groups()
+    new = tuple.__new__
+    if connective is not None:
+        if len({root, p1, s1, p2, s2}) != 5:
+            return None
+        first = new(Clause, (subject1.replace("-", " "), predicate1.replace("-", " "),
+                             not1 is not None))
+        second = new(Clause, (subject2.replace("-", " "), predicate2.replace("-", " "),
+                              not2 is not None))
+        shape = _AND_PAIR if connective == "and" else _OR_PAIR
+        return new(GrammarSentence, (shape, (first, second), False))
+    own = new(Clause, (subject.replace("-", " "), predicate.replace("-", " "),
+                       negated is not None))
+    if lp is not None:
+        if tp is not None or len({p, s, lp, ls}) != 4:
+            return None  # two :condition edges, or a repeated variable
+        leading = new(Clause, (lead_subject.replace("-", " "), lead_predicate.replace("-", " "),
+                               lead_not is not None))
+        return new(GrammarSentence, (_IF_THEN, (leading, own), False))
+    if tp is not None:
+        if len({p, s, tp, ts}) != 4:
+            return None
+        trailing = new(Clause, (trail_subject.replace("-", " "), trail_predicate.replace("-", " "),
+                                trail_not is not None))
+        return new(GrammarSentence, (_IF_THEN, (trailing, own), True))
+    return None if p == s else new(GrammarSentence, (_ATOMIC, (own,), False))
 
 
 def build_graph(sentence: GrammarSentence) -> AmrGraph:

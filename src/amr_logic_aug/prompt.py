@@ -19,8 +19,8 @@ and recorded in its trace row with a skip reason.
 record's trace rows only when a trace file is asked for.  A file that does
 not parse raises :class:`PromptError` naming where; a record that is not an
 object with string ``context``, ``question`` and ``answers`` (and, when
-present, a string ``id_string``) is written out unchanged and counted in
-``records_skipped``.
+present, a ``label`` from 0 to 3 and a string ``id_string``) is written out
+unchanged and counted in ``records_skipped``.
 """
 
 from __future__ import annotations
@@ -52,30 +52,23 @@ class PromptError(ValueError):
 class _McqFields(NamedTuple):
     context: str
     answers: tuple[str, str, str, str]
-    label: Optional[int] = None
     id_string: str = ""
 
 
 class McqRecord(_McqFields):
     """The parts of one multiple-choice record that augmentation reads,
     validated on construction (``_make`` and ``_replace`` skip the checks).
-    :meth:`from_dict` checks the record's question too, but does not keep it."""
+    :meth:`from_dict` checks the record's question and label too, but keeps
+    neither: the output row copies them from the payload."""
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        context: str,
-        answers: tuple[str, str, str, str],
-        label: Optional[int] = None,
-        id_string: str = "",
+        cls, context: str, answers: tuple[str, str, str, str], id_string: str = ""
     ) -> "McqRecord":
         if len(answers) != 4:
             raise PromptError(f"record needs exactly 4 answers, got {len(answers)}")
-        # checked by type, because a bool is an int
-        if label is not None and (type(label) is not int or label not in range(4)):
-            raise PromptError(f"label must be 0-3, got {label!r}")
-        return tuple.__new__(cls, (context, answers, label, id_string))
+        return tuple.__new__(cls, (context, answers, id_string))
 
     @staticmethod
     def from_dict(payload: dict) -> "McqRecord":
@@ -96,12 +89,12 @@ class McqRecord(_McqFields):
         id_string = payload.get("id_string", "")
         if not isinstance(id_string, str):
             raise PromptError(f"id_string must be a string, got {type(id_string).__name__}")
-        return McqRecord(
-            context=context,
-            answers=tuple(answers),
-            label=payload.get("label"),
-            id_string=id_string,
-        )
+        record = McqRecord(context, tuple(answers), id_string)
+        label = payload.get("label")
+        # checked by type, because a bool is an int
+        if label is not None and (type(label) is not int or label not in range(4)):
+            raise PromptError(f"label must be 0-3, got {label!r}")
+        return record
 
 
 class Rewrite(NamedTuple):
@@ -208,7 +201,7 @@ def augment_record(
                 seen.add(text)
         answers.append(" ".join(parts))
 
-    # Still four answers under the same label, so the checks are not rerun.
+    # Still four answers, so the check is not rerun.
     return record._replace(answers=tuple(answers)), tuple(rows)
 
 

@@ -111,6 +111,55 @@ def test_a_pair_family_reaches_every_nondegenerate_slot(kind, seed, topup_reserv
         build_corpus(TINY_LEXICON, len(reachable) + 1, {kind: 1.0}, seed)
 
 
+def kind_mean_tall(*entities):
+    """A lexicon of ``entities``, the attributes kind, mean and tall, and the
+    antonyms kind and mean."""
+    return parse_lexicon(
+        f"ENTITY\t{len(entities)}\n" + "".join(f"{entity}\n" for entity in entities)
+        + "RELATION\t1\nis\nATTRIBUTE\t3\nkind\nmean\ntall\n"
+        "ANTONYM\t2\nkind\tmean\nmean\tkind\n"
+    )
+
+
+def test_a_family_that_runs_dry_passes_its_shortfall_on():
+    """Two conditional families can write one text: "If A, then B." with
+    both clauses positive.  At seed 2021 implication-pair loses such a text
+    to conditional-contra and runs dry at 22 of its 23 sentences, so
+    commutative-pair, which has room, writes the 73rd."""
+    built = build_corpus(kind_mean_tall("Alan", "Bob"), 73, None, 2021)
+    assert len({s.text.lower() for s in built}) == 73
+    assert Counter(s.pattern for s in built) == {
+        PatternKind.ATOMIC_DN: 4,
+        PatternKind.COMMUTATIVE_PAIR: 24,
+        PatternKind.CONDITIONAL_CONTRA: 23,
+        PatternKind.IMPLICATION_PAIR: 22,
+    }
+    kinds = [s.pattern for s in built]
+    assert [k for i, k in enumerate(kinds) if i == 0 or kinds[i - 1] != k] == list(PatternKind)
+    assert build_corpus(kind_mean_tall("Alan", "Bob"), 73, None, 2021) == built
+
+
+def test_a_shortfall_no_family_has_room_for_is_refused():
+    """With one entity each pair family has four nondegenerate slots, and at
+    seed 0 the corpus holds every one of them.  At 15 commutative-pair runs
+    dry at 4 of 5; its shortfall passes to conditional-contra, which runs dry
+    too, and then to implication-pair, after which no family has room."""
+    lexicon = kind_mean_tall("Alan")
+    built = build_corpus(lexicon, 14, None, 0)
+    assert Counter(s.pattern for s in built) == {
+        PatternKind.ATOMIC_DN: 2,
+        PatternKind.COMMUTATIVE_PAIR: 4,
+        PatternKind.CONDITIONAL_CONTRA: 4,
+        PatternKind.IMPLICATION_PAIR: 4,
+    }
+    with pytest.raises(
+        CorpusError,
+        match="^unreachable target: implication-pair family exhausted at 4 of 5 "
+        "requested sentences$",
+    ):
+        build_corpus(lexicon, 15, None, 0)
+
+
 # ---------------------------------------------------------------------------
 # The default corpus
 # ---------------------------------------------------------------------------

@@ -923,6 +923,14 @@ def test_canonical_penman_agrees_with_the_general_path_on_the_corpus(full_corpus
     "text, accepted",
     [
         ("(k / kind :domain (k / Alan))", False),  # a duplicate declaration
+        ("(a / and :op1 (k / kind :domain (a / Alan)) :op2 (c / clever :domain (b / Bob)))",
+         False),  # the connective root's variable repeats a clause's
+        ("(o / or :op1 (k / kind :domain (a / Alan)) :op2 (c / clever :domain (a / Bob)))",
+         False),  # the second operand repeats the first's
+        ("(c / clever :condition (k / kind :domain (b / Alan)) :domain (b / Bob))",
+         False),  # a leading antecedent repeats the consequent's
+        ("(c / clever :domain (b / Bob) :condition (c / kind :domain (a / Alan)))",
+         False),  # a trailing antecedent repeats the consequent's
         ("(a / and :op1 (o / or :domain (b / Bob)) :op2 (k / kind :domain (a2 / Alan)))",
          False),  # a nested compound clause
         ("(k / kind :polarity - :condition (c / clever :domain (b / Bob)) :domain (a / Alan))",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from amr_logic_aug import logic
 from amr_logic_aug.corpus import CorpusError, build_corpus, corpus_from_jsonl, corpus_to_jsonl
 from amr_logic_aug.lexicon import (
     Lexicon,
@@ -18,7 +19,7 @@ from amr_logic_aug.lexicon import (
     load_lexicon,
     parse_lexicon,
 )
-from amr_logic_aug.pairs import build_pairs, verify_records
+from amr_logic_aug.pairs import DatasetError, build_pairs, verify_records
 
 SHIPPED = resources.files("amr_logic_aug").joinpath("data", "lexicon.tsv").read_bytes()
 
@@ -206,7 +207,9 @@ def test_the_sentences_of_every_loaded_lexicon_round_trip(
 ):
     """Entities of multi-word, hyphenated and non-ASCII words and "you",
     and one mirrored antonym pair: a lexicon that loads makes a corpus that
-    reads back equal, and 1:3 pairs whose oracle replay finds no problem."""
+    reads back equal, and 1:3 pairs whose oracle replay finds no problem,
+    unless the corpus holds fewer than four meanings, which can leave the
+    sample arm no nonequivalent sentence to draw."""
     pair = attributes[:2]
     source = make_source(entities=entities, attributes=attributes, ext_entities=(),
                          ext_attributes=(), antonyms=(pair, pair[::-1]))
@@ -222,7 +225,12 @@ def test_the_sentences_of_every_loaded_lexicon_round_trip(
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     corpus_to_jsonl(built, path)
     assert corpus_from_jsonl(path, lexicon) == built
-    records = build_pairs(built, lexicon, "1:3", seed)
+    try:
+        records = build_pairs(built, lexicon, "1:3", seed)
+    except DatasetError:  # e.g. "You are A." and "You are B." alone, A and B antonyms
+        if len({logic.meaning(sentence.struct, lexicon) for sentence in built}) >= 4:
+            raise
+        reject()
     assert len(records) == 4 * count
     assert verify_records(records, lexicon) == []
 

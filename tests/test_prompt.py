@@ -59,18 +59,19 @@ def test_record_needs_four_answers():
 
 
 def test_record_label_range():
-    with pytest.raises(PromptError, match="label must be 0-3"):
-        McqRecord("c", ("a", "b", "c", "d"), label=4)
+    payload = {"context": "c", "question": "q", "answers": ["a", "b", "c", "d"]}
+    for label in (0, 3, None):
+        assert McqRecord.from_dict(dict(payload, label=label)) == ("c", ("a", "b", "c", "d"), "")
+    for label in (-1, 4):
+        with pytest.raises(PromptError, match="label must be 0-3"):
+            McqRecord.from_dict(dict(payload, label=label))
 
 
 @pytest.mark.parametrize(
     "fields, message",
     [
         ({"answers": ("a", "b", "c")}, "record needs exactly 4 answers, got 3"),
-        ({"answers": ("a",) * 5, "label": 1}, "record needs exactly 4 answers, got 5"),
-        ({"answers": ("a",) * 4, "label": 4}, "label must be 0-3, got 4"),
-        ({"answers": ("a",) * 4, "label": True}, "label must be 0-3, got True"),
-        ({"answers": ("a",) * 4, "label": "1"}, "label must be 0-3, got '1'"),
+        ({"answers": ("a",) * 5, "id_string": "r"}, "record needs exactly 4 answers, got 5"),
     ],
 )
 def test_record_class_raises_its_messages(fields, message):
@@ -103,6 +104,8 @@ def test_record_from_dict_rejects_a_non_object(payload):
         # ``True in range(4)`` and ``1.0 in range(4)`` hold; neither is a label.
         ("label", True, "label must be 0-3, got True"),
         ("label", 1.0, "label must be 0-3, got 1.0"),
+        ("label", 4, "label must be 0-3, got 4"),
+        ("label", "1", "label must be 0-3, got '1'"),
         ("id_string", 7, "id_string must be a string, got int"),
         ("id_string", {"n": [1, "é"]}, "id_string must be a string, got dict"),
         ("id_string", None, "id_string must be a string, got NoneType"),
@@ -243,7 +246,6 @@ def test_keyboard_option_b_layout(lexicon):
 def test_keyboard_untouched_fields(lexicon):
     augmented, _ = augment_record(KEYBOARD_RECORD, lexicon)
     assert augmented.context == KEYBOARD_RECORD.context
-    assert augmented.label == KEYBOARD_RECORD.label
     assert augmented.id_string == KEYBOARD_RECORD.id_string
     for original, rewritten in zip(KEYBOARD_RECORD.answers, augmented.answers):
         assert rewritten.startswith(original)
@@ -298,7 +300,6 @@ def test_free_text_record_passes_through(lexicon):
     record = McqRecord(
         context="The committee deliberated at length!",
         answers=("Opinions, varied.", "Nobody knows?!", "So it goes...", "Hmm!"),
-        label=0,
     )
     augmented, rows = augment_record(record, lexicon)
     assert augmented.answers == record.answers
@@ -452,8 +453,9 @@ def test_augment_file_logiqa_round_trip(lexicon, tmp_path):
     assert stats["records_processed"] == 1
     lines = [l for l in dst.read_text(encoding="utf-8").splitlines() if l.strip()]
     assert len(lines) == 1
-    record = McqRecord.from_dict(json.loads(lines[0]))
-    assert record.label == 1
+    row = json.loads(lines[0])
+    McqRecord.from_dict(row)
+    assert row["label"] == 1 and row["question"] == KEYBOARD_PAYLOAD["question"]
 
 
 def test_augment_file_rejects_bad_format(lexicon, tmp_path):

@@ -275,8 +275,8 @@ VALUE_TYPES = {
         ("source", "original", "rewrites", "skipped_reason"),
     ),
     "McqRecord": (
-        lambda: McqRecord("c", ("a", "b", "c", "d"), 2, "r-1"),
-        ("context", "answers", "label", "id_string"),
+        lambda: McqRecord("c", ("a", "b", "c", "d"), "r-1"),
+        ("context", "answers", "id_string"),
     ),
     "Triplet": (
         lambda: Triplet((1.0, 0.0), (0.5, 0.5), (0.0, -1.0)),
@@ -325,32 +325,35 @@ def test_cli_cold_start_imports_no_dataclasses():
     assert done.stdout == "[]\n", done.stdout
 
 
-# The package modules each subcommand loads beyond the ones every one loads:
-# ``cli``, ``files`` and ``lexicon`` (with ``grammar``).  ``laws`` brings in
+# The package modules each subcommand loads beyond the ones every one loads,
+# ``cli`` and ``files``.  A subcommand that reads a lexicon loads ``grammar``
+# and ``lexicon``; ``pararule`` and ``loss`` read none.  ``laws`` brings in
 # ``logic``.  ``augment --format penman`` reads a line in the Penman writer's
 # format without ``graph``, and loads it only for a line in another format.
 # A misspelt subcommand is a usage error (exit 2) that loads none of them.
+LEXICON_MODULES = {"grammar", "lexicon"}
 SUBCOMMAND_MODULES = {
-    "synth": {"corpus", "laws", "logic"},
-    "augment": {"laws", "logic"},
-    "augment --format penman": {"laws", "logic"},
-    "augment --format penman, another format": {"graph", "laws", "logic"},
-    "pairs": {"corpus", "laws", "logic", "pairs"},
-    "check": {"corpus", "laws", "logic", "pairs"},
-    "prompt-aug": {"laws", "logic", "prompt"},
+    "synth": LEXICON_MODULES | {"corpus", "laws", "logic"},
+    "augment": LEXICON_MODULES | {"laws", "logic"},
+    "augment --format penman": LEXICON_MODULES | {"laws", "logic"},
+    "augment --format penman, another format": LEXICON_MODULES | {"graph", "laws", "logic"},
+    "pairs": LEXICON_MODULES | {"corpus", "laws", "logic", "pairs"},
+    "check": LEXICON_MODULES | {"corpus", "laws", "logic", "pairs"},
+    "prompt-aug": LEXICON_MODULES | {"laws", "logic", "prompt"},
     "pararule": {"pararule"},
     "loss": {"scoring"},
     "chek": set(),
 }
-SHARED_MODULES = {"cli", "files", "grammar", "lexicon"}
+SHARED_MODULES = {"cli", "files"}
 
 
 def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     """``cli`` defines and imports only the subcommand a process runs, so
     ``augment`` compiles and runs none of ``corpus``, ``pairs``, ``prompt``,
     ``pararule`` and ``scoring``, and not ``graph`` either unless a Penman
-    line is outside the writer's format.  A misspelt subcommand defines
-    none, so its usage error loads no subcommand module.  No process loads
+    line is outside the writer's format; ``pararule`` and ``loss`` load no
+    ``grammar`` or ``lexicon``.  A misspelt subcommand defines none, so its
+    usage error loads no subcommand module.  No process loads
     ``logging``, which would be listed too."""
     code = (
         "import runpy, sys\n"
