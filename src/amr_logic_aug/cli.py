@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import __version__
-from .files import json_string, read_json, read_lines, sha256_of, write_text
+from .files import InputError, json_string, read_json, read_lines, sha256_of, write_text
 
 if TYPE_CHECKING:  # each subcommand imports the rest of the package itself
     from . import corpus, laws
@@ -179,7 +179,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         "positive"[, "negatives"]}`` or ``{"input", "skipped"}``, the bytes
         of ``json.dumps(row, ensure_ascii=False)``."""
         nonlocal skipped
-        for _, line in read_lines(args.in_path, grammar.GrammarError):
+        for _, line in read_lines(args.in_path):
             try:
                 sentence = read(line)
                 if sentence is None:  # Penman outside the writer's format: only it loads graph
@@ -224,9 +224,9 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         sentences = corpus.corpus_from_jsonl(args.corpus, lexicon)
         digest = sha256_of(args.corpus)
         sidecar = _sidecar(args.corpus)
-        recorded = read_json(sidecar, pairs.DatasetError) if sidecar.is_file() else {}
+        recorded = read_json(sidecar) if sidecar.is_file() else {}
         if not isinstance(recorded, dict):
-            raise pairs.DatasetError(f"corpus sidecar {sidecar} is not a JSON object")
+            raise InputError(f"corpus sidecar {sidecar} is not a JSON object")
         # A sidecar vouches for its seed only while it hashes this corpus.
         vouches = recorded.get("data_sha256") == digest
         if recorded and not vouches:
@@ -238,7 +238,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         sentences = corpus.build_corpus(lexicon, count, None, args.seed)
     if not sentences:  # the pairs files would hold no record for check to read
         source = args.corpus or "the --count 0 corpus"
-        raise pairs.DatasetError(f"no sentences in {source}, so no pairs to write")
+        raise InputError(f"no sentences in {source}, so no pairs to write")
     records = pairs.build_pairs(sentences, lexicon, args.ratio, args.seed)
     train, validation = pairs.split(records, args.val_frac, args.seed)
     for path, part in ((args.out_train, train), (args.out_val, validation)):
@@ -258,7 +258,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     lexicon = _resolve_lexicon(args)
     records = pairs.load_jsonl(args.in_path)
     if not records:
-        raise pairs.DatasetError(f"no records in {args.in_path}")
+        raise InputError(f"no records in {args.in_path}")
     problems = pairs.verify_records(records, lexicon)
     for index, problem in problems:
         print(f"record {index}: {problem}")

@@ -38,8 +38,12 @@ import random
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .files import json_string, read_objects, write_text
+from .files import InputError, json_string, read_objects, write_text
 from .grammar import (
+    AND_PAIR,
+    ATOMIC,
+    IF_THEN,
+    OR_PAIR,
     Clause,
     GrammarSentence,
     Shape,
@@ -59,10 +63,6 @@ DEFAULT_TARGET = 14_962
 DEFAULT_SEED = 2021
 
 _TOPUP_RESERVE = 256
-
-
-class CorpusError(ValueError):
-    """Raised for infeasible corpus requests."""
 
 
 class PatternKind(str, Enum):
@@ -104,7 +104,7 @@ def _atomic_struct(lexicon: Lexicon, index: int, position: int) -> GrammarSenten
     mapped = lexicon.antonym_attributes
     subject_index, attribute_index = divmod(index, len(mapped))
     clause = Clause(lexicon.entities[subject_index], mapped[attribute_index])
-    return GrammarSentence(Shape.ATOMIC, (clause,))
+    return GrammarSentence(ATOMIC, (clause,))
 
 
 _SlotStruct = Callable[[Lexicon, int, int], Optional[GrammarSentence]]
@@ -147,19 +147,19 @@ _FAMILIES: dict[PatternKind, _Family] = {
     PatternKind.COMMUTATIVE_PAIR: _Family(
         LawKind.COMMUTATIVE,
         _pair_space,
-        _pair_family(lambda position: (Shape.AND_PAIR, position % 2 == 1, position % 2 == 1)),
+        _pair_family(lambda position: (AND_PAIR, position % 2 == 1, position % 2 == 1)),
     ),
     PatternKind.CONDITIONAL_CONTRA: _Family(
         LawKind.CONTRAPOSITION,
         _pair_space,
-        _pair_family(lambda position: (Shape.IF_THEN, position % 4 >= 2, position % 2 == 1)),
+        _pair_family(lambda position: (IF_THEN, position % 4 >= 2, position % 2 == 1)),
     ),
     PatternKind.IMPLICATION_PAIR: _Family(
         LawKind.IMPLICATION,
         _pair_space,
         _pair_family(
-            lambda position: (Shape.OR_PAIR, True, False) if position % 2
-            else (Shape.IF_THEN, False, False)
+            lambda position: (OR_PAIR, True, False) if position % 2
+            else (IF_THEN, False, False)
         ),
     ),
 }
@@ -245,22 +245,22 @@ def build_corpus(
     that runs dry below its quota passes the shortfall on the same way.
     """
     if target_size < 0:
-        raise CorpusError("target size must be non-negative")
+        raise InputError("target size must be non-negative")
     mix = dict(DEFAULT_MIX) if mix is None else dict(mix)
     unknown = [kind for kind in mix if not isinstance(kind, PatternKind)]
     if unknown:
-        raise CorpusError(f"unknown pattern kinds in mix: {unknown}")
+        raise InputError(f"unknown pattern kinds in mix: {unknown}")
     if not all(math.isfinite(fraction) and fraction >= 0 for fraction in mix.values()):
-        raise CorpusError("mix fractions must be finite and non-negative")
+        raise InputError("mix fractions must be finite and non-negative")
     total = sum(mix.values())
     if abs(total - 1.0) > 1e-9:
-        raise CorpusError(f"mix fractions must sum to 1, got {total}")
+        raise InputError(f"mix fractions must sum to 1, got {total}")
 
     # Approximate capacities ignore degenerate-tuple and cross-family text
     # losses; a family that loses slots to them runs dry below its quota.
     capacities = {kind: family_capacity(lexicon, kind) for kind in PatternKind}
     if target_size > sum(capacities[kind] for kind in mix):
-        raise CorpusError(
+        raise InputError(
             f"unreachable target: {target_size} exceeds total capacity "
             f"{sum(capacities[kind] for kind in mix)}"
         )
@@ -283,7 +283,7 @@ def build_corpus(
                 headroom[kind] = capacities[kind] - quota
         if overflow:
             if not headroom:
-                raise CorpusError(exhausted)
+                raise InputError(exhausted)
             share = {kind: room / sum(headroom.values()) for kind, room in headroom.items()}
             extra = _largest_remainder(overflow, share)
             for kind, amount in extra.items():
@@ -328,22 +328,22 @@ def corpus_from_jsonl(path, lexicon: Lexicon) -> list[SynthSentence]:
     def sentence_of(row: dict) -> SynthSentence:
         for key in ("text", "pattern"):
             if not isinstance(row[key], str):
-                raise CorpusError(f"{key} must be a string, got {type(row[key]).__name__}")
+                raise InputError(f"{key} must be a string, got {type(row[key]).__name__}")
         struct = parse_sentence_struct(row["text"], lexicon)
         pattern = PatternKind(row["pattern"])
         sentence = _sentence(struct, pattern)
         if sentence.text != row["text"]:
-            raise CorpusError(f"text is not canonical: {row['text']!r}")
+            raise InputError(f"text is not canonical: {row['text']!r}")
         penman = row["penman"]
         expected = penman_of_struct(struct)
         if penman != expected:
-            raise CorpusError(f"penman {penman!r} is not the text's {expected!r}")
+            raise InputError(f"penman {penman!r} is not the text's {expected!r}")
         law = PATTERN_LAW[pattern]
         if refusal(struct, law, lexicon):
-            raise CorpusError(
+            raise InputError(
                 f"pattern {pattern.value!r} needs the {law.value} law, "
                 "which does not apply to this text"
             )
         return sentence
 
-    return list(read_objects(path, CorpusError, sentence_of))
+    return list(read_objects(path, sentence_of))

@@ -5,8 +5,8 @@ Every reader breaks lines at ``\n``, ``\r\n`` and ``\r`` only, never at
 U+2028, U+0085, a form feed or a vertical tab.  :func:`read_file` returns a
 whole file's bytes with its text, for a reader that also hashes the bytes.
 
-Readers raise the caller's error class, naming the file and line, for a
-byte that is not UTF-8, for malformed JSON (an integer past Python's digit
+Readers raise :class:`InputError`, naming the file and line, for a byte
+that is not UTF-8, for malformed JSON (an integer past Python's digit
 limit and nesting past the recursion limit among it) and for a JSON escape
 of a lone surrogate (which decodes, but could never be written back as
 UTF-8).
@@ -49,47 +49,52 @@ json_string = json.encoder.encode_basestring
 _UNDECODABLE = (ValueError, RecursionError)
 
 
-def _no_lone_surrogate(line: str, path, lineno: int, error: type[Exception]) -> None:
-    """Raise ``error`` if a string on ``line``, a line of valid JSON, escapes
-    a lone surrogate.  Only the strings of a line holding a surrogate escape
-    are decoded again."""
+class InputError(ValueError):
+    """Input the package refuses: a file, a row or a request it cannot read
+    or honour.  The CLI ends the run with exit 1 and the message."""
+
+
+def _no_lone_surrogate(line: str, path, lineno: int) -> None:
+    """Raise :class:`InputError` if a string on ``line``, a line of valid
+    JSON, escapes a lone surrogate.  Only the strings of a line holding a
+    surrogate escape are decoded again."""
     if _SURROGATE_ESCAPE_RE.search(line):
         for literal in _STRING_RE.findall(line):
             try:
                 json.loads(literal).encode("utf-8")
             except UnicodeEncodeError:
-                raise error(
+                raise InputError(
                     f"{path}: line {lineno} escapes a lone surrogate, which is not UTF-8 text"
                 ) from None
 
 
-def _utf8(text: str, path, lineno: int, error: type[Exception]) -> None:
-    """Raise ``error`` naming the line of an undecodable byte, which the
-    reader read as a lone surrogate."""
+def _utf8(text: str, path, lineno: int) -> None:
+    """Raise :class:`InputError` naming the line of an undecodable byte,
+    which the reader read as a lone surrogate."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as err:
         lineno += text.count("\n", 0, err.start)
-        raise error(f"{path}: line {lineno} is not UTF-8 text") from None
+        raise InputError(f"{path}: line {lineno} is not UTF-8 text") from None
 
 
-def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+def read_lines(path) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, stripped line)`` for each non-blank line.  Lines
     break at ``\\n``, ``\\r\\n`` and ``\\r`` only, never at U+2028 or U+0085."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.isascii():  # an ASCII line holds no undecodable byte
-                _utf8(line, path, lineno, error)
+                _utf8(line, path, lineno)
             line = line.strip()
             if line:
                 yield lineno, line
 
 
-def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
+def read_jsonl(path) -> Iterator[tuple[int, Any]]:
     """Yield ``(line number, value)`` for each non-blank line.  A line's value
     is the scanner's when it consumed the whole line; any other line goes
     through ``json.loads``, whose message a malformed line reports."""
-    for lineno, line in read_lines(path, error):
+    for lineno, line in read_lines(path):
         try:
             value, end = _raw_decode(line)
         except _UNDECODABLE:
@@ -98,30 +103,30 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
             try:
                 value = json.loads(line)
             except _UNDECODABLE as err:
-                raise error(f"{path}: malformed JSON on line {lineno}: {err}") from err
+                raise InputError(f"{path}: malformed JSON on line {lineno}: {err}") from err
         if "\\" in line:  # only an escape makes one; far cheaper than the regex
-            _no_lone_surrogate(line, path, lineno, error)
+            _no_lone_surrogate(line, path, lineno)
         yield lineno, value
 
 
-def read_objects(path, error: type[Exception], build: Callable[[dict], Any]) -> Iterator[Any]:
+def read_objects(path, build: Callable[[dict], Any]) -> Iterator[Any]:
     """Yield ``build(row)`` for each JSON object line.  A line that is not an
     object, and a ``KeyError`` or ``ValueError`` from ``build``, raise
-    ``error`` prefixed ``<path>: line N:``; any other exception is a bug and
-    propagates as it is."""
-    for lineno, row in read_jsonl(path, error):
+    :class:`InputError` prefixed ``<path>: line N:``; any other exception is
+    a bug and propagates as it is."""
+    for lineno, row in read_jsonl(path):
         if not isinstance(row, dict):
-            raise error(f"{path}: line {lineno}: not a JSON object, got {type(row).__name__}")
+            raise InputError(f"{path}: line {lineno}: not a JSON object, got {type(row).__name__}")
         try:
             value = build(row)
         except KeyError as err:
-            raise error(f"{path}: line {lineno}: missing key {err}") from err
+            raise InputError(f"{path}: line {lineno}: missing key {err}") from err
         except ValueError as err:
-            raise error(f"{path}: line {lineno}: {err}") from err
+            raise InputError(f"{path}: line {lineno}: {err}") from err
         yield value
 
 
-def read_file(path, error: type[Exception]) -> tuple[bytes, str]:
+def read_file(path) -> tuple[bytes, str]:
     """The file's bytes and its text, whose lines break as :func:`read_lines`'
     do: ``\r\n`` and ``\r`` read as ``\n``, and nothing else breaks one."""
     with open(path, "rb") as handle:
@@ -129,19 +134,19 @@ def read_file(path, error: type[Exception]) -> tuple[bytes, str]:
     text = data.decode("utf-8", "surrogateescape")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    _utf8(text, path, 1, error)
+    _utf8(text, path, 1)
     return data, text
 
 
-def read_json(path, error: type[Exception]) -> Any:
-    text = read_file(path, error)[1]
+def read_json(path) -> Any:
+    text = read_file(path)[1]
     try:
         value = json.loads(text)
     except _UNDECODABLE as err:
-        raise error(f"malformed JSON in {path}: {err}") from err
+        raise InputError(f"malformed JSON in {path}: {err}") from err
     if _SURROGATE_ESCAPE_RE.search(text):
         for lineno, line in enumerate(text.split("\n"), start=1):
-            _no_lone_surrogate(line, path, lineno, error)
+            _no_lone_surrogate(line, path, lineno)
     return value
 
 

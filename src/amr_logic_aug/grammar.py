@@ -63,9 +63,9 @@ class Shape(str, Enum):
     IF_THEN = "if-then"
 
 
-# Module-level aliases: reading an enum member through its class is slow.
-_ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
-_IF_THEN = Shape.IF_THEN
+# The members as module globals, which the package reads: reading an enum
+# member through its class is slow.
+ATOMIC, AND_PAIR, OR_PAIR, IF_THEN = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR, Shape.IF_THEN
 
 
 class Clause(NamedTuple):
@@ -102,7 +102,7 @@ class GrammarSentence(_SentenceFields):
     def __new__(
         cls, shape: Shape, clauses: tuple[Clause, ...], trailing_condition: bool = False
     ) -> "GrammarSentence":
-        expected = 1 if shape is _ATOMIC else 2
+        expected = 1 if shape is ATOMIC else 2
         if len(clauses) != expected:
             raise GrammarError(
                 f"{shape.value} sentence needs {expected} clause(s), got {len(clauses)}"
@@ -321,7 +321,7 @@ def _parse_general(text: str, lexicon, grammar: str) -> GrammarSentence:
             if sep in rest:
                 ante, cons = rest.split(sep, 1)
                 return GrammarSentence(
-                    _IF_THEN, (clause(ante), clause(cons))
+                    IF_THEN, (clause(ante), clause(cons))
                 )
         raise GrammarError("outside grammar: conditional missing a comma")
     for sep in (", unless ", " unless ", " if "):
@@ -329,19 +329,19 @@ def _parse_general(text: str, lexicon, grammar: str) -> GrammarSentence:
             idx = lower.index(sep)
             cons, ante = s[:idx], s[idx + len(sep) :]
             return GrammarSentence(
-                _IF_THEN, (clause(ante), clause(cons)), trailing_condition=True
+                IF_THEN, (clause(ante), clause(cons)), trailing_condition=True
             )
     if " and " in lower:
         idx = lower.index(" and ")
         return GrammarSentence(
-            _AND_PAIR, (clause(s[:idx]), clause(s[idx + 5 :]))
+            AND_PAIR, (clause(s[:idx]), clause(s[idx + 5 :]))
         )
     if " or " in lower:
         idx = lower.index(" or ")
         return GrammarSentence(
-            _OR_PAIR, (clause(s[:idx]), clause(s[idx + 4 :]))
+            OR_PAIR, (clause(s[:idx]), clause(s[idx + 4 :]))
         )
-    return GrammarSentence(_ATOMIC, (clause(s),))
+    return GrammarSentence(ATOMIC, (clause(s),))
 
 
 _ENTITY_WORD_RE = re.compile(r"[a-z][a-z-]*")
@@ -400,17 +400,17 @@ def compile_core_parser(
         (subject1, not1, predicate1, subject2, not2, predicate2,
          subject3, not3, predicate3, joiner, subject4, not4, predicate4) = match.groups()
         if subject1 is not None:
-            return GrammarSentence(_IF_THEN, (
+            return GrammarSentence(IF_THEN, (
                 Clause(subjects[subject1.lower()], predicate1, not1 is not None),
                 Clause(subjects[subject2.lower()], predicate2, not2 is not None),
             ))
         first = Clause(subjects[subject3.lower()], predicate3, not3 is not None)
         if joiner is None:
-            return GrammarSentence(_ATOMIC, (first,))
+            return GrammarSentence(ATOMIC, (first,))
         second = Clause(subjects[subject4.lower()], predicate4, not4 is not None)
         if joiner == "if":
-            return GrammarSentence(_IF_THEN, (second, first), True)
-        return GrammarSentence(_AND_PAIR if joiner == "and" else _OR_PAIR, (first, second))
+            return GrammarSentence(IF_THEN, (second, first), True)
+        return GrammarSentence(AND_PAIR if joiner == "and" else OR_PAIR, (first, second))
 
     return parse
 
@@ -464,11 +464,11 @@ def penman_of_struct(sentence: GrammarSentence) -> str:
     """
     used: set[str] = set()
     shape = sentence.shape
-    if shape is _ATOMIC:
+    if shape is ATOMIC:
         head, edges = _clause_penman(sentence.clauses[0], used)
         return f"{head}{edges})"
-    if shape is _AND_PAIR or shape is _OR_PAIR:
-        concept = "and" if shape is _AND_PAIR else "or"
+    if shape is AND_PAIR or shape is OR_PAIR:
+        concept = "and" if shape is AND_PAIR else "or"
         root = _variable(concept, used)
         head1, edges1 = _clause_penman(sentence.clauses[0], used)
         head2, edges2 = _clause_penman(sentence.clauses[1], used)
@@ -532,7 +532,7 @@ def read_canonical_penman(text: str) -> Optional[GrammarSentence]:
                              not1 is not None))
         second = new(Clause, (subject2.replace("-", " "), predicate2.replace("-", " "),
                               not2 is not None))
-        shape = _AND_PAIR if connective == "and" else _OR_PAIR
+        shape = AND_PAIR if connective == "and" else OR_PAIR
         return new(GrammarSentence, (shape, (first, second), False))
     own = new(Clause, (subject.replace("-", " "), predicate.replace("-", " "),
                        negated is not None))
@@ -541,14 +541,14 @@ def read_canonical_penman(text: str) -> Optional[GrammarSentence]:
             return None  # two :condition edges, or a repeated variable
         leading = new(Clause, (lead_subject.replace("-", " "), lead_predicate.replace("-", " "),
                                lead_not is not None))
-        return new(GrammarSentence, (_IF_THEN, (leading, own), False))
+        return new(GrammarSentence, (IF_THEN, (leading, own), False))
     if tp is not None:
         if len({p, s, tp, ts}) != 4:
             return None
         trailing = new(Clause, (trail_subject.replace("-", " "), trail_predicate.replace("-", " "),
                                 trail_not is not None))
-        return new(GrammarSentence, (_IF_THEN, (trailing, own), True))
-    return None if p == s else new(GrammarSentence, (_ATOMIC, (own,), False))
+        return new(GrammarSentence, (IF_THEN, (trailing, own), True))
+    return None if p == s else new(GrammarSentence, (ATOMIC, (own,), False))
 
 
 def build_graph(sentence: GrammarSentence) -> AmrGraph:
@@ -629,13 +629,13 @@ def read_graph(graph: AmrGraph) -> GrammarSentence:
             if isinstance(target, Constant):
                 raise _outside("operand must be a node, not a constant")
             operands.append(_read_clause(graph, out, target))
-        shape = _AND_PAIR if concept == "and" else _OR_PAIR
+        shape = AND_PAIR if concept == "and" else OR_PAIR
         return GrammarSentence(shape, (operands[0], operands[1]))
     condition_indexes = [
         i for i, (_, role, _) in enumerate(edges) if role == CONDITION_ROLE
     ]
     if not condition_indexes:
-        return GrammarSentence(_ATOMIC, (_read_clause(graph, out, root),))
+        return GrammarSentence(ATOMIC, (_read_clause(graph, out, root),))
     if len(condition_indexes) > 1:
         raise _outside("multiple :condition edges on one node")
     index = condition_indexes[0]
@@ -653,7 +653,7 @@ def read_graph(graph: AmrGraph) -> GrammarSentence:
     antecedent = _read_clause(graph, out, target)
     consequent = _read_clause(graph, out, root, skip=CONDITION_ROLE)
     return GrammarSentence(
-        _IF_THEN, (antecedent, consequent), trailing_condition=trailing
+        IF_THEN, (antecedent, consequent), trailing_condition=trailing
     )
 
 
@@ -678,10 +678,10 @@ def _realize_clause(clause: Clause) -> str:
 
 def realize_struct(sentence: GrammarSentence) -> str:
     shape = sentence.shape
-    if shape is _ATOMIC:
+    if shape is ATOMIC:
         body = _realize_clause(sentence.clauses[0])
-    elif shape is _AND_PAIR or shape is _OR_PAIR:
-        joiner = "and" if shape is _AND_PAIR else "or"
+    elif shape is AND_PAIR or shape is OR_PAIR:
+        joiner = "and" if shape is AND_PAIR else "or"
         body = (
             f"{_realize_clause(sentence.clauses[0])} {joiner} "
             f"{_realize_clause(sentence.clauses[1])}"

@@ -16,19 +16,16 @@ import re
 from itertools import islice
 from typing import NamedTuple, Union
 
+from .files import InputError
 from .grammar import GrammarError
 
 
-class GraphError(ValueError):
-    """Raised for structurally invalid graphs and unknown variables."""
-
-
-class ParseError(GraphError, GrammarError):
+class ParseError(GrammarError):
     """Raised on malformed Penman text; carries the byte offset of the fault.
 
-    It is a :class:`~amr_logic_aug.grammar.GrammarError` too: Penman text
-    that does not parse is text outside the grammar, so a reader skips it
-    as it skips any other line outside the grammar.
+    It is a :class:`~amr_logic_aug.grammar.GrammarError`: Penman text that
+    does not parse is text outside the grammar, so a reader skips it as it
+    skips any other line outside the grammar.
     """
 
     def __init__(self, reason: str, offset: int) -> None:
@@ -64,7 +61,7 @@ class AmrGraph(NamedTuple):
         try:
             return self.nodes[var]
         except KeyError:
-            raise GraphError(f"unknown variable {var!r}") from None
+            raise InputError(f"unknown variable {var!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +220,14 @@ def serialize(graph: AmrGraph) -> str:
     out: dict[str, list[tuple[str, Target]]] = {var: [] for var in nodes}
     for source, role, target in graph.edges:
         if source not in out:
-            raise GraphError(f"edge from unknown variable {source!r}")
+            raise InputError(f"edge from unknown variable {source!r}")
         if isinstance(target, str) and target not in nodes:
-            raise GraphError(f"edge to unknown variable {target!r}")
+            raise InputError(f"edge to unknown variable {target!r}")
         out[source].append((f" {role} ", target))
 
     root = graph.root
     if root not in nodes:
-        raise GraphError(f"unknown root {root!r}")
+        raise InputError(f"unknown root {root!r}")
 
     pieces = [f"({root} / {nodes[root]}"]
     declared = {root}
@@ -255,5 +252,5 @@ def serialize(graph: AmrGraph) -> str:
 
     if len(declared) != len(nodes):
         missing = sorted(set(nodes) - declared)
-        raise GraphError(f"unreachable nodes: {', '.join(missing)}")
+        raise InputError(f"unreachable nodes: {', '.join(missing)}")
     return "".join(pieces)

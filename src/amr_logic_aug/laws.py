@@ -50,10 +50,13 @@ from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import logic
 from .grammar import (
+    AND_PAIR,
+    ATOMIC,
+    IF_THEN,
+    OR_PAIR,
     Clause,
     GrammarError,
     GrammarSentence,
-    Shape,
     read_graph,
     realize_struct,
 )
@@ -61,10 +64,6 @@ from .lexicon import Lexicon
 
 if TYPE_CHECKING:
     from .graph import AmrGraph
-
-# Module-level aliases: reading an enum member through its class is slow.
-_ATOMIC, _AND_PAIR, _OR_PAIR = Shape.ATOMIC, Shape.AND_PAIR, Shape.OR_PAIR
-_IF_THEN = Shape.IF_THEN
 
 
 class LawError(ValueError):
@@ -103,13 +102,13 @@ def refusal(sentence: GrammarSentence, law: LawKind, lexicon: Lexicon) -> str:
     raises), or ``''`` when it does."""
     shape = sentence.shape
     if law is _CONTRAPOSITION:
-        return "" if shape is _IF_THEN else "contraposition requires a conditional root"
+        return "" if shape is IF_THEN else "contraposition requires a conditional root"
     if law is _IMPLICATION:
-        if shape is _IF_THEN or shape is _OR_PAIR:
+        if shape is IF_THEN or shape is OR_PAIR:
             return ""
         return "implication requires a conditional or disjunction root"
     if law is _COMMUTATIVE:
-        if shape is not _AND_PAIR:
+        if shape is not AND_PAIR:
             return "commutative requires a conjunction root"
         (atom1, negated1), (atom2, negated2) = (
             logic.clause_literal(clause, lexicon) for clause in sentence.clauses
@@ -117,7 +116,7 @@ def refusal(sentence: GrammarSentence, law: LawKind, lexicon: Lexicon) -> str:
         if atom1 == atom2 and negated1 != negated2:
             return "commutative does not apply to a contradictory conjunction"
         return ""
-    if shape is not _ATOMIC:
+    if shape is not ATOMIC:
         return "double negation requires an atomic predicate"
     clause = sentence.clauses[0]
     if clause.negated:
@@ -142,29 +141,29 @@ def _contraposition(sentence: GrammarSentence, lexicon: Lexicon):
     ante, cons = sentence.clauses
     not_ante = ante.negate()
     return (
-        GrammarSentence(_IF_THEN, (cons.negate(), not_ante), True),
-        GrammarSentence(_IF_THEN, (cons, not_ante), True),
+        GrammarSentence(IF_THEN, (cons.negate(), not_ante), True),
+        GrammarSentence(IF_THEN, (cons, not_ante), True),
     )
 
 
 def _implication(sentence: GrammarSentence, lexicon: Lexicon):
     first, second = sentence.clauses
-    if sentence.shape is _IF_THEN:
+    if sentence.shape is IF_THEN:
         return (
-            GrammarSentence(_OR_PAIR, (first.negate(), second)),
-            GrammarSentence(_OR_PAIR, (first, second)),
+            GrammarSentence(OR_PAIR, (first.negate(), second)),
+            GrammarSentence(OR_PAIR, (first, second)),
         )
     return (
-        GrammarSentence(_IF_THEN, (first.negate(), second)),
-        GrammarSentence(_IF_THEN, (first.negate(), second.negate())),
+        GrammarSentence(IF_THEN, (first.negate(), second)),
+        GrammarSentence(IF_THEN, (first.negate(), second.negate())),
     )
 
 
 def _commutative(sentence: GrammarSentence, lexicon: Lexicon):
     first, second = sentence.clauses
     return (
-        GrammarSentence(_AND_PAIR, (second, first)),
-        GrammarSentence(_AND_PAIR, (second.negate(), first.negate())),
+        GrammarSentence(AND_PAIR, (second, first)),
+        GrammarSentence(AND_PAIR, (second.negate(), first.negate())),
     )
 
 
@@ -172,8 +171,8 @@ def _double_negation(sentence: GrammarSentence, lexicon: Lexicon):
     subject, predicate, _ = sentence.clauses[0]
     antonym = lexicon.antonyms.get(predicate)
     return (
-        GrammarSentence(_ATOMIC, (Clause(subject, antonym, True),)),
-        GrammarSentence(_ATOMIC, (Clause(subject, antonym, False),)),
+        GrammarSentence(ATOMIC, (Clause(subject, antonym, True),)),
+        GrammarSentence(ATOMIC, (Clause(subject, antonym, False),)),
     )
 
 

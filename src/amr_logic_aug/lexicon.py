@@ -42,7 +42,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .files import read_file
+from .files import InputError, read_file
 from .grammar import GRAMMAR_WORDS, TOKEN_RE, GrammarSentence, compile_core_parser
 
 DEFAULT_RESOURCE = "lexicon.tsv"
@@ -56,10 +56,6 @@ _SECTIONS = (
     "ANTONYM",
 )
 _PENMAN_DELIMITERS = re.compile(r'[()/"]')
-
-
-class LexiconError(ValueError):
-    """Raised for malformed or inconsistent lexicon files."""
 
 
 class _LexiconFields(NamedTuple):
@@ -126,34 +122,34 @@ def _parse_rows(text: str) -> dict[str, list[tuple[int, list[str]]]]:
         if cells[0] in _SECTIONS:
             name = cells[0]
             if name in declared:
-                raise LexiconError(f"duplicate section header {name!r} at line {lineno}")
+                raise InputError(f"duplicate section header {name!r} at line {lineno}")
             if len(cells) != 2:
-                raise LexiconError(
+                raise InputError(
                     f"section header needs exactly one count column at line {lineno}"
                 )
             try:
                 declared[name] = int(cells[1])
             except ValueError:
-                raise LexiconError(
+                raise InputError(
                     f"non-integer count {cells[1]!r} for section {name} at line {lineno}"
                 ) from None
             current = name
             continue
         if current is None:
-            raise LexiconError(f"entry before any section header at line {lineno}")
+            raise InputError(f"entry before any section header at line {lineno}")
         if current != "RELATION" and _PENMAN_DELIMITERS.search(line):
-            raise LexiconError(
+            raise InputError(
                 f"entry {line!r} in section {current} holds one of ()/\" at line {lineno}"
             )
         sections[current].append((lineno, cells))
 
     for name in ("ENTITY", "RELATION", "ATTRIBUTE", "ANTONYM"):
         if name not in declared:
-            raise LexiconError(f"missing required section {name}")
+            raise InputError(f"missing required section {name}")
     for name, count in declared.items():
         actual = len(sections[name])
         if actual != count:
-            raise LexiconError(
+            raise InputError(
                 f"section {name} declares {count} entries but has {actual}"
             )
     return sections
@@ -164,20 +160,20 @@ def _word_section(name: str, rows: list[tuple[int, list[str]]]) -> tuple[str, ..
     seen: set[str] = set()
     for lineno, cells in rows:
         if len(cells) != 1:
-            raise LexiconError(
+            raise InputError(
                 f"section {name} entries must have one column at line {lineno}"
             )
         word = cells[0].strip()  # not empty: _parse_rows skips blank lines
         if word in seen:
-            raise LexiconError(f"duplicate entry {word!r} in section {name}")
+            raise InputError(f"duplicate entry {word!r} in section {name}")
         held = GRAMMAR_WORDS.intersection(word.lower().split())
         if held and name != "RELATION":  # RELATION is never read
-            raise LexiconError(
+            raise InputError(
                 f"entry {word!r} in section {name} holds the grammar word "
                 f"{min(held)!r} at line {lineno}"
             )
         if name in ("ATTRIBUTE", "EXTENSION_ATTRIBUTE") and not TOKEN_RE.fullmatch(word):
-            raise LexiconError(
+            raise InputError(
                 f"entry {word!r} in section {name} is not one word {TOKEN_RE.pattern} "
                 f"at line {lineno}"
             )
@@ -192,25 +188,25 @@ def _antonym_map(
     mapping: dict[str, str] = {}
     for lineno, cells in rows:
         if len(cells) != 2:
-            raise LexiconError(f"antonym rows must be 'word<TAB>antonym' at line {lineno}")
+            raise InputError(f"antonym rows must be 'word<TAB>antonym' at line {lineno}")
         source, target = cells[0].strip(), cells[1].strip()
         if not source or not target:
-            raise LexiconError(f"empty antonym cell at line {lineno}")
+            raise InputError(f"empty antonym cell at line {lineno}")
         if source == target:
-            raise LexiconError(f"reflexive antonym row {source!r} at line {lineno}")
+            raise InputError(f"reflexive antonym row {source!r} at line {lineno}")
         if source in mapping:
-            raise LexiconError(
+            raise InputError(
                 f"antonym maps {source!r} to both {mapping[source]!r} and {target!r}"
             )
         mapping[source] = target
     for source, target in mapping.items():
         if mapping.get(target) != source:
-            raise LexiconError(
+            raise InputError(
                 f"asymmetric antonym rows: {source!r}→{target!r} "
                 f"without {target!r}→{source!r}"
             )
         if target not in known_attributes:
-            raise LexiconError(f"unknown antonym word {target!r} (not an attribute)")
+            raise InputError(f"unknown antonym word {target!r} (not an attribute)")
     return mapping
 
 
@@ -226,7 +222,7 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
 
     overlap = set(entities) & set(ext_entities)
     if overlap:
-        raise LexiconError(f"duplicate across entity sections: {sorted(overlap)}")
+        raise InputError(f"duplicate across entity sections: {sorted(overlap)}")
     # The sentence parser matches a subject by its lower-cased words.
     folded: dict[tuple[str, ...], str] = {}
     for name in ("ENTITY", "EXTENSION_ENTITY"):
@@ -234,7 +230,7 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
             entity = entity.strip()
             other = folded.setdefault(tuple(entity.lower().split()), entity)
             if other != entity:
-                raise LexiconError(
+                raise InputError(
                     f"entry {entity!r} in section {name} is {other!r} once lower-cased "
                     f"at line {lineno}"
                 )
@@ -242,11 +238,11 @@ def parse_lexicon(text: str, checksum: str = "") -> Lexicon:
             # text where its lower-cased copy matches.
             lowered = (entity[0].upper() + entity[1:]).lower()
             if lowered != entity.lower() or len(lowered) != len(entity):
-                raise LexiconError(f"entry {entity!r} in section {name} does not read back "
+                raise InputError(f"entry {entity!r} in section {name} does not read back "
                                    f"once capitalized and lower-cased at line {lineno}")
     overlap = set(attributes) & set(ext_attributes)
     if overlap:
-        raise LexiconError(f"duplicate across attribute sections: {sorted(overlap)}")
+        raise InputError(f"duplicate across attribute sections: {sorted(overlap)}")
 
     antonyms = _antonym_map(sections["ANTONYM"], set(attributes) | set(ext_attributes))
     return Lexicon(
@@ -262,13 +258,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """The lexicon of a file; every error is prefixed ``<path>: ``, and its
     checksum is the sha256 of the file's bytes."""
     try:
-        data, text = read_file(path, LexiconError)
+        data, text = read_file(path)
     except OSError as err:
-        raise LexiconError(f"cannot read lexicon file {path}: {err}") from err
+        raise InputError(f"cannot read lexicon file {path}: {err}") from err
     try:
         return parse_lexicon(text, checksum=hashlib.sha256(data).hexdigest())
-    except LexiconError as err:
-        raise LexiconError(f"{path}: {err}") from None
+    except InputError as err:
+        raise InputError(f"{path}: {err}") from None
 
 
 def default_lexicon() -> Lexicon:

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .grammar import Clause, GrammarSentence, Shape, read_graph
+from .files import InputError
+from .grammar import AND_PAIR, ATOMIC, OR_PAIR, Clause, GrammarSentence, read_graph
 from .lexicon import Lexicon
 
 if TYPE_CHECKING:
@@ -41,12 +42,6 @@ _ATOM_MASKS: tuple[int, ...] = tuple(
     sum(1 << row for row in range(1 << MAX_ORACLE_ATOMS) if row >> i & 1)
     for i in range(MAX_ORACLE_ATOMS)
 )
-# Reading an enum member through its class costs more than the bit algebra.
-_AND_PAIR, _OR_PAIR = Shape.AND_PAIR, Shape.OR_PAIR
-
-
-class LogicError(ValueError):
-    """Raised for oracle budget violations."""
 
 
 class Atom(NamedTuple):
@@ -147,7 +142,7 @@ def equivalent(first: Formula, second: Formula) -> bool:
         table = _truth_table(first, index) ^ _truth_table(second, index)
     except IndexError:
         n = len(dict.fromkeys(atoms(first) + atoms(second)))
-        raise LogicError(f"atom budget exceeded: {n} atoms > {MAX_ORACLE_ATOMS}") from None
+        raise InputError(f"atom budget exceeded: {n} atoms > {MAX_ORACLE_ATOMS}") from None
     full = (1 << (1 << len(index))) - 1
     return table & full == 0
 
@@ -164,11 +159,11 @@ def formula_of_struct(sentence: GrammarSentence, lexicon: Lexicon) -> Formula:
     """Interpret a grammar struct directly (clauses in struct order)."""
     literals = [Not(Atom(*atom)) if negated else Atom(*atom)
                 for atom, negated in (clause_literal(c, lexicon) for c in sentence.clauses)]
-    if sentence.shape is Shape.ATOMIC:
+    if sentence.shape is ATOMIC:
         return literals[0]
-    if sentence.shape is Shape.AND_PAIR:
+    if sentence.shape is AND_PAIR:
         return And(*literals)
-    if sentence.shape is Shape.OR_PAIR:
+    if sentence.shape is OR_PAIR:
         return Or(*literals)
     return Implies(*literals)
 
@@ -197,9 +192,9 @@ def meaning(
     if second_negated:
         right ^= 0b1111
     shape = sentence.shape
-    if shape is _AND_PAIR:
+    if shape is AND_PAIR:
         table = left & right
-    elif shape is _OR_PAIR:
+    elif shape is OR_PAIR:
         table = left | right
     else:
         table = (left ^ 0b1111) | right

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import logic
 from .corpus import DEFAULT_SEED, PATTERN_LAW, SynthSentence
-from .files import json_string, read_objects, write_text
+from .files import InputError, json_string, read_objects, write_text
 from .grammar import GrammarError, parse_sentence_struct, realize_struct
 from .laws import LawKind, apply_law, flip_polarity_negative
 from .lexicon import Lexicon
@@ -36,10 +36,6 @@ SAMPLE_ATTEMPTS = 100
 _VALID_LAWS = {law.value for law in LawKind} | {RANDOM_SAMPLE_LAW}
 _RATIO = re.compile(r"1:([1-9][0-9]*)")
 _PAIR_ID = attrgetter("pair_id")
-
-
-class DatasetError(ValueError):
-    """Raised for infeasible ratios and malformed pair files."""
 
 
 def make_pair_id(sentence1: str, sentence2: str, label: int, law: str) -> str:
@@ -65,16 +61,16 @@ class PairRecord(_PairFields):
         cls, sentence1: str, sentence2: str, label: int, law: str, pair_id: str = ""
     ) -> "PairRecord":
         if type(label) is not int or label not in (0, 1):  # a bool is an int
-            raise DatasetError(f"label must be 0 or 1, got {label!r}")
+            raise InputError(f"label must be 0 or 1, got {label!r}")
         if law not in _VALID_LAWS:
-            raise DatasetError(f"law must be one of {sorted(_VALID_LAWS)}, got {law!r}")
+            raise InputError(f"law must be one of {sorted(_VALID_LAWS)}, got {law!r}")
         if sentence1 == sentence2:
-            raise DatasetError("sentence1 == sentence2")
+            raise InputError("sentence1 == sentence2")
         expected = make_pair_id(sentence1, sentence2, label, law)
         if not pair_id:
             pair_id = expected
         elif pair_id != expected:
-            raise DatasetError(f"pair_id mismatch: got {pair_id!r}, expected {expected!r}")
+            raise InputError(f"pair_id mismatch: got {pair_id!r}, expected {expected!r}")
         return tuple.__new__(cls, (sentence1, sentence2, label, law, pair_id))
 
 
@@ -83,7 +79,7 @@ def parse_ratio(ratio: str) -> int:
     space, underscore or leading zero, so the sidecar records one spelling."""
     match = _RATIO.fullmatch(ratio)
     if match is None:
-        raise DatasetError(f"ratio must be '1:k' with k >= 1, got {ratio!r}")
+        raise InputError(f"ratio must be '1:k' with k >= 1, got {ratio!r}")
     return int(match.group(1))
 
 
@@ -128,7 +124,7 @@ def build_pairs(
                     texts[candidate.text] = RANDOM_SAMPLE_LAW
                     break
                 else:
-                    raise DatasetError(
+                    raise InputError(
                         "ratio unreachable: no distinct nonequivalent corpus "
                         f"sample found for {text!r} after {SAMPLE_ATTEMPTS} attempts"
                     )
@@ -137,7 +133,7 @@ def build_pairs(
     records.sort(key=_PAIR_ID)
     # Sorted, equal ids are neighbours.
     if any(first.pair_id == second.pair_id for first, second in pairwise(records)):
-        raise DatasetError("pair_id collision in generated dataset")
+        raise InputError("pair_id collision in generated dataset")
     return records
 
 
@@ -148,7 +144,7 @@ def split(
 ) -> tuple[list[PairRecord], list[PairRecord]]:
     """Label-stratified seeded split; both sides nonempty, sorted by pair_id."""
     if not 0 < val_fraction < 1:
-        raise DatasetError(f"val_fraction must be in (0, 1), got {val_fraction}")
+        raise InputError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = random.Random(f"{seed}:split")
     held_out = bytearray(len(records))
     for label in (1, 0):
@@ -163,7 +159,7 @@ def split(
     for record, out in zip(records, held_out):
         (validation if out else train).append(record)
     if not train or not validation:  # check refuses an empty pairs file
-        raise DatasetError(f"a {val_fraction} validation split of {len(records)} records leaves "
+        raise InputError(f"a {val_fraction} validation split of {len(records)} records leaves "
                            f"{len(train)} training and {len(validation)} validation records")
     # One linear pass each when ``records`` is sorted, as build_pairs returns it.
     train.sort(key=_PAIR_ID)
@@ -195,16 +191,16 @@ def load_jsonl(path: str | Path) -> list[PairRecord]:
         for key in ("sentence1", "sentence2", "law", "pair_id"):
             value = row.get(key, "")
             if not isinstance(value, str):
-                raise DatasetError(f"{key} must be a string, got {type(value).__name__}")
+                raise InputError(f"{key} must be a string, got {type(value).__name__}")
         pair_id = row.get("pair_id", "")
         record = PairRecord(row["sentence1"], row["sentence2"], row["label"], row["law"], pair_id)
         if not pair_id:  # PairRecord filled it in, but a file must carry it
             if "pair_id" not in row:
                 raise KeyError("pair_id")
-            raise DatasetError(f"pair_id mismatch: got {pair_id!r}, expected {record.pair_id!r}")
+            raise InputError(f"pair_id mismatch: got {pair_id!r}, expected {record.pair_id!r}")
         return record
 
-    return list(read_objects(path, DatasetError, record_of))
+    return list(read_objects(path, record_of))
 
 
 def verify_records(records: Sequence[PairRecord], lexicon: Lexicon) -> list[tuple[int, str]]:

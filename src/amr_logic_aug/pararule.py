@@ -31,7 +31,7 @@ import re
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .files import read_objects, write_jsonl
+from .files import InputError, read_objects, write_jsonl
 
 # Called with the index and text of each rule that matches no template.
 Unmatched = Callable[[int, str], None]
@@ -51,14 +51,10 @@ _CLOSED_CLASS = frozenset({
 _ALL_PEOPLE = re.compile(rf"^All ({_ADJ}) people are ({_ADJ})\.$")
 
 
-class PararuleError(ValueError):
-    """Raised for invalid depths or malformed rule files."""
-
-
 def alter_rule(rule: str, depth: int) -> tuple[str, bool]:
     """Alter one rule; returns (text, matched). Unmatched rules pass through."""
     if depth not in (1, 2):
-        raise PararuleError(f"depth must be 1 or 2, got {depth!r}")
+        raise InputError(f"depth must be 1 or 2, got {depth!r}")
 
     match = _SINGLE_COND.match(rule)
     if match:
@@ -104,12 +100,12 @@ def alter_pararule_rules(
 def alter_record(record: dict, depth: int, unmatched: Optional[Unmatched] = None) -> dict:
     """Alter the ``rules`` list of one {context, rules[], questions[]} record."""
     if not isinstance(record, dict):
-        raise PararuleError(f"record must be a JSON object, got {type(record).__name__}")
+        raise InputError(f"record must be a JSON object, got {type(record).__name__}")
     rules = record.get("rules")
     if not isinstance(rules, list):
-        raise PararuleError("record needs a 'rules' list")
+        raise InputError("record needs a 'rules' list")
     if not all(isinstance(rule, str) for rule in rules):
-        raise PararuleError("every rule must be a string")
+        raise InputError("every rule must be a string")
     result = dict(record)
     result["rules"] = alter_pararule_rules(rules, depth, unmatched)
     return result
@@ -120,7 +116,5 @@ def alter_pararule_file(
     unmatched: Optional[Unmatched] = None,
 ) -> int:
     """Alter each JSONL record's rules; returns the number of records."""
-    rows = read_objects(
-        in_path, PararuleError, lambda record: alter_record(record, depth, unmatched)
-    )
+    rows = read_objects(in_path, lambda record: alter_record(record, depth, unmatched))
     return write_jsonl(out_path, rows)

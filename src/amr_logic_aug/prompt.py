@@ -17,7 +17,7 @@ and recorded in its trace row with a skip reason.
 
 :func:`augment_file` takes the lexicon from its caller and keeps each
 record's trace rows only when a trace file is asked for.  A file that does
-not parse raises :class:`PromptError` naming where; a record that is not an
+not parse raises :class:`InputError` naming where; a record that is not an
 object with string ``context``, ``question`` and ``answers`` (and, when
 present, a ``label`` from 0 to 3 and a string ``id_string``) is written out
 unchanged and counted in ``records_skipped``.
@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from . import grammar
-from .files import json_string, read_json, read_jsonl, write_jsonl, write_text
+from .files import InputError, json_string, read_json, read_jsonl, write_jsonl, write_text
 from .laws import LawKind, apply_law, refusal
 from .lexicon import Lexicon
 
@@ -43,10 +43,6 @@ DEFAULT_PROMPT_LAWS: frozenset[LawKind] = frozenset(
 )
 # Each law with its ``value``, read once: an enum property read is slow.
 _LAW_VALUES: tuple[tuple[LawKind, str], ...] = tuple((law, law.value) for law in LawKind)
-
-
-class PromptError(ValueError):
-    """Raised for malformed records or files."""
 
 
 class _McqFields(NamedTuple):
@@ -67,33 +63,33 @@ class McqRecord(_McqFields):
         cls, context: str, answers: tuple[str, str, str, str], id_string: str = ""
     ) -> "McqRecord":
         if len(answers) != 4:
-            raise PromptError(f"record needs exactly 4 answers, got {len(answers)}")
+            raise InputError(f"record needs exactly 4 answers, got {len(answers)}")
         return tuple.__new__(cls, (context, answers, id_string))
 
     @staticmethod
     def from_dict(payload: dict) -> "McqRecord":
         if not isinstance(payload, dict):
-            raise PromptError(f"record must be a JSON object, got {type(payload).__name__}")
+            raise InputError(f"record must be a JSON object, got {type(payload).__name__}")
         try:
             answers, context, question = (
                 payload["answers"], payload["context"], payload["question"]
             )
         except KeyError as err:
-            raise PromptError(f"record missing key {err}") from err
+            raise InputError(f"record missing key {err}") from err
         if not isinstance(answers, (list, tuple)) or not all(
             isinstance(answer, str) for answer in answers
         ):
-            raise PromptError("answers must be a list of strings")
+            raise InputError("answers must be a list of strings")
         if not isinstance(context, str) or not isinstance(question, str):
-            raise PromptError("context and question must be strings")
+            raise InputError("context and question must be strings")
         id_string = payload.get("id_string", "")
         if not isinstance(id_string, str):
-            raise PromptError(f"id_string must be a string, got {type(id_string).__name__}")
+            raise InputError(f"id_string must be a string, got {type(id_string).__name__}")
         record = McqRecord(context, tuple(answers), id_string)
         label = payload.get("label")
         # checked by type, because a bool is an int
         if label is not None and (type(label) is not int or label not in range(4)):
-            raise PromptError(f"label must be 0-3, got {label!r}")
+            raise InputError(f"label must be 0-3, got {label!r}")
         return record
 
 
@@ -207,13 +203,13 @@ def augment_record(
 
 def _read_records(path: str | Path, file_format: str) -> Iterable:
     if file_format == RECLOR:
-        payload = read_json(path, PromptError)
+        payload = read_json(path)
         if not isinstance(payload, list):
-            raise PromptError("reclor input must be a JSON array of records")
+            raise InputError("reclor input must be a JSON array of records")
         return payload
     if file_format == LOGIQA:
-        return (payload for _, payload in read_jsonl(path, PromptError))
-    raise PromptError(f"unknown format {file_format!r} (use {RECLOR} or {LOGIQA})")
+        return (payload for _, payload in read_jsonl(path))
+    raise InputError(f"unknown format {file_format!r} (use {RECLOR} or {LOGIQA})")
 
 
 def _trace_lines(traces: Iterable[tuple[str, tuple[TraceRow, ...]]]) -> Iterable[str]:
@@ -264,7 +260,7 @@ def augment_file(
     for payload in payloads:
         try:
             record = McqRecord.from_dict(payload)
-        except PromptError:
+        except InputError:
             stats["records_skipped"] += 1
             out_payloads.append(payload)
             continue

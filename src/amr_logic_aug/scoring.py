@@ -19,15 +19,11 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .files import read_lines
+from .files import InputError, read_lines
 
 COSINE = "cosine"
 DOT = "dot"
 _ROLES = ("anchor", "pos", "neg")
-
-
-class ScoreError(ValueError):
-    """Raised for malformed vectors, triplets, or vector files."""
 
 
 class _TripletFields(NamedTuple):
@@ -47,12 +43,12 @@ class Triplet(_TripletFields):
     ) -> "Triplet":
         dims = {len(anchor), len(positive), len(negative)}
         if dims == {0}:
-            raise ScoreError("triplet vectors must be non-empty")
+            raise InputError("triplet vectors must be non-empty")
         if len(dims) != 1:
-            raise ScoreError(f"triplet dimensions differ: {sorted(dims)}")
+            raise InputError(f"triplet dimensions differ: {sorted(dims)}")
         for vector in (anchor, positive, negative):
             if not all(math.isfinite(x) for x in vector):
-                raise ScoreError("triplet vectors must be finite")
+                raise InputError("triplet vectors must be finite")
         return tuple.__new__(cls, (anchor, positive, negative))
 
 
@@ -61,7 +57,7 @@ def _scaled(vector: Sequence[float]) -> tuple[list[float], int]:
     power-of-two scaling, exact but for entries that fall below the float
     range next to the largest."""
     if not all(map(math.isfinite, vector)):
-        raise ScoreError("vectors must be finite")
+        raise InputError("vectors must be finite")
     exponent = math.frexp(max(map(abs, vector)))[1]
     return [math.ldexp(x, -exponent) for x in vector], exponent
 
@@ -75,21 +71,21 @@ def score(a: Sequence[float], b: Sequence[float], kind: str = COSINE) -> float:
     value is beyond the float range.
     """
     if len(a) != len(b):
-        raise ScoreError(f"dimension mismatch: {len(a)} vs {len(b)}")
+        raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if not a:
-        raise ScoreError("vectors must be non-empty")
+        raise InputError("vectors must be non-empty")
     if kind != COSINE and kind != DOT:
-        raise ScoreError(f"unknown score kind {kind!r} (use {COSINE} or {DOT})")
+        raise InputError(f"unknown score kind {kind!r} (use {COSINE} or {DOT})")
     (a, exponent_a), (b, exponent_b) = _scaled(a), _scaled(b)
     dot = math.fsum([x * y for x, y in zip(a, b)])
     if kind == DOT:
         try:
             return math.ldexp(dot, exponent_a + exponent_b)
         except OverflowError:
-            raise ScoreError("the dot product overflows a float") from None
+            raise InputError("the dot product overflows a float") from None
     norms = math.sqrt(math.fsum([x * x for x in a])) * math.sqrt(math.fsum([y * y for y in b]))
     if norms == 0.0:
-        raise ScoreError("cosine is undefined for a zero vector")
+        raise InputError("cosine is undefined for a zero vector")
     return max(-1.0, min(1.0, dot / norms))
 
 
@@ -104,7 +100,7 @@ def triplet_scores(triplet: Triplet, kind: str = COSINE) -> tuple[float, float]:
 def triplet_loss(h_pos: float, h_neg: float) -> float:
     """-log[exp(h+) / (exp(h+) + exp(h-))], evaluated as log1p(exp(h- - h+))."""
     if not (math.isfinite(h_pos) and math.isfinite(h_neg)):
-        raise ScoreError(f"non-finite scores: h+={h_pos!r}, h-={h_neg!r}")
+        raise InputError(f"non-finite scores: h+={h_pos!r}, h-={h_neg!r}")
     gap = h_neg - h_pos
     if gap > 0:
         return gap + math.log1p(math.exp(-gap))
@@ -122,14 +118,14 @@ def triplet_loss_gradient(h_pos: float, h_neg: float) -> float:
 
 def loss_report(triplets: Sequence[tuple[str, Triplet]], kind: str = COSINE) -> list[dict]:
     """Per-triplet pair id, h+, h-, and loss, in input order; a triplet that
-    cannot be scored raises :class:`ScoreError` naming its pair id."""
+    cannot be scored raises :class:`InputError` naming its pair id."""
     report = []
     for pair_id, triplet in triplets:
         try:
             h_pos, h_neg = triplet_scores(triplet, kind)
             loss = triplet_loss(h_pos, h_neg)
-        except ScoreError as err:
-            raise ScoreError(f"pair {pair_id!r}: {err}") from None
+        except InputError as err:
+            raise InputError(f"pair {pair_id!r}: {err}") from None
         report.append({"pair_id": pair_id, "h_pos": h_pos, "h_neg": h_neg, "loss": loss})
     return report
 
@@ -142,35 +138,35 @@ def load_triplets_tsv(path: str | Path) -> list[tuple[str, Triplet]]:
     """
     groups: dict[str, dict[str, tuple[float, ...]]] = {}
     dimension: int | None = None
-    for lineno, line in read_lines(path, ScoreError):
+    for lineno, line in read_lines(path):
         if line.startswith("#"):
             continue
         columns = line.split("\t")
         if len(columns) < 3:
-            raise ScoreError(f"{path}: line {lineno}: need pair_id, role, floats")
+            raise InputError(f"{path}: line {lineno}: need pair_id, role, floats")
         pair_id, role, *values = columns
         if role not in _ROLES:
-            raise ScoreError(f"{path}: line {lineno}: unknown role {role!r}")
+            raise InputError(f"{path}: line {lineno}: unknown role {role!r}")
         try:
             vector = tuple(float(value) for value in values)
         except ValueError as err:
-            raise ScoreError(f"{path}: line {lineno}: bad float: {err}") from err
+            raise InputError(f"{path}: line {lineno}: bad float: {err}") from err
         if not all(math.isfinite(x) for x in vector):
-            raise ScoreError(f"{path}: line {lineno}: vector values must be finite")
+            raise InputError(f"{path}: line {lineno}: vector values must be finite")
         if dimension is None:
             dimension = len(vector)
         elif len(vector) != dimension:
-            raise ScoreError(f"{path}: line {lineno}: dimension {len(vector)} != {dimension}")
+            raise InputError(f"{path}: line {lineno}: dimension {len(vector)} != {dimension}")
         rows = groups.setdefault(pair_id, {})
         if role in rows:
-            raise ScoreError(f"{path}: line {lineno}: duplicate {role!r} for {pair_id!r}")
+            raise InputError(f"{path}: line {lineno}: duplicate {role!r} for {pair_id!r}")
         rows[role] = vector
     triplets = []
     for pair_id, rows in groups.items():
         missing = [role for role in _ROLES if role not in rows]
         if missing:
-            raise ScoreError(f"{path}: pair {pair_id!r} missing roles: {', '.join(missing)}")
+            raise InputError(f"{path}: pair {pair_id!r} missing roles: {', '.join(missing)}")
         triplets.append((pair_id, Triplet(rows["anchor"], rows["pos"], rows["neg"])))
     if not triplets:
-        raise ScoreError(f"{path}: no vector rows")
+        raise InputError(f"{path}: no vector rows")
     return triplets

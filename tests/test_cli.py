@@ -25,13 +25,9 @@ from test_lexicon import make_source
 import amr_logic_aug
 from amr_logic_aug import __version__, cli, grammar, laws, scoring
 from amr_logic_aug.cli import build_parser, main
-from amr_logic_aug.corpus import CorpusError
-from amr_logic_aug.graph import GraphError, ParseError, parse_penman
-from amr_logic_aug.lexicon import LexiconError
-from amr_logic_aug.logic import LogicError
-from amr_logic_aug.pairs import DatasetError, PairRecord, emit_jsonl, load_jsonl
-from amr_logic_aug.pararule import PararuleError
-from amr_logic_aug.prompt import PromptError
+from amr_logic_aug.files import InputError
+from amr_logic_aug.graph import ParseError, parse_penman
+from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
 
 
 def read_jsonl(path):
@@ -1440,35 +1436,41 @@ def test_default_size_penman_bytes_match_the_benchmark_digests(tmp_path, monkeyp
 # Exit 1: the package's domain errors
 # ---------------------------------------------------------------------------
 
-# Each exception class a package module defines, and OSError, with a real
-# subcommand run and the function it calls that is made to raise it.
+# Real subcommand runs, each with the function it calls that is made to
+# raise an exception: every class a package module defines, and OSError,
+# has at least one run.
+PAIRS = ["pairs", "--count", "5", "--out-train", "OUT", "--out-val", "OUT2"]
+SYNTH = ["synth", "--count", "5", "--out", "OUT"]
 DOMAIN_ERROR_RUNS = {
-    LexiconError: (["synth", "--count", "5", "--out", "OUT"], "cli.default_lexicon"),
-    ParseError: (["pairs", "--corpus", "IN", "--out-train", "OUT", "--out-val", "OUT2"],
-                 "corpus.corpus_from_jsonl"),
-    GraphError: (["augment", "--format", "penman", "--law", "implication", "--in", "IN",
-                  "--out", "OUT"], "grammar.read_canonical_penman"),
-    LogicError: (["check", "--in", "IN"], "pairs.load_jsonl"),
-    grammar.GrammarError: (["augment", "--law", "implication", "--in", "IN", "--out", "OUT"],
-                           "cli.read_lines"),
-    laws.LawError: (["pairs", "--count", "5", "--out-train", "OUT", "--out-val", "OUT2"],
-                    "pairs.build_pairs"),
-    laws.OracleViolation: (["pairs", "--count", "5", "--out-train", "OUT", "--out-val", "OUT2"],
-                           "laws.verify_outcome"),
-    CorpusError: (["synth", "--count", "5", "--out", "OUT"], "corpus.build_corpus"),
-    DatasetError: (["check", "--in", "IN"], "pairs.load_jsonl"),
-    PromptError: (["prompt-aug", "--in", "IN", "--out", "OUT"], "prompt.augment_file"),
-    PararuleError: (["pararule", "--depth", "1", "--in", "IN", "--out", "OUT"],
-                    "pararule.alter_pararule_file"),
-    scoring.ScoreError: (["loss", "--vectors", "IN"], "scoring.load_triplets_tsv"),
-    OSError: (["pararule", "--depth", "2", "--in", "IN", "--out", "OUT"],
-              "pararule.alter_pararule_file"),
+    "synth-lexicon": (InputError, SYNTH, "cli.default_lexicon"),
+    "synth-corpus": (InputError, SYNTH, "corpus.build_corpus"),
+    "pairs-corpus-penman": (
+        ParseError, ["pairs", "--corpus", "IN", "--out-train", "OUT", "--out-val", "OUT2"],
+        "corpus.corpus_from_jsonl",
+    ),
+    "pairs-logic": (InputError, PAIRS, "logic.meaning"),
+    "pairs-law": (laws.LawError, PAIRS, "pairs.build_pairs"),
+    "pairs-oracle": (laws.OracleViolation, PAIRS, "laws.verify_outcome"),
+    "augment-text": (grammar.GrammarError,
+                     ["augment", "--law", "implication", "--in", "IN", "--out", "OUT"],
+                     "cli.read_lines"),
+    "augment-penman": (InputError, ["augment", "--format", "penman", "--law", "implication",
+                                    "--in", "IN", "--out", "OUT"],
+                       "grammar.read_canonical_penman"),
+    "check": (InputError, ["check", "--in", "IN"], "pairs.load_jsonl"),
+    "prompt-aug": (InputError, ["prompt-aug", "--in", "IN", "--out", "OUT"],
+                   "prompt.augment_file"),
+    "pararule": (InputError, ["pararule", "--depth", "1", "--in", "IN", "--out", "OUT"],
+                 "pararule.alter_pararule_file"),
+    "loss": (InputError, ["loss", "--vectors", "IN"], "scoring.load_triplets_tsv"),
+    "pararule-oserror": (OSError, ["pararule", "--depth", "2", "--in", "IN", "--out", "OUT"],
+                         "pararule.alter_pararule_file"),
 }
 # Builtin errors raised in package code are bugs, not input faults: the
 # caller sees them raised.
 PROPAGATED_RUNS = {
     RuntimeError: (["loss", "--vectors", "IN"], "scoring.load_triplets_tsv"),
-    ValueError: (["synth", "--count", "5", "--out", "OUT"], "corpus.build_corpus"),
+    ValueError: (SYNTH, "corpus.build_corpus"),
     KeyError: (["prompt-aug", "--in", "IN", "--out", "OUT"], "prompt.augment_file"),
 }
 
@@ -1499,12 +1501,13 @@ def test_every_domain_error_has_a_run():
         defined.update(value for value in vars(module).values()
                        if isinstance(value, type) and issubclass(value, BaseException)
                        and value.__module__ == module.__name__)
-    assert defined | {OSError} == set(DOMAIN_ERROR_RUNS)
+    assert defined | {OSError} == {error for error, _, _ in DOMAIN_ERROR_RUNS.values()}
 
 
-@pytest.mark.parametrize("error", DOMAIN_ERROR_RUNS, ids=lambda error: error.__name__)
-def test_a_domain_error_exits_1_with_its_message(tmp_path, monkeypatch, capsys, error):
-    assert run_raising(tmp_path, monkeypatch, error, *DOMAIN_ERROR_RUNS[error]) == 1
+@pytest.mark.parametrize("run", DOMAIN_ERROR_RUNS)
+def test_a_domain_error_exits_1_with_its_message(tmp_path, monkeypatch, capsys, run):
+    error, argv, target = DOMAIN_ERROR_RUNS[run]
+    assert run_raising(tmp_path, monkeypatch, error, argv, target) == 1
     errors = logged(capsys)
     assert errors == [str(forced(error))]
     assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
@@ -1529,7 +1532,7 @@ def test_any_other_error_propagates(tmp_path, monkeypatch, error):
          "IN: line 1: every rule must be a string"),
         (["loss", "--vectors", "IN"], "p1\tanchor\t1.0\n", "IN: pair 'p1' missing roles: pos, neg"),
     ],
-    ids=["CorpusError", "DatasetError", "PromptError", "PararuleError", "ScoreError"],
+    ids=["synth", "check", "prompt-aug", "pararule", "loss"],
 )
 def test_a_lazily_imported_module_error_exits_1_in_a_fresh_process(tmp_path, argv, text,
                                                                    message):

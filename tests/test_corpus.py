@@ -11,13 +11,13 @@ import pytest
 from amr_logic_aug.corpus import (
     DEFAULT_SEED,
     DEFAULT_TARGET,
-    CorpusError,
     PatternKind,
     build_corpus,
     corpus_from_jsonl,
     corpus_to_jsonl,
     family_capacity,
 )
+from amr_logic_aug.files import InputError
 from amr_logic_aug.grammar import (
     Clause,
     Shape,
@@ -72,7 +72,7 @@ def test_the_atomic_family_fills_its_capacity(seed):
         for subject in ("the cat", "Alan")
         for attribute in ("strong", "weak")
     }
-    with pytest.raises(CorpusError, match="^unreachable target: 5 exceeds total capacity 4$"):
+    with pytest.raises(InputError, match="^unreachable target: 5 exceeds total capacity 4$"):
         build_corpus(TINY_LEXICON, capacity + 1, {PatternKind.ATOMIC_DN: 1.0}, seed)
 
 
@@ -104,8 +104,7 @@ def test_a_pair_family_reaches_every_nondegenerate_slot(kind, seed, topup_reserv
     assert positive == reachable
     assert build_corpus(TINY_LEXICON, len(reachable), {kind: 1.0}, seed) == built
     with pytest.raises(
-        CorpusError,
-        match=f"^unreachable target: {kind.value} family exhausted at 26 of 27 "
+            match=f"^unreachable target: {kind.value} family exhausted at 26 of 27 "
         "requested sentences$",
     ):
         build_corpus(TINY_LEXICON, len(reachable) + 1, {kind: 1.0}, seed)
@@ -153,8 +152,7 @@ def test_a_shortfall_no_family_has_room_for_is_refused():
         PatternKind.IMPLICATION_PAIR: 4,
     }
     with pytest.raises(
-        CorpusError,
-        match="^unreachable target: implication-pair family exhausted at 4 of 5 "
+            match="^unreachable target: implication-pair family exhausted at 4 of 5 "
         "requested sentences$",
     ):
         build_corpus(lexicon, 15, None, 0)
@@ -220,19 +218,19 @@ def test_build_corpus_respects_mix(lexicon):
     ],
 )
 def test_mix_validation(lexicon, mix, reason):
-    with pytest.raises(CorpusError, match=reason):
+    with pytest.raises(InputError, match=reason):
         build_corpus(lexicon, 10, mix=mix)
 
 
 @pytest.mark.parametrize("mix", [None, {PatternKind.ATOMIC_DN: 1.0}])
 def test_negative_target_is_rejected(lexicon, mix):
-    with pytest.raises(CorpusError, match="^target size must be non-negative$"):
+    with pytest.raises(InputError, match="^target size must be non-negative$"):
         build_corpus(lexicon, -1, mix)
 
 
 def test_unreachable_family_target(lexicon):
     assert family_capacity(lexicon, PatternKind.ATOMIC_DN) == 483
-    with pytest.raises(CorpusError, match="^unreachable target: 484 exceeds total capacity 483$"):
+    with pytest.raises(InputError, match="^unreachable target: 484 exceeds total capacity 483$"):
         build_corpus(lexicon, 484, mix={PatternKind.ATOMIC_DN: 1.0})
 
 
@@ -361,7 +359,7 @@ def test_jsonl_blank_lines_are_skipped(lexicon, tmp_path):
 def test_jsonl_load_errors(lexicon, tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match=reason):
+    with pytest.raises(InputError, match=reason):
         corpus_from_jsonl(path, lexicon)
 
 
@@ -371,7 +369,7 @@ def test_jsonl_error_reports_correct_line(lexicon, tmp_path):
     corpus_to_jsonl(corpus, path)
     with path.open("a", encoding="utf-8") as handle:
         handle.write("{broken\n")
-    with pytest.raises(CorpusError, match="line 2:"):
+    with pytest.raises(InputError, match="line 2:"):
         corpus_from_jsonl(path, lexicon)
 
 

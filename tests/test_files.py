@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from amr_logic_aug.corpus import PatternKind, SynthSentence, corpus_to_jsonl
 from amr_logic_aug.files import (
-    read_json, read_jsonl, read_lines, read_objects, write_jsonl, write_text,
+    InputError, read_json, read_jsonl, read_lines, read_objects, write_jsonl, write_text,
 )
 from amr_logic_aug.grammar import Clause, GrammarError, GrammarSentence, Shape, penman_of_struct
 from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
@@ -27,14 +27,10 @@ from amr_logic_aug.pairs import PairRecord, emit_jsonl, load_jsonl
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-class Refused(ValueError):
-    pass
-
-
 def test_read_lines_breaks_only_where_text_mode_iteration_does(tmp_path):
     path = tmp_path / "in.txt"
     path.write_bytes("a\u2028b\x85c\r\n\n  \nd\re\n  f  ".encode("utf-8"))
-    assert list(read_lines(path, Refused)) == [
+    assert list(read_lines(path)) == [
         (1, "a\u2028b\x85c"), (4, "d"), (5, "e"), (6, "f"),
     ]
 
@@ -51,18 +47,18 @@ def test_a_byte_that_is_not_utf8_is_located(tmp_path, data, lineno):
     path = tmp_path / "in.txt"
     path.write_bytes(data)
     message = re.escape(f"{path}: line {lineno} is not UTF-8 text")
-    with pytest.raises(Refused, match=message):
-        list(read_lines(path, Refused))
-    with pytest.raises(Refused, match=message):
-        read_json(path, Refused)
+    with pytest.raises(InputError, match=message):
+        list(read_lines(path))
+    with pytest.raises(InputError, match=message):
+        read_json(path)
 
 
 def test_read_jsonl_names_the_malformed_line(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text('{"a": "\u2028"}\n\n{oops\n', encoding="utf-8")
-    rows = read_jsonl(path, Refused)
+    rows = read_jsonl(path)
     assert next(rows) == (1, {"a": "\u2028"})
-    with pytest.raises(Refused, match="^" + re.escape(f"{path}: malformed JSON on line 3: ")):
+    with pytest.raises(InputError, match="^" + re.escape(f"{path}: malformed JSON on line 3: ")):
         next(rows)
 
 
@@ -84,9 +80,9 @@ def _refuse_b(row):
 def test_read_objects_names_the_line_a_row_fails_on(tmp_path, line, message):
     path = tmp_path / "in.jsonl"
     path.write_text(f'{{"a": "x"}}\n\n{line}\n{{"a": "y"}}\n', encoding="utf-8")
-    rows = read_objects(path, Refused, _refuse_b)
+    rows = read_objects(path, _refuse_b)
     assert next(rows) == "x"
-    with pytest.raises(Refused, match=f"^{re.escape(f'{path}: {message}')}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}$"):
         next(rows)
 
 
@@ -99,14 +95,14 @@ def test_read_objects_relabels_no_bug(tmp_path, error):
         raise error("a bug")
 
     with pytest.raises(error, match="^a bug$"):
-        list(read_objects(path, Refused, build))
+        list(read_objects(path, build))
 
 
 def test_read_json_names_the_file(tmp_path):
     path = tmp_path / "in.json"
     path.write_text('[1,\n  oops]', encoding="utf-8")
-    with pytest.raises(Refused, match=re.escape(f"malformed JSON in {path}: ") + ".*line 2"):
-        read_json(path, Refused)
+    with pytest.raises(InputError, match=re.escape(f"malformed JSON in {path}: ") + ".*line 2"):
+        read_json(path)
 
 
 # JSON that decodes to a ``ValueError`` or a ``RecursionError``, not to a
@@ -123,14 +119,14 @@ PAST_THE_DECODER_LIMITS = {
 def test_json_past_the_decoder_limits_is_malformed(tmp_path, text, reason):
     path = tmp_path / "in.json"
     path.write_text(f'{{"a": 1}}\n{text}\n', encoding="utf-8")
-    rows = read_jsonl(path, Refused)
+    rows = read_jsonl(path)
     assert next(rows) == (1, {"a": 1})
     message = f"{path}: malformed JSON on line 2: {reason}"
-    with pytest.raises(Refused, match="^" + re.escape(message)):
+    with pytest.raises(InputError, match="^" + re.escape(message)):
         next(rows)
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(Refused, match="^" + re.escape(f"malformed JSON in {path}: {reason}")):
-        read_json(path, Refused)
+    with pytest.raises(InputError, match="^" + re.escape(f"malformed JSON in {path}: {reason}")):
+        read_json(path)
 
 
 @pytest.mark.parametrize(
@@ -144,19 +140,19 @@ def test_a_lone_surrogate_escape_is_located(tmp_path, escape):
     jsonl, whole = tmp_path / "in.jsonl", tmp_path / "in.json"
     jsonl.write_text(f"{pair}\n\n{lone}\n", encoding="utf-8")
     whole.write_text(f"[{pair},\n\n{lone}]", encoding="utf-8")
-    rows = read_jsonl(jsonl, Refused)
+    rows = read_jsonl(jsonl)
     assert next(rows) == (1, {"a": "\U0001f600"})
-    for path, read in ((jsonl, lambda: next(rows)), (whole, lambda: read_json(whole, Refused))):
+    for path, read in ((jsonl, lambda: next(rows)), (whole, lambda: read_json(whole))):
         message = f"{path}: line 3 escapes a lone surrogate, which is not UTF-8 text"
-        with pytest.raises(Refused, match=re.escape(message)):
+        with pytest.raises(InputError, match=re.escape(message)):
             read()
 
 
 def test_surrogate_like_text_that_is_not_an_escape_loads(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text('{"a": "\\\\ud800", "\\ud83d\\ude00": 1}\n', encoding="utf-8")
-    assert list(read_jsonl(path, Refused)) == [(1, {"a": "\\ud800", "\U0001f600": 1})]
-    assert read_json(path, Refused) == {"a": "\\ud800", "\U0001f600": 1}
+    assert list(read_jsonl(path)) == [(1, {"a": "\\ud800", "\U0001f600": 1})]
+    assert read_json(path) == {"a": "\\ud800", "\U0001f600": 1}
 
 
 def test_write_jsonl_streams_utf8_rows_and_counts_them(tmp_path):
@@ -220,9 +216,9 @@ def test_a_failed_write_leaves_the_old_file(tmp_path, old):
 
     def rows():
         yield {"n": 1}
-        raise Refused("part-way")
+        raise InputError("part-way")
 
-    with pytest.raises(Refused, match="part-way"):
+    with pytest.raises(InputError, match="part-way"):
         write_jsonl(path, rows())
     assert sorted(tmp_path.iterdir()) == ([path] if old is not None else [])
     if old is not None:
@@ -336,7 +332,7 @@ def expected_rows(path, lines):
         try:
             rows.append((lineno, json.loads(line)))
         except (ValueError, RecursionError) as err:
-            return rows, Refused(f"{path}: malformed JSON on line {lineno}: {err}")
+            return rows, InputError(f"{path}: malformed JSON on line {lineno}: {err}")
     return rows, None
 
 
@@ -348,8 +344,8 @@ def test_the_row_decoder_agrees_with_json_loads(tmp_path_factory, lines):
     want, error = expected_rows(path, lines)
     got = []
     try:
-        got.extend(read_jsonl(path, Refused))
-    except Refused as err:
+        got.extend(read_jsonl(path))
+    except InputError as err:
         assert str(err) == str(error)
     else:
         assert error is None
@@ -372,6 +368,6 @@ def test_a_well_formed_file_decodes_without_json_loads(tmp_path, monkeypatch):
     calls = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda *args: calls.append(args) or loads(*args))
-    assert [value for _, value in read_jsonl(path, Refused)] == [row for row in rows for _ in "ab"]
+    assert [value for _, value in read_jsonl(path)] == [row for row in rows for _ in "ab"]
     assert load_jsonl(pairs_path) == records
     assert calls == []

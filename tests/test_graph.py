@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amr_logic_aug.files import InputError
 from amr_logic_aug.graph import (
     AmrGraph,
     Constant,
-    GraphError,
     ParseError,
     parse_penman,
     serialize,
@@ -33,7 +33,7 @@ def test_parse_simple_graph():
         ("g", ":ARG0", "b"),
     )
     assert graph.concept("g") == "go-02"
-    with pytest.raises(GraphError, match="unknown variable"):
+    with pytest.raises(InputError, match="unknown variable"):
         graph.concept("nope")
 
 
@@ -109,11 +109,11 @@ def test_deep_nesting_does_not_recurse():
 
 
 def test_serialize_rejects_broken_graphs():
-    with pytest.raises(GraphError):
+    with pytest.raises(InputError):
         serialize(AmrGraph("a", {"a": "c", "b": "c"}, ()))  # unreachable b
-    with pytest.raises(GraphError):
+    with pytest.raises(InputError):
         serialize(AmrGraph("a", {"a": "c"}, (("a", ":op1", "z"),)))
-    with pytest.raises(GraphError):
+    with pytest.raises(InputError):
         serialize(AmrGraph("z", {"a": "c"}, ()))
 
 
@@ -308,12 +308,12 @@ def reference_serialize(graph):
     out = {var: [] for var in graph.nodes}
     for source, role, target in graph.edges:
         if source not in out:
-            raise GraphError(f"edge from unknown variable {source!r}")
+            raise InputError(f"edge from unknown variable {source!r}")
         if isinstance(target, str) and target not in graph.nodes:
-            raise GraphError(f"edge to unknown variable {target!r}")
+            raise InputError(f"edge to unknown variable {target!r}")
         out[source].append((role, target))
     if graph.root not in graph.nodes:
-        raise GraphError(f"unknown root {graph.root!r}")
+        raise InputError(f"unknown root {graph.root!r}")
     tokens, declared = [], set()
     work = [("node", graph.root)]
     while work:
@@ -335,7 +335,7 @@ def reference_serialize(graph):
             work.append(("token", role))
     if len(declared) != len(graph.nodes):
         missing = sorted(set(graph.nodes) - declared)
-        raise GraphError(f"unreachable nodes: {', '.join(missing)}")
+        raise InputError(f"unreachable nodes: {', '.join(missing)}")
     pieces = []
     for token in tokens:
         if pieces and token != ")":
@@ -350,8 +350,8 @@ def outcome(function, argument):
         return function(argument)
     except ParseError as err:
         return ("ParseError", str(err), err.offset)
-    except GraphError as err:
-        return ("GraphError", str(err))
+    except InputError as err:
+        return ("InputError", str(err))
 
 
 # ASCII punctuation and whitespace, a two-byte letter, and Unicode spaces

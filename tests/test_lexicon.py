@@ -11,15 +11,15 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from amr_logic_aug import logic
-from amr_logic_aug.corpus import CorpusError, build_corpus, corpus_from_jsonl, corpus_to_jsonl
+from amr_logic_aug.corpus import build_corpus, corpus_from_jsonl, corpus_to_jsonl
+from amr_logic_aug.files import InputError
 from amr_logic_aug.lexicon import (
     Lexicon,
-    LexiconError,
     default_lexicon,
     load_lexicon,
     parse_lexicon,
 )
-from amr_logic_aug.pairs import DatasetError, build_pairs, verify_records
+from amr_logic_aug.pairs import build_pairs, verify_records
 
 SHIPPED = resources.files("amr_logic_aug").joinpath("data", "lexicon.tsv").read_bytes()
 
@@ -163,7 +163,7 @@ def test_parse_round_trip():
 )
 def test_validation_errors(change, message):
     text = make_source().replace(*change) if isinstance(change, tuple) else make_source(**change)
-    with pytest.raises(LexiconError, match=message):
+    with pytest.raises(InputError, match=message):
         parse_lexicon(text)
 
 
@@ -215,11 +215,11 @@ def test_the_sentences_of_every_loaded_lexicon_round_trip(
                          ext_attributes=(), antonyms=(pair, pair[::-1]))
     try:
         lexicon = parse_lexicon(source)
-    except LexiconError:
+    except InputError:
         reject()
     try:
         built = build_corpus(lexicon, count, None, seed)
-    except CorpusError as err:  # more sentences than the lexicon makes
+    except InputError as err:  # more sentences than the lexicon makes
         assert str(err).startswith("unreachable target: "), err
         reject()
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
@@ -227,7 +227,7 @@ def test_the_sentences_of_every_loaded_lexicon_round_trip(
     assert corpus_from_jsonl(path, lexicon) == built
     try:
         records = build_pairs(built, lexicon, "1:3", seed)
-    except DatasetError:  # e.g. "You are A." and "You are B." alone, A and B antonyms
+    except InputError:  # e.g. "You are A." and "You are B." alone, A and B antonyms
         if len({logic.meaning(sentence.struct, lexicon) for sentence in built}) >= 4:
             raise
         reject()
@@ -237,34 +237,34 @@ def test_the_sentences_of_every_loaded_lexicon_round_trip(
 
 def test_count_mismatch_is_rejected():
     text = make_source().replace("ENTITY\t2", "ENTITY\t3")
-    with pytest.raises(LexiconError, match="declares 3 entries but has 2"):
+    with pytest.raises(InputError, match="declares 3 entries but has 2"):
         parse_lexicon(text)
 
 
 def test_the_relation_section_is_required():
     text = make_source().replace("RELATION\t2\nis\nis not\n", "")
-    with pytest.raises(LexiconError, match="^missing required section RELATION$"):
+    with pytest.raises(InputError, match="^missing required section RELATION$"):
         parse_lexicon(text)
 
 
 def test_count_header_and_line_numbers():
     text = make_source().replace("ENTITY\t2", "ENTITY\ttwo")
-    with pytest.raises(LexiconError, match="line"):
+    with pytest.raises(InputError, match="line"):
         parse_lexicon(text)
 
 
 def test_a_lexicon_file_error_names_the_file(tmp_path):
     text = make_source() + "\nENTITY\t0"  # a second ENTITY header on line 19
-    with pytest.raises(LexiconError, match="^duplicate section header 'ENTITY' at line 19$"):
+    with pytest.raises(InputError, match="^duplicate section header 'ENTITY' at line 19$"):
         parse_lexicon(text)
     path = tmp_path / "lex.tsv"
     path.write_text(text, encoding="utf-8")
     message = f"{path}: duplicate section header 'ENTITY' at line 19"
-    with pytest.raises(LexiconError) as err:
+    with pytest.raises(InputError) as err:
         load_lexicon(path)
     assert str(err.value) == message
     missing = tmp_path / "missing.tsv"
-    with pytest.raises(LexiconError) as err:
+    with pytest.raises(InputError) as err:
         load_lexicon(missing)
     assert str(err.value).startswith(f"cannot read lexicon file {missing}: ")
 
@@ -294,14 +294,14 @@ def test_only_a_line_end_breaks_a_lexicon_line(tmp_path, separator):
     path.write_text(text.replace("\nquiet\n", f"\nqu{separator}iet\n"), encoding="utf-8")
     word = repr(f"qu{separator}iet")
     message = f"{path}: entry {word} in section ATTRIBUTE is not one word [A-Za-z][A-Za-z-]* "
-    with pytest.raises(LexiconError, match="^" + re.escape(message + "at line 33") + "$"):
+    with pytest.raises(InputError, match="^" + re.escape(message + "at line 33") + "$"):
         load_lexicon(path)
 
 
 def test_a_byte_that_is_not_utf8_is_located_in_a_cr_only_lexicon(tmp_path):
     path = tmp_path / "lexicon.tsv"
     path.write_bytes(SHIPPED.replace(b"\n", b"\r").replace(b"Alan", b"Al\xe1n"))
-    with pytest.raises(LexiconError, match="^" + re.escape(f"{path}: line 20 is not UTF-8 text")):
+    with pytest.raises(InputError, match="^" + re.escape(f"{path}: line 20 is not UTF-8 text")):
         load_lexicon(path)
 
 

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from amr_logic_aug.corpus import PATTERN_LAW
+from amr_logic_aug.files import InputError
 from amr_logic_aug.grammar import (
     Clause,
     GrammarError,
@@ -24,7 +25,6 @@ from amr_logic_aug.logic import (
     And,
     Atom,
     Implies,
-    LogicError,
     Not,
     Or,
     atoms,
@@ -186,7 +186,7 @@ def test_oracle_budget_is_enforced():
     big = atoms[0]
     for atom in atoms[1:]:
         big = And(big, atom)
-    with pytest.raises(LogicError, match="budget"):
+    with pytest.raises(InputError, match="budget"):
         tautology(big)
     # at the budget boundary it still works
     ok = atoms[0]
@@ -300,9 +300,9 @@ def test_bitset_oracle_budget_is_the_union_of_atoms():
         left = Or(left, atom)
     right = Or(pool[0], pool[MAX_ORACLE_ATOMS])
     assert equivalent(left, left)
-    with pytest.raises(LogicError, match="budget"):
+    with pytest.raises(InputError, match="budget"):
         equivalent(left, right)
-    with pytest.raises(LogicError, match="budget"):
+    with pytest.raises(InputError, match="budget"):
         tautology(Or(left, right))
 
 

@@ -13,12 +13,12 @@ import pytest
 from amr_logic_aug import grammar, logic, pairs
 from amr_logic_aug.cli import main
 from amr_logic_aug.corpus import PatternKind, SynthSentence, build_corpus
+from amr_logic_aug.files import InputError
 from amr_logic_aug.laws import LawKind
 from amr_logic_aug.prompt import rewrite_sentence
 from amr_logic_aug.pairs import (
     DEFAULT_VAL_FRACTION,
     RANDOM_SAMPLE_LAW,
-    DatasetError,
     PairRecord,
     build_manifest,
     build_pairs,
@@ -87,7 +87,7 @@ def test_pair_record_validation(kwargs, reason):
         law="double-negation",
     )
     base.update(kwargs)
-    with pytest.raises(DatasetError, match=reason):
+    with pytest.raises(InputError, match=reason):
         PairRecord(**base)
 
 
@@ -102,7 +102,7 @@ def test_parse_ratio(ratio, expected):
      "1:1_0", "1:+3", "1: 3", "1:3 ", " 1:3", "1:\uff13", "1:03", "01:3", "1:3\n"],
 )
 def test_parse_ratio_rejects(ratio):
-    with pytest.raises(DatasetError, match="ratio must be '1:k'"):
+    with pytest.raises(InputError, match="ratio must be '1:k'"):
         parse_ratio(ratio)
 
 
@@ -191,7 +191,7 @@ def test_the_sample_arm_passes_over_a_candidate_equivalent_to_its_anchor(lexicon
 
 def test_build_pairs_ratio_unreachable(lexicon):
     corpus = build_corpus(lexicon, 1, seed=7)
-    with pytest.raises(DatasetError, match="ratio unreachable"):
+    with pytest.raises(InputError, match="ratio unreachable"):
         build_pairs(corpus, lexicon, ratio="1:3", seed=7)
 
 
@@ -229,7 +229,7 @@ def test_split_is_deterministic(tiny_pairs):
     "count, fraction, sizes", [(2, 0.2, (2, 0)), (10, 0.01, (10, 0)), (10, 0.99, (0, 10))]
 )
 def test_split_refuses_an_empty_side(tiny_pairs, count, fraction, sizes):
-    with pytest.raises(DatasetError) as info:
+    with pytest.raises(InputError) as info:
         split(tiny_pairs[:count], val_fraction=fraction)
     assert str(info.value) == (
         f"a {fraction} validation split of {count} records leaves "
@@ -250,7 +250,7 @@ def reference_split(records, val_fraction, seed):
         validation.extend(group[:cut])
         train.extend(group[cut:])
     if not train or not validation:
-        raise DatasetError(f"a {val_fraction} validation split of {len(records)} records leaves "
+        raise InputError(f"a {val_fraction} validation split of {len(records)} records leaves "
                            f"{len(train)} training and {len(validation)} validation records")
     return (sorted(train, key=lambda r: r.pair_id), sorted(validation, key=lambda r: r.pair_id))
 
@@ -258,7 +258,7 @@ def reference_split(records, val_fraction, seed):
 def outcome(function, *args):
     try:
         return function(*args)
-    except DatasetError as err:
+    except InputError as err:
         return str(err)
 
 
@@ -281,7 +281,7 @@ def test_split_matches_the_reference(lexicon, tiny_corpus, size, order):
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
 def test_split_fraction_validation(tiny_pairs, fraction):
-    with pytest.raises(DatasetError, match="val_fraction"):
+    with pytest.raises(InputError, match="val_fraction"):
         split(tiny_pairs, val_fraction=fraction)
 
 
@@ -311,7 +311,7 @@ def test_load_rejects_tampered_sentence(tiny_pairs, tmp_path):
     payload["sentence2"] = payload["sentence2"] + " Extra."
     lines[0] = json.dumps(payload, ensure_ascii=False)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(DatasetError, match="line 1: pair_id mismatch"):
+    with pytest.raises(InputError, match="line 1: pair_id mismatch"):
         load_jsonl(path)
 
 
@@ -338,7 +338,7 @@ def test_load_rejects_tampered_sentence(tiny_pairs, tmp_path):
 def test_load_line_errors(tmp_path, line, reason):
     path = tmp_path / "pairs.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(DatasetError, match=reason):
+    with pytest.raises(InputError, match=reason):
         load_jsonl(path)
 
 

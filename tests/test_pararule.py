@@ -8,8 +8,8 @@ import re
 import pytest
 
 from amr_logic_aug.cli import main
+from amr_logic_aug.files import InputError
 from amr_logic_aug.pararule import (
-    PararuleError,
     alter_pararule_file,
     alter_pararule_rules,
     alter_record,
@@ -146,7 +146,7 @@ def test_a_quantified_subject_is_no_bare_plural(rule, tmp_path, capsys):
 
 @pytest.mark.parametrize("depth", [0, 3, -1, "1"])
 def test_depth_validation(depth):
-    with pytest.raises(PararuleError, match="depth must be 1 or 2"):
+    with pytest.raises(InputError, match="depth must be 1 or 2"):
         alter_rule("If someone is tall then they are quiet.", depth)
 
 
@@ -177,7 +177,7 @@ def test_alter_record_touches_only_rules():
     ],
 )
 def test_alter_record_requires_rules_list(record, message):
-    with pytest.raises(PararuleError, match=re.escape(message)):
+    with pytest.raises(InputError, match=re.escape(message)):
         alter_record(record, depth=1)
 
 
@@ -211,12 +211,12 @@ def test_alter_pararule_file(tmp_path):
 def test_alter_pararule_file_names_the_malformed_line(tmp_path, line, reason):
     src = tmp_path / "in.jsonl"
     src.write_text('{"rules": []}\n' + line + "\n", encoding="utf-8")
-    with pytest.raises(PararuleError, match=re.escape(reason)):
+    with pytest.raises(InputError, match=re.escape(reason)):
         alter_pararule_file(src, tmp_path / "out.jsonl", depth=1)
 
 
 def test_alter_pararule_file_bad_json(tmp_path):
     src = tmp_path / "in.jsonl"
     src.write_text('{"rules": []}\nnot json\n', encoding="utf-8")
-    with pytest.raises(PararuleError, match="malformed JSON on line 2"):
+    with pytest.raises(InputError, match="malformed JSON on line 2"):
         alter_pararule_file(src, tmp_path / "out.jsonl", depth=1)

@@ -9,13 +9,13 @@ import re
 import pytest
 
 from amr_logic_aug import prompt
+from amr_logic_aug.files import InputError
 from amr_logic_aug.laws import LawKind
 from amr_logic_aug.prompt import (
     DEFAULT_PROMPT_LAWS,
     LOGIQA,
     RECLOR,
     McqRecord,
-    PromptError,
     TraceRow,
     augment_file,
     augment_record,
@@ -54,7 +54,7 @@ KEYBOARD_RECORD = McqRecord.from_dict(KEYBOARD_PAYLOAD)
 
 
 def test_record_needs_four_answers():
-    with pytest.raises(PromptError, match="exactly 4 answers"):
+    with pytest.raises(InputError, match="exactly 4 answers"):
         McqRecord("c", ("a", "b", "c"))
 
 
@@ -63,7 +63,7 @@ def test_record_label_range():
     for label in (0, 3, None):
         assert McqRecord.from_dict(dict(payload, label=label)) == ("c", ("a", "b", "c", "d"), "")
     for label in (-1, 4):
-        with pytest.raises(PromptError, match="label must be 0-3"):
+        with pytest.raises(InputError, match="label must be 0-3"):
             McqRecord.from_dict(dict(payload, label=label))
 
 
@@ -75,23 +75,23 @@ def test_record_label_range():
     ],
 )
 def test_record_class_raises_its_messages(fields, message):
-    with pytest.raises(PromptError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         McqRecord(context="c", **fields)
 
 
 def test_record_from_dict_missing_key():
-    with pytest.raises(PromptError, match="missing key"):
+    with pytest.raises(InputError, match="missing key"):
         McqRecord.from_dict({"context": "c", "answers": ["a", "b", "c", "d"]})
 
 
 def test_record_from_dict_bad_answers():
-    with pytest.raises(PromptError, match="answers must be a list"):
+    with pytest.raises(InputError, match="answers must be a list"):
         McqRecord.from_dict({"context": "c", "question": "q", "answers": "abcd"})
 
 
 @pytest.mark.parametrize("payload", [5, [5], "context"])
 def test_record_from_dict_rejects_a_non_object(payload):
-    with pytest.raises(PromptError, match="must be a JSON object"):
+    with pytest.raises(InputError, match="must be a JSON object"):
         McqRecord.from_dict(payload)
 
 
@@ -114,7 +114,7 @@ def test_record_from_dict_rejects_a_non_object(payload):
 def test_record_from_dict_rejects_a_non_string_field(field, value, reason):
     payload = {"context": "c", "question": "q", "answers": ["a", "b", "c", "d"]}
     payload[field] = value
-    with pytest.raises(PromptError, match=reason):
+    with pytest.raises(InputError, match=reason):
         McqRecord.from_dict(payload)
 
 
@@ -461,26 +461,26 @@ def test_augment_file_logiqa_round_trip(lexicon, tmp_path):
 def test_augment_file_rejects_bad_format(lexicon, tmp_path):
     src = tmp_path / "val.json"
     src.write_text("[]", encoding="utf-8")
-    with pytest.raises(PromptError, match="unknown format"):
+    with pytest.raises(InputError, match="unknown format"):
         augment_file(src, tmp_path / "out.json", file_format="csv", lexicon=lexicon)
 
 
 def test_augment_file_rejects_non_array_reclor(lexicon, tmp_path):
     src = tmp_path / "val.json"
     src.write_text('{"context": "not an array"}', encoding="utf-8")
-    with pytest.raises(PromptError, match="JSON array"):
+    with pytest.raises(InputError, match="JSON array"):
         augment_file(src, tmp_path / "out.json", file_format=RECLOR, lexicon=lexicon)
 
 
 def test_augment_file_reports_malformed_reclor_json(lexicon, tmp_path):
     src = tmp_path / "val.json"
     src.write_text('[{"context": "c"},\n  oops]', encoding="utf-8")
-    with pytest.raises(PromptError, match=r"malformed JSON in .*val\.json: .*line 2 column 3"):
+    with pytest.raises(InputError, match=r"malformed JSON in .*val\.json: .*line 2 column 3"):
         augment_file(src, tmp_path / "out.json", file_format=RECLOR, lexicon=lexicon)
 
 
 def test_augment_file_reports_bad_jsonl_line(lexicon, tmp_path):
     src = tmp_path / "val.jsonl"
     src.write_text('{"context": "ok"}\n{broken\n', encoding="utf-8")
-    with pytest.raises(PromptError, match="malformed JSON on line 2"):
+    with pytest.raises(InputError, match="malformed JSON on line 2"):
         augment_file(src, tmp_path / "out.jsonl", file_format=LOGIQA, lexicon=lexicon)

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amr_logic_aug.files import InputError
 from amr_logic_aug.scoring import (
     COSINE,
     DOT,
-    ScoreError,
     Triplet,
     load_triplets_tsv,
     loss_report,
@@ -69,7 +69,7 @@ def test_dot_score():
     ],
 )
 def test_score_errors(a, b, kind, reason):
-    with pytest.raises(ScoreError, match=reason):
+    with pytest.raises(InputError, match=reason):
         score(a, b, kind)
 
 
@@ -116,13 +116,13 @@ def test_score_agrees_with_exact_rational_arithmetic(pair):
     tolerance = (sum(map(abs, products)) + len(a) * scale / 2**1020) / 2**50
     tolerance += Fraction(1, 2**1074)
     if abs(exact) >= FLOAT_LIMIT + tolerance:
-        with pytest.raises(ScoreError, match="^the dot product overflows a float$"):
+        with pytest.raises(InputError, match="^the dot product overflows a float$"):
             score(a, b, DOT)
     elif abs(exact) < FLOAT_LIMIT - tolerance:
         assert abs(Fraction(score(a, b, DOT)) - exact) <= tolerance
 
     if scale == 0:
-        with pytest.raises(ScoreError, match="zero vector"):
+        with pytest.raises(InputError, match="zero vector"):
             score(a, b)
         return
     # The exact cosine is the signed root of an exact square.
@@ -137,13 +137,13 @@ def test_score_agrees_with_exact_rational_arithmetic(pair):
 
 
 def test_triplet_validation():
-    with pytest.raises(ScoreError, match="dimensions differ"):
+    with pytest.raises(InputError, match="dimensions differ"):
         Triplet((1.0,), (1.0, 2.0), (1.0,))
-    with pytest.raises(ScoreError, match="non-empty"):
+    with pytest.raises(InputError, match="non-empty"):
         Triplet((), (), ())
-    with pytest.raises(ScoreError, match="finite"):
+    with pytest.raises(InputError, match="finite"):
         Triplet((1.0,), (float("nan"),), (0.5,))
-    with pytest.raises(ScoreError, match="finite"):
+    with pytest.raises(InputError, match="finite"):
         Triplet((1.0,), (0.5,), (float("inf"),))
 
 
@@ -158,7 +158,7 @@ def test_triplet_validation():
 )
 def test_triplet_class_raises_its_messages(vectors, message):
     anchor, positive, negative = vectors
-    with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         Triplet(anchor=anchor, positive=positive, negative=negative)
 
 
@@ -207,7 +207,7 @@ def test_loss_decreases_as_positive_score_rises():
 
 
 def test_loss_rejects_non_finite_scores():
-    with pytest.raises(ScoreError, match="non-finite scores"):
+    with pytest.raises(InputError, match="non-finite scores"):
         triplet_loss(float("nan"), 0.0)
 
 
@@ -245,7 +245,7 @@ def test_loss_report_structure():
 def test_loss_report_names_the_pair_of_a_zero_vector():
     zero = Triplet((1.0, 0.0), (0.0, 0.0), (0.0, 1.0))
     good = Triplet((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    with pytest.raises(ScoreError, match="^pair 'p2': cosine is undefined for a zero vector$"):
+    with pytest.raises(InputError, match="^pair 'p2': cosine is undefined for a zero vector$"):
         loss_report([("p1", good), ("p2", zero)])
     assert len(loss_report([("p2", zero)], DOT)) == 1
 
@@ -305,5 +305,5 @@ def test_load_triplets_tsv(tmp_path):
 )
 def test_load_triplets_tsv_errors(tmp_path, rows, reason):
     path = write_tsv(tmp_path / "vectors.tsv", rows)
-    with pytest.raises(ScoreError, match="^" + re.escape(f"{path}: {reason}")):
+    with pytest.raises(InputError, match="^" + re.escape(f"{path}: {reason}")):
         load_triplets_tsv(path)

@@ -27,7 +27,7 @@ import amr_logic_aug
 from amr_logic_aug import corpus, pairs
 from amr_logic_aug.corpus import PatternKind, SynthSentence
 from amr_logic_aug.grammar import (
-    Clause, GrammarSentence, Shape, penman_of_struct, read_canonical_penman,
+    Clause, GrammarError, GrammarSentence, Shape, penman_of_struct, read_canonical_penman,
 )
 from amr_logic_aug.graph import Constant
 from amr_logic_aug.laws import LawKind, RewriteOutcome
@@ -187,6 +187,26 @@ def test_the_benchmark_inputs_are_made_at_a_small_size(seed, tmp_path, monkeypat
         assert lines == [penman_of_struct(struct) for struct in structs]
         # Every line takes augment's canonical Penman reader, not parse_penman.
         assert [read_canonical_penman(line) for line in lines] == structs
+
+
+def test_the_package_defines_one_exception_class_per_role():
+    """Refused input ends a run with exit 1; text or a graph outside the
+    grammar, and a sentence outside a law's precondition, are skipped line
+    by line by the free-text readers; an oracle violation is a bug."""
+    defined = {}
+    for name in MODULES:
+        module = importlib.import_module(f"amr_logic_aug.{name}")
+        defined.update((f"{name}.{value.__name__}", value.__bases__)
+                       for value in vars(module).values()
+                       if isinstance(value, type) and issubclass(value, BaseException)
+                       and value.__module__ == module.__name__)
+    assert defined == {
+        "files.InputError": (ValueError,),
+        "grammar.GrammarError": (ValueError,),
+        "graph.ParseError": (GrammarError,),
+        "laws.LawError": (ValueError,),
+        "laws.OracleViolation": (AssertionError,),
+    }
 
 
 def test_package_root_exports_only_the_version():
