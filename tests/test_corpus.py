@@ -104,7 +104,8 @@ def test_a_pair_family_reaches_every_nondegenerate_slot(kind, seed, topup_reserv
     assert positive == reachable
     assert build_corpus(TINY_LEXICON, len(reachable), {kind: 1.0}, seed) == built
     with pytest.raises(
-            match=f"^unreachable target: {kind.value} family exhausted at 26 of 27 "
+        InputError,
+        match=f"^unreachable target: {kind.value} family exhausted at 26 of 27 "
         "requested sentences$",
     ):
         build_corpus(TINY_LEXICON, len(reachable) + 1, {kind: 1.0}, seed)
@@ -152,7 +153,8 @@ def test_a_shortfall_no_family_has_room_for_is_refused():
         PatternKind.IMPLICATION_PAIR: 4,
     }
     with pytest.raises(
-            match="^unreachable target: implication-pair family exhausted at 4 of 5 "
+        InputError,
+        match="^unreachable target: implication-pair family exhausted at 4 of 5 "
         "requested sentences$",
     ):
         build_corpus(lexicon, 15, None, 0)

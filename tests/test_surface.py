@@ -189,17 +189,24 @@ def test_the_benchmark_inputs_are_made_at_a_small_size(seed, tmp_path, monkeypat
         assert [read_canonical_penman(line) for line in lines] == structs
 
 
+def package_exception_classes():
+    """``{"module.Class": class}`` for each exception class a package module
+    defines."""
+    defined = {}
+    for name in MODULES:
+        module = importlib.import_module(f"amr_logic_aug.{name}")
+        defined.update((f"{name}.{value.__name__}", value)
+                       for value in vars(module).values()
+                       if isinstance(value, type) and issubclass(value, BaseException)
+                       and value.__module__ == module.__name__)
+    return defined
+
+
 def test_the_package_defines_one_exception_class_per_role():
     """Refused input ends a run with exit 1; text or a graph outside the
     grammar, and a sentence outside a law's precondition, are skipped line
     by line by the free-text readers; an oracle violation is a bug."""
-    defined = {}
-    for name in MODULES:
-        module = importlib.import_module(f"amr_logic_aug.{name}")
-        defined.update((f"{name}.{value.__name__}", value.__bases__)
-                       for value in vars(module).values()
-                       if isinstance(value, type) and issubclass(value, BaseException)
-                       and value.__module__ == module.__name__)
+    defined = {name: error.__bases__ for name, error in package_exception_classes().items()}
     assert defined == {
         "files.InputError": (ValueError,),
         "grammar.GrammarError": (ValueError,),
