@@ -23,7 +23,8 @@ exception is a bug and propagates.
 A process defines only the subcommand it runs (none for a missing or
 misspelt one, which is a usage error), and imports only the modules that
 subcommand needs: ``augment`` never loads ``corpus``,
-``pairs``, ``prompt``, ``pararule`` or ``scoring``, and only ``augment
+``pairs``, ``prompt``, ``pararule`` or ``scoring``, ``check`` never loads
+``corpus``, and only ``augment
 --format penman`` loads ``graph``, for a line outside the Penman writer's
 format.  Only a subcommand that reads a lexicon loads ``grammar`` and
 ``lexicon``: ``pararule``, ``loss`` and a usage error load neither.  No

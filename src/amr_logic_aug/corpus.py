@@ -38,6 +38,7 @@ import random
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
+from . import DEFAULT_SEED
 from .files import InputError, json_string, read_objects, write_text
 from .grammar import (
     AND_PAIR,
@@ -60,7 +61,6 @@ if TYPE_CHECKING:
     from .graph import AmrGraph
 
 DEFAULT_TARGET = 14_962
-DEFAULT_SEED = 2021
 
 _TOPUP_RESERVE = 256
 

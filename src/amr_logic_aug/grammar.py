@@ -93,8 +93,9 @@ class GrammarSentence(_SentenceFields):
     (antecedent, consequent) for IF_THEN regardless of surface form;
     ``trailing_condition`` records the "B if A." surface for conditionals.
     The clause count is checked on construction (``_make``, ``_replace`` and
-    a direct ``tuple.__new__``, which the Penman reader uses where the shape
-    fixes the count, skip the check).
+    a direct ``tuple.__new__`` skip the check; both compiled readers,
+    :func:`compile_core_parser`'s and :func:`read_canonical_penman`, use the
+    latter, since their patterns fix each shape's count).
     """
 
     __slots__ = ()
@@ -358,8 +359,9 @@ def compile_core_parser(
     "B if A.", "A and B.", "A or B." or "A.", each clause an entity in any
     ASCII case, a lower-case copula, an optional " not" and one predicate
     token that is no routing word.  On every text it accepts it returns
-    what the general parser returns; the subject is the table's entity for
-    the lower-cased words.
+    what the general parser returns, built with ``tuple.__new__`` since the
+    pattern fixes each shape's clause count; the subject is the table's
+    entity for the lower-cased words.
 
     Returns None (no fast path: every core parse takes the general parser)
     for a lexicon without entities, with an entity word in
@@ -393,6 +395,8 @@ def compile_core_parser(
         re.ASCII,
     ).fullmatch
 
+    new = tuple.__new__
+
     def parse(text: str) -> Optional[GrammarSentence]:
         match = fullmatch(text)
         if match is None:
@@ -400,17 +404,18 @@ def compile_core_parser(
         (subject1, not1, predicate1, subject2, not2, predicate2,
          subject3, not3, predicate3, joiner, subject4, not4, predicate4) = match.groups()
         if subject1 is not None:
-            return GrammarSentence(IF_THEN, (
-                Clause(subjects[subject1.lower()], predicate1, not1 is not None),
-                Clause(subjects[subject2.lower()], predicate2, not2 is not None),
-            ))
-        first = Clause(subjects[subject3.lower()], predicate3, not3 is not None)
+            return new(GrammarSentence, (IF_THEN, (
+                new(Clause, (subjects[subject1.lower()], predicate1, not1 is not None)),
+                new(Clause, (subjects[subject2.lower()], predicate2, not2 is not None)),
+            ), False))
+        first = new(Clause, (subjects[subject3.lower()], predicate3, not3 is not None))
         if joiner is None:
-            return GrammarSentence(ATOMIC, (first,))
-        second = Clause(subjects[subject4.lower()], predicate4, not4 is not None)
+            return new(GrammarSentence, (ATOMIC, (first,), False))
+        second = new(Clause, (subjects[subject4.lower()], predicate4, not4 is not None))
         if joiner == "if":
-            return GrammarSentence(IF_THEN, (second, first), True)
-        return GrammarSentence(AND_PAIR if joiner == "and" else OR_PAIR, (first, second))
+            return new(GrammarSentence, (IF_THEN, (second, first), True))
+        shape = AND_PAIR if joiner == "and" else OR_PAIR
+        return new(GrammarSentence, (shape, (first, second), False))
 
     return parse
 

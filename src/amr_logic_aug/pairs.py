@@ -17,17 +17,19 @@ import hashlib
 import random
 import re
 from array import array
-from itertools import cycle, groupby, islice, pairwise
+from itertools import cycle, islice, pairwise
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from . import logic
-from .corpus import DEFAULT_SEED, PATTERN_LAW, SynthSentence
+from . import DEFAULT_SEED, logic
 from .files import InputError, json_string, read_objects, write_text
 from .grammar import GrammarError, parse_sentence_struct, realize_struct
 from .laws import LawKind, apply_law, flip_polarity_negative
 from .lexicon import Lexicon
+
+if TYPE_CHECKING:  # a check process loads no corpus
+    from .corpus import SynthSentence
 
 DEFAULT_VAL_FRACTION = 0.2
 RANDOM_SAMPLE_LAW = "random-sample"
@@ -90,6 +92,8 @@ def build_pairs(
     seed: int = DEFAULT_SEED,
 ) -> list[PairRecord]:
     """One oracle-gated positive and k negatives per corpus sentence."""
+    from .corpus import PATTERN_LAW
+
     wanted = 2 + parse_ratio(ratio)  # the anchor, its positive, then k negatives
     records: list[PairRecord] = []
     # Reseeding gives the stream a fresh Random(f"{seed}:neg:{text}") would.
@@ -206,17 +210,19 @@ def load_jsonl(path: str | Path) -> list[PairRecord]:
 def verify_records(records: Sequence[PairRecord], lexicon: Lexicon) -> list[tuple[int, str]]:
     """Oracle replay: re-check that each label matches truth-table semantics.
 
-    Records are visited grouped by ``sentence1`` (a stable sort of their
-    indexes by anchor text), so each anchor is parsed and keyed
-    (:func:`~amr_logic_aug.logic.meaning`) once, and only the current
-    anchor's key is alive; ``sentence2`` is parsed and keyed per record.
-    An unparseable anchor is reported on every record that names it.
-    Returns (record index, problem) tuples in record order; empty means a
-    clean bill of health.
+    Records are visited grouped by ``sentence1`` (anchors in order of first
+    appearance, each anchor's records in record order), so each anchor is
+    parsed and keyed (:func:`~amr_logic_aug.logic.meaning`) once, and only
+    the current anchor's key is alive; ``sentence2`` is parsed and keyed per
+    record.  An unparseable anchor is reported on every record that names
+    it.  Returns (record index, problem) tuples in record order; empty means
+    a clean bill of health.
     """
-    anchor_of = [record.sentence1 for record in records].__getitem__
+    groups: dict[str, list[int]] = {}
+    for index, record in enumerate(records):
+        groups.setdefault(record.sentence1, []).append(index)
     problems: list[tuple[int, str]] = []
-    for anchor, group in groupby(sorted(range(len(records)), key=anchor_of), key=anchor_of):
+    for anchor, group in groups.items():
         try:
             anchor_key = logic.meaning(parse_sentence_struct(anchor, lexicon), lexicon)
         except GrammarError as err:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from collections import Counter
 
 import pytest
 
+import amr_logic_aug
+from amr_logic_aug import pairs
 from amr_logic_aug.corpus import (
     DEFAULT_SEED,
     DEFAULT_TARGET,
@@ -376,4 +379,9 @@ def test_jsonl_error_reports_correct_line(lexicon, tmp_path):
 
 
 def test_default_seed_value():
-    assert DEFAULT_SEED == 2021
+    """The seed is stated once, in the package root; ``corpus`` re-exports
+    it for the CLI and the scripts, and every seeded step defaults to it."""
+    defaults = [inspect.signature(function).parameters["seed"].default
+                for function in (build_corpus, pairs.build_pairs, pairs.split)]
+    assert DEFAULT_SEED is amr_logic_aug.DEFAULT_SEED
+    assert [DEFAULT_SEED, *defaults] == [2021] * 4

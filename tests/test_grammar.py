@@ -689,11 +689,25 @@ def test_subject_table_is_per_lexicon(lexicon):
 # ---------------------------------------------------------------------------
 
 
+def assert_classes(struct):
+    """``struct`` is built of its classes, which ``==`` does not compare:
+    ``GrammarSentence(ATOMIC, (Clause("a", "b"),))`` equals the plain tuple
+    ``(ATOMIC, (("a", "b", False),), False)``.  Both compiled readers build
+    their structs without the class calls, so their differential tests hold
+    them to it."""
+    assert type(struct) is GrammarSentence, type(struct)
+    assert type(struct.trailing_condition) is bool, struct
+    for clause in struct.clauses:
+        assert type(clause) is Clause and type(clause.negated) is bool, clause
+
+
 def outcome(parse, text, lexicon, level=CORE):
     try:
-        return "struct", parse(text, lexicon, level)
+        struct = parse(text, lexicon, level)
     except GrammarError as err:
         return type(err), str(err)
+    assert_classes(struct)
+    return "struct", struct
 
 
 def assert_as_general(text, lexicon, level=CORE):
@@ -908,15 +922,23 @@ def general_penman(text):
         return type(err), str(err)
 
 
+def canonical_penman(text):
+    """``read_canonical_penman(text)``, a struct held to its classes."""
+    struct = read_canonical_penman(text)
+    if struct is not None:
+        assert_classes(struct)
+    return struct
+
+
 def test_canonical_penman_reads_every_corpus_struct(full_corpus):
     for sentence in full_corpus:
-        assert read_canonical_penman(penman_of_struct(sentence.struct)) == sentence.struct
+        assert canonical_penman(penman_of_struct(sentence.struct)) == sentence.struct
 
 
 def test_canonical_penman_agrees_with_the_general_path_on_the_corpus(full_corpus):
     for sentence in full_corpus:
         text = penman_of_struct(sentence.struct)
-        assert read_canonical_penman(text) == general_penman(text), text
+        assert canonical_penman(text) == general_penman(text), text
 
 
 @pytest.mark.parametrize(
@@ -953,7 +975,7 @@ def test_canonical_penman_agrees_with_the_general_path_on_the_corpus(full_corpus
     ],
 )
 def test_canonical_penman_edge_cases(text, accepted):
-    struct = read_canonical_penman(text)
+    struct = canonical_penman(text)
     assert (struct is not None) == accepted
     if accepted:
         assert struct == general_penman(text)
@@ -1000,7 +1022,7 @@ def penman_mutants(draw, lines):
 def accepted_as_general(text):
     """Whether the reader accepts ``text``; what it accepts, it reads as the
     general path does."""
-    struct = read_canonical_penman(text)
+    struct = canonical_penman(text)
     if struct is not None:
         assert struct == general_penman(text), text
     return struct is not None

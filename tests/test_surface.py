@@ -216,9 +216,9 @@ def test_the_package_defines_one_exception_class_per_role():
     }
 
 
-def test_package_root_exports_only_the_version():
+def test_package_root_exports_only_the_version_and_the_default_seed():
     public = {name for name in vars(amr_logic_aug) if not name.startswith("_")}
-    assert public <= set(MODULES)  # submodules bind themselves once imported
+    assert public - {"DEFAULT_SEED"} <= set(MODULES)  # submodules bind themselves once imported
     assert amr_logic_aug.__version__
 
 
@@ -365,7 +365,7 @@ SUBCOMMAND_MODULES = {
     "augment --format penman": LEXICON_MODULES | {"laws", "logic"},
     "augment --format penman, another format": LEXICON_MODULES | {"graph", "laws", "logic"},
     "pairs": LEXICON_MODULES | {"corpus", "laws", "logic", "pairs"},
-    "check": LEXICON_MODULES | {"corpus", "laws", "logic", "pairs"},
+    "check": LEXICON_MODULES | {"laws", "logic", "pairs"},
     "prompt-aug": LEXICON_MODULES | {"laws", "logic", "prompt"},
     "pararule": {"pararule"},
     "loss": {"scoring"},
@@ -378,8 +378,9 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     """``cli`` defines and imports only the subcommand a process runs, so
     ``augment`` compiles and runs none of ``corpus``, ``pairs``, ``prompt``,
     ``pararule`` and ``scoring``, and not ``graph`` either unless a Penman
-    line is outside the writer's format; ``pararule`` and ``loss`` load no
-    ``grammar`` or ``lexicon``.  A misspelt subcommand defines none, so its
+    line is outside the writer's format; ``check`` loads ``pairs`` but not
+    ``corpus``, which only ``build_pairs`` needs, while ``pairs`` loads
+    both; ``pararule`` and ``loss`` load no ``grammar`` or ``lexicon``.  A misspelt subcommand defines none, so its
     usage error loads no subcommand module.  No process loads
     ``logging``, which would be listed too."""
     code = (
