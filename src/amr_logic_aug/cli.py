@@ -242,8 +242,12 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         raise InputError(f"no sentences in {source}, so no pairs to write")
     records = pairs.build_pairs(sentences, lexicon, args.ratio, args.seed)
     train, validation = pairs.split(records, args.val_frac, args.seed)
-    for path, part in ((args.out_train, train), (args.out_val, validation)):
+    # Both data files before either sidecar: a run killed between them
+    # leaves a sidecar that no longer hashes its data file.
+    parts = ((args.out_train, train), (args.out_val, validation))
+    for path, part in parts:
         pairs.emit_jsonl(part, path)
+    for path, part in parts:
         manifest = pairs.build_manifest(
             part, args.seed, args.ratio, args.val_frac, lexicon, len(sentences)
         )

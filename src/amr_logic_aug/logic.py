@@ -99,33 +99,16 @@ def clause_literal(clause: Clause, lexicon: Lexicon) -> tuple[tuple[str, str], b
     return (clause.subject, clause.predicate), clause.negated
 
 
-def atoms(formula: Formula) -> tuple[Atom, ...]:
-    """All distinct atoms in first-occurrence order."""
-    seen: dict[Atom, None] = {}
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            seen.setdefault(node)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            stack.append(node.consequent)
-            stack.append(node.antecedent)
-    return tuple(seen)
-
-
 def _truth_table(formula: Formula, index: dict[tuple[str, str], int]) -> int:
     """The formula's table; an atom not yet in ``index`` takes the next number.
 
-    Raises IndexError once more than MAX_ORACLE_ATOMS atoms are numbered.
-    Python's ``~`` is two's complement, so only the low bits are meaningful.
+    An atom numbered past MAX_ORACLE_ATOMS has the table 0, so the caller
+    tells an exceeded budget by the size of ``index``.  Python's ``~`` is
+    two's complement, so only the low bits are meaningful.
     """
     if isinstance(formula, Atom):
-        return _ATOM_MASKS[index.setdefault((formula.subject, formula.attribute), len(index))]
+        number = index.setdefault((formula.subject, formula.attribute), len(index))
+        return _ATOM_MASKS[number] if number < MAX_ORACLE_ATOMS else 0
     if isinstance(formula, Not):
         return ~_truth_table(formula.operand, index)
     if isinstance(formula, And):
@@ -138,11 +121,9 @@ def _truth_table(formula: Formula, index: dict[tuple[str, str], int]) -> int:
 def equivalent(first: Formula, second: Formula) -> bool:
     """Truth-table equivalence over the union of both formulas' atoms."""
     index: dict[tuple[str, str], int] = {}
-    try:
-        table = _truth_table(first, index) ^ _truth_table(second, index)
-    except IndexError:
-        n = len(dict.fromkeys(atoms(first) + atoms(second)))
-        raise InputError(f"atom budget exceeded: {n} atoms > {MAX_ORACLE_ATOMS}") from None
+    table = _truth_table(first, index) ^ _truth_table(second, index)
+    if len(index) > MAX_ORACLE_ATOMS:
+        raise InputError(f"atom budget exceeded: {len(index)} atoms > {MAX_ORACLE_ATOMS}")
     full = (1 << (1 << len(index))) - 1
     return table & full == 0
 

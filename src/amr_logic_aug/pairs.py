@@ -50,30 +50,27 @@ class _PairFields(NamedTuple):
     sentence2: str
     label: int
     law: str
-    pair_id: str = ""
+    pair_id: str
 
 
 class PairRecord(_PairFields):
-    """One labelled pair, validated on construction (``_make`` and
-    ``_replace`` skip the checks); an empty ``pair_id`` is filled in."""
+    """One labelled pair, validated on construction, its ``pair_id`` derived
+    from the other four fields (``_make`` and ``_replace`` skip both)."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, sentence1: str, sentence2: str, label: int, law: str, pair_id: str = ""
-    ) -> "PairRecord":
+    def __new__(cls, sentence1: str, sentence2: str, label: int, law: str) -> "PairRecord":
         if type(label) is not int or label not in (0, 1):  # a bool is an int
             raise InputError(f"label must be 0 or 1, got {label!r}")
         if law not in _VALID_LAWS:
             raise InputError(f"law must be one of {sorted(_VALID_LAWS)}, got {law!r}")
         if sentence1 == sentence2:
             raise InputError("sentence1 == sentence2")
-        expected = make_pair_id(sentence1, sentence2, label, law)
-        if not pair_id:
-            pair_id = expected
-        elif pair_id != expected:
-            raise InputError(f"pair_id mismatch: got {pair_id!r}, expected {expected!r}")
+        pair_id = make_pair_id(sentence1, sentence2, label, law)
         return tuple.__new__(cls, (sentence1, sentence2, label, law, pair_id))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle call __new__ with these
+        return self[:4]
 
 
 def parse_ratio(ratio: str) -> int:
@@ -196,12 +193,10 @@ def load_jsonl(path: str | Path) -> list[PairRecord]:
             value = row.get(key, "")
             if not isinstance(value, str):
                 raise InputError(f"{key} must be a string, got {type(value).__name__}")
-        pair_id = row.get("pair_id", "")
-        record = PairRecord(row["sentence1"], row["sentence2"], row["label"], row["law"], pair_id)
-        if not pair_id:  # PairRecord filled it in, but a file must carry it
-            if "pair_id" not in row:
-                raise KeyError("pair_id")
-            raise InputError(f"pair_id mismatch: got {pair_id!r}, expected {record.pair_id!r}")
+        record = PairRecord(row["sentence1"], row["sentence2"], row["label"], row["law"])
+        given = row["pair_id"]
+        if given != record.pair_id:
+            raise InputError(f"pair_id mismatch: got {given!r}, expected {record.pair_id!r}")
         return record
 
     return list(read_objects(path, record_of))

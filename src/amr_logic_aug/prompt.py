@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from . import grammar
-from .files import InputError, json_string, read_json, read_jsonl, write_jsonl, write_text
+from .files import InputError, read_json, read_jsonl, write_jsonl, write_text
 from .laws import LawKind, apply_law, refusal
 from .lexicon import Lexicon
 
@@ -212,26 +212,6 @@ def _read_records(path: str | Path, file_format: str) -> Iterable:
     raise InputError(f"unknown format {file_format!r} (use {RECLOR} or {LOGIQA})")
 
 
-def _trace_lines(traces: Iterable[tuple[str, tuple[TraceRow, ...]]]) -> Iterable[str]:
-    """One line per trace row of each ``(record_id, rows)`` pair, formatted
-    directly: the bytes of ``json.dumps`` with ``ensure_ascii=False`` over
-    ``{"record_id": ..., **row._asdict()}``, each rewrite an object of its
-    ``_asdict()``."""
-    quote = json_string
-    for record_id, rows in traces:
-        quoted_id = quote(record_id)
-        for row in rows:
-            rewrites = ", ".join(
-                [f'{{"law": {quote(r.law)}, "text": {quote(r.text)}}}' for r in row.rewrites]
-            )
-            reason = "null" if row.skipped_reason is None else quote(row.skipped_reason)
-            yield (
-                f'{{"record_id": {quoted_id}, "source": {quote(row.source)}, '
-                f'"original": {quote(row.original)}, "rewrites": [{rewrites}], '
-                f'"skipped_reason": {reason}}}\n'
-            )
-
-
 def augment_file(
     in_path: str | Path,
     out_path: str | Path,
@@ -283,7 +263,12 @@ def augment_file(
     else:
         write_jsonl(out_path, out_payloads)
     if trace_path is not None:
-        write_text(trace_path, _trace_lines(traces))
+        write_jsonl(trace_path, (
+            {"record_id": record_id, "source": row.source, "original": row.original,
+             "rewrites": [{"law": r.law, "text": r.text} for r in row.rewrites],
+             "skipped_reason": row.skipped_reason}
+            for record_id, rows in traces for row in rows
+        ))
     seen = stats["sentences_seen"]
     stats["skip_rate"] = round(1 - stats["sentences_augmented"] / seen, 4) if seen else 0.0
     return stats

@@ -1040,6 +1040,107 @@ def test_pararule_cli(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# A killed run
+# ---------------------------------------------------------------------------
+
+# Run by ``python -c`` with the arguments N, then the CLI's: the process
+# ends with exit 75 right after its N-th ``os.replace``.
+KILLED_AFTER_REPLACE = """\
+import os, sys
+from amr_logic_aug.cli import main
+
+limit, replace, calls = int(sys.argv[1]), os.replace, 0
+
+def replace_then_die(source, target):
+    global calls
+    replace(source, target)
+    calls += 1
+    if calls == limit:
+        os._exit(75)
+
+os.replace = replace_then_die
+sys.exit(main(sys.argv[2:]))
+"""
+KILL_INPUTS = {
+    "old.txt": "If Alan is kind, then Bob is clever.\n",
+    "new.txt": "If Bob is tall, then Alan is not kind.\n",
+    "old.json": json.dumps(_mcq_payload()),
+    "new.json": json.dumps([{**_mcq_payload()[0], "context": "Alan is kind or Bob is tall."}]),
+    "old_rules.jsonl": json.dumps({"rules": ["If someone is tall then they are quiet."]}) + "\n",
+    "new_rules.jsonl": json.dumps({"rules": ["If someone is sad then they are bad."]}) + "\n",
+}
+# Each writing subcommand's previous run, then the run that is killed over
+# its files.
+KILL_RUNS = {
+    "synth": (["synth", "--count", "20", "--seed", "1", "--out", "corpus.jsonl"],
+              ["synth", "--count", "20", "--seed", "2", "--out", "corpus.jsonl"]),
+    "augment": (["augment", "--law", "contraposition", "--in", "old.txt", "--out", "aug.jsonl"],
+                ["augment", "--law", "contraposition", "--in", "new.txt", "--out", "aug.jsonl"]),
+    "pairs": (["pairs", "--count", "20", "--ratio", "1:3", "--seed", "1",
+               "--out-train", "train.jsonl", "--out-val", "val.jsonl"],
+              ["pairs", "--count", "20", "--ratio", "1:3", "--seed", "2",
+               "--out-train", "train.jsonl", "--out-val", "val.jsonl"]),
+    "prompt-aug-trace": (
+        ["prompt-aug", "--in", "old.json", "--out", "aug.json", "--trace", "trace.jsonl"],
+        ["prompt-aug", "--in", "new.json", "--out", "aug.json", "--trace", "trace.jsonl"]),
+    "pararule": (["pararule", "--depth", "1", "--in", "old_rules.jsonl", "--out", "alt.jsonl"],
+                 ["pararule", "--depth", "1", "--in", "new_rules.jsonl", "--out", "alt.jsonl"]),
+}
+
+
+def files_in(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def a_sidecar_disowns_its_data(files: dict[str, bytes]) -> bool:
+    """Whether some sidecar's ``data_sha256`` is not the digest of its data file."""
+    return any(
+        json.loads(sidecar)["data_sha256"]
+        != hashlib.sha256(files[name.removesuffix(".manifest.json")]).hexdigest()
+        for name, sidecar in files.items()
+        if name.endswith(".manifest.json")
+    )
+
+
+@pytest.mark.parametrize("old, new", KILL_RUNS.values(), ids=KILL_RUNS)
+def test_a_run_killed_after_any_replace_leaves_one_run_or_a_disowning_sidecar(
+    tmp_path, monkeypatch, old, new
+):
+    """The new run, ended after its N-th ``os.replace`` for every N short of
+    its last, leaves the old run's files, the new run's, or a sidecar whose
+    ``data_sha256`` is not its data file's."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in KILL_INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
+    assert main(["-q", *old]) == 0
+    before = files_in(tmp_path)
+    replaced = []
+    replace = os.replace
+
+    def counted_replace(source, target):
+        replaced.append(Path(target).name)
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", counted_replace)
+    assert main(["-q", *new]) == 0
+    monkeypatch.setattr(os, "replace", replace)
+    after = files_in(tmp_path)
+    assert after.keys() == before.keys()
+    assert all(after[name] != before[name] for name in replaced)  # every write shows
+    assert not a_sidecar_disowns_its_data(before) and not a_sidecar_disowns_its_data(after)
+    for limit in range(1, len(replaced)):
+        for name, data in before.items():
+            # Unlinked first: on some file systems truncating a file in
+            # place is many times slower than writing a new one.
+            (tmp_path / name).unlink()
+            (tmp_path / name).write_bytes(data)
+        done = run_fresh(["-c", KILLED_AFTER_REPLACE, str(limit), "-q", *new], tmp_path)
+        assert done.returncode == 75, done.stderr
+        left = files_in(tmp_path)
+        assert left in (before, after) or a_sidecar_disowns_its_data(left), replaced[:limit]
+
+
+# ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
 

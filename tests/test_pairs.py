@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import sys
 from collections import Counter
@@ -61,11 +63,13 @@ def test_make_pair_id_sensitivity():
     assert make_pair_id("a", "b", 1, "implication") != base
 
 
-def test_pair_record_fills_in_pair_id():
+def test_pair_record_derives_its_pair_id():
     record = PairRecord("A is kind.", "A is not weak.", 1, "double-negation")
     assert record.pair_id == make_pair_id(
         "A is kind.", "A is not weak.", 1, "double-negation"
     )
+    # Both rebuild the record through its four-field constructor.
+    assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
 
 
 @pytest.mark.parametrize(
@@ -74,10 +78,10 @@ def test_pair_record_fills_in_pair_id():
         (dict(label=2), "label must be 0 or 1"),
         (dict(law="osmosis"), "law must be one of"),
         (dict(sentence2="A is kind."), "sentence1 == sentence2"),
-        (dict(pair_id="0" * 16), "pair_id mismatch"),
         (dict(label=True), "label must be 0 or 1, got True"),
         (dict(label=1.0), "label must be 0 or 1, got 1.0"),
     ],
+    ids=["label-2", "law", "same-sentences", "label-true", "label-float"],
 )
 def test_pair_record_validation(kwargs, reason):
     base = dict(

@@ -411,8 +411,9 @@ def test_augment_file_skips_a_record_whose_id_string_is_not_a_string(lexicon, tm
 
 
 def test_trace_lines_are_the_json_of_their_rows(lexicon, tmp_path):
-    # Each trace line is formatted directly; its bytes must stay those of
-    # json.dumps over the row's fields, whatever the id_string holds.
+    # Each trace line is a row dict written by files.write_jsonl; its bytes
+    # must stay those of json.dumps over the row's fields, whatever the
+    # id_string holds.
     payloads = [
         {**KEYBOARD_PAYLOAD, "id_string": 'Zoë "7" \\ \u2028 \U0001f600'},
         {
